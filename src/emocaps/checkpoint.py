@@ -9,13 +9,14 @@ round trip is bit-identical and the files diff cleanly across runs.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .errors import MalformedHeader, TruncatedFile
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _manifest_path(stem) -> Path:
@@ -27,7 +28,12 @@ def _payload_path(stem) -> Path:
 
 
 def save_checkpoint(stem, tensors: dict[str, np.ndarray], hyperparameters: dict, seed: int) -> None:
-    """Write stem.json + stem.bin; tensor order follows the dict order."""
+    """Write stem.json + stem.bin; tensor order follows the dict order.
+
+    Both files are written to `.tmp` siblings first and then renamed into
+    place, payload first and manifest last, so a failed write leaves the
+    previous pair untouched and no temporary files behind.
+    """
     entries = []
     chunks = []
     for name, t in tensors.items():
@@ -41,10 +47,17 @@ def save_checkpoint(stem, tensors: dict[str, np.ndarray], hyperparameters: dict,
         "hyperparameters": hyperparameters,
         "seed": seed,
     }
-    _manifest_path(stem).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    _payload_path(stem).write_bytes(b"".join(chunks))
+    payload, manifest_path = _payload_path(stem), _manifest_path(stem)
+    tmp_payload = payload.with_name(payload.name + ".tmp")
+    tmp_manifest = manifest_path.with_name(manifest_path.name + ".tmp")
+    try:
+        tmp_payload.write_bytes(b"".join(chunks))
+        tmp_manifest.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        os.replace(tmp_payload, payload)
+        os.replace(tmp_manifest, manifest_path)
+    finally:
+        tmp_payload.unlink(missing_ok=True)
+        tmp_manifest.unlink(missing_ok=True)
 
 
 def load_checkpoint(stem):

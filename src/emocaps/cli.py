@@ -105,15 +105,26 @@ def load_dataset(path, labeled: bool = True) -> list:
             examples.append((None, line))
             continue
         if "\t" not in line:
-            raise MalformedLine(f"{path}: expected label<TAB>text", lineno)
+            raise MalformedLine(f"{path}:{lineno}: expected label<TAB>text", lineno)
         label, text = line.split("\t", 1)
         examples.append((label_index(label), text))
     return examples
 
 
-def _encode(examples, vocab: Vocabulary):
-    """(label, text) pairs -> (ids, label) pairs on whitespace tokens."""
-    return [(vocab.encode(text.split()), label) for label, text in examples]
+def _encode(examples, vocab: Vocabulary, path):
+    """(label, text) pairs -> (ids, label) pairs on whitespace tokens.
+
+    `examples` holds one entry per line of `path`, as load_dataset returns
+    them. A line with no tokens cannot be classified, so it is rejected with
+    its file and line number before any output is written.
+    """
+    encoded = []
+    for lineno, (label, text) in enumerate(examples, 1):
+        tokens = text.split()
+        if not tokens:
+            raise MalformedLine(f"{path}:{lineno}: line has no tokens", lineno)
+        encoded.append((vocab.encode(tokens), label))
+    return encoded
 
 
 def _require_nonempty(examples, path) -> None:
@@ -180,11 +191,11 @@ def cmd_train(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     train_examples = load_dataset(args.train_file)
     _require_nonempty(train_examples, args.train_file)
-    train_set = _encode(train_examples, vocab)
+    train_set = _encode(train_examples, vocab, args.train_file)
     if args.dev_file:
         dev_examples = load_dataset(args.dev_file)
         _require_nonempty(dev_examples, args.dev_file)
-        dev_set = _encode(dev_examples, vocab)
+        dev_set = _encode(dev_examples, vocab, args.dev_file)
     else:
         dev_set = train_set
 
@@ -227,7 +238,7 @@ def cmd_evaluate(args) -> int:
     params, cfg = _load_model(args.checkpoint, vocab)
     examples = load_dataset(args.input)
     _require_nonempty(examples, args.input)
-    encoded = _encode(examples, vocab)
+    encoded = _encode(examples, vocab, args.input)
     preds = predict_dataset([ids for ids, _ in encoded], params, cfg)
     golds = [gold for _, gold in encoded]
     report = metrics(confusion(golds, preds))
@@ -244,7 +255,7 @@ def cmd_predict(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     params, cfg = _load_model(args.checkpoint, vocab)
     examples = load_dataset(args.input, labeled=args.labeled)
-    encoded = _encode(examples, vocab)
+    encoded = _encode(examples, vocab, args.input)
     preds = predict_dataset([ids for ids, _ in encoded], params, cfg)
     lines = [LABELS[p] for p in preds]
     Path(args.output).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
@@ -328,3 +339,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

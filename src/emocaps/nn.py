@@ -2,8 +2,7 @@
 encoder, the dense softmax head, and the finite-difference gradient checker.
 
 All backward passes are written by hand against the forward definitions; the
-gradient checker is the oracle that keeps them honest. Arrays are float64 in
-tests and may be float32 for training throughput.
+gradient checker is the oracle that keeps them honest.
 """
 
 from __future__ import annotations
@@ -18,14 +17,11 @@ N_CLASSES = 6
 
 
 def sigmoid(x):
-    # piecewise form avoids overflow warnings for large |x|
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp(-|x|) never
+    # overflows, and no boolean indexing is needed
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(y: np.ndarray) -> np.ndarray:
@@ -61,137 +57,116 @@ def glorot_uniform(shape, rng) -> np.ndarray:
 
 @dataclass
 class GruParams:
-    """Gate weights for one direction; inputs hit W_i*, the recurrent state
-    hits W_h*, suffixes r/z/n are the reset, update and candidate gates."""
+    """Weights for one direction, gate blocks in r, z, n order along the last
+    axis (reset, update, candidate): inputs hit W_i (d, 3h), the recurrent
+    state hits W_h (h, 3h); b[0] is the input bias, b[1] the recurrent one."""
 
-    W_ir: np.ndarray
-    W_iz: np.ndarray
-    W_in: np.ndarray
-    W_hr: np.ndarray
-    W_hz: np.ndarray
-    W_hn: np.ndarray
-    b_ir: np.ndarray
-    b_iz: np.ndarray
-    b_in: np.ndarray
-    b_hr: np.ndarray
-    b_hz: np.ndarray
-    b_hn: np.ndarray
+    W_i: np.ndarray
+    W_h: np.ndarray
+    b: np.ndarray
 
     @property
     def input_dim(self) -> int:
-        return self.W_ir.shape[0]
+        return self.W_i.shape[0]
 
     @property
     def hidden_dim(self) -> int:
-        return self.W_ir.shape[1]
+        return self.W_h.shape[0]
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def init_gru(input_dim: int, hidden_dim: int, rng, dtype=np.float64) -> GruParams:
-    def w(rows, cols):
-        return glorot_uniform((rows, cols), rng).astype(dtype)
+    """Glorot-uniform gate blocks, each drawn with its own (rows, h) limit in
+    the order W_ir, W_iz, W_in, W_hr, W_hz, W_hn, then packed; zero biases."""
 
-    zero = lambda: np.zeros(hidden_dim, dtype=dtype)
-    return GruParams(
-        W_ir=w(input_dim, hidden_dim),
-        W_iz=w(input_dim, hidden_dim),
-        W_in=w(input_dim, hidden_dim),
-        W_hr=w(hidden_dim, hidden_dim),
-        W_hz=w(hidden_dim, hidden_dim),
-        W_hn=w(hidden_dim, hidden_dim),
-        b_ir=zero(),
-        b_iz=zero(),
-        b_in=zero(),
-        b_hr=zero(),
-        b_hz=zero(),
-        b_hn=zero(),
-    )
+    def w(rows):
+        W = np.empty((rows, 3 * hidden_dim), dtype=dtype)
+        for k in range(3):
+            W[:, k * hidden_dim : (k + 1) * hidden_dim] = glorot_uniform((rows, hidden_dim), rng)
+        return W
 
-
-def zeros_like_gru(p: GruParams) -> GruParams:
-    return GruParams(**{k: np.zeros_like(v) for k, v in p.tensors().items()})
+    return GruParams(W_i=w(input_dim), W_h=w(hidden_dim), b=np.zeros((2, 3 * hidden_dim), dtype=dtype))
 
 
 @dataclass
-class GruStepCache:
-    x: np.ndarray
-    h_prev: np.ndarray
-    r: np.ndarray
-    z: np.ndarray
-    n: np.ndarray
-    hh: np.ndarray  # the biased recurrent candidate term, gated by r
+class GruCache:
+    """One direction's forward stacks; row t is step t in processing order."""
+
+    X: np.ndarray  # (T, d) inputs
+    H: np.ndarray  # (T, h) states h_t
+    rz: np.ndarray  # (T, 2h) reset and update gates
+    n: np.ndarray  # (T, h) candidates
+    hh: np.ndarray  # (T, h) the biased recurrent candidate term, gated by r
 
 
-def gru_cell_forward(x_t, h_prev, p: GruParams):
-    """One GRU step.
+def gru_forward(X: np.ndarray, p: GruParams):
+    """Run one direction over the rows of X from zero state.
 
     r = sig(x W_ir + b_ir + h W_hr + b_hr)
     z = sig(x W_iz + b_iz + h W_hz + b_hz)
     n = tanh(x W_in + b_in + r * (h W_hn + b_hn))
     h = (1 - z) * n + z * h_prev
 
-    The reset gate multiplies the already-biased recurrent term.
+    The reset gate multiplies the already-biased recurrent term. The input
+    projections of every step are one matmul before the loop.
     """
-    if x_t.shape != (p.input_dim,) or h_prev.shape != (p.hidden_dim,):
-        raise ShapeMismatch(
-            f"x {x_t.shape} / h {h_prev.shape} vs params "
-            f"({p.input_dim}, {p.hidden_dim})"
-        )
-    r = sigmoid(x_t @ p.W_ir + p.b_ir + h_prev @ p.W_hr + p.b_hr)
-    z = sigmoid(x_t @ p.W_iz + p.b_iz + h_prev @ p.W_hz + p.b_hz)
-    hh = h_prev @ p.W_hn + p.b_hn
-    n = np.tanh(x_t @ p.W_in + p.b_in + r * hh)
-    h_t = (1.0 - z) * n + z * h_prev
-    return h_t, GruStepCache(x=x_t, h_prev=h_prev, r=r, z=z, n=n, hh=hh)
+    T, d_h = X.shape[0], p.hidden_dim
+    A = X @ p.W_i + p.b[0]
+    H = np.empty((T, d_h), dtype=X.dtype)
+    RZ = np.empty((T, 2 * d_h), dtype=X.dtype)
+    N = np.empty((T, d_h), dtype=X.dtype)
+    HH = np.empty((T, d_h), dtype=X.dtype)
+    h = np.zeros(d_h, dtype=X.dtype)
+    for t in range(T):
+        g = h @ p.W_h + p.b[1]
+        rz = RZ[t] = sigmoid(A[t, : 2 * d_h] + g[: 2 * d_h])
+        hh = HH[t] = g[2 * d_h :]
+        n = N[t] = np.tanh(A[t, 2 * d_h :] + rz[:d_h] * hh)
+        z = rz[d_h:]
+        h = H[t] = (1.0 - z) * n + z * h
+    return H, GruCache(X=X, H=H, rz=RZ, n=N, hh=HH)
 
 
-def gru_cell_backward(grad_h, cache: GruStepCache, p: GruParams, grads: GruParams):
-    """Backward through one step; accumulates into `grads` (same layout as
-    the params) and returns (grad_x, grad_h_prev)."""
-    if grad_h.shape != (p.hidden_dim,):
-        raise ShapeMismatch(f"grad_h {grad_h.shape} vs hidden {p.hidden_dim}")
-    x, h_prev, r, z, n, hh = (
-        cache.x,
-        cache.h_prev,
-        cache.r,
-        cache.z,
-        cache.n,
-        cache.hh,
+def gru_backward(grad_H: np.ndarray, c: GruCache, p: GruParams):
+    """Backprop through time for one direction; returns (grad_X, grads).
+
+    Only the recurrent carry stays in the loop. It fills the pre-activation
+    gradients of the input side (dA) and of the recurrent side (dG), which
+    differ only in the candidate block; every weight gradient and grad_X is
+    then one matmul.
+    """
+    T, d_h = grad_H.shape[0], p.hidden_dim
+    r, z = c.rz[:, :d_h], c.rz[:, d_h:]
+    H_prev = np.zeros_like(c.H)
+    H_prev[1:] = c.H[:-1]
+    dtanh = (1.0 - z) * (1.0 - c.n * c.n)  # dh -> candidate pre-activation
+    # dG[t] = dh_t * K[t], blockwise: reset, update, recurrent candidate term
+    K = np.stack([dtanh * c.hh * r * (1.0 - r), (H_prev - c.n) * z * (1.0 - z), dtanh * r], axis=1)
+    dG = np.empty((T, 3, d_h), dtype=grad_H.dtype)
+    dH = np.empty((T, d_h), dtype=grad_H.dtype)
+    W_hT = p.W_h.T
+    carry = np.zeros(d_h, dtype=grad_H.dtype)
+    for t in range(T - 1, -1, -1):
+        dh = dH[t] = grad_H[t] + carry
+        dg = dG[t] = dh * K[t]
+        carry = dh * z[t] + dg.reshape(-1) @ W_hT
+    dG = dG.reshape(T, 3 * d_h)
+    dA = dG.copy()
+    dA[:, 2 * d_h :] = dH * dtanh
+    grads = GruParams(
+        W_i=c.X.T @ dA,
+        W_h=H_prev.T @ dG,
+        b=np.stack([dA.sum(axis=0), dG.sum(axis=0)]),
     )
-    dn = grad_h * (1.0 - z)
-    dz = grad_h * (h_prev - n)
-    dh_prev = grad_h * z
-
-    da = dn * (1.0 - n * n)  # pre-tanh
-    dr = da * hh
-    dhh = da * r
-    dr_pre = dr * r * (1.0 - r)
-    dz_pre = dz * z * (1.0 - z)
-
-    grads.W_in += np.outer(x, da)
-    grads.b_in += da
-    grads.W_hn += np.outer(h_prev, dhh)
-    grads.b_hn += dhh
-    grads.W_ir += np.outer(x, dr_pre)
-    grads.b_ir += dr_pre
-    grads.W_hr += np.outer(h_prev, dr_pre)
-    grads.b_hr += dr_pre
-    grads.W_iz += np.outer(x, dz_pre)
-    grads.b_iz += dz_pre
-    grads.W_hz += np.outer(h_prev, dz_pre)
-    grads.b_hz += dz_pre
-
-    grad_x = da @ p.W_in.T + dr_pre @ p.W_ir.T + dz_pre @ p.W_iz.T
-    dh_prev = dh_prev + dhh @ p.W_hn.T + dr_pre @ p.W_hr.T + dz_pre @ p.W_hz.T
-    return grad_x, dh_prev
+    return dA @ p.W_i.T, grads
 
 
 @dataclass
 class BigruCache:
-    fwd_steps: list
-    bwd_steps: list  # indexed by original position t; processed n-1 .. 0
+    fwd: GruCache
+    bwd: GruCache  # rows in processing order, i.e. original positions n-1 .. 0
 
 
 def bigru_forward(X: np.ndarray, p_fwd: GruParams, p_bwd: GruParams):
@@ -200,43 +175,24 @@ def bigru_forward(X: np.ndarray, p_fwd: GruParams, p_bwd: GruParams):
     Both directions start from zero state; the backward direction reads the
     sequence last to first.
     """
-    n = X.shape[0]
-    if n < 1:
-        raise ShapeMismatch("bigru needs at least one position")
-    d_h = p_fwd.hidden_dim
-    H = np.zeros((n, 2 * d_h), dtype=X.dtype)
-    fwd_steps = [None] * n
-    bwd_steps = [None] * n
-
-    h = np.zeros(d_h, dtype=X.dtype)
-    for t in range(n):
-        h, fwd_steps[t] = gru_cell_forward(X[t], h, p_fwd)
-        H[t, :d_h] = h
-    h = np.zeros(d_h, dtype=X.dtype)
-    for t in range(n - 1, -1, -1):
-        h, bwd_steps[t] = gru_cell_forward(X[t], h, p_bwd)
-        H[t, d_h:] = h
-    return H, BigruCache(fwd_steps=fwd_steps, bwd_steps=bwd_steps)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ShapeMismatch(f"bigru needs at least one position, got input {X.shape}")
+    for p in (p_fwd, p_bwd):
+        if X.shape[1] != p.input_dim:
+            raise ShapeMismatch(f"input width {X.shape[1]} vs GRU input {p.input_dim}")
+    H_fwd, c_fwd = gru_forward(X, p_fwd)
+    H_bwd, c_bwd = gru_forward(X[::-1], p_bwd)
+    return np.concatenate([H_fwd, H_bwd[::-1]], axis=1), BigruCache(fwd=c_fwd, bwd=c_bwd)
 
 
 def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p_fwd, p_bwd):
     """Backprop through time for both directions; returns (grad_X, g_fwd, g_bwd)."""
-    n = grad_H.shape[0]
     d_h = p_fwd.hidden_dim
-    d_in = p_fwd.input_dim
-    grad_X = np.zeros((n, d_in), dtype=grad_H.dtype)
-    g_fwd = zeros_like_gru(p_fwd)
-    g_bwd = zeros_like_gru(p_bwd)
-
-    carry = np.zeros(d_h, dtype=grad_H.dtype)
-    for t in range(n - 1, -1, -1):
-        dx, carry = gru_cell_backward(grad_H[t, :d_h] + carry, cache.fwd_steps[t], p_fwd, g_fwd)
-        grad_X[t] += dx
-    carry = np.zeros(d_h, dtype=grad_H.dtype)
-    for t in range(n):
-        dx, carry = gru_cell_backward(grad_H[t, d_h:] + carry, cache.bwd_steps[t], p_bwd, g_bwd)
-        grad_X[t] += dx
-    return grad_X, g_fwd, g_bwd
+    if grad_H.shape != (cache.fwd.H.shape[0], 2 * d_h):
+        raise ShapeMismatch(f"grad_H {grad_H.shape} vs bigru output ({cache.fwd.H.shape[0]}, {2 * d_h})")
+    gX_fwd, g_fwd = gru_backward(grad_H[:, :d_h], cache.fwd, p_fwd)
+    gX_bwd, g_bwd = gru_backward(grad_H[::-1, d_h:], cache.bwd, p_bwd)
+    return gX_fwd + gX_bwd[::-1], g_fwd, g_bwd
 
 
 @dataclass

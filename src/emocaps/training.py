@@ -6,7 +6,7 @@ Variable-length tweets are processed one at a time with gradient
 accumulation; there is no padding anywhere in the numeric path, so batch
 size only controls how many per-example gradients are averaged per update.
 All randomness is drawn from streams keyed by (seed, purpose, epoch,
-position), which makes runs reproducible independent of worker count.
+position), which makes runs reproducible.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import make_toy_examples, write_labeled
 from test_capsule import oracle_routing
-from test_nn import random_gru
+from test_nn import copy_through_gru, gru_loss_and_grad, gru_params, random_gru, zero_gru
 
 from emocaps.capsule import dynamic_routing, squash
 from emocaps.checkpoint import load_checkpoint
@@ -22,12 +22,7 @@ from emocaps.cli import main as cli_main
 from emocaps.embeddings import Vocabulary, build_embedding, load_word2vec
 from emocaps.errors import TruncatedFile
 from emocaps.evaluation import confusion, metrics
-from emocaps.nn import (
-    finite_diff_check,
-    gru_cell_backward,
-    gru_cell_forward,
-    zeros_like_gru,
-)
+from emocaps.nn import finite_diff_check, gru_forward
 from emocaps.textprep import Lexicon, TokenKind, normalize, preprocess, tokenize
 from emocaps.training import (
     ModelParams,
@@ -125,34 +120,19 @@ def test_gru_suite():
     rng = np.random.default_rng(2)
     d_in, d_h = 5, 4
     p = random_gru(d_in, d_h, seed=20)
-    x = rng.normal(size=d_in)
-    h_prev = rng.normal(size=d_h)
-    weights = np.random.default_rng(3).normal(size=d_h)
-
-    def loss_and_grad():
-        h, cache = gru_cell_forward(x, h_prev, p)
-        grads = zeros_like_gru(p)
-        gx, gh = gru_cell_backward(weights, cache, p, grads)
-        out = dict(grads.tensors())
-        out["x"] = gx
-        out["h_prev"] = gh
-        return float(weights @ h), out
-
-    full = dict(p.tensors())
-    full["x"] = x
-    full["h_prev"] = h_prev
-    assert finite_diff_check(loss_and_grad, full) < 1e-5
+    X = rng.normal(size=(3, d_in))
+    weights = np.random.default_rng(3).normal(size=(3, d_h))
+    assert finite_diff_check(gru_loss_and_grad(X, weights, p), gru_params(X, p)) < 1e-5
 
     # zero parameters: r=z=1/2, n=0, so the state stays at the origin
-    zero = zeros_like_gru(p)
-    h, _ = gru_cell_forward(x, np.zeros(d_h), zero)
-    np.testing.assert_array_equal(h, np.zeros(d_h))
+    H, _ = gru_forward(X, zero_gru(d_in, d_h))
+    np.testing.assert_array_equal(H, np.zeros((3, d_h)))
 
     # z -> 1 copies the previous state through
-    frozen = zeros_like_gru(p)
-    frozen.b_iz[:] = 30.0
-    h, _ = gru_cell_forward(x, h_prev, frozen)
-    assert np.max(np.abs(h - h_prev)) < 1e-8
+    X[:, 0] = [-1.0, 1.0, 1.0]
+    H, _ = gru_forward(X, copy_through_gru(d_in, d_h, seed=21))
+    assert np.min(np.abs(H[0])) > 1e-3
+    assert np.max(np.abs(H[1:] - H[0])) < 1e-8
     report("GRU suite")
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,3 +109,31 @@ class TestCorruption:
         (tmp_path / "model.json").write_text(json.dumps(manifest))
         with pytest.raises(MalformedHeader):
             load_checkpoint(stem)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("failing", ["write_bytes", "write_text"])
+    def test_failed_write_keeps_previous_pair(self, tmp_path, monkeypatch, failing):
+        stem = tmp_path / "model"
+        save_checkpoint(stem, sample_tensors(), {"k": 1}, seed=1)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def disk_full(self, data, *args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, failing, disk_full)
+        with pytest.raises(OSError):
+            save_checkpoint(stem, {"other": np.ones(3)}, {"k": 2}, seed=2)
+        monkeypatch.undo()
+
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        loaded, manifest = load_checkpoint(stem)
+        assert list(loaded) == list(sample_tensors()) and manifest["seed"] == 1
+
+    def test_overwrite_replaces_both_files(self, tmp_path):
+        stem = tmp_path / "model"
+        save_checkpoint(stem, sample_tensors(), {"k": 1}, seed=1)
+        save_checkpoint(stem, {"other": np.ones(3)}, {"k": 2}, seed=2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.json"]
+        loaded, manifest = load_checkpoint(stem)
+        assert list(loaded) == ["other"] and manifest["seed"] == 2

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +230,37 @@ class TestExitCodes:
                     "--checkpoint", workspace["ckpt"] / "model"])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
+    @pytest.mark.parametrize("blank", ["", "   \t "])
+    def test_line_without_tokens_names_file_and_line(self, workspace, tmp_path, capsys, command, blank):
+        data = tmp_path / "data.tsv"
+        if command == "predict":
+            data.write_text(f"angersig0 the\n{blank}\njoysig1 to\n")
+        else:
+            data.write_text(f"anger\tangersig0 the\njoy\t{blank}\njoy\tjoysig1 to\n")
+        out = tmp_path / "out"
+        argv = {
+            "predict": ["predict", "--input", data, "--output", out],
+            "evaluate": ["evaluate", "--input", data, "--output", out],
+            "train": ["train", "--train-file", data, "--checkpoint-dir", out] + TINY_FLAGS,
+        }[command]
+        if command != "train":
+            argv += ["--checkpoint", workspace["ckpt"] / "model"]
+        capsys.readouterr()
+        assert run(argv + ["--vocab", workspace["vocab"]]) == 3
+        assert f"{data}:2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_blank_dev_line_rejected_before_training(self, workspace, tmp_path, capsys):
+        dev = tmp_path / "dev.tsv"
+        dev.write_text("anger\tangersig0\n\n")
+        code = run(["train", "--train-file", workspace["clean"], "--dev-file", dev,
+                    "--vocab", workspace["vocab"], "--checkpoint-dir", tmp_path / "ckpt"]
+                   + TINY_FLAGS)
+        assert code == 3
+        assert f"{dev}:2:" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     def test_unparseable_flag_value(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(["train", "--train-file", "x", "--vocab", "v",
@@ -320,3 +354,16 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as err:
             entry()
         assert err.value.code == 0
+
+    @pytest.mark.parametrize("module", ["emocaps", "emocaps.cli"])
+    def test_python_dash_m_prints_help(self, module):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", module, "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        for command in ("preprocess", "build-vocab", "train", "evaluate", "predict"):
+            assert command in done.stdout

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import gru_oracle as oracle
 from emocaps.errors import NumericError, ShapeMismatch
 from emocaps.nn import (
     N_CLASSES,
@@ -16,8 +17,8 @@ from emocaps.nn import (
     dense_softmax_forward,
     finite_diff_check,
     glorot_uniform,
-    gru_cell_backward,
-    gru_cell_forward,
+    gru_backward,
+    gru_forward,
     init_dense,
     init_gru,
     predict_class,
@@ -25,19 +26,50 @@ from emocaps.nn import (
     row_softmax_backward,
     sigmoid,
     softmax,
-    zeros_like_gru,
 )
 
+# Fused and per-gate GRUs sum the same terms in a different order; in float64
+# they must agree to this absolute tolerance.
+ORACLE_ATOL = 1e-10
 
-def random_gru(d_in, d_h, seed, scale=0.5):
-    rng = np.random.default_rng(seed)
-    names = ("W_ir", "W_iz", "W_in", "W_hr", "W_hz", "W_hn")
-    weights = {
-        name: rng.normal(scale=scale, size=(d_in if name[2] == "i" else d_h, d_h))
-        for name in names
-    }
-    biases = {f"b_{name[2:]}": rng.normal(scale=scale, size=d_h) for name in names}
-    return GruParams(**weights, **biases)
+
+def random_gru(d_in, d_h, seed, scale=0.5) -> GruParams:
+    return oracle.pack(oracle.random_cell(d_in, d_h, seed, scale))
+
+
+def zero_gru(d_in, d_h) -> GruParams:
+    return GruParams(W_i=np.zeros((d_in, 3 * d_h)), W_h=np.zeros((d_h, 3 * d_h)), b=np.zeros((2, 3 * d_h)))
+
+
+def copy_through_gru(d_in, d_h, seed) -> GruParams:
+    """Random weights, except that input feature 0 alone drives the update
+    gate: x[0] = -1 gives z = sig(-30) ~ 0, x[0] = +1 gives z ~ 1."""
+    p = random_gru(d_in, d_h, seed)
+    p.W_i[:, d_h : 2 * d_h] = 0.0
+    p.W_i[0, d_h : 2 * d_h] = 30.0
+    p.W_h[:, d_h : 2 * d_h] = 0.0
+    p.b[:, d_h : 2 * d_h] = 0.0
+    return p
+
+
+def gru_loss_and_grad(X, R, p):
+    """Loss sum(H * R) of one direction and its gradients, keyed like
+    `gru_params(X, p)`."""
+
+    def loss_and_grad():
+        H, cache = gru_forward(X, p)
+        gX, grads = gru_backward(R, cache, p)
+        out = dict(grads.tensors())
+        out["X"] = gX
+        return float(np.sum(H * R)), out
+
+    return loss_and_grad
+
+
+def gru_params(X, p):
+    params = dict(p.tensors())
+    params["X"] = X
+    return params
 
 
 class TestActivations:
@@ -129,46 +161,50 @@ class TestActivations:
 
 class TestGruCell:
     def test_zero_params_zero_state(self):
-        p = zeros_like_gru(init_gru(3, 2, np.random.default_rng(0)))
-        h, _ = gru_cell_forward(np.asarray([5.0, -1.0, 2.0]), np.zeros(2), p)
-        np.testing.assert_array_equal(h, np.zeros(2))
+        H, _ = gru_forward(np.asarray([[5.0, -1.0, 2.0]]), zero_gru(3, 2))
+        np.testing.assert_array_equal(H, np.zeros((1, 2)))
 
     def test_update_gate_saturation_keeps_state(self):
-        p = zeros_like_gru(init_gru(1, 1, np.random.default_rng(0)))
-        p.b_iz[:] = 20.0  # z -> 1, so h_t -> h_prev
-        h_prev = np.asarray([0.7])
-        h, _ = gru_cell_forward(np.asarray([3.0]), h_prev, p)
-        assert abs(h[0] - h_prev[0]) < 1e-8
+        p = copy_through_gru(3, 2, seed=1)
+        X = np.asarray([[-1.0, 0.5, 2.0], [1.0, -3.0, 1.0]])
+        H, _ = gru_forward(X, p)
+        assert np.min(np.abs(H[0])) > 1e-3  # z ~ 0: a state worth keeping
+        assert np.max(np.abs(H[1] - H[0])) < 1e-8  # z -> 1, so h_t -> h_prev
 
     def test_scalar_transcription_oracle(self):
-        # 1-dim cell, all weights 1, all biases 0, x=1, h_prev=0.5
-        p = zeros_like_gru(init_gru(1, 1, np.random.default_rng(0)))
-        for name in ("W_ir", "W_iz", "W_in", "W_hr", "W_hz", "W_hn"):
-            getattr(p, name)[:] = 1.0
-        h, _ = gru_cell_forward(np.asarray([1.0]), np.asarray([0.5]), p)
+        # 1-dim cell, all weights 1, all biases 0, inputs 1 then -0.5
+        p = GruParams(W_i=np.ones((1, 3)), W_h=np.ones((1, 3)), b=np.zeros((2, 3)))
+        H, _ = gru_forward(np.asarray([[1.0], [-0.5]]), p)
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
 
-        r = sig(1.0 * 1.0 + 0.5 * 1.0)
-        z = sig(1.0 * 1.0 + 0.5 * 1.0)
-        n = math.tanh(1.0 * 1.0 + r * (0.5 * 1.0))
-        expected = (1.0 - z) * n + z * 0.5
-        assert abs(h[0] - expected) < 1e-15
+        h = 0.0
+        for x in (1.0, -0.5):
+            r = sig(x * 1.0 + h * 1.0)
+            z = sig(x * 1.0 + h * 1.0)
+            n = math.tanh(x * 1.0 + r * (h * 1.0))
+            h = (1.0 - z) * n + z * h
+        assert abs(H[1, 0] - h) < 1e-15
 
     def test_shape_mismatch(self):
         p = init_gru(3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            gru_cell_forward(np.zeros(4), np.zeros(2), p)
+            bigru_forward(np.zeros((2, 4)), p, p)
         with pytest.raises(ShapeMismatch):
-            gru_cell_forward(np.zeros(3), np.zeros(3), p)
+            bigru_forward(np.zeros((2, 3)), p, init_gru(4, 2, np.random.default_rng(0)))
+        _, cache = bigru_forward(np.zeros((2, 3)), p, p)
+        with pytest.raises(ShapeMismatch):
+            bigru_backward(np.zeros((2, 3)), cache, p, p)
+        with pytest.raises(ShapeMismatch):
+            bigru_backward(np.zeros((3, 4)), cache, p, p)
 
     def test_backward_zero_gradient(self):
         p = random_gru(3, 2, seed=5)
-        _, cache = gru_cell_forward(np.ones(3), np.full(2, 0.5), p)
-        grads = zeros_like_gru(p)
-        gx, gh = gru_cell_backward(np.zeros(2), cache, p, grads)
-        assert np.all(gx == 0.0) and np.all(gh == 0.0)
+        X = np.ones((3, 3))
+        _, cache = gru_forward(X, p)
+        gX, grads = gru_backward(np.zeros((3, 2)), cache, p)
+        assert np.all(gX == 0.0)
         for t in grads.tensors().values():
             assert np.all(t == 0.0)
 
@@ -176,15 +212,74 @@ class TestGruCell:
         rng = np.random.default_rng(6)
         for trial in range(3):
             d_in, d_h = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            T = int(rng.integers(1, 5))
             p = random_gru(d_in, d_h, seed=100 + trial)
+            X = rng.normal(size=(T, d_in))
+            R = rng.normal(size=(T, d_h))
+            assert finite_diff_check(gru_loss_and_grad(X, R, p), gru_params(X, p)) < 1e-5
+
+
+class TestOracle:
+    """The fused Bi-GRU against the step-by-step per-gate cell in
+    tests/gru_oracle.py, at float64 agreement ORACLE_ATOL."""
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 8, 25])
+    def test_fused_matches_per_gate_oracle(self, T):
+        rng = np.random.default_rng(40 + T)
+        d_in, d_h = 7, 5
+        c_fwd = oracle.random_cell(d_in, d_h, seed=41)
+        c_bwd = oracle.random_cell(d_in, d_h, seed=42)
+        X = rng.normal(size=(T, d_in))
+        R = rng.normal(size=(T, 2 * d_h))
+
+        H_ref, steps = oracle.bigru_forward(X, c_fwd, c_bwd)
+        gX_ref, gf_ref, gb_ref = oracle.bigru_backward(R, steps, c_fwd, c_bwd)
+        p_fwd, p_bwd = oracle.pack(c_fwd), oracle.pack(c_bwd)
+        H, cache = bigru_forward(X, p_fwd, p_bwd)
+        gX, g_fwd, g_bwd = bigru_backward(R, cache, p_fwd, p_bwd)
+
+        np.testing.assert_allclose(H, H_ref, rtol=0, atol=ORACLE_ATOL)
+        np.testing.assert_allclose(gX, gX_ref, rtol=0, atol=ORACLE_ATOL)
+        for ref, got in ((gf_ref, g_fwd), (gb_ref, g_bwd)):
+            got_cells = oracle.unpack(got).tensors()
+            for name, expected in ref.tensors().items():
+                np.testing.assert_allclose(got_cells[name], expected, rtol=0, atol=ORACLE_ATOL, err_msg=name)
+
+    def test_fused_matches_oracle_at_paper_dims(self):
+        rng = np.random.default_rng(43)
+        p_fwd, p_bwd = init_gru(300, 128, rng), init_gru(300, 128, rng)
+        for p in (p_fwd, p_bwd):
+            p.b[:] = rng.normal(scale=0.1, size=p.b.shape)
+        X = rng.normal(size=(12, 300))
+        R = rng.normal(size=(12, 256))
+        c_fwd, c_bwd = oracle.unpack(p_fwd), oracle.unpack(p_bwd)
+        H_ref, steps = oracle.bigru_forward(X, c_fwd, c_bwd)
+        gX_ref, gf_ref, _ = oracle.bigru_backward(R, steps, c_fwd, c_bwd)
+        H, cache = bigru_forward(X, p_fwd, p_bwd)
+        gX, g_fwd, _ = bigru_backward(R, cache, p_fwd, p_bwd)
+        np.testing.assert_allclose(H, H_ref, rtol=0, atol=ORACLE_ATOL)
+        np.testing.assert_allclose(gX, gX_ref, rtol=0, atol=ORACLE_ATOL)
+        np.testing.assert_allclose(g_fwd.W_h, oracle.pack(gf_ref).W_h, rtol=0, atol=ORACLE_ATOL)
+
+    def test_pack_unpack_round_trip(self):
+        cell = oracle.random_cell(4, 3, seed=44)
+        again = oracle.unpack(oracle.pack(cell))
+        for name, t in cell.tensors().items():
+            np.testing.assert_array_equal(getattr(again, name), t)
+
+    def test_oracle_cell_finite_difference(self):
+        rng = np.random.default_rng(45)
+        for trial in range(3):
+            d_in, d_h = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            p = oracle.random_cell(d_in, d_h, seed=200 + trial)
             x = rng.normal(size=d_in)
             h0 = rng.normal(size=d_h)
             R = rng.normal(size=d_h)
 
             def loss_and_grad():
-                h, cache = gru_cell_forward(x, h0, p)
-                grads = zeros_like_gru(p)
-                gx, gh = gru_cell_backward(R, cache, p, grads)
+                h, cache = oracle.cell_forward(x, h0, p)
+                grads = oracle.zeros_like_cell(p)
+                gx, gh = oracle.cell_backward(R, cache, p, grads)
                 out = dict(grads.tensors())
                 out["x"] = gx
                 out["h0"] = gh
@@ -198,16 +293,16 @@ class TestGruCell:
 
 class TestBigru:
     def test_single_position_concatenates_both_directions(self):
-        p_fwd = random_gru(3, 2, seed=7)
-        p_bwd = random_gru(3, 2, seed=8)
+        c_fwd = oracle.random_cell(3, 2, seed=7)
+        c_bwd = oracle.random_cell(3, 2, seed=8)
         X = np.random.default_rng(0).normal(size=(1, 3))
-        H, _ = bigru_forward(X, p_fwd, p_bwd)
-        hf, _ = gru_cell_forward(X[0], np.zeros(2), p_fwd)
-        hb, _ = gru_cell_forward(X[0], np.zeros(2), p_bwd)
+        H, _ = bigru_forward(X, oracle.pack(c_fwd), oracle.pack(c_bwd))
+        hf, _ = oracle.cell_forward(X[0], np.zeros(2), c_fwd)
+        hb, _ = oracle.cell_forward(X[0], np.zeros(2), c_bwd)
         np.testing.assert_allclose(H[0], np.concatenate([hf, hb]), rtol=1e-15)
 
     def test_zero_params_zero_output(self):
-        p = zeros_like_gru(init_gru(3, 2, np.random.default_rng(0)))
+        p = zero_gru(3, 2)
         H, _ = bigru_forward(np.ones((4, 3)), p, p)
         np.testing.assert_array_equal(H, np.zeros((4, 4)))
 
@@ -231,21 +326,22 @@ class TestBigru:
         rng = np.random.default_rng(12)
         p_fwd = random_gru(4, 3, seed=13)
         p_bwd = random_gru(4, 3, seed=14)
-        X = rng.normal(size=(5, 4))
-        R = rng.normal(size=(5, 6))
+        for T in (1, 5):
+            X = rng.normal(size=(T, 4))
+            R = rng.normal(size=(T, 6))
 
-        def loss_and_grad():
-            H, cache = bigru_forward(X, p_fwd, p_bwd)
-            gX, g_fwd, g_bwd = bigru_backward(R, cache, p_fwd, p_bwd)
-            out = {f"fwd/{k}": v for k, v in g_fwd.tensors().items()}
-            out.update({f"bwd/{k}": v for k, v in g_bwd.tensors().items()})
-            out["X"] = gX
-            return float(np.sum(H * R)), out
+            def loss_and_grad():
+                H, cache = bigru_forward(X, p_fwd, p_bwd)
+                gX, g_fwd, g_bwd = bigru_backward(R, cache, p_fwd, p_bwd)
+                out = {f"fwd/{k}": v for k, v in g_fwd.tensors().items()}
+                out.update({f"bwd/{k}": v for k, v in g_bwd.tensors().items()})
+                out["X"] = gX
+                return float(np.sum(H * R)), out
 
-        params = {f"fwd/{k}": v for k, v in p_fwd.tensors().items()}
-        params.update({f"bwd/{k}": v for k, v in p_bwd.tensors().items()})
-        params["X"] = X
-        assert finite_diff_check(loss_and_grad, params) < 1e-5
+            params = {f"fwd/{k}": v for k, v in p_fwd.tensors().items()}
+            params.update({f"bwd/{k}": v for k, v in p_bwd.tensors().items()})
+            params["X"] = X
+            assert finite_diff_check(loss_and_grad, params) < 1e-5
 
 
 class TestDenseSoftmax:
@@ -346,7 +442,7 @@ class TestFiniteness:
             assert np.all(np.isfinite(sigmoid(x)))
             assert np.all(np.isfinite(softmax(rng.uniform(-10, 10, size=6))))
             p = random_gru(4, 3, seed=int(rng.integers(1000)), scale=2.0)
-            h, _ = gru_cell_forward(x, rng.uniform(-10, 10, size=3), p)
+            h, _ = gru_forward(x[None, :], p)
             assert np.all(np.isfinite(h))
             H, _ = bigru_forward(rng.uniform(-10, 10, size=(3, 4)), p, p)
             assert np.all(np.isfinite(H))

@@ -237,7 +237,8 @@ class TestForwardFull:
         vocab, params = tiny_model(cfg)
         ids = vocab.encode(["alpha", "beta"])
         probs, cache = forward_full(ids, params, cfg, "eval")
-        assert cache.bigru.fwd_steps[0].x.shape == (300,)
+        assert cache.bigru.fwd.X.shape == (2, 300)
+        assert cache.bigru.bwd.rz.shape == (2, 256)
         assert cache.capsule.H.shape == (2, 256)
         assert cache.c.shape == (512,)
         assert probs.shape == (6,)
@@ -307,6 +308,41 @@ class TestModelParams:
         for (ka, a), (kb, b) in zip(params.tensors().items(), rebuilt.tensors().items()):
             assert ka == kb
             np.testing.assert_array_equal(a, b)
+
+    def test_tensor_names_follow_fused_gru_layout(self):
+        _, params = tiny_model(tiny_config())
+        assert list(params.tensors()) == [
+            "embedding/W_e",
+            "gru_fwd/W_i", "gru_fwd/W_h", "gru_fwd/b",
+            "gru_bwd/W_i", "gru_bwd/W_h", "gru_bwd/b",
+            "capsule/W", "dense/W", "dense/b",
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_init_draws_per_gate_blocks_in_order(self, seed):
+        """The packed GRU tensors hold the per-gate Glorot draws W_ir, W_iz,
+        W_in, W_hr, W_hz, W_hn, each with its own (rows, h) limit, in that
+        order per direction; the capsule and dense draws follow unchanged.
+        The benchmark's recorded losses and labels depend on these values."""
+        cfg = tiny_config(seed=seed, embed_dim=5, hidden_dim=3)
+        _, params = tiny_model(cfg)
+        d, h = cfg.embed_dim, cfg.hidden_dim
+        rng = np.random.default_rng([seed, 0])
+
+        def glorot(rows, cols, *lead):
+            limit = math.sqrt(6.0 / (rows + cols))
+            return rng.uniform(-limit, limit, size=(*lead, rows, cols))
+
+        for gru in (params.gru_fwd, params.gru_bwd):
+            W_ir, W_iz, W_in = glorot(d, h), glorot(d, h), glorot(d, h)
+            W_hr, W_hz, W_hn = glorot(h, h), glorot(h, h), glorot(h, h)
+            np.testing.assert_array_equal(gru.W_i, np.concatenate([W_ir, W_iz, W_in], axis=1))
+            np.testing.assert_array_equal(gru.W_h, np.concatenate([W_hr, W_hz, W_hn], axis=1))
+            np.testing.assert_array_equal(gru.b, np.zeros((2, 3 * h)))
+        J, D = cfg.num_capsules, cfg.capsule_dim
+        np.testing.assert_array_equal(params.capsule.W, glorot(2 * h, D, J))
+        np.testing.assert_array_equal(params.dense.W, glorot(J * D, N_CLASSES))
+        np.testing.assert_array_equal(params.dense.b, np.zeros(N_CLASSES))
 
     def test_init_model_deterministic(self):
         cfg = tiny_config()
