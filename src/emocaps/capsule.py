@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .nn import row_softmax, row_softmax_backward
+from .nn import softmax, softmax_backward
 
 
 @dataclass
@@ -32,9 +32,6 @@ class CapsuleParams:
     def capsule_dim(self) -> int:
         return self.W.shape[2]
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"W": self.W}
-
 
 def init_capsule(num_capsules, input_dim, capsule_dim, rng, dtype=np.float64) -> CapsuleParams:
     limit = np.sqrt(6.0 / (input_dim + capsule_dim))
@@ -49,7 +46,6 @@ class RoutingState:
     couplings: list  # each (n, J), rows sum to 1
     sums: list  # each (J, d_out), pre-squash
     outputs: list  # each (J, d_out), post-squash
-    logits: np.ndarray  # final (n, J) agreement logits
 
 
 def predict_vectors(H: np.ndarray, p: CapsuleParams) -> np.ndarray:
@@ -101,7 +97,7 @@ def dynamic_routing(U: np.ndarray, iterations: int):
     couplings, sums, outputs = [], [], []
     V = None
     for k in range(iterations):
-        C = row_softmax(B)
+        C = softmax(B)
         S = np.einsum("nj,njo->jo", C, U)
         V = squash(S)
         couplings.append(C)
@@ -109,7 +105,7 @@ def dynamic_routing(U: np.ndarray, iterations: int):
         outputs.append(V)
         if k < iterations - 1:
             B = B + np.einsum("njo,jo->nj", U, V)
-    return V, RoutingState(couplings=couplings, sums=sums, outputs=outputs, logits=B)
+    return V, RoutingState(couplings=couplings, sums=sums, outputs=outputs)
 
 
 def routing_backward(grad_V: np.ndarray, U: np.ndarray, state: RoutingState) -> np.ndarray:
@@ -131,7 +127,7 @@ def routing_backward(grad_V: np.ndarray, U: np.ndarray, state: RoutingState) -> 
         dS = squash_backward(dV, S)
         grad_U += np.einsum("nj,jo->njo", C, dS)
         dC = np.einsum("njo,jo->nj", U, dS)
-        dB_carry = row_softmax_backward(dC, C) + dB_carry
+        dB_carry = softmax_backward(dC, C) + dB_carry
     return grad_U
 
 
@@ -142,15 +138,6 @@ class CapsuleCache:
     state: RoutingState
 
 
-def capsule_backward(grad_V: np.ndarray, cache: CapsuleCache):
-    """Returns (grad_U, grad_W) for a gradient on the routed outputs."""
-    if grad_V.shape != cache.state.outputs[-1].shape:
-        raise ShapeMismatch(f"grad {grad_V.shape} vs V {cache.state.outputs[-1].shape}")
-    grad_U = routing_backward(grad_V, cache.U, cache.state)
-    grad_W = np.einsum("nd,njo->jdo", cache.H, grad_U)
-    return grad_U, grad_W
-
-
 def capsule_layer(H: np.ndarray, p: CapsuleParams, iterations: int):
     """predict_vectors -> dynamic_routing -> row-major flatten."""
     U = predict_vectors(H, p)
@@ -159,12 +146,13 @@ def capsule_layer(H: np.ndarray, p: CapsuleParams, iterations: int):
 
 
 def capsule_layer_backward(grad_flat: np.ndarray, cache: CapsuleCache, p: CapsuleParams):
-    """Returns (grad_H, grad_W) for the flattened capsule output gradient."""
-    if grad_flat.shape != (p.num_capsules * p.capsule_dim,):
-        raise ShapeMismatch(
-            f"grad {grad_flat.shape} vs flattened ({p.num_capsules * p.capsule_dim},)"
-        )
-    grad_V = grad_flat.reshape(p.num_capsules, p.capsule_dim)
-    grad_U, grad_W = capsule_backward(grad_V, cache)
+    """Backprop through routing and the prediction transforms; returns
+    (grad_H, grad_W) for the flattened capsule output gradient."""
+    V_shape = cache.state.outputs[-1].shape
+    if V_shape != (p.num_capsules, p.capsule_dim) or grad_flat.shape != (V_shape[0] * V_shape[1],):
+        raise ShapeMismatch(f"grad {grad_flat.shape} vs flattened capsule output {V_shape}")
+    grad_V = grad_flat.reshape(V_shape)
+    grad_U = routing_backward(grad_V, cache.U, cache.state)
+    grad_W = np.einsum("nd,njo->jdo", cache.H, grad_U)
     grad_H = np.einsum("njo,jdo->nd", grad_U, p.W)
     return grad_H, grad_W

@@ -1,7 +1,8 @@
 """Checkpoint serialization: a JSON manifest next to a raw binary payload.
 
 The manifest records the format version, every tensor's name/shape/dtype in
-a fixed order, the hyperparameters, and the seed.  The payload is the
+a fixed order, the hyperparameters, the seed, and optionally the sha256 of
+the vocabulary the tensors belong to.  The payload is the
 concatenation of each tensor's little-endian bytes in manifest order, so a
 round trip is bit-identical and the files diff cleanly across runs.
 """
@@ -27,8 +28,11 @@ def _payload_path(stem) -> Path:
     return Path(str(stem) + ".bin")
 
 
-def save_checkpoint(stem, tensors: dict[str, np.ndarray], hyperparameters: dict, seed: int) -> None:
+def save_checkpoint(
+    stem, tensors: dict[str, np.ndarray], hyperparameters: dict, seed: int, vocab_sha256: str | None = None
+) -> None:
     """Write stem.json + stem.bin; tensor order follows the dict order.
+    `vocab_sha256`, when given, is stored under the manifest key of that name.
 
     Both files are written to `.tmp` siblings first and then renamed into
     place, payload first and manifest last, so a failed write leaves the
@@ -47,6 +51,8 @@ def save_checkpoint(stem, tensors: dict[str, np.ndarray], hyperparameters: dict,
         "hyperparameters": hyperparameters,
         "seed": seed,
     }
+    if vocab_sha256 is not None:
+        manifest["vocab_sha256"] = vocab_sha256
     payload, manifest_path = _payload_path(stem), _manifest_path(stem)
     tmp_payload = payload.with_name(payload.name + ".tmp")
     tmp_manifest = manifest_path.with_name(manifest_path.name + ".tmp")

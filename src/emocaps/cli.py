@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -22,7 +23,14 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .embeddings import EmbeddingTable, Vocabulary, build_embedding, load_word2vec
-from .errors import DimensionMismatch, EmocapsError, EmptyDataset, MalformedLine, NumericError
+from .errors import (
+    DimensionMismatch,
+    EmocapsError,
+    EmptyDataset,
+    MalformedLine,
+    NumericError,
+    VocabularyMismatch,
+)
 from .evaluation import LABELS, confusion, format_report, label_index, metrics
 from .textprep import Lexicon, preprocess
 from .training import ModelParams, TrainConfig, init_model, predict_dataset, train
@@ -132,6 +140,23 @@ def _require_nonempty(examples, path) -> None:
         raise EmptyDataset(f"{path} contains no examples")
 
 
+def _vocab_sha256(vocab: Vocabulary) -> str:
+    """Fingerprint of the id-ordered word list, stored in checkpoint manifests."""
+    return hashlib.sha256("\n".join(vocab.id_to_word).encode("utf-8")).hexdigest()
+
+
+def _check_vocab(manifest: dict, stem, vocab: Vocabulary, vocab_path) -> None:
+    """Refuse a checkpoint written with another vocabulary; a manifest that
+    records no fingerprint is accepted."""
+    recorded = manifest.get("vocab_sha256")
+    fingerprint = _vocab_sha256(vocab)
+    if recorded is not None and recorded != fingerprint:
+        raise VocabularyMismatch(
+            f"{vocab_path} is not the vocabulary checkpoint {stem} was written with "
+            f"(vocabulary sha256 {fingerprint}, checkpoint records {recorded})"
+        )
+
+
 def _load_lexicon(path) -> Lexicon:
     return Lexicon.from_file(path) if path else Lexicon.from_pairs([])
 
@@ -167,14 +192,16 @@ def cmd_build_vocab(args) -> int:
         {"embedding/W_e": table.weights},
         {"embed_dim": cfg.embed_dim, "vocab_size": len(vocab)},
         cfg.seed,
+        _vocab_sha256(vocab),
     )
     covered = sum(1 for w in vocab.word_to_id if w in raw)
     print(f"vocabulary: {len(vocab)} words ({covered} pretrained) -> {args.vocab}")
     return 0
 
 
-def _load_embedding_payload(stem, vocab: Vocabulary, cfg: TrainConfig) -> EmbeddingTable:
-    tensors, _ = load_checkpoint(stem)
+def _load_embedding_payload(stem, vocab: Vocabulary, vocab_path, cfg: TrainConfig) -> EmbeddingTable:
+    tensors, manifest = load_checkpoint(stem)
+    _check_vocab(manifest, stem, vocab, vocab_path)
     W = tensors["embedding/W_e"]
     if W.shape[0] != len(vocab):
         raise DimensionMismatch(
@@ -182,6 +209,11 @@ def _load_embedding_payload(stem, vocab: Vocabulary, cfg: TrainConfig) -> Embedd
         )
     if W.shape[1] != cfg.embed_dim:
         # payload wins; dims must agree with the model we are about to build
+        print(
+            f"warning: embedding payload {stem} is {W.shape[1]}-dimensional; "
+            f"using that instead of embed_dim {cfg.embed_dim}",
+            file=sys.stderr,
+        )
         cfg.embed_dim = W.shape[1]
     return EmbeddingTable(weights=W.astype(np.float64))
 
@@ -200,7 +232,7 @@ def cmd_train(args) -> int:
         dev_set = train_set
 
     if args.embeddings_payload:
-        table = _load_embedding_payload(args.embeddings_payload, vocab, cfg)
+        table = _load_embedding_payload(args.embeddings_payload, vocab, args.vocab, cfg)
     else:
         table = build_embedding(vocab, {}, cfg.embed_dim, cfg.seed)
     params = init_model(cfg, table)
@@ -210,7 +242,7 @@ def cmd_train(args) -> int:
 
     out = Path(args.checkpoint_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out / "model", params.tensors(), cfg.__dict__.copy(), cfg.seed)
+    save_checkpoint(out / "model", params.tensors(), cfg.__dict__.copy(), cfg.seed, _vocab_sha256(vocab))
     with open(out / "history.jsonl", "w", encoding="utf-8") as fh:
         for row in history:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
@@ -219,8 +251,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(checkpoint, vocab: Vocabulary):
+def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
     tensors, manifest = load_checkpoint(checkpoint)
+    _check_vocab(manifest, checkpoint, vocab, vocab_path)
     names = {f.name for f in fields(TrainConfig)}
     hp = {k: v for k, v in manifest.get("hyperparameters", {}).items() if k in names}
     cfg = TrainConfig(**hp)
@@ -235,7 +268,7 @@ def _load_model(checkpoint, vocab: Vocabulary):
 
 def cmd_evaluate(args) -> int:
     vocab = Vocabulary.load(args.vocab)
-    params, cfg = _load_model(args.checkpoint, vocab)
+    params, cfg = _load_model(args.checkpoint, vocab, args.vocab)
     examples = load_dataset(args.input)
     _require_nonempty(examples, args.input)
     encoded = _encode(examples, vocab, args.input)
@@ -253,7 +286,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     vocab = Vocabulary.load(args.vocab)
-    params, cfg = _load_model(args.checkpoint, vocab)
+    params, cfg = _load_model(args.checkpoint, vocab, args.vocab)
     examples = load_dataset(args.input, labeled=args.labeled)
     encoded = _encode(examples, vocab, args.input)
     preds = predict_dataset([ids for ids, _ in encoded], params, cfg)

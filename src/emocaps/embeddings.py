@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IdOutOfRange, MalformedHeader, TruncatedFile
+from .errors import DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile
 from .textprep import TAG_SURFACES
 
 PAD = "<pad>"
@@ -61,15 +61,27 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        """Read "id<TAB>word" lines with ids 0, 1, 2, ...; blank lines are
+        skipped. Errors name the file and line."""
         id_to_word = []
+        blank = 0
         with open(path, encoding="utf-8") as handle:
             for line in handle:
                 line = line.rstrip("\n")
                 if not line:
+                    blank += 1
                     continue
-                idx_text, word = line.split("\t", 1)
-                if int(idx_text) != len(id_to_word):
-                    raise MalformedHeader(f"non-contiguous vocabulary id: {line!r}")
+                try:
+                    idx_text, word = line.split("\t", 1)
+                    idx = int(idx_text)
+                except ValueError:
+                    idx = None
+                if idx != len(id_to_word):
+                    # every earlier line was blank or held the next id
+                    lineno = len(id_to_word) + blank + 1
+                    if idx is None:
+                        raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {line!r}", lineno)
+                    raise MalformedHeader(f"{path}:{lineno}: non-contiguous vocabulary id: {line!r}")
                 id_to_word.append(word)
         return cls({w: i for i, w in enumerate(id_to_word)}, id_to_word)
 

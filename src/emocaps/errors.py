@@ -49,6 +49,10 @@ class MalformedLine(EmocapsError):
         self.line_number = line_number
 
 
+class VocabularyMismatch(EmocapsError):
+    """A checkpoint was written with a different vocabulary."""
+
+
 class UnknownLabel(EmocapsError):
     """A label string is not one of the known emotion classes."""
 

@@ -1,5 +1,5 @@
 """Numeric core: activations, parameter initialization, the bidirectional GRU
-encoder, the dense softmax head, and the finite-difference gradient checker.
+encoder, the dense head, and the finite-difference gradient checker.
 
 All backward passes are written by hand against the forward definitions; the
 gradient checker is the oracle that keeps them honest.
@@ -25,21 +25,14 @@ def sigmoid(x):
 
 
 def softmax(y: np.ndarray) -> np.ndarray:
-    """Stabilized softmax over a 1-D logit vector."""
-    shifted = y - np.max(y)
-    expd = np.exp(shifted)
-    return expd / expd.sum()
-
-
-def row_softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a 2-D array, one distribution per row."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    """Stabilized softmax over the last axis, one distribution per row."""
+    shifted = y - np.max(y, axis=-1, keepdims=True)
     expd = np.exp(shifted)
     return expd / expd.sum(axis=-1, keepdims=True)
 
 
-def row_softmax_backward(grad_probs: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Gradient through row_softmax: dL/dlogits from dL/dprobs."""
+def softmax_backward(grad_probs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Gradient through softmax: dL/dlogits from dL/dprobs."""
     inner = (grad_probs * probs).sum(axis=-1, keepdims=True)
     return probs * (grad_probs - inner)
 
@@ -204,9 +197,6 @@ class DenseParams:
     def input_dim(self) -> int:
         return self.W.shape[0]
 
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"W": self.W, "b": self.b}
-
 
 def init_dense(input_dim: int, rng, dtype=np.float64) -> DenseParams:
     return DenseParams(
@@ -215,14 +205,15 @@ def init_dense(input_dim: int, rng, dtype=np.float64) -> DenseParams:
     )
 
 
-def dense_softmax_forward(c: np.ndarray, p: DenseParams, use_bias: bool = True):
-    """Affine map to class logits followed by a stabilized softmax."""
+def dense_forward(c: np.ndarray, p: DenseParams, use_bias: bool = True) -> np.ndarray:
+    """Affine map to the class logits; softmax is a separate step so that
+    noise can be added to the logits in between."""
     if c.shape != (p.input_dim,):
         raise ShapeMismatch(f"input {c.shape} vs dense ({p.input_dim}, {N_CLASSES})")
     y = c @ p.W
     if use_bias:
         y = y + p.b
-    return softmax(y), y
+    return y
 
 
 def dense_backward(grad_logits: np.ndarray, c: np.ndarray, p: DenseParams, use_bias: bool = True):

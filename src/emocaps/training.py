@@ -40,6 +40,7 @@ from .nn import (
     bigru_backward,
     bigru_forward,
     dense_backward,
+    dense_forward,
     init_dense,
     init_gru,
     predict_class,
@@ -187,7 +188,7 @@ def clip_gradients(grads: dict, clip_norm: float = 1.0, mode: str = "global_norm
     return grads
 
 
-def adam_update(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
+def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
     """Standard Adam with bias correction over name-keyed tensors; updates
     tensors and state in place."""
     if set(grads) != set(tensors):
@@ -208,10 +209,6 @@ def adam_update(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) 
         m_hat = m / correct1
         v_hat = v / correct2
         theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-
-
-def adam_step(params: ModelParams, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
-    adam_update(params.tensors(), grads, state, cfg)
 
 
 def gaussian_noise(x: np.ndarray, std: float, mode: str, rng=None) -> np.ndarray:
@@ -252,8 +249,6 @@ class ForwardCache:
     capsule: CapsuleCache
     drop_mask: np.ndarray | None
     c: np.ndarray  # dense input, after dropout and noise
-    logits: np.ndarray
-    probs: np.ndarray
 
 
 def forward_full(ids, params: ModelParams, cfg: TrainConfig, mode: str, rng=None):
@@ -275,12 +270,9 @@ def forward_full(ids, params: ModelParams, cfg: TrainConfig, mode: str, rng=None
     c, drop_mask = dropout(flat, cfg.capsule_dropout, mode, rng)
     if cfg.second_noise_site == "capsule_output":
         c = gaussian_noise(c, cfg.noise_std, mode, rng)
-    logits = c @ params.dense.W
-    if cfg.dense_bias:
-        logits = logits + params.dense.b
+    logits = dense_forward(c, params.dense, cfg.dense_bias)
     if cfg.second_noise_site == "logits":
         logits = gaussian_noise(logits, cfg.noise_std, mode, rng)
-    probs = softmax(logits)
     cache = ForwardCache(
         ids=list(ids),
         spatial_mask=spatial_mask,
@@ -288,10 +280,8 @@ def forward_full(ids, params: ModelParams, cfg: TrainConfig, mode: str, rng=None
         capsule=caps_cache,
         drop_mask=drop_mask,
         c=c,
-        logits=logits,
-        probs=probs,
     )
-    return probs, cache
+    return softmax(logits), cache
 
 
 def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelParams, cfg: TrainConfig) -> dict:
@@ -305,15 +295,13 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
     if cache.spatial_mask is not None:
         grad_X = grad_X * cache.spatial_mask
     gW_e = embed_backward(cache.ids, grad_X, params.embedding.weights.shape[0])
-
-    grads = {"embedding/W_e": gW_e}
-    for prefix, g in (("gru_fwd", g_fwd), ("gru_bwd", g_bwd)):
-        for name, t in g.tensors().items():
-            grads[f"{prefix}/{name}"] = t
-    grads["capsule/W"] = gW_caps
-    grads["dense/W"] = gW_dense
-    grads["dense/b"] = gb_dense
-    return grads
+    return ModelParams(
+        embedding=EmbeddingTable(weights=gW_e),
+        gru_fwd=g_fwd,
+        gru_bwd=g_bwd,
+        capsule=CapsuleParams(W=gW_caps),
+        dense=DenseParams(W=gW_dense, b=gb_dense),
+    ).tensors()
 
 
 def example_loss_and_grads(ids, gold: int, params: ModelParams, cfg: TrainConfig, mode: str, rng=None):
@@ -387,7 +375,7 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
                 sums[k] *= inv
             sums["embedding/W_e"][PAD_ID, :] = 0.0
             clip_gradients(sums, cfg.clip_norm, cfg.clip_mode)
-            adam_step(params, sums, adam, cfg)
+            adam_step(params.tensors(), sums, adam, cfg)
 
         train_loss = float(np.mean(losses))
         if not np.isfinite(train_loss):

@@ -5,7 +5,6 @@ import pytest
 
 from emocaps.capsule import (
     CapsuleParams,
-    capsule_backward,
     capsule_layer,
     capsule_layer_backward,
     dynamic_routing,
@@ -249,8 +248,7 @@ class TestRoutingBackward:
         def loss_and_grad():
             flat, cache = capsule_layer(H, p, iterations=2)
             V = flat.reshape(2, 2)
-            grad_U, grad_W = capsule_backward(R, cache)
-            grad_H = np.einsum("njo,jdo->nd", grad_U, p.W)
+            grad_H, grad_W = capsule_layer_backward(R.reshape(-1), cache, p)
             return float(np.sum(V * R)), {"W": grad_W, "H": grad_H}
 
         assert finite_diff_check(loss_and_grad, {"W": p.W, "H": H}) < 1e-6

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -143,6 +144,29 @@ class TestPipeline:
         manifest = json.loads((ckpt / "model.json").read_text())
         assert manifest["hyperparameters"]["embed_dim"] == 8
 
+    def test_payload_dimension_override_is_reported(self, workspace, capsys):
+        flags = list(TINY_FLAGS)
+        flags[flags.index("--embed-dim") + 1] = "9"
+        capsys.readouterr()
+        code = run(
+            ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+             "--embeddings-payload", workspace["payload"],
+             "--checkpoint-dir", workspace["root"] / "dim_warning"] + flags
+        )
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"warning: embedding payload {workspace['payload']} is 8-dimensional; "
+            "using that instead of embed_dim 9"
+        ]
+
+    def test_checkpoints_record_vocabulary_fingerprint(self, workspace):
+        words = [line.split("\t", 1)[1] for line in workspace["vocab"].read_text().splitlines()]
+        expected = hashlib.sha256("\n".join(words).encode("utf-8")).hexdigest()
+        for stem in (workspace["payload"], workspace["ckpt"] / "model"):
+            manifest = json.loads(Path(f"{stem}.json").read_text())
+            assert manifest["vocab_sha256"] == expected
+
     def test_repeated_training_is_byte_identical(self, workspace):
         dirs = [workspace["root"] / name for name in ("det_a", "det_b")]
         for d in dirs:
@@ -229,6 +253,52 @@ class TestExitCodes:
         code = run(["evaluate", "--input", data, "--vocab", small,
                     "--checkpoint", workspace["ckpt"] / "model"])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
+    def test_same_size_vocabulary_with_other_words_is_refused(self, workspace, tmp_path, capsys, command):
+        words = [line.split("\t", 1)[1] for line in workspace["vocab"].read_text().splitlines()]
+        words[-2:] = words[:-3:-1]  # same size, two ids swap their words
+        vocab = tmp_path / "swapped.tsv"
+        vocab.write_text("".join(f"{i}\t{w}\n" for i, w in enumerate(words)))
+        out = tmp_path / "out"
+        stem = workspace["payload"] if command == "train" else workspace["ckpt"] / "model"
+        argv = {
+            "predict": ["predict", "--input", workspace["clean"], "--labeled", "--output", out,
+                        "--checkpoint", stem],
+            "evaluate": ["evaluate", "--input", workspace["clean"], "--output", out,
+                         "--checkpoint", stem],
+            "train": ["train", "--train-file", workspace["clean"], "--checkpoint-dir", out,
+                      "--embeddings-payload", stem] + TINY_FLAGS,
+        }[command]
+        capsys.readouterr()
+        assert run(argv + ["--vocab", vocab]) == 3
+        err = capsys.readouterr().err
+        assert str(vocab) in err and str(stem) in err
+        assert not out.exists()
+
+    def test_manifest_without_fingerprint_is_accepted(self, workspace, tmp_path):
+        stem = tmp_path / "old"
+        manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
+        del manifest["vocab_sha256"]
+        Path(f"{stem}.json").write_text(json.dumps(manifest))
+        Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
+        out = tmp_path / "preds.txt"
+        assert run(["predict", "--input", workspace["clean"], "--labeled", "--vocab",
+                    workspace["vocab"], "--checkpoint", stem, "--output", out]) == 0
+        assert len(out.read_text().splitlines()) == 60
+
+    @pytest.mark.parametrize("bad", ["no tab here", "x\tword"])
+    def test_malformed_vocabulary_names_file_and_line(self, workspace, tmp_path, capsys, bad):
+        vocab = tmp_path / "vocab.tsv"
+        lines = workspace["vocab"].read_text().splitlines()
+        vocab.write_text("\n".join(lines[:3] + [bad] + lines[4:]) + "\n")
+        out = tmp_path / "preds.txt"
+        capsys.readouterr()
+        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", vocab,
+                    "--checkpoint", workspace["ckpt"] / "model", "--output", out])
+        assert code == 3
+        assert f"error: {vocab}:4: expected id<TAB>word" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
     @pytest.mark.parametrize("blank", ["", "   \t "])

@@ -19,6 +19,7 @@ from emocaps.errors import (
     DimensionMismatch,
     IdOutOfRange,
     MalformedHeader,
+    MalformedLine,
     TruncatedFile,
 )
 
@@ -61,8 +62,21 @@ class TestVocabulary:
     def test_load_rejects_gaps(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("0\t<pad>\n2\tskip\n", encoding="utf-8")
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(MalformedHeader, match=f"{path}:2: non-contiguous"):
             Vocabulary.load(path)
+
+    @pytest.mark.parametrize("bad", ["1 <unk>", "one\t<unk>", "\t<unk>"])
+    def test_load_names_file_and_line_of_malformed_line(self, tmp_path, bad):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"0\t<pad>\n\n{bad}\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match=f"{path}:3: expected id<TAB>word") as err:
+            Vocabulary.load(path)
+        assert err.value.line_number == 3
+
+    def test_load_skips_blank_lines_and_keeps_tabs_in_words(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("0\t<pad>\n\n1\ta\tb\n", encoding="utf-8")
+        assert Vocabulary.load(path).id_to_word == ["<pad>", "a\tb"]
 
 
 def write_binary_fixture(path, entries, dim, separator=b"\n"):

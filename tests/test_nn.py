@@ -14,7 +14,7 @@ from emocaps.nn import (
     bigru_forward,
     check_finite,
     dense_backward,
-    dense_softmax_forward,
+    dense_forward,
     finite_diff_check,
     glorot_uniform,
     gru_backward,
@@ -22,10 +22,9 @@ from emocaps.nn import (
     init_dense,
     init_gru,
     predict_class,
-    row_softmax,
-    row_softmax_backward,
     sigmoid,
     softmax,
+    softmax_backward,
 )
 
 # Fused and per-gate GRUs sum the same terms in a different order; in float64
@@ -119,9 +118,15 @@ class TestActivations:
     def test_row_softmax_matches_vector_softmax(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(4, 5))
-        out = row_softmax(logits)
+        out = softmax(logits)
         for i in range(4):
-            np.testing.assert_allclose(out[i], softmax(logits[i]), rtol=1e-12)
+            np.testing.assert_array_equal(out[i], softmax(logits[i]))
+
+    def test_softmax_normalizes_each_row(self):
+        logits = np.asarray([[0.0, 0.0], [5.0, -1.0], [-30.0, 2.0]])
+        out = softmax(logits)
+        np.testing.assert_allclose(out.sum(axis=-1), np.ones(3), rtol=1e-15)
+        np.testing.assert_allclose(out[0], [0.5, 0.5], rtol=1e-15)
 
     def test_row_softmax_backward_finite_difference(self):
         rng = np.random.default_rng(4)
@@ -129,10 +134,10 @@ class TestActivations:
         R = rng.normal(size=(3, 4))
 
         def loss(lg):
-            return float(np.sum(row_softmax(lg) * R))
+            return float(np.sum(softmax(lg) * R))
 
-        probs = row_softmax(logits)
-        grad = row_softmax_backward(R, probs)
+        probs = softmax(logits)
+        grad = softmax_backward(R, probs)
         eps = 1e-6
         for i in range(3):
             for j in range(4):
@@ -347,7 +352,8 @@ class TestBigru:
 class TestDenseSoftmax:
     def test_uniform_logits_give_uniform_probs(self):
         p = DenseParams(W=np.zeros((4, N_CLASSES)), b=np.zeros(N_CLASSES))
-        probs, logits = dense_softmax_forward(np.ones(4), p)
+        logits = dense_forward(np.ones(4), p)
+        probs = softmax(logits)
         np.testing.assert_allclose(probs, np.full(N_CLASSES, 1 / 6), rtol=1e-15)
         np.testing.assert_array_equal(logits, np.zeros(N_CLASSES))
 
@@ -356,7 +362,7 @@ class TestDenseSoftmax:
         p = init_dense(8, rng)
         p.b[:] = rng.normal(size=N_CLASSES)
         for _ in range(20):
-            probs, _ = dense_softmax_forward(rng.normal(scale=3, size=8), p)
+            probs = softmax(dense_forward(rng.normal(scale=3, size=8), p))
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs > 0) and np.all(probs < 1)
 
@@ -365,8 +371,8 @@ class TestDenseSoftmax:
         p = init_dense(4, rng)
         p.b[:] = 1.5
         c = rng.normal(size=4)
-        _, with_bias = dense_softmax_forward(c, p, use_bias=True)
-        _, without = dense_softmax_forward(c, p, use_bias=False)
+        with_bias = dense_forward(c, p, use_bias=True)
+        without = dense_forward(c, p, use_bias=False)
         np.testing.assert_allclose(with_bias - without, np.full(N_CLASSES, 1.5), rtol=1e-12)
 
     def test_backward_finite_difference(self):
@@ -377,7 +383,7 @@ class TestDenseSoftmax:
         R = rng.normal(size=N_CLASSES)
 
         def loss_and_grad():
-            _, logits = dense_softmax_forward(c, p)
+            logits = dense_forward(c, p)
             grad_c, gW, gb = dense_backward(R, c, p)
             return float(logits @ R), {"W": gW, "b": gb, "c": grad_c}
 
@@ -386,7 +392,7 @@ class TestDenseSoftmax:
     def test_shape_mismatch(self):
         p = init_dense(4, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            dense_softmax_forward(np.zeros(5), p)
+            dense_forward(np.zeros(5), p)
 
 
 class TestPredictClass:

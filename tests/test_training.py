@@ -17,7 +17,6 @@ from emocaps.training import (
     ModelParams,
     TrainConfig,
     adam_step,
-    adam_update,
     backward_full,
     clip_gradients,
     cross_entropy_loss,
@@ -149,7 +148,7 @@ class TestAdam:
         before = {k: t.copy() for k, t in params.tensors().items()}
         state = init_adam(params)
         grads = {k: np.zeros_like(t) for k, t in params.tensors().items()}
-        adam_step(params, grads, state, cfg)
+        adam_step(params.tensors(), grads, state, cfg)
         for k, t in params.tensors().items():
             np.testing.assert_array_equal(t, before[k])
             assert np.all(state.m[k] == 0.0) and np.all(state.v[k] == 0.0)
@@ -158,7 +157,7 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=1e-3)
         theta = {"t": np.asarray([5.0, -5.0])}
         state = AdamState(m={"t": np.zeros(2)}, v={"t": np.zeros(2)})
-        adam_update(theta, {"t": np.asarray([10.0, -10.0])}, state, cfg)
+        adam_step(theta, {"t": np.asarray([10.0, -10.0])}, state, cfg)
         np.testing.assert_allclose(theta["t"], [5.0 - 1e-3, -5.0 + 1e-3], atol=1e-6)
 
     def test_five_steps_match_scalar_transcription(self):
@@ -167,7 +166,7 @@ class TestAdam:
         state = AdamState(m={"t": np.zeros(1)}, v={"t": np.zeros(1)})
         expected = scalar_adam_transcription(1.0, lr=0.1, steps=5)
         for step in range(5):
-            adam_update(theta, {"t": 2.0 * theta["t"]}, state, cfg)
+            adam_step(theta, {"t": 2.0 * theta["t"]}, state, cfg)
             assert abs(theta["t"][0] - expected[step]) < 1e-12
 
     def test_key_mismatch_rejected(self):
@@ -175,9 +174,9 @@ class TestAdam:
         theta = {"t": np.zeros(2)}
         state = AdamState(m={"t": np.zeros(2)}, v={"t": np.zeros(2)})
         with pytest.raises(ShapeMismatch):
-            adam_update(theta, {"other": np.zeros(2)}, state, cfg)
+            adam_step(theta, {"other": np.zeros(2)}, state, cfg)
         with pytest.raises(ShapeMismatch):
-            adam_update(theta, {"t": np.zeros(3)}, state, cfg)
+            adam_step(theta, {"t": np.zeros(3)}, state, cfg)
 
 
 class TestRegularizers:
