@@ -33,10 +33,9 @@ class CapsuleParams:
         return self.W.shape[2]
 
 
-def init_capsule(num_capsules, input_dim, capsule_dim, rng, dtype=np.float64) -> CapsuleParams:
+def init_capsule(num_capsules, input_dim, capsule_dim, rng) -> CapsuleParams:
     limit = np.sqrt(6.0 / (input_dim + capsule_dim))
-    W = rng.uniform(-limit, limit, size=(num_capsules, input_dim, capsule_dim))
-    return CapsuleParams(W=W.astype(dtype))
+    return CapsuleParams(W=rng.uniform(-limit, limit, size=(num_capsules, input_dim, capsule_dim)))
 
 
 @dataclass

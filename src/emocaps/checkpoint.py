@@ -66,39 +66,62 @@ def save_checkpoint(
         tmp_manifest.unlink(missing_ok=True)
 
 
+def _tensor_layout(entry, index: int, where) -> tuple:
+    """(name, shape, dtype) of one manifest tensor entry."""
+    if not isinstance(entry, dict):
+        raise MalformedHeader(f"{where}: tensor entry {index} is not an object")
+    for key in ("name", "shape", "dtype"):
+        if key not in entry:
+            raise MalformedHeader(f"{where}: tensor entry {index} has no {key!r}")
+    name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise MalformedHeader(f"{where}: tensor {name!r} has bad shape {shape!r}")
+    try:
+        dtype = np.dtype(dtype) if isinstance(dtype, str) else None
+    except TypeError:
+        dtype = None
+    if dtype is None or dtype.hasobject:
+        raise MalformedHeader(f"{where}: tensor {name!r} has unknown dtype {entry['dtype']!r}")
+    return name, tuple(shape), dtype
+
+
 def load_checkpoint(stem):
     """Read stem.json + stem.bin; returns (tensors, manifest).
 
     Tensor dict order follows the manifest.  Raises TruncatedFile when the
     payload is shorter than the manifest describes, MalformedHeader when the
-    manifest is unreadable or disagrees with the payload size.
+    manifest is unreadable, malformed or disagrees with the payload size.
+    Every message names the file it is about.
     """
+    manifest_path, payload_path = _manifest_path(stem), _payload_path(stem)
     try:
-        manifest = json.loads(_manifest_path(stem).read_text(encoding="utf-8"))
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise MalformedHeader(f"unreadable manifest: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("version") != FORMAT_VERSION:
-        raise MalformedHeader(f"unsupported manifest version: {manifest.get('version')!r}")
-    if "tensors" not in manifest:
-        raise MalformedHeader("manifest has no tensor list")
+        raise MalformedHeader(f"{manifest_path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise MalformedHeader(f"{manifest_path}: manifest is not a JSON object")
+    if manifest.get("version") != FORMAT_VERSION:
+        raise MalformedHeader(f"{manifest_path}: unsupported manifest version: {manifest.get('version')!r}")
+    if not isinstance(manifest.get("tensors"), list):
+        raise MalformedHeader(f"{manifest_path}: manifest has no tensor list")
 
-    payload = _payload_path(stem).read_bytes()
+    payload = payload_path.read_bytes()
     tensors: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        dtype = np.dtype(entry["dtype"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    for index, entry in enumerate(manifest["tensors"]):
+        name, shape, dtype = _tensor_layout(entry, index, manifest_path)
+        count = int(np.prod(shape, dtype=np.int64))
+        nbytes = count * dtype.itemsize
         if offset + nbytes > len(payload):
             raise TruncatedFile(
-                f"payload ends inside tensor {entry['name']!r} "
+                f"{payload_path}: payload ends inside tensor {name!r} "
                 f"(need {offset + nbytes} bytes, have {len(payload)})"
             )
-        flat = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape, dtype=np.int64)), offset=offset)
-        tensors[entry["name"]] = flat.reshape(shape).copy()
+        flat = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+        tensors[name] = flat.reshape(shape).copy()
         offset += nbytes
     if offset != len(payload):
         raise MalformedHeader(
-            f"payload has {len(payload) - offset} trailing bytes beyond the manifest"
+            f"{payload_path}: payload has {len(payload) - offset} trailing bytes beyond the manifest"
         )
     return tensors, manifest

@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     EmocapsError,
     EmptyDataset,
+    MalformedHeader,
     MalformedLine,
     NumericError,
     VocabularyMismatch,
@@ -52,29 +53,54 @@ PROFILES = {
     },
 }
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOL_WORDS[text.lower()]
-    except KeyError:
-        raise argparse.ArgumentTypeError(f"expected true/false, got {text!r}") from None
-
-
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per TrainConfig field, plus --config and --profile."""
     parser.add_argument("--config", help="flat JSON config file; flags override its keys")
     parser.add_argument("--profile", choices=sorted(PROFILES), help="dimension/batch preset")
     for f in fields(TrainConfig):
-        kind = _parse_bool if isinstance(f.default, bool) else type(f.default)
         parser.add_argument(
             f"--{f.name.replace('_', '-')}",
             dest=f.name,
-            type=kind,
+            type=type(f.default),
             default=None,
             help=f"default {f.default}",
         )
+
+
+def _typed_config(values: dict, where) -> dict:
+    """Check each TrainConfig key in `values` against its field's type and
+    return those entries. An int is accepted for a float field and becomes a
+    float; a bool is not a number. Errors name `where` and the key."""
+    out = {}
+    for f in fields(TrainConfig):
+        if f.name not in values:
+            continue
+        value, kind = values[f.name], type(f.default)
+        if kind is float and type(value) is int:
+            value = float(value)
+        if type(value) is not kind:
+            raise MalformedLine(f"{where}: {f.name} must be {kind.__name__}, got {value!r}")
+        out[f.name] = value
+    return out
+
+
+def _read_config_file(path) -> dict:
+    """The keys of a flat JSON config file: TrainConfig fields plus an
+    optional "profile". Any other key, or a value of the wrong type, is an
+    error naming the file."""
+    try:
+        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise MalformedLine(f"{path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise MalformedLine(f"{path}: expected a JSON object of config keys")
+    unknown = set(loaded) - {f.name for f in fields(TrainConfig)} - {"profile"}
+    if unknown:
+        raise MalformedLine(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
+    profiles = sorted(PROFILES)
+    if "profile" in loaded and loaded["profile"] not in profiles:
+        raise MalformedLine(f"{path}: profile must be one of {', '.join(profiles)}, got {loaded['profile']!r}")
+    return loaded
 
 
 def _resolve_config(args) -> TrainConfig:
@@ -84,16 +110,10 @@ def _resolve_config(args) -> TrainConfig:
     if args.profile:
         values.update(PROFILES[args.profile])
     if args.config:
-        try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(f"{args.config}: {exc}") from exc
-        unknown = set(loaded) - names - {"profile"}
-        if unknown:
-            raise MalformedLine(f"unknown config keys: {', '.join(sorted(unknown))}")
+        loaded = _read_config_file(args.config)
         if "profile" in loaded and not args.profile:
             values.update(PROFILES[loaded["profile"]])
-        values.update({k: v for k, v in loaded.items() if k in names})
+        values.update(_typed_config(loaded, args.config))
     for name in names:
         flag = getattr(args, name, None)
         if flag is not None:
@@ -107,8 +127,12 @@ def load_dataset(path, labeled: bool = True) -> list:
     """Parse "label<TAB>text" lines (or bare text when labeled=False) into
     (label index or None, text) pairs; label names match case-insensitively."""
     examples = []
-    raw = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(raw.splitlines(), 1):
+    # read_text turns \r\n and \r into \n; lines end only there, so a
+    # Unicode line separator inside a tweet stays in its line
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline ends the last line; an empty file has none
+    for lineno, line in enumerate(lines, 1):
         if not labeled:
             examples.append((None, line))
             continue
@@ -254,9 +278,11 @@ def cmd_train(args) -> int:
 def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
     tensors, manifest = load_checkpoint(checkpoint)
     _check_vocab(manifest, checkpoint, vocab, vocab_path)
-    names = {f.name for f in fields(TrainConfig)}
-    hp = {k: v for k, v in manifest.get("hyperparameters", {}).items() if k in names}
-    cfg = TrainConfig(**hp)
+    hp = manifest.get("hyperparameters", {})
+    if not isinstance(hp, dict):
+        raise MalformedHeader(f"{checkpoint}.json: hyperparameters are not a JSON object")
+    # keys this version does not know (options since retired) are ignored
+    cfg = TrainConfig(**_typed_config(hp, f"{checkpoint}.json"))
     params = ModelParams.from_tensors(tensors)
     if params.embedding.weights.shape[0] != len(vocab):
         raise DimensionMismatch(

@@ -177,13 +177,7 @@ def _load_word2vec_text(path) -> dict[str, np.ndarray]:
     return table
 
 
-def build_embedding(
-    vocab: Vocabulary,
-    raw_table: dict[str, np.ndarray],
-    dim: int,
-    seed: int,
-    dtype=np.float64,
-) -> EmbeddingTable:
+def build_embedding(vocab: Vocabulary, raw_table: dict[str, np.ndarray], dim: int, seed: int) -> EmbeddingTable:
     """Assemble the trainable table: pretrained rows where available, seeded
     uniform(-0.05, 0.05) rows for everything else, zeros for <pad>."""
     for word, vector in raw_table.items():
@@ -192,10 +186,10 @@ def build_embedding(
                 f"pretrained vector for {word!r} has length {len(vector)}, expected {dim}"
             )
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(-0.05, 0.05, size=(len(vocab), dim)).astype(dtype)
+    weights = rng.uniform(-0.05, 0.05, size=(len(vocab), dim))
     for idx, word in enumerate(vocab.id_to_word):
         if word in raw_table:
-            weights[idx] = np.asarray(raw_table[word], dtype=dtype)
+            weights[idx] = raw_table[word]
     weights[vocab.word_to_id[PAD]] = 0.0
     return EmbeddingTable(weights=weights)
 

@@ -14,7 +14,7 @@ class IdOutOfRange(EmocapsError):
 
 
 class MalformedHeader(EmocapsError):
-    """An embedding file header is not 'count dim'."""
+    """A file header or a checkpoint manifest is malformed."""
 
 
 class DimensionMismatch(EmocapsError):

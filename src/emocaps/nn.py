@@ -70,17 +70,17 @@ class GruParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def init_gru(input_dim: int, hidden_dim: int, rng, dtype=np.float64) -> GruParams:
+def init_gru(input_dim: int, hidden_dim: int, rng) -> GruParams:
     """Glorot-uniform gate blocks, each drawn with its own (rows, h) limit in
     the order W_ir, W_iz, W_in, W_hr, W_hz, W_hn, then packed; zero biases."""
 
     def w(rows):
-        W = np.empty((rows, 3 * hidden_dim), dtype=dtype)
+        W = np.empty((rows, 3 * hidden_dim))
         for k in range(3):
             W[:, k * hidden_dim : (k + 1) * hidden_dim] = glorot_uniform((rows, hidden_dim), rng)
         return W
 
-    return GruParams(W_i=w(input_dim), W_h=w(hidden_dim), b=np.zeros((2, 3 * hidden_dim), dtype=dtype))
+    return GruParams(W_i=w(input_dim), W_h=w(hidden_dim), b=np.zeros((2, 3 * hidden_dim)))
 
 
 @dataclass
@@ -198,30 +198,23 @@ class DenseParams:
         return self.W.shape[0]
 
 
-def init_dense(input_dim: int, rng, dtype=np.float64) -> DenseParams:
-    return DenseParams(
-        W=glorot_uniform((input_dim, N_CLASSES), rng).astype(dtype),
-        b=np.zeros(N_CLASSES, dtype=dtype),
-    )
+def init_dense(input_dim: int, rng) -> DenseParams:
+    return DenseParams(W=glorot_uniform((input_dim, N_CLASSES), rng), b=np.zeros(N_CLASSES))
 
 
-def dense_forward(c: np.ndarray, p: DenseParams, use_bias: bool = True) -> np.ndarray:
-    """Affine map to the class logits; softmax is a separate step so that
-    noise can be added to the logits in between."""
+def dense_forward(c: np.ndarray, p: DenseParams) -> np.ndarray:
+    """Affine map to the class logits, c @ W + b; softmax is a separate step."""
     if c.shape != (p.input_dim,):
         raise ShapeMismatch(f"input {c.shape} vs dense ({p.input_dim}, {N_CLASSES})")
-    y = c @ p.W
-    if use_bias:
-        y = y + p.b
-    return y
+    return c @ p.W + p.b
 
 
-def dense_backward(grad_logits: np.ndarray, c: np.ndarray, p: DenseParams, use_bias: bool = True):
+def dense_backward(grad_logits: np.ndarray, c: np.ndarray, p: DenseParams):
     """Gradient of the affine layer given dL/dlogits; returns (grad_c, gW, gb)."""
     if grad_logits.shape != (N_CLASSES,):
         raise ShapeMismatch(f"grad_logits {grad_logits.shape} vs ({N_CLASSES},)")
     gW = np.outer(c, grad_logits)
-    gb = grad_logits.copy() if use_bias else np.zeros_like(p.b)
+    gb = grad_logits.copy()
     grad_c = grad_logits @ p.W.T
     return grad_c, gW, gb
 

@@ -142,39 +142,35 @@ class Lexicon:
 
     @classmethod
     def from_pairs(cls, pairs) -> "Lexicon":
+        """Sum the counts of repeated words; a bad word or a negative count
+        raises ValueError."""
         counts: dict[str, int] = {}
         for word, count in pairs:
-            if not word or "*" in word or word != word.lower():
-                raise ValueError(f"bad lexicon word: {word!r}")
-            if count < 0:
-                raise ValueError(f"negative count for {word!r}")
-            counts[word] = counts.get(word, 0) + int(count)
+            _add_count(counts, word, count)
         return cls(counts=counts, total=sum(counts.values()))
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
-        pairs = []
+        """Read "word<TAB>count" lines, skipping blank ones; an error is a
+        MalformedLine naming the file and line."""
+        counts: dict[str, int] = {}
         with open(path, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise MalformedLine(
-                        f"expected 'word<TAB>count' at line {lineno}: {line!r}",
-                        line_number=lineno,
-                    )
-                word, count_text = parts
                 try:
+                    word, count_text = line.split("\t")
                     count = int(count_text)
-                except ValueError as exc:
+                except ValueError:
                     raise MalformedLine(
-                        f"bad count at line {lineno}: {count_text!r}",
-                        line_number=lineno,
-                    ) from exc
-                pairs.append((word, count))
-        return cls.from_pairs(pairs)
+                        f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}", lineno
+                    ) from None
+                try:
+                    _add_count(counts, word, count)
+                except ValueError as exc:
+                    raise MalformedLine(f"{path}:{lineno}: {exc}", lineno) from None
+        return cls(counts=counts, total=sum(counts.values()))
 
     def word_logp(self, word: str) -> float:
         """Unigram log-probability; out-of-lexicon words pay a length penalty."""
@@ -182,6 +178,16 @@ class Lexicon:
         if count > 0:
             return math.log(count / self.total)
         return math.log(1.0 / max(self.total, 1)) - _OOV_LEN_PENALTY * len(word)
+
+
+def _add_count(counts: dict[str, int], word: str, count: int) -> None:
+    """Add one lexicon entry. Words are non-empty, lowercase and free of the
+    censoring `*`; counts are non-negative."""
+    if not word or "*" in word or word != word.lower():
+        raise ValueError(f"bad lexicon word: {word!r}")
+    if count < 0:
+        raise ValueError(f"negative count for {word!r}")
+    counts[word] = counts.get(word, 0) + int(count)
 
 
 def segment_hashtag(tag: str, lex: Lexicon) -> list[str]:

@@ -58,11 +58,9 @@ class TrainConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
     clip_norm: float = 1.0
-    clip_mode: str = "global_norm"  # or "value": clip each entry to +-clip_norm
     spatial_dropout: float = 0.3
     capsule_dropout: float = 0.25
     noise_std: float = 0.1
-    second_noise_site: str = "capsule_output"  # or "logits"
     routing_iters: int = 5
     max_epochs: int = 50
     patience: int = 5
@@ -71,7 +69,6 @@ class TrainConfig:
     hidden_dim: int = 128
     num_capsules: int = 16
     capsule_dim: int = 32
-    dense_bias: bool = True
 
     def validate(self) -> None:
         for name in ("spatial_dropout", "capsule_dropout", "beta1", "beta2"):
@@ -80,10 +77,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
         if self.clip_norm <= 0.0:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.clip_mode not in ("global_norm", "value"):
-            raise ValueError(f"unknown clip_mode {self.clip_mode!r}")
-        if self.second_noise_site not in ("capsule_output", "logits"):
-            raise ValueError(f"unknown second_noise_site {self.second_noise_site!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.noise_std < 0.0:
@@ -130,7 +123,7 @@ class ModelParams:
         )
 
 
-def init_model(cfg: TrainConfig, embedding: EmbeddingTable, dtype=np.float64) -> ModelParams:
+def init_model(cfg: TrainConfig, embedding: EmbeddingTable) -> ModelParams:
     if embedding.dim != cfg.embed_dim:
         raise DimensionMismatch(
             f"embedding table is {embedding.dim}-dimensional, config says {cfg.embed_dim}"
@@ -138,10 +131,10 @@ def init_model(cfg: TrainConfig, embedding: EmbeddingTable, dtype=np.float64) ->
     rng = np.random.default_rng([cfg.seed, 0])
     return ModelParams(
         embedding=embedding,
-        gru_fwd=init_gru(cfg.embed_dim, cfg.hidden_dim, rng, dtype),
-        gru_bwd=init_gru(cfg.embed_dim, cfg.hidden_dim, rng, dtype),
-        capsule=init_capsule(cfg.num_capsules, 2 * cfg.hidden_dim, cfg.capsule_dim, rng, dtype),
-        dense=init_dense(cfg.num_capsules * cfg.capsule_dim, rng, dtype),
+        gru_fwd=init_gru(cfg.embed_dim, cfg.hidden_dim, rng),
+        gru_bwd=init_gru(cfg.embed_dim, cfg.hidden_dim, rng),
+        capsule=init_capsule(cfg.num_capsules, 2 * cfg.hidden_dim, cfg.capsule_dim, rng),
+        dense=init_dense(cfg.num_capsules * cfg.capsule_dim, rng),
     )
 
 
@@ -170,13 +163,9 @@ def cross_entropy_loss(f: np.ndarray, gold: int):
     return float(loss), grad_logits
 
 
-def clip_gradients(grads: dict, clip_norm: float = 1.0, mode: str = "global_norm") -> dict:
-    """Scale all gradients so the global L2 norm is at most clip_norm, or
-    clamp each entry to [-clip_norm, clip_norm] in value mode. In place."""
-    if mode == "value":
-        for t in grads.values():
-            np.clip(t, -clip_norm, clip_norm, out=t)
-        return grads
+def clip_gradients(grads: dict, clip_norm: float = 1.0) -> dict:
+    """Scale all gradients in place so their global L2 norm is at most
+    clip_norm."""
     total = 0.0
     for t in grads.values():
         total += float(np.sum(t * t))
@@ -211,30 +200,32 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) ->
         theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
 
-def gaussian_noise(x: np.ndarray, std: float, mode: str, rng=None) -> np.ndarray:
-    """Additive zero-mean noise in train mode; identity in eval or at std 0."""
-    if mode != "train" or std == 0.0:
+def gaussian_noise(x: np.ndarray, std: float, rng=None) -> np.ndarray:
+    """Additive zero-mean noise drawn from rng; identity without an rng (the
+    eval pass) or at std 0."""
+    if rng is None or std == 0.0:
         return x
     return x + rng.normal(0.0, std, size=x.shape)
 
 
-def dropout(x: np.ndarray, rate: float, mode: str, rng=None):
+def dropout(x: np.ndarray, rate: float, rng=None):
     """Unit dropout with inverted scaling; returns (output, mask).
 
     The mask already carries the 1/(1-rate) survivor scaling, so the backward
-    pass is a plain multiply; mask is None when the op was an identity.
+    pass is a plain multiply; mask is None when the op was an identity
+    (no rng, or rate 0).
     """
-    if mode != "train" or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x, None
     keep = rng.random(x.shape) >= rate
     mask = keep / (1.0 - rate)
     return x * mask, mask
 
 
-def spatial_dropout(X: np.ndarray, rate: float, mode: str, rng=None):
+def spatial_dropout(X: np.ndarray, rate: float, rng=None):
     """Channel dropout: one keep/drop draw per embedding dimension, applied
     across every timestep; returns (output, broadcastable mask or None)."""
-    if mode != "train" or rate == 0.0:
+    if rng is None or rate == 0.0:
         return X, None
     keep = rng.random((1, X.shape[1])) >= rate
     mask = keep / (1.0 - rate)
@@ -251,28 +242,24 @@ class ForwardCache:
     c: np.ndarray  # dense input, after dropout and noise
 
 
-def forward_full(ids, params: ModelParams, cfg: TrainConfig, mode: str, rng=None):
+def forward_full(ids, params: ModelParams, cfg: TrainConfig, *, rng=None):
     """Whole pipeline: embed, spatial dropout, noise, bidirectional GRU,
-    capsule routing, dropout, noise, dense softmax. Returns (probs, cache).
+    capsule routing, dropout, noise on the flattened capsule output, dense
+    softmax. Returns (probs, cache).
 
-    The second noise site defaults to the flattened capsule output; the
-    alternative adds it to the class logits instead.
+    A pass given an rng is a training pass and draws every dropout mask and
+    noise sample from it; without one the pass is the deterministic eval
+    pass and every regularizer is an identity.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"unknown mode {mode!r}")
     if len(ids) == 0:
         raise EmptySequence("cannot classify an empty token sequence")
     X = embed(ids, params.embedding)
-    X, spatial_mask = spatial_dropout(X, cfg.spatial_dropout, mode, rng)
-    X = gaussian_noise(X, cfg.noise_std, mode, rng)
+    X, spatial_mask = spatial_dropout(X, cfg.spatial_dropout, rng)
+    X = gaussian_noise(X, cfg.noise_std, rng)
     H, bigru_cache = bigru_forward(X, params.gru_fwd, params.gru_bwd)
     flat, caps_cache = capsule_layer(H, params.capsule, cfg.routing_iters)
-    c, drop_mask = dropout(flat, cfg.capsule_dropout, mode, rng)
-    if cfg.second_noise_site == "capsule_output":
-        c = gaussian_noise(c, cfg.noise_std, mode, rng)
-    logits = dense_forward(c, params.dense, cfg.dense_bias)
-    if cfg.second_noise_site == "logits":
-        logits = gaussian_noise(logits, cfg.noise_std, mode, rng)
+    c, drop_mask = dropout(flat, cfg.capsule_dropout, rng)
+    c = gaussian_noise(c, cfg.noise_std, rng)
     cache = ForwardCache(
         ids=list(ids),
         spatial_mask=spatial_mask,
@@ -281,13 +268,13 @@ def forward_full(ids, params: ModelParams, cfg: TrainConfig, mode: str, rng=None
         drop_mask=drop_mask,
         c=c,
     )
-    return softmax(logits), cache
+    return softmax(dense_forward(c, params.dense)), cache
 
 
-def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelParams, cfg: TrainConfig) -> dict:
+def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelParams) -> dict:
     """Gradients of every trainable tensor given dL/dlogits; keys match
     ModelParams.tensors(). Additive noise backpropagates as identity."""
-    grad_c, gW_dense, gb_dense = dense_backward(grad_logits, cache.c, params.dense, cfg.dense_bias)
+    grad_c, gW_dense, gb_dense = dense_backward(grad_logits, cache.c, params.dense)
     if cache.drop_mask is not None:
         grad_c = grad_c * cache.drop_mask
     grad_H, gW_caps = capsule_layer_backward(grad_c, cache.capsule, params.capsule)
@@ -304,15 +291,15 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
     ).tensors()
 
 
-def example_loss_and_grads(ids, gold: int, params: ModelParams, cfg: TrainConfig, mode: str, rng=None):
-    probs, cache = forward_full(ids, params, cfg, mode, rng)
+def example_loss_and_grads(ids, gold: int, params: ModelParams, cfg: TrainConfig, *, rng=None):
+    probs, cache = forward_full(ids, params, cfg, rng=rng)
     loss, grad_logits = cross_entropy_loss(probs, gold)
-    return loss, backward_full(grad_logits, cache, params, cfg)
+    return loss, backward_full(grad_logits, cache, params)
 
 
 def predict_dataset(sequences, params: ModelParams, cfg: TrainConfig) -> list[int]:
     """Eval-mode class prediction for every id sequence, in order."""
-    return [predict_class(forward_full(ids, params, cfg, "eval")[0]) for ids in sequences]
+    return [predict_class(forward_full(ids, params, cfg)[0]) for ids in sequences]
 
 
 def dataset_macro_f1(dataset, params: ModelParams, cfg: TrainConfig) -> float:
@@ -366,7 +353,7 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
             for offset, index in enumerate(batch):
                 rng = np.random.default_rng([cfg.seed, 2, epoch, start + offset])
                 ids, gold = train_set[index]
-                loss, grads = example_loss_and_grads(ids, gold, params, cfg, "train", rng)
+                loss, grads = example_loss_and_grads(ids, gold, params, cfg, rng=rng)
                 for k in sums:
                     sums[k] += grads[k]
                 losses.append(loss)
@@ -374,7 +361,7 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
             for k in sums:
                 sums[k] *= inv
             sums["embedding/W_e"][PAD_ID, :] = 0.0
-            clip_gradients(sums, cfg.clip_norm, cfg.clip_mode)
+            clip_gradients(sums, cfg.clip_norm)
             adam_step(params.tensors(), sums, adam, cfg)
 
         train_loss = float(np.mean(losses))

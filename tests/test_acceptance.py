@@ -62,7 +62,7 @@ def test_gradient_integrity():
     ids = vocab.encode(["alpha", "beta", "gamma"])
 
     def loss_and_grad():
-        return example_loss_and_grads(ids, 2, params, cfg, "eval")
+        return example_loss_and_grads(ids, 2, params, cfg)
 
     err = finite_diff_check(loss_and_grad, params.tensors())
     elapsed = time.perf_counter() - start

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,41 @@ class TestCorruption:
         del manifest["tensors"]
         (tmp_path / "model.json").write_text(json.dumps(manifest))
         with pytest.raises(MalformedHeader):
+            load_checkpoint(stem)
+
+    def test_manifest_not_an_object(self, tmp_path):
+        stem = self.make_checkpoint(tmp_path)
+        (tmp_path / "model.json").write_text("[]")
+        with pytest.raises(MalformedHeader, match="^" + re.escape(f"{tmp_path / 'model.json'}: manifest is not")):
+            load_checkpoint(stem)
+
+    @pytest.mark.parametrize("mangle, says", [
+        (lambda m: m.update(tensors={"a": 1}), "manifest has no tensor list"),
+        (lambda m: m["tensors"].__setitem__(0, ["a"]), "tensor entry 0 is not an object"),
+        (lambda m: m["tensors"][1].pop("name"), "tensor entry 1 has no 'name'"),
+        (lambda m: m["tensors"][0].pop("shape"), "tensor entry 0 has no 'shape'"),
+        (lambda m: m["tensors"][0].pop("dtype"), "tensor entry 0 has no 'dtype'"),
+        (lambda m: m["tensors"][0].update(shape=[2, -1]), "tensor 'embedding/W_e' has bad shape [2, -1]"),
+        (lambda m: m["tensors"][0].update(shape=3), "tensor 'embedding/W_e' has bad shape 3"),
+        (lambda m: m["tensors"][0].update(dtype="float99"), "tensor 'embedding/W_e' has unknown dtype 'float99'"),
+        (lambda m: m["tensors"][0].update(dtype=None), "tensor 'embedding/W_e' has unknown dtype None"),
+        (lambda m: m["tensors"][0].update(dtype="|O"), "tensor 'embedding/W_e' has unknown dtype '|O'"),
+    ], ids=["tensors-dict", "entry-list", "no-name", "no-shape", "no-dtype",
+            "negative-dim", "scalar-shape", "unknown-dtype", "null-dtype", "object-dtype"])
+    def test_malformed_manifest_names_file(self, tmp_path, mangle, says):
+        stem = self.make_checkpoint(tmp_path)
+        manifest = json.loads((tmp_path / "model.json").read_text())
+        mangle(manifest)
+        (tmp_path / "model.json").write_text(json.dumps(manifest))
+        with pytest.raises(MalformedHeader, match="^" + re.escape(f"{tmp_path / 'model.json'}: {says}")):
+            load_checkpoint(stem)
+
+    @pytest.mark.parametrize("cut, error", [(3, TruncatedFile), (-2, MalformedHeader)], ids=["short", "long"])
+    def test_payload_errors_name_file(self, tmp_path, cut, error):
+        stem = self.make_checkpoint(tmp_path)
+        payload = (tmp_path / "model.bin").read_bytes()
+        (tmp_path / "model.bin").write_bytes(payload[:-cut] if cut > 0 else payload + bytes(-cut))
+        with pytest.raises(error, match="^" + re.escape(f"{tmp_path / 'model.bin'}: ")):
             load_checkpoint(stem)
 
 

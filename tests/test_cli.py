@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from conftest import make_toy_examples, write_labeled
-from emocaps.cli import entry, load_dataset, main
+from emocaps.cli import build_parser, entry, load_dataset, main
 from emocaps.evaluation import LABELS
+from emocaps.training import TrainConfig
 
 TINY_FLAGS = [
     "--embed-dim", "8",
@@ -120,6 +122,37 @@ class TestPipeline:
         assert code == 0
         assert len(out.read_text().splitlines()) == 2
 
+    def test_predict_keeps_line_separator_inside_a_tweet(self, workspace):
+        bare = workspace["root"] / "separator.txt"
+        bare.write_text("angersig0\u2028the\njoysig1 to\n", encoding="utf-8")
+        out = workspace["root"] / "separator_preds.txt"
+        code = run(
+            ["predict", "--input", bare, "--vocab", workspace["vocab"],
+             "--checkpoint", workspace["ckpt"] / "model", "--output", out]
+        )
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_manifest_with_retired_options_still_predicts(self, workspace, tmp_path):
+        """Checkpoints written before the clip mode, the second noise site and
+        the dense-bias switch were retired keep those keys; they are ignored,
+        and eval never used the first two."""
+        stem = tmp_path / "old"
+        manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
+        manifest["hyperparameters"].update(
+            {"clip_mode": "value", "second_noise_site": "logits", "dense_bias": False}
+        )
+        Path(f"{stem}.json").write_text(json.dumps(manifest))
+        Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
+        outputs = []
+        for checkpoint in (workspace["ckpt"] / "model", stem):
+            out = tmp_path / f"{checkpoint.name}.txt"
+            assert run(["predict", "--input", workspace["clean"], "--labeled", "--vocab",
+                        workspace["vocab"], "--checkpoint", checkpoint, "--output", out]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 60
+
     def test_embeddings_payload_feeds_training(self, workspace):
         ckpt = workspace["root"] / "from_payload"
         code = run(
@@ -196,6 +229,13 @@ class TestPreprocessBehavior:
         assert "s**t" in tokens
         assert "<targetword>" in tokens
 
+    def test_line_separator_inside_a_tweet(self, tmp_path):
+        raw = tmp_path / "u.tsv"
+        raw.write_text("joy\tgood\u2028news today\nsad\tbad news\n", encoding="utf-8")
+        out = tmp_path / "clean.tsv"
+        assert run(["preprocess", "--input", raw, "--output", out]) == 0
+        assert out.read_text(encoding="utf-8") == "joy\tgood news today\nsad\tbad news\n"
+
     def test_unlabeled_round_trip(self, tmp_path):
         raw = tmp_path / "raw.txt"
         raw.write_text("Hello WORLD\nsecond line\n")
@@ -220,6 +260,20 @@ class TestDatasetParsing:
         path = tmp_path / "data.txt"
         path.write_text("no label here\n")
         assert load_dataset(path, labeled=False) == [(None, "no label here")]
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"])
+    def test_lines_end_only_at_newline(self, tmp_path, sep):
+        path = tmp_path / "data.tsv"
+        path.write_bytes(f"joy\tone{sep}two\r\nsad\tthree\rfear\tfour\n".encode("utf-8"))
+        assert load_dataset(path) == [(3, f"one{sep}two"), (4, "three"), (2, "four")]
+
+    @pytest.mark.parametrize("text, lines", [
+        ("", []), ("\n", [""]), ("a", ["a"]), ("a\n", ["a"]), ("a\n\nb", ["a", "", "b"]),
+    ], ids=["empty", "newline", "no-final-newline", "final-newline", "blank-inside"])
+    def test_final_newline_adds_no_line(self, tmp_path, text, lines):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        assert load_dataset(path, labeled=False) == [(None, line) for line in lines]
 
 
 class TestExitCodes:
@@ -321,6 +375,52 @@ class TestExitCodes:
         assert f"{data}:2:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["Hello\t3", "cat\t-1", "cat\tmany"])
+    def test_bad_lexicon_names_file_and_line(self, tmp_path, capsys, line):
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text(f"the\t5\n{line}\n")
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("joy\tsome text\n")
+        out = tmp_path / "clean.tsv"
+        capsys.readouterr()
+        code = run(["preprocess", "--input", raw, "--output", out, "--lexicon", lexicon])
+        assert code == 3
+        assert f"error: {lexicon}:2: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_not_an_object(self, workspace, tmp_path, capsys):
+        stem = tmp_path / "bad"
+        Path(f"{stem}.json").write_text("[]")
+        Path(f"{stem}.bin").write_bytes(b"")
+        capsys.readouterr()
+        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab",
+                    workspace["vocab"], "--checkpoint", stem, "--output", tmp_path / "preds.txt"])
+        assert code == 3
+        assert f"error: {stem}.json: manifest is not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mangle", [
+        lambda m: m.clear(),
+        lambda m: m["tensors"][0].pop("dtype"),
+        lambda m: m["tensors"][3].pop("name"),
+        lambda m: m["tensors"][-1].update(shape=None),
+        lambda m: m["tensors"][1].update(dtype="<f9"),
+        lambda m: m.update(hyperparameters=[]),
+        lambda m: m["hyperparameters"].update(routing_iters="5"),
+    ], ids=["empty", "no-dtype", "no-name", "null-shape", "unknown-dtype", "hp-list", "hp-type"])
+    def test_malformed_manifest_names_checkpoint(self, workspace, tmp_path, capsys, mangle):
+        stem = tmp_path / "bad"
+        manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
+        mangle(manifest)
+        Path(f"{stem}.json").write_text(json.dumps(manifest))
+        Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
+        out = tmp_path / "preds.txt"
+        capsys.readouterr()
+        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab",
+                    workspace["vocab"], "--checkpoint", stem, "--output", out])
+        assert code == 3
+        assert f"error: {stem}.json: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_blank_dev_line_rejected_before_training(self, workspace, tmp_path, capsys):
         dev = tmp_path / "dev.tsv"
         dev.write_text("anger\tangersig0\n\n")
@@ -352,6 +452,30 @@ class TestExitCodes:
                     "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
         assert code == 3
 
+    @pytest.mark.parametrize("content, says", [
+        ([1], "expected a JSON object"),
+        ({"profile": "huge"}, "profile must be one of desk, paper, got 'huge'"),
+        ({"profile": ["desk"]}, "profile must be one of desk, paper"),
+        ({"batch_size": "big"}, "batch_size must be int, got 'big'"),
+        ({"batch_size": 2.0}, "batch_size must be int, got 2.0"),
+        ({"batch_size": True}, "batch_size must be int, got True"),
+        ({"learning_rate": "0.1"}, "learning_rate must be float, got '0.1'"),
+        ({"noise_std": None}, "noise_std must be float, got None"),
+        ({"no_such_knob": 1}, "unknown config keys: no_such_knob"),
+        ({"clip_mode": "value", "dense_bias": False}, "unknown config keys: clip_mode, dense_bias"),
+    ], ids=["list", "unknown-profile", "list-profile", "int-as-str", "int-as-float", "int-as-bool",
+            "float-as-str", "float-as-null", "unknown-key", "retired-keys"])
+    def test_bad_config_file_names_file_and_key(self, workspace, tmp_path, capsys, content, says):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        capsys.readouterr()
+        code = run(["train", "--train-file", workspace["clean"],
+                    "--vocab", workspace["vocab"],
+                    "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
+        assert code == 3
+        assert f"error: {cfg}: {says}" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     def test_unreadable_config_file(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")
@@ -374,6 +498,40 @@ class TestConfiguration:
         assert hp["learning_rate"] == 0.25
         # --max-epochs 2 came from the shared flag list, overriding the file's 1
         assert hp["max_epochs"] == 2
+
+    def test_config_file_int_for_float_field(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"learning_rate": 1, "clip_norm": 2}))
+        ckpt = tmp_path / "ckpt"
+        code = run(["train", "--train-file", workspace["clean"],
+                    "--vocab", workspace["vocab"], "--checkpoint-dir", ckpt,
+                    "--config", cfg] + TINY_FLAGS)
+        assert code == 0
+        hp = json.loads((ckpt / "model.json").read_text())["hyperparameters"]
+        assert hp["learning_rate"] == 1.0 and isinstance(hp["learning_rate"], float)
+        assert hp["clip_norm"] == 2.0 and isinstance(hp["clip_norm"], float)
+
+    @pytest.mark.parametrize("command, fixed", [
+        ("train", ["--train-file", "--dev-file", "--vocab", "--embeddings-payload",
+                   "--checkpoint-dir", "--wall-clock"]),
+        ("build-vocab", ["--inputs", "--vocab", "--embedding-out", "--embeddings",
+                         "--embeddings-format", "--unlabeled"]),
+    ])
+    def test_configuration_surface(self, command, fixed):
+        """One flag per TrainConfig field plus the command's fixed options;
+        a new option has to change this test on purpose."""
+        fields = [
+            "batch_size", "learning_rate", "beta1", "beta2", "epsilon", "clip_norm",
+            "spatial_dropout", "capsule_dropout", "noise_std", "routing_iters",
+            "max_epochs", "patience", "seed", "embed_dim", "hidden_dim",
+            "num_capsules", "capsule_dim",
+        ]
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == fields
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        options = [o for a in subparsers.choices[command]._actions for o in a.option_strings]
+        expected = ["-h", "--help"] + fixed + ["--config", "--profile"]
+        expected += ["--" + name.replace("_", "-") for name in fields]
+        assert options == expected
 
     def test_desk_profile_sets_dimensions(self, workspace, tmp_path):
         ckpt = tmp_path / "ckpt"
@@ -402,15 +560,6 @@ class TestConfiguration:
         assert code == 0
         hp = json.loads((ckpt / "model.json").read_text())["hyperparameters"]
         assert hp["embed_dim"] == 50
-
-    def test_boolean_flag_parsing(self, workspace, tmp_path):
-        ckpt = tmp_path / "ckpt"
-        code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"], "--checkpoint-dir", ckpt,
-                    "--dense-bias", "false"] + TINY_FLAGS)
-        assert code == 0
-        hp = json.loads((ckpt / "model.json").read_text())["hyperparameters"]
-        assert hp["dense_bias"] is False
 
 
 class TestEntryPoint:

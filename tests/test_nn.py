@@ -366,15 +366,6 @@ class TestDenseSoftmax:
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs > 0) and np.all(probs < 1)
 
-    def test_bias_flag(self):
-        rng = np.random.default_rng(16)
-        p = init_dense(4, rng)
-        p.b[:] = 1.5
-        c = rng.normal(size=4)
-        with_bias = dense_forward(c, p, use_bias=True)
-        without = dense_forward(c, p, use_bias=False)
-        np.testing.assert_allclose(with_bias - without, np.full(N_CLASSES, 1.5), rtol=1e-12)
-
     def test_backward_finite_difference(self):
         rng = np.random.default_rng(17)
         p = init_dense(5, rng)

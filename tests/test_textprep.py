@@ -158,6 +158,22 @@ class TestLexicon:
             Lexicon.from_file(path)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("line, says", [
+        ("Cat\t1", "bad lexicon word: 'Cat'"),
+        ("s**t\t1", "bad lexicon word: 's**t'"),
+        ("\t1", "bad lexicon word: ''"),
+        ("cat\t-2", "negative count for 'cat'"),
+        ("cat\t2\t3", "expected 'word<TAB>count'"),
+        ("cat\tmany", "expected 'word<TAB>count'"),
+    ])
+    def test_from_file_names_file_and_line(self, tmp_path, line, says):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"dog\t1\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(MalformedLine) as err:
+            Lexicon.from_file(path)
+        assert err.value.line_number == 3
+        assert str(err.value).startswith(f"{path}:3: {says}")
+
     def test_word_logp(self):
         lex = Lexicon.from_pairs([("cat", 3), ("dog", 1)])
         assert lex.word_logp("cat") == pytest.approx(math.log(3 / 4))
