@@ -51,7 +51,8 @@ def predict_vectors(H: np.ndarray, p: CapsuleParams) -> np.ndarray:
     """U[i, j] = W_j . h_i for every position i and output capsule j."""
     if H.ndim != 2 or H.shape[1] != p.input_dim:
         raise ShapeMismatch(f"H {H.shape} vs capsule input dim {p.input_dim}")
-    return np.einsum("nd,jdo->njo", H, p.W)
+    # one (n, d) @ (d, d_out) product per capsule, as a batched matmul
+    return np.ascontiguousarray((H @ p.W).transpose(1, 0, 2))
 
 
 def squash(s: np.ndarray) -> np.ndarray:
@@ -152,6 +153,7 @@ def capsule_layer_backward(grad_flat: np.ndarray, cache: CapsuleCache, p: Capsul
         raise ShapeMismatch(f"grad {grad_flat.shape} vs flattened capsule output {V_shape}")
     grad_V = grad_flat.reshape(V_shape)
     grad_U = routing_backward(grad_V, cache.U, cache.state)
-    grad_W = np.einsum("nd,njo->jdo", cache.H, grad_U)
-    grad_H = np.einsum("njo,jdo->nd", grad_U, p.W)
+    per_capsule = grad_U.transpose(1, 0, 2)  # (J, n, d_out) view
+    grad_W = cache.H.T @ per_capsule
+    grad_H = (per_capsule @ p.W.transpose(0, 2, 1)).sum(axis=0)
     return grad_H, grad_W

@@ -3,7 +3,7 @@ lookup with its backward pass.
 
 The lookup realizes the one-hot matrix product (token-indicator matrix times
 the embedding table) as a row gather; the backward pass scatter-adds output
-gradients into the touched rows.
+gradients into the touched rows and returns only those rows (`RowGrad`).
 """
 
 from __future__ import annotations
@@ -204,12 +204,35 @@ def embed(ids, table: EmbeddingTable) -> np.ndarray:
     return table.weights[ids]
 
 
-def embed_backward(ids, grad_output: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Scatter-add output gradients into embedding rows (repeats accumulate)."""
+@dataclass
+class RowGrad:
+    """Gradient of a row-indexed table that is zero outside `rows`."""
+
+    rows: np.ndarray  # (k,) sorted unique row ids
+    values: np.ndarray  # (k, dim), the gradient of those rows
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.values.nbytes
+
+    def dense(self, num_rows: int) -> np.ndarray:
+        """The full (num_rows, dim) gradient, zeros outside `rows`."""
+        out = np.zeros((num_rows,) + self.values.shape[1:], dtype=self.values.dtype)
+        out[self.rows] = self.values
+        return out
+
+
+def embed_backward(ids, grad_output: np.ndarray, vocab_size: int) -> RowGrad:
+    """Scatter-add output gradients into the rows the ids touched (repeats
+    accumulate, in order, so each row's sum is bitwise the one a dense
+    (vocab_size, dim) scatter gives)."""
     ids = np.asarray(ids, dtype=np.intp)
-    grad = np.zeros((vocab_size, grad_output.shape[1]), dtype=grad_output.dtype)
-    np.add.at(grad, ids, grad_output)
-    return grad
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise IdOutOfRange(f"ids must lie in [0, {vocab_size}), got {ids.tolist()}")
+    rows, inverse = np.unique(ids, return_inverse=True)
+    values = np.zeros((rows.size, grad_output.shape[1]), dtype=grad_output.dtype)
+    np.add.at(values, inverse, grad_output)
+    return RowGrad(rows=rows, values=values)
 
 
 def write_word2vec_binary(path, table: dict[str, np.ndarray], dim: int) -> None:

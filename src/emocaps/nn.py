@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .embeddings import RowGrad
 from .errors import NumericError, ShapeMismatch
 
 N_CLASSES = 6
@@ -229,7 +230,8 @@ def finite_diff_check(loss_and_grad, params: dict, eps: float = 1e-5, sample=Non
 
     `loss_and_grad()` evaluates the (deterministic) loss at the current
     parameter values and returns (loss, grads) with grads keyed like
-    `params`. Entries are perturbed in place one at a time. Returns the
+    `params`; a RowGrad is compared as its dense gradient. Entries are
+    perturbed in place one at a time. Returns the
     worst relative error, |analytic - numeric| / max(1, |analytic|, |numeric|)
     (relative for large gradients, absolute near zero).
 
@@ -240,7 +242,10 @@ def finite_diff_check(loss_and_grad, params: dict, eps: float = 1e-5, sample=Non
     worst = 0.0
     for name, theta in params.items():
         flat = theta.reshape(-1)
-        grad_flat = grads[name].reshape(-1)
+        grad = grads[name]
+        if isinstance(grad, RowGrad):
+            grad = grad.dense(theta.shape[0])
+        grad_flat = grad.reshape(-1)
         indices = range(flat.size)
         if sample is not None and flat.size > sample:
             indices = rng.choice(flat.size, size=sample, replace=False)

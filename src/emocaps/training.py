@@ -7,11 +7,17 @@ accumulation; there is no padding anywhere in the numeric path, so batch
 size only controls how many per-example gradients are averaged per update.
 All randomness is drawn from streams keyed by (seed, purpose, epoch,
 position), which makes runs reproducible.
+
+The embedding gradient stays row-sparse from `embed_backward` to Adam: it
+is summed, clipped and applied only over the rows the examples touched.
+Adam moves a row whose moments and gradient are all zero by exactly zero,
+so the results are those of dense Adam over the whole table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,7 +28,7 @@ from .capsule import (
     capsule_layer_backward,
     init_capsule,
 )
-from .embeddings import EmbeddingTable, embed, embed_backward
+from .embeddings import EmbeddingTable, RowGrad, embed, embed_backward
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -71,6 +77,10 @@ class TrainConfig:
     capsule_dim: int = 32
 
     def validate(self) -> None:
+        for name in ("learning_rate", "epsilon", "clip_norm", "noise_std"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("spatial_dropout", "capsule_dropout", "beta1", "beta2"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
@@ -140,17 +150,27 @@ def init_model(cfg: TrainConfig, embedding: EmbeddingTable) -> ModelParams:
 
 @dataclass
 class AdamState:
+    """Adam moments per tensor name. A tensor updated with `RowGrad`
+    gradients keeps moments only for the rows it has ever been given: their
+    sorted ids are `rows[name]`, and `m[name]`, `v[name]` hold one row per
+    id. Every other row still has zero moments."""
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+    rows: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def init_adam(params: ModelParams) -> AdamState:
-    tensors = params.tensors()
-    return AdamState(
-        m={k: np.zeros_like(t) for k, t in tensors.items()},
-        v={k: np.zeros_like(t) for k, t in tensors.items()},
-    )
+    """Zero moments; the embedding's start with no rows (`AdamState`)."""
+    state = AdamState(m={}, v={})
+    for name, t in params.tensors().items():
+        if t is params.embedding.weights:  # row-sparse: moments of no rows yet
+            state.rows[name] = np.empty(0, dtype=np.intp)
+            t = t[:0]
+        state.m[name] = np.zeros_like(t)
+        state.v[name] = np.zeros_like(t)
+    return state
 
 
 def cross_entropy_loss(f: np.ndarray, gold: int):
@@ -165,21 +185,31 @@ def cross_entropy_loss(f: np.ndarray, gold: int):
 
 def clip_gradients(grads: dict, clip_norm: float = 1.0) -> dict:
     """Scale all gradients in place so their global L2 norm is at most
-    clip_norm."""
-    total = 0.0
-    for t in grads.values():
-        total += float(np.sum(t * t))
-    norm = np.sqrt(total)
+    clip_norm; a RowGrad adds only its stored rows (the rest are zero).
+    Raises NumericError naming the tensors whose norm is not finite, before
+    anything is scaled."""
+    arrays = {k: g.values if isinstance(g, RowGrad) else g for k, g in grads.items()}
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        squares = {k: float(np.sum(a * a)) for k, a in arrays.items()}
+    bad = [k for k, sq in squares.items() if not math.isfinite(sq)]
+    if bad:
+        raise NumericError(f"gradient norm is not finite in {', '.join(bad)}")
+    norm = np.sqrt(sum(squares.values()))
     if norm > clip_norm:
         scale = clip_norm / norm
-        for t in grads.values():
-            t *= scale
+        for a in arrays.values():
+            a *= scale
     return grads
 
 
 def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
     """Standard Adam with bias correction over name-keyed tensors; updates
-    tensors and state in place."""
+    tensors and state in place.
+
+    A RowGrad gradient updates only the rows the tensor has ever been
+    given (`AdamState.rows`); rows given before but absent now take a zero
+    gradient. Every other row has zero moments and a zero gradient, which
+    dense Adam would move by exactly zero, so the result is dense Adam's."""
     if set(grads) != set(tensors):
         raise ShapeMismatch("gradient keys do not match parameter keys")
     state.t += 1
@@ -187,17 +217,45 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) ->
     correct2 = 1.0 - cfg.beta2 ** state.t
     for name, theta in tensors.items():
         g = grads[name]
-        if g.shape != theta.shape:
-            raise ShapeMismatch(f"{name}: gradient {g.shape} vs parameter {theta.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / correct1
-        v_hat = v / correct2
-        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        if not isinstance(g, RowGrad):
+            if g.shape != theta.shape or name in state.rows:
+                raise ShapeMismatch(f"{name}: gradient {g.shape} vs parameter {theta.shape}")
+            _adam_update(theta, g, state.m[name], state.v[name], cfg, correct1, correct2)
+            continue
+        fits = g.values.shape[1:] == theta.shape[1:] and (g.rows.size == 0 or g.rows[-1] < len(theta))
+        if name not in state.rows or not fits:
+            raise ShapeMismatch(f"{name}: row gradient {g.values.shape} vs parameter {theta.shape}")
+        rows = _grow_rows(state, name, g.rows)
+        grad = np.zeros_like(state.m[name])
+        grad[np.searchsorted(rows, g.rows)] = g.values
+        updated = theta[rows]
+        _adam_update(updated, grad, state.m[name], state.v[name], cfg, correct1, correct2)
+        theta[rows] = updated
+
+
+def _grow_rows(state: AdamState, name: str, new_rows: np.ndarray) -> np.ndarray:
+    """Add `new_rows` to the rows `name` keeps moments for, with zero
+    moments for rows not seen before; returns the (sorted) row ids."""
+    rows = state.rows[name]
+    merged = np.union1d(rows, new_rows)
+    if merged.size > rows.size:
+        kept = np.searchsorted(merged, rows)
+        for moments in (state.m, state.v):
+            grown = np.zeros((merged.size,) + moments[name].shape[1:], dtype=moments[name].dtype)
+            grown[kept] = moments[name]
+            moments[name] = grown
+        state.rows[name] = merged
+    return merged
+
+
+def _adam_update(theta, g, m, v, cfg: TrainConfig, correct1: float, correct2: float) -> None:
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * (g * g)
+    m_hat = m / correct1
+    v_hat = v / correct2
+    theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
 
 def gaussian_noise(x: np.ndarray, std: float, rng=None) -> np.ndarray:
@@ -322,9 +380,11 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
     Examples are shuffled per epoch from a seeded stream; per-example noise
     and dropout draw from streams keyed by (seed, epoch, position in the
     shuffled order). Updates average per-example gradients over the batch,
-    zero the padding row, clip, then apply Adam. Stops once the dev score
-    has failed to improve for more than `patience` consecutive epochs, and
-    restores the best-scoring parameters before returning.
+    drop the padding row, clip, then apply Adam; a non-finite gradient norm
+    raises NumericError naming the epoch and batch before Adam runs. Stops
+    once the dev score has failed to improve for more than `patience`
+    consecutive epochs, and restores the best-scoring parameters before
+    returning.
 
     `clock` supplies the per-epoch seconds in the history; the default
     reports 0.0 so histories are byte-stable across machines.
@@ -337,6 +397,7 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
     _check_dataset(train_set, "train")
     _check_dataset(dev_set, "dev")
 
+    tensors = params.tensors()
     adam = init_adam(params)
     history: list[dict] = []
     best_f1 = -1.0
@@ -349,20 +410,28 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            sums = {k: np.zeros_like(t) for k, t in params.tensors().items()}
+            sums = {k: [] if k in adam.rows else np.zeros_like(t) for k, t in tensors.items()}
             for offset, index in enumerate(batch):
                 rng = np.random.default_rng([cfg.seed, 2, epoch, start + offset])
                 ids, gold = train_set[index]
                 loss, grads = example_loss_and_grads(ids, gold, params, cfg, rng=rng)
-                for k in sums:
-                    sums[k] += grads[k]
+                for k, total in sums.items():
+                    if isinstance(total, list):
+                        total.append(grads[k])
+                    else:
+                        total += grads[k]
                 losses.append(loss)
             inv = 1.0 / len(batch)
-            for k in sums:
-                sums[k] *= inv
-            sums["embedding/W_e"][PAD_ID, :] = 0.0
-            clip_gradients(sums, cfg.clip_norm)
-            adam_step(params.tensors(), sums, adam, cfg)
+            for k, total in sums.items():
+                if isinstance(total, list):
+                    sums[k] = _mean_row_grad(total)
+                else:
+                    total *= inv
+            try:
+                clip_gradients(sums, cfg.clip_norm)
+            except NumericError as exc:
+                raise NumericError(f"epoch {epoch}, batch {start // cfg.batch_size}: {exc}") from exc
+            adam_step(tensors, sums, adam, cfg)
 
         train_loss = float(np.mean(losses))
         if not np.isfinite(train_loss):
@@ -376,13 +445,34 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
         if dev_f1 > best_f1:
             best_f1 = dev_f1
             since_best = 0
-            best_tensors = {k: t.copy() for k, t in params.tensors().items()}
+            # Of a row-sparse tensor only the rows Adam has updated: the
+            # others still hold their initial values. Every epoch visits
+            # every example, so no row is first updated after epoch 0,
+            # the first snapshot.
+            best_tensors = {
+                k: (adam.rows[k], t[adam.rows[k]]) if k in adam.rows else (..., t.copy())
+                for k, t in tensors.items()
+            }
         else:
             since_best += 1
             if since_best > cfg.patience:
                 break
 
     if best_tensors is not None:
-        for name, t in params.tensors().items():
-            t[...] = best_tensors[name]
+        for name, (index, values) in best_tensors.items():
+            tensors[name][index] = values
     return params, history
+
+
+def _mean_row_grad(parts: list[RowGrad]) -> RowGrad:
+    """Average per-example row gradients over the union of their rows. Rows
+    are summed in example order, so each row's mean is bitwise the dense
+    one (a dense sum only adds zeros in between); the padding row is
+    dropped, as if its gradient were zeroed."""
+    rows = np.unique(np.concatenate([g.rows for g in parts]))
+    total = np.zeros((rows.size,) + parts[0].values.shape[1:], dtype=parts[0].values.dtype)
+    for g in parts:
+        total[np.searchsorted(rows, g.rows)] += g.values
+    total *= 1.0 / len(parts)
+    keep = rows != PAD_ID
+    return RowGrad(rows=rows[keep], values=total[keep])

@@ -254,6 +254,45 @@ class TestRoutingBackward:
         assert finite_diff_check(loss_and_grad, {"W": p.W, "H": H}) < 1e-6
 
 
+# --- einsum oracle: the contractions as the capsule layer first wrote them ---
+
+
+def einsum_predict_vectors(H, W):
+    return np.einsum("nd,jdo->njo", H, W)
+
+
+def einsum_grad_W(H, grad_U):
+    return np.einsum("nd,njo->jdo", H, grad_U)
+
+
+def einsum_grad_H(grad_U, W):
+    return np.einsum("njo,jdo->nd", grad_U, W)
+
+
+class TestMatmulContractions:
+    """The batched matmuls of the capsule layer reorder the sums of the
+    einsum contractions they replaced; float64 results agree to 1e-10."""
+
+    TOL = 1e-10
+
+    @pytest.mark.parametrize("T", [1, 12, 50])
+    @pytest.mark.parametrize("J,d_in,d_out", [(16, 256, 32), (3, 5, 2)], ids=["paper", "small"])
+    def test_match_einsum_oracle(self, T, J, d_in, d_out):
+        rng = np.random.default_rng(T)
+        p = init_capsule(J, d_in, d_out, rng)
+        H = rng.uniform(-1.0, 1.0, size=(T, d_in))  # Bi-GRU outputs lie in (-1, 1)
+        grad_flat = rng.normal(size=J * d_out)
+
+        flat, cache = capsule_layer(H, p, iterations=3)
+        np.testing.assert_allclose(cache.U, einsum_predict_vectors(H, p.W), rtol=0, atol=self.TOL)
+        assert cache.U.flags.c_contiguous
+        grad_H, grad_W = capsule_layer_backward(grad_flat, cache, p)
+        grad_U = routing_backward(grad_flat.reshape(J, d_out), cache.U, cache.state)
+        np.testing.assert_allclose(grad_W, einsum_grad_W(H, grad_U), rtol=0, atol=self.TOL)
+        np.testing.assert_allclose(grad_H, einsum_grad_H(grad_U, p.W), rtol=0, atol=self.TOL)
+        assert grad_W.shape == p.W.shape and grad_H.shape == H.shape
+
+
 class TestCapsuleLayer:
     def test_full_configuration_shapes(self):
         p = init_capsule(16, 256, 32, np.random.default_rng(23))

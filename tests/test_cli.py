@@ -444,6 +444,27 @@ class TestExitCodes:
                     "--spatial-dropout", "1.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_is_bad_argument(self, workspace, tmp_path, capsys, value):
+        capsys.readouterr()
+        code = run(["train", "--train-file", workspace["clean"],
+                    "--vocab", workspace["vocab"],
+                    "--checkpoint-dir", tmp_path / "ckpt", "--clip-norm", value])
+        assert code == 2
+        assert "bad arguments: clip_norm must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_non_finite_config_value_is_bad_argument(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"learning_rate": float("nan")}))  # written as NaN
+        capsys.readouterr()
+        code = run(["train", "--train-file", workspace["clean"],
+                    "--vocab", workspace["vocab"],
+                    "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
+        assert code == 2
+        assert "bad arguments: learning_rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     def test_unknown_config_key(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no_such_knob": 1}))

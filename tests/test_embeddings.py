@@ -221,8 +221,11 @@ class TestEmbed:
     def test_repeated_id_gradient_accumulates(self):
         G = np.asarray([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]])
         gW = embed_backward([3, 3], G, vocab_size=5)
-        np.testing.assert_array_equal(gW[3], G[0] + G[1])
-        assert np.all(gW[[0, 1, 2, 4]] == 0.0)
+        assert gW.rows.tolist() == [3]
+        np.testing.assert_array_equal(gW.values[0], G[0] + G[1])
+        dense = gW.dense(5)
+        np.testing.assert_array_equal(dense[3], G[0] + G[1])
+        assert np.all(dense[[0, 1, 2, 4]] == 0.0)
 
     def test_gather_backward_finite_difference(self):
         table = self.make_table(rows=5, dim=4, seed=3)
@@ -231,6 +234,8 @@ class TestEmbed:
         R = rng.normal(size=(3, 4))  # fixed weights make the loss scalar
 
         gW = embed_backward(ids, R, vocab_size=5)
+        assert gW.rows.tolist() == [2, 4]
+        gW = gW.dense(5)
         eps = 1e-6
         for row in range(5):
             for col in range(4):
@@ -242,3 +247,36 @@ class TestEmbed:
                 table.weights[row, col] = saved
                 numeric = (up - down) / (2 * eps)
                 assert abs(numeric - gW[row, col]) < 1e-6
+
+
+def dense_embed_backward(ids, grad_output, vocab_size):
+    """The dense scatter-add that `embed_backward` replaced: the oracle."""
+    grad = np.zeros((vocab_size, grad_output.shape[1]), dtype=grad_output.dtype)
+    np.add.at(grad, np.asarray(ids, dtype=np.intp), grad_output)
+    return grad
+
+
+class TestRowGrad:
+    @pytest.mark.parametrize("n", [1, 12, 50])
+    def test_bitwise_equal_to_dense_scatter(self, n):
+        rng = np.random.default_rng(n)
+        ids = rng.integers(0, 40, size=n)  # repeats at n = 50
+        G = rng.normal(size=(n, 6))
+        gW = embed_backward(ids.tolist(), G, vocab_size=40)
+        assert gW.rows.tolist() == sorted(set(ids.tolist()))
+        assert gW.values.shape == (gW.rows.size, 6)
+        np.testing.assert_array_equal(gW.dense(40), dense_embed_backward(ids, G, 40))
+
+    def test_empty_sequence(self):
+        gW = embed_backward([], np.zeros((0, 3)), vocab_size=4)
+        assert gW.rows.size == 0 and gW.values.shape == (0, 3)
+        assert np.all(gW.dense(4) == 0.0)
+
+    @pytest.mark.parametrize("ids", [[4], [-1], [0, 7]])
+    def test_ids_checked_against_vocab_size(self, ids):
+        with pytest.raises(IdOutOfRange):
+            embed_backward(ids, np.ones((len(ids), 2)), vocab_size=4)
+
+    def test_nbytes_counts_rows_and_values(self):
+        gW = embed_backward([1, 3, 1], np.ones((3, 5)), vocab_size=10)
+        assert gW.nbytes == gW.rows.nbytes + gW.values.nbytes == 2 * np.intp(0).nbytes + 2 * 5 * 8

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from emocaps.embeddings import Vocabulary, build_embedding
+import emocaps.training as training
+from emocaps.embeddings import EmbeddingTable, RowGrad, Vocabulary, build_embedding
 from emocaps.errors import (
     DimensionMismatch,
     EmptyDataset,
     EmptySequence,
     LabelOutOfRange,
+    NumericError,
     ShapeMismatch,
 )
 from emocaps.nn import N_CLASSES, dense_forward, finite_diff_check, softmax
@@ -30,6 +32,7 @@ from emocaps.training import (
     spatial_dropout,
     train,
 )
+from train_oracle import dense_adam, dense_clip, dense_train
 
 
 def tiny_config(**overrides):
@@ -119,6 +122,30 @@ class TestClipGradients:
             total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
             assert total <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("clip_norm", [1.0, 100.0])
+    def test_row_grad_matches_dense_clip(self, clip_norm):
+        # the norm sums squares of the stored rows only: the dense norm up to
+        # summation order
+        rng = np.random.default_rng(2)
+        row_grad = RowGrad(rows=np.asarray([1, 4, 9]), values=rng.normal(size=(3, 5)))
+        grads = {"e": row_grad, "w": rng.normal(size=(4, 2))}
+        dense = {"e": row_grad.dense(12), "w": grads["w"].copy()}
+        norm = dense_clip(dense, clip_norm)
+        clip_gradients(grads, clip_norm)
+        assert (norm > clip_norm) == (clip_norm == 1.0)
+        np.testing.assert_allclose(grads["e"].dense(12), dense["e"], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(grads["w"], dense["w"], rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_norm_raises_before_scaling(self, bad):
+        grads = {
+            "a": np.asarray([3.0, 4.0]),
+            "b": RowGrad(rows=np.asarray([2]), values=np.asarray([[1.0, bad]])),
+        }
+        with pytest.raises(NumericError, match="not finite in b$"):
+            clip_gradients(grads, 1.0)
+        np.testing.assert_array_equal(grads["a"], [3.0, 4.0])
+
 
 def scalar_adam_transcription(theta, lr, steps):
     """Plain-float Adam on f(t) = t^2, written independently."""
@@ -143,6 +170,8 @@ class TestAdam:
         before = {k: t.copy() for k, t in params.tensors().items()}
         state = init_adam(params)
         grads = {k: np.zeros_like(t) for k, t in params.tensors().items()}
+        W = params.embedding.weights  # its gradient comes row-sparse, here every row
+        grads["embedding/W_e"] = RowGrad(rows=np.arange(len(W)), values=np.zeros_like(W))
         adam_step(params.tensors(), grads, state, cfg)
         for k, t in params.tensors().items():
             np.testing.assert_array_equal(t, before[k])
@@ -163,6 +192,53 @@ class TestAdam:
         for step in range(5):
             adam_step(theta, {"t": 2.0 * theta["t"]}, state, cfg)
             assert abs(theta["t"][0] - expected[step]) < 1e-12
+
+    def test_row_grads_match_dense_adam_bitwise(self):
+        # rows given once keep moving on their moments; rows never given
+        # stay put, as dense Adam moves them by exactly zero
+        cfg = TrainConfig(learning_rate=0.05)
+        rng = np.random.default_rng(4)
+        start = rng.normal(size=(10, 3))
+        sparse, dense = {"e": start.copy()}, {"e": start.copy()}
+        state = AdamState(m={"e": np.zeros((0, 3))}, v={"e": np.zeros((0, 3))}, rows={"e": np.empty(0, np.intp)})
+        m, v = {"e": np.zeros((10, 3))}, {"e": np.zeros((10, 3))}
+        for t, rows in enumerate([[2, 5], [5], [], [1, 2, 8], [7]], 1):
+            g = RowGrad(rows=np.asarray(rows, dtype=np.intp), values=rng.normal(size=(len(rows), 3)))
+            adam_step(sparse, {"e": g}, state, cfg)
+            dense_adam(dense, {"e": g.dense(10)}, m, v, t, cfg)
+            np.testing.assert_array_equal(sparse["e"], dense["e"])
+        assert state.rows["e"].tolist() == [1, 2, 5, 7, 8]
+        np.testing.assert_array_equal(state.m["e"], m["e"][state.rows["e"]])
+        np.testing.assert_array_equal(state.v["e"], v["e"][state.rows["e"]])
+        np.testing.assert_array_equal(sparse["e"][[0, 3, 4, 6, 9]], start[[0, 3, 4, 6, 9]])
+
+    def test_init_adam_keeps_no_embedding_rows(self):
+        cfg = tiny_config()
+        _, params = tiny_model(cfg)
+        state = init_adam(params)
+        assert state.m["embedding/W_e"].shape == state.v["embedding/W_e"].shape == (0, cfg.embed_dim)
+        assert list(state.rows) == ["embedding/W_e"] and state.rows["embedding/W_e"].size == 0
+        assert state.m["capsule/W"].shape == params.capsule.W.shape
+
+    def test_row_grad_mismatch_rejected(self):
+        cfg = TrainConfig()
+
+        def step(grad, row_sparse=True):
+            theta = {"t": np.zeros((4, 2))}
+            state = AdamState(m={"t": np.zeros((0, 2))}, v={"t": np.zeros((0, 2))})
+            if row_sparse:
+                state.rows["t"] = np.empty(0, np.intp)
+            adam_step(theta, {"t": grad}, state, cfg)
+
+        step(RowGrad(rows=np.asarray([3]), values=np.ones((1, 2))))
+        for grad, row_sparse in [
+            (RowGrad(rows=np.asarray([4]), values=np.ones((1, 2))), True),  # row past the end
+            (RowGrad(rows=np.asarray([1]), values=np.ones((1, 3))), True),  # wrong width
+            (np.ones((4, 2)), True),  # a dense gradient for a row-sparse tensor
+            (RowGrad(rows=np.asarray([1]), values=np.ones((1, 2))), False),  # and the reverse
+        ]:
+            with pytest.raises(ShapeMismatch):
+                step(grad, row_sparse)
 
     def test_key_mismatch_rejected(self):
         cfg = TrainConfig()
@@ -297,7 +373,7 @@ class TestForwardFull:
         grads = backward_full(grad_logits, cache, params)
         assert set(grads) == set(params.tensors())
         for g in grads.values():
-            assert np.all(np.isfinite(g))
+            assert np.all(np.isfinite(g.values if isinstance(g, RowGrad) else g))
 
 
 class TestModelParams:
@@ -367,6 +443,12 @@ class TestModelParams:
             TrainConfig(clip_mode="nonsense")
         TrainConfig().validate()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["learning_rate", "clip_norm", "epsilon", "noise_std"])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value}).validate()
+
 
 def toy_setup(toy_examples, **overrides):
     cfg = tiny_config(
@@ -434,6 +516,42 @@ class TestTrainLoop:
         _, history = train(data, data, params, cfg, clock=lambda: float(next(ticks)))
         assert all(row["seconds"] == 1.0 for row in history)
 
+    def test_non_finite_gradient_stops_before_adam(self, toy_examples, monkeypatch):
+        cfg, vocab, params = toy_setup(toy_examples)
+        data = encode_examples(toy_examples, vocab)
+        params.capsule.W[0, 0, 0] = np.nan
+        before = {k: t.copy() for k, t in params.tensors().items()}
+        states = []
+        monkeypatch.setattr(training, "init_adam", lambda p: states.append(init_adam(p)) or states[-1])
+        with pytest.raises(NumericError, match=r"^epoch 0, batch 0: gradient norm is not finite in "):
+            train(data, data, params, cfg)
+        for k, t in params.tensors().items():
+            np.testing.assert_array_equal(t, before[k])
+        (state,) = states
+        assert state.t == 0 and state.rows["embedding/W_e"].size == 0
+        for k in state.m:
+            assert np.all(state.m[k] == 0.0) and np.all(state.v[k] == 0.0)
+
+    def test_non_finite_gradient_names_its_batch(self, toy_examples, monkeypatch):
+        # a poisoned embedding row reaches the gradient only in the batch of
+        # the one example that holds it; earlier updates ran, that one did not
+        cfg, vocab, params = toy_setup(toy_examples, batch_size=8)
+        data = encode_examples(toy_examples, vocab)
+        poisoned = len(vocab)
+        params.embedding.weights = np.vstack([params.embedding.weights, np.full(cfg.embed_dim, np.nan)])
+        victim = np.random.default_rng([cfg.seed, 1, 0]).permutation(len(data))[20]  # in batch 2
+        ids, gold = data[victim]
+        dev = list(data)
+        data[victim] = ([poisoned] + ids[1:], gold)
+        states = []
+        monkeypatch.setattr(training, "init_adam", lambda p: states.append(init_adam(p)) or states[-1])
+        with pytest.raises(NumericError, match=r"^epoch 0, batch 2: gradient norm is not finite in embedding/W_e"):
+            train(data, dev, params, cfg)
+        (state,) = states
+        assert state.t == 2
+        assert poisoned not in state.rows["embedding/W_e"]
+        assert all(np.all(np.isfinite(m)) for m in state.m.values())
+
     def test_empty_dataset_rejected(self, toy_examples):
         cfg, vocab, params = toy_setup(toy_examples)
         data = encode_examples(toy_examples, vocab)
@@ -459,3 +577,51 @@ class TestTrainLoop:
         rng = np.random.default_rng(13)
         err = finite_diff_check(loss_and_grad, params.tensors(), sample=40, rng=rng)
         assert err < 1e-6
+
+
+def sparse_vocab_examples(seed, count, vocab_size):
+    """Tweets of 4-9 ids from the whole vocabulary; every seventh starts
+    with the padding id, whose gradient training drops."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        ids = rng.integers(1, vocab_size, size=rng.integers(4, 10)).tolist()
+        if i % 7 == 0:
+            ids[0] = 0
+        out.append((ids, int(rng.integers(N_CLASSES))))
+    return out
+
+
+class TestRowSparseTraining:
+    """Row-sparse accumulation, clipping, Adam and best-epoch restore give
+    dense training's result. Only the clip norm's summation order differs,
+    so every tensor agrees to 1e-10."""
+
+    VOCAB = 3000
+
+    @pytest.mark.parametrize("seed, restores", [(22, True), (28, False)], ids=["last-epoch-worse", "last-epoch-best"])
+    def test_matches_dense_oracle(self, seed, restores):
+        cfg = tiny_config(batch_size=8, clip_norm=0.5, learning_rate=0.01, seed=seed,
+                          spatial_dropout=0.2, capsule_dropout=0.2, noise_std=0.05)
+        start = np.random.default_rng([seed, 9]).uniform(-0.05, 0.05, size=(self.VOCAB, cfg.embed_dim))
+        start[0] = 0.0
+        train_set = sparse_vocab_examples([seed, 1], 40, self.VOCAB)
+        dev_set = sparse_vocab_examples([seed, 2], 24, self.VOCAB)
+
+        sparse, history = train(train_set, dev_set, init_model(cfg, EmbeddingTable(start.copy())), cfg)
+        dense, dense_history, norms = dense_train(train_set, dev_set, init_model(cfg, EmbeddingTable(start.copy())), cfg)
+
+        assert len(history) == cfg.max_epochs == 3
+        assert 0 < sum(n > cfg.clip_norm for n in norms) < len(norms)  # clipping active, not always
+        scores = [row["dev_macro_f1"] for row in history]
+        assert (scores[-1] <= max(scores[:-1])) == restores
+        for row, oracle in zip(history, dense_history):
+            assert row["dev_macro_f1"] == oracle["dev_macro_f1"]
+            assert abs(row["train_loss"] - oracle["train_loss"]) <= 1e-10
+        for name, t in sparse.tensors().items():
+            np.testing.assert_allclose(t, dense.tensors()[name], rtol=0, atol=1e-10, err_msg=name)
+        touched = sorted({i for ids, _ in train_set for i in ids} - {0})
+        untouched = np.setdiff1d(np.arange(self.VOCAB), touched)
+        assert untouched.size > self.VOCAB // 2
+        np.testing.assert_array_equal(sparse.embedding.weights[untouched], start[untouched])
+        assert not np.array_equal(sparse.embedding.weights[touched], start[touched])
