@@ -6,15 +6,29 @@ right at each position. Order matters: the target-word placeholder must win
 over everything, URLs must win over emoticons (``http://`` contains ``:/``),
 dates must win over phone numbers, and the single-character catch-all must
 come last so that no non-whitespace character is ever dropped.
+
+Spell correction gives the answer of enumerating every string one and two
+edits away (Norvig-style candidates) without building the two-edit strings.
+Distance 1 does enumerate, which is cheap. Distance 2 filters the whole
+lexicon at once by length and by a packed letter mask, then checks the few
+survivors exactly. The masks are built on the first distance-2 search, not
+when the lexicon is read, and take 9 bytes a word; a deletion index such as
+SymSpell's would take far more memory. Each answer is memoised on the
+immutable `Lexicon`, per input surface.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from importlib import resources
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import MalformedLine
 
@@ -34,6 +48,7 @@ TAG_SURFACES = {
 }
 
 _SPELL_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+_LETTER_BIN = {ch: i for i, ch in enumerate(_SPELL_ALPHABET)}
 _SPELL_MIN_LEN = 4  # pipeline-level gate; spell_correct itself is unrestricted
 _OOV_LEN_PENALTY = 3.0  # per-character log-prob penalty for out-of-lexicon words
 
@@ -133,12 +148,21 @@ def normalize(tokens: list[Token]) -> list[Token]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lexicon:
-    """Unigram counts backing hashtag segmentation and spell correction."""
+    """Unigram counts backing hashtag segmentation and spell correction.
 
-    counts: dict[str, int] = field(default_factory=dict)
+    Immutable once built (`counts` is a read-only mapping), so the spelling
+    memo and the letter index it carries cannot go stale. Neither takes part
+    in comparison or repr."""
+
+    counts: Mapping[str, int] = field(default_factory=dict)
     total: int = 0
+    _spelled: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.counts, MappingProxyType):  # a private copy
+            object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Lexicon":
@@ -147,7 +171,7 @@ class Lexicon:
         counts: dict[str, int] = {}
         for word, count in pairs:
             _add_count(counts, word, count)
-        return cls(counts=counts, total=sum(counts.values()))
+        return cls(counts=MappingProxyType(counts), total=sum(counts.values()))
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
@@ -170,7 +194,7 @@ class Lexicon:
                     _add_count(counts, word, count)
                 except ValueError as exc:
                     raise MalformedLine(f"{path}:{lineno}: {exc}", lineno) from None
-        return cls(counts=counts, total=sum(counts.values()))
+        return cls(counts=MappingProxyType(counts), total=sum(counts.values()))
 
     def word_logp(self, word: str) -> float:
         """Unigram log-probability; out-of-lexicon words pay a length penalty."""
@@ -178,6 +202,11 @@ class Lexicon:
         if count > 0:
             return math.log(count / self.total)
         return math.log(1.0 / max(self.total, 1)) - _OOV_LEN_PENALTY * len(word)
+
+    @cached_property
+    def _letters(self) -> "_LetterIndex":
+        """Letter masks of every word, built by the first distance-2 search."""
+        return _LetterIndex.build(self.counts)
 
 
 def _add_count(counts: dict[str, int], word: str, count: int) -> None:
@@ -237,17 +266,104 @@ def spell_correct(word: str, lex: Lexicon) -> str:
     """Return the closest lexicon word within edit distance 2, else the input.
 
     Distance-1 candidates beat distance-2 ones; among candidates at the same
-    distance the highest count wins, ties broken lexicographically.
+    distance the highest count wins, ties broken lexicographically. An edit
+    deletes a character, swaps two adjacent ones, or replaces or inserts a
+    letter a-z. Every answer, "unchanged" too, is kept in the lexicon's
+    memo and returned again for the same input.
     """
     if word in lex.counts:
         return word
+    fixed = lex._spelled.get(word)
+    if fixed is None:
+        fixed = lex._spelled[word] = _closest(word, lex)
+    return fixed
+
+
+def _closest(word: str, lex: Lexicon) -> str:
     edits = _edits1(word)
     known = [w for w in edits if w in lex.counts]
     if not known:
-        known = [w2 for w1 in edits for w2 in _edits1(w1) if w2 in lex.counts]
+        known = lex._letters.two_edits(word, edits)
     if not known:
         return word
-    return min(set(known), key=lambda w: (-lex.counts[w], w))
+    return min(known, key=lambda w: (-lex.counts[w], w))
+
+
+@dataclass(frozen=True)
+class _LetterIndex:
+    """Per lexicon word a letter mask (`_letter_mask`) and its length
+    (capped at 255): 9 bytes a word besides the tuple of words, filtered
+    with one vectorised pass."""
+
+    words: tuple[str, ...]
+    masks: np.ndarray  # uint64
+    lengths: np.ndarray  # uint8
+
+    @classmethod
+    def build(cls, counts) -> "_LetterIndex":
+        words = tuple(counts)
+        return cls(
+            words=words,
+            masks=np.fromiter(map(_letter_mask, words), dtype=np.uint64, count=len(words)),
+            lengths=np.fromiter((min(len(w), 255) for w in words), dtype=np.uint8, count=len(words)),
+        )
+
+    def two_edits(self, word: str, edits: set[str]) -> list[str]:
+        """The lexicon words two edits from `word`, whose one-edit set is
+        `edits`.
+
+        One edit changes the length by at most 1 and flips at most 2 mask
+        bits (an insert or delete only 1), so a word two edits away differs
+        in length by at most 2 and in bits by at most 4 minus that length
+        difference. Survivors of that filter must also share a string with
+        `word` after at most two deletions from each; the rest are checked
+        exactly against `edits`."""
+        n = min(len(word), 255)
+        shift = np.abs(self.lengths.astype(np.int16) - n)
+        flips = np.bitwise_count(self.masks ^ np.uint64(_letter_mask(word)))
+        survivors = np.flatnonzero(flips + shift <= 4)
+        if survivors.size == 0:
+            return []
+        shared = _deletes2(word)
+        # the strings of `edits` hold only a-z and the characters of `word`
+        letters = _SPELL_ALPHABET + "".join(set(word).difference(_LETTER_BIN))
+        out = []
+        for i in survivors.tolist():
+            w = self.words[i]
+            if not shared.isdisjoint(_deletes2(w)) and not edits.isdisjoint(_sources1(w, letters)):
+                out.append(w)
+        return out
+
+
+def _letter_mask(word: str) -> int:
+    """Bit b is set when letter bin b occurs in `word`, bit 27 + b when it
+    occurs at least twice; bins 0-25 are a-z, bin 26 holds every other
+    character."""
+    mask = 0
+    for ch in word:
+        bit = 1 << _LETTER_BIN.get(ch, 26)
+        mask |= bit << 27 if mask & bit else bit
+    return mask
+
+
+def _deletes2(word: str) -> set[str]:
+    """`word` and every string made from it by one or two deletions."""
+    one = {word[:i] + word[i + 1 :] for i in range(len(word))}
+    return {word} | one | {w[:i] + w[i + 1 :] for w in one for i in range(len(w))}
+
+
+def _sources1(target: str, letters: str) -> set[str]:
+    """Every string whose `_edits1` holds `target`, where a character that
+    string has in place of or besides those of `target` is one of `letters`:
+    undo a delete by inserting, a swap by swapping, a replacement by an a-z
+    letter by replacing it, an insert of an a-z letter by deleting it."""
+    splits = [(target[:i], target[i:]) for i in range(len(target) + 1)]
+    inserts = {left + ch + right for left, right in splits for ch in letters}
+    swaps = {left + right[1] + right[0] + right[2:] for left, right in splits if len(right) > 1}
+    plain = [(left, right) for left, right in splits if right and right[0] in _LETTER_BIN]
+    replaces = {left + ch + right[1:] for left, right in plain for ch in letters}
+    deletes = {left + right[1:] for left, right in plain}
+    return inserts | swaps | replaces | deletes
 
 
 def preprocess(raw: str, lex: Lexicon) -> list[str]:

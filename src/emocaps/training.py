@@ -209,7 +209,9 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) ->
     A RowGrad gradient updates only the rows the tensor has ever been
     given (`AdamState.rows`); rows given before but absent now take a zero
     gradient. Every other row has zero moments and a zero gradient, which
-    dense Adam would move by exactly zero, so the result is dense Adam's."""
+    dense Adam would move by exactly zero, so the result is dense Adam's.
+    Once those rows form one contiguous run, the update works in place on
+    a view of the table."""
     if set(grads) != set(tensors):
         raise ShapeMismatch("gradient keys do not match parameter keys")
     state.t += 1
@@ -220,7 +222,7 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) ->
         if not isinstance(g, RowGrad):
             if g.shape != theta.shape or name in state.rows:
                 raise ShapeMismatch(f"{name}: gradient {g.shape} vs parameter {theta.shape}")
-            _adam_update(theta, g, state.m[name], state.v[name], cfg, correct1, correct2)
+            _adam_update(theta, g.copy(), state.m[name], state.v[name], cfg, correct1, correct2)
             continue
         fits = g.values.shape[1:] == theta.shape[1:] and (g.rows.size == 0 or g.rows[-1] < len(theta))
         if name not in state.rows or not fits:
@@ -228,9 +230,12 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) ->
         rows = _grow_rows(state, name, g.rows)
         grad = np.zeros_like(state.m[name])
         grad[np.searchsorted(rows, g.rows)] = g.values
-        updated = theta[rows]
+        # one run of rows, such as all but the padding row, is a view
+        run = rows.size > 0 and rows[-1] - rows[0] + 1 == rows.size
+        updated = theta[rows[0] : rows[-1] + 1] if run else theta[rows]
         _adam_update(updated, grad, state.m[name], state.v[name], cfg, correct1, correct2)
-        theta[rows] = updated
+        if not run:
+            theta[rows] = updated
 
 
 def _grow_rows(state: AdamState, name: str, new_rows: np.ndarray) -> np.ndarray:
@@ -249,13 +254,24 @@ def _grow_rows(state: AdamState, name: str, new_rows: np.ndarray) -> np.ndarray:
 
 
 def _adam_update(theta, g, m, v, cfg: TrainConfig, correct1: float, correct2: float) -> None:
-    m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * g
+    """One Adam step on `theta`, `m` and `v` in place, with `g` as scratch
+    space (it is overwritten) and one more buffer. Every operation rounds as
+    in `theta -= lr * (m / correct1) / (sqrt(v / correct2) + eps)`, so the
+    result is bitwise that expression's."""
+    scratch = np.multiply(g, g)
+    scratch *= 1.0 - cfg.beta2
     v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * (g * g)
-    m_hat = m / correct1
-    v_hat = v / correct2
-    theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    v += scratch
+    g *= 1.0 - cfg.beta1
+    m *= cfg.beta1
+    m += g
+    np.divide(m, correct1, out=g)
+    g *= cfg.learning_rate
+    np.divide(v, correct2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += cfg.epsilon
+    g /= scratch
+    theta -= g
 
 
 def gaussian_noise(x: np.ndarray, std: float, rng=None) -> np.ndarray:
@@ -356,7 +372,13 @@ def example_loss_and_grads(ids, gold: int, params: ModelParams, cfg: TrainConfig
 
 
 def predict_dataset(sequences, params: ModelParams, cfg: TrainConfig) -> list[int]:
-    """Eval-mode class prediction for every id sequence, in order."""
+    """Eval-mode class prediction for every id sequence, in order. An empty
+    sequence raises EmptySequence naming its 0-based index, before any
+    sequence is run."""
+    sequences = list(sequences)
+    for index, ids in enumerate(sequences):
+        if len(ids) == 0:
+            raise EmptySequence(f"sequence {index} is empty: cannot classify an empty token sequence")
     return [predict_class(forward_full(ids, params, cfg)[0]) for ids in sequences]
 
 

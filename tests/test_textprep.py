@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,8 @@ from emocaps.textprep import (
     TARGETWORD_PLACEHOLDER,
     Lexicon,
     TokenKind,
+    _edits1,
+    _letter_mask,
     normalize,
     preprocess,
     segment_hashtag,
@@ -179,6 +182,36 @@ class TestLexicon:
         assert lex.word_logp("cat") == pytest.approx(math.log(3 / 4))
         assert lex.word_logp("zzz") == pytest.approx(math.log(1 / 4) - 3.0 * 3)
 
+    def test_immutable(self):
+        lex = Lexicon.from_pairs([("cat", 3)])
+        with pytest.raises(TypeError):
+            lex.counts["x"] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lex.total = 7
+        assert lex.counts == {"cat": 3} and lex.total == 3
+
+    def test_direct_construction_copies_counts(self):
+        counts = {"cat": 3}
+        lex = Lexicon(counts=counts, total=3)
+        counts["dog"] = 1
+        assert lex.counts == {"cat": 3}
+
+    def test_spelling_state_not_compared_or_shown(self):
+        lex, other = Lexicon.from_pairs([("cats", 3)]), Lexicon.from_pairs([("cats", 3)])
+        assert spell_correct("qqqqq", lex) == "qqqqq"  # fills the memo, builds the index
+        assert lex == other
+        assert repr(lex) == repr(other) == "Lexicon(counts=mappingproxy({'cats': 3}), total=3)"
+
+    def test_letter_index_built_on_first_distance_two_search(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("cat\t3\ndog\t1\n", encoding="utf-8")
+        lex = Lexicon.from_file(path)
+        assert "_letters" not in vars(lex)
+        assert spell_correct("cta", lex) == "cat"  # one edit away: no index needed
+        assert "_letters" not in vars(lex)
+        assert spell_correct("dgox", lex) == "dog"
+        assert "_letters" in vars(lex)
+
 
 def oracle_segment(body, lex):
     """Exhaustive best split: try all 2^(n-1) segmentations."""
@@ -292,6 +325,40 @@ def oracle_spell(word, lex):
     return word
 
 
+def enumerated_spell(word, lex):
+    """Spell correction by enumerating every string two edits away (about
+    160k for a 7-letter word): the reference for the memo and the letter
+    index of `spell_correct`, which must give the same answer for every
+    input."""
+    if word in lex.counts:
+        return word
+    edits = _edits1(word)
+    known = [w for w in edits if w in lex.counts]
+    if not known:
+        known = [w2 for w1 in edits for w2 in _edits1(w1) if w2 in lex.counts]
+    if not known:
+        return word
+    return min(set(known), key=lambda w: (-lex.counts[w], w))
+
+
+def noisy_word(rng, word, letters):
+    """`word` after one or two random deletes, inserts, replacements or
+    swaps; inserted and replacing characters come from `letters`."""
+    chars = list(word)
+    for _ in range(int(rng.integers(1, 3))):
+        kind, pos = int(rng.integers(4)), int(rng.integers(len(chars) + 1))
+        letter = letters[int(rng.integers(len(letters)))]
+        if kind == 0 and len(chars) > 1 and pos < len(chars):
+            del chars[pos]
+        elif kind == 1:
+            chars.insert(pos, letter)
+        elif kind == 2 and pos < len(chars):
+            chars[pos] = letter
+        elif pos < len(chars) - 1:
+            chars[pos], chars[pos + 1] = chars[pos + 1], chars[pos]
+    return "".join(chars)
+
+
 class TestSpellCorrect:
     LEX = Lexicon.from_pairs([("the", 500), ("then", 40), ("they", 60), ("cat", 5), ("bat", 5)])
 
@@ -334,6 +401,47 @@ class TestSpellCorrect:
                     noisy[pos], noisy[pos + 1] = noisy[pos + 1], noisy[pos]
             word = "".join(noisy)
             assert spell_correct(word, SEG_LEXICON) == oracle_spell(word, SEG_LEXICON), word
+
+    # Inputs and lexicon words share each alphabet. Edits make only a-z
+    # letters, so with the accented one some words are out of reach.
+    @pytest.mark.parametrize("letters", ["abcdeilmnorstu", "aeilnrstéü"], ids=["a-z", "accented"])
+    def test_matches_enumeration(self, letters):
+        checked = 0
+        for seed in range(20):
+            rng = np.random.default_rng([seed, len(letters)])
+            words = ["".join(rng.choice(list(letters), size=int(rng.integers(1, 5)))) for _ in range(40)]
+            lex = Lexicon.from_pairs((w, int(rng.integers(1, 5))) for w in words)
+            for _ in range(60):
+                word = noisy_word(rng, words[int(rng.integers(len(words)))], letters)
+                expected = enumerated_spell(word, lex)
+                assert spell_correct(word, lex) == expected, (seed, word)
+                assert spell_correct(word, lex) == expected, (seed, word)  # from the memo
+                checked += word not in lex.counts and expected != word and not _edits1(word) & lex.counts.keys()
+        assert checked > 100  # answers that only the distance-2 search finds
+
+    def test_edits_never_make_non_ascii_letters(self):
+        lex = Lexicon.from_pairs([("café", 5), ("über", 2)])
+        for word, fixed in [("cafe", "cafe"), ("uber", "uber"), ("acféx", "café"), ("übbrx", "über")]:
+            assert spell_correct(word, lex) == enumerated_spell(word, lex) == fixed
+
+    def test_letter_mask_layout(self):
+        # bits 0-26: the bin occurs; bits 27-53: it occurs twice or more
+        assert _letter_mask("abca") == 1 << 0 | 1 << 1 | 1 << 2 | 1 << 27
+        assert _letter_mask("zé") == 1 << 25 | 1 << 26
+        assert _letter_mask("éüé") == 1 << 26 | 1 << 53
+
+    def test_words_longer_than_255(self):
+        word = "abc" * 86  # the letter index caps lengths at 255
+        lex = Lexicon.from_pairs([(word, 2)])
+        assert spell_correct("ba" + word[2:-2] + "cb", lex) == word  # two swaps
+        assert spell_correct(word[1:-1], lex) == word  # two deletes
+        assert spell_correct(word[2:-1], lex) == word[2:-1]
+
+    def test_memo_keeps_every_answer(self):
+        lex = Lexicon.from_pairs([("the", 500), ("cat", 5)])
+        for word in ("teh", "qqqqqq", "caatt"):
+            assert spell_correct(word, lex) == enumerated_spell(word, lex)
+        assert lex._spelled == {"teh": "the", "qqqqqq": "qqqqqq", "caatt": "cat"}
 
     def test_result_within_distance_two(self):
         rng = np.random.default_rng(12)
