@@ -14,7 +14,7 @@ lexicon at once by length and by a packed letter mask, then checks the few
 survivors exactly. The masks are built on the first distance-2 search, not
 when the lexicon is read, and take 9 bytes a word; a deletion index such as
 SymSpell's would take far more memory. Each answer is memoised on the
-immutable `Lexicon`, per input surface.
+immutable `Lexicon`, per input surface, up to `_SPELL_MEMO_MAX` surfaces.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
 from importlib import resources
@@ -50,6 +50,7 @@ TAG_SURFACES = {
 _SPELL_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _LETTER_BIN = {ch: i for i, ch in enumerate(_SPELL_ALPHABET)}
 _SPELL_MIN_LEN = 4  # pipeline-level gate; spell_correct itself is unrestricted
+_SPELL_MEMO_MAX = 100_000  # answers memoised per Lexicon, about 10 MB at most
 _OOV_LEN_PENALTY = 3.0  # per-character log-prob penalty for out-of-lexicon words
 
 
@@ -152,17 +153,19 @@ def normalize(tokens: list[Token]) -> list[Token]:
 class Lexicon:
     """Unigram counts backing hashtag segmentation and spell correction.
 
-    Immutable once built (`counts` is a read-only mapping), so the spelling
-    memo and the letter index it carries cannot go stale. Neither takes part
-    in comparison or repr."""
+    Immutable once built: `counts` is a read-only view of a dict no one
+    else holds (a copy of the mapping given, or the dict `from_pairs` or
+    `from_file` built), so the spelling memo and the letter index it
+    carries cannot go stale. Neither takes part in comparison or repr."""
 
     counts: Mapping[str, int] = field(default_factory=dict)
     total: int = 0
     _spelled: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _handed_over: InitVar[bool] = False  # `counts` is a dict no one else holds
 
-    def __post_init__(self):
-        if not isinstance(self.counts, MappingProxyType):  # a private copy
-            object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+    def __post_init__(self, _handed_over):
+        counts = self.counts if _handed_over else dict(self.counts)
+        object.__setattr__(self, "counts", MappingProxyType(counts))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Lexicon":
@@ -171,7 +174,7 @@ class Lexicon:
         counts: dict[str, int] = {}
         for word, count in pairs:
             _add_count(counts, word, count)
-        return cls(counts=MappingProxyType(counts), total=sum(counts.values()))
+        return cls(counts=counts, total=sum(counts.values()), _handed_over=True)
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
@@ -194,7 +197,7 @@ class Lexicon:
                     _add_count(counts, word, count)
                 except ValueError as exc:
                     raise MalformedLine(f"{path}:{lineno}: {exc}", lineno) from None
-        return cls(counts=MappingProxyType(counts), total=sum(counts.values()))
+        return cls(counts=counts, total=sum(counts.values()), _handed_over=True)
 
     def word_logp(self, word: str) -> float:
         """Unigram log-probability; out-of-lexicon words pay a length penalty."""
@@ -269,13 +272,16 @@ def spell_correct(word: str, lex: Lexicon) -> str:
     distance the highest count wins, ties broken lexicographically. An edit
     deletes a character, swaps two adjacent ones, or replaces or inserts a
     letter a-z. Every answer, "unchanged" too, is kept in the lexicon's
-    memo and returned again for the same input.
+    memo and returned again for the same input, until the memo holds
+    `_SPELL_MEMO_MAX` answers; later ones are computed each time.
     """
     if word in lex.counts:
         return word
     fixed = lex._spelled.get(word)
     if fixed is None:
-        fixed = lex._spelled[word] = _closest(word, lex)
+        fixed = _closest(word, lex)
+        if len(lex._spelled) < _SPELL_MEMO_MAX:
+            lex._spelled[word] = fixed
     return fixed
 
 

@@ -209,9 +209,7 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) ->
     A RowGrad gradient updates only the rows the tensor has ever been
     given (`AdamState.rows`); rows given before but absent now take a zero
     gradient. Every other row has zero moments and a zero gradient, which
-    dense Adam would move by exactly zero, so the result is dense Adam's.
-    Once those rows form one contiguous run, the update works in place on
-    a view of the table."""
+    dense Adam would move by exactly zero, so the result is dense Adam's."""
     if set(grads) != set(tensors):
         raise ShapeMismatch("gradient keys do not match parameter keys")
     state.t += 1
@@ -230,12 +228,9 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) ->
         rows = _grow_rows(state, name, g.rows)
         grad = np.zeros_like(state.m[name])
         grad[np.searchsorted(rows, g.rows)] = g.values
-        # one run of rows, such as all but the padding row, is a view
-        run = rows.size > 0 and rows[-1] - rows[0] + 1 == rows.size
-        updated = theta[rows[0] : rows[-1] + 1] if run else theta[rows]
+        updated = theta[rows]
         _adam_update(updated, grad, state.m[name], state.v[name], cfg, correct1, correct2)
-        if not run:
-            theta[rows] = updated
+        theta[rows] = updated
 
 
 def _grow_rows(state: AdamState, name: str, new_rows: np.ndarray) -> np.ndarray:

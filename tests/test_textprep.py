@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 
+import emocaps.textprep as textprep
 from emocaps.errors import MalformedLine
 from emocaps.textprep import (
     TAG_SURFACES,
@@ -195,6 +197,10 @@ class TestLexicon:
         lex = Lexicon(counts=counts, total=3)
         counts["dog"] = 1
         assert lex.counts == {"cat": 3}
+        shared = MappingProxyType(counts)  # a read-only view is copied too
+        lex = Lexicon(counts=shared, total=4)
+        counts["cow"] = 1
+        assert lex.counts == {"cat": 3, "dog": 1}
 
     def test_spelling_state_not_compared_or_shown(self):
         lex, other = Lexicon.from_pairs([("cats", 3)]), Lexicon.from_pairs([("cats", 3)])
@@ -442,6 +448,13 @@ class TestSpellCorrect:
         for word in ("teh", "qqqqqq", "caatt"):
             assert spell_correct(word, lex) == enumerated_spell(word, lex)
         assert lex._spelled == {"teh": "the", "qqqqqq": "qqqqqq", "caatt": "cat"}
+
+    def test_memo_stops_growing_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(textprep, "_SPELL_MEMO_MAX", 2)
+        lex = Lexicon.from_pairs([("the", 500), ("cat", 5)])
+        for word in ("teh", "qqqqqq", "caatt", "caatt"):
+            assert spell_correct(word, lex) == enumerated_spell(word, lex)
+        assert lex._spelled == {"teh": "the", "qqqqqq": "qqqqqq"}
 
     def test_result_within_distance_two(self):
         rng = np.random.default_rng(12)
