@@ -10,6 +10,7 @@ round trip is bit-identical and the files diff cleanly across runs.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -110,7 +111,7 @@ def load_checkpoint(stem):
     offset = 0
     for index, entry in enumerate(manifest["tensors"]):
         name, shape, dtype = _tensor_layout(entry, index, manifest_path)
-        count = int(np.prod(shape, dtype=np.int64))
+        count = math.prod(shape)  # a Python int: a huge shape must not wrap
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(payload):
             raise TruncatedFile(

@@ -239,7 +239,7 @@ def _load_embedding_payload(stem, vocab: Vocabulary, vocab_path, cfg: TrainConfi
             file=sys.stderr,
         )
         cfg.embed_dim = W.shape[1]
-    return EmbeddingTable(weights=W.astype(np.float64))
+    return EmbeddingTable(weights=W.astype(np.float64, copy=False))
 
 
 def cmd_train(args) -> int:

@@ -17,24 +17,25 @@ from .errors import NumericError, ShapeMismatch
 N_CLASSES = 6
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp(-|x|) never
-    # overflows, and no boolean indexing is needed
+    # overflows, and as e <= 1 the maximum picks the numerator 1 or e
+    # without boolean indexing (and faster than np.where)
     x = np.asarray(x)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
-def softmax(y: np.ndarray) -> np.ndarray:
-    """Stabilized softmax over the last axis, one distribution per row."""
-    shifted = y - np.max(y, axis=-1, keepdims=True)
+def softmax(y: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Stabilized softmax, one distribution along `axis` (the last by default)."""
+    shifted = y - np.max(y, axis=axis, keepdims=True)
     expd = np.exp(shifted)
-    return expd / expd.sum(axis=-1, keepdims=True)
+    return expd / expd.sum(axis=axis, keepdims=True)
 
 
-def softmax_backward(grad_probs: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Gradient through softmax: dL/dlogits from dL/dprobs."""
-    inner = (grad_probs * probs).sum(axis=-1, keepdims=True)
+def softmax_backward(grad_probs: np.ndarray, probs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Gradient through softmax along `axis`: dL/dlogits from dL/dprobs."""
+    inner = (grad_probs * probs).sum(axis=axis, keepdims=True)
     return probs * (grad_probs - inner)
 
 
@@ -95,34 +96,6 @@ class GruCache:
     hh: np.ndarray  # (T, h) the biased recurrent candidate term, gated by r
 
 
-def gru_forward(X: np.ndarray, p: GruParams):
-    """Run one direction over the rows of X from zero state.
-
-    r = sig(x W_ir + b_ir + h W_hr + b_hr)
-    z = sig(x W_iz + b_iz + h W_hz + b_hz)
-    n = tanh(x W_in + b_in + r * (h W_hn + b_hn))
-    h = (1 - z) * n + z * h_prev
-
-    The reset gate multiplies the already-biased recurrent term. The input
-    projections of every step are one matmul before the loop.
-    """
-    T, d_h = X.shape[0], p.hidden_dim
-    A = X @ p.W_i + p.b[0]
-    H = np.empty((T, d_h), dtype=X.dtype)
-    RZ = np.empty((T, 2 * d_h), dtype=X.dtype)
-    N = np.empty((T, d_h), dtype=X.dtype)
-    HH = np.empty((T, d_h), dtype=X.dtype)
-    h = np.zeros(d_h, dtype=X.dtype)
-    for t in range(T):
-        g = h @ p.W_h + p.b[1]
-        rz = RZ[t] = sigmoid(A[t, : 2 * d_h] + g[: 2 * d_h])
-        hh = HH[t] = g[2 * d_h :]
-        n = N[t] = np.tanh(A[t, 2 * d_h :] + rz[:d_h] * hh)
-        z = rz[d_h:]
-        h = H[t] = (1.0 - z) * n + z * h
-    return H, GruCache(X=X, H=H, rz=RZ, n=N, hh=HH)
-
-
 def gru_backward(grad_H: np.ndarray, c: GruCache, p: GruParams):
     """Backprop through time for one direction; returns (grad_X, grads).
 
@@ -159,28 +132,104 @@ def gru_backward(grad_H: np.ndarray, c: GruCache, p: GruParams):
 
 @dataclass
 class BigruCache:
+    """Both directions' forward stacks of one sequence of length n: `fwd`
+    rows are positions 0 .. n-1 and `bwd` rows n-1 .. 0."""
+
     fwd: GruCache
-    bwd: GruCache  # rows in processing order, i.e. original positions n-1 .. 0
+    bwd: GruCache
 
 
-def bigru_forward(X: np.ndarray, p_fwd: GruParams, p_bwd: GruParams):
-    """Run both directions and concatenate per position: H[t] = (fwd_t, bwd_t).
+def _packed_steps(lengths: np.ndarray):
+    """Step sizes and gather indices of the packed step order.
 
-    Both directions start from zero state; the backward direction reads the
-    sequence last to first.
+    Sequences are ordered longest first (stable), so the ones still running
+    at step t are a prefix of size counts[t]. Row r of the packed order is
+    step t of one of them; fwd[r] is the input row it reads going forward
+    (its position t) and bwd[r] the one it reads going backward (its
+    position length - 1 - t).
     """
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ShapeMismatch(f"bigru needs at least one position, got input {X.shape}")
+    order = np.argsort(-lengths, kind="stable")
+    running = lengths[order] > np.arange(lengths.max())[:, None]  # (steps, sequences)
+    step, rank = np.nonzero(running)
+    seq = order[rank]
+    start = (np.cumsum(lengths) - lengths)[seq]
+    return np.count_nonzero(running, axis=1), start + step, start + lengths[seq] - 1 - step
+
+
+def bigru_forward(X: np.ndarray, lengths, p_fwd: GruParams, p_bwd: GruParams):
+    """Both GRU directions over a chunk of sequences; returns (H, cache).
+
+    X (N, d) holds the sequences' rows back to back, `lengths` their
+    lengths in the same order. H (N, 2h) is, row for row, (fwd_t, bwd_t):
+    each sequence starts both directions from zero state, and the backward
+    direction reads it last to first. Per step t and direction:
+
+    r = sig(x W_ir + b_ir + h W_hr + b_hr)
+    z = sig(x W_iz + b_iz + h W_hz + b_hz)
+    n = tanh(x W_in + b_in + r * (h W_hn + b_hn))
+    h = (1 - z) * n + z * h_prev
+
+    The reset gate multiplies the already-biased recurrent term. The input
+    projections of every step are one matmul per direction before the loop.
+    Each step is one (n_t, h) @ (h, 3h) matmul per direction over the n_t
+    sequences still running (`_packed_steps`), so no padded position is
+    computed, and both directions share every elementwise operation.
+
+    The cache, for `bigru_backward`, is None unless X is one sequence.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if X.ndim != 2 or lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
+        raise ShapeMismatch(f"bigru needs sequences of at least one position, got input {X.shape}")
+    if lengths.sum() != X.shape[0]:
+        raise ShapeMismatch(f"lengths sum to {lengths.sum()}, input has {X.shape[0]} rows")
     for p in (p_fwd, p_bwd):
         if X.shape[1] != p.input_dim:
             raise ShapeMismatch(f"input width {X.shape[1]} vs GRU input {p.input_dim}")
-    H_fwd, c_fwd = gru_forward(X, p_fwd)
-    H_bwd, c_bwd = gru_forward(X[::-1], p_bwd)
-    return np.concatenate([H_fwd, H_bwd[::-1]], axis=1), BigruCache(fwd=c_fwd, bwd=c_bwd)
+    counts, fwd, bwd = _packed_steps(lengths)
+    n_rows, d_h = X.shape[0], p_fwd.hidden_dim
+    params = (p_fwd, p_bwd)
+    A = np.empty((2, n_rows, 3 * d_h), dtype=X.dtype)
+    for k, (p, index) in enumerate(zip(params, (fwd, bwd))):
+        np.matmul(X[index], p.W_i, out=A[k])
+        A[k] += p.b[0]
+    b_h = np.stack([p_fwd.b[1], p_bwd.b[1]])[:, None, :]
+    # Only a one-sequence forward is backpropagated, so only it keeps every
+    # step's gates (RZ, N) and biased recurrent terms h W_h + b_h (G, whose
+    # candidate block is the cache's hh). A chunk's steps reuse the first
+    # rows instead, which keeps an eval chunk's memory to a few MB.
+    keep = len(lengths) == 1
+    depth = n_rows if keep else counts[0]
+    RZ = np.empty((2, depth, 2 * d_h), dtype=X.dtype)
+    N = np.empty((2, depth, d_h), dtype=X.dtype)
+    G = np.empty((2, depth, 3 * d_h), dtype=X.dtype)
+    H = np.empty((2, n_rows, d_h), dtype=X.dtype)
+    h_prev = np.zeros((2, counts[0], d_h), dtype=X.dtype)
+    end = 0
+    for n_t in counts.tolist():
+        rows, end = slice(end, end + n_t), end + n_t
+        kept = rows if keep else slice(n_t)
+        h_prev, g = h_prev[:, :n_t], G[:, kept]
+        for k, p in enumerate(params):  # as fast as one stacked matmul, without stacking W_h
+            np.matmul(h_prev[k], p.W_h, out=g[k])
+        g += b_h
+        rz = sigmoid(A[:, rows, : 2 * d_h] + g[..., : 2 * d_h], out=RZ[:, kept])
+        n = np.tanh(A[:, rows, 2 * d_h :] + rz[..., :d_h] * g[..., 2 * d_h :], out=N[:, kept])
+        z = rz[..., d_h:]
+        h_prev = np.add((1.0 - z) * n, z * h_prev, out=H[:, rows])
+    out = np.empty((n_rows, 2 * d_h), dtype=X.dtype)
+    out[fwd, :d_h] = H[0]
+    out[bwd, d_h:] = H[1]
+    if not keep:
+        return out, None
+    c_fwd, c_bwd = (
+        GruCache(X=X[index], H=H[k], rz=RZ[k], n=N[k], hh=G[k, :, 2 * d_h :]) for k, index in enumerate((fwd, bwd))
+    )
+    return out, BigruCache(fwd=c_fwd, bwd=c_bwd)
 
 
 def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p_fwd, p_bwd):
-    """Backprop through time for both directions; returns (grad_X, g_fwd, g_bwd)."""
+    """Backprop through time for both directions of a one-sequence forward;
+    returns (grad_X, g_fwd, g_bwd)."""
     d_h = p_fwd.hidden_dim
     if grad_H.shape != (cache.fwd.H.shape[0], 2 * d_h):
         raise ShapeMismatch(f"grad_H {grad_H.shape} vs bigru output ({cache.fwd.H.shape[0]}, {2 * d_h})")
@@ -204,8 +253,9 @@ def init_dense(input_dim: int, rng) -> DenseParams:
 
 
 def dense_forward(c: np.ndarray, p: DenseParams) -> np.ndarray:
-    """Affine map to the class logits, c @ W + b; softmax is a separate step."""
-    if c.shape != (p.input_dim,):
+    """Affine map to the class logits, c @ W + b, for one input row or a
+    (B, input_dim) batch; softmax is a separate step."""
+    if c.ndim not in (1, 2) or c.shape[-1] != p.input_dim:
         raise ShapeMismatch(f"input {c.shape} vs dense ({p.input_dim}, {N_CLASSES})")
     return c @ p.W + p.b
 

@@ -2,11 +2,14 @@
 regularizers (Gaussian noise, dropout, spatial dropout), the end-to-end
 forward/backward composition, and the epoch loop.
 
-Variable-length tweets are processed one at a time with gradient
-accumulation; there is no padding anywhere in the numeric path, so batch
-size only controls how many per-example gradients are averaged per update.
-All randomness is drawn from streams keyed by (seed, purpose, epoch,
-position), which makes runs reproducible.
+Training runs one tweet at a time with gradient accumulation, so batch
+size only controls how many per-example gradients are averaged per update;
+a batched backward would need far more memory for its caches. The eval
+pass (`predict_dataset`, and so the per-epoch dev score) runs length-sorted
+chunks of tweets instead: the Bi-GRU steps over packed sequences with no
+padding, and only capsule routing pads each sequence with zero rows, which
+leaves it exact. All randomness is drawn from streams keyed by (seed,
+purpose, epoch, position), which makes runs reproducible.
 
 The embedding gradient stays row-sparse from `embed_backward` to Adam: it
 is summed, clipped and applied only over the rows the examples touched.
@@ -303,47 +306,60 @@ def spatial_dropout(X: np.ndarray, rate: float, rng=None):
 
 @dataclass
 class ForwardCache:
-    ids: list
+    ids: np.ndarray  # the sequences' ids back to back
     spatial_mask: np.ndarray | None
     bigru: BigruCache
     capsule: CapsuleCache
     drop_mask: np.ndarray | None
-    c: np.ndarray  # dense input, after dropout and noise
+    c: np.ndarray  # (B, J * d_out) dense input, after dropout and noise
 
 
-def forward_full(ids, params: ModelParams, cfg: TrainConfig, *, rng=None):
-    """Whole pipeline: embed, spatial dropout, noise, bidirectional GRU,
-    capsule routing, dropout, noise on the flattened capsule output, dense
-    softmax. Returns (probs, cache).
+def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rng=None):
+    """Whole pipeline over a list of id sequences: embed, spatial dropout,
+    noise, bidirectional GRU, capsule routing, dropout, noise on the
+    flattened capsule output, dense softmax. Returns (probs, cache), probs
+    (B, N_CLASSES) one row per sequence; the cache, for `backward_full`, is
+    None for more than one sequence.
 
-    A pass given an rng is a training pass and draws every dropout mask and
-    noise sample from it; without one the pass is the deterministic eval
-    pass and every regularizer is an identity.
+    A pass given an rng is a training pass over one sequence and draws every
+    dropout mask and noise sample from it; without one the pass is the
+    deterministic eval pass and every regularizer is an identity.
     """
-    if len(ids) == 0:
+    if len(sequences) == 0:
+        raise EmptySequence("no sequences to classify")
+    if rng is not None and len(sequences) != 1:
+        raise ValueError(f"a training pass runs one sequence, got {len(sequences)}")
+    lengths = [len(ids) for ids in sequences]
+    if min(lengths) == 0:
         raise EmptySequence("cannot classify an empty token sequence")
+    ids = np.concatenate([np.asarray(s, dtype=np.intp) for s in sequences])
     X = embed(ids, params.embedding)
     X, spatial_mask = spatial_dropout(X, cfg.spatial_dropout, rng)
     X = gaussian_noise(X, cfg.noise_std, rng)
-    H, bigru_cache = bigru_forward(X, params.gru_fwd, params.gru_bwd)
-    flat, caps_cache = capsule_layer(H, params.capsule, cfg.routing_iters)
+    H, bigru_cache = bigru_forward(X, lengths, params.gru_fwd, params.gru_bwd)
+    flat, caps_cache = capsule_layer(H, lengths, params.capsule, cfg.routing_iters)
     c, drop_mask = dropout(flat, cfg.capsule_dropout, rng)
     c = gaussian_noise(c, cfg.noise_std, rng)
+    probs = softmax(dense_forward(c, params.dense))
+    if len(sequences) > 1:  # a chunk keeps no backward caches (`bigru_forward`)
+        return probs, None
     cache = ForwardCache(
-        ids=list(ids),
+        ids=ids,
         spatial_mask=spatial_mask,
         bigru=bigru_cache,
         capsule=caps_cache,
         drop_mask=drop_mask,
         c=c,
     )
-    return softmax(dense_forward(c, params.dense)), cache
+    return probs, cache
 
 
 def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelParams) -> dict:
-    """Gradients of every trainable tensor given dL/dlogits; keys match
-    ModelParams.tensors(). Additive noise backpropagates as identity."""
-    grad_c, gW_dense, gb_dense = dense_backward(grad_logits, cache.c, params.dense)
+    """Gradients of every trainable tensor given dL/dlogits of a
+    one-sequence forward; keys match ModelParams.tensors(). Additive noise
+    backpropagates as identity."""
+    grad_c, gW_dense, gb_dense = dense_backward(grad_logits, cache.c[0], params.dense)
+    grad_c = grad_c[None]
     if cache.drop_mask is not None:
         grad_c = grad_c * cache.drop_mask
     grad_H, gW_caps = capsule_layer_backward(grad_c, cache.capsule, params.capsule)
@@ -361,20 +377,49 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
 
 
 def example_loss_and_grads(ids, gold: int, params: ModelParams, cfg: TrainConfig, *, rng=None):
-    probs, cache = forward_full(ids, params, cfg, rng=rng)
-    loss, grad_logits = cross_entropy_loss(probs, gold)
+    probs, cache = forward_full([ids], params, cfg, rng=rng)
+    loss, grad_logits = cross_entropy_loss(probs[0], gold)
     return loss, backward_full(grad_logits, cache, params)
+
+
+# An eval chunk holds at most this many real tokens, and its zero-padded
+# routing blocks at most twice as many rows. That bounds the transient
+# memory of a chunk's forward to about 6 MB at paper dims, whatever mix of
+# lengths comes in, and still puts 8 or more tweets of up to 50 tokens into
+# each GRU step and routing matmul.
+EVAL_CHUNK_TOKENS = 512
+
+
+def _eval_chunks(lengths: list[int]) -> list[list[int]]:
+    """Indices into `lengths`, stable-sorted by length and cut into chunks
+    within the EVAL_CHUNK_TOKENS bounds; a longer sequence runs alone."""
+    chunks: list[list[int]] = []
+    tokens = 0
+    for index in sorted(range(len(lengths)), key=lengths.__getitem__):
+        n = lengths[index]  # the longest so far: the chunk's block length
+        if chunks and tokens + n <= EVAL_CHUNK_TOKENS and (len(chunks[-1]) + 1) * n <= 2 * EVAL_CHUNK_TOKENS:
+            chunks[-1].append(index)
+            tokens += n
+        else:
+            chunks.append([index])
+            tokens = n
+    return chunks
 
 
 def predict_dataset(sequences, params: ModelParams, cfg: TrainConfig) -> list[int]:
     """Eval-mode class prediction for every id sequence, in order. An empty
     sequence raises EmptySequence naming its 0-based index, before any
-    sequence is run."""
+    sequence is run. Sequences run in length-sorted chunks (`_eval_chunks`)."""
     sequences = list(sequences)
     for index, ids in enumerate(sequences):
         if len(ids) == 0:
             raise EmptySequence(f"sequence {index} is empty: cannot classify an empty token sequence")
-    return [predict_class(forward_full(ids, params, cfg)[0]) for ids in sequences]
+    labels = [0] * len(sequences)
+    for chunk in _eval_chunks([len(ids) for ids in sequences]):
+        probs, _ = forward_full([sequences[i] for i in chunk], params, cfg)
+        for index, row in zip(chunk, probs):
+            labels[index] = predict_class(row)
+    return labels
 
 
 def dataset_macro_f1(dataset, params: ModelParams, cfg: TrainConfig) -> float:

@@ -13,16 +13,16 @@ import numpy as np
 import pytest
 
 from conftest import make_toy_examples, write_labeled
-from test_capsule import oracle_routing
-from test_nn import copy_through_gru, gru_loss_and_grad, gru_params, random_gru, zero_gru
+from test_capsule import oracle_routing, route
+from test_nn import copy_through_gru, forward_direction, gru_loss_and_grad, gru_params, random_gru, zero_gru
 
-from emocaps.capsule import dynamic_routing, squash
+from emocaps.capsule import squash
 from emocaps.checkpoint import load_checkpoint
 from emocaps.cli import main as cli_main
 from emocaps.embeddings import Vocabulary, build_embedding, load_word2vec
 from emocaps.errors import TruncatedFile
 from emocaps.evaluation import confusion, metrics
-from emocaps.nn import finite_diff_check, gru_forward
+from emocaps.nn import finite_diff_check
 from emocaps.textprep import Lexicon, TokenKind, normalize, preprocess, tokenize
 from emocaps.training import (
     ModelParams,
@@ -90,20 +90,20 @@ def test_routing_suite():
     rng = np.random.default_rng(1)
     # couplings lie on the simplex at every iteration
     U = rng.normal(size=(4, 3, 2))
-    _, state = dynamic_routing(U, iterations=3)
-    for C in state.couplings:
+    _, couplings = route(U, 3)
+    for C in couplings:
         np.testing.assert_allclose(C.sum(axis=1), 1.0, atol=1e-12)
 
     # J=1: iteration count cannot matter
     U1 = rng.normal(size=(5, 1, 3))
-    outs = [dynamic_routing(U1, r)[0] for r in (1, 2, 3)]
+    outs = [route(U1, r)[0] for r in (1, 2, 3)]
     for V in outs[1:]:
         np.testing.assert_allclose(V, outs[0], atol=1e-12)
 
     # permutation over input positions leaves the output unchanged
     perm = rng.permutation(U.shape[0])
-    V_base, _ = dynamic_routing(U, 3)
-    V_perm, _ = dynamic_routing(U[perm], 3)
+    V_base, _ = route(U, 3)
+    V_perm, _ = route(U[perm], 3)
     np.testing.assert_allclose(V_perm, V_base, atol=1e-12)
 
     # straight-line oracle across the full small grid
@@ -111,7 +111,7 @@ def test_routing_suite():
         for J in (1, 2, 3):
             for r in (1, 2, 3):
                 U = rng.normal(size=(n, J, 2))
-                V, _ = dynamic_routing(U, r)
+                V, _ = route(U, r)
                 np.testing.assert_allclose(V, oracle_routing(U, r), atol=1e-12)
     report("routing suite")
 
@@ -125,12 +125,12 @@ def test_gru_suite():
     assert finite_diff_check(gru_loss_and_grad(X, weights, p), gru_params(X, p)) < 1e-5
 
     # zero parameters: r=z=1/2, n=0, so the state stays at the origin
-    H, _ = gru_forward(X, zero_gru(d_in, d_h))
+    H, _ = forward_direction(X, zero_gru(d_in, d_h))
     np.testing.assert_array_equal(H, np.zeros((3, d_h)))
 
     # z -> 1 copies the previous state through
     X[:, 0] = [-1.0, 1.0, 1.0]
-    H, _ = gru_forward(X, copy_through_gru(d_in, d_h, seed=21))
+    H, _ = forward_direction(X, copy_through_gru(d_in, d_h, seed=21))
     assert np.min(np.abs(H[0])) > 1e-3
     assert np.max(np.abs(H[1:] - H[0])) < 1e-8
     report("GRU suite")

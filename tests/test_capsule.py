@@ -15,12 +15,26 @@ from emocaps.capsule import (
     squash_backward,
 )
 from emocaps.errors import ShapeMismatch
-from emocaps.nn import finite_diff_check
+from emocaps.nn import finite_diff_check, softmax_backward
+import eval_oracle
 
 
 def random_capsule(J, d_in, d_out, seed, scale=0.6):
     rng = np.random.default_rng(seed)
     return CapsuleParams(W=rng.normal(scale=scale, size=(J, d_in, d_out)))
+
+
+def route(U, r):
+    """dynamic_routing over one sequence's (n, J, d_out) predictions; returns
+    V (J, d_out) and every iteration's couplings as an (n, J) array."""
+    V, state = dynamic_routing(U.transpose(1, 0, 2)[None], r)
+    return V[0], [C[0].T for C in state.couplings]
+
+
+def layer(H, p, iterations):
+    """capsule_layer over one sequence: its (J * d_out,) output and the cache."""
+    flat, cache = capsule_layer(H, [len(H)], p, iterations)
+    return flat[0], cache
 
 
 # --- straight-line oracle: each routing iteration written out explicitly ---
@@ -136,12 +150,12 @@ class TestPredictVectors:
         p = CapsuleParams(W=np.stack([np.eye(3), np.eye(3)]))
         U = predict_vectors(H, p)
         for j in range(2):
-            np.testing.assert_array_equal(U[:, j, :], H)
+            np.testing.assert_array_equal(U[j], H)
 
     def test_zero_input(self):
         p = random_capsule(2, 3, 2, seed=4)
         U = predict_vectors(np.zeros((5, 3)), p)
-        np.testing.assert_array_equal(U, np.zeros((5, 2, 2)))
+        np.testing.assert_array_equal(U, np.zeros((2, 5, 2)))
 
     def test_matches_per_position_matmul(self):
         rng = np.random.default_rng(5)
@@ -150,7 +164,7 @@ class TestPredictVectors:
         U = predict_vectors(H, p)
         for i in range(3):
             for j in range(2):
-                np.testing.assert_allclose(U[i, j], H[i] @ p.W[j], rtol=1e-12)
+                np.testing.assert_allclose(U[j, i], H[i] @ p.W[j], rtol=1e-12)
 
     def test_shape_mismatch(self):
         p = random_capsule(2, 4, 2, seed=7)
@@ -164,31 +178,31 @@ class TestDynamicRouting:
         U = rng.normal(size=(4, 1, 3))
         expected = squash(U[:, 0, :].sum(axis=0))
         for r in (1, 2, 3, 4):
-            V, state = dynamic_routing(U, r)
+            V, couplings = route(U, r)
             np.testing.assert_allclose(V[0], expected, atol=1e-12)
-            for C in state.couplings:
+            for C in couplings:
                 np.testing.assert_array_equal(C, np.ones((4, 1)))
 
     def test_identical_predictions_keep_uniform_couplings(self):
         rng = np.random.default_rng(9)
         per_position = rng.normal(size=(3, 1, 2))
         U = np.repeat(per_position, 4, axis=1)  # same prediction for every j
-        _, state = dynamic_routing(U, 3)
-        for C in state.couplings:
+        _, couplings = route(U, 3)
+        for C in couplings:
             np.testing.assert_allclose(C, np.full((3, 4), 0.25), atol=1e-12)
 
     def test_couplings_form_distributions_every_iteration(self):
         rng = np.random.default_rng(10)
         U = rng.normal(scale=2.0, size=(5, 3, 4))
-        _, state = dynamic_routing(U, 4)
-        assert len(state.couplings) == 4
-        for C in state.couplings:
+        _, couplings = route(U, 4)
+        assert len(couplings) == 4
+        for C in couplings:
             assert np.all(C >= 0.0)
             np.testing.assert_allclose(C.sum(axis=1), np.ones(5), atol=1e-12)
 
     def test_matches_straight_line_oracle(self):
         U = np.random.default_rng(12).normal(size=(3, 2, 2))
-        V, _ = dynamic_routing(U, 3)
+        V, _ = route(U, 3)
         np.testing.assert_allclose(V, oracle_routing(U, 3), atol=1e-12)
 
     def test_oracle_sweep(self):
@@ -197,41 +211,52 @@ class TestDynamicRouting:
             for J in (1, 2, 3):
                 for r in (1, 2, 3):
                     U = rng.normal(size=(n, J, 2))
-                    V, _ = dynamic_routing(U, r)
+                    V, _ = route(U, r)
                     np.testing.assert_allclose(V, oracle_routing(U, r), atol=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(14)
         U = rng.normal(size=(5, 3, 2))
-        V, _ = dynamic_routing(U, 3)
+        V, _ = route(U, 3)
         perm = rng.permutation(5)
-        V_perm, _ = dynamic_routing(U[perm], 3)
+        V_perm, _ = route(U[perm], 3)
         np.testing.assert_allclose(V_perm, V, atol=1e-12)
 
     def test_single_iteration_is_uniform_average(self):
         rng = np.random.default_rng(15)
         U = rng.normal(size=(4, 3, 2))
-        V, _ = dynamic_routing(U, 1)
+        V, _ = route(U, 1)
         np.testing.assert_allclose(V, squash(U.sum(axis=0) / 3.0), atol=1e-14)
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ValueError):
-            dynamic_routing(np.zeros((2, 2, 2)), 0)
+            dynamic_routing(np.zeros((1, 2, 2, 2)), 0)
+
+    def test_zero_padding_leaves_each_sequence_exact(self):
+        rng = np.random.default_rng(11)
+        long, short = rng.normal(size=(5, 3, 2)), rng.normal(size=(2, 3, 2))
+        blocks = np.zeros((2, 3, 5, 2))
+        blocks[0] = long.transpose(1, 0, 2)
+        blocks[1, :, :2] = short.transpose(1, 0, 2)
+        for r in (1, 3):
+            V, _ = dynamic_routing(blocks, r)
+            np.testing.assert_allclose(V[0], route(long, r)[0], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(V[1], route(short, r)[0], rtol=0, atol=1e-15)
 
 
 class TestRoutingBackward:
     def test_zero_gradient_propagates_zeros(self):
         rng = np.random.default_rng(16)
-        U = rng.normal(size=(3, 2, 2))
+        U = rng.normal(size=(1, 2, 3, 2))
         _, state = dynamic_routing(U, 3)
-        grad_U = routing_backward(np.zeros((2, 2)), U, state)
+        grad_U = routing_backward(np.zeros((1, 2, 2)), U, state)
         np.testing.assert_array_equal(grad_U, np.zeros_like(U))
 
     @pytest.mark.parametrize("r", [1, 2, 5])
     def test_finite_difference(self, r):
         rng = np.random.default_rng(17 + r)
-        U = rng.normal(size=(3, 2, 2))
-        R = rng.normal(size=(2, 2))
+        U = rng.normal(size=(1, 2, 3, 2))
+        R = rng.normal(size=(1, 2, 2))
 
         def loss_and_grad():
             V, state = dynamic_routing(U, r)
@@ -246,9 +271,9 @@ class TestRoutingBackward:
         R = rng.normal(size=(2, 2))
 
         def loss_and_grad():
-            flat, cache = capsule_layer(H, p, iterations=2)
+            flat, cache = layer(H, p, iterations=2)
             V = flat.reshape(2, 2)
-            grad_H, grad_W = capsule_layer_backward(R.reshape(-1), cache, p)
+            grad_H, grad_W = capsule_layer_backward(R.reshape(1, -1), cache, p)
             return float(np.sum(V * R)), {"W": grad_W, "H": grad_H}
 
         assert finite_diff_check(loss_and_grad, {"W": p.W, "H": H}) < 1e-6
@@ -269,6 +294,23 @@ def einsum_grad_H(grad_U, W):
     return np.einsum("njo,jdo->nd", grad_U, W)
 
 
+def einsum_routing_backward(grad_V, U, states):
+    """grad_U (n, J, d_out) of one sequence, given `eval_oracle.dynamic_routing` states."""
+    grad_U = np.zeros_like(U)
+    dB_carry = np.zeros(U.shape[:2])
+    for k in range(len(states) - 1, -1, -1):
+        C, S, V = states[k]
+        dV = np.einsum("nj,njo->jo", dB_carry, U)
+        if k == len(states) - 1:
+            dV = dV + grad_V
+        grad_U += np.einsum("nj,jo->njo", dB_carry, V)
+        dS = squash_backward(dV, S)
+        grad_U += np.einsum("nj,jo->njo", C, dS)
+        dC = np.einsum("njo,jo->nj", U, dS)
+        dB_carry = softmax_backward(dC, C) + dB_carry
+    return grad_U
+
+
 class TestMatmulContractions:
     """The batched matmuls of the capsule layer reorder the sums of the
     einsum contractions they replaced; float64 results agree to 1e-10."""
@@ -283,11 +325,21 @@ class TestMatmulContractions:
         H = rng.uniform(-1.0, 1.0, size=(T, d_in))  # Bi-GRU outputs lie in (-1, 1)
         grad_flat = rng.normal(size=J * d_out)
 
-        flat, cache = capsule_layer(H, p, iterations=3)
-        np.testing.assert_allclose(cache.U, einsum_predict_vectors(H, p.W), rtol=0, atol=self.TOL)
+        flat, cache = layer(H, p, iterations=3)
+        U = einsum_predict_vectors(H, p.W)
+        np.testing.assert_allclose(cache.U[0], U.transpose(1, 0, 2), rtol=0, atol=self.TOL)
         assert cache.U.flags.c_contiguous
-        grad_H, grad_W = capsule_layer_backward(grad_flat, cache, p)
-        grad_U = routing_backward(grad_flat.reshape(J, d_out), cache.U, cache.state)
+        states = eval_oracle.dynamic_routing(U, 3)
+        np.testing.assert_allclose(flat, states[-1][2].reshape(-1), rtol=0, atol=self.TOL)
+        grad_H, grad_W = capsule_layer_backward(grad_flat[None], cache, p)
+        grad_U = routing_backward(grad_flat.reshape(1, J, d_out), cache.U, cache.state)
+        np.testing.assert_allclose(
+            grad_U[0].transpose(1, 0, 2),
+            einsum_routing_backward(grad_flat.reshape(J, d_out), U, states),
+            rtol=0,
+            atol=self.TOL,
+        )
+        grad_U = grad_U[0].transpose(1, 0, 2)
         np.testing.assert_allclose(grad_W, einsum_grad_W(H, grad_U), rtol=0, atol=self.TOL)
         np.testing.assert_allclose(grad_H, einsum_grad_H(grad_U, p.W), rtol=0, atol=self.TOL)
         assert grad_W.shape == p.W.shape and grad_H.shape == H.shape
@@ -297,19 +349,19 @@ class TestCapsuleLayer:
     def test_full_configuration_shapes(self):
         p = init_capsule(16, 256, 32, np.random.default_rng(23))
         H = np.random.default_rng(24).normal(size=(7, 256))
-        flat, _ = capsule_layer(H, p, iterations=2)
-        assert flat.shape == (512,)
+        flat, _ = capsule_layer(H, [7], p, iterations=2)
+        assert flat.shape == (1, 512)
 
     def test_zero_input_zero_output(self):
         p = random_capsule(3, 4, 2, seed=25)
-        flat, _ = capsule_layer(np.zeros((5, 4)), p, iterations=3)
+        flat, _ = layer(np.zeros((5, 4)), p, iterations=3)
         np.testing.assert_array_equal(flat, np.zeros(6))
 
     def test_composition_of_oracles(self):
         rng = np.random.default_rng(26)
         H = rng.normal(size=(3, 4))
         p = random_capsule(2, 4, 2, seed=27)
-        flat, _ = capsule_layer(H, p, iterations=3)
+        flat, _ = layer(H, p, iterations=3)
         U = np.empty((3, 2, 2))
         for i in range(3):
             for j in range(2):
@@ -324,17 +376,44 @@ class TestCapsuleLayer:
         R = rng.normal(size=J * d_out)
 
         def loss_and_grad():
-            flat, cache = capsule_layer(H, p, iterations=r)
-            grad_H, grad_W = capsule_layer_backward(R, cache, p)
+            flat, cache = layer(H, p, iterations=r)
+            grad_H, grad_W = capsule_layer_backward(R[None], cache, p)
             return float(flat @ R), {"W": grad_W, "H": grad_H}
 
         assert finite_diff_check(loss_and_grad, {"W": p.W, "H": H}) < 1e-4
 
     def test_backward_shape_mismatch(self):
         p = random_capsule(2, 4, 2, seed=30)
-        _, cache = capsule_layer(np.ones((3, 4)), p, iterations=2)
+        _, cache = layer(np.ones((3, 4)), p, iterations=2)
         with pytest.raises(ShapeMismatch):
-            capsule_layer_backward(np.zeros(5), cache, p)
+            capsule_layer_backward(np.zeros((1, 5)), cache, p)
+        with pytest.raises(ShapeMismatch):
+            capsule_layer_backward(np.zeros(4), cache, p)
+
+    def test_lengths_must_cover_the_rows(self):
+        p = random_capsule(2, 4, 2, seed=30)
+        for lengths in ([2], [3, 0], [], [4]):
+            with pytest.raises(ShapeMismatch):
+                capsule_layer(np.ones((3, 4)), lengths, p, iterations=2)
+
+    @pytest.mark.parametrize("lengths", [[3, 1, 5], [4, 4], [1]])
+    def test_chunk_matches_each_sequence_alone(self, lengths):
+        rng = np.random.default_rng(32)
+        p = random_capsule(3, 4, 2, seed=33)
+        H = rng.normal(size=(sum(lengths), 4))
+        R = rng.normal(size=(len(lengths), 6))
+        flat, cache = capsule_layer(H, lengths, p, iterations=3)
+        grad_H, grad_W = capsule_layer_backward(R, cache, p)
+        assert cache.H is H
+        starts = np.cumsum(lengths) - lengths
+        alone_W = np.zeros_like(grad_W)
+        for b, (start, n) in enumerate(zip(starts, lengths)):
+            one, one_cache = layer(H[start : start + n], p, iterations=3)
+            np.testing.assert_allclose(flat[b], one, rtol=0, atol=1e-14)
+            g_H, g_W = capsule_layer_backward(R[b][None], one_cache, p)
+            np.testing.assert_allclose(grad_H[start : start + n], g_H, rtol=0, atol=1e-13)
+            alone_W += g_W
+        np.testing.assert_allclose(grad_W, alone_W, rtol=0, atol=1e-13)
 
     def test_init_capsule_deterministic_and_bounded(self):
         a = init_capsule(4, 6, 3, np.random.default_rng(31))

@@ -138,6 +138,16 @@ class TestCorruption:
         with pytest.raises(MalformedHeader, match="^" + re.escape(f"{tmp_path / 'model.json'}: {says}")):
             load_checkpoint(stem)
 
+    def test_shape_beyond_int64_is_a_truncated_payload(self, tmp_path):
+        """2**32 * 2**32 elements wrap to 0 in int64 arithmetic; counted
+        exactly, the tensor needs more bytes than the payload holds."""
+        stem = self.make_checkpoint(tmp_path)
+        manifest = json.loads((tmp_path / "model.json").read_text())
+        manifest["tensors"][0]["shape"] = [2**32, 2**32]
+        (tmp_path / "model.json").write_text(json.dumps(manifest))
+        with pytest.raises(TruncatedFile, match="^" + re.escape(f"{tmp_path / 'model.bin'}: payload ends inside")):
+            load_checkpoint(stem)
+
     @pytest.mark.parametrize("cut, error", [(3, TruncatedFile), (-2, MalformedHeader)], ids=["short", "long"])
     def test_payload_errors_name_file(self, tmp_path, cut, error):
         stem = self.make_checkpoint(tmp_path)

@@ -6,10 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import make_toy_examples, write_labeled
+from emocaps import cli
+from emocaps.checkpoint import load_checkpoint, save_checkpoint
 from emocaps.cli import build_parser, entry, load_dataset, main
+from emocaps.embeddings import Vocabulary
 from emocaps.evaluation import LABELS
 from emocaps.training import TrainConfig
 
@@ -192,6 +196,26 @@ class TestPipeline:
             f"warning: embedding payload {workspace['payload']} is 8-dimensional; "
             "using that instead of embed_dim 9"
         ]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_embedding_payload_is_float64_without_a_needless_copy(self, workspace, tmp_path, monkeypatch, dtype):
+        stem = tmp_path / "embed"
+        tensors, manifest = load_checkpoint(workspace["payload"])
+        tensors = {k: t.astype(dtype) for k, t in tensors.items()}
+        save_checkpoint(stem, tensors, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        loaded = []
+
+        def spy(path):
+            result = load_checkpoint(path)
+            loaded.append(result[0]["embedding/W_e"])
+            return result
+
+        monkeypatch.setattr(cli, "load_checkpoint", spy)
+        vocab = Vocabulary.load(workspace["vocab"])
+        table = cli._load_embedding_payload(stem, vocab, workspace["vocab"], TrainConfig(embed_dim=8))
+        assert table.weights.dtype == np.float64
+        np.testing.assert_array_equal(table.weights, loaded[0].astype(np.float64))
+        assert np.shares_memory(table.weights, loaded[0]) == (dtype == "float64")
 
     def test_checkpoints_record_vocabulary_fingerprint(self, workspace):
         words = [line.split("\t", 1)[1] for line in workspace["vocab"].read_text().splitlines()]
@@ -419,6 +443,20 @@ class TestExitCodes:
                     workspace["vocab"], "--checkpoint", stem, "--output", out])
         assert code == 3
         assert f"error: {stem}.json: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shape_beyond_int64_names_payload(self, workspace, tmp_path, capsys):
+        stem = tmp_path / "huge"
+        manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
+        manifest["tensors"][0]["shape"] = [2**32, 2**32]
+        Path(f"{stem}.json").write_text(json.dumps(manifest))
+        Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
+        out = tmp_path / "preds.txt"
+        capsys.readouterr()
+        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab",
+                    workspace["vocab"], "--checkpoint", stem, "--output", out])
+        assert code == 3
+        assert f"error: {stem}.bin: payload ends inside tensor 'embedding/W_e'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_blank_dev_line_rejected_before_training(self, workspace, tmp_path, capsys):

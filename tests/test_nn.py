@@ -18,7 +18,6 @@ from emocaps.nn import (
     finite_diff_check,
     glorot_uniform,
     gru_backward,
-    gru_forward,
     init_dense,
     init_gru,
     predict_class,
@@ -51,12 +50,18 @@ def copy_through_gru(d_in, d_h, seed) -> GruParams:
     return p
 
 
+def forward_direction(X, p):
+    """The forward direction of a one-sequence Bi-GRU: (H (T, h), GruCache)."""
+    H, cache = bigru_forward(X, [len(X)], p, p)
+    return H[:, : p.hidden_dim], cache.fwd
+
+
 def gru_loss_and_grad(X, R, p):
     """Loss sum(H * R) of one direction and its gradients, keyed like
     `gru_params(X, p)`."""
 
     def loss_and_grad():
-        H, cache = gru_forward(X, p)
+        H, cache = forward_direction(X, p)
         gX, grads = gru_backward(R, cache, p)
         out = dict(grads.tensors())
         out["X"] = gX
@@ -166,20 +171,20 @@ class TestActivations:
 
 class TestGruCell:
     def test_zero_params_zero_state(self):
-        H, _ = gru_forward(np.asarray([[5.0, -1.0, 2.0]]), zero_gru(3, 2))
+        H, _ = forward_direction(np.asarray([[5.0, -1.0, 2.0]]), zero_gru(3, 2))
         np.testing.assert_array_equal(H, np.zeros((1, 2)))
 
     def test_update_gate_saturation_keeps_state(self):
         p = copy_through_gru(3, 2, seed=1)
         X = np.asarray([[-1.0, 0.5, 2.0], [1.0, -3.0, 1.0]])
-        H, _ = gru_forward(X, p)
+        H, _ = forward_direction(X, p)
         assert np.min(np.abs(H[0])) > 1e-3  # z ~ 0: a state worth keeping
         assert np.max(np.abs(H[1] - H[0])) < 1e-8  # z -> 1, so h_t -> h_prev
 
     def test_scalar_transcription_oracle(self):
         # 1-dim cell, all weights 1, all biases 0, inputs 1 then -0.5
         p = GruParams(W_i=np.ones((1, 3)), W_h=np.ones((1, 3)), b=np.zeros((2, 3)))
-        H, _ = gru_forward(np.asarray([[1.0], [-0.5]]), p)
+        H, _ = forward_direction(np.asarray([[1.0], [-0.5]]), p)
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
@@ -195,19 +200,23 @@ class TestGruCell:
     def test_shape_mismatch(self):
         p = init_gru(3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            bigru_forward(np.zeros((2, 4)), p, p)
+            bigru_forward(np.zeros((2, 4)), [2], p, p)
         with pytest.raises(ShapeMismatch):
-            bigru_forward(np.zeros((2, 3)), p, init_gru(4, 2, np.random.default_rng(0)))
-        _, cache = bigru_forward(np.zeros((2, 3)), p, p)
+            bigru_forward(np.zeros((2, 3)), [2], p, init_gru(4, 2, np.random.default_rng(0)))
+        with pytest.raises(ShapeMismatch):
+            bigru_forward(np.zeros((2, 3)), [1, 2], p, p)
+        _, cache = bigru_forward(np.zeros((2, 3)), [2], p, p)
         with pytest.raises(ShapeMismatch):
             bigru_backward(np.zeros((2, 3)), cache, p, p)
         with pytest.raises(ShapeMismatch):
             bigru_backward(np.zeros((3, 4)), cache, p, p)
+        _, cache = bigru_forward(np.zeros((2, 3)), [1, 1], p, p)
+        assert cache is None  # only a one-sequence forward is backpropagated
 
     def test_backward_zero_gradient(self):
         p = random_gru(3, 2, seed=5)
         X = np.ones((3, 3))
-        _, cache = gru_forward(X, p)
+        _, cache = forward_direction(X, p)
         gX, grads = gru_backward(np.zeros((3, 2)), cache, p)
         assert np.all(gX == 0.0)
         for t in grads.tensors().values():
@@ -240,7 +249,7 @@ class TestOracle:
         H_ref, steps = oracle.bigru_forward(X, c_fwd, c_bwd)
         gX_ref, gf_ref, gb_ref = oracle.bigru_backward(R, steps, c_fwd, c_bwd)
         p_fwd, p_bwd = oracle.pack(c_fwd), oracle.pack(c_bwd)
-        H, cache = bigru_forward(X, p_fwd, p_bwd)
+        H, cache = bigru_forward(X, [T], p_fwd, p_bwd)
         gX, g_fwd, g_bwd = bigru_backward(R, cache, p_fwd, p_bwd)
 
         np.testing.assert_allclose(H, H_ref, rtol=0, atol=ORACLE_ATOL)
@@ -260,7 +269,7 @@ class TestOracle:
         c_fwd, c_bwd = oracle.unpack(p_fwd), oracle.unpack(p_bwd)
         H_ref, steps = oracle.bigru_forward(X, c_fwd, c_bwd)
         gX_ref, gf_ref, _ = oracle.bigru_backward(R, steps, c_fwd, c_bwd)
-        H, cache = bigru_forward(X, p_fwd, p_bwd)
+        H, cache = bigru_forward(X, [12], p_fwd, p_bwd)
         gX, g_fwd, _ = bigru_backward(R, cache, p_fwd, p_bwd)
         np.testing.assert_allclose(H, H_ref, rtol=0, atol=ORACLE_ATOL)
         np.testing.assert_allclose(gX, gX_ref, rtol=0, atol=ORACLE_ATOL)
@@ -301,20 +310,24 @@ class TestBigru:
         c_fwd = oracle.random_cell(3, 2, seed=7)
         c_bwd = oracle.random_cell(3, 2, seed=8)
         X = np.random.default_rng(0).normal(size=(1, 3))
-        H, _ = bigru_forward(X, oracle.pack(c_fwd), oracle.pack(c_bwd))
+        H, _ = bigru_forward(X, [1], oracle.pack(c_fwd), oracle.pack(c_bwd))
         hf, _ = oracle.cell_forward(X[0], np.zeros(2), c_fwd)
         hb, _ = oracle.cell_forward(X[0], np.zeros(2), c_bwd)
         np.testing.assert_allclose(H[0], np.concatenate([hf, hb]), rtol=1e-15)
 
     def test_zero_params_zero_output(self):
         p = zero_gru(3, 2)
-        H, _ = bigru_forward(np.ones((4, 3)), p, p)
+        H, _ = bigru_forward(np.ones((4, 3)), [4], p, p)
         np.testing.assert_array_equal(H, np.zeros((4, 4)))
 
     def test_empty_sequence_rejected(self):
         p = init_gru(3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            bigru_forward(np.zeros((0, 3)), p, p)
+            bigru_forward(np.zeros((0, 3)), [0], p, p)
+        with pytest.raises(ShapeMismatch):
+            bigru_forward(np.zeros((2, 3)), [2, 0], p, p)
+        with pytest.raises(ShapeMismatch):
+            bigru_forward(np.zeros((0, 3)), [], p, p)
 
     def test_reversal_symmetry(self):
         rng = np.random.default_rng(9)
@@ -322,8 +335,8 @@ class TestBigru:
         p_bwd = random_gru(3, 2, seed=11)
         for n in (1, 2, 5):
             X = rng.normal(size=(n, 3))
-            H, _ = bigru_forward(X, p_fwd, p_bwd)
-            H_rev, _ = bigru_forward(X[::-1].copy(), p_bwd, p_fwd)
+            H, _ = bigru_forward(X, [n], p_fwd, p_bwd)
+            H_rev, _ = bigru_forward(X[::-1].copy(), [n], p_bwd, p_fwd)
             swapped = np.concatenate([H[:, 2:], H[:, :2]], axis=1)
             np.testing.assert_allclose(H_rev, swapped[::-1], atol=1e-12)
 
@@ -336,7 +349,7 @@ class TestBigru:
             R = rng.normal(size=(T, 6))
 
             def loss_and_grad():
-                H, cache = bigru_forward(X, p_fwd, p_bwd)
+                H, cache = bigru_forward(X, [T], p_fwd, p_bwd)
                 gX, g_fwd, g_bwd = bigru_backward(R, cache, p_fwd, p_bwd)
                 out = {f"fwd/{k}": v for k, v in g_fwd.tensors().items()}
                 out.update({f"bwd/{k}": v for k, v in g_bwd.tensors().items()})
@@ -439,7 +452,7 @@ class TestFiniteness:
             assert np.all(np.isfinite(sigmoid(x)))
             assert np.all(np.isfinite(softmax(rng.uniform(-10, 10, size=6))))
             p = random_gru(4, 3, seed=int(rng.integers(1000)), scale=2.0)
-            h, _ = gru_forward(x[None, :], p)
+            h, _ = forward_direction(x[None, :], p)
             assert np.all(np.isfinite(h))
-            H, _ = bigru_forward(rng.uniform(-10, 10, size=(3, 4)), p, p)
+            H, _ = bigru_forward(rng.uniform(-10, 10, size=(3, 4)), [3], p, p)
             assert np.all(np.isfinite(H))

@@ -1,0 +1,128 @@
+"""The packed, length-sorted eval path against the per-example oracle
+(`eval_oracle`, `gru_oracle`), and the benchmark tracer's hooks on it."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import emocaps.training as training
+import eval_oracle
+import gru_oracle
+from emocaps.embeddings import EmbeddingTable
+from emocaps.nn import bigru_forward
+from emocaps.training import EVAL_CHUNK_TOKENS, TrainConfig, forward_full, init_model, predict_dataset
+
+# The packed path reorders sums (stacked and batched matmuls) against the
+# per-example one; in float64 they must agree to this absolute tolerance.
+ORACLE_ATOL = 1e-10
+
+LENGTH_MIXES = {
+    "with-length-1": [3, 1, 7, 1, 4],
+    "all-equal": [5, 5, 5, 5],
+    "single": [6],
+    "descending": [9, 4, 2],
+}
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def paper_model(seed: int, vocab: int = 60):
+    cfg = TrainConfig(seed=seed, routing_iters=3)
+    table = np.random.default_rng([seed, 1]).uniform(-0.5, 0.5, size=(vocab, cfg.embed_dim))
+    params = init_model(cfg, EmbeddingTable(weights=table))
+    rng = np.random.default_rng([seed, 2])
+    for gru in (params.gru_fwd, params.gru_bwd):
+        gru.b[:] = rng.normal(scale=0.1, size=gru.b.shape)
+    params.dense.b[:] = rng.normal(scale=0.1, size=params.dense.b.shape)
+    return cfg, params
+
+
+def random_sequences(lengths, vocab: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(1, vocab, size=n).tolist() for n in lengths]
+
+
+@pytest.mark.parametrize("lengths", list(LENGTH_MIXES.values()), ids=list(LENGTH_MIXES))
+def test_packed_bigru_matches_per_gate_oracle(lengths):
+    rng = np.random.default_rng(len(lengths))
+    c_fwd, c_bwd = gru_oracle.random_cell(7, 5, seed=1), gru_oracle.random_cell(7, 5, seed=2)
+    X = rng.normal(size=(sum(lengths), 7))
+    H, cache = bigru_forward(X, lengths, gru_oracle.pack(c_fwd), gru_oracle.pack(c_bwd))
+    assert H.shape == (sum(lengths), 10) and (cache is None) == (len(lengths) > 1)
+    start = 0
+    for n in lengths:
+        expected, _ = gru_oracle.bigru_forward(X[start : start + n], c_fwd, c_bwd)
+        np.testing.assert_allclose(H[start : start + n], expected, rtol=0, atol=ORACLE_ATOL)
+        start += n
+
+
+@pytest.mark.parametrize("lengths", list(LENGTH_MIXES.values()), ids=list(LENGTH_MIXES))
+def test_forward_probabilities_match_per_example_oracle(lengths):
+    cfg, params = paper_model(seed=3)
+    sequences = random_sequences(lengths, 60, seed=4)
+    probs, cache = forward_full(sequences, params, cfg)
+    assert probs.shape == (len(lengths), 6) and (cache is None) == (len(lengths) > 1)
+    for row, ids in zip(probs, sequences):
+        np.testing.assert_allclose(row, eval_oracle.forward_probs(ids, params, cfg), rtol=0, atol=ORACLE_ATOL)
+
+
+def test_chunks_respect_both_bounds():
+    lengths = [30, 1, 40, 17, 300, 5] * 4 + [1] * 200 + [EVAL_CHUNK_TOKENS + 10]
+    chunks = training._eval_chunks(lengths)
+    assert sorted(i for chunk in chunks for i in chunk) == list(range(len(lengths)))
+    for chunk in chunks:
+        sizes = [lengths[i] for i in chunk]
+        assert sizes == sorted(sizes)
+        if len(chunk) > 1:
+            assert sum(sizes) <= EVAL_CHUNK_TOKENS
+            assert len(sizes) * max(sizes) <= 2 * EVAL_CHUNK_TOKENS
+    assert [EVAL_CHUNK_TOKENS + 10] in [[lengths[i] for i in chunk] for chunk in chunks]
+    assert training._eval_chunks([256, 256]) == [[0, 1]]  # exactly at the cap
+    assert training._eval_chunks([256, 1, 256]) == [[1, 0], [2]]
+
+
+def test_predict_dataset_matches_per_example_labels_in_input_order(monkeypatch):
+    cfg, params = paper_model(seed=5, vocab=200)
+    lengths = np.random.default_rng(6).integers(1, 45, size=40).tolist()
+    assert sum(lengths) > EVAL_CHUNK_TOKENS  # at least one chunk boundary
+    sequences = random_sequences(lengths, 200, seed=7)
+    chunk_sizes = []
+    forward = training.forward_full
+
+    def counting_forward(chunk, *args, **kwargs):
+        chunk_sizes.append(len(chunk))
+        return forward(chunk, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_full", counting_forward)
+
+    labels = predict_dataset(sequences, params, cfg)
+
+    assert labels == eval_oracle.predict_labels(sequences, params, cfg)
+    assert len(chunk_sizes) > 1 and sum(chunk_sizes) == len(sequences)
+    assert len(set(labels)) > 1  # the check is not vacuous
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_hooks_fit_the_eval_path():
+    """perfbench/spans.py wraps functions by name and counts tokens from
+    their arguments; a refactor that breaks either shows up here."""
+    spans = _load_spans()
+    cfg, params = paper_model(seed=8)
+    sequences = random_sequences([2, 5, 7], 60, seed=9)
+    with spans.Tracer() as tracer:
+        assert tracer.missing == []
+        training.predict_dataset(sequences, params, cfg)
+    stats = tracer.summary()
+    assert tracer.hook_errors == 0
+    assert stats["nn.bigru_forward"]["tokens"] == 14
+    assert stats["capsule.capsule_layer"]["tokens"] == 14
+    assert stats["training.predict_dataset"]["calls"] == 1
+    assert training.bigru_forward is bigru_forward  # removed again

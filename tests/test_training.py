@@ -325,34 +325,34 @@ class TestForwardFull:
         )
         vocab, params = tiny_model(cfg)
         ids = vocab.encode(["alpha", "beta"])
-        probs, cache = forward_full(ids, params, cfg)
+        probs, cache = forward_full([ids], params, cfg)
         assert cache.bigru.fwd.X.shape == (2, 300)
         assert cache.bigru.bwd.rz.shape == (2, 256)
         assert cache.capsule.H.shape == (2, 256)
-        assert cache.c.shape == (512,)
-        assert probs.shape == (6,)
+        assert cache.c.shape == (1, 512)
+        assert probs.shape == (1, 6)
 
     def test_single_token_probabilities(self):
         cfg = tiny_config()
         vocab, params = tiny_model(cfg)
-        probs, _ = forward_full(vocab.encode(["alpha"]), params, cfg)
+        probs, _ = forward_full([vocab.encode(["alpha"])], params, cfg)
         assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_eval_mode_is_bitwise_repeatable(self):
         cfg = tiny_config(spatial_dropout=0.3, capsule_dropout=0.25, noise_std=0.1)
         vocab, params = tiny_model(cfg)
         ids = vocab.encode(["alpha", "beta", "gamma"])
-        a, _ = forward_full(ids, params, cfg)
-        b, _ = forward_full(ids, params, cfg)
+        a, _ = forward_full([ids], params, cfg)
+        b, _ = forward_full([ids], params, cfg)
         np.testing.assert_array_equal(a, b)
 
     def test_train_mode_reproducible_given_stream(self):
         cfg = tiny_config(spatial_dropout=0.3, capsule_dropout=0.25, noise_std=0.1)
         vocab, params = tiny_model(cfg)
         ids = vocab.encode(["alpha", "beta"])
-        a, _ = forward_full(ids, params, cfg, rng=np.random.default_rng(9))
-        b, _ = forward_full(ids, params, cfg, rng=np.random.default_rng(9))
-        c, _ = forward_full(ids, params, cfg, rng=np.random.default_rng(10))
+        a, _ = forward_full([ids], params, cfg, rng=np.random.default_rng(9))
+        b, _ = forward_full([ids], params, cfg, rng=np.random.default_rng(9))
+        c, _ = forward_full([ids], params, cfg, rng=np.random.default_rng(10))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -361,6 +361,15 @@ class TestForwardFull:
         _, params = tiny_model(cfg)
         with pytest.raises(EmptySequence):
             forward_full([], params, cfg)
+        with pytest.raises(EmptySequence):
+            forward_full([[1], []], params, cfg)
+
+    def test_training_pass_runs_one_sequence(self):
+        cfg = tiny_config()
+        vocab, params = tiny_model(cfg)
+        ids = vocab.encode(["alpha"])
+        with pytest.raises(ValueError, match="one sequence"):
+            forward_full([ids, ids], params, cfg, rng=np.random.default_rng(0))
 
     def test_predict_dataset_names_empty_sequence_before_any_pass(self, monkeypatch):
         cfg = tiny_config()
@@ -378,15 +387,15 @@ class TestForwardFull:
         vocab, params = tiny_model(cfg)
         ids = vocab.encode(["alpha"])
         with pytest.raises(TypeError):
-            forward_full(ids, params, cfg, "eval")
+            forward_full([ids], params, cfg, "eval")
         with pytest.raises(TypeError):
             example_loss_and_grads(ids, 1, params, cfg, "train", np.random.default_rng(0))
 
     def test_second_noise_lands_on_capsule_output(self):
         cfg = tiny_config(noise_std=0.5)
         vocab, params = tiny_model(cfg)
-        probs, cache = forward_full(vocab.encode(["alpha"]), params, cfg, rng=np.random.default_rng(11))
-        flat = cache.capsule.state.outputs[-1].reshape(-1)
+        probs, cache = forward_full([vocab.encode(["alpha"])], params, cfg, rng=np.random.default_rng(11))
+        flat = cache.capsule.state.outputs[-1].reshape(1, -1)
         assert not np.array_equal(cache.c, flat)
         np.testing.assert_array_equal(probs, softmax(dense_forward(cache.c, params.dense)))
 
@@ -396,8 +405,8 @@ class TestForwardFull:
         vocab, params = tiny_model(cfg)
         ids = vocab.encode(["alpha", "beta"])
         rng = np.random.default_rng(12)
-        probs, cache = forward_full(ids, params, cfg, rng=rng)
-        loss, grad_logits = cross_entropy_loss(probs, 1)
+        probs, cache = forward_full([ids], params, cfg, rng=rng)
+        loss, grad_logits = cross_entropy_loss(probs[0], 1)
         grads = backward_full(grad_logits, cache, params)
         assert set(grads) == set(params.tensors())
         for g in grads.values():

@@ -5,14 +5,17 @@ Every update here pays for the whole embedding table, as training first
 did: the per-example embedding gradient is a dense (vocab, dim) array, the
 batch sum adds every row, the padding row is zeroed, clipping sums squares
 over every row and Adam keeps vocabulary-sized moments. The shuffles,
-per-example random streams and early stopping are those of `train`.
+per-example random streams and early stopping are those of `train`; the
+dev pass runs one tweet at a time (`eval_oracle`), not in packed chunks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from emocaps.training import PAD_ID, dataset_macro_f1, example_loss_and_grads
+import eval_oracle
+from emocaps.evaluation import confusion, metrics
+from emocaps.training import PAD_ID, example_loss_and_grads
 
 EMBEDDING = "embedding/W_e"
 
@@ -79,7 +82,8 @@ def dense_train(train_set, dev_set, params, cfg):
             norms.append(dense_clip(sums, cfg.clip_norm))
             step += 1
             dense_adam(tensors, sums, m, v, step, cfg)
-        dev_f1 = dataset_macro_f1(dev_set, params, cfg)
+        preds = eval_oracle.predict_labels([ids for ids, _ in dev_set], params, cfg)
+        dev_f1 = metrics(confusion([gold for _, gold in dev_set], preds)).macro.f1
         history.append({"epoch": epoch, "train_loss": float(np.mean(losses)), "dev_macro_f1": dev_f1, "seconds": 0.0})
         if dev_f1 > best_f1:
             best_f1, since_best = dev_f1, 0
