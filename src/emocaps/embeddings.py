@@ -8,7 +8,6 @@ gradients into the touched rows and returns only those rows (`RowGrad`).
 
 from __future__ import annotations
 
-import struct
 from collections import Counter
 from dataclasses import dataclass
 
@@ -62,28 +61,26 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         """Read "id<TAB>word" lines with ids 0, 1, 2, ...; blank lines are
-        skipped. Errors name the file and line."""
+        skipped. A repeated word is an error, as only one of its ids could
+        be reached. Errors name the file and line."""
         id_to_word = []
-        blank = 0
+        word_to_id = {}
         with open(path, encoding="utf-8") as handle:
-            for line in handle:
+            for lineno, line in enumerate(handle, start=1):
                 line = line.rstrip("\n")
                 if not line:
-                    blank += 1
                     continue
                 try:
                     idx_text, word = line.split("\t", 1)
                     idx = int(idx_text)
                 except ValueError:
-                    idx = None
+                    raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {line!r}", lineno) from None
                 if idx != len(id_to_word):
-                    # every earlier line was blank or held the next id
-                    lineno = len(id_to_word) + blank + 1
-                    if idx is None:
-                        raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {line!r}", lineno)
                     raise MalformedHeader(f"{path}:{lineno}: non-contiguous vocabulary id: {line!r}")
+                if word_to_id.setdefault(word, idx) != idx:
+                    raise MalformedLine(f"{path}:{lineno}: word {word!r} repeats id {word_to_id[word]}", lineno)
                 id_to_word.append(word)
-        return cls({w: i for i, w in enumerate(id_to_word)}, id_to_word)
+        return cls(word_to_id, id_to_word)
 
 
 @dataclass
@@ -111,16 +108,16 @@ def load_word2vec(path, fmt: str = "binary") -> dict[str, np.ndarray]:
     raise ValueError(f"unknown word2vec format: {fmt!r}")
 
 
-def _parse_header(header: bytes | str):
+def _parse_header(header: str, where: str):
     parts = header.split()
     if len(parts) != 2:
-        raise MalformedHeader(f"expected 'count dim', got {header!r}")
+        raise MalformedHeader(f"{where}: expected 'count dim', got {header!r}")
     try:
         count, dim = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise MalformedHeader(f"non-integer header fields: {header!r}") from exc
+        raise MalformedHeader(f"{where}: non-integer header fields: {header!r}") from exc
     if count < 0 or dim <= 0:
-        raise MalformedHeader(f"invalid header values: {header!r}")
+        raise MalformedHeader(f"{where}: invalid header values: {header!r}")
     return count, dim
 
 
@@ -129,26 +126,22 @@ def _load_word2vec_binary(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as handle:
         header = handle.readline()
         if not header:
-            raise MalformedHeader("empty file")
-        count, dim = _parse_header(header.decode("utf-8", errors="replace"))
+            raise MalformedHeader(f"{path}: empty file")
+        count, dim = _parse_header(header.decode("utf-8", errors="replace"), f"{path}:1")
         vector_bytes = 4 * dim
-        for _ in range(count):
+        for entry in range(count):
             word_chars = bytearray()
             while True:
                 ch = handle.read(1)
                 if not ch:
-                    raise TruncatedFile(
-                        f"file ended after {len(table)} of {count} entries"
-                    )
+                    raise TruncatedFile(f"{path}: file ended after {entry} of {count} entries")
                 if ch == b" ":
                     break
                 if ch != b"\n":  # some writers put a newline before each word
                     word_chars.extend(ch)
             payload = handle.read(vector_bytes)
             if len(payload) != vector_bytes:
-                raise TruncatedFile(
-                    f"vector truncated after {len(table)} of {count} entries"
-                )
+                raise TruncatedFile(f"{path}: vector truncated after {entry} of {count} entries")
             word = word_chars.decode("utf-8", errors="replace")
             vector = np.frombuffer(payload, dtype="<f4").astype(np.float32)
             table.setdefault(word, vector)
@@ -160,18 +153,17 @@ def _load_word2vec_text(path) -> dict[str, np.ndarray]:
     with open(path, encoding="utf-8") as handle:
         header = handle.readline()
         if not header.strip():
-            raise MalformedHeader("empty file")
-        count, dim = _parse_header(header)
-        for _ in range(count):
+            raise MalformedHeader(f"{path}: empty file")
+        count, dim = _parse_header(header, f"{path}:1")
+        for lineno in range(2, count + 2):
             line = handle.readline()
             if not line:
-                raise TruncatedFile(f"file ended after {len(table)} of {count} entries")
-            parts = line.rstrip("\n").split(" ")
+                raise TruncatedFile(f"{path}:{lineno}: file ended after {lineno - 2} of {count} entries")
+            # the word2vec C tool ends each line with "vd \n"
+            parts = line.rstrip().split(" ")
             word, values = parts[0], parts[1:]
             if len(values) != dim:
-                raise DimensionMismatch(
-                    f"entry {word!r} has {len(values)} values, expected {dim}"
-                )
+                raise DimensionMismatch(f"{path}:{lineno}: entry {word!r} has {len(values)} values, expected {dim}")
             vector = np.array([float(v) for v in values], dtype=np.float32)
             table.setdefault(word, vector)
     return table
@@ -211,16 +203,6 @@ class RowGrad:
     rows: np.ndarray  # (k,) sorted unique row ids
     values: np.ndarray  # (k, dim), the gradient of those rows
 
-    @property
-    def nbytes(self) -> int:
-        return self.rows.nbytes + self.values.nbytes
-
-    def dense(self, num_rows: int) -> np.ndarray:
-        """The full (num_rows, dim) gradient, zeros outside `rows`."""
-        out = np.zeros((num_rows,) + self.values.shape[1:], dtype=self.values.dtype)
-        out[self.rows] = self.values
-        return out
-
 
 def embed_backward(ids, grad_output: np.ndarray, vocab_size: int) -> RowGrad:
     """Scatter-add output gradients into the rows the ids touched (repeats
@@ -234,11 +216,3 @@ def embed_backward(ids, grad_output: np.ndarray, vocab_size: int) -> RowGrad:
     np.add.at(values, inverse, grad_output)
     return RowGrad(rows=rows, values=values)
 
-
-def write_word2vec_binary(path, table: dict[str, np.ndarray], dim: int) -> None:
-    """Inverse of the binary reader; used to persist embedding fixtures."""
-    with open(path, "wb") as handle:
-        handle.write(f"{len(table)} {dim}\n".encode("utf-8"))
-        for word, vector in table.items():
-            handle.write(word.encode("utf-8") + b" ")
-            handle.write(struct.pack(f"<{dim}f", *[float(v) for v in vector]))

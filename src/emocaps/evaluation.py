@@ -112,19 +112,3 @@ def format_report(report: MetricsReport) -> str:
         )
     return "\n".join(rows)
 
-
-def error_listing(dataset, preds, gold_class: int, pred_class: int) -> list:
-    """All dataset entries whose (gold, predicted) pair matches.
-
-    `dataset` is a sequence of (gold label index, payload) pairs aligned with
-    `preds`; entries are returned whole, in input order.
-    """
-    dataset = list(dataset)
-    preds = list(preds)
-    if len(dataset) != len(preds):
-        raise LengthMismatch(f"{len(dataset)} examples vs {len(preds)} predictions")
-    return [
-        entry
-        for entry, p in zip(dataset, preds)
-        if entry[0] == gold_class and p == pred_class
-    ]

@@ -1,8 +1,8 @@
 """Numeric core: activations, parameter initialization, the bidirectional GRU
-encoder, the dense head, and the finite-difference gradient checker.
+encoder and the dense head.
 
-All backward passes are written by hand against the forward definitions; the
-gradient checker is the oracle that keeps them honest.
+All backward passes are written by hand against the forward definitions; a
+finite-difference gradient checker in the tests keeps them honest.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .embeddings import RowGrad
-from .errors import NumericError, ShapeMismatch
+from .errors import ShapeMismatch
 
 N_CLASSES = 6
 
@@ -37,11 +36,6 @@ def softmax_backward(grad_probs: np.ndarray, probs: np.ndarray, axis: int = -1) 
     """Gradient through softmax along `axis`: dL/dlogits from dL/dprobs."""
     inner = (grad_probs * probs).sum(axis=axis, keepdims=True)
     return probs * (grad_probs - inner)
-
-
-def check_finite(array: np.ndarray, context: str = "tensor") -> None:
-    if not np.all(np.isfinite(array)):
-        raise NumericError(f"non-finite values in {context}")
 
 
 def glorot_uniform(shape, rng) -> np.ndarray:
@@ -274,40 +268,3 @@ def predict_class(f: np.ndarray) -> int:
     """Index of the largest probability; exact ties go to the lowest index."""
     return int(np.argmax(f))
 
-
-def finite_diff_check(loss_and_grad, params: dict, eps: float = 1e-5, sample=None, rng=None) -> float:
-    """Compare analytic gradients against central differences.
-
-    `loss_and_grad()` evaluates the (deterministic) loss at the current
-    parameter values and returns (loss, grads) with grads keyed like
-    `params`; a RowGrad is compared as its dense gradient. Entries are
-    perturbed in place one at a time. Returns the
-    worst relative error, |analytic - numeric| / max(1, |analytic|, |numeric|)
-    (relative for large gradients, absolute near zero).
-
-    `sample` caps the number of entries checked per tensor; entries are then
-    chosen by `rng`.
-    """
-    _, grads = loss_and_grad()
-    worst = 0.0
-    for name, theta in params.items():
-        flat = theta.reshape(-1)
-        grad = grads[name]
-        if isinstance(grad, RowGrad):
-            grad = grad.dense(theta.shape[0])
-        grad_flat = grad.reshape(-1)
-        indices = range(flat.size)
-        if sample is not None and flat.size > sample:
-            indices = rng.choice(flat.size, size=sample, replace=False)
-        for i in indices:
-            saved = flat[i]
-            flat[i] = saved + eps
-            loss_plus, _ = loss_and_grad()
-            flat[i] = saved - eps
-            loss_minus, _ = loss_and_grad()
-            flat[i] = saved
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
-            analytic = grad_flat[i]
-            err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
-            worst = max(worst, err)
-    return worst

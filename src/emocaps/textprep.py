@@ -156,16 +156,18 @@ class Lexicon:
     Immutable once built: `counts` is a read-only view of a dict no one
     else holds (a copy of the mapping given, or the dict `from_pairs` or
     `from_file` built), so the spelling memo and the letter index it
-    carries cannot go stale. Neither takes part in comparison or repr."""
+    carries cannot go stale. Neither takes part in comparison or repr.
+    `total` is the sum of the counts."""
 
     counts: Mapping[str, int] = field(default_factory=dict)
-    total: int = 0
+    total: int = field(init=False)
     _spelled: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
     _handed_over: InitVar[bool] = False  # `counts` is a dict no one else holds
 
     def __post_init__(self, _handed_over):
         counts = self.counts if _handed_over else dict(self.counts)
         object.__setattr__(self, "counts", MappingProxyType(counts))
+        object.__setattr__(self, "total", sum(counts.values()))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Lexicon":
@@ -174,7 +176,7 @@ class Lexicon:
         counts: dict[str, int] = {}
         for word, count in pairs:
             _add_count(counts, word, count)
-        return cls(counts=counts, total=sum(counts.values()), _handed_over=True)
+        return cls(counts=counts, _handed_over=True)
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
@@ -197,7 +199,7 @@ class Lexicon:
                     _add_count(counts, word, count)
                 except ValueError as exc:
                     raise MalformedLine(f"{path}:{lineno}: {exc}", lineno) from None
-        return cls(counts=counts, total=sum(counts.values()), _handed_over=True)
+        return cls(counts=counts, _handed_over=True)
 
     def word_logp(self, word: str) -> float:
         """Unigram log-probability; out-of-lexicon words pay a length penalty."""

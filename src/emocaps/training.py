@@ -11,10 +11,11 @@ padding, and only capsule routing pads each sequence with zero rows, which
 leaves it exact. All randomness is drawn from streams keyed by (seed,
 purpose, epoch, position), which makes runs reproducible.
 
-The embedding gradient stays row-sparse from `embed_backward` to Adam: it
-is summed, clipped and applied only over the rows the examples touched.
-Adam moves a row whose moments and gradient are all zero by exactly zero,
-so the results are those of dense Adam over the whole table.
+The embedding gradient covers only the rows that training updates: every
+epoch visits every example, so these are the training set's ids, fixed
+before the first step. Batch sums, clipping and Adam hold one row per id. Every other row would take a zero
+gradient at every step, which dense Adam moves by exactly zero, so the
+results are those of dense Adam over the whole table.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from .capsule import (
     capsule_layer_backward,
     init_capsule,
 )
-from .embeddings import EmbeddingTable, RowGrad, embed, embed_backward
+from .embeddings import EmbeddingTable, embed, embed_backward
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
     EmptySequence,
+    IdOutOfRange,
     LabelOutOfRange,
     NumericError,
     ShapeMismatch,
@@ -153,10 +155,9 @@ def init_model(cfg: TrainConfig, embedding: EmbeddingTable) -> ModelParams:
 
 @dataclass
 class AdamState:
-    """Adam moments per tensor name. A tensor updated with `RowGrad`
-    gradients keeps moments only for the rows it has ever been given: their
-    sorted ids are `rows[name]`, and `m[name]`, `v[name]` hold one row per
-    id. Every other row still has zero moments."""
+    """Adam moments per tensor name. A tensor named in `rows` (the
+    embedding table) is updated only at those sorted row ids: its moments,
+    and the gradients `adam_step` takes for it, hold one row per id."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -164,15 +165,14 @@ class AdamState:
     rows: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def init_adam(params: ModelParams) -> AdamState:
-    """Zero moments; the embedding's start with no rows (`AdamState`)."""
-    state = AdamState(m={}, v={})
+def init_adam(params: ModelParams, rows: np.ndarray) -> AdamState:
+    """Zero moments; the embedding's cover only `rows`, the sorted ids of
+    the table rows that training updates."""
+    state = AdamState(m={}, v={}, rows={"embedding/W_e": rows})
     for name, t in params.tensors().items():
-        if t is params.embedding.weights:  # row-sparse: moments of no rows yet
-            state.rows[name] = np.empty(0, dtype=np.intp)
-            t = t[:0]
-        state.m[name] = np.zeros_like(t)
-        state.v[name] = np.zeros_like(t)
+        shape = (rows.size,) + t.shape[1:] if name in state.rows else t.shape
+        state.m[name] = np.zeros(shape, dtype=t.dtype)
+        state.v[name] = np.zeros(shape, dtype=t.dtype)
     return state
 
 
@@ -188,67 +188,47 @@ def cross_entropy_loss(f: np.ndarray, gold: int):
 
 def clip_gradients(grads: dict, clip_norm: float = 1.0) -> dict:
     """Scale all gradients in place so their global L2 norm is at most
-    clip_norm; a RowGrad adds only its stored rows (the rest are zero).
-    Raises NumericError naming the tensors whose norm is not finite, before
-    anything is scaled."""
-    arrays = {k: g.values if isinstance(g, RowGrad) else g for k, g in grads.items()}
+    clip_norm. Raises NumericError naming the tensors whose norm is not
+    finite, before anything is scaled."""
     with np.errstate(over="ignore"):  # an overflow is reported below
-        squares = {k: float(np.sum(a * a)) for k, a in arrays.items()}
+        squares = {k: float(np.sum(g * g)) for k, g in grads.items()}
     bad = [k for k, sq in squares.items() if not math.isfinite(sq)]
     if bad:
         raise NumericError(f"gradient norm is not finite in {', '.join(bad)}")
     norm = np.sqrt(sum(squares.values()))
     if norm > clip_norm:
         scale = clip_norm / norm
-        for a in arrays.values():
-            a *= scale
+        for g in grads.values():
+            g *= scale
     return grads
 
 
 def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
     """Standard Adam with bias correction over name-keyed tensors; updates
-    tensors and state in place.
+    tensors and state in place and leaves `grads` alone.
 
-    A RowGrad gradient updates only the rows the tensor has ever been
-    given (`AdamState.rows`); rows given before but absent now take a zero
-    gradient. Every other row has zero moments and a zero gradient, which
-    dense Adam would move by exactly zero, so the result is dense Adam's."""
+    The gradient of a tensor named in `state.rows` holds those rows only:
+    Adam gathers them, updates them and scatters them back. A gradient of
+    the wrong shape raises ShapeMismatch before anything is updated."""
     if set(grads) != set(tensors):
         raise ShapeMismatch("gradient keys do not match parameter keys")
+    for name, theta in tensors.items():
+        rows = state.rows.get(name)
+        shape = theta.shape if rows is None else (rows.size,) + theta.shape[1:]
+        if grads[name].shape != shape:
+            raise ShapeMismatch(f"{name}: gradient {grads[name].shape}, expected {shape}")
     state.t += 1
     correct1 = 1.0 - cfg.beta1 ** state.t
     correct2 = 1.0 - cfg.beta2 ** state.t
     for name, theta in tensors.items():
-        g = grads[name]
-        if not isinstance(g, RowGrad):
-            if g.shape != theta.shape or name in state.rows:
-                raise ShapeMismatch(f"{name}: gradient {g.shape} vs parameter {theta.shape}")
-            _adam_update(theta, g.copy(), state.m[name], state.v[name], cfg, correct1, correct2)
-            continue
-        fits = g.values.shape[1:] == theta.shape[1:] and (g.rows.size == 0 or g.rows[-1] < len(theta))
-        if name not in state.rows or not fits:
-            raise ShapeMismatch(f"{name}: row gradient {g.values.shape} vs parameter {theta.shape}")
-        rows = _grow_rows(state, name, g.rows)
-        grad = np.zeros_like(state.m[name])
-        grad[np.searchsorted(rows, g.rows)] = g.values
-        updated = theta[rows]
-        _adam_update(updated, grad, state.m[name], state.v[name], cfg, correct1, correct2)
-        theta[rows] = updated
-
-
-def _grow_rows(state: AdamState, name: str, new_rows: np.ndarray) -> np.ndarray:
-    """Add `new_rows` to the rows `name` keeps moments for, with zero
-    moments for rows not seen before; returns the (sorted) row ids."""
-    rows = state.rows[name]
-    merged = np.union1d(rows, new_rows)
-    if merged.size > rows.size:
-        kept = np.searchsorted(merged, rows)
-        for moments in (state.m, state.v):
-            grown = np.zeros((merged.size,) + moments[name].shape[1:], dtype=moments[name].dtype)
-            grown[kept] = moments[name]
-            moments[name] = grown
-        state.rows[name] = merged
-    return merged
+        g, m, v = grads[name].copy(), state.m[name], state.v[name]
+        rows = state.rows.get(name)
+        if rows is None:
+            _adam_update(theta, g, m, v, cfg, correct1, correct2)
+        else:
+            updated = theta[rows]
+            _adam_update(updated, g, m, v, cfg, correct1, correct2)
+            theta[rows] = updated
 
 
 def _adam_update(theta, g, m, v, cfg: TrainConfig, correct1: float, correct2: float) -> None:
@@ -436,6 +416,17 @@ def _check_dataset(dataset, name: str) -> None:
             raise LabelOutOfRange(f"label {gold} outside 0..{N_CLASSES - 1} in {name} dataset")
 
 
+def _trained_rows(train_set, vocab_size: int) -> np.ndarray:
+    """Sorted unique ids of the training set but the padding one: the
+    embedding rows that get a gradient. An id outside [0, vocab_size)
+    raises IdOutOfRange."""
+    rows = np.unique(np.concatenate([np.asarray(ids, dtype=np.intp) for ids, _ in train_set]))
+    bad = rows[(rows < 0) | (rows >= vocab_size)]
+    if bad.size:
+        raise IdOutOfRange(f"train dataset holds ids outside [0, {vocab_size}): {bad.tolist()}")
+    return rows[rows != PAD_ID]
+
+
 def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None):
     """Epoch loop with early stopping on dev macro-F1.
 
@@ -447,6 +438,9 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
     once the dev score has failed to improve for more than `patience`
     consecutive epochs, and restores the best-scoring parameters before
     returning.
+
+    A training id outside the embedding table raises IdOutOfRange before
+    the first step (`_trained_rows`).
 
     `clock` supplies the per-epoch seconds in the history; the default
     reports 0.0 so histories are byte-stable across machines.
@@ -460,7 +454,7 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
     _check_dataset(dev_set, "dev")
 
     tensors = params.tensors()
-    adam = init_adam(params)
+    adam = init_adam(params, _trained_rows(train_set, len(params.embedding.weights)))
     history: list[dict] = []
     best_f1 = -1.0
     best_tensors = None
@@ -472,23 +466,21 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            sums = {k: [] if k in adam.rows else np.zeros_like(t) for k, t in tensors.items()}
+            sums = {k: np.zeros_like(m) for k, m in adam.m.items()}
             for offset, index in enumerate(batch):
                 rng = np.random.default_rng([cfg.seed, 2, epoch, start + offset])
                 ids, gold = train_set[index]
                 loss, grads = example_loss_and_grads(ids, gold, params, cfg, rng=rng)
-                for k, total in sums.items():
-                    if isinstance(total, list):
-                        total.append(grads[k])
+                for k, g in grads.items():
+                    if k in adam.rows:  # a RowGrad: add all its rows but the padding one
+                        keep = g.rows != PAD_ID
+                        sums[k][np.searchsorted(adam.rows[k], g.rows[keep])] += g.values[keep]
                     else:
-                        total += grads[k]
+                        sums[k] += g
                 losses.append(loss)
             inv = 1.0 / len(batch)
-            for k, total in sums.items():
-                if isinstance(total, list):
-                    sums[k] = _mean_row_grad(total)
-                else:
-                    total *= inv
+            for total in sums.values():
+                total *= inv
             try:
                 clip_gradients(sums, cfg.clip_norm)
             except NumericError as exc:
@@ -507,34 +499,13 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
         if dev_f1 > best_f1:
             best_f1 = dev_f1
             since_best = 0
-            # Of a row-sparse tensor only the rows Adam has updated: the
-            # others still hold their initial values. Every epoch visits
-            # every example, so no row is first updated after epoch 0,
-            # the first snapshot.
-            best_tensors = {
-                k: (adam.rows[k], t[adam.rows[k]]) if k in adam.rows else (..., t.copy())
-                for k, t in tensors.items()
-            }
+            best_tensors = {k: t[adam.rows.get(k, ...)].copy() for k, t in tensors.items()}
         else:
             since_best += 1
             if since_best > cfg.patience:
                 break
 
     if best_tensors is not None:
-        for name, (index, values) in best_tensors.items():
-            tensors[name][index] = values
+        for name, values in best_tensors.items():
+            tensors[name][adam.rows.get(name, ...)] = values
     return params, history
-
-
-def _mean_row_grad(parts: list[RowGrad]) -> RowGrad:
-    """Average per-example row gradients over the union of their rows. Rows
-    are summed in example order, so each row's mean is bitwise the dense
-    one (a dense sum only adds zeros in between); the padding row is
-    dropped, as if its gradient were zeroed."""
-    rows = np.unique(np.concatenate([g.rows for g in parts]))
-    total = np.zeros((rows.size,) + parts[0].values.shape[1:], dtype=parts[0].values.dtype)
-    for g in parts:
-        total[np.searchsorted(rows, g.rows)] += g.values
-    total *= 1.0 / len(parts)
-    keep = rows != PAD_ID
-    return RowGrad(rows=rows[keep], values=total[keep])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_toy_examples, write_labeled
+from gradcheck import finite_diff_check
 from test_capsule import oracle_routing, route
 from test_nn import copy_through_gru, forward_direction, gru_loss_and_grad, gru_params, random_gru, zero_gru
 
@@ -22,7 +23,6 @@ from emocaps.cli import main as cli_main
 from emocaps.embeddings import Vocabulary, build_embedding, load_word2vec
 from emocaps.errors import TruncatedFile
 from emocaps.evaluation import confusion, metrics
-from emocaps.nn import finite_diff_check
 from emocaps.textprep import Lexicon, TokenKind, normalize, preprocess, tokenize
 from emocaps.training import (
     ModelParams,

@@ -15,7 +15,8 @@ from emocaps.capsule import (
     squash_backward,
 )
 from emocaps.errors import ShapeMismatch
-from emocaps.nn import finite_diff_check, softmax_backward
+from emocaps.nn import softmax_backward
+from gradcheck import finite_diff_check
 import eval_oracle
 
 

@@ -378,6 +378,19 @@ class TestExitCodes:
         assert f"error: {vocab}:4: expected id<TAB>word" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_vocabulary_word_names_file_and_line(self, workspace, tmp_path, capsys):
+        vocab = tmp_path / "vocab.tsv"
+        lines = workspace["vocab"].read_text().splitlines()
+        word = lines[2].split("\t", 1)[1]
+        vocab.write_text("\n".join(lines[:3] + [f"3\t{word}"] + lines[4:]) + "\n")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = run(["train", "--train-file", workspace["clean"], "--vocab", vocab,
+                    "--checkpoint-dir", out] + TINY_FLAGS)
+        assert code == 3
+        assert f"error: {vocab}:4: word {word!r} repeats id 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
     @pytest.mark.parametrize("blank", ["", "   \t "])
     def test_line_without_tokens_names_file_and_line(self, workspace, tmp_path, capsys, command, blank):

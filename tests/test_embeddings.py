@@ -13,7 +13,6 @@ from emocaps.embeddings import (
     embed,
     embed_backward,
     load_word2vec,
-    write_word2vec_binary,
 )
 from emocaps.errors import (
     DimensionMismatch,
@@ -22,6 +21,7 @@ from emocaps.errors import (
     MalformedLine,
     TruncatedFile,
 )
+from gradcheck import dense
 
 
 class TestVocabulary:
@@ -73,6 +73,14 @@ class TestVocabulary:
             Vocabulary.load(path)
         assert err.value.line_number == 3
 
+    def test_load_rejects_repeated_word(self, tmp_path):
+        # keeping one id of the word would leave the other's row unreachable
+        path = tmp_path / "vocab.tsv"
+        path.write_text("0\t<pad>\n1\t<unk>\n\n2\tcat\n3\tcat\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match=f"{path}:5: word 'cat' repeats id 2$") as err:
+            Vocabulary.load(path)
+        assert err.value.line_number == 5
+
     def test_load_skips_blank_lines_and_keeps_tabs_in_words(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("0\t<pad>\n\n1\ta\tb\n", encoding="utf-8")
@@ -111,6 +119,37 @@ class TestLoadWord2vec:
         path.write_text("1 2\nhi 0.5 -0.5\n", encoding="utf-8")
         table = load_word2vec(path, fmt="text")
         np.testing.assert_allclose(table["hi"], [0.5, -0.5])
+
+    def test_text_from_the_word2vec_tool(self, tmp_path):
+        # the C tool writes each value followed by a space, so lines end "vd \n"
+        path = tmp_path / "vecs.txt"
+        path.write_text("2 3\nhello 0.1 0.2 0.3 \nworld 1 2 3 \n", encoding="utf-8")
+        table = load_word2vec(path, fmt="text")
+        np.testing.assert_array_equal(table["hello"], np.asarray([0.1, 0.2, 0.3], dtype=np.float32))
+        np.testing.assert_array_equal(table["world"], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "fmt, content, error, where",
+        [
+            ("text", b"", MalformedHeader, ": empty file"),
+            ("text", b"not a header\nhi 0.5\n", MalformedHeader, ":1: expected 'count dim'"),
+            ("text", b"2 x\n", MalformedHeader, ":1: non-integer header fields"),
+            ("text", b"3 1\nhi 1.0\nhi 2.0\n", TruncatedFile, ":4: file ended after 2 of 3 entries"),
+            ("text", b"2 2\nhi 0.5 0.5\nyo 0.5\n", DimensionMismatch, ":3: entry 'yo' has 1 values, expected 2"),
+            ("binary", b"", MalformedHeader, ": empty file"),
+            ("binary", b"0 -1\n", MalformedHeader, ":1: invalid header values"),
+            ("binary", b"1 2\nhi", TruncatedFile, ": file ended after 0 of 1 entries"),
+            ("binary", b"1 2\nhi \x00", TruncatedFile, ": vector truncated after 0 of 1 entries"),
+        ],
+        ids=["text-empty", "text-header", "text-header-fields", "text-truncated", "text-short-entry",
+             "binary-empty", "binary-header-values", "binary-word-cut", "binary-vector-cut"],
+    )
+    def test_errors_name_file_and_line(self, tmp_path, fmt, content, error, where):
+        path = tmp_path / "vecs"
+        path.write_bytes(content)
+        with pytest.raises(error) as err:
+            load_word2vec(path, fmt=fmt)
+        assert str(err.value).startswith(f"{path}{where}")
 
     def test_binary_and_text_agree(self, tmp_path):
         binary = tmp_path / "vecs.bin"
@@ -154,7 +193,7 @@ class TestLoadWord2vec:
         path = tmp_path / "out.bin"
         rng = np.random.default_rng(0)
         table = {w: rng.normal(size=4).astype(np.float32) for w in ("alpha", "beta")}
-        write_word2vec_binary(path, table, 4)
+        write_binary_fixture(path, table.items(), 4, separator=b"")
         back = load_word2vec(path, fmt="binary")
         for word, vec in table.items():
             np.testing.assert_array_equal(back[word], vec)
@@ -223,9 +262,9 @@ class TestEmbed:
         gW = embed_backward([3, 3], G, vocab_size=5)
         assert gW.rows.tolist() == [3]
         np.testing.assert_array_equal(gW.values[0], G[0] + G[1])
-        dense = gW.dense(5)
-        np.testing.assert_array_equal(dense[3], G[0] + G[1])
-        assert np.all(dense[[0, 1, 2, 4]] == 0.0)
+        full = dense(gW, 5)
+        np.testing.assert_array_equal(full[3], G[0] + G[1])
+        assert np.all(full[[0, 1, 2, 4]] == 0.0)
 
     def test_gather_backward_finite_difference(self):
         table = self.make_table(rows=5, dim=4, seed=3)
@@ -235,7 +274,7 @@ class TestEmbed:
 
         gW = embed_backward(ids, R, vocab_size=5)
         assert gW.rows.tolist() == [2, 4]
-        gW = gW.dense(5)
+        gW = dense(gW, 5)
         eps = 1e-6
         for row in range(5):
             for col in range(4):
@@ -265,18 +304,14 @@ class TestRowGrad:
         gW = embed_backward(ids.tolist(), G, vocab_size=40)
         assert gW.rows.tolist() == sorted(set(ids.tolist()))
         assert gW.values.shape == (gW.rows.size, 6)
-        np.testing.assert_array_equal(gW.dense(40), dense_embed_backward(ids, G, 40))
+        np.testing.assert_array_equal(dense(gW, 40), dense_embed_backward(ids, G, 40))
 
     def test_empty_sequence(self):
         gW = embed_backward([], np.zeros((0, 3)), vocab_size=4)
         assert gW.rows.size == 0 and gW.values.shape == (0, 3)
-        assert np.all(gW.dense(4) == 0.0)
+        assert np.all(dense(gW, 4) == 0.0)
 
     @pytest.mark.parametrize("ids", [[4], [-1], [0, 7]])
     def test_ids_checked_against_vocab_size(self, ids):
         with pytest.raises(IdOutOfRange):
             embed_backward(ids, np.ones((len(ids), 2)), vocab_size=4)
-
-    def test_nbytes_counts_rows_and_values(self):
-        gW = embed_backward([1, 3, 1], np.ones((3, 5)), vocab_size=10)
-        assert gW.nbytes == gW.rows.nbytes + gW.values.nbytes == 2 * np.intp(0).nbytes + 2 * 5 * 8

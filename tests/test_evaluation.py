@@ -7,7 +7,6 @@ from emocaps.errors import LengthMismatch, LabelOutOfRange, UnknownLabel
 from emocaps.evaluation import (
     LABELS,
     confusion,
-    error_listing,
     format_report,
     label_index,
     metrics,
@@ -184,34 +183,3 @@ class TestReportOutput:
         assert payload["per_class"]["anger"]["f1"] == report.per_class["anger"].f1
         assert payload["micro"]["support"] == 4
 
-
-class TestErrorListing:
-    DATASET = [
-        (0, "first anger text"),
-        (0, "second anger text"),
-        (3, "joy text"),
-        (0, "third anger text"),
-        (4, "sad text"),
-    ]
-
-    def test_selects_matching_mistakes(self):
-        preds = [3, 0, 3, 3, 4]
-        rows = error_listing(self.DATASET, preds, gold_class=0, pred_class=3)
-        assert rows == [(0, "first anger text"), (0, "third anger text")]
-
-    def test_no_matches(self):
-        preds = [0, 0, 3, 0, 4]
-        assert error_listing(self.DATASET, preds, 0, 3) == []
-
-    def test_all_matching(self):
-        dataset = [(1, "a"), (1, "b")]
-        assert error_listing(dataset, [4, 4], 1, 4) == dataset
-
-    def test_equal_pair_selects_correct_predictions(self):
-        preds = [0, 0, 3, 3, 4]
-        rows = error_listing(self.DATASET, preds, 0, 0)
-        assert rows == [(0, "first anger text"), (0, "second anger text")]
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            error_listing(self.DATASET, [0, 0], 0, 3)

@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 
 import gru_oracle as oracle
-from emocaps.errors import NumericError, ShapeMismatch
+from emocaps.errors import ShapeMismatch
+from gradcheck import finite_diff_check
 from emocaps.nn import (
     N_CLASSES,
     DenseParams,
     GruParams,
     bigru_backward,
     bigru_forward,
-    check_finite,
     dense_backward,
     dense_forward,
-    finite_diff_check,
     glorot_uniform,
     gru_backward,
     init_dense,
@@ -153,13 +152,6 @@ class TestActivations:
                 down = loss(logits)
                 logits[i, j] = saved
                 assert abs((up - down) / (2 * eps) - grad[i, j]) < 1e-8
-
-    def test_check_finite(self):
-        check_finite(np.ones(3))
-        with pytest.raises(NumericError):
-            check_finite(np.asarray([1.0, np.nan]))
-        with pytest.raises(NumericError):
-            check_finite(np.asarray([np.inf]))
 
     def test_glorot_range_and_determinism(self):
         a = glorot_uniform((20, 30), np.random.default_rng(9))

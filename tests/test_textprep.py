@@ -194,13 +194,16 @@ class TestLexicon:
 
     def test_direct_construction_copies_counts(self):
         counts = {"cat": 3}
-        lex = Lexicon(counts=counts, total=3)
+        lex = Lexicon(counts=counts)
         counts["dog"] = 1
-        assert lex.counts == {"cat": 3}
+        assert lex.counts == {"cat": 3} and lex.total == 3
         shared = MappingProxyType(counts)  # a read-only view is copied too
-        lex = Lexicon(counts=shared, total=4)
+        lex = Lexicon(counts=shared)
         counts["cow"] = 1
-        assert lex.counts == {"cat": 3, "dog": 1}
+        assert lex.counts == {"cat": 3, "dog": 1} and lex.total == 4
+        assert lex.word_logp("cat") == pytest.approx(math.log(3 / 4))
+        with pytest.raises(TypeError):  # the total follows from the counts
+            Lexicon(counts={"cat": 3}, total=4)
 
     def test_spelling_state_not_compared_or_shown(self):
         lex, other = Lexicon.from_pairs([("cats", 3)]), Lexicon.from_pairs([("cats", 3)])

@@ -9,11 +9,12 @@ from emocaps.errors import (
     DimensionMismatch,
     EmptyDataset,
     EmptySequence,
+    IdOutOfRange,
     LabelOutOfRange,
     NumericError,
     ShapeMismatch,
 )
-from emocaps.nn import N_CLASSES, dense_forward, finite_diff_check, softmax
+from emocaps.nn import N_CLASSES, dense_forward, softmax
 from emocaps.training import (
     AdamState,
     ModelParams,
@@ -32,6 +33,7 @@ from emocaps.training import (
     spatial_dropout,
     train,
 )
+from gradcheck import finite_diff_check
 from train_oracle import dense_adam, dense_clip, dense_train
 
 
@@ -124,24 +126,23 @@ class TestClipGradients:
 
     @pytest.mark.parametrize("clip_norm", [1.0, 100.0])
     def test_row_grad_matches_dense_clip(self, clip_norm):
-        # the norm sums squares of the stored rows only: the dense norm up to
-        # summation order
+        # the compact gradient of rows 1, 4 and 9 adds the squares of those
+        # rows only; integer entries make every summation order exact, so
+        # the result is bitwise that of clipping the whole 12-row gradient
         rng = np.random.default_rng(2)
-        row_grad = RowGrad(rows=np.asarray([1, 4, 9]), values=rng.normal(size=(3, 5)))
-        grads = {"e": row_grad, "w": rng.normal(size=(4, 2))}
-        dense = {"e": row_grad.dense(12), "w": grads["w"].copy()}
+        rows = np.asarray([1, 4, 9])
+        grads = {"e": rng.integers(-9, 10, size=(3, 5)) * 1.0, "w": rng.integers(-9, 10, size=(4, 2)) * 1.0}
+        dense = {"e": np.zeros((12, 5)), "w": grads["w"].copy()}
+        dense["e"][rows] = grads["e"]
         norm = dense_clip(dense, clip_norm)
         clip_gradients(grads, clip_norm)
         assert (norm > clip_norm) == (clip_norm == 1.0)
-        np.testing.assert_allclose(grads["e"].dense(12), dense["e"], rtol=1e-14, atol=0)
-        np.testing.assert_allclose(grads["w"], dense["w"], rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(grads["e"], dense["e"][rows])
+        np.testing.assert_array_equal(grads["w"], dense["w"])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     def test_non_finite_norm_raises_before_scaling(self, bad):
-        grads = {
-            "a": np.asarray([3.0, 4.0]),
-            "b": RowGrad(rows=np.asarray([2]), values=np.asarray([[1.0, bad]])),
-        }
+        grads = {"a": np.asarray([3.0, 4.0]), "b": np.asarray([[1.0, bad]])}
         with pytest.raises(NumericError, match="not finite in b$"):
             clip_gradients(grads, 1.0)
         np.testing.assert_array_equal(grads["a"], [3.0, 4.0])
@@ -168,10 +169,8 @@ class TestAdam:
         cfg = tiny_config()
         _, params = tiny_model(cfg)
         before = {k: t.copy() for k, t in params.tensors().items()}
-        state = init_adam(params)
-        grads = {k: np.zeros_like(t) for k, t in params.tensors().items()}
-        W = params.embedding.weights  # its gradient comes row-sparse, here every row
-        grads["embedding/W_e"] = RowGrad(rows=np.arange(len(W)), values=np.zeros_like(W))
+        state = init_adam(params, np.arange(1, len(params.embedding.weights)))
+        grads = {k: np.zeros_like(m) for k, m in state.m.items()}
         adam_step(params.tensors(), grads, state, cfg)
         for k, t in params.tensors().items():
             np.testing.assert_array_equal(t, before[k])
@@ -195,69 +194,86 @@ class TestAdam:
             adam_step(theta, {"t": 2.0 * theta["t"]}, state, cfg)
             assert abs(theta["t"][0] - expected[step]) < 1e-12
 
-    def test_row_grads_match_dense_adam_bitwise(self):
-        # rows given once keep moving on their moments; rows never given
-        # stay put, as dense Adam moves them by exactly zero
+    @staticmethod
+    def compact_adam_matches_dense(start, rows, given_per_step, rng):
+        """Adam over `rows` of `start`, each step's gradient non-zero at the
+        rows given, against dense Adam over the whole table, bitwise at
+        every step; returns the final table."""
         cfg = TrainConfig(learning_rate=0.05)
+        sparse, dense = {"e": start.copy()}, {"e": start.copy()}
+        compact = (rows.size,) + start.shape[1:]
+        state = AdamState(m={"e": np.zeros(compact)}, v={"e": np.zeros(compact)}, rows={"e": rows})
+        m, v = {"e": np.zeros_like(start)}, {"e": np.zeros_like(start)}
+        for t, given in enumerate(given_per_step, 1):
+            g = np.zeros_like(start)
+            g[given] = rng.normal(size=(len(given), start.shape[1]))
+            adam_step(sparse, {"e": g[rows]}, state, cfg)
+            dense_adam(dense, {"e": g}, m, v, t, cfg)
+            np.testing.assert_array_equal(sparse["e"], dense["e"])
+        np.testing.assert_array_equal(state.m["e"], m["e"][rows])
+        np.testing.assert_array_equal(state.v["e"], v["e"][rows])
+        return sparse["e"]
+
+    def test_row_grads_match_dense_adam_bitwise(self):
+        # rows given once keep moving on their moments, rows not given yet
+        # take zero steps, and rows outside `rows` stay put, as dense Adam
+        # moves them by exactly zero
         rng = np.random.default_rng(4)
         start = rng.normal(size=(10, 3))
-        sparse, dense = {"e": start.copy()}, {"e": start.copy()}
-        state = AdamState(m={"e": np.zeros((0, 3))}, v={"e": np.zeros((0, 3))}, rows={"e": np.empty(0, np.intp)})
-        m, v = {"e": np.zeros((10, 3))}, {"e": np.zeros((10, 3))}
-        for t, rows in enumerate([[2, 5], [5], [], [1, 2, 8], [7]], 1):
-            g = RowGrad(rows=np.asarray(rows, dtype=np.intp), values=rng.normal(size=(len(rows), 3)))
-            adam_step(sparse, {"e": g}, state, cfg)
-            dense_adam(dense, {"e": g.dense(10)}, m, v, t, cfg)
-            np.testing.assert_array_equal(sparse["e"], dense["e"])
-        assert state.rows["e"].tolist() == [1, 2, 5, 7, 8]
-        np.testing.assert_array_equal(state.m["e"], m["e"][state.rows["e"]])
-        np.testing.assert_array_equal(state.v["e"], v["e"][state.rows["e"]])
-        np.testing.assert_array_equal(sparse["e"][[0, 3, 4, 6, 9]], start[[0, 3, 4, 6, 9]])
+        rows = np.asarray([1, 2, 5, 7, 8])
+        final = self.compact_adam_matches_dense(start, rows, [[2, 5], [5], [], [1, 2, 8], [7]], rng)
+        np.testing.assert_array_equal(final[[0, 3, 4, 6, 9]], start[[0, 3, 4, 6, 9]])
 
     def test_rows_covering_table_match_dense_bitwise(self):
-        # from step 2 on the rows given are every row but the first
-        cfg = TrainConfig(learning_rate=0.05)
+        # the rows are every row but the first, all given from step 4 on
         rng = np.random.default_rng(5)
         start = rng.normal(size=(8, 3))
-        sparse, dense = {"e": start.copy()}, {"e": start.copy()}
-        state = AdamState(m={"e": np.zeros((0, 3))}, v={"e": np.zeros((0, 3))}, rows={"e": np.empty(0, np.intp)})
-        m, v = {"e": np.zeros((8, 3))}, {"e": np.zeros((8, 3))}
-        for t, rows in enumerate([[1, 2, 5], [3, 4, 6, 7], [2], list(range(1, 8)), [7], [1, 3]], 1):
-            g = RowGrad(rows=np.asarray(rows, dtype=np.intp), values=rng.normal(size=(len(rows), 3)))
-            adam_step(sparse, {"e": g}, state, cfg)
-            dense_adam(dense, {"e": g.dense(8)}, m, v, t, cfg)
-            np.testing.assert_array_equal(sparse["e"], dense["e"])
-        np.testing.assert_array_equal(sparse["e"][0], start[0])
-        np.testing.assert_array_equal(state.m["e"], m["e"][1:])
-        np.testing.assert_array_equal(state.v["e"], v["e"][1:])
+        steps = [[1, 2, 5], [3, 4, 6, 7], [2], list(range(1, 8)), [7], [1, 3]]
+        final = self.compact_adam_matches_dense(start, np.arange(1, 8), steps, rng)
+        np.testing.assert_array_equal(final[0], start[0])
 
     def test_init_adam_keeps_no_embedding_rows(self):
+        """The embedding's moments cover exactly the rows given: none, or
+        some; every other tensor's cover the whole tensor."""
         cfg = tiny_config()
         _, params = tiny_model(cfg)
-        state = init_adam(params)
+        state = init_adam(params, np.empty(0, np.intp))
         assert state.m["embedding/W_e"].shape == state.v["embedding/W_e"].shape == (0, cfg.embed_dim)
         assert list(state.rows) == ["embedding/W_e"] and state.rows["embedding/W_e"].size == 0
-        assert state.m["capsule/W"].shape == params.capsule.W.shape
+        rows = np.asarray([2, 5])
+        state = init_adam(params, rows)
+        assert state.m["embedding/W_e"].shape == state.v["embedding/W_e"].shape == (2, cfg.embed_dim)
+        assert state.rows["embedding/W_e"] is rows
+        for name, t in params.tensors().items():
+            if name != "embedding/W_e":
+                assert state.m[name].shape == state.v[name].shape == t.shape
+                assert np.all(state.m[name] == 0.0) and np.all(state.v[name] == 0.0)
 
     def test_row_grad_mismatch_rejected(self):
         cfg = TrainConfig()
+        ids = np.asarray([1, 3])
 
-        def step(grad, row_sparse=True):
+        def setup(rows):
             theta = {"t": np.zeros((4, 2))}
-            state = AdamState(m={"t": np.zeros((0, 2))}, v={"t": np.zeros((0, 2))})
-            if row_sparse:
-                state.rows["t"] = np.empty(0, np.intp)
-            adam_step(theta, {"t": grad}, state, cfg)
+            shape = theta["t"].shape if rows is None else (rows.size, 2)
+            state = AdamState(m={"t": np.zeros(shape)}, v={"t": np.zeros(shape)})
+            if rows is not None:
+                state.rows["t"] = rows
+            return theta, state
 
-        step(RowGrad(rows=np.asarray([3]), values=np.ones((1, 2))))
-        for grad, row_sparse in [
-            (RowGrad(rows=np.asarray([4]), values=np.ones((1, 2))), True),  # row past the end
-            (RowGrad(rows=np.asarray([1]), values=np.ones((1, 3))), True),  # wrong width
-            (np.ones((4, 2)), True),  # a dense gradient for a row-sparse tensor
-            (RowGrad(rows=np.asarray([1]), values=np.ones((1, 2))), False),  # and the reverse
+        theta, state = setup(ids)
+        adam_step(theta, {"t": np.ones((2, 2))}, state, cfg)  # one row per id
+        assert np.all(theta["t"][ids] != 0.0) and np.all(theta["t"][[0, 2]] == 0.0)
+        for grad, rows in [
+            (np.ones((1, 2)), ids),  # fewer rows than ids
+            (np.ones((2, 3)), ids),  # wrong width
+            (np.ones((4, 2)), ids),  # a whole-table gradient for a row tensor
+            (np.ones((2, 2)), None),  # and a compact one for a whole tensor
         ]:
+            theta, state = setup(rows)
             with pytest.raises(ShapeMismatch):
-                step(grad, row_sparse)
+                adam_step(theta, {"t": grad}, state, cfg)
+            assert state.t == 0 and np.all(theta["t"] == 0.0)
 
     def test_key_mismatch_rejected(self):
         cfg = TrainConfig()
@@ -559,13 +575,14 @@ class TestTrainLoop:
         params.capsule.W[0, 0, 0] = np.nan
         before = {k: t.copy() for k, t in params.tensors().items()}
         states = []
-        monkeypatch.setattr(training, "init_adam", lambda p: states.append(init_adam(p)) or states[-1])
+        monkeypatch.setattr(training, "init_adam", lambda *a: states.append(init_adam(*a)) or states[-1])
         with pytest.raises(NumericError, match=r"^epoch 0, batch 0: gradient norm is not finite in "):
             train(data, data, params, cfg)
         for k, t in params.tensors().items():
             np.testing.assert_array_equal(t, before[k])
         (state,) = states
-        assert state.t == 0 and state.rows["embedding/W_e"].size == 0
+        assert state.t == 0
+        assert state.rows["embedding/W_e"].tolist() == sorted({i for ids, _ in data for i in ids} - {0})
         for k in state.m:
             assert np.all(state.m[k] == 0.0) and np.all(state.v[k] == 0.0)
 
@@ -581,13 +598,34 @@ class TestTrainLoop:
         dev = list(data)
         data[victim] = ([poisoned] + ids[1:], gold)
         states = []
-        monkeypatch.setattr(training, "init_adam", lambda p: states.append(init_adam(p)) or states[-1])
+        monkeypatch.setattr(training, "init_adam", lambda *a: states.append(init_adam(*a)) or states[-1])
         with pytest.raises(NumericError, match=r"^epoch 0, batch 2: gradient norm is not finite in embedding/W_e"):
             train(data, dev, params, cfg)
         (state,) = states
         assert state.t == 2
-        assert poisoned not in state.rows["embedding/W_e"]
+        rows = state.rows["embedding/W_e"]
+        assert rows[-1] == poisoned  # its moments exist from the start, and stayed zero
+        assert np.all(state.m["embedding/W_e"][-1] == 0.0) and np.all(state.v["embedding/W_e"][-1] == 0.0)
         assert all(np.all(np.isfinite(m)) for m in state.m.values())
+
+    @pytest.mark.parametrize("bad", [-1, None], ids=["negative", "past-end"])
+    def test_out_of_range_id_raises_before_any_step(self, toy_examples, monkeypatch, bad):
+        # the bad id sits in the last example of epoch 0's last batch
+        cfg, vocab, params = toy_setup(toy_examples, batch_size=8)
+        data = encode_examples(toy_examples, vocab)
+        size = len(params.embedding.weights)
+        bad = size if bad is None else bad
+        victim = np.random.default_rng([cfg.seed, 1, 0]).permutation(len(data))[-1]
+        ids, gold = data[victim]
+        data[victim] = (ids + [bad], gold)
+        before = {k: t.copy() for k, t in params.tensors().items()}
+        calls = []
+        monkeypatch.setattr(training, "example_loss_and_grads", lambda *a, **k: calls.append(a))
+        with pytest.raises(IdOutOfRange, match=rf"ids outside \[0, {size}\): \[{bad}\]$"):
+            train(data, data, params, cfg)
+        assert calls == []
+        for k, t in params.tensors().items():
+            np.testing.assert_array_equal(t, before[k])
 
     def test_empty_dataset_rejected(self, toy_examples):
         cfg, vocab, params = toy_setup(toy_examples)

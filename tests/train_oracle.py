@@ -16,13 +16,14 @@ import numpy as np
 import eval_oracle
 from emocaps.evaluation import confusion, metrics
 from emocaps.training import PAD_ID, example_loss_and_grads
+from gradcheck import dense
 
 EMBEDDING = "embedding/W_e"
 
 
 def dense_example_grads(ids, gold, params, cfg, rng):
     loss, grads = example_loss_and_grads(ids, gold, params, cfg, rng=rng)
-    grads[EMBEDDING] = grads[EMBEDDING].dense(len(params.embedding.weights))
+    grads[EMBEDDING] = dense(grads[EMBEDDING], len(params.embedding.weights))
     return loss, grads
 
 
