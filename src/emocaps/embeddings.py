@@ -164,9 +164,21 @@ def _load_word2vec_text(path) -> dict[str, np.ndarray]:
             word, values = parts[0], parts[1:]
             if len(values) != dim:
                 raise DimensionMismatch(f"{path}:{lineno}: entry {word!r} has {len(values)} values, expected {dim}")
-            vector = np.array([float(v) for v in values], dtype=np.float32)
+            try:
+                vector = np.array([float(v) for v in values], dtype=np.float32)
+            except ValueError:
+                bad = next(v for v in values if not _is_float(v))
+                raise MalformedLine(f"{path}:{lineno}: entry {word!r} has a non-numeric value {bad!r}", lineno) from None
             table.setdefault(word, vector)
     return table
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def build_embedding(vocab: Vocabulary, raw_table: dict[str, np.ndarray], dim: int, seed: int) -> EmbeddingTable:

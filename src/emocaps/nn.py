@@ -79,60 +79,6 @@ def init_gru(input_dim: int, hidden_dim: int, rng) -> GruParams:
     return GruParams(W_i=w(input_dim), W_h=w(hidden_dim), b=np.zeros((2, 3 * hidden_dim)))
 
 
-@dataclass
-class GruCache:
-    """One direction's forward stacks; row t is step t in processing order."""
-
-    X: np.ndarray  # (T, d) inputs
-    H: np.ndarray  # (T, h) states h_t
-    rz: np.ndarray  # (T, 2h) reset and update gates
-    n: np.ndarray  # (T, h) candidates
-    hh: np.ndarray  # (T, h) the biased recurrent candidate term, gated by r
-
-
-def gru_backward(grad_H: np.ndarray, c: GruCache, p: GruParams):
-    """Backprop through time for one direction; returns (grad_X, grads).
-
-    Only the recurrent carry stays in the loop. It fills the pre-activation
-    gradients of the input side (dA) and of the recurrent side (dG), which
-    differ only in the candidate block; every weight gradient and grad_X is
-    then one matmul.
-    """
-    T, d_h = grad_H.shape[0], p.hidden_dim
-    r, z = c.rz[:, :d_h], c.rz[:, d_h:]
-    H_prev = np.zeros_like(c.H)
-    H_prev[1:] = c.H[:-1]
-    dtanh = (1.0 - z) * (1.0 - c.n * c.n)  # dh -> candidate pre-activation
-    # dG[t] = dh_t * K[t], blockwise: reset, update, recurrent candidate term
-    K = np.stack([dtanh * c.hh * r * (1.0 - r), (H_prev - c.n) * z * (1.0 - z), dtanh * r], axis=1)
-    dG = np.empty((T, 3, d_h), dtype=grad_H.dtype)
-    dH = np.empty((T, d_h), dtype=grad_H.dtype)
-    W_hT = p.W_h.T
-    carry = np.zeros(d_h, dtype=grad_H.dtype)
-    for t in range(T - 1, -1, -1):
-        dh = dH[t] = grad_H[t] + carry
-        dg = dG[t] = dh * K[t]
-        carry = dh * z[t] + dg.reshape(-1) @ W_hT
-    dG = dG.reshape(T, 3 * d_h)
-    dA = dG.copy()
-    dA[:, 2 * d_h :] = dH * dtanh
-    grads = GruParams(
-        W_i=c.X.T @ dA,
-        W_h=H_prev.T @ dG,
-        b=np.stack([dA.sum(axis=0), dG.sum(axis=0)]),
-    )
-    return dA @ p.W_i.T, grads
-
-
-@dataclass
-class BigruCache:
-    """Both directions' forward stacks of one sequence of length n: `fwd`
-    rows are positions 0 .. n-1 and `bwd` rows n-1 .. 0."""
-
-    fwd: GruCache
-    bwd: GruCache
-
-
 def _packed_steps(lengths: np.ndarray):
     """Step sizes and gather indices of the packed step order.
 
@@ -150,7 +96,24 @@ def _packed_steps(lengths: np.ndarray):
     return np.count_nonzero(running, axis=1), start + step, start + lengths[seq] - 1 - step
 
 
-def bigru_forward(X: np.ndarray, lengths, p_fwd: GruParams, p_bwd: GruParams):
+@dataclass
+class BigruCache:
+    """The packed step stacks of a training chunk, for `bigru_backward`.
+
+    Every (2, N, ·) stack holds the forward direction at [0] and the
+    backward one at [1]; row r is packed row r of `_packed_steps`, which
+    read input row index[k, r]."""
+
+    X: np.ndarray  # (N, d) inputs, in input order
+    counts: np.ndarray  # (steps,) sequences still running at each step
+    index: np.ndarray  # (2, N) input row of each packed row, per direction
+    H: np.ndarray  # (2, N, h) states h_t
+    rz: np.ndarray  # (2, N, 2h) reset and update gates
+    n: np.ndarray  # (2, N, h) candidates
+    hh: np.ndarray  # (2, N, h) the biased recurrent candidate term, gated by r
+
+
+def bigru_forward(X: np.ndarray, lengths, p_fwd: GruParams, p_bwd: GruParams, *, keep_cache: bool = False):
     """Both GRU directions over a chunk of sequences; returns (H, cache).
 
     X (N, d) holds the sequences' rows back to back, `lengths` their
@@ -169,7 +132,7 @@ def bigru_forward(X: np.ndarray, lengths, p_fwd: GruParams, p_bwd: GruParams):
     sequences still running (`_packed_steps`), so no padded position is
     computed, and both directions share every elementwise operation.
 
-    The cache, for `bigru_backward`, is None unless X is one sequence.
+    The cache, for `bigru_backward`, is None unless `keep_cache` is set.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     if X.ndim != 2 or lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
@@ -187,12 +150,11 @@ def bigru_forward(X: np.ndarray, lengths, p_fwd: GruParams, p_bwd: GruParams):
         np.matmul(X[index], p.W_i, out=A[k])
         A[k] += p.b[0]
     b_h = np.stack([p_fwd.b[1], p_bwd.b[1]])[:, None, :]
-    # Only a one-sequence forward is backpropagated, so only it keeps every
-    # step's gates (RZ, N) and biased recurrent terms h W_h + b_h (G, whose
-    # candidate block is the cache's hh). A chunk's steps reuse the first
-    # rows instead, which keeps an eval chunk's memory to a few MB.
-    keep = len(lengths) == 1
-    depth = n_rows if keep else counts[0]
+    # Only a training chunk keeps every step's gates (RZ, N) and biased
+    # recurrent terms h W_h + b_h (G, whose candidate block is the cache's
+    # hh). An eval chunk's steps reuse the first rows instead, which keeps
+    # its memory to a few MB.
+    depth = n_rows if keep_cache else counts[0]
     RZ = np.empty((2, depth, 2 * d_h), dtype=X.dtype)
     N = np.empty((2, depth, d_h), dtype=X.dtype)
     G = np.empty((2, depth, 3 * d_h), dtype=X.dtype)
@@ -201,7 +163,7 @@ def bigru_forward(X: np.ndarray, lengths, p_fwd: GruParams, p_bwd: GruParams):
     end = 0
     for n_t in counts.tolist():
         rows, end = slice(end, end + n_t), end + n_t
-        kept = rows if keep else slice(n_t)
+        kept = rows if keep_cache else slice(n_t)
         h_prev, g = h_prev[:, :n_t], G[:, kept]
         for k, p in enumerate(params):  # as fast as one stacked matmul, without stacking W_h
             np.matmul(h_prev[k], p.W_h, out=g[k])
@@ -213,23 +175,64 @@ def bigru_forward(X: np.ndarray, lengths, p_fwd: GruParams, p_bwd: GruParams):
     out = np.empty((n_rows, 2 * d_h), dtype=X.dtype)
     out[fwd, :d_h] = H[0]
     out[bwd, d_h:] = H[1]
-    if not keep:
+    if not keep_cache:
         return out, None
-    c_fwd, c_bwd = (
-        GruCache(X=X[index], H=H[k], rz=RZ[k], n=N[k], hh=G[k, :, 2 * d_h :]) for k, index in enumerate((fwd, bwd))
-    )
-    return out, BigruCache(fwd=c_fwd, bwd=c_bwd)
+    return out, BigruCache(X=X, counts=counts, index=np.stack([fwd, bwd]), H=H, rz=RZ, n=N, hh=G[..., 2 * d_h :])
 
 
-def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p_fwd, p_bwd):
-    """Backprop through time for both directions of a one-sequence forward;
-    returns (grad_X, g_fwd, g_bwd)."""
+def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p_fwd: GruParams, p_bwd: GruParams):
+    """Backprop through time for both directions of a training chunk;
+    returns (grad_X, g_fwd, g_bwd), the gradients summed over the chunk.
+
+    The packed steps run in reverse. Only the recurrent carry stays in the
+    loop: a (2, n_0, h) array, zero at first, whose prefix of the n_t
+    sequences running at step t each step reads and rewrites. It fills the
+    pre-activation gradients of the input side (dA) and of the recurrent
+    side (dG), which differ only in the candidate block; every weight
+    gradient and grad_X is then one matmul over all the chunk's rows.
+    """
     d_h = p_fwd.hidden_dim
-    if grad_H.shape != (cache.fwd.H.shape[0], 2 * d_h):
-        raise ShapeMismatch(f"grad_H {grad_H.shape} vs bigru output ({cache.fwd.H.shape[0]}, {2 * d_h})")
-    gX_fwd, g_fwd = gru_backward(grad_H[:, :d_h], cache.fwd, p_fwd)
-    gX_bwd, g_bwd = gru_backward(grad_H[::-1, d_h:], cache.bwd, p_bwd)
-    return gX_fwd + gX_bwd[::-1], g_fwd, g_bwd
+    n_rows = cache.X.shape[0]
+    if grad_H.shape != (n_rows, 2 * d_h):
+        raise ShapeMismatch(f"grad_H {grad_H.shape} vs bigru output ({n_rows}, {2 * d_h})")
+    params, counts = (p_fwd, p_bwd), cache.counts
+    r, z = cache.rz[..., :d_h], cache.rz[..., d_h:]
+    # the state each packed row started from: the same sequence's row one
+    # step earlier, counts[t - 1] rows back, and zero at step 0
+    H_prev = np.zeros_like(cache.H)
+    H_prev[:, counts[0] :] = cache.H[:, np.arange(counts[0], n_rows) - np.repeat(counts[:-1], counts[1:])]
+    dtanh = (1.0 - z) * (1.0 - cache.n * cache.n)  # dh -> candidate pre-activation
+    # dG[t] = dh_t * K[t], blockwise: reset, update, recurrent candidate term
+    K = np.stack([dtanh * cache.hh * r * (1.0 - r), (H_prev - cache.n) * z * (1.0 - z), dtanh * r], axis=2)
+    dH = np.stack([grad_H[cache.index[0], :d_h], grad_H[cache.index[1], d_h:]])
+    dG = np.empty((2, n_rows, 3, d_h), dtype=grad_H.dtype)
+    W_hT = [p.W_h.T for p in params]
+    carry = np.zeros((2, counts[0], d_h), dtype=grad_H.dtype)
+    end = n_rows
+    for n_t in counts[::-1].tolist():
+        rows, end = slice(end - n_t, end), end - n_t
+        c = carry[:, :n_t]
+        dh = np.add(dH[:, rows], c, out=dH[:, rows])
+        dg = np.multiply(dh[:, :, None, :], K[:, rows], out=dG[:, rows])
+        np.multiply(dh, z[:, rows], out=c)
+        for k in range(2):
+            c[k] += dg[k].reshape(n_t, 3 * d_h) @ W_hT[k]
+    dG = dG.reshape(2, n_rows, 3 * d_h)
+    dA = dG.copy()
+    dA[..., 2 * d_h :] = dH * dtanh
+    # back to input order, where X and grad_X live
+    dA_in = np.empty_like(dA)
+    for k in range(2):
+        dA_in[k, cache.index[k]] = dA[k]
+    g_fwd, g_bwd = (
+        GruParams(
+            W_i=cache.X.T @ dA_in[k],
+            W_h=H_prev[k].T @ dG[k],
+            b=np.stack([dA[k].sum(axis=0), dG[k].sum(axis=0)]),
+        )
+        for k in range(2)
+    )
+    return dA_in[0] @ p_fwd.W_i.T + dA_in[1] @ p_bwd.W_i.T, g_fwd, g_bwd
 
 
 @dataclass
@@ -255,13 +258,12 @@ def dense_forward(c: np.ndarray, p: DenseParams) -> np.ndarray:
 
 
 def dense_backward(grad_logits: np.ndarray, c: np.ndarray, p: DenseParams):
-    """Gradient of the affine layer given dL/dlogits; returns (grad_c, gW, gb)."""
-    if grad_logits.shape != (N_CLASSES,):
-        raise ShapeMismatch(f"grad_logits {grad_logits.shape} vs ({N_CLASSES},)")
-    gW = np.outer(c, grad_logits)
-    gb = grad_logits.copy()
-    grad_c = grad_logits @ p.W.T
-    return grad_c, gW, gb
+    """Gradient of the affine layer given dL/dlogits of a (B, input_dim)
+    batch; returns (grad_c, gW, gb), the weight gradients summed over the
+    batch."""
+    if grad_logits.shape != (len(c), N_CLASSES):
+        raise ShapeMismatch(f"grad_logits {grad_logits.shape} vs ({len(c)}, {N_CLASSES})")
+    return grad_logits @ p.W.T, c.T @ grad_logits, grad_logits.sum(axis=0)
 
 
 def predict_class(f: np.ndarray) -> int:

@@ -2,20 +2,23 @@
 regularizers (Gaussian noise, dropout, spatial dropout), the end-to-end
 forward/backward composition, and the epoch loop.
 
-Training runs one tweet at a time with gradient accumulation, so batch
-size only controls how many per-example gradients are averaged per update;
-a batched backward would need far more memory for its caches. The eval
-pass (`predict_dataset`, and so the per-epoch dev score) runs length-sorted
-chunks of tweets instead: the Bi-GRU steps over packed sequences with no
-padding, and only capsule routing pads each sequence with zero rows, which
-leaves it exact. All randomness is drawn from streams keyed by (seed,
-purpose, epoch, position), which makes runs reproducible.
+Training runs each batch in length-sorted chunks of at most
+TRAIN_CHUNK_TOKENS tokens: one forward and one backward pass per chunk, and
+the batch sums add one gradient per chunk. Every example still draws its
+dropout masks and noise from its own stream, so a one-example chunk draws
+what a pass over that example alone draws. The eval pass (`predict_dataset`,
+and so the per-epoch dev score) runs chunks of at most EVAL_CHUNK_TOKENS
+tokens and keeps no backward caches. In both, the Bi-GRU steps over packed
+sequences with no padding, and only capsule routing pads each sequence with
+zero rows, which leaves it exact. All randomness is drawn from streams
+keyed by (seed, purpose, epoch, position), which makes runs reproducible.
 
 The embedding gradient covers only the rows that training updates: every
 epoch visits every example, so these are the training set's ids, fixed
-before the first step. Batch sums, clipping and Adam hold one row per id. Every other row would take a zero
-gradient at every step, which dense Adam moves by exactly zero, so the
-results are those of dense Adam over the whole table.
+before the first step. Batch sums, clipping and Adam hold one row per id.
+Every other row would take a zero gradient at every step, which dense Adam
+moves by exactly zero, so the results are those of dense Adam over the
+whole table.
 """
 
 from __future__ import annotations
@@ -176,14 +179,21 @@ def init_adam(params: ModelParams, rows: np.ndarray) -> AdamState:
     return state
 
 
-def cross_entropy_loss(f: np.ndarray, gold: int):
-    """Negative log-likelihood of the gold class; returns (loss, dL/dlogits)."""
-    if not 0 <= gold < N_CLASSES:
-        raise LabelOutOfRange(f"gold class {gold} outside 0..{N_CLASSES - 1}")
-    loss = -np.log(max(float(f[gold]), 1e-12))
-    grad_logits = f.copy()
-    grad_logits[gold] -= 1.0
-    return float(loss), grad_logits
+def cross_entropy_loss(probs: np.ndarray, golds):
+    """Negative log-likelihood of each row's gold class, for (B, N_CLASSES)
+    probabilities and B gold classes; returns (losses (B,), dL/dlogits
+    (B, N_CLASSES)), the gradient being that of the losses' sum."""
+    golds = np.asarray(golds, dtype=np.intp)
+    if probs.ndim != 2 or golds.shape != probs.shape[:1]:
+        raise ShapeMismatch(f"{golds.shape} gold classes for probabilities {probs.shape}")
+    bad = golds[(golds < 0) | (golds >= N_CLASSES)]
+    if bad.size:
+        raise LabelOutOfRange(f"gold class {bad.tolist()} outside 0..{N_CLASSES - 1}")
+    rows = np.arange(len(golds))
+    losses = -np.log(np.maximum(probs[rows, golds], 1e-12))
+    grad_logits = probs.copy()
+    grad_logits[rows, golds] -= 1.0
+    return losses, grad_logits
 
 
 def clip_gradients(grads: dict, clip_norm: float = 1.0) -> dict:
@@ -287,41 +297,62 @@ def spatial_dropout(X: np.ndarray, rate: float, rng=None):
 @dataclass
 class ForwardCache:
     ids: np.ndarray  # the sequences' ids back to back
-    spatial_mask: np.ndarray | None
+    spatial_mask: np.ndarray | None  # (N, embed_dim) each row's sequence's mask
     bigru: BigruCache
     capsule: CapsuleCache
-    drop_mask: np.ndarray | None
+    drop_mask: np.ndarray | None  # (B, J * d_out)
     c: np.ndarray  # (B, J * d_out) dense input, after dropout and noise
 
 
-def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rng=None):
-    """Whole pipeline over a list of id sequences: embed, spatial dropout,
+def _regularize(rows: np.ndarray, lengths, rngs, drop, rate: float, std: float):
+    """Sequence b's rows through `drop` (dropout or spatial dropout) and
+    then Gaussian noise, both drawn from its own stream rngs[b]; returns
+    (output, the per-row dropout masks or None)."""
+    out = np.empty_like(rows)
+    masks = []
+    start = 0
+    for n, rng in zip(lengths, rngs):
+        part, mask = drop(rows[start : start + n], rate, rng)
+        out[start : start + n] = gaussian_noise(part, std, rng)
+        masks.append(mask)
+        start += n
+    if masks[0] is None:
+        return out, None
+    return out, np.concatenate([np.broadcast_to(m, (n, m.shape[1])) for m, n in zip(masks, lengths)])
+
+
+def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rngs=None):
+    """Whole pipeline over a chunk of id sequences: embed, spatial dropout,
     noise, bidirectional GRU, capsule routing, dropout, noise on the
     flattened capsule output, dense softmax. Returns (probs, cache), probs
-    (B, N_CLASSES) one row per sequence; the cache, for `backward_full`, is
-    None for more than one sequence.
+    (B, N_CLASSES) one row per sequence.
 
-    A pass given an rng is a training pass over one sequence and draws every
-    dropout mask and noise sample from it; without one the pass is the
-    deterministic eval pass and every regularizer is an identity.
+    A pass given `rngs`, one generator per sequence, is a training pass:
+    sequence b draws its spatial dropout mask, input noise, capsule dropout
+    mask and capsule noise from rngs[b], in that order, and the pass keeps
+    the caches `backward_full` needs. Without them the pass is the
+    deterministic eval pass: every regularizer is an identity, and the
+    cache is None.
     """
     if len(sequences) == 0:
         raise EmptySequence("no sequences to classify")
-    if rng is not None and len(sequences) != 1:
-        raise ValueError(f"a training pass runs one sequence, got {len(sequences)}")
+    if rngs is not None and len(rngs) != len(sequences):
+        raise ValueError(f"a training pass needs one random stream per sequence, got {len(rngs)} for {len(sequences)}")
     lengths = [len(ids) for ids in sequences]
     if min(lengths) == 0:
         raise EmptySequence("cannot classify an empty token sequence")
+    training_pass = rngs is not None
     ids = np.concatenate([np.asarray(s, dtype=np.intp) for s in sequences])
     X = embed(ids, params.embedding)
-    X, spatial_mask = spatial_dropout(X, cfg.spatial_dropout, rng)
-    X = gaussian_noise(X, cfg.noise_std, rng)
-    H, bigru_cache = bigru_forward(X, lengths, params.gru_fwd, params.gru_bwd)
-    flat, caps_cache = capsule_layer(H, lengths, params.capsule, cfg.routing_iters)
-    c, drop_mask = dropout(flat, cfg.capsule_dropout, rng)
-    c = gaussian_noise(c, cfg.noise_std, rng)
+    spatial_mask = drop_mask = None
+    if training_pass:
+        X, spatial_mask = _regularize(X, lengths, rngs, spatial_dropout, cfg.spatial_dropout, cfg.noise_std)
+    H, bigru_cache = bigru_forward(X, lengths, params.gru_fwd, params.gru_bwd, keep_cache=training_pass)
+    c, caps_cache = capsule_layer(H, lengths, params.capsule, cfg.routing_iters)
+    if training_pass:
+        c, drop_mask = _regularize(c, [1] * len(c), rngs, dropout, cfg.capsule_dropout, cfg.noise_std)
     probs = softmax(dense_forward(c, params.dense))
-    if len(sequences) > 1:  # a chunk keeps no backward caches (`bigru_forward`)
+    if not training_pass:
         return probs, None
     cache = ForwardCache(
         ids=ids,
@@ -335,11 +366,10 @@ def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rng=None):
 
 
 def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelParams) -> dict:
-    """Gradients of every trainable tensor given dL/dlogits of a
-    one-sequence forward; keys match ModelParams.tensors(). Additive noise
-    backpropagates as identity."""
-    grad_c, gW_dense, gb_dense = dense_backward(grad_logits, cache.c[0], params.dense)
-    grad_c = grad_c[None]
+    """Gradients of every trainable tensor given dL/dlogits (B, N_CLASSES)
+    of a training pass, summed over its sequences; keys match
+    ModelParams.tensors(). Additive noise backpropagates as identity."""
+    grad_c, gW_dense, gb_dense = dense_backward(grad_logits, cache.c, params.dense)
     if cache.drop_mask is not None:
         grad_c = grad_c * cache.drop_mask
     grad_H, gW_caps = capsule_layer_backward(grad_c, cache.capsule, params.capsule)
@@ -356,28 +386,28 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
     ).tensors()
 
 
-def example_loss_and_grads(ids, gold: int, params: ModelParams, cfg: TrainConfig, *, rng=None):
-    probs, cache = forward_full([ids], params, cfg, rng=rng)
-    loss, grad_logits = cross_entropy_loss(probs[0], gold)
-    return loss, backward_full(grad_logits, cache, params)
-
-
-# An eval chunk holds at most this many real tokens, and its zero-padded
-# routing blocks at most twice as many rows. That bounds the transient
-# memory of a chunk's forward to about 6 MB at paper dims, whatever mix of
-# lengths comes in, and still puts 8 or more tweets of up to 50 tokens into
-# each GRU step and routing matmul.
+# A chunk holds at most this many real tokens, and its zero-padded routing
+# blocks at most twice as many rows; a longer sequence runs alone.
+#
+# Eval: that bounds the transient memory of a chunk's forward to about 6 MB
+# at paper dims, whatever mix of lengths comes in, and still puts 8 or more
+# tweets of up to 50 tokens into each GRU step and routing matmul.
 EVAL_CHUNK_TOKENS = 512
+# Training: a chunk keeps its backward caches, about 50 KB a token at paper
+# dims, so it never holds more than one 64-token tweet did when training
+# ran one tweet at a time, and 12-token tweets still share a chunk by fives.
+TRAIN_CHUNK_TOKENS = 64
 
 
-def _eval_chunks(lengths: list[int]) -> list[list[int]]:
+def _chunks(lengths: list[int], max_tokens: int) -> list[list[int]]:
     """Indices into `lengths`, stable-sorted by length and cut into chunks
-    within the EVAL_CHUNK_TOKENS bounds; a longer sequence runs alone."""
+    of at most `max_tokens` real tokens and 2 * `max_tokens` padded rows;
+    a longer sequence runs alone."""
     chunks: list[list[int]] = []
     tokens = 0
     for index in sorted(range(len(lengths)), key=lengths.__getitem__):
         n = lengths[index]  # the longest so far: the chunk's block length
-        if chunks and tokens + n <= EVAL_CHUNK_TOKENS and (len(chunks[-1]) + 1) * n <= 2 * EVAL_CHUNK_TOKENS:
+        if chunks and tokens + n <= max_tokens and (len(chunks[-1]) + 1) * n <= 2 * max_tokens:
             chunks[-1].append(index)
             tokens += n
         else:
@@ -389,13 +419,13 @@ def _eval_chunks(lengths: list[int]) -> list[list[int]]:
 def predict_dataset(sequences, params: ModelParams, cfg: TrainConfig) -> list[int]:
     """Eval-mode class prediction for every id sequence, in order. An empty
     sequence raises EmptySequence naming its 0-based index, before any
-    sequence is run. Sequences run in length-sorted chunks (`_eval_chunks`)."""
+    sequence is run. Sequences run in length-sorted chunks (`_chunks`)."""
     sequences = list(sequences)
     for index, ids in enumerate(sequences):
         if len(ids) == 0:
             raise EmptySequence(f"sequence {index} is empty: cannot classify an empty token sequence")
     labels = [0] * len(sequences)
-    for chunk in _eval_chunks([len(ids) for ids in sequences]):
+    for chunk in _chunks([len(ids) for ids in sequences], EVAL_CHUNK_TOKENS):
         probs, _ = forward_full([sequences[i] for i in chunk], params, cfg)
         for index, row in zip(chunk, probs):
             labels[index] = predict_class(row)
@@ -408,23 +438,20 @@ def dataset_macro_f1(dataset, params: ModelParams, cfg: TrainConfig) -> float:
     return metrics(confusion(golds, preds)).macro.f1
 
 
-def _check_dataset(dataset, name: str) -> None:
+def _check_dataset(dataset, name: str, vocab_size: int) -> np.ndarray:
+    """Sorted unique ids of a train or dev dataset. An empty dataset, a
+    label outside the classes or an id outside [0, vocab_size) raises,
+    naming the dataset."""
     if len(dataset) == 0:
         raise EmptyDataset(f"{name} dataset is empty")
     for ids, gold in dataset:
         if not 0 <= gold < N_CLASSES:
             raise LabelOutOfRange(f"label {gold} outside 0..{N_CLASSES - 1} in {name} dataset")
-
-
-def _trained_rows(train_set, vocab_size: int) -> np.ndarray:
-    """Sorted unique ids of the training set but the padding one: the
-    embedding rows that get a gradient. An id outside [0, vocab_size)
-    raises IdOutOfRange."""
-    rows = np.unique(np.concatenate([np.asarray(ids, dtype=np.intp) for ids, _ in train_set]))
-    bad = rows[(rows < 0) | (rows >= vocab_size)]
+    unique = np.unique(np.concatenate([np.asarray(ids, dtype=np.intp) for ids, _ in dataset]))
+    bad = unique[(unique < 0) | (unique >= vocab_size)]
     if bad.size:
-        raise IdOutOfRange(f"train dataset holds ids outside [0, {vocab_size}): {bad.tolist()}")
-    return rows[rows != PAD_ID]
+        raise IdOutOfRange(f"{name} dataset holds ids outside [0, {vocab_size}): {bad.tolist()}")
+    return unique
 
 
 def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None):
@@ -432,15 +459,19 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
 
     Examples are shuffled per epoch from a seeded stream; per-example noise
     and dropout draw from streams keyed by (seed, epoch, position in the
-    shuffled order). Updates average per-example gradients over the batch,
-    drop the padding row, clip, then apply Adam; a non-finite gradient norm
+    shuffled order). A batch runs in length-sorted chunks (`_chunks`,
+    TRAIN_CHUNK_TOKENS); its losses stay in batch order. Updates average
+    the chunks' gradient sums over the batch, drop the padding row, clip,
+    then apply Adam; a non-finite gradient norm
     raises NumericError naming the epoch and batch before Adam runs. Stops
     once the dev score has failed to improve for more than `patience`
     consecutive epochs, and restores the best-scoring parameters before
     returning.
 
-    A training id outside the embedding table raises IdOutOfRange before
-    the first step (`_trained_rows`).
+    A train or dev id outside the embedding table raises IdOutOfRange
+    before the first step (`_check_dataset`). Every epoch visits every
+    training example, so the training ids but the padding one are the
+    embedding rows Adam updates.
 
     `clock` supplies the per-epoch seconds in the history; the default
     reports 0.0 so histories are byte-stable across machines.
@@ -450,11 +481,12 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
     cfg.validate()
     train_set = list(train_set)
     dev_set = list(dev_set)
-    _check_dataset(train_set, "train")
-    _check_dataset(dev_set, "dev")
+    vocab_size = len(params.embedding.weights)
+    rows = _check_dataset(train_set, "train", vocab_size)
+    _check_dataset(dev_set, "dev", vocab_size)
 
     tensors = params.tensors()
-    adam = init_adam(params, _trained_rows(train_set, len(params.embedding.weights)))
+    adam = init_adam(params, rows[rows != PAD_ID])
     history: list[dict] = []
     best_f1 = -1.0
     best_tensors = None
@@ -467,17 +499,19 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             sums = {k: np.zeros_like(m) for k, m in adam.m.items()}
-            for offset, index in enumerate(batch):
-                rng = np.random.default_rng([cfg.seed, 2, epoch, start + offset])
-                ids, gold = train_set[index]
-                loss, grads = example_loss_and_grads(ids, gold, params, cfg, rng=rng)
-                for k, g in grads.items():
+            batch_losses = np.empty(len(batch))
+            for chunk in _chunks([len(train_set[index][0]) for index in batch], TRAIN_CHUNK_TOKENS):
+                examples = [train_set[batch[offset]] for offset in chunk]
+                rngs = [np.random.default_rng([cfg.seed, 2, epoch, start + offset]) for offset in chunk]
+                probs, cache = forward_full([ids for ids, _ in examples], params, cfg, rngs=rngs)
+                batch_losses[chunk], grad_logits = cross_entropy_loss(probs, [gold for _, gold in examples])
+                for k, g in backward_full(grad_logits, cache, params).items():
                     if k in adam.rows:  # a RowGrad: add all its rows but the padding one
                         keep = g.rows != PAD_ID
                         sums[k][np.searchsorted(adam.rows[k], g.rows[keep])] += g.values[keep]
                     else:
                         sums[k] += g
-                losses.append(loss)
+            losses.extend(batch_losses.tolist())
             inv = 1.0 / len(batch)
             for total in sums.values():
                 total *= inv

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from emocaps.embeddings import RowGrad
+from emocaps.training import backward_full, cross_entropy_loss, forward_full
 
 
 def dense(grad: RowGrad, num_rows: int) -> np.ndarray:
@@ -52,3 +53,14 @@ def finite_diff_check(loss_and_grad, params: dict, eps: float = 1e-5, sample=Non
             err = abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
             worst = max(worst, err)
     return worst
+
+
+def chunk_loss_and_grads(sequences, golds, params, cfg, seed: int = 0):
+    """The summed loss of a training pass over one chunk of sequences and
+    its gradients (`backward_full`). Every call draws from fresh streams,
+    so the dropout masks and noise are the same at each call and the loss
+    is a deterministic function of the parameters."""
+    rngs = [np.random.default_rng([seed, b]) for b in range(len(sequences))]
+    probs, cache = forward_full(sequences, params, cfg, rngs=rngs)
+    losses, grad_logits = cross_entropy_loss(probs, golds)
+    return float(losses.sum()), backward_full(grad_logits, cache, params)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_toy_examples, write_labeled
-from gradcheck import finite_diff_check
+from gradcheck import chunk_loss_and_grads, finite_diff_check
 from test_capsule import oracle_routing, route
 from test_nn import copy_through_gru, forward_direction, gru_loss_and_grad, gru_params, random_gru, zero_gru
 
@@ -27,7 +27,6 @@ from emocaps.textprep import Lexicon, TokenKind, normalize, preprocess, tokenize
 from emocaps.training import (
     ModelParams,
     TrainConfig,
-    example_loss_and_grads,
     init_model,
     predict_dataset,
     train,
@@ -62,7 +61,7 @@ def test_gradient_integrity():
     ids = vocab.encode(["alpha", "beta", "gamma"])
 
     def loss_and_grad():
-        return example_loss_and_grads(ids, 2, params, cfg)
+        return chunk_loss_and_grads([ids], [2], params, cfg)
 
     err = finite_diff_check(loss_and_grad, params.tensors())
     elapsed = time.perf_counter() - start

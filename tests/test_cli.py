@@ -425,6 +425,17 @@ class TestExitCodes:
         assert f"error: {lexicon}:2: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_numeric_word2vec_value_names_file_and_line(self, workspace, tmp_path, capsys):
+        vectors = tmp_path / "vec.txt"
+        vectors.write_text("1 2\nhello 0.1 abc\n")
+        capsys.readouterr()
+        code = run(["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+                    "--embedding-out", tmp_path / "emb", "--embeddings", vectors,
+                    "--embeddings-format", "text", "--embed-dim", "2"])
+        assert code == 3
+        assert f"error: {vectors}:2: entry 'hello' has a non-numeric value 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "emb.bin").exists()
+
     def test_manifest_not_an_object(self, workspace, tmp_path, capsys):
         stem = tmp_path / "bad"
         Path(f"{stem}.json").write_text("[]")

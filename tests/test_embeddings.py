@@ -136,12 +136,13 @@ class TestLoadWord2vec:
             ("text", b"2 x\n", MalformedHeader, ":1: non-integer header fields"),
             ("text", b"3 1\nhi 1.0\nhi 2.0\n", TruncatedFile, ":4: file ended after 2 of 3 entries"),
             ("text", b"2 2\nhi 0.5 0.5\nyo 0.5\n", DimensionMismatch, ":3: entry 'yo' has 1 values, expected 2"),
+            ("text", b"1 2\nhello 0.1 abc\n", MalformedLine, ":2: entry 'hello' has a non-numeric value 'abc'"),
             ("binary", b"", MalformedHeader, ": empty file"),
             ("binary", b"0 -1\n", MalformedHeader, ":1: invalid header values"),
             ("binary", b"1 2\nhi", TruncatedFile, ": file ended after 0 of 1 entries"),
             ("binary", b"1 2\nhi \x00", TruncatedFile, ": vector truncated after 0 of 1 entries"),
         ],
-        ids=["text-empty", "text-header", "text-header-fields", "text-truncated", "text-short-entry",
+        ids=["text-empty", "text-header", "text-header-fields", "text-truncated", "text-short-entry", "text-non-numeric",
              "binary-empty", "binary-header-values", "binary-word-cut", "binary-vector-cut"],
     )
     def test_errors_name_file_and_line(self, tmp_path, fmt, content, error, where):

@@ -16,7 +16,6 @@ from emocaps.nn import (
     dense_backward,
     dense_forward,
     glorot_uniform,
-    gru_backward,
     init_dense,
     init_gru,
     predict_class,
@@ -50,18 +49,19 @@ def copy_through_gru(d_in, d_h, seed) -> GruParams:
 
 
 def forward_direction(X, p):
-    """The forward direction of a one-sequence Bi-GRU: (H (T, h), GruCache)."""
-    H, cache = bigru_forward(X, [len(X)], p, p)
-    return H[:, : p.hidden_dim], cache.fwd
+    """The forward direction of a one-sequence Bi-GRU: (H (T, h), the
+    chunk's cache)."""
+    H, cache = bigru_forward(X, [len(X)], p, p, keep_cache=True)
+    return H[:, : p.hidden_dim], cache
 
 
 def gru_loss_and_grad(X, R, p):
-    """Loss sum(H * R) of one direction and its gradients, keyed like
-    `gru_params(X, p)`."""
+    """Loss sum(H * R) of the forward direction and its gradients, keyed
+    like `gru_params(X, p)`."""
 
     def loss_and_grad():
         H, cache = forward_direction(X, p)
-        gX, grads = gru_backward(R, cache, p)
+        gX, grads, _ = bigru_backward(np.concatenate([R, np.zeros_like(R)], axis=1), cache, p, p)
         out = dict(grads.tensors())
         out["X"] = gX
         return float(np.sum(H * R)), out
@@ -197,22 +197,25 @@ class TestGruCell:
             bigru_forward(np.zeros((2, 3)), [2], p, init_gru(4, 2, np.random.default_rng(0)))
         with pytest.raises(ShapeMismatch):
             bigru_forward(np.zeros((2, 3)), [1, 2], p, p)
-        _, cache = bigru_forward(np.zeros((2, 3)), [2], p, p)
+        _, cache = bigru_forward(np.zeros((2, 3)), [2], p, p, keep_cache=True)
         with pytest.raises(ShapeMismatch):
             bigru_backward(np.zeros((2, 3)), cache, p, p)
         with pytest.raises(ShapeMismatch):
             bigru_backward(np.zeros((3, 4)), cache, p, p)
         _, cache = bigru_forward(np.zeros((2, 3)), [1, 1], p, p)
-        assert cache is None  # only a one-sequence forward is backpropagated
+        assert cache is None  # only a training chunk keeps its step stacks
+        _, cache = bigru_forward(np.zeros((2, 3)), [1, 1], p, p, keep_cache=True)
+        assert cache.H.shape == (2, 2, 2)
 
     def test_backward_zero_gradient(self):
         p = random_gru(3, 2, seed=5)
-        X = np.ones((3, 3))
-        _, cache = forward_direction(X, p)
-        gX, grads = gru_backward(np.zeros((3, 2)), cache, p)
+        X = np.ones((6, 3))
+        _, cache = bigru_forward(X, [3, 1, 2], p, p, keep_cache=True)
+        gX, g_fwd, g_bwd = bigru_backward(np.zeros((6, 4)), cache, p, p)
         assert np.all(gX == 0.0)
-        for t in grads.tensors().values():
-            assert np.all(t == 0.0)
+        for grads in (g_fwd, g_bwd):
+            for t in grads.tensors().values():
+                assert np.all(t == 0.0)
 
     def test_backward_finite_difference(self):
         rng = np.random.default_rng(6)
@@ -241,7 +244,7 @@ class TestOracle:
         H_ref, steps = oracle.bigru_forward(X, c_fwd, c_bwd)
         gX_ref, gf_ref, gb_ref = oracle.bigru_backward(R, steps, c_fwd, c_bwd)
         p_fwd, p_bwd = oracle.pack(c_fwd), oracle.pack(c_bwd)
-        H, cache = bigru_forward(X, [T], p_fwd, p_bwd)
+        H, cache = bigru_forward(X, [T], p_fwd, p_bwd, keep_cache=True)
         gX, g_fwd, g_bwd = bigru_backward(R, cache, p_fwd, p_bwd)
 
         np.testing.assert_allclose(H, H_ref, rtol=0, atol=ORACLE_ATOL)
@@ -261,7 +264,7 @@ class TestOracle:
         c_fwd, c_bwd = oracle.unpack(p_fwd), oracle.unpack(p_bwd)
         H_ref, steps = oracle.bigru_forward(X, c_fwd, c_bwd)
         gX_ref, gf_ref, _ = oracle.bigru_backward(R, steps, c_fwd, c_bwd)
-        H, cache = bigru_forward(X, [12], p_fwd, p_bwd)
+        H, cache = bigru_forward(X, [12], p_fwd, p_bwd, keep_cache=True)
         gX, g_fwd, _ = bigru_backward(R, cache, p_fwd, p_bwd)
         np.testing.assert_allclose(H, H_ref, rtol=0, atol=ORACLE_ATOL)
         np.testing.assert_allclose(gX, gX_ref, rtol=0, atol=ORACLE_ATOL)
@@ -341,7 +344,7 @@ class TestBigru:
             R = rng.normal(size=(T, 6))
 
             def loss_and_grad():
-                H, cache = bigru_forward(X, [T], p_fwd, p_bwd)
+                H, cache = bigru_forward(X, [T], p_fwd, p_bwd, keep_cache=True)
                 gX, g_fwd, g_bwd = bigru_backward(R, cache, p_fwd, p_bwd)
                 out = {f"fwd/{k}": v for k, v in g_fwd.tensors().items()}
                 out.update({f"bwd/{k}": v for k, v in g_bwd.tensors().items()})
@@ -375,13 +378,13 @@ class TestDenseSoftmax:
         rng = np.random.default_rng(17)
         p = init_dense(5, rng)
         p.b[:] = rng.normal(size=N_CLASSES)
-        c = rng.normal(size=5)
-        R = rng.normal(size=N_CLASSES)
+        c = rng.normal(size=(3, 5))
+        R = rng.normal(size=(3, N_CLASSES))
 
         def loss_and_grad():
             logits = dense_forward(c, p)
             grad_c, gW, gb = dense_backward(R, c, p)
-            return float(logits @ R), {"W": gW, "b": gb, "c": grad_c}
+            return float(np.sum(logits * R)), {"W": gW, "b": gb, "c": grad_c}
 
         assert finite_diff_check(loss_and_grad, {"W": p.W, "b": p.b, "c": c}) < 1e-8
 
@@ -389,6 +392,10 @@ class TestDenseSoftmax:
         p = init_dense(4, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
             dense_forward(np.zeros(5), p)
+        with pytest.raises(ShapeMismatch):
+            dense_backward(np.zeros(N_CLASSES), np.zeros((1, 4)), p)
+        with pytest.raises(ShapeMismatch):
+            dense_backward(np.zeros((2, N_CLASSES)), np.zeros((1, 4)), p)
 
 
 class TestPredictClass:

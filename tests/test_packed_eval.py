@@ -50,7 +50,7 @@ def test_packed_bigru_matches_per_gate_oracle(lengths):
     c_fwd, c_bwd = gru_oracle.random_cell(7, 5, seed=1), gru_oracle.random_cell(7, 5, seed=2)
     X = rng.normal(size=(sum(lengths), 7))
     H, cache = bigru_forward(X, lengths, gru_oracle.pack(c_fwd), gru_oracle.pack(c_bwd))
-    assert H.shape == (sum(lengths), 10) and (cache is None) == (len(lengths) > 1)
+    assert H.shape == (sum(lengths), 10) and cache is None  # an eval forward keeps no step stacks
     start = 0
     for n in lengths:
         expected, _ = gru_oracle.bigru_forward(X[start : start + n], c_fwd, c_bwd)
@@ -63,14 +63,14 @@ def test_forward_probabilities_match_per_example_oracle(lengths):
     cfg, params = paper_model(seed=3)
     sequences = random_sequences(lengths, 60, seed=4)
     probs, cache = forward_full(sequences, params, cfg)
-    assert probs.shape == (len(lengths), 6) and (cache is None) == (len(lengths) > 1)
+    assert probs.shape == (len(lengths), 6) and cache is None
     for row, ids in zip(probs, sequences):
         np.testing.assert_allclose(row, eval_oracle.forward_probs(ids, params, cfg), rtol=0, atol=ORACLE_ATOL)
 
 
 def test_chunks_respect_both_bounds():
     lengths = [30, 1, 40, 17, 300, 5] * 4 + [1] * 200 + [EVAL_CHUNK_TOKENS + 10]
-    chunks = training._eval_chunks(lengths)
+    chunks = training._chunks(lengths, EVAL_CHUNK_TOKENS)
     assert sorted(i for chunk in chunks for i in chunk) == list(range(len(lengths)))
     for chunk in chunks:
         sizes = [lengths[i] for i in chunk]
@@ -79,8 +79,9 @@ def test_chunks_respect_both_bounds():
             assert sum(sizes) <= EVAL_CHUNK_TOKENS
             assert len(sizes) * max(sizes) <= 2 * EVAL_CHUNK_TOKENS
     assert [EVAL_CHUNK_TOKENS + 10] in [[lengths[i] for i in chunk] for chunk in chunks]
-    assert training._eval_chunks([256, 256]) == [[0, 1]]  # exactly at the cap
-    assert training._eval_chunks([256, 1, 256]) == [[1, 0], [2]]
+    assert training._chunks([256, 256], EVAL_CHUNK_TOKENS) == [[0, 1]]  # exactly at the cap
+    assert training._chunks([256, 1, 256], EVAL_CHUNK_TOKENS) == [[1, 0], [2]]
+    assert training._chunks([12, 30, 40, 12, 65], 64) == [[0, 3, 1], [2], [4]]
 
 
 def test_predict_dataset_matches_per_example_labels_in_input_order(monkeypatch):
@@ -126,3 +127,27 @@ def test_benchmark_tracer_hooks_fit_the_eval_path():
     assert stats["capsule.capsule_layer"]["tokens"] == 14
     assert stats["training.predict_dataset"]["calls"] == 1
     assert training.bigru_forward is bigru_forward  # removed again
+
+
+def test_benchmark_tracer_hooks_fit_the_training_path():
+    """The same tracer over a toy `train` run with mixed lengths: the
+    backward hooks count each chunk's packed rows, so every epoch counts
+    every training token once."""
+    spans = _load_spans()
+    cfg = TrainConfig(embed_dim=12, hidden_dim=6, num_capsules=3, capsule_dim=4, routing_iters=2,
+                      batch_size=8, max_epochs=2, patience=2, seed=10)
+    table = np.random.default_rng(11).uniform(-0.5, 0.5, size=(40, cfg.embed_dim))
+    params = init_model(cfg, EmbeddingTable(weights=table))
+    lengths = [1, 12, 3, 70, 9, 5, 30, 2, 14, 7]
+    labels = np.random.default_rng(12).integers(0, 6, size=len(lengths)).tolist()
+    train_set = list(zip(random_sequences(lengths, 40, seed=13), labels))
+    with spans.Tracer() as tracer:
+        assert tracer.missing == []
+        training.train(train_set, train_set[:4], params, cfg)
+    stats = tracer.summary()
+    assert tracer.hook_errors == 0
+    tokens = cfg.max_epochs * sum(lengths)
+    assert stats["nn.bigru_backward"]["tokens"] == tokens
+    assert stats["capsule.capsule_layer_backward"]["tokens"] == tokens
+    assert stats["training.backward_full"]["calls"] < cfg.max_epochs * len(lengths)  # chunks, not examples
+    assert stats["training.adam_step"]["calls"] == cfg.max_epochs * 2

@@ -1,0 +1,182 @@
+"""Chunked training against the per-example oracle (`train_oracle`), the
+chunk backward against finite differences, and the chunk memory cap."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import emocaps.training as training
+import gru_oracle
+import train_oracle
+from emocaps.embeddings import EmbeddingTable
+from emocaps.nn import N_CLASSES, bigru_backward, bigru_forward
+from emocaps.training import TRAIN_CHUNK_TOKENS, TrainConfig, init_model, train
+from gradcheck import chunk_loss_and_grads, finite_diff_check
+
+# A chunk sums its examples' gradients in other orders (matmuls over all
+# its rows) than the per-example backward; in float64 they must agree to
+# this absolute tolerance.
+ORACLE_ATOL = 1e-10
+
+# Lengths 1 to past the chunk cap: in a batch of 7 or 16, the short tweets
+# share chunks and the 70-token one runs alone.
+LENGTHS = [1, 3, 12, 2, 70, 9, 5, 1, 20, 33, 4, 12, 7, 1, 15, 6, 64, 2, 11, 8, 3, 27, 10, 5]
+
+
+def tiny_config(**overrides):
+    base = dict(
+        embed_dim=8, hidden_dim=4, num_capsules=3, capsule_dim=2, routing_iters=3,
+        spatial_dropout=0.2, capsule_dropout=0.2, noise_std=0.05,
+        clip_norm=0.5, learning_rate=0.01, max_epochs=3, seed=5,
+    )
+    base.update(overrides)
+    return TrainConfig(**base)
+
+
+def examples(lengths, vocab: int, seed):
+    rng = np.random.default_rng(seed)
+    return [(rng.integers(1, vocab, size=n).tolist(), int(rng.integers(N_CLASSES))) for n in lengths]
+
+
+def start_table(cfg, vocab: int, seed):
+    table = np.random.default_rng(seed).uniform(-0.3, 0.3, size=(vocab, cfg.embed_dim))
+    table[0] = 0.0
+    return table
+
+
+def record_training_chunks(monkeypatch) -> list:
+    """Patches `forward_full` to record the lengths of every training
+    chunk it runs; returns the list it appends to."""
+    chunks = []
+    forward = training.forward_full
+
+    def recording_forward(sequences, *args, **kwargs):
+        if kwargs.get("rngs") is not None:
+            chunks.append([len(ids) for ids in sequences])
+        return forward(sequences, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_full", recording_forward)
+    return chunks
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 16])
+def test_train_matches_per_example_oracle(batch_size, monkeypatch):
+    vocab = 40
+    cfg = tiny_config(batch_size=batch_size)
+    train_set = examples(LENGTHS, vocab, seed=[batch_size, 1])
+    dev_set = examples([4, 1, 9, 66, 3, 12], vocab, seed=[batch_size, 2])
+    table = start_table(cfg, vocab, seed=[batch_size, 3])
+    chunks = record_training_chunks(monkeypatch)
+    chunked, history = train(train_set, dev_set, init_model(cfg, EmbeddingTable(table.copy())), cfg)
+    monkeypatch.undo()
+    oracle, oracle_history, _ = train_oracle.dense_train(
+        train_set, dev_set, init_model(cfg, EmbeddingTable(table.copy())), cfg
+    )
+
+    assert len(history) == len(oracle_history) == cfg.max_epochs
+    for row, expected in zip(history, oracle_history):
+        assert row["dev_macro_f1"] == expected["dev_macro_f1"]
+        assert abs(row["train_loss"] - expected["train_loss"]) <= ORACLE_ATOL
+    for name, t in chunked.tensors().items():
+        np.testing.assert_allclose(t, oracle.tensors()[name], rtol=0, atol=ORACLE_ATOL, err_msg=name)
+    assert sum(len(c) for c in chunks) == cfg.max_epochs * len(train_set)
+    for chunk in chunks:
+        assert chunk == sorted(chunk)
+        assert len(chunk) == 1 or sum(chunk) <= TRAIN_CHUNK_TOKENS
+    assert [70] in chunks
+    if batch_size > 1:
+        assert max(len(c) for c in chunks) > 2  # the check is not vacuous
+
+
+def test_chunk_backward_finite_difference():
+    """Every tensor's gradient of the summed loss of a 3-sequence chunk, with
+    every regularizer drawing (fixed) masks and noise."""
+    vocab = 12
+    cfg = tiny_config()
+    params = init_model(cfg, EmbeddingTable(start_table(cfg, vocab, seed=7)))
+    rng = np.random.default_rng(8)
+    for gru in (params.gru_fwd, params.gru_bwd):
+        gru.b[:] = rng.normal(scale=0.3, size=gru.b.shape)
+    sequences = [ids for ids, _ in examples([4, 1, 7], vocab, seed=9)]
+
+    def loss_and_grad():
+        return chunk_loss_and_grads(sequences, [2, 0, 5], params, cfg)
+
+    _, grads = loss_and_grad()
+    assert np.any(grads["embedding/W_e"].values != 0.0)
+    assert finite_diff_check(loss_and_grad, params.tensors()) < 1e-6
+
+
+def test_chunk_bigru_backward_matches_each_sequence_alone():
+    """The packed backward over a chunk equals the per-sequence fused
+    backward (`train_oracle`) and the per-gate one (`gru_oracle`), row by
+    row for grad_X and summed for the weights."""
+    lengths = [4, 1, 7, 7, 2]
+    rng = np.random.default_rng(10)
+    c_fwd, c_bwd = gru_oracle.random_cell(6, 5, seed=11), gru_oracle.random_cell(6, 5, seed=12)
+    p_fwd, p_bwd = gru_oracle.pack(c_fwd), gru_oracle.pack(c_bwd)
+    X = rng.normal(size=(sum(lengths), 6))
+    R = rng.normal(size=(sum(lengths), 10))
+    _, cache = bigru_forward(X, lengths, p_fwd, p_bwd, keep_cache=True)
+    gX, g_fwd, g_bwd = bigru_backward(R, cache, p_fwd, p_bwd)
+
+    sums = [{k: np.zeros_like(t) for k, t in p.tensors().items()} for p in (p_fwd, p_bwd)]
+    start = 0
+    for n in lengths:
+        rows = slice(start, start + n)
+        _, one = bigru_forward(X[rows], [n], p_fwd, p_bwd, keep_cache=True)
+        gX_one, *grads = train_oracle.bigru_backward(R[rows], one, p_fwd, p_bwd)
+        np.testing.assert_allclose(gX[rows], gX_one, rtol=0, atol=ORACLE_ATOL)
+        _, steps = gru_oracle.bigru_forward(X[rows], c_fwd, c_bwd)
+        gX_gate, *_ = gru_oracle.bigru_backward(R[rows], steps, c_fwd, c_bwd)
+        np.testing.assert_allclose(gX[rows], gX_gate, rtol=0, atol=ORACLE_ATOL)
+        for total, g in zip(sums, grads):
+            for k, t in g.tensors().items():
+                total[k] += t
+        start += n
+    for total, g in zip(sums, (g_fwd, g_bwd)):
+        for k, t in g.tensors().items():
+            np.testing.assert_allclose(t, total[k], rtol=0, atol=ORACLE_ATOL, err_msg=k)
+
+
+def test_long_sequence_runs_alone():
+    lengths = [12, TRAIN_CHUNK_TOKENS + 1, 12, 30, TRAIN_CHUNK_TOKENS, 1]
+    chunks = training._chunks(lengths, TRAIN_CHUNK_TOKENS)
+    assert [[lengths[i] for i in chunk] for chunk in chunks] == [
+        [1, 12, 12, 30], [TRAIN_CHUNK_TOKENS], [TRAIN_CHUNK_TOKENS + 1]
+    ]
+
+
+def _peak_training_bytes(lengths, monkeypatch) -> tuple[int, list]:
+    """Peak traced allocation of one epoch of one batch at paper dims, and
+    the chunks it ran. Every run uses the same 48 ids and dev tweet, so the
+    Adam moments and the dev pass are the same size in each."""
+    cfg = TrainConfig(batch_size=16, max_epochs=1, seed=1)
+    ids = np.arange(sum(lengths)) % 48 + 2
+    bounds = np.cumsum([0] + lengths)
+    train_set = [(ids[a:b].tolist(), 1) for a, b in zip(bounds[:-1], bounds[1:])]
+    table = np.random.default_rng(2).uniform(-0.05, 0.05, size=(50, cfg.embed_dim))
+    params = init_model(cfg, EmbeddingTable(table))
+    with monkeypatch.context() as patch:
+        chunks = record_training_chunks(patch)
+        tracemalloc.start()
+        try:
+            train(train_set, [(list(range(2, 8)), 0)], params, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return peak, chunks
+
+
+def test_chunk_memory_stays_under_one_long_tweet(monkeypatch):
+    """A batch of sixteen 12-token tweets packs into chunks of at most
+    TRAIN_CHUNK_TOKENS = 64 tokens, so its peak stays near that of a batch
+    of one 64-token tweet. Run as one chunk, the sixteen peak at about 1.45 times
+    the long tweet: their 192 tokens' caches are held at once."""
+    _peak_training_bytes([3], monkeypatch)  # one-time allocations out of the way
+    long_peak, long_chunks = _peak_training_bytes([64], monkeypatch)
+    short_peak, short_chunks = _peak_training_bytes([12] * 16, monkeypatch)
+    assert long_chunks == [[64]]
+    assert sorted(map(len, short_chunks)) == [1, 5, 5, 5]
+    assert short_peak < 1.25 * long_peak, (short_peak, long_peak)

@@ -25,7 +25,6 @@ from emocaps.training import (
     cross_entropy_loss,
     dataset_macro_f1,
     dropout,
-    example_loss_and_grads,
     forward_full,
     gaussian_noise,
     init_adam,
@@ -33,7 +32,7 @@ from emocaps.training import (
     spatial_dropout,
     train,
 )
-from gradcheck import finite_diff_check
+from gradcheck import chunk_loss_and_grads, finite_diff_check
 from train_oracle import dense_adam, dense_clip, dense_train
 
 
@@ -67,36 +66,37 @@ def encode_examples(examples, vocab):
 
 class TestCrossEntropy:
     def test_certain_prediction_zero_loss(self):
-        f = np.zeros(N_CLASSES)
-        f[2] = 1.0
-        loss, _ = cross_entropy_loss(f, 2)
+        f = np.zeros((1, N_CLASSES))
+        f[0, 2] = 1.0
+        (loss,), _ = cross_entropy_loss(f, [2])
         assert loss == 0.0
 
     def test_uniform_gives_log_six(self):
-        loss, _ = cross_entropy_loss(np.full(N_CLASSES, 1 / 6), 3)
-        assert abs(loss - math.log(6)) < 1e-12
+        losses, _ = cross_entropy_loss(np.full((2, N_CLASSES), 1 / 6), [3, 0])
+        assert np.all(np.abs(losses - math.log(6)) < 1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        y = rng.normal(scale=2, size=N_CLASSES)
-        gold = 4
+        y = rng.normal(scale=2, size=(3, N_CLASSES))
+        golds = [4, 0, 4]
 
         def loss_and_grad():
-            f = softmax(y)
-            loss, grad_logits = cross_entropy_loss(f, gold)
-            return loss, {"y": grad_logits}
+            losses, grad_logits = cross_entropy_loss(softmax(y), golds)
+            return float(losses.sum()), {"y": grad_logits}
 
         assert finite_diff_check(loss_and_grad, {"y": y}) < 1e-6
 
     def test_clamps_vanishing_probability(self):
-        f = np.zeros(N_CLASSES)
-        f[0] = 1.0
-        loss, _ = cross_entropy_loss(f, 5)  # f_gold is exactly 0
+        f = np.zeros((1, N_CLASSES))
+        f[0, 0] = 1.0
+        (loss,), _ = cross_entropy_loss(f, [5])  # f_gold is exactly 0
         assert loss == pytest.approx(-math.log(1e-12))
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
-            cross_entropy_loss(np.full(N_CLASSES, 1 / 6), 6)
+            cross_entropy_loss(np.full((2, N_CLASSES), 1 / 6), [0, 6])
+        with pytest.raises(ShapeMismatch):
+            cross_entropy_loss(np.full((2, N_CLASSES), 1 / 6), [0])
 
 
 class TestClipGradients:
@@ -341,9 +341,9 @@ class TestForwardFull:
         )
         vocab, params = tiny_model(cfg)
         ids = vocab.encode(["alpha", "beta"])
-        probs, cache = forward_full([ids], params, cfg)
-        assert cache.bigru.fwd.X.shape == (2, 300)
-        assert cache.bigru.bwd.rz.shape == (2, 256)
+        probs, cache = forward_full([ids], params, cfg, rngs=[np.random.default_rng(0)])
+        assert cache.bigru.X.shape == (2, 300)
+        assert cache.bigru.rz.shape == (2, 2, 256)
         assert cache.capsule.H.shape == (2, 256)
         assert cache.c.shape == (1, 512)
         assert probs.shape == (1, 6)
@@ -366,9 +366,9 @@ class TestForwardFull:
         cfg = tiny_config(spatial_dropout=0.3, capsule_dropout=0.25, noise_std=0.1)
         vocab, params = tiny_model(cfg)
         ids = vocab.encode(["alpha", "beta"])
-        a, _ = forward_full([ids], params, cfg, rng=np.random.default_rng(9))
-        b, _ = forward_full([ids], params, cfg, rng=np.random.default_rng(9))
-        c, _ = forward_full([ids], params, cfg, rng=np.random.default_rng(10))
+        a, _ = forward_full([ids], params, cfg, rngs=[np.random.default_rng(9)])
+        b, _ = forward_full([ids], params, cfg, rngs=[np.random.default_rng(9)])
+        c, _ = forward_full([ids], params, cfg, rngs=[np.random.default_rng(10)])
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -380,12 +380,19 @@ class TestForwardFull:
         with pytest.raises(EmptySequence):
             forward_full([[1], []], params, cfg)
 
-    def test_training_pass_runs_one_sequence(self):
+    def test_training_pass_needs_one_stream_per_sequence(self):
         cfg = tiny_config()
         vocab, params = tiny_model(cfg)
         ids = vocab.encode(["alpha"])
-        with pytest.raises(ValueError, match="one sequence"):
-            forward_full([ids, ids], params, cfg, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="one random stream per sequence"):
+            forward_full([ids, ids], params, cfg, rngs=[np.random.default_rng(0)])
+
+    def test_eval_pass_keeps_no_caches(self):
+        cfg = tiny_config()
+        vocab, params = tiny_model(cfg)
+        ids = vocab.encode(["alpha", "beta"])
+        assert forward_full([ids], params, cfg)[1] is None
+        assert forward_full([ids, ids], params, cfg)[1] is None
 
     def test_predict_dataset_names_empty_sequence_before_any_pass(self, monkeypatch):
         cfg = tiny_config()
@@ -405,12 +412,12 @@ class TestForwardFull:
         with pytest.raises(TypeError):
             forward_full([ids], params, cfg, "eval")
         with pytest.raises(TypeError):
-            example_loss_and_grads(ids, 1, params, cfg, "train", np.random.default_rng(0))
+            forward_full([ids], params, cfg, [np.random.default_rng(0)])
 
     def test_second_noise_lands_on_capsule_output(self):
         cfg = tiny_config(noise_std=0.5)
         vocab, params = tiny_model(cfg)
-        probs, cache = forward_full([vocab.encode(["alpha"])], params, cfg, rng=np.random.default_rng(11))
+        probs, cache = forward_full([vocab.encode(["alpha"])], params, cfg, rngs=[np.random.default_rng(11)])
         flat = cache.capsule.state.outputs[-1].reshape(1, -1)
         assert not np.array_equal(cache.c, flat)
         np.testing.assert_array_equal(probs, softmax(dense_forward(cache.c, params.dense)))
@@ -420,9 +427,9 @@ class TestForwardFull:
         cfg = tiny_config(spatial_dropout=0.4, capsule_dropout=0.4, noise_std=0.05)
         vocab, params = tiny_model(cfg)
         ids = vocab.encode(["alpha", "beta"])
-        rng = np.random.default_rng(12)
-        probs, cache = forward_full([ids], params, cfg, rng=rng)
-        loss, grad_logits = cross_entropy_loss(probs[0], 1)
+        rngs = [np.random.default_rng(12), np.random.default_rng(13)]
+        probs, cache = forward_full([ids, ids[:1]], params, cfg, rngs=rngs)
+        _, grad_logits = cross_entropy_loss(probs, [1, 4])
         grads = backward_full(grad_logits, cache, params)
         assert set(grads) == set(params.tensors())
         for g in grads.values():
@@ -620,9 +627,26 @@ class TestTrainLoop:
         data[victim] = (ids + [bad], gold)
         before = {k: t.copy() for k, t in params.tensors().items()}
         calls = []
-        monkeypatch.setattr(training, "example_loss_and_grads", lambda *a, **k: calls.append(a))
-        with pytest.raises(IdOutOfRange, match=rf"ids outside \[0, {size}\): \[{bad}\]$"):
+        monkeypatch.setattr(training, "forward_full", lambda *a, **k: calls.append(a))
+        with pytest.raises(IdOutOfRange, match=rf"^train dataset holds ids outside \[0, {size}\): \[{bad}\]$"):
             train(data, data, params, cfg)
+        assert calls == []
+        for k, t in params.tensors().items():
+            np.testing.assert_array_equal(t, before[k])
+
+    def test_out_of_range_dev_id_raises_before_any_step(self, toy_examples, monkeypatch):
+        cfg, vocab, params = toy_setup(toy_examples, batch_size=8)
+        data = encode_examples(toy_examples, vocab)
+        size = len(params.embedding.weights)
+        dev = list(data)
+        ids, gold = dev[3]
+        dev[3] = (ids + [size, -2], gold)
+        before = {k: t.copy() for k, t in params.tensors().items()}
+        calls = []
+        step = training.adam_step
+        monkeypatch.setattr(training, "adam_step", lambda *a: calls.append(a) or step(*a))
+        with pytest.raises(IdOutOfRange, match=rf"^dev dataset holds ids outside \[0, {size}\): \[-2, {size}\]$"):
+            train(data, dev, params, cfg)
         assert calls == []
         for k, t in params.tensors().items():
             np.testing.assert_array_equal(t, before[k])
@@ -647,7 +671,7 @@ class TestTrainLoop:
         ids = vocab.encode(["alpha", "beta", "gamma"])
 
         def loss_and_grad():
-            return example_loss_and_grads(ids, 2, params, cfg)
+            return chunk_loss_and_grads([ids], [2], params, cfg)
 
         rng = np.random.default_rng(13)
         err = finite_diff_check(loss_and_grad, params.tensors(), sample=40, rng=rng)

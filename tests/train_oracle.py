@@ -1,30 +1,111 @@
-"""The dense training loop: the oracle for the row-sparse one in
-`emocaps.training`.
+"""Per-example training with dense embedding gradients: the oracle for the
+chunked, row-sparse loop in `emocaps.training`.
 
-Every update here pays for the whole embedding table, as training first
-did: the per-example embedding gradient is a dense (vocab, dim) array, the
-batch sum adds every row, the padding row is zeroed, clipping sums squares
-over every row and Adam keeps vocabulary-sized moments. The shuffles,
-per-example random streams and early stopping are those of `train`; the
-dev pass runs one tweet at a time (`eval_oracle`), not in packed chunks.
+Every example runs alone, as training first did: a forward pass over its
+one sequence, then a backward pass through each GRU direction on its own
+(`gru_backward`), and the batch sum adds one example's gradients at a time.
+Every update also pays for the whole embedding table: the per-example
+embedding gradient is a dense (vocab, dim) array, the batch sum adds every
+row, the padding row is zeroed, clipping sums squares over every row and
+Adam keeps vocabulary-sized moments. The shuffles, per-example random
+streams and early stopping are those of `train`; the dev pass runs one
+tweet at a time (`eval_oracle`), not in packed chunks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 import eval_oracle
+from emocaps.capsule import CapsuleParams, capsule_layer_backward
+from emocaps.embeddings import EmbeddingTable, embed_backward
 from emocaps.evaluation import confusion, metrics
-from emocaps.training import PAD_ID, example_loss_and_grads
+from emocaps.nn import BigruCache, DenseParams, GruParams
+from emocaps.training import PAD_ID, ModelParams, cross_entropy_loss, forward_full
 from gradcheck import dense
 
 EMBEDDING = "embedding/W_e"
 
 
-def dense_example_grads(ids, gold, params, cfg, rng):
-    loss, grads = example_loss_and_grads(ids, gold, params, cfg, rng=rng)
-    grads[EMBEDDING] = dense(grads[EMBEDDING], len(params.embedding.weights))
-    return loss, grads
+@dataclass
+class GruCache:
+    """One direction's forward stacks of one sequence; row t is step t in
+    processing order."""
+
+    X: np.ndarray  # (T, d) inputs
+    H: np.ndarray  # (T, h) states h_t
+    rz: np.ndarray  # (T, 2h) reset and update gates
+    n: np.ndarray  # (T, h) candidates
+    hh: np.ndarray  # (T, h) the biased recurrent candidate term, gated by r
+
+
+def direction_caches(cache: BigruCache) -> tuple[GruCache, GruCache]:
+    """The forward and backward direction's stacks of a one-sequence chunk,
+    whose packed rows are its steps."""
+    if len(cache.counts) != cache.X.shape[0]:
+        raise ValueError("a per-sequence backward needs a one-sequence chunk")
+    return tuple(
+        GruCache(X=cache.X[cache.index[k]], H=cache.H[k], rz=cache.rz[k], n=cache.n[k], hh=cache.hh[k])
+        for k in range(2)
+    )
+
+
+def gru_backward(grad_H: np.ndarray, c: GruCache, p: GruParams):
+    """Backprop through time for one direction of one sequence; returns
+    (grad_X, grads), grad_X in processing order."""
+    T, d_h = grad_H.shape[0], p.hidden_dim
+    r, z = c.rz[:, :d_h], c.rz[:, d_h:]
+    H_prev = np.zeros_like(c.H)
+    H_prev[1:] = c.H[:-1]
+    dtanh = (1.0 - z) * (1.0 - c.n * c.n)
+    K = np.stack([dtanh * c.hh * r * (1.0 - r), (H_prev - c.n) * z * (1.0 - z), dtanh * r], axis=1)
+    dG = np.empty((T, 3, d_h))
+    dH = np.empty((T, d_h))
+    W_hT = p.W_h.T
+    carry = np.zeros(d_h)
+    for t in range(T - 1, -1, -1):
+        dh = dH[t] = grad_H[t] + carry
+        dg = dG[t] = dh * K[t]
+        carry = dh * z[t] + dg.reshape(-1) @ W_hT
+    dG = dG.reshape(T, 3 * d_h)
+    dA = dG.copy()
+    dA[:, 2 * d_h :] = dH * dtanh
+    grads = GruParams(W_i=c.X.T @ dA, W_h=H_prev.T @ dG, b=np.stack([dA.sum(axis=0), dG.sum(axis=0)]))
+    return dA @ p.W_i.T, grads
+
+
+def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p_fwd: GruParams, p_bwd: GruParams):
+    """Both directions of a one-sequence chunk, one after the other;
+    returns (grad_X, g_fwd, g_bwd)."""
+    d_h = p_fwd.hidden_dim
+    c_fwd, c_bwd = direction_caches(cache)
+    gX_fwd, g_fwd = gru_backward(grad_H[:, :d_h], c_fwd, p_fwd)
+    gX_bwd, g_bwd = gru_backward(grad_H[::-1, d_h:], c_bwd, p_bwd)
+    return gX_fwd + gX_bwd[::-1], g_fwd, g_bwd
+
+
+def example_loss_and_grads(ids, gold, params, cfg, rng):
+    """Loss and dense gradients of one example, backpropagated on its own."""
+    probs, cache = forward_full([ids], params, cfg, rngs=[rng])
+    (loss,), grad_logits = cross_entropy_loss(probs, [gold])
+    grad_c = grad_logits[0] @ params.dense.W.T
+    if cache.drop_mask is not None:
+        grad_c = grad_c * cache.drop_mask[0]
+    grad_H, gW_caps = capsule_layer_backward(grad_c[None], cache.capsule, params.capsule)
+    grad_X, g_fwd, g_bwd = bigru_backward(grad_H, cache.bigru, params.gru_fwd, params.gru_bwd)
+    if cache.spatial_mask is not None:
+        grad_X = grad_X * cache.spatial_mask
+    vocab_size = len(params.embedding.weights)
+    grads = ModelParams(
+        embedding=EmbeddingTable(weights=dense(embed_backward(cache.ids, grad_X, vocab_size), vocab_size)),
+        gru_fwd=g_fwd,
+        gru_bwd=g_bwd,
+        capsule=CapsuleParams(W=gW_caps),
+        dense=DenseParams(W=np.outer(cache.c[0], grad_logits[0]), b=grad_logits[0].copy()),
+    ).tensors()
+    return float(loss), grads
 
 
 def dense_clip(grads: dict, clip_norm: float) -> float:
@@ -72,7 +153,7 @@ def dense_train(train_set, dev_set, params, cfg):
             for offset, index in enumerate(batch):
                 rng = np.random.default_rng([cfg.seed, 2, epoch, start + offset])
                 ids, gold = train_set[index]
-                loss, grads = dense_example_grads(ids, gold, params, cfg, rng)
+                loss, grads = example_loss_and_grads(ids, gold, params, cfg, rng)
                 for k in sums:
                     sums[k] += grads[k]
                 losses.append(loss)
