@@ -35,17 +35,17 @@ def save_checkpoint(
     """Write stem.json + stem.bin; tensor order follows the dict order.
     `vocab_sha256`, when given, is stored under the manifest key of that name.
 
-    Both files are written to `.tmp` siblings first and then renamed into
-    place, payload first and manifest last, so a failed write leaves the
-    previous pair untouched and no temporary files behind.
+    Each tensor is written to the payload in turn, with no copy of it
+    when it is already contiguous and little-endian. Both files are
+    written to `.tmp` siblings first and then renamed into place, payload
+    first and manifest last, so a failed write leaves the previous pair
+    untouched and no temporary files behind.
     """
-    entries = []
-    chunks = []
-    for name, t in tensors.items():
-        t = np.asarray(t)
-        le = t.dtype.newbyteorder("<")
-        entries.append({"name": name, "shape": list(t.shape), "dtype": le.str})
-        chunks.append(np.ascontiguousarray(t, dtype=le).tobytes())
+    tensors = {name: np.asarray(t) for name, t in tensors.items()}
+    entries = [
+        {"name": name, "shape": list(t.shape), "dtype": t.dtype.newbyteorder("<").str}
+        for name, t in tensors.items()
+    ]
     manifest = {
         "version": FORMAT_VERSION,
         "tensors": entries,
@@ -58,7 +58,9 @@ def save_checkpoint(
     tmp_payload = payload.with_name(payload.name + ".tmp")
     tmp_manifest = manifest_path.with_name(manifest_path.name + ".tmp")
     try:
-        tmp_payload.write_bytes(b"".join(chunks))
+        with open(tmp_payload, "wb") as f:
+            for t in tensors.values():
+                f.write(np.ascontiguousarray(t, dtype=t.dtype.newbyteorder("<")))
         tmp_manifest.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         os.replace(tmp_payload, payload)
         os.replace(tmp_manifest, manifest_path)
@@ -89,10 +91,12 @@ def _tensor_layout(entry, index: int, where) -> tuple:
 def load_checkpoint(stem):
     """Read stem.json + stem.bin; returns (tensors, manifest).
 
-    Tensor dict order follows the manifest.  Raises TruncatedFile when the
-    payload is shorter than the manifest describes, MalformedHeader when the
-    manifest is unreadable, malformed or disagrees with the payload size.
-    Every message names the file it is about.
+    Tensor dict order follows the manifest; each tensor is read straight
+    into its own fresh, writable array, so a load holds every tensor once.
+    Raises TruncatedFile when the payload is shorter than the manifest
+    describes, MalformedHeader when the manifest is unreadable, malformed
+    or disagrees with the payload size. Every message names the file it
+    is about.
     """
     manifest_path, payload_path = _manifest_path(stem), _payload_path(stem)
     try:
@@ -106,23 +110,36 @@ def load_checkpoint(stem):
     if not isinstance(manifest.get("tensors"), list):
         raise MalformedHeader(f"{manifest_path}: manifest has no tensor list")
 
-    payload = payload_path.read_bytes()
     tensors: dict[str, np.ndarray] = {}
     offset = 0
-    for index, entry in enumerate(manifest["tensors"]):
-        name, shape, dtype = _tensor_layout(entry, index, manifest_path)
-        count = math.prod(shape)  # a Python int: a huge shape must not wrap
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(payload):
-            raise TruncatedFile(
-                f"{payload_path}: payload ends inside tensor {name!r} "
-                f"(need {offset + nbytes} bytes, have {len(payload)})"
-            )
-        flat = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-        tensors[name] = flat.reshape(shape).copy()
-        offset += nbytes
-    if offset != len(payload):
-        raise MalformedHeader(
-            f"{payload_path}: payload has {len(payload) - offset} trailing bytes beyond the manifest"
-        )
+    with open(payload_path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        for index, entry in enumerate(manifest["tensors"]):
+            name, shape, dtype = _tensor_layout(entry, index, manifest_path)
+            nbytes = math.prod(shape) * dtype.itemsize  # a Python int: a huge shape must not wrap
+            if offset + nbytes > size:
+                raise TruncatedFile(
+                    f"{payload_path}: payload ends inside tensor {name!r} "
+                    f"(need {offset + nbytes} bytes, have {size})"
+                )
+            t = np.empty(shape, dtype)
+            _read_full(f, t, payload_path, name)
+            tensors[name] = t
+            offset += nbytes
+    if offset != size:
+        raise MalformedHeader(f"{payload_path}: payload has {size - offset} trailing bytes beyond the manifest")
     return tensors, manifest
+
+
+def _read_full(f, t: np.ndarray, payload_path, name: str) -> None:
+    """Fill the fresh array t from f, straight into its own memory; a
+    payload that ends early raises TruncatedFile."""
+    buf = t.reshape(-1).view(np.uint8)  # t's bytes, also for a 0-d or empty t
+    done = 0
+    while done < buf.size:
+        n = f.readinto(buf[done:])
+        if not n:
+            raise TruncatedFile(
+                f"{payload_path}: payload ends inside tensor {name!r} (read {done} of {buf.size} bytes)"
+            )
+        done += n

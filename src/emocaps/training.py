@@ -262,32 +262,32 @@ def _adam_update(theta, g, m, v, cfg: TrainConfig, correct1: float, correct2: fl
     theta -= g
 
 
-def gaussian_noise(x: np.ndarray, std: float, rng=None) -> np.ndarray:
-    """Additive zero-mean noise drawn from rng; identity without an rng (the
-    eval pass) or at std 0."""
-    if rng is None or std == 0.0:
+def gaussian_noise(x: np.ndarray, std: float, rng) -> np.ndarray:
+    """Additive zero-mean noise drawn from rng; identity at std 0."""
+    if std == 0.0:
         return x
     return x + rng.normal(0.0, std, size=x.shape)
 
 
-def dropout(x: np.ndarray, rate: float, rng=None):
+def dropout(x: np.ndarray, rate: float, rng):
     """Unit dropout with inverted scaling; returns (output, mask).
 
     The mask already carries the 1/(1-rate) survivor scaling, so the backward
     pass is a plain multiply; mask is None when the op was an identity
-    (no rng, or rate 0).
+    (rate 0).
     """
-    if rng is None or rate == 0.0:
+    if rate == 0.0:
         return x, None
     keep = rng.random(x.shape) >= rate
     mask = keep / (1.0 - rate)
     return x * mask, mask
 
 
-def spatial_dropout(X: np.ndarray, rate: float, rng=None):
+def spatial_dropout(X: np.ndarray, rate: float, rng):
     """Channel dropout: one keep/drop draw per embedding dimension, applied
-    across every timestep; returns (output, broadcastable mask or None)."""
-    if rng is None or rate == 0.0:
+    across every timestep; returns (output, broadcastable mask, or None at
+    rate 0)."""
+    if rate == 0.0:
         return X, None
     keep = rng.random((1, X.shape[1])) >= rate
     mask = keep / (1.0 - rate)
@@ -440,13 +440,15 @@ def dataset_macro_f1(dataset, params: ModelParams, cfg: TrainConfig) -> float:
 
 def _check_dataset(dataset, name: str, vocab_size: int) -> np.ndarray:
     """Sorted unique ids of a train or dev dataset. An empty dataset, a
-    label outside the classes or an id outside [0, vocab_size) raises,
-    naming the dataset."""
+    label outside the classes, an empty example (named by its 0-based
+    index) or an id outside [0, vocab_size) raises, naming the dataset."""
     if len(dataset) == 0:
         raise EmptyDataset(f"{name} dataset is empty")
-    for ids, gold in dataset:
+    for index, (ids, gold) in enumerate(dataset):
         if not 0 <= gold < N_CLASSES:
             raise LabelOutOfRange(f"label {gold} outside 0..{N_CLASSES - 1} in {name} dataset")
+        if len(ids) == 0:
+            raise EmptySequence(f"{name} dataset example {index} is empty: cannot classify an empty token sequence")
     unique = np.unique(np.concatenate([np.asarray(ids, dtype=np.intp) for ids, _ in dataset]))
     bad = unique[(unique < 0) | (unique >= vocab_size)]
     if bad.size:
@@ -468,8 +470,9 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
     consecutive epochs, and restores the best-scoring parameters before
     returning.
 
-    A train or dev id outside the embedding table raises IdOutOfRange
-    before the first step (`_check_dataset`). Every epoch visits every
+    An empty train or dev example raises EmptySequence, and a train or
+    dev id outside the embedding table IdOutOfRange, before the first
+    step (`_check_dataset`). Every epoch visits every
     training example, so the training ids but the padding one are the
     embedding rows Adam updates.
 

@@ -1,10 +1,13 @@
 import json
+import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from emocaps import checkpoint
 from emocaps.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from emocaps.errors import MalformedHeader, TruncatedFile
 
@@ -58,9 +61,10 @@ class TestRoundTrip:
 
     def test_loaded_tensors_are_writable_copies(self, tmp_path):
         stem = tmp_path / "copy"
-        save_checkpoint(stem, {"a": np.zeros(3)}, {}, seed=0)
+        save_checkpoint(stem, {"a": np.zeros(3), **sample_tensors()}, {}, seed=0)
         loaded, _ = load_checkpoint(stem)
         loaded["a"][0] = 1.0  # must not raise
+        assert all(t.flags.writeable and t.flags.owndata for t in loaded.values())
 
 
 class TestCorruption:
@@ -157,21 +161,55 @@ class TestCorruption:
             load_checkpoint(stem)
 
 
+class FailsAfterFirstWrite:
+    """A payload file whose second write fails, as on a full disk: the
+    first tensor's bytes reach the file, the rest do not."""
+
+    def __init__(self, path, mode):
+        self.f = open(path, mode)
+        self.on_disk_at_failure = None
+
+    def write(self, data):
+        if self.on_disk_at_failure is None:
+            self.f.flush()
+            if self.f.tell():
+                self.on_disk_at_failure = os.path.getsize(self.f.name)
+                raise OSError("no space left on device")
+        return self.f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
 class TestAtomicWrite:
-    @pytest.mark.parametrize("failing", ["write_bytes", "write_text"])
+    @pytest.mark.parametrize("failing", ["payload", "write_text"])
     def test_failed_write_keeps_previous_pair(self, tmp_path, monkeypatch, failing):
         stem = tmp_path / "model"
         save_checkpoint(stem, sample_tensors(), {"k": 1}, seed=1)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
+        payloads = []
+
+        def open_payload(path, mode):
+            payloads.append(FailsAfterFirstWrite(path, mode))
+            return payloads[-1]
+
         def disk_full(self, data, *args, **kwargs):
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(Path, failing, disk_full)
+        if failing == "payload":
+            monkeypatch.setattr(checkpoint, "open", open_payload, raising=False)
+        else:
+            monkeypatch.setattr(Path, failing, disk_full)
         with pytest.raises(OSError):
-            save_checkpoint(stem, {"other": np.ones(3)}, {"k": 2}, seed=2)
+            save_checkpoint(stem, {"other": np.ones(3), "more": np.zeros(2)}, {"k": 2}, seed=2)
         monkeypatch.undo()
 
+        if failing == "payload":  # the save failed with a partial .tmp payload on disk
+            assert [p.on_disk_at_failure for p in payloads] == [3 * 8]
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         loaded, manifest = load_checkpoint(stem)
         assert list(loaded) == list(sample_tensors()) and manifest["seed"] == 1
@@ -183,3 +221,116 @@ class TestAtomicWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.json"]
         loaded, manifest = load_checkpoint(stem)
         assert list(loaded) == ["other"] and manifest["seed"] == 2
+
+
+def whole_payload_load(stem):
+    """The loader before streaming, as an oracle for valid files: read the
+    whole payload into bytes and copy each tensor out of it."""
+    manifest = json.loads(Path(str(stem) + ".json").read_text())
+    payload = Path(str(stem) + ".bin").read_bytes()
+    tensors, offset = {}, 0
+    for entry in manifest["tensors"]:
+        dtype, shape = np.dtype(entry["dtype"]), tuple(entry["shape"])
+        count = int(np.prod(shape, dtype=np.int64))
+        tensors[entry["name"]] = np.frombuffer(payload, dtype, count, offset).reshape(shape).copy()
+        offset += count * dtype.itemsize
+    return tensors
+
+
+class Trickle:
+    """A payload file whose readinto returns at most `step` bytes a call,
+    and nothing once `limit` bytes are read, as when the file is cut
+    after its size was taken."""
+
+    def __init__(self, path, mode, step, limit):
+        self.f = open(path, mode)
+        self.step, self.left = step, limit
+
+    def fileno(self):
+        return self.f.fileno()
+
+    def readinto(self, buf):
+        n = self.f.readinto(buf[: min(len(buf), self.step, self.left)])
+        self.left -= n
+        return n
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+class TestStreamingLoad:
+    def assert_matches_whole_payload_load(self, stem):
+        loaded, _ = load_checkpoint(stem)
+        expected = whole_payload_load(stem)
+        assert list(loaded) == list(expected)
+        for name, t in expected.items():
+            assert loaded[name].dtype == t.dtype and loaded[name].shape == t.shape
+            np.testing.assert_array_equal(loaded[name], t)
+        return loaded
+
+    @pytest.mark.parametrize("tensor", [np.zeros((0, 3)), np.float64(2.5)], ids=["zero-size", "0-d"])
+    def test_edge_shapes_round_trip(self, tmp_path, tensor):
+        tensors = {"before": np.arange(3.0), "edge": np.asarray(tensor), "after": np.float32([7.0])}
+        save_checkpoint(tmp_path / "m", tensors, {}, seed=0)
+        loaded = self.assert_matches_whole_payload_load(tmp_path / "m")
+        for name, t in tensors.items():
+            assert loaded[name].shape == t.shape
+            np.testing.assert_array_equal(loaded[name], t)
+
+    def test_big_endian_manifest_entry(self, tmp_path):
+        stem = tmp_path / "m"
+        save_checkpoint(stem, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2)}, {}, seed=0)
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        manifest["tensors"][0]["dtype"] = ">f8"
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        loaded = self.assert_matches_whole_payload_load(stem)
+        assert loaded["a"].dtype == np.dtype(">f8")
+        np.testing.assert_array_equal(loaded["a"].view("<f8"), np.arange(6.0).reshape(2, 3))
+
+    def test_short_reads_are_resumed(self, tmp_path, monkeypatch):
+        save_checkpoint(tmp_path / "m", sample_tensors(), {}, seed=0)
+        monkeypatch.setattr(checkpoint, "open", lambda path, mode: Trickle(path, mode, 5, 1 << 30), raising=False)
+        loaded, _ = load_checkpoint(tmp_path / "m")
+        monkeypatch.undo()
+        for name, t in sample_tensors().items():
+            np.testing.assert_array_equal(loaded[name], t)
+
+    def test_payload_cut_while_read(self, tmp_path, monkeypatch):
+        stem = tmp_path / "m"
+        save_checkpoint(stem, sample_tensors(), {}, seed=0)
+        first = 7 * 5 * 8  # embedding/W_e, then dense/b comes back short
+        monkeypatch.setattr(
+            checkpoint, "open", lambda path, mode: Trickle(path, mode, 1 << 30, first + 5), raising=False
+        )
+        says = f"{tmp_path / 'm.bin'}: payload ends inside tensor 'dense/b' (read 5 of 24 bytes)"
+        with pytest.raises(TruncatedFile, match="^" + re.escape(says)):
+            load_checkpoint(stem)
+
+
+class TestMemory:
+    """Peak memory traced while a 5000x300 float64 table (12 MB) goes
+    through a checkpoint, as a multiple of the payload size."""
+
+    TABLE = (5000, 300)
+
+    def traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_holds_each_tensor_once(self, tmp_path):
+        stem = tmp_path / "big"
+        save_checkpoint(stem, {"embedding/W_e": np.ones(self.TABLE)}, {}, seed=0)
+        payload = (tmp_path / "big.bin").stat().st_size
+        assert self.traced_peak(lambda: load_checkpoint(stem)) <= 1.1 * payload
+
+    def test_save_streams_without_copies(self, tmp_path):
+        table = np.ones(self.TABLE)
+        peak = self.traced_peak(lambda: save_checkpoint(tmp_path / "big", {"embedding/W_e": table}, {}, seed=0))
+        assert peak <= 0.1 * table.nbytes

@@ -288,7 +288,6 @@ class TestAdam:
 class TestRegularizers:
     def test_noise_eval_and_zero_std_are_identity(self):
         x = np.ones(5)
-        assert gaussian_noise(x, 0.1) is x
         assert gaussian_noise(x, 0.0, np.random.default_rng(0)) is x
 
     def test_noise_sample_statistics(self):
@@ -301,8 +300,8 @@ class TestRegularizers:
         x = np.ones(6)
         out, mask = dropout(x, 0.0, np.random.default_rng(0))
         assert out is x and mask is None
-        out, mask = dropout(x, 0.5)
-        assert out is x and mask is None
+        out, mask = spatial_dropout(x.reshape(2, 3), 0.0, np.random.default_rng(0))
+        assert np.shares_memory(out, x) and mask is None
 
     def test_dropout_mask_values(self):
         rng = np.random.default_rng(3)
@@ -646,6 +645,25 @@ class TestTrainLoop:
         step = training.adam_step
         monkeypatch.setattr(training, "adam_step", lambda *a: calls.append(a) or step(*a))
         with pytest.raises(IdOutOfRange, match=rf"^dev dataset holds ids outside \[0, {size}\): \[-2, {size}\]$"):
+            train(data, dev, params, cfg)
+        assert calls == []
+        for k, t in params.tensors().items():
+            np.testing.assert_array_equal(t, before[k])
+
+    @pytest.mark.parametrize("name", ["train", "dev"])
+    def test_empty_tweet_raises_before_any_step(self, toy_examples, monkeypatch, name):
+        # a training tweet in epoch 0's last batch, so earlier batches would step first
+        cfg, vocab, params = toy_setup(toy_examples, batch_size=8)
+        data = encode_examples(toy_examples, vocab)
+        dev = list(data)
+        victim = np.random.default_rng([cfg.seed, 1, 0]).permutation(len(data))[-1] if name == "train" else 3
+        target = data if name == "train" else dev
+        target[victim] = ([], target[victim][1])
+        before = {k: t.copy() for k, t in params.tensors().items()}
+        calls = []
+        step = training.adam_step
+        monkeypatch.setattr(training, "adam_step", lambda *a: calls.append(a) or step(*a))
+        with pytest.raises(EmptySequence, match=rf"^{name} dataset example {victim} is empty: "):
             train(data, dev, params, cfg)
         assert calls == []
         for k, t in params.tensors().items():
