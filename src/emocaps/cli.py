@@ -226,6 +226,8 @@ def cmd_build_vocab(args) -> int:
 def _load_embedding_payload(stem, vocab: Vocabulary, vocab_path, cfg: TrainConfig) -> EmbeddingTable:
     tensors, manifest = load_checkpoint(stem)
     _check_vocab(manifest, stem, vocab, vocab_path)
+    if "embedding/W_e" not in tensors:
+        raise MalformedHeader(f"{stem}.json: missing tensors: embedding/W_e")
     W = tensors["embedding/W_e"]
     if W.shape[0] != len(vocab):
         raise DimensionMismatch(
@@ -283,7 +285,7 @@ def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
         raise MalformedHeader(f"{checkpoint}.json: hyperparameters are not a JSON object")
     # keys this version does not know (options since retired) are ignored
     cfg = TrainConfig(**_typed_config(hp, f"{checkpoint}.json"))
-    params = ModelParams.from_tensors(tensors)
+    params = ModelParams.from_tensors(tensors, f"{checkpoint}.json")
     if params.embedding.weights.shape[0] != len(vocab):
         raise DimensionMismatch(
             f"checkpoint embeds {params.embedding.weights.shape[0]} words, "

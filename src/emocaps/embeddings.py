@@ -3,7 +3,7 @@ lookup with its backward pass.
 
 The lookup realizes the one-hot matrix product (token-indicator matrix times
 the embedding table) as a row gather; the backward pass scatter-adds output
-gradients into the touched rows and returns only those rows (`RowGrad`).
+gradients into the touched rows and returns only those rows.
 """
 
 from __future__ import annotations
@@ -61,10 +61,12 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         """Read "id<TAB>word" lines with ids 0, 1, 2, ...; blank lines are
-        skipped. A repeated word is an error, as only one of its ids could
-        be reached. Errors name the file and line."""
+        skipped. Ids 0 and 1 must be <pad> and <unk>, which training and
+        encoding rely on. A repeated word is an error, as only one of its
+        ids could be reached. Errors name the file and line."""
         id_to_word = []
         word_to_id = {}
+        lineno = 0
         with open(path, encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.rstrip("\n")
@@ -77,9 +79,13 @@ class Vocabulary:
                     raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {line!r}", lineno) from None
                 if idx != len(id_to_word):
                     raise MalformedHeader(f"{path}:{lineno}: non-contiguous vocabulary id: {line!r}")
+                if idx < 2 and word != RESERVED[idx]:
+                    raise MalformedHeader(f"{path}:{lineno}: id {idx} must be {RESERVED[idx]!r}, got {word!r}")
                 if word_to_id.setdefault(word, idx) != idx:
                     raise MalformedLine(f"{path}:{lineno}: word {word!r} repeats id {word_to_id[word]}", lineno)
                 id_to_word.append(word)
+        if len(id_to_word) < 2:
+            raise MalformedHeader(f"{path}:{lineno + 1}: file ends before id {len(id_to_word)}, {RESERVED[len(id_to_word)]!r}")
         return cls(word_to_id, id_to_word)
 
 
@@ -208,23 +214,15 @@ def embed(ids, table: EmbeddingTable) -> np.ndarray:
     return table.weights[ids]
 
 
-@dataclass
-class RowGrad:
-    """Gradient of a row-indexed table that is zero outside `rows`."""
-
-    rows: np.ndarray  # (k,) sorted unique row ids
-    values: np.ndarray  # (k, dim), the gradient of those rows
-
-
-def embed_backward(ids, grad_output: np.ndarray, vocab_size: int) -> RowGrad:
-    """Scatter-add output gradients into the rows the ids touched (repeats
-    accumulate, in order, so each row's sum is bitwise the one a dense
-    (vocab_size, dim) scatter gives)."""
+def embed_backward(ids, grad_output: np.ndarray, vocab_size: int):
+    """Scatter-add output gradients into the rows the ids touched; returns
+    (rows, values): the sorted unique ids and one gradient row for each.
+    Repeats accumulate in order, so each row's sum is bitwise the one a
+    dense (vocab_size, dim) scatter gives."""
     ids = np.asarray(ids, dtype=np.intp)
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise IdOutOfRange(f"ids must lie in [0, {vocab_size}), got {ids.tolist()}")
     rows, inverse = np.unique(ids, return_inverse=True)
     values = np.zeros((rows.size, grad_output.shape[1]), dtype=grad_output.dtype)
     np.add.at(values, inverse, grad_output)
-    return RowGrad(rows=rows, values=values)
-
+    return rows, values

@@ -1,5 +1,5 @@
 """Training pipeline: cross-entropy loss, Adam, gradient clipping, the
-regularizers (Gaussian noise, dropout, spatial dropout), the end-to-end
+regularizers (Gaussian noise, spatial dropout), the end-to-end
 forward/backward composition, and the epoch loop.
 
 Training runs each batch in length-sorted chunks of at most
@@ -13,18 +13,18 @@ sequences with no padding, and only capsule routing pads each sequence with
 zero rows, which leaves it exact. All randomness is drawn from streams
 keyed by (seed, purpose, epoch, position), which makes runs reproducible.
 
-The embedding gradient covers only the rows that training updates: every
-epoch visits every example, so these are the training set's ids, fixed
-before the first step. Batch sums, clipping and Adam hold one row per id.
-Every other row would take a zero gradient at every step, which dense Adam
-moves by exactly zero, so the results are those of dense Adam over the
-whole table.
+Training updates only the embedding rows of the training set's ids: every
+epoch visits every example, so `train` gathers these rows into a table of
+their own before the first step and trains it as it trains every other
+tensor, with plain dense arrays from the backward pass to Adam. Every other
+row would take a zero gradient at every step, which dense Adam moves by
+exactly zero, so the results are those of dense Adam over the whole table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .errors import (
     EmptySequence,
     IdOutOfRange,
     LabelOutOfRange,
+    MalformedHeader,
     NumericError,
     ShapeMismatch,
 )
@@ -128,17 +129,29 @@ class ModelParams:
         return out
 
     @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "ModelParams":
-        def gru(prefix: str) -> GruParams:
-            return GruParams(**{f.name: tensors[f"{prefix}/{f.name}"] for f in fields(GruParams)})
+    def from_tensors(cls, tensors: dict[str, np.ndarray], where: str = "tensors") -> "ModelParams":
+        """The model held in a name -> array dict. Missing names raise
+        MalformedHeader naming `where` and every missing tensor."""
+        missing = []
 
-        return cls(
-            embedding=EmbeddingTable(weights=tensors["embedding/W_e"]),
+        def get(name: str):
+            if name not in tensors:
+                missing.append(name)
+            return tensors.get(name)
+
+        def gru(prefix: str) -> GruParams:
+            return GruParams(**{f.name: get(f"{prefix}/{f.name}") for f in fields(GruParams)})
+
+        params = cls(
+            embedding=EmbeddingTable(weights=get("embedding/W_e")),
             gru_fwd=gru("gru_fwd"),
             gru_bwd=gru("gru_bwd"),
-            capsule=CapsuleParams(W=tensors["capsule/W"]),
-            dense=DenseParams(W=tensors["dense/W"], b=tensors["dense/b"]),
+            capsule=CapsuleParams(W=get("capsule/W")),
+            dense=DenseParams(W=get("dense/W"), b=get("dense/b")),
         )
+        if missing:
+            raise MalformedHeader(f"{where}: missing tensors: {', '.join(missing)}")
+        return params
 
 
 def init_model(cfg: TrainConfig, embedding: EmbeddingTable) -> ModelParams:
@@ -158,25 +171,19 @@ def init_model(cfg: TrainConfig, embedding: EmbeddingTable) -> ModelParams:
 
 @dataclass
 class AdamState:
-    """Adam moments per tensor name. A tensor named in `rows` (the
-    embedding table) is updated only at those sorted row ids: its moments,
-    and the gradients `adam_step` takes for it, hold one row per id."""
+    """Adam moments per tensor name, each of its tensor's shape."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    rows: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def init_adam(params: ModelParams, rows: np.ndarray) -> AdamState:
-    """Zero moments; the embedding's cover only `rows`, the sorted ids of
-    the table rows that training updates."""
-    state = AdamState(m={}, v={}, rows={"embedding/W_e": rows})
-    for name, t in params.tensors().items():
-        shape = (rows.size,) + t.shape[1:] if name in state.rows else t.shape
-        state.m[name] = np.zeros(shape, dtype=t.dtype)
-        state.v[name] = np.zeros(shape, dtype=t.dtype)
-    return state
+def init_adam(tensors: dict[str, np.ndarray]) -> AdamState:
+    """Zero moments for every tensor of a name -> array dict."""
+    return AdamState(
+        m={name: np.zeros_like(t) for name, t in tensors.items()},
+        v={name: np.zeros_like(t) for name, t in tensors.items()},
+    )
 
 
 def cross_entropy_loss(probs: np.ndarray, golds):
@@ -215,30 +222,18 @@ def clip_gradients(grads: dict, clip_norm: float = 1.0) -> dict:
 
 def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
     """Standard Adam with bias correction over name-keyed tensors; updates
-    tensors and state in place and leaves `grads` alone.
-
-    The gradient of a tensor named in `state.rows` holds those rows only:
-    Adam gathers them, updates them and scatters them back. A gradient of
-    the wrong shape raises ShapeMismatch before anything is updated."""
+    tensors and state in place and leaves `grads` alone. A gradient of the
+    wrong shape raises ShapeMismatch before anything is updated."""
     if set(grads) != set(tensors):
         raise ShapeMismatch("gradient keys do not match parameter keys")
     for name, theta in tensors.items():
-        rows = state.rows.get(name)
-        shape = theta.shape if rows is None else (rows.size,) + theta.shape[1:]
-        if grads[name].shape != shape:
-            raise ShapeMismatch(f"{name}: gradient {grads[name].shape}, expected {shape}")
+        if grads[name].shape != theta.shape:
+            raise ShapeMismatch(f"{name}: gradient {grads[name].shape}, expected {theta.shape}")
     state.t += 1
     correct1 = 1.0 - cfg.beta1 ** state.t
     correct2 = 1.0 - cfg.beta2 ** state.t
     for name, theta in tensors.items():
-        g, m, v = grads[name].copy(), state.m[name], state.v[name]
-        rows = state.rows.get(name)
-        if rows is None:
-            _adam_update(theta, g, m, v, cfg, correct1, correct2)
-        else:
-            updated = theta[rows]
-            _adam_update(updated, g, m, v, cfg, correct1, correct2)
-            theta[rows] = updated
+        _adam_update(theta, grads[name].copy(), state.m[name], state.v[name], cfg, correct1, correct2)
 
 
 def _adam_update(theta, g, m, v, cfg: TrainConfig, correct1: float, correct2: float) -> None:
@@ -269,24 +264,12 @@ def gaussian_noise(x: np.ndarray, std: float, rng) -> np.ndarray:
     return x + rng.normal(0.0, std, size=x.shape)
 
 
-def dropout(x: np.ndarray, rate: float, rng):
-    """Unit dropout with inverted scaling; returns (output, mask).
-
-    The mask already carries the 1/(1-rate) survivor scaling, so the backward
-    pass is a plain multiply; mask is None when the op was an identity
-    (rate 0).
-    """
-    if rate == 0.0:
-        return x, None
-    keep = rng.random(x.shape) >= rate
-    mask = keep / (1.0 - rate)
-    return x * mask, mask
-
-
 def spatial_dropout(X: np.ndarray, rate: float, rng):
-    """Channel dropout: one keep/drop draw per embedding dimension, applied
-    across every timestep; returns (output, broadcastable mask, or None at
-    rate 0)."""
+    """Channel dropout with inverted scaling: one keep/drop draw per column,
+    applied across every row; returns (output, broadcastable (1, columns)
+    mask, or None at rate 0). The mask carries the 1/(1-rate) survivor
+    scaling, so the backward pass is a plain multiply. On a one-row input
+    it is plain unit dropout."""
     if rate == 0.0:
         return X, None
     keep = rng.random((1, X.shape[1])) >= rate
@@ -304,15 +287,15 @@ class ForwardCache:
     c: np.ndarray  # (B, J * d_out) dense input, after dropout and noise
 
 
-def _regularize(rows: np.ndarray, lengths, rngs, drop, rate: float, std: float):
-    """Sequence b's rows through `drop` (dropout or spatial dropout) and
-    then Gaussian noise, both drawn from its own stream rngs[b]; returns
-    (output, the per-row dropout masks or None)."""
+def _regularize(rows: np.ndarray, lengths, rngs, rate: float, std: float):
+    """Sequence b's rows through spatial dropout and then Gaussian noise,
+    both drawn from its own stream rngs[b]; returns (output, the per-row
+    dropout masks or None)."""
     out = np.empty_like(rows)
     masks = []
     start = 0
     for n, rng in zip(lengths, rngs):
-        part, mask = drop(rows[start : start + n], rate, rng)
+        part, mask = spatial_dropout(rows[start : start + n], rate, rng)
         out[start : start + n] = gaussian_noise(part, std, rng)
         masks.append(mask)
         start += n
@@ -346,11 +329,11 @@ def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rngs=None)
     X = embed(ids, params.embedding)
     spatial_mask = drop_mask = None
     if training_pass:
-        X, spatial_mask = _regularize(X, lengths, rngs, spatial_dropout, cfg.spatial_dropout, cfg.noise_std)
+        X, spatial_mask = _regularize(X, lengths, rngs, cfg.spatial_dropout, cfg.noise_std)
     H, bigru_cache = bigru_forward(X, lengths, params.gru_fwd, params.gru_bwd, keep_cache=training_pass)
     c, caps_cache = capsule_layer(H, lengths, params.capsule, cfg.routing_iters)
     if training_pass:
-        c, drop_mask = _regularize(c, [1] * len(c), rngs, dropout, cfg.capsule_dropout, cfg.noise_std)
+        c, drop_mask = _regularize(c, [1] * len(c), rngs, cfg.capsule_dropout, cfg.noise_std)
     probs = softmax(dense_forward(c, params.dense))
     if not training_pass:
         return probs, None
@@ -365,10 +348,11 @@ def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rngs=None)
     return probs, cache
 
 
-def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelParams) -> dict:
-    """Gradients of every trainable tensor given dL/dlogits (B, N_CLASSES)
-    of a training pass, summed over its sequences; keys match
-    ModelParams.tensors(). Additive noise backpropagates as identity."""
+def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelParams, grads: dict) -> None:
+    """Add the gradients of every trainable tensor, given dL/dlogits
+    (B, N_CLASSES) of a training pass and summed over its sequences, into
+    `grads`, one array per ModelParams.tensors() key and of its shape.
+    Additive noise backpropagates as identity."""
     grad_c, gW_dense, gb_dense = dense_backward(grad_logits, cache.c, params.dense)
     if cache.drop_mask is not None:
         grad_c = grad_c * cache.drop_mask
@@ -376,14 +360,14 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
     grad_X, g_fwd, g_bwd = bigru_backward(grad_H, cache.bigru, params.gru_fwd, params.gru_bwd)
     if cache.spatial_mask is not None:
         grad_X = grad_X * cache.spatial_mask
-    gW_e = embed_backward(cache.ids, grad_X, params.embedding.weights.shape[0])
-    return ModelParams(
-        embedding=EmbeddingTable(weights=gW_e),
-        gru_fwd=g_fwd,
-        gru_bwd=g_bwd,
-        capsule=CapsuleParams(W=gW_caps),
-        dense=DenseParams(W=gW_dense, b=gb_dense),
-    ).tensors()
+    rows, values = embed_backward(cache.ids, grad_X, params.embedding.weights.shape[0])
+    grads["embedding/W_e"][rows] += values
+    for prefix, g in (("gru_fwd", g_fwd), ("gru_bwd", g_bwd)):
+        for name, t in g.tensors().items():
+            grads[f"{prefix}/{name}"] += t
+    grads["capsule/W"] += gW_caps
+    grads["dense/W"] += gW_dense
+    grads["dense/b"] += gb_dense
 
 
 # A chunk holds at most this many real tokens, and its zero-padded routing
@@ -464,17 +448,21 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
     shuffled order). A batch runs in length-sorted chunks (`_chunks`,
     TRAIN_CHUNK_TOKENS); its losses stay in batch order. Updates average
     the chunks' gradient sums over the batch, drop the padding row, clip,
-    then apply Adam; a non-finite gradient norm
-    raises NumericError naming the epoch and batch before Adam runs. Stops
-    once the dev score has failed to improve for more than `patience`
-    consecutive epochs, and restores the best-scoring parameters before
-    returning.
+    then apply Adam; a non-finite gradient norm raises NumericError naming
+    the epoch and batch before Adam runs. Stops once the dev score has
+    failed to improve for more than `patience` consecutive epochs, and
+    restores the best-scoring parameters before returning.
 
     An empty train or dev example raises EmptySequence, and a train or
     dev id outside the embedding table IdOutOfRange, before the first
-    step (`_check_dataset`). Every epoch visits every
-    training example, so the training ids but the padding one are the
-    embedding rows Adam updates.
+    step (`_check_dataset`). Every epoch visits every training example,
+    so the rows of the training set's ids are the embedding rows training
+    can move: they are gathered once into a table of their own, the
+    training set is re-encoded to its row indices, and training updates
+    that table, the model's other tensors in place. The trained rows are
+    written back to the model's table before each dev pass and after the
+    best epoch is restored, so a run that raises leaves the table as the
+    last dev pass saw it.
 
     `clock` supplies the per-epoch seconds in the history; the default
     reports 0.0 so histories are byte-stable across machines.
@@ -484,12 +472,18 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
     cfg.validate()
     train_set = list(train_set)
     dev_set = list(dev_set)
-    vocab_size = len(params.embedding.weights)
-    rows = _check_dataset(train_set, "train", vocab_size)
-    _check_dataset(dev_set, "dev", vocab_size)
+    W = params.embedding.weights
+    slots = _check_dataset(train_set, "train", len(W))
+    _check_dataset(dev_set, "dev", len(W))
 
-    tensors = params.tensors()
-    adam = init_adam(params, rows[rows != PAD_ID])
+    trainable = replace(params, embedding=EmbeddingTable(weights=W[slots]))
+    train_set = [(np.searchsorted(slots, ids), gold) for ids, gold in train_set]
+    tensors = trainable.tensors()
+    # a <pad> slot is slot 0; clipping and Adam see the table without it,
+    # which drops its gradient and sums the squares of the rest alone
+    pad = int(slots[0] == PAD_ID)
+    updated = dict(tensors, **{"embedding/W_e": tensors["embedding/W_e"][pad:]})
+    adam = init_adam(updated)
     history: list[dict] = []
     best_f1 = -1.0
     best_tensors = None
@@ -501,20 +495,16 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            sums = {k: np.zeros_like(m) for k, m in adam.m.items()}
+            sums = {k: np.zeros_like(t) for k, t in tensors.items()}
             batch_losses = np.empty(len(batch))
             for chunk in _chunks([len(train_set[index][0]) for index in batch], TRAIN_CHUNK_TOKENS):
                 examples = [train_set[batch[offset]] for offset in chunk]
                 rngs = [np.random.default_rng([cfg.seed, 2, epoch, start + offset]) for offset in chunk]
-                probs, cache = forward_full([ids for ids, _ in examples], params, cfg, rngs=rngs)
+                probs, cache = forward_full([ids for ids, _ in examples], trainable, cfg, rngs=rngs)
                 batch_losses[chunk], grad_logits = cross_entropy_loss(probs, [gold for _, gold in examples])
-                for k, g in backward_full(grad_logits, cache, params).items():
-                    if k in adam.rows:  # a RowGrad: add all its rows but the padding one
-                        keep = g.rows != PAD_ID
-                        sums[k][np.searchsorted(adam.rows[k], g.rows[keep])] += g.values[keep]
-                    else:
-                        sums[k] += g
+                backward_full(grad_logits, cache, trainable, sums)
             losses.extend(batch_losses.tolist())
+            sums["embedding/W_e"] = sums["embedding/W_e"][pad:]
             inv = 1.0 / len(batch)
             for total in sums.values():
                 total *= inv
@@ -522,11 +512,12 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
                 clip_gradients(sums, cfg.clip_norm)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {start // cfg.batch_size}: {exc}") from exc
-            adam_step(tensors, sums, adam, cfg)
+            adam_step(updated, sums, adam, cfg)
 
         train_loss = float(np.mean(losses))
         if not np.isfinite(train_loss):
             raise NumericError(f"training loss diverged at epoch {epoch}")
+        W[slots] = tensors["embedding/W_e"]
         dev_f1 = dataset_macro_f1(dev_set, params, cfg)
         seconds = (clock() - started) if clock is not None else 0.0
         history.append(
@@ -536,7 +527,7 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
         if dev_f1 > best_f1:
             best_f1 = dev_f1
             since_best = 0
-            best_tensors = {k: t[adam.rows.get(k, ...)].copy() for k, t in tensors.items()}
+            best_tensors = {k: t.copy() for k, t in tensors.items()}
         else:
             since_best += 1
             if since_best > cfg.patience:
@@ -544,5 +535,6 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
 
     if best_tensors is not None:
         for name, values in best_tensors.items():
-            tensors[name][adam.rows.get(name, ...)] = values
+            tensors[name][...] = values
+        W[slots] = tensors["embedding/W_e"]
     return params, history

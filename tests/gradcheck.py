@@ -5,16 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from emocaps.embeddings import RowGrad
 from emocaps.training import backward_full, cross_entropy_loss, forward_full
-
-
-def dense(grad: RowGrad, num_rows: int) -> np.ndarray:
-    """The full (num_rows, dim) gradient of a row gradient, zeros outside
-    its rows."""
-    out = np.zeros((num_rows,) + grad.values.shape[1:], dtype=grad.values.dtype)
-    out[grad.rows] = grad.values
-    return out
 
 
 def finite_diff_check(loss_and_grad, params: dict, eps: float = 1e-5, sample=None, rng=None) -> float:
@@ -22,8 +13,7 @@ def finite_diff_check(loss_and_grad, params: dict, eps: float = 1e-5, sample=Non
 
     `loss_and_grad()` evaluates the (deterministic) loss at the current
     parameter values and returns (loss, grads) with grads keyed like
-    `params`; a RowGrad is compared as its dense gradient. Entries are
-    perturbed in place one at a time. Returns the
+    `params`. Entries are perturbed in place one at a time. Returns the
     worst relative error, |analytic - numeric| / max(1, |analytic|, |numeric|)
     (relative for large gradients, absolute near zero).
 
@@ -34,10 +24,7 @@ def finite_diff_check(loss_and_grad, params: dict, eps: float = 1e-5, sample=Non
     worst = 0.0
     for name, theta in params.items():
         flat = theta.reshape(-1)
-        grad = grads[name]
-        if isinstance(grad, RowGrad):
-            grad = dense(grad, theta.shape[0])
-        grad_flat = grad.reshape(-1)
+        grad_flat = grads[name].reshape(-1)
         indices = range(flat.size)
         if sample is not None and flat.size > sample:
             indices = rng.choice(flat.size, size=sample, replace=False)
@@ -57,10 +44,13 @@ def finite_diff_check(loss_and_grad, params: dict, eps: float = 1e-5, sample=Non
 
 def chunk_loss_and_grads(sequences, golds, params, cfg, seed: int = 0):
     """The summed loss of a training pass over one chunk of sequences and
-    its gradients (`backward_full`). Every call draws from fresh streams,
-    so the dropout masks and noise are the same at each call and the loss
-    is a deterministic function of the parameters."""
+    its gradients (`backward_full`), one array per tensor of `params`.
+    Every call draws from fresh streams, so the dropout masks and noise are
+    the same at each call and the loss is a deterministic function of the
+    parameters."""
     rngs = [np.random.default_rng([seed, b]) for b in range(len(sequences))]
     probs, cache = forward_full(sequences, params, cfg, rngs=rngs)
     losses, grad_logits = cross_entropy_loss(probs, golds)
-    return float(losses.sum()), backward_full(grad_logits, cache, params)
+    grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
+    backward_full(grad_logits, cache, params, grads)
+    return float(losses.sum()), grads

@@ -391,6 +391,47 @@ class TestExitCodes:
         assert f"error: {vocab}:4: word {word!r} repeats id 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("reserved", [0, 1], ids=["no-pad", "no-unk"])
+    def test_vocabulary_without_pad_or_unk_is_refused(self, workspace, tmp_path, capsys, reserved):
+        words = Vocabulary.load(workspace["vocab"]).id_to_word
+        expected = words[reserved]
+        words[reserved] = "cat"
+        vocab = tmp_path / "vocab.tsv"
+        vocab.write_text("".join(f"{i}\t{w}\n" for i, w in enumerate(words)))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = run(["train", "--train-file", workspace["clean"], "--vocab", vocab,
+                    "--checkpoint-dir", out] + TINY_FLAGS)
+        assert code == 3
+        assert f"error: {vocab}:{reserved + 1}: id {reserved} must be {expected!r}, got 'cat'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_embedding_payload_is_no_model(self, workspace, tmp_path, capsys, command):
+        stem = workspace["payload"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+        assert code == 3
+        missing = "gru_fwd/W_i, gru_fwd/W_h, gru_fwd/b, gru_bwd/W_i, gru_bwd/W_h, gru_bwd/b, capsule/W, dense/W, dense/b"
+        assert f"error: {stem}.json: missing tensors: {missing}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_payload_without_embedding_is_refused(self, workspace, tmp_path, capsys):
+        stem = tmp_path / "emb"
+        manifest = json.loads(Path(f"{workspace['payload']}.json").read_text())
+        manifest["tensors"][0]["name"] = "embedding/W"
+        Path(f"{stem}.json").write_text(json.dumps(manifest))
+        Path(f"{stem}.bin").write_bytes(Path(f"{workspace['payload']}.bin").read_bytes())
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--embeddings-payload", stem, "--checkpoint-dir", out] + TINY_FLAGS)
+        assert code == 3
+        assert f"error: {stem}.json: missing tensors: embedding/W_e" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
     @pytest.mark.parametrize("blank", ["", "   \t "])
     def test_line_without_tokens_names_file_and_line(self, workspace, tmp_path, capsys, command, blank):

@@ -21,7 +21,14 @@ from emocaps.errors import (
     MalformedLine,
     TruncatedFile,
 )
-from gradcheck import dense
+
+
+def dense(rows, values, num_rows):
+    """The full (num_rows, dim) gradient of `embed_backward`'s rows and
+    values, zeros outside its rows."""
+    out = np.zeros((num_rows,) + values.shape[1:], dtype=values.dtype)
+    out[rows] = values
+    return out
 
 
 class TestVocabulary:
@@ -83,8 +90,25 @@ class TestVocabulary:
 
     def test_load_skips_blank_lines_and_keeps_tabs_in_words(self, tmp_path):
         path = tmp_path / "vocab.tsv"
-        path.write_text("0\t<pad>\n\n1\ta\tb\n", encoding="utf-8")
-        assert Vocabulary.load(path).id_to_word == ["<pad>", "a\tb"]
+        path.write_text("0\t<pad>\n1\t<unk>\n\n2\ta\tb\n", encoding="utf-8")
+        assert Vocabulary.load(path).id_to_word == ["<pad>", "<unk>", "a\tb"]
+
+    @pytest.mark.parametrize(
+        "content, where, message",
+        [
+            ("0\t<pad>\n1\tcat\n2\t<unk>\n", 2, "id 1 must be '<unk>', got 'cat'"),
+            ("0\t<unk>\n1\t<pad>\n", 1, "id 0 must be '<pad>', got '<unk>'"),
+            ("0\t<pad>\n\n", 3, "file ends before id 1, '<unk>'"),
+            ("", 1, "file ends before id 0, '<pad>'"),
+        ],
+        ids=["no-unk", "swapped", "pad-only", "empty"],
+    )
+    def test_load_requires_pad_and_unk_first(self, tmp_path, content, where, message):
+        # encoding falls back on <unk>, and training pins the <pad> row at id 0
+        path = tmp_path / "vocab.tsv"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(MalformedHeader, match=f"^{path}:{where}: {message}$"):
+            Vocabulary.load(path)
 
 
 def write_binary_fixture(path, entries, dim, separator=b"\n"):
@@ -260,10 +284,10 @@ class TestEmbed:
 
     def test_repeated_id_gradient_accumulates(self):
         G = np.asarray([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]])
-        gW = embed_backward([3, 3], G, vocab_size=5)
-        assert gW.rows.tolist() == [3]
-        np.testing.assert_array_equal(gW.values[0], G[0] + G[1])
-        full = dense(gW, 5)
+        rows, values = embed_backward([3, 3], G, vocab_size=5)
+        assert rows.tolist() == [3]
+        np.testing.assert_array_equal(values[0], G[0] + G[1])
+        full = dense(rows, values, 5)
         np.testing.assert_array_equal(full[3], G[0] + G[1])
         assert np.all(full[[0, 1, 2, 4]] == 0.0)
 
@@ -273,9 +297,9 @@ class TestEmbed:
         rng = np.random.default_rng(7)
         R = rng.normal(size=(3, 4))  # fixed weights make the loss scalar
 
-        gW = embed_backward(ids, R, vocab_size=5)
-        assert gW.rows.tolist() == [2, 4]
-        gW = dense(gW, 5)
+        rows, values = embed_backward(ids, R, vocab_size=5)
+        assert rows.tolist() == [2, 4]
+        gW = dense(rows, values, 5)
         eps = 1e-6
         for row in range(5):
             for col in range(4):
@@ -297,20 +321,22 @@ def dense_embed_backward(ids, grad_output, vocab_size):
 
 
 class TestRowGrad:
+    """`embed_backward`'s (rows, values) row gradient."""
+
     @pytest.mark.parametrize("n", [1, 12, 50])
     def test_bitwise_equal_to_dense_scatter(self, n):
         rng = np.random.default_rng(n)
         ids = rng.integers(0, 40, size=n)  # repeats at n = 50
         G = rng.normal(size=(n, 6))
-        gW = embed_backward(ids.tolist(), G, vocab_size=40)
-        assert gW.rows.tolist() == sorted(set(ids.tolist()))
-        assert gW.values.shape == (gW.rows.size, 6)
-        np.testing.assert_array_equal(dense(gW, 40), dense_embed_backward(ids, G, 40))
+        rows, values = embed_backward(ids.tolist(), G, vocab_size=40)
+        assert rows.tolist() == sorted(set(ids.tolist()))
+        assert values.shape == (rows.size, 6)
+        np.testing.assert_array_equal(dense(rows, values, 40), dense_embed_backward(ids, G, 40))
 
     def test_empty_sequence(self):
-        gW = embed_backward([], np.zeros((0, 3)), vocab_size=4)
-        assert gW.rows.size == 0 and gW.values.shape == (0, 3)
-        assert np.all(dense(gW, 4) == 0.0)
+        rows, values = embed_backward([], np.zeros((0, 3)), vocab_size=4)
+        assert rows.size == 0 and values.shape == (0, 3)
+        assert np.all(dense(rows, values, 4) == 0.0)
 
     @pytest.mark.parametrize("ids", [[4], [-1], [0, 7]])
     def test_ids_checked_against_vocab_size(self, ids):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import emocaps.training as training
-from emocaps.embeddings import EmbeddingTable, RowGrad, Vocabulary, build_embedding
+from emocaps.embeddings import EmbeddingTable, Vocabulary, build_embedding
 from emocaps.errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -24,7 +24,6 @@ from emocaps.training import (
     clip_gradients,
     cross_entropy_loss,
     dataset_macro_f1,
-    dropout,
     forward_full,
     gaussian_noise,
     init_adam,
@@ -169,7 +168,7 @@ class TestAdam:
         cfg = tiny_config()
         _, params = tiny_model(cfg)
         before = {k: t.copy() for k, t in params.tensors().items()}
-        state = init_adam(params, np.arange(1, len(params.embedding.weights)))
+        state = init_adam(params.tensors())
         grads = {k: np.zeros_like(m) for k, m in state.m.items()}
         adam_step(params.tensors(), grads, state, cfg)
         for k, t in params.tensors().items():
@@ -194,85 +193,36 @@ class TestAdam:
             adam_step(theta, {"t": 2.0 * theta["t"]}, state, cfg)
             assert abs(theta["t"][0] - expected[step]) < 1e-12
 
-    @staticmethod
-    def compact_adam_matches_dense(start, rows, given_per_step, rng):
-        """Adam over `rows` of `start`, each step's gradient non-zero at the
-        rows given, against dense Adam over the whole table, bitwise at
-        every step; returns the final table."""
-        cfg = TrainConfig(learning_rate=0.05)
-        sparse, dense = {"e": start.copy()}, {"e": start.copy()}
-        compact = (rows.size,) + start.shape[1:]
-        state = AdamState(m={"e": np.zeros(compact)}, v={"e": np.zeros(compact)}, rows={"e": rows})
-        m, v = {"e": np.zeros_like(start)}, {"e": np.zeros_like(start)}
-        for t, given in enumerate(given_per_step, 1):
-            g = np.zeros_like(start)
-            g[given] = rng.normal(size=(len(given), start.shape[1]))
-            adam_step(sparse, {"e": g[rows]}, state, cfg)
-            dense_adam(dense, {"e": g}, m, v, t, cfg)
-            np.testing.assert_array_equal(sparse["e"], dense["e"])
-        np.testing.assert_array_equal(state.m["e"], m["e"][rows])
-        np.testing.assert_array_equal(state.v["e"], v["e"][rows])
-        return sparse["e"]
-
-    def test_row_grads_match_dense_adam_bitwise(self):
-        # rows given once keep moving on their moments, rows not given yet
-        # take zero steps, and rows outside `rows` stay put, as dense Adam
-        # moves them by exactly zero
-        rng = np.random.default_rng(4)
-        start = rng.normal(size=(10, 3))
-        rows = np.asarray([1, 2, 5, 7, 8])
-        final = self.compact_adam_matches_dense(start, rows, [[2, 5], [5], [], [1, 2, 8], [7]], rng)
-        np.testing.assert_array_equal(final[[0, 3, 4, 6, 9]], start[[0, 3, 4, 6, 9]])
-
-    def test_rows_covering_table_match_dense_bitwise(self):
-        # the rows are every row but the first, all given from step 4 on
-        rng = np.random.default_rng(5)
-        start = rng.normal(size=(8, 3))
-        steps = [[1, 2, 5], [3, 4, 6, 7], [2], list(range(1, 8)), [7], [1, 3]]
-        final = self.compact_adam_matches_dense(start, np.arange(1, 8), steps, rng)
-        np.testing.assert_array_equal(final[0], start[0])
-
     def test_init_adam_keeps_no_embedding_rows(self):
-        """The embedding's moments cover exactly the rows given: none, or
-        some; every other tensor's cover the whole tensor."""
+        """Every tensor's moments are zeros of its shape, a table of no rows
+        included."""
         cfg = tiny_config()
         _, params = tiny_model(cfg)
-        state = init_adam(params, np.empty(0, np.intp))
-        assert state.m["embedding/W_e"].shape == state.v["embedding/W_e"].shape == (0, cfg.embed_dim)
-        assert list(state.rows) == ["embedding/W_e"] and state.rows["embedding/W_e"].size == 0
-        rows = np.asarray([2, 5])
-        state = init_adam(params, rows)
-        assert state.m["embedding/W_e"].shape == state.v["embedding/W_e"].shape == (2, cfg.embed_dim)
-        assert state.rows["embedding/W_e"] is rows
-        for name, t in params.tensors().items():
-            if name != "embedding/W_e":
-                assert state.m[name].shape == state.v[name].shape == t.shape
-                assert np.all(state.m[name] == 0.0) and np.all(state.v[name] == 0.0)
+        tensors = dict(params.tensors(), **{"embedding/W_e": np.empty((0, cfg.embed_dim))})
+        state = init_adam(tensors)
+        assert list(state.m) == list(state.v) == list(tensors) and state.t == 0
+        for name, t in tensors.items():
+            assert state.m[name].shape == state.v[name].shape == t.shape
+            assert np.all(state.m[name] == 0.0) and np.all(state.v[name] == 0.0)
 
     def test_row_grad_mismatch_rejected(self):
         cfg = TrainConfig()
-        ids = np.asarray([1, 3])
 
-        def setup(rows):
+        def setup():
             theta = {"t": np.zeros((4, 2))}
-            shape = theta["t"].shape if rows is None else (rows.size, 2)
-            state = AdamState(m={"t": np.zeros(shape)}, v={"t": np.zeros(shape)})
-            if rows is not None:
-                state.rows["t"] = rows
-            return theta, state
+            return theta, AdamState(m={"t": np.zeros((4, 2))}, v={"t": np.zeros((4, 2))})
 
-        theta, state = setup(ids)
-        adam_step(theta, {"t": np.ones((2, 2))}, state, cfg)  # one row per id
-        assert np.all(theta["t"][ids] != 0.0) and np.all(theta["t"][[0, 2]] == 0.0)
-        for grad, rows in [
-            (np.ones((1, 2)), ids),  # fewer rows than ids
-            (np.ones((2, 3)), ids),  # wrong width
-            (np.ones((4, 2)), ids),  # a whole-table gradient for a row tensor
-            (np.ones((2, 2)), None),  # and a compact one for a whole tensor
+        theta, state = setup()
+        adam_step(theta, {"t": np.ones((4, 2))}, state, cfg)
+        assert np.all(theta["t"] != 0.0)
+        for grad in [
+            {"t": np.ones((4, 3))},  # wrong width
+            {"t": np.ones((2, 2))},  # fewer rows than the tensor
+            {"other": np.ones((4, 2))},  # wrong key
         ]:
-            theta, state = setup(rows)
+            theta, state = setup()
             with pytest.raises(ShapeMismatch):
-                adam_step(theta, {"t": grad}, state, cfg)
+                adam_step(theta, grad, state, cfg)
             assert state.t == 0 and np.all(theta["t"] == 0.0)
 
     def test_key_mismatch_rejected(self):
@@ -297,23 +247,24 @@ class TestRegularizers:
         assert abs(out.mean()) < 0.001
 
     def test_dropout_identity_cases(self):
-        x = np.ones(6)
-        out, mask = dropout(x, 0.0, np.random.default_rng(0))
+        x = np.ones((1, 6))
+        out, mask = spatial_dropout(x, 0.0, np.random.default_rng(0))
         assert out is x and mask is None
         out, mask = spatial_dropout(x.reshape(2, 3), 0.0, np.random.default_rng(0))
         assert np.shares_memory(out, x) and mask is None
 
     def test_dropout_mask_values(self):
+        # on one row, as capsule dropout runs it: a draw per unit
         rng = np.random.default_rng(3)
-        out, mask = dropout(np.ones(1000), 0.25, rng)
+        out, mask = spatial_dropout(np.ones((1, 1000)), 0.25, rng)
         scale = 1.0 / 0.75
-        assert set(np.round(np.unique(mask), 12)) <= {0.0, round(scale, 12)}
+        assert mask.shape == (1, 1000)
+        assert set(np.round(np.unique(mask), 12)) == {0.0, round(scale, 12)}
         np.testing.assert_array_equal(out, mask)
 
     def test_dropout_preserves_expectation(self):
         rng = np.random.default_rng(4)
-        x = np.ones(100_000)
-        out, _ = dropout(x, 0.25, rng)
+        out, _ = spatial_dropout(np.ones((1, 100_000)), 0.25, rng)
         assert abs(out.mean() - 1.0) < 0.01
 
     def test_spatial_dropout_kills_whole_channels(self):
@@ -429,10 +380,11 @@ class TestForwardFull:
         rngs = [np.random.default_rng(12), np.random.default_rng(13)]
         probs, cache = forward_full([ids, ids[:1]], params, cfg, rngs=rngs)
         _, grad_logits = cross_entropy_loss(probs, [1, 4])
-        grads = backward_full(grad_logits, cache, params)
-        assert set(grads) == set(params.tensors())
+        grads = {k: np.zeros_like(t) for k, t in params.tensors().items()}
+        assert backward_full(grad_logits, cache, params, grads) is None
         for g in grads.values():
-            assert np.all(np.isfinite(g.values if isinstance(g, RowGrad) else g))
+            assert np.all(np.isfinite(g))
+        assert all(np.any(g != 0.0) for g in grads.values())
 
 
 class TestModelParams:
@@ -588,7 +540,8 @@ class TestTrainLoop:
             np.testing.assert_array_equal(t, before[k])
         (state,) = states
         assert state.t == 0
-        assert state.rows["embedding/W_e"].tolist() == sorted({i for ids, _ in data for i in ids} - {0})
+        # Adam trains the training set's embedding rows as a table of their own
+        assert state.m["embedding/W_e"].shape == (len({i for ids, _ in data for i in ids}), cfg.embed_dim)
         for k in state.m:
             assert np.all(state.m[k] == 0.0) and np.all(state.v[k] == 0.0)
 
@@ -609,8 +562,9 @@ class TestTrainLoop:
             train(data, dev, params, cfg)
         (state,) = states
         assert state.t == 2
-        rows = state.rows["embedding/W_e"]
-        assert rows[-1] == poisoned  # its moments exist from the start, and stayed zero
+        # the poisoned row is the largest training id, so the trained table's last
+        assert len(state.m["embedding/W_e"]) == len({i for ids, _ in data for i in ids})
+        # its moments exist from the start, and stayed zero
         assert np.all(state.m["embedding/W_e"][-1] == 0.0) and np.all(state.v["embedding/W_e"][-1] == 0.0)
         assert all(np.all(np.isfinite(m)) for m in state.m.values())
 
@@ -710,7 +664,8 @@ def sparse_vocab_examples(seed, count, vocab_size):
 
 
 class TestRowSparseTraining:
-    """Row-sparse accumulation, clipping, Adam and best-epoch restore give
+    """Training the training set's embedding rows as a table of their own
+    (accumulation, clipping, Adam, write-back and best-epoch restore) gives
     dense training's result. Only the clip norm's summation order differs,
     so every tensor agrees to 1e-10."""
 

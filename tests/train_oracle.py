@@ -1,5 +1,6 @@
 """Per-example training with dense embedding gradients: the oracle for the
-chunked, row-sparse loop in `emocaps.training`.
+chunked loop in `emocaps.training`, which trains only the training set's
+embedding rows.
 
 Every example runs alone, as training first did: a forward pass over its
 one sequence, then a backward pass through each GRU direction on its own
@@ -20,11 +21,10 @@ import numpy as np
 
 import eval_oracle
 from emocaps.capsule import CapsuleParams, capsule_layer_backward
-from emocaps.embeddings import EmbeddingTable, embed_backward
+from emocaps.embeddings import EmbeddingTable
 from emocaps.evaluation import confusion, metrics
 from emocaps.nn import BigruCache, DenseParams, GruParams
 from emocaps.training import PAD_ID, ModelParams, cross_entropy_loss, forward_full
-from gradcheck import dense
 
 EMBEDDING = "embedding/W_e"
 
@@ -97,9 +97,10 @@ def example_loss_and_grads(ids, gold, params, cfg, rng):
     grad_X, g_fwd, g_bwd = bigru_backward(grad_H, cache.bigru, params.gru_fwd, params.gru_bwd)
     if cache.spatial_mask is not None:
         grad_X = grad_X * cache.spatial_mask
-    vocab_size = len(params.embedding.weights)
+    gW_e = np.zeros_like(params.embedding.weights)
+    np.add.at(gW_e, cache.ids, grad_X)
     grads = ModelParams(
-        embedding=EmbeddingTable(weights=dense(embed_backward(cache.ids, grad_X, vocab_size), vocab_size)),
+        embedding=EmbeddingTable(weights=gW_e),
         gru_fwd=g_fwd,
         gru_bwd=g_bwd,
         capsule=CapsuleParams(W=gW_caps),
