@@ -30,6 +30,7 @@ from .errors import (
     MalformedHeader,
     MalformedLine,
     NumericError,
+    UnknownLabel,
     VocabularyMismatch,
 )
 from .evaluation import LABELS, confusion, format_report, label_index, metrics
@@ -139,7 +140,10 @@ def load_dataset(path, labeled: bool = True) -> list:
         if "\t" not in line:
             raise MalformedLine(f"{path}:{lineno}: expected label<TAB>text", lineno)
         label, text = line.split("\t", 1)
-        examples.append((label_index(label), text))
+        try:
+            examples.append((label_index(label), text))
+        except UnknownLabel as exc:
+            raise UnknownLabel(f"{path}:{lineno}: {exc}") from None
     return examples
 
 

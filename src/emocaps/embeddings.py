@@ -204,13 +204,17 @@ def build_embedding(vocab: Vocabulary, raw_table: dict[str, np.ndarray], dim: in
     return EmbeddingTable(weights=weights)
 
 
+def _checked_ids(ids, size: int) -> np.ndarray:
+    """ids as an intp array; IdOutOfRange lists the distinct ids outside [0, size)."""
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        raise IdOutOfRange(f"ids must lie in [0, {size}), got {np.unique(ids[(ids < 0) | (ids >= size)]).tolist()}")
+    return ids
+
+
 def embed(ids, table: EmbeddingTable) -> np.ndarray:
     """Gather rows of the table; ids=[] yields a (0, dim) matrix."""
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.weights.shape[0]):
-        raise IdOutOfRange(
-            f"ids must lie in [0, {table.weights.shape[0]}), got {ids.tolist()}"
-        )
+    ids = _checked_ids(ids, table.weights.shape[0])
     return table.weights[ids]
 
 
@@ -219,9 +223,7 @@ def embed_backward(ids, grad_output: np.ndarray, vocab_size: int):
     (rows, values): the sorted unique ids and one gradient row for each.
     Repeats accumulate in order, so each row's sum is bitwise the one a
     dense (vocab_size, dim) scatter gives."""
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-        raise IdOutOfRange(f"ids must lie in [0, {vocab_size}), got {ids.tolist()}")
+    ids = _checked_ids(ids, vocab_size)
     rows, inverse = np.unique(ids, return_inverse=True)
     values = np.zeros((rows.size, grad_output.shape[1]), dtype=grad_output.dtype)
     np.add.at(values, inverse, grad_output)

@@ -7,7 +7,7 @@ finite-difference gradient checker in the tests keeps them honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,37 +46,30 @@ def glorot_uniform(shape, rng) -> np.ndarray:
 
 @dataclass
 class GruParams:
-    """Weights for one direction, gate blocks in r, z, n order along the last
-    axis (reset, update, candidate): inputs hit W_i (d, 3h), the recurrent
-    state hits W_h (h, 3h); b[0] is the input bias, b[1] the recurrent one."""
+    """Weights of both directions, forward at [0] and backward at [1], gate
+    blocks in r, z, n order along the last axis (reset, update, candidate):
+    inputs hit W_i (2, d, 3h), the recurrent state hits W_h (2, h, 3h);
+    b[k, 0] is direction k's input bias, b[k, 1] its recurrent one."""
 
     W_i: np.ndarray
     W_h: np.ndarray
     b: np.ndarray
 
-    @property
-    def input_dim(self) -> int:
-        return self.W_i.shape[0]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_h.shape[0]
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def init_gru(input_dim: int, hidden_dim: int, rng) -> GruParams:
     """Glorot-uniform gate blocks, each drawn with its own (rows, h) limit in
-    the order W_ir, W_iz, W_in, W_hr, W_hz, W_hn, then packed; zero biases."""
+    the order W_ir, W_iz, W_in, W_hr, W_hz, W_hn of the forward direction,
+    then of the backward one, and packed; zero biases."""
+    h = hidden_dim
+    W_i, W_h = np.empty((2, input_dim, 3 * h)), np.empty((2, h, 3 * h))
+    for block in [W[k, :, g * h : (g + 1) * h] for k in range(2) for W in (W_i, W_h) for g in range(3)]:
+        block[...] = glorot_uniform(block.shape, rng)
+    return GruParams(W_i=W_i, W_h=W_h, b=np.zeros((2, 2, 3 * h)))
 
-    def w(rows):
-        W = np.empty((rows, 3 * hidden_dim))
-        for k in range(3):
-            W[:, k * hidden_dim : (k + 1) * hidden_dim] = glorot_uniform((rows, hidden_dim), rng)
-        return W
 
-    return GruParams(W_i=w(input_dim), W_h=w(hidden_dim), b=np.zeros((2, 3 * hidden_dim)))
+# (2, 1) direction index; with a (2, N) array of row indices it picks row
+# index[k, r] of direction k's half of a (N, 2, h) array
+_DIRECTION = np.arange(2)[:, None]
 
 
 def _packed_steps(lengths: np.ndarray):
@@ -84,16 +77,16 @@ def _packed_steps(lengths: np.ndarray):
 
     Sequences are ordered longest first (stable), so the ones still running
     at step t are a prefix of size counts[t]. Row r of the packed order is
-    step t of one of them; fwd[r] is the input row it reads going forward
-    (its position t) and bwd[r] the one it reads going backward (its
-    position length - 1 - t).
+    step t of one of them; index[0, r] is the input row it reads going
+    forward (its position t) and index[1, r] the one it reads going
+    backward (its position length - 1 - t).
     """
     order = np.argsort(-lengths, kind="stable")
     running = lengths[order] > np.arange(lengths.max())[:, None]  # (steps, sequences)
     step, rank = np.nonzero(running)
     seq = order[rank]
     start = (np.cumsum(lengths) - lengths)[seq]
-    return np.count_nonzero(running, axis=1), start + step, start + lengths[seq] - 1 - step
+    return np.count_nonzero(running, axis=1), np.stack([start + step, start + lengths[seq] - 1 - step])
 
 
 @dataclass
@@ -113,7 +106,7 @@ class BigruCache:
     hh: np.ndarray  # (2, N, h) the biased recurrent candidate term, gated by r
 
 
-def bigru_forward(X: np.ndarray, lengths, p_fwd: GruParams, p_bwd: GruParams, *, keep_cache: bool = False):
+def bigru_forward(X: np.ndarray, lengths, p: GruParams, *, keep_cache: bool = False):
     """Both GRU directions over a chunk of sequences; returns (H, cache).
 
     X (N, d) holds the sequences' rows back to back, `lengths` their
@@ -127,8 +120,8 @@ def bigru_forward(X: np.ndarray, lengths, p_fwd: GruParams, p_bwd: GruParams, *,
     h = (1 - z) * n + z * h_prev
 
     The reset gate multiplies the already-biased recurrent term. The input
-    projections of every step are one matmul per direction before the loop.
-    Each step is one (n_t, h) @ (h, 3h) matmul per direction over the n_t
+    projections of every step are one (2, N, d) @ (2, d, 3h) matmul before
+    the loop. Each step is one (2, n_t, h) @ (2, h, 3h) matmul over the n_t
     sequences still running (`_packed_steps`), so no padded position is
     computed, and both directions share every elementwise operation.
 
@@ -139,17 +132,12 @@ def bigru_forward(X: np.ndarray, lengths, p_fwd: GruParams, p_bwd: GruParams, *,
         raise ShapeMismatch(f"bigru needs sequences of at least one position, got input {X.shape}")
     if lengths.sum() != X.shape[0]:
         raise ShapeMismatch(f"lengths sum to {lengths.sum()}, input has {X.shape[0]} rows")
-    for p in (p_fwd, p_bwd):
-        if X.shape[1] != p.input_dim:
-            raise ShapeMismatch(f"input width {X.shape[1]} vs GRU input {p.input_dim}")
-    counts, fwd, bwd = _packed_steps(lengths)
-    n_rows, d_h = X.shape[0], p_fwd.hidden_dim
-    params = (p_fwd, p_bwd)
-    A = np.empty((2, n_rows, 3 * d_h), dtype=X.dtype)
-    for k, (p, index) in enumerate(zip(params, (fwd, bwd))):
-        np.matmul(X[index], p.W_i, out=A[k])
-        A[k] += p.b[0]
-    b_h = np.stack([p_fwd.b[1], p_bwd.b[1]])[:, None, :]
+    if X.shape[1] != p.W_i.shape[1]:
+        raise ShapeMismatch(f"input width {X.shape[1]} vs GRU input {p.W_i.shape[1]}")
+    counts, index = _packed_steps(lengths)
+    n_rows, d_h = X.shape[0], p.W_h.shape[1]
+    A = np.matmul(X[index], p.W_i)
+    A += p.b[:, :1]
     # Only a training chunk keeps every step's gates (RZ, N) and biased
     # recurrent terms h W_h + b_h (G, whose candidate block is the cache's
     # hh). An eval chunk's steps reuse the first rows instead, which keeps
@@ -164,38 +152,37 @@ def bigru_forward(X: np.ndarray, lengths, p_fwd: GruParams, p_bwd: GruParams, *,
     for n_t in counts.tolist():
         rows, end = slice(end, end + n_t), end + n_t
         kept = rows if keep_cache else slice(n_t)
-        h_prev, g = h_prev[:, :n_t], G[:, kept]
-        for k, p in enumerate(params):  # as fast as one stacked matmul, without stacking W_h
-            np.matmul(h_prev[k], p.W_h, out=g[k])
-        g += b_h
+        h_prev = h_prev[:, :n_t]
+        g = np.matmul(h_prev, p.W_h, out=G[:, kept])
+        g += p.b[:, 1:]
         rz = sigmoid(A[:, rows, : 2 * d_h] + g[..., : 2 * d_h], out=RZ[:, kept])
         n = np.tanh(A[:, rows, 2 * d_h :] + rz[..., :d_h] * g[..., 2 * d_h :], out=N[:, kept])
         z = rz[..., d_h:]
         h_prev = np.add((1.0 - z) * n, z * h_prev, out=H[:, rows])
-    out = np.empty((n_rows, 2 * d_h), dtype=X.dtype)
-    out[fwd, :d_h] = H[0]
-    out[bwd, d_h:] = H[1]
+    out = np.empty((n_rows, 2, d_h), dtype=X.dtype)
+    out[index, _DIRECTION] = H
+    out = out.reshape(n_rows, 2 * d_h)
     if not keep_cache:
         return out, None
-    return out, BigruCache(X=X, counts=counts, index=np.stack([fwd, bwd]), H=H, rz=RZ, n=N, hh=G[..., 2 * d_h :])
+    return out, BigruCache(X=X, counts=counts, index=index, H=H, rz=RZ, n=N, hh=G[..., 2 * d_h :])
 
 
-def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p_fwd: GruParams, p_bwd: GruParams):
+def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
     """Backprop through time for both directions of a training chunk;
-    returns (grad_X, g_fwd, g_bwd), the gradients summed over the chunk.
+    returns (grad_X, grads), the GruParams gradients summed over the chunk.
 
     The packed steps run in reverse. Only the recurrent carry stays in the
     loop: a (2, n_0, h) array, zero at first, whose prefix of the n_t
-    sequences running at step t each step reads and rewrites. It fills the
-    pre-activation gradients of the input side (dA) and of the recurrent
-    side (dG), which differ only in the candidate block; every weight
-    gradient and grad_X is then one matmul over all the chunk's rows.
+    sequences running at step t each step reads and rewrites, with one
+    batched matmul. It fills the pre-activation gradients of the input side
+    (dA) and of the recurrent side (dG), which differ only in the candidate
+    block; every weight gradient and grad_X is then one matmul over all the
+    chunk's rows.
     """
-    d_h = p_fwd.hidden_dim
-    n_rows = cache.X.shape[0]
+    n_rows, d_h = cache.X.shape[0], p.W_h.shape[1]
     if grad_H.shape != (n_rows, 2 * d_h):
         raise ShapeMismatch(f"grad_H {grad_H.shape} vs bigru output ({n_rows}, {2 * d_h})")
-    params, counts = (p_fwd, p_bwd), cache.counts
+    counts = cache.counts
     r, z = cache.rz[..., :d_h], cache.rz[..., d_h:]
     # the state each packed row started from: the same sequence's row one
     # step earlier, counts[t - 1] rows back, and zero at step 0
@@ -204,9 +191,9 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p_fwd: GruParams, p_bw
     dtanh = (1.0 - z) * (1.0 - cache.n * cache.n)  # dh -> candidate pre-activation
     # dG[t] = dh_t * K[t], blockwise: reset, update, recurrent candidate term
     K = np.stack([dtanh * cache.hh * r * (1.0 - r), (H_prev - cache.n) * z * (1.0 - z), dtanh * r], axis=2)
-    dH = np.stack([grad_H[cache.index[0], :d_h], grad_H[cache.index[1], d_h:]])
+    dH = grad_H.reshape(n_rows, 2, d_h)[cache.index, _DIRECTION]
     dG = np.empty((2, n_rows, 3, d_h), dtype=grad_H.dtype)
-    W_hT = [p.W_h.T for p in params]
+    W_hT = p.W_h.transpose(0, 2, 1)
     carry = np.zeros((2, counts[0], d_h), dtype=grad_H.dtype)
     end = n_rows
     for n_t in counts[::-1].tolist():
@@ -215,24 +202,19 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p_fwd: GruParams, p_bw
         dh = np.add(dH[:, rows], c, out=dH[:, rows])
         dg = np.multiply(dh[:, :, None, :], K[:, rows], out=dG[:, rows])
         np.multiply(dh, z[:, rows], out=c)
-        for k in range(2):
-            c[k] += dg[k].reshape(n_t, 3 * d_h) @ W_hT[k]
+        c += np.matmul(dg.reshape(2, n_t, 3 * d_h), W_hT)
     dG = dG.reshape(2, n_rows, 3 * d_h)
     dA = dG.copy()
     dA[..., 2 * d_h :] = dH * dtanh
     # back to input order, where X and grad_X live
     dA_in = np.empty_like(dA)
-    for k in range(2):
-        dA_in[k, cache.index[k]] = dA[k]
-    g_fwd, g_bwd = (
-        GruParams(
-            W_i=cache.X.T @ dA_in[k],
-            W_h=H_prev[k].T @ dG[k],
-            b=np.stack([dA[k].sum(axis=0), dG[k].sum(axis=0)]),
-        )
-        for k in range(2)
+    dA_in[_DIRECTION, cache.index] = dA
+    grads = GruParams(
+        W_i=np.matmul(cache.X.T, dA_in),
+        W_h=np.matmul(H_prev.transpose(0, 2, 1), dG),
+        b=np.stack([dA.sum(axis=1), dG.sum(axis=1)], axis=1),
     )
-    return dA_in[0] @ p_fwd.W_i.T + dA_in[1] @ p_bwd.W_i.T, g_fwd, g_bwd
+    return np.matmul(dA_in, p.W_i.transpose(0, 2, 1)).sum(axis=0), grads
 
 
 @dataclass

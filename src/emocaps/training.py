@@ -109,49 +109,62 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least 1")
 
 
+# the names checkpoints, clipping and Adam give to gru.*[0] and gru.*[1]
+GRU_PREFIXES = ("gru_fwd", "gru_bwd")
+
+
+def _gru_tensors(gru: GruParams) -> dict[str, np.ndarray]:
+    """One view per direction and weight: gru.W_i[0] is "gru_fwd/W_i"."""
+    return {f"{prefix}/{f.name}": getattr(gru, f.name)[k] for k, prefix in enumerate(GRU_PREFIXES) for f in fields(gru)}
+
+
 @dataclass
 class ModelParams:
     embedding: EmbeddingTable
-    gru_fwd: GruParams
-    gru_bwd: GruParams
+    gru: GruParams
     capsule: CapsuleParams
     dense: DenseParams
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Flat name -> array view of every trainable tensor, fixed order."""
-        out = {"embedding/W_e": self.embedding.weights}
-        for prefix, gru in (("gru_fwd", self.gru_fwd), ("gru_bwd", self.gru_bwd)):
-            for name, t in gru.tensors().items():
-                out[f"{prefix}/{name}"] = t
-        out["capsule/W"] = self.capsule.W
-        out["dense/W"] = self.dense.W
-        out["dense/b"] = self.dense.b
-        return out
+        return {
+            "embedding/W_e": self.embedding.weights,
+            **_gru_tensors(self.gru),
+            "capsule/W": self.capsule.W,
+            "dense/W": self.dense.W,
+            "dense/b": self.dense.b,
+        }
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray], where: str = "tensors") -> "ModelParams":
-        """The model held in a name -> array dict. Missing names raise
-        MalformedHeader naming `where` and every missing tensor."""
-        missing = []
-
-        def get(name: str):
-            if name not in tensors:
-                missing.append(name)
-            return tensors.get(name)
-
-        def gru(prefix: str) -> GruParams:
-            return GruParams(**{f.name: get(f"{prefix}/{f.name}") for f in fields(GruParams)})
-
-        params = cls(
-            embedding=EmbeddingTable(weights=get("embedding/W_e")),
-            gru_fwd=gru("gru_fwd"),
-            gru_bwd=gru("gru_bwd"),
-            capsule=CapsuleParams(W=get("capsule/W")),
-            dense=DenseParams(W=get("dense/W"), b=get("dense/b")),
-        )
+        """The model held in a name -> array dict, each GRU direction pair
+        stacked. MalformedHeader names `where` and every missing tensor, or
+        the first tensor whose shape disagrees with the dims the tensors imply:
+        V and d from embedding/W_e, h from gru_fwd/W_h, J and d_out from capsule/W."""
+        # a dim missing from its source's shape reads as 0, so a source of
+        # the wrong rank fails its own check
+        E, W_h, C = (np.shape(tensors.get(name)) + (0, 0, 0) for name in ("embedding/W_e", "gru_fwd/W_h", "capsule/W"))
+        d, h, J, d_out = E[1], W_h[0], C[0], C[2]
+        gru = {"W_i": (d, 3 * h), "W_h": (h, 3 * h), "b": (2, 3 * h)}
+        expected = {
+            "embedding/W_e": (E[0], d),
+            **{f"{prefix}/{name}": shape for prefix in GRU_PREFIXES for name, shape in gru.items()},
+            "capsule/W": (J, 2 * h, d_out),
+            "dense/W": (J * d_out, N_CLASSES),
+            "dense/b": (N_CLASSES,),
+        }
+        missing = [name for name in expected if name not in tensors]
         if missing:
             raise MalformedHeader(f"{where}: missing tensors: {', '.join(missing)}")
-        return params
+        for name, shape in expected.items():
+            if tensors[name].shape != shape:
+                raise MalformedHeader(f"{where}: tensor {name} has shape {tensors[name].shape}, expected {shape}")
+        return cls(
+            embedding=EmbeddingTable(weights=tensors["embedding/W_e"]),
+            gru=GruParams(**{f.name: np.stack([tensors[f"{p}/{f.name}"] for p in GRU_PREFIXES]) for f in fields(GruParams)}),
+            capsule=CapsuleParams(W=tensors["capsule/W"]),
+            dense=DenseParams(W=tensors["dense/W"], b=tensors["dense/b"]),
+        )
 
 
 def init_model(cfg: TrainConfig, embedding: EmbeddingTable) -> ModelParams:
@@ -162,8 +175,7 @@ def init_model(cfg: TrainConfig, embedding: EmbeddingTable) -> ModelParams:
     rng = np.random.default_rng([cfg.seed, 0])
     return ModelParams(
         embedding=embedding,
-        gru_fwd=init_gru(cfg.embed_dim, cfg.hidden_dim, rng),
-        gru_bwd=init_gru(cfg.embed_dim, cfg.hidden_dim, rng),
+        gru=init_gru(cfg.embed_dim, cfg.hidden_dim, rng),
         capsule=init_capsule(cfg.num_capsules, 2 * cfg.hidden_dim, cfg.capsule_dim, rng),
         dense=init_dense(cfg.num_capsules * cfg.capsule_dim, rng),
     )
@@ -330,7 +342,7 @@ def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rngs=None)
     spatial_mask = drop_mask = None
     if training_pass:
         X, spatial_mask = _regularize(X, lengths, rngs, cfg.spatial_dropout, cfg.noise_std)
-    H, bigru_cache = bigru_forward(X, lengths, params.gru_fwd, params.gru_bwd, keep_cache=training_pass)
+    H, bigru_cache = bigru_forward(X, lengths, params.gru, keep_cache=training_pass)
     c, caps_cache = capsule_layer(H, lengths, params.capsule, cfg.routing_iters)
     if training_pass:
         c, drop_mask = _regularize(c, [1] * len(c), rngs, cfg.capsule_dropout, cfg.noise_std)
@@ -357,14 +369,13 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
     if cache.drop_mask is not None:
         grad_c = grad_c * cache.drop_mask
     grad_H, gW_caps = capsule_layer_backward(grad_c, cache.capsule, params.capsule)
-    grad_X, g_fwd, g_bwd = bigru_backward(grad_H, cache.bigru, params.gru_fwd, params.gru_bwd)
+    grad_X, g_gru = bigru_backward(grad_H, cache.bigru, params.gru)
     if cache.spatial_mask is not None:
         grad_X = grad_X * cache.spatial_mask
     rows, values = embed_backward(cache.ids, grad_X, params.embedding.weights.shape[0])
     grads["embedding/W_e"][rows] += values
-    for prefix, g in (("gru_fwd", g_fwd), ("gru_bwd", g_bwd)):
-        for name, t in g.tensors().items():
-            grads[f"{prefix}/{name}"] += t
+    for name, t in _gru_tensors(g_gru).items():
+        grads[name] += t
     grads["capsule/W"] += gW_caps
     grads["dense/W"] += gW_dense
     grads["dense/b"] += gb_dense

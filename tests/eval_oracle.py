@@ -2,10 +2,11 @@
 `emocaps`.
 
 One tweet at a time, as prediction first ran: each GRU direction steps
-through its own sequence with a (h,) @ (h, 3h) mat-vec, and routing
-contracts one sequence's (n, J, d_out) predictions with `np.einsum`. The
-packed path reorders some sums (stacked and batched matmuls), so float64
-results agree to a tolerance, not bitwise.
+through its own sequence with a (h,) @ (h, 3h) mat-vec on its slice of the
+stacked weights, and routing contracts one sequence's (n, J, d_out)
+predictions with `np.einsum`. The packed path reorders some sums (stacked
+and batched matmuls), so float64 results agree to a tolerance, not
+bitwise.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from emocaps.embeddings import embed
 from emocaps.nn import GruParams, dense_forward, predict_class, sigmoid, softmax
 
 
-def gru_forward(X: np.ndarray, p: GruParams) -> np.ndarray:
-    """One direction over the rows of X from zero state; returns H (T, h)."""
-    T, d_h = X.shape[0], p.hidden_dim
-    A = X @ p.W_i + p.b[0]
+def gru_forward(X: np.ndarray, p: GruParams, k: int) -> np.ndarray:
+    """Direction k of p over the rows of X from zero state; returns H (T, h)."""
+    W_i, W_h, b = p.W_i[k], p.W_h[k], p.b[k]
+    T, d_h = X.shape[0], W_h.shape[0]
+    A = X @ W_i + b[0]
     H = np.empty((T, d_h))
     h = np.zeros(d_h)
     for t in range(T):
-        g = h @ p.W_h + p.b[1]
+        g = h @ W_h + b[1]
         rz = sigmoid(A[t, : 2 * d_h] + g[: 2 * d_h])
         n = np.tanh(A[t, 2 * d_h :] + rz[:d_h] * g[2 * d_h :])
         z = rz[d_h:]
@@ -32,9 +34,9 @@ def gru_forward(X: np.ndarray, p: GruParams) -> np.ndarray:
     return H
 
 
-def bigru_forward(X: np.ndarray, p_fwd: GruParams, p_bwd: GruParams) -> np.ndarray:
+def bigru_forward(X: np.ndarray, p: GruParams) -> np.ndarray:
     """H[t] = (fwd_t, bwd_t) of one sequence."""
-    return np.concatenate([gru_forward(X, p_fwd), gru_forward(X[::-1], p_bwd)[::-1]], axis=1)
+    return np.concatenate([gru_forward(X, p, 0), gru_forward(X[::-1], p, 1)[::-1]], axis=1)
 
 
 def dynamic_routing(U: np.ndarray, iterations: int) -> list:
@@ -55,7 +57,7 @@ def dynamic_routing(U: np.ndarray, iterations: int) -> list:
 
 def forward_probs(ids, params, cfg) -> np.ndarray:
     """Eval-mode class probabilities (N_CLASSES,) of one id sequence."""
-    H = bigru_forward(embed(ids, params.embedding), params.gru_fwd, params.gru_bwd)
+    H = bigru_forward(embed(ids, params.embedding), params.gru)
     U = np.einsum("nd,jdo->njo", H, params.capsule.W)
     _, _, V = dynamic_routing(U, cfg.routing_iters)[-1]
     return softmax(dense_forward(V.reshape(-1), params.dense))

@@ -3,8 +3,8 @@
 
 Every step does its own mat-vecs and accumulates every weight gradient with
 `np.outer`, exactly as the equations read. `pack` / `unpack` convert between
-these twelve per-gate tensors and the three fused ones of `GruParams`
-(gate blocks in r, z, n order).
+these twelve per-gate tensors per direction and the three fused ones of
+`GruParams`, which stack both directions (gate blocks in r, z, n order).
 """
 
 from __future__ import annotations
@@ -64,27 +64,31 @@ def random_cell(d_in, d_h, seed, scale=0.5) -> CellParams:
     return CellParams(**weights, **biases)
 
 
-def pack(p: CellParams) -> GruParams:
-    """Per-gate tensors -> fused (W_i, W_h, b), copies."""
-    return GruParams(
-        W_i=np.concatenate([getattr(p, f"W_i{g}") for g in GATES], axis=1),
-        W_h=np.concatenate([getattr(p, f"W_h{g}") for g in GATES], axis=1),
-        b=np.stack(
-            [np.concatenate([getattr(p, f"b_{side}{g}") for g in GATES]) for side in "ih"]
-        ),
-    )
+def pack(p_fwd: CellParams, p_bwd: CellParams) -> GruParams:
+    """Per-gate tensors of the two directions -> stacked, fused (W_i, W_h,
+    b), copies."""
+
+    def fused(p: CellParams):
+        return (
+            np.concatenate([getattr(p, f"W_i{g}") for g in GATES], axis=1),
+            np.concatenate([getattr(p, f"W_h{g}") for g in GATES], axis=1),
+            np.stack([np.concatenate([getattr(p, f"b_{side}{g}") for g in GATES]) for side in "ih"]),
+        )
+
+    return GruParams(*(np.stack(pair) for pair in zip(fused(p_fwd), fused(p_bwd))))
 
 
-def unpack(p: GruParams) -> CellParams:
-    """Fused (W_i, W_h, b) -> per-gate tensors, copies."""
-    h = p.hidden_dim
+def unpack(p: GruParams, k: int) -> CellParams:
+    """Direction k of the stacked, fused (W_i, W_h, b) -> per-gate tensors,
+    copies."""
+    h = p.W_h.shape[1]
     out = {}
-    for k, g in enumerate(GATES):
-        block = slice(k * h, (k + 1) * h)
-        out[f"W_i{g}"] = p.W_i[:, block].copy()
-        out[f"W_h{g}"] = p.W_h[:, block].copy()
-        out[f"b_i{g}"] = p.b[0, block].copy()
-        out[f"b_h{g}"] = p.b[1, block].copy()
+    for i, g in enumerate(GATES):
+        block = slice(i * h, (i + 1) * h)
+        out[f"W_i{g}"] = p.W_i[k, :, block].copy()
+        out[f"W_h{g}"] = p.W_h[k, :, block].copy()
+        out[f"b_i{g}"] = p.b[k, 0, block].copy()
+        out[f"b_h{g}"] = p.b[k, 1, block].copy()
     return CellParams(**out)
 
 

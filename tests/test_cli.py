@@ -418,6 +418,50 @@ class TestExitCodes:
         assert f"error: {stem}.json: missing tensors: {missing}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, cut", [
+        ("embedding/W_e", lambda t: t[..., None]),  # a source of the wrong rank fails its own check
+        ("gru_fwd/W_i", lambda t: t[:-1]),
+        ("gru_fwd/W_h", lambda t: t[:, :-1]),
+        ("gru_fwd/b", lambda t: t[:-1]),
+        ("gru_bwd/W_i", lambda t: t[:-1]),
+        ("gru_bwd/W_h", lambda t: t[:-1]),
+        ("gru_bwd/b", lambda t: t[:-1]),
+        ("capsule/W", lambda t: t[:, :-1]),
+        ("dense/W", lambda t: t[:-1]),
+        ("dense/b", lambda t: t[:-1]),
+    ])
+    def test_tensor_of_the_wrong_shape_names_file_and_tensor(self, workspace, tmp_path, capsys, name, cut):
+        tensors, manifest = load_checkpoint(workspace["ckpt"] / "model")
+        expected = tensors[name].shape
+        tensors[name] = cut(tensors[name])
+        stem = tmp_path / "model"
+        save_checkpoint(stem, tensors, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        out = tmp_path / "preds.txt"
+        capsys.readouterr()
+        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+                    "--checkpoint", stem, "--output", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {stem}.json: tensor {name} has shape {tensors[name].shape}, expected {expected}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build-vocab", "train", "evaluate"])
+    def test_unknown_label_names_file_and_line(self, workspace, tmp_path, capsys, command):
+        data = tmp_path / "data.tsv"
+        data.write_text("anger\tangersig0 the\nhappy\tjoysig1 to\n")
+        out = tmp_path / "out"
+        argv = {
+            "build-vocab": ["build-vocab", "--inputs", data, "--vocab", out, "--embedding-out", tmp_path / "emb"],
+            "train": ["train", "--train-file", data, "--vocab", workspace["vocab"], "--checkpoint-dir", out],
+            "evaluate": ["evaluate", "--input", data, "--vocab", workspace["vocab"],
+                         "--checkpoint", workspace["ckpt"] / "model", "--output", out],
+        }[command]
+        capsys.readouterr()
+        assert run(argv + (TINY_FLAGS if command != "evaluate" else [])) == 3
+        expected = f"error: {data}:2: unknown label 'happy'; expected one of {', '.join(LABELS)}\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_payload_without_embedding_is_refused(self, workspace, tmp_path, capsys):
         stem = tmp_path / "emb"
         manifest = json.loads(Path(f"{workspace['payload']}.json").read_text())

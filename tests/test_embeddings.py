@@ -342,3 +342,13 @@ class TestRowGrad:
     def test_ids_checked_against_vocab_size(self, ids):
         with pytest.raises(IdOutOfRange):
             embed_backward(ids, np.ones((len(ids), 2)), vocab_size=4)
+
+    def test_out_of_range_message_lists_only_the_bad_ids(self):
+        """A 512-id chunk with bad ids names those, once each and sorted,
+        not the whole chunk."""
+        ids = [1, 2, 3] * 170 + [9, -1]
+        table = EmbeddingTable(weights=np.zeros((4, 2)))
+        with pytest.raises(IdOutOfRange, match=r"^ids must lie in \[0, 4\), got \[-1, 9\]$"):
+            embed(ids + [9], table)
+        with pytest.raises(IdOutOfRange, match=r"^ids must lie in \[0, 4\), got \[-1, 9\]$"):
+            embed_backward(ids, np.ones((len(ids), 2)), vocab_size=4)

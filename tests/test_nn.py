@@ -30,29 +30,35 @@ ORACLE_ATOL = 1e-10
 
 
 def random_gru(d_in, d_h, seed, scale=0.5) -> GruParams:
-    return oracle.pack(oracle.random_cell(d_in, d_h, seed, scale))
+    """Two random directions, from cells seeded `seed` and `seed + 1000`."""
+    return oracle.pack(oracle.random_cell(d_in, d_h, seed, scale), oracle.random_cell(d_in, d_h, seed + 1000, scale))
 
 
 def zero_gru(d_in, d_h) -> GruParams:
-    return GruParams(W_i=np.zeros((d_in, 3 * d_h)), W_h=np.zeros((d_h, 3 * d_h)), b=np.zeros((2, 3 * d_h)))
+    return GruParams(W_i=np.zeros((2, d_in, 3 * d_h)), W_h=np.zeros((2, d_h, 3 * d_h)), b=np.zeros((2, 2, 3 * d_h)))
 
 
 def copy_through_gru(d_in, d_h, seed) -> GruParams:
     """Random weights, except that input feature 0 alone drives the update
     gate: x[0] = -1 gives z = sig(-30) ~ 0, x[0] = +1 gives z ~ 1."""
     p = random_gru(d_in, d_h, seed)
-    p.W_i[:, d_h : 2 * d_h] = 0.0
-    p.W_i[0, d_h : 2 * d_h] = 30.0
-    p.W_h[:, d_h : 2 * d_h] = 0.0
-    p.b[:, d_h : 2 * d_h] = 0.0
+    p.W_i[..., d_h : 2 * d_h] = 0.0
+    p.W_i[:, 0, d_h : 2 * d_h] = 30.0
+    p.W_h[..., d_h : 2 * d_h] = 0.0
+    p.b[..., d_h : 2 * d_h] = 0.0
     return p
 
 
 def forward_direction(X, p):
     """The forward direction of a one-sequence Bi-GRU: (H (T, h), the
     chunk's cache)."""
-    H, cache = bigru_forward(X, [len(X)], p, p, keep_cache=True)
-    return H[:, : p.hidden_dim], cache
+    H, cache = bigru_forward(X, [len(X)], p, keep_cache=True)
+    return H[:, : p.W_h.shape[1]], cache
+
+
+def gru_tensors(p: GruParams) -> dict:
+    """The stacked tensors of both directions by name."""
+    return {"W_i": p.W_i, "W_h": p.W_h, "b": p.b}
 
 
 def gru_loss_and_grad(X, R, p):
@@ -61,18 +67,14 @@ def gru_loss_and_grad(X, R, p):
 
     def loss_and_grad():
         H, cache = forward_direction(X, p)
-        gX, grads, _ = bigru_backward(np.concatenate([R, np.zeros_like(R)], axis=1), cache, p, p)
-        out = dict(grads.tensors())
-        out["X"] = gX
-        return float(np.sum(H * R)), out
+        gX, grads = bigru_backward(np.concatenate([R, np.zeros_like(R)], axis=1), cache, p)
+        return float(np.sum(H * R)), dict(gru_tensors(grads), X=gX)
 
     return loss_and_grad
 
 
 def gru_params(X, p):
-    params = dict(p.tensors())
-    params["X"] = X
-    return params
+    return dict(gru_tensors(p), X=X)
 
 
 class TestActivations:
@@ -175,7 +177,7 @@ class TestGruCell:
 
     def test_scalar_transcription_oracle(self):
         # 1-dim cell, all weights 1, all biases 0, inputs 1 then -0.5
-        p = GruParams(W_i=np.ones((1, 3)), W_h=np.ones((1, 3)), b=np.zeros((2, 3)))
+        p = GruParams(W_i=np.ones((2, 1, 3)), W_h=np.ones((2, 1, 3)), b=np.zeros((2, 2, 3)))
         H, _ = forward_direction(np.asarray([[1.0], [-0.5]]), p)
 
         def sig(v):
@@ -192,30 +194,27 @@ class TestGruCell:
     def test_shape_mismatch(self):
         p = init_gru(3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            bigru_forward(np.zeros((2, 4)), [2], p, p)
+            bigru_forward(np.zeros((2, 4)), [2], p)
         with pytest.raises(ShapeMismatch):
-            bigru_forward(np.zeros((2, 3)), [2], p, init_gru(4, 2, np.random.default_rng(0)))
+            bigru_forward(np.zeros((2, 3)), [1, 2], p)
+        _, cache = bigru_forward(np.zeros((2, 3)), [2], p, keep_cache=True)
         with pytest.raises(ShapeMismatch):
-            bigru_forward(np.zeros((2, 3)), [1, 2], p, p)
-        _, cache = bigru_forward(np.zeros((2, 3)), [2], p, p, keep_cache=True)
+            bigru_backward(np.zeros((2, 3)), cache, p)
         with pytest.raises(ShapeMismatch):
-            bigru_backward(np.zeros((2, 3)), cache, p, p)
-        with pytest.raises(ShapeMismatch):
-            bigru_backward(np.zeros((3, 4)), cache, p, p)
-        _, cache = bigru_forward(np.zeros((2, 3)), [1, 1], p, p)
+            bigru_backward(np.zeros((3, 4)), cache, p)
+        _, cache = bigru_forward(np.zeros((2, 3)), [1, 1], p)
         assert cache is None  # only a training chunk keeps its step stacks
-        _, cache = bigru_forward(np.zeros((2, 3)), [1, 1], p, p, keep_cache=True)
+        _, cache = bigru_forward(np.zeros((2, 3)), [1, 1], p, keep_cache=True)
         assert cache.H.shape == (2, 2, 2)
 
     def test_backward_zero_gradient(self):
         p = random_gru(3, 2, seed=5)
         X = np.ones((6, 3))
-        _, cache = bigru_forward(X, [3, 1, 2], p, p, keep_cache=True)
-        gX, g_fwd, g_bwd = bigru_backward(np.zeros((6, 4)), cache, p, p)
+        _, cache = bigru_forward(X, [3, 1, 2], p, keep_cache=True)
+        gX, grads = bigru_backward(np.zeros((6, 4)), cache, p)
         assert np.all(gX == 0.0)
-        for grads in (g_fwd, g_bwd):
-            for t in grads.tensors().values():
-                assert np.all(t == 0.0)
+        for t in gru_tensors(grads).values():
+            assert np.all(t == 0.0)
 
     def test_backward_finite_difference(self):
         rng = np.random.default_rng(6)
@@ -243,38 +242,40 @@ class TestOracle:
 
         H_ref, steps = oracle.bigru_forward(X, c_fwd, c_bwd)
         gX_ref, gf_ref, gb_ref = oracle.bigru_backward(R, steps, c_fwd, c_bwd)
-        p_fwd, p_bwd = oracle.pack(c_fwd), oracle.pack(c_bwd)
-        H, cache = bigru_forward(X, [T], p_fwd, p_bwd, keep_cache=True)
-        gX, g_fwd, g_bwd = bigru_backward(R, cache, p_fwd, p_bwd)
+        p = oracle.pack(c_fwd, c_bwd)
+        H, cache = bigru_forward(X, [T], p, keep_cache=True)
+        gX, grads = bigru_backward(R, cache, p)
 
         np.testing.assert_allclose(H, H_ref, rtol=0, atol=ORACLE_ATOL)
         np.testing.assert_allclose(gX, gX_ref, rtol=0, atol=ORACLE_ATOL)
-        for ref, got in ((gf_ref, g_fwd), (gb_ref, g_bwd)):
-            got_cells = oracle.unpack(got).tensors()
+        for k, ref in enumerate((gf_ref, gb_ref)):
+            got_cells = oracle.unpack(grads, k).tensors()
             for name, expected in ref.tensors().items():
-                np.testing.assert_allclose(got_cells[name], expected, rtol=0, atol=ORACLE_ATOL, err_msg=name)
+                np.testing.assert_allclose(got_cells[name], expected, rtol=0, atol=ORACLE_ATOL, err_msg=f"{k} {name}")
 
     def test_fused_matches_oracle_at_paper_dims(self):
         rng = np.random.default_rng(43)
-        p_fwd, p_bwd = init_gru(300, 128, rng), init_gru(300, 128, rng)
-        for p in (p_fwd, p_bwd):
-            p.b[:] = rng.normal(scale=0.1, size=p.b.shape)
+        p = init_gru(300, 128, rng)
+        p.b[:] = rng.normal(scale=0.1, size=p.b.shape)
         X = rng.normal(size=(12, 300))
         R = rng.normal(size=(12, 256))
-        c_fwd, c_bwd = oracle.unpack(p_fwd), oracle.unpack(p_bwd)
+        c_fwd, c_bwd = oracle.unpack(p, 0), oracle.unpack(p, 1)
         H_ref, steps = oracle.bigru_forward(X, c_fwd, c_bwd)
-        gX_ref, gf_ref, _ = oracle.bigru_backward(R, steps, c_fwd, c_bwd)
-        H, cache = bigru_forward(X, [12], p_fwd, p_bwd, keep_cache=True)
-        gX, g_fwd, _ = bigru_backward(R, cache, p_fwd, p_bwd)
+        gX_ref, gf_ref, gb_ref = oracle.bigru_backward(R, steps, c_fwd, c_bwd)
+        H, cache = bigru_forward(X, [12], p, keep_cache=True)
+        gX, grads = bigru_backward(R, cache, p)
         np.testing.assert_allclose(H, H_ref, rtol=0, atol=ORACLE_ATOL)
         np.testing.assert_allclose(gX, gX_ref, rtol=0, atol=ORACLE_ATOL)
-        np.testing.assert_allclose(g_fwd.W_h, oracle.pack(gf_ref).W_h, rtol=0, atol=ORACLE_ATOL)
+        np.testing.assert_allclose(grads.W_h, oracle.pack(gf_ref, gb_ref).W_h, rtol=0, atol=ORACLE_ATOL)
 
     def test_pack_unpack_round_trip(self):
-        cell = oracle.random_cell(4, 3, seed=44)
-        again = oracle.unpack(oracle.pack(cell))
-        for name, t in cell.tensors().items():
-            np.testing.assert_array_equal(getattr(again, name), t)
+        cells = oracle.random_cell(4, 3, seed=44), oracle.random_cell(4, 3, seed=45)
+        packed = oracle.pack(*cells)
+        assert (packed.W_i.shape, packed.W_h.shape, packed.b.shape) == ((2, 4, 9), (2, 3, 9), (2, 2, 9))
+        for k, cell in enumerate(cells):
+            again = oracle.unpack(packed, k)
+            for name, t in cell.tensors().items():
+                np.testing.assert_array_equal(getattr(again, name), t)
 
     def test_oracle_cell_finite_difference(self):
         rng = np.random.default_rng(45)
@@ -305,56 +306,53 @@ class TestBigru:
         c_fwd = oracle.random_cell(3, 2, seed=7)
         c_bwd = oracle.random_cell(3, 2, seed=8)
         X = np.random.default_rng(0).normal(size=(1, 3))
-        H, _ = bigru_forward(X, [1], oracle.pack(c_fwd), oracle.pack(c_bwd))
+        H, _ = bigru_forward(X, [1], oracle.pack(c_fwd, c_bwd))
         hf, _ = oracle.cell_forward(X[0], np.zeros(2), c_fwd)
         hb, _ = oracle.cell_forward(X[0], np.zeros(2), c_bwd)
         np.testing.assert_allclose(H[0], np.concatenate([hf, hb]), rtol=1e-15)
 
     def test_zero_params_zero_output(self):
-        p = zero_gru(3, 2)
-        H, _ = bigru_forward(np.ones((4, 3)), [4], p, p)
+        H, _ = bigru_forward(np.ones((4, 3)), [4], zero_gru(3, 2))
         np.testing.assert_array_equal(H, np.zeros((4, 4)))
 
     def test_empty_sequence_rejected(self):
         p = init_gru(3, 2, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            bigru_forward(np.zeros((0, 3)), [0], p, p)
+            bigru_forward(np.zeros((0, 3)), [0], p)
         with pytest.raises(ShapeMismatch):
-            bigru_forward(np.zeros((2, 3)), [2, 0], p, p)
+            bigru_forward(np.zeros((2, 3)), [2, 0], p)
         with pytest.raises(ShapeMismatch):
-            bigru_forward(np.zeros((0, 3)), [], p, p)
+            bigru_forward(np.zeros((0, 3)), [], p)
 
     def test_reversal_symmetry(self):
         rng = np.random.default_rng(9)
-        p_fwd = random_gru(3, 2, seed=10)
-        p_bwd = random_gru(3, 2, seed=11)
+        c_fwd = oracle.random_cell(3, 2, seed=10)
+        c_bwd = oracle.random_cell(3, 2, seed=11)
         for n in (1, 2, 5):
             X = rng.normal(size=(n, 3))
-            H, _ = bigru_forward(X, [n], p_fwd, p_bwd)
-            H_rev, _ = bigru_forward(X[::-1].copy(), [n], p_bwd, p_fwd)
+            H, _ = bigru_forward(X, [n], oracle.pack(c_fwd, c_bwd))
+            H_rev, _ = bigru_forward(X[::-1].copy(), [n], oracle.pack(c_bwd, c_fwd))
             swapped = np.concatenate([H[:, 2:], H[:, :2]], axis=1)
             np.testing.assert_allclose(H_rev, swapped[::-1], atol=1e-12)
 
     def test_backward_finite_difference(self):
+        """Every entry of both direction slices of W_i, W_h and b, and of X."""
         rng = np.random.default_rng(12)
-        p_fwd = random_gru(4, 3, seed=13)
-        p_bwd = random_gru(4, 3, seed=14)
+        p = oracle.pack(oracle.random_cell(4, 3, seed=13), oracle.random_cell(4, 3, seed=14))
         for T in (1, 5):
             X = rng.normal(size=(T, 4))
             R = rng.normal(size=(T, 6))
 
             def loss_and_grad():
-                H, cache = bigru_forward(X, [T], p_fwd, p_bwd, keep_cache=True)
-                gX, g_fwd, g_bwd = bigru_backward(R, cache, p_fwd, p_bwd)
-                out = {f"fwd/{k}": v for k, v in g_fwd.tensors().items()}
-                out.update({f"bwd/{k}": v for k, v in g_bwd.tensors().items()})
-                out["X"] = gX
-                return float(np.sum(H * R)), out
+                H, cache = bigru_forward(X, [T], p, keep_cache=True)
+                gX, grads = bigru_backward(R, cache, p)
+                return float(np.sum(H * R)), dict(gru_tensors(grads), X=gX)
 
-            params = {f"fwd/{k}": v for k, v in p_fwd.tensors().items()}
-            params.update({f"bwd/{k}": v for k, v in p_bwd.tensors().items()})
-            params["X"] = X
-            assert finite_diff_check(loss_and_grad, params) < 1e-5
+            _, grads = loss_and_grad()
+            nonzero = ("W_i", "b", "W_h") if T > 1 else ("W_i", "b")  # a one-step W_h gradient is 0
+            for name in nonzero:
+                assert np.any(grads[name][0] != 0.0) and np.any(grads[name][1] != 0.0), name
+            assert finite_diff_check(loss_and_grad, gru_params(X, p)) < 1e-5
 
 
 class TestDenseSoftmax:
@@ -453,5 +451,5 @@ class TestFiniteness:
             p = random_gru(4, 3, seed=int(rng.integers(1000)), scale=2.0)
             h, _ = forward_direction(x[None, :], p)
             assert np.all(np.isfinite(h))
-            H, _ = bigru_forward(rng.uniform(-10, 10, size=(3, 4)), [3], p, p)
+            H, _ = bigru_forward(rng.uniform(-10, 10, size=(3, 4)), [3], p)
             assert np.all(np.isfinite(H))

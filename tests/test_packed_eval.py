@@ -33,8 +33,7 @@ def paper_model(seed: int, vocab: int = 60):
     table = np.random.default_rng([seed, 1]).uniform(-0.5, 0.5, size=(vocab, cfg.embed_dim))
     params = init_model(cfg, EmbeddingTable(weights=table))
     rng = np.random.default_rng([seed, 2])
-    for gru in (params.gru_fwd, params.gru_bwd):
-        gru.b[:] = rng.normal(scale=0.1, size=gru.b.shape)
+    params.gru.b[:] = rng.normal(scale=0.1, size=params.gru.b.shape)
     params.dense.b[:] = rng.normal(scale=0.1, size=params.dense.b.shape)
     return cfg, params
 
@@ -49,7 +48,7 @@ def test_packed_bigru_matches_per_gate_oracle(lengths):
     rng = np.random.default_rng(len(lengths))
     c_fwd, c_bwd = gru_oracle.random_cell(7, 5, seed=1), gru_oracle.random_cell(7, 5, seed=2)
     X = rng.normal(size=(sum(lengths), 7))
-    H, cache = bigru_forward(X, lengths, gru_oracle.pack(c_fwd), gru_oracle.pack(c_bwd))
+    H, cache = bigru_forward(X, lengths, gru_oracle.pack(c_fwd, c_bwd))
     assert H.shape == (sum(lengths), 10) and cache is None  # an eval forward keeps no step stacks
     start = 0
     for n in lengths:

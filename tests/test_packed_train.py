@@ -1,6 +1,7 @@
 """Chunked training against the per-example oracle (`train_oracle`), the
 chunk backward against finite differences, and the chunk memory cap."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -96,8 +97,7 @@ def test_chunk_backward_finite_difference():
     cfg = tiny_config()
     params = init_model(cfg, EmbeddingTable(start_table(cfg, vocab, seed=7)))
     rng = np.random.default_rng(8)
-    for gru in (params.gru_fwd, params.gru_bwd):
-        gru.b[:] = rng.normal(scale=0.3, size=gru.b.shape)
+    params.gru.b[:] = rng.normal(scale=0.3, size=params.gru.b.shape)
     sequences = [ids for ids, _ in examples([4, 1, 7], vocab, seed=9)]
 
     def loss_and_grad():
@@ -115,29 +115,28 @@ def test_chunk_bigru_backward_matches_each_sequence_alone():
     lengths = [4, 1, 7, 7, 2]
     rng = np.random.default_rng(10)
     c_fwd, c_bwd = gru_oracle.random_cell(6, 5, seed=11), gru_oracle.random_cell(6, 5, seed=12)
-    p_fwd, p_bwd = gru_oracle.pack(c_fwd), gru_oracle.pack(c_bwd)
+    p = gru_oracle.pack(c_fwd, c_bwd)
     X = rng.normal(size=(sum(lengths), 6))
     R = rng.normal(size=(sum(lengths), 10))
-    _, cache = bigru_forward(X, lengths, p_fwd, p_bwd, keep_cache=True)
-    gX, g_fwd, g_bwd = bigru_backward(R, cache, p_fwd, p_bwd)
+    _, cache = bigru_forward(X, lengths, p, keep_cache=True)
+    gX, grads = bigru_backward(R, cache, p)
 
-    sums = [{k: np.zeros_like(t) for k, t in p.tensors().items()} for p in (p_fwd, p_bwd)]
+    names = [f.name for f in dataclasses.fields(grads)]
+    sums = {name: np.zeros_like(getattr(p, name)) for name in names}
     start = 0
     for n in lengths:
         rows = slice(start, start + n)
-        _, one = bigru_forward(X[rows], [n], p_fwd, p_bwd, keep_cache=True)
-        gX_one, *grads = train_oracle.bigru_backward(R[rows], one, p_fwd, p_bwd)
+        _, one = bigru_forward(X[rows], [n], p, keep_cache=True)
+        gX_one, g_one = train_oracle.bigru_backward(R[rows], one, p)
         np.testing.assert_allclose(gX[rows], gX_one, rtol=0, atol=ORACLE_ATOL)
         _, steps = gru_oracle.bigru_forward(X[rows], c_fwd, c_bwd)
         gX_gate, *_ = gru_oracle.bigru_backward(R[rows], steps, c_fwd, c_bwd)
         np.testing.assert_allclose(gX[rows], gX_gate, rtol=0, atol=ORACLE_ATOL)
-        for total, g in zip(sums, grads):
-            for k, t in g.tensors().items():
-                total[k] += t
+        for name in names:
+            sums[name] += getattr(g_one, name)
         start += n
-    for total, g in zip(sums, (g_fwd, g_bwd)):
-        for k, t in g.tensors().items():
-            np.testing.assert_allclose(t, total[k], rtol=0, atol=ORACLE_ATOL, err_msg=k)
+    for name in names:
+        np.testing.assert_allclose(getattr(grads, name), sums[name], rtol=0, atol=ORACLE_ATOL, err_msg=name)
 
 
 def test_long_sequence_runs_alone():

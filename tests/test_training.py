@@ -420,12 +420,14 @@ class TestModelParams:
             limit = math.sqrt(6.0 / (rows + cols))
             return rng.uniform(-limit, limit, size=(*lead, rows, cols))
 
-        for gru in (params.gru_fwd, params.gru_bwd):
+        gru = params.gru
+        assert (gru.W_i.shape, gru.W_h.shape, gru.b.shape) == ((2, d, 3 * h), (2, h, 3 * h), (2, 2, 3 * h))
+        for k in range(2):  # the forward direction's six draws, then the backward one's
             W_ir, W_iz, W_in = glorot(d, h), glorot(d, h), glorot(d, h)
             W_hr, W_hz, W_hn = glorot(h, h), glorot(h, h), glorot(h, h)
-            np.testing.assert_array_equal(gru.W_i, np.concatenate([W_ir, W_iz, W_in], axis=1))
-            np.testing.assert_array_equal(gru.W_h, np.concatenate([W_hr, W_hz, W_hn], axis=1))
-            np.testing.assert_array_equal(gru.b, np.zeros((2, 3 * h)))
+            np.testing.assert_array_equal(gru.W_i[k], np.concatenate([W_ir, W_iz, W_in], axis=1))
+            np.testing.assert_array_equal(gru.W_h[k], np.concatenate([W_hr, W_hz, W_hn], axis=1))
+        np.testing.assert_array_equal(gru.b, np.zeros((2, 2, 3 * h)))
         J, D = cfg.num_capsules, cfg.capsule_dim
         np.testing.assert_array_equal(params.capsule.W, glorot(2 * h, D, J))
         np.testing.assert_array_equal(params.dense.W, glorot(J * D, N_CLASSES))

@@ -52,10 +52,11 @@ def direction_caches(cache: BigruCache) -> tuple[GruCache, GruCache]:
     )
 
 
-def gru_backward(grad_H: np.ndarray, c: GruCache, p: GruParams):
-    """Backprop through time for one direction of one sequence; returns
-    (grad_X, grads), grad_X in processing order."""
-    T, d_h = grad_H.shape[0], p.hidden_dim
+def gru_backward(grad_H: np.ndarray, c: GruCache, p: GruParams, k: int):
+    """Backprop through time for direction k of one sequence; returns
+    (grad_X, (gW_i, gW_h, gb)), grad_X in processing order."""
+    W_i, W_h = p.W_i[k], p.W_h[k]
+    T, d_h = grad_H.shape[0], W_h.shape[0]
     r, z = c.rz[:, :d_h], c.rz[:, d_h:]
     H_prev = np.zeros_like(c.H)
     H_prev[1:] = c.H[:-1]
@@ -63,7 +64,7 @@ def gru_backward(grad_H: np.ndarray, c: GruCache, p: GruParams):
     K = np.stack([dtanh * c.hh * r * (1.0 - r), (H_prev - c.n) * z * (1.0 - z), dtanh * r], axis=1)
     dG = np.empty((T, 3, d_h))
     dH = np.empty((T, d_h))
-    W_hT = p.W_h.T
+    W_hT = W_h.T
     carry = np.zeros(d_h)
     for t in range(T - 1, -1, -1):
         dh = dH[t] = grad_H[t] + carry
@@ -72,18 +73,17 @@ def gru_backward(grad_H: np.ndarray, c: GruCache, p: GruParams):
     dG = dG.reshape(T, 3 * d_h)
     dA = dG.copy()
     dA[:, 2 * d_h :] = dH * dtanh
-    grads = GruParams(W_i=c.X.T @ dA, W_h=H_prev.T @ dG, b=np.stack([dA.sum(axis=0), dG.sum(axis=0)]))
-    return dA @ p.W_i.T, grads
+    return dA @ W_i.T, (c.X.T @ dA, H_prev.T @ dG, np.stack([dA.sum(axis=0), dG.sum(axis=0)]))
 
 
-def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p_fwd: GruParams, p_bwd: GruParams):
+def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
     """Both directions of a one-sequence chunk, one after the other;
-    returns (grad_X, g_fwd, g_bwd)."""
-    d_h = p_fwd.hidden_dim
+    returns (grad_X, grads), the direction gradients stacked."""
+    d_h = p.W_h.shape[1]
     c_fwd, c_bwd = direction_caches(cache)
-    gX_fwd, g_fwd = gru_backward(grad_H[:, :d_h], c_fwd, p_fwd)
-    gX_bwd, g_bwd = gru_backward(grad_H[::-1, d_h:], c_bwd, p_bwd)
-    return gX_fwd + gX_bwd[::-1], g_fwd, g_bwd
+    gX_fwd, g_fwd = gru_backward(grad_H[:, :d_h], c_fwd, p, 0)
+    gX_bwd, g_bwd = gru_backward(grad_H[::-1, d_h:], c_bwd, p, 1)
+    return gX_fwd + gX_bwd[::-1], GruParams(*(np.stack(pair) for pair in zip(g_fwd, g_bwd)))
 
 
 def example_loss_and_grads(ids, gold, params, cfg, rng):
@@ -94,15 +94,14 @@ def example_loss_and_grads(ids, gold, params, cfg, rng):
     if cache.drop_mask is not None:
         grad_c = grad_c * cache.drop_mask[0]
     grad_H, gW_caps = capsule_layer_backward(grad_c[None], cache.capsule, params.capsule)
-    grad_X, g_fwd, g_bwd = bigru_backward(grad_H, cache.bigru, params.gru_fwd, params.gru_bwd)
+    grad_X, g_gru = bigru_backward(grad_H, cache.bigru, params.gru)
     if cache.spatial_mask is not None:
         grad_X = grad_X * cache.spatial_mask
     gW_e = np.zeros_like(params.embedding.weights)
     np.add.at(gW_e, cache.ids, grad_X)
     grads = ModelParams(
         embedding=EmbeddingTable(weights=gW_e),
-        gru_fwd=g_fwd,
-        gru_bwd=g_bwd,
+        gru=g_gru,
         capsule=CapsuleParams(W=gW_caps),
         dense=DenseParams(W=np.outer(cache.c[0], grad_logits[0]), b=grad_logits[0].copy()),
     ).tensors()
