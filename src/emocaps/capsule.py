@@ -17,26 +17,10 @@ from .errors import ShapeMismatch
 from .nn import softmax, softmax_backward
 
 
-@dataclass
-class CapsuleParams:
-    W: np.ndarray  # (num_capsules, input_dim, capsule_dim)
-
-    @property
-    def num_capsules(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def capsule_dim(self) -> int:
-        return self.W.shape[2]
-
-
-def init_capsule(num_capsules, input_dim, capsule_dim, rng) -> CapsuleParams:
+def init_capsule(num_capsules, input_dim, capsule_dim, rng) -> np.ndarray:
+    """Glorot-uniform W (num_capsules, input_dim, capsule_dim), one transform per output capsule."""
     limit = np.sqrt(6.0 / (input_dim + capsule_dim))
-    return CapsuleParams(W=rng.uniform(-limit, limit, size=(num_capsules, input_dim, capsule_dim)))
+    return rng.uniform(-limit, limit, size=(num_capsules, input_dim, capsule_dim))
 
 
 @dataclass
@@ -48,15 +32,15 @@ class RoutingState:
     outputs: list  # each (B, J, d_out), post-squash
 
 
-def predict_vectors(H: np.ndarray, p: CapsuleParams, out=None) -> np.ndarray:
+def predict_vectors(H: np.ndarray, W: np.ndarray, out=None) -> np.ndarray:
     """U[j, i] = h_i W_j for every output capsule j and input row i: (J, N,
     d_out), written into `out` when given."""
-    if H.ndim != 2 or H.shape[1] != p.input_dim:
-        raise ShapeMismatch(f"H {H.shape} vs capsule input dim {p.input_dim}")
+    if H.ndim != 2 or H.shape[1] != W.shape[1]:
+        raise ShapeMismatch(f"H {H.shape} vs capsule input dim {W.shape[1]}")
     # one (N, d) @ (d, d_out) product per capsule, as a batched matmul; W has
     # no 2-D (d, J * d_out) view, and copying it into one costs more than a
     # single tweet saves
-    return np.matmul(H, p.W, out=out)
+    return np.matmul(H, W, out=out)
 
 
 def squash(s: np.ndarray) -> np.ndarray:
@@ -146,31 +130,31 @@ class CapsuleCache:
     lengths: np.ndarray  # (B,) sequence lengths, in input order
 
 
-def capsule_layer(H: np.ndarray, lengths, p: CapsuleParams, iterations: int):
+def capsule_layer(H: np.ndarray, lengths, W: np.ndarray, iterations: int):
     """predict_vectors -> zero-padded blocks -> dynamic_routing -> row-major
     flatten. H (N, d) holds the sequences' rows back to back, `lengths` their
     lengths in the same order; returns (B, J * d_out) and the cache."""
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != len(H):
         raise ShapeMismatch(f"lengths {lengths.tolist()} do not cover the {len(H)} input rows")
-    blocks = np.zeros((len(lengths), p.num_capsules, lengths.max(), p.capsule_dim), dtype=H.dtype)
+    blocks = np.zeros((len(lengths), W.shape[0], lengths.max(), W.shape[2]), dtype=H.dtype)
     start = 0
     for b, n in enumerate(lengths.tolist()):  # per sequence: no (J, N, d_out) copy, and as fast
-        predict_vectors(H[start : start + n], p, out=blocks[b, :, :n])
+        predict_vectors(H[start : start + n], W, out=blocks[b, :, :n])
         start += n
     V, state = dynamic_routing(blocks, iterations)
     return V.reshape(len(lengths), -1), CapsuleCache(H=H, U=blocks, state=state, lengths=lengths)
 
 
-def capsule_layer_backward(grad_flat: np.ndarray, cache: CapsuleCache, p: CapsuleParams):
+def capsule_layer_backward(grad_flat: np.ndarray, cache: CapsuleCache, W: np.ndarray):
     """Backprop through routing and the prediction transforms; returns
     (grad_H, grad_W) for the gradient of the flattened (B, J * d_out) output."""
     V_shape = cache.state.outputs[-1].shape
-    if V_shape[1:] != (p.num_capsules, p.capsule_dim) or grad_flat.shape != (V_shape[0], V_shape[1] * V_shape[2]):
+    if V_shape[1:] != (W.shape[0], W.shape[2]) or grad_flat.shape != (V_shape[0], V_shape[1] * V_shape[2]):
         raise ShapeMismatch(f"grad {grad_flat.shape} vs flattened capsule output {V_shape}")
     grad_U = routing_backward(grad_flat.reshape(V_shape), cache.U, cache.state)
     # (J, N, d_out): the real rows of every block, padding dropped
     per_capsule = np.concatenate([grad_U[b, :, :n] for b, n in enumerate(cache.lengths.tolist())], axis=1)
     grad_W = cache.H.T @ per_capsule
-    grad_H = (per_capsule @ p.W.transpose(0, 2, 1)).sum(axis=0)
+    grad_H = (per_capsule @ W.transpose(0, 2, 1)).sum(axis=0)
     return grad_H, grad_W

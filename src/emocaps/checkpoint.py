@@ -21,14 +21,6 @@ from .errors import MalformedHeader, TruncatedFile
 FORMAT_VERSION = 2
 
 
-def _manifest_path(stem) -> Path:
-    return Path(str(stem) + ".json")
-
-
-def _payload_path(stem) -> Path:
-    return Path(str(stem) + ".bin")
-
-
 def save_checkpoint(
     stem, tensors: dict[str, np.ndarray], hyperparameters: dict, seed: int, vocab_sha256: str | None = None
 ) -> None:
@@ -54,7 +46,7 @@ def save_checkpoint(
     }
     if vocab_sha256 is not None:
         manifest["vocab_sha256"] = vocab_sha256
-    payload, manifest_path = _payload_path(stem), _manifest_path(stem)
+    payload, manifest_path = Path(f"{stem}.bin"), Path(f"{stem}.json")
     tmp_payload = payload.with_name(payload.name + ".tmp")
     tmp_manifest = manifest_path.with_name(manifest_path.name + ".tmp")
     try:
@@ -70,7 +62,8 @@ def save_checkpoint(
 
 
 def _tensor_layout(entry, index: int, where) -> tuple:
-    """(name, shape, dtype) of one manifest tensor entry."""
+    """(name, shape, dtype) of one manifest tensor entry; the dtype must be
+    a floating-point one, as every tensor of a model is."""
     if not isinstance(entry, dict):
         raise MalformedHeader(f"{where}: tensor entry {index} is not an object")
     for key in ("name", "shape", "dtype"):
@@ -83,8 +76,8 @@ def _tensor_layout(entry, index: int, where) -> tuple:
         dtype = np.dtype(dtype) if isinstance(dtype, str) else None
     except TypeError:
         dtype = None
-    if dtype is None or dtype.hasobject:
-        raise MalformedHeader(f"{where}: tensor {name!r} has unknown dtype {entry['dtype']!r}")
+    if dtype is None or dtype.kind != "f":
+        raise MalformedHeader(f"{where}: tensor {name!r} has unknown dtype {entry['dtype']!r}, not a floating-point one")
     return name, tuple(shape), dtype
 
 
@@ -98,7 +91,7 @@ def load_checkpoint(stem):
     or disagrees with the payload size. Every message names the file it
     is about.
     """
-    manifest_path, payload_path = _manifest_path(stem), _payload_path(stem)
+    manifest_path, payload_path = Path(f"{stem}.json"), Path(f"{stem}.bin")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

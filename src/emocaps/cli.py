@@ -185,12 +185,8 @@ def _check_vocab(manifest: dict, stem, vocab: Vocabulary, vocab_path) -> None:
         )
 
 
-def _load_lexicon(path) -> Lexicon:
-    return Lexicon.from_file(path) if path else Lexicon.from_pairs([])
-
-
 def cmd_preprocess(args) -> int:
-    lex = _load_lexicon(args.lexicon)
+    lex = Lexicon.from_file(args.lexicon) if args.lexicon else Lexicon.from_pairs([])
     examples = load_dataset(args.input, labeled=not args.unlabeled)
     lines = []
     for label, text in examples:
@@ -266,12 +262,11 @@ def cmd_train(args) -> int:
     else:
         table = build_embedding(vocab, {}, cfg.embed_dim, cfg.seed)
     params = init_model(cfg, table)
+    out = Path(args.checkpoint_dir)
+    out.mkdir(parents=True, exist_ok=True)  # before the first step: a bad directory fails at once
 
     clock = time.perf_counter if args.wall_clock else None
     params, history = train(train_set, dev_set, params, cfg, clock=clock)
-
-    out = Path(args.checkpoint_dir)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "model", params.tensors(), cfg.__dict__.copy(), cfg.seed, _vocab_sha256(vocab))
     with open(out / "history.jsonl", "w", encoding="utf-8") as fh:
         for row in history:
@@ -289,6 +284,10 @@ def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
         raise MalformedHeader(f"{checkpoint}.json: hyperparameters are not a JSON object")
     # keys this version does not know (options since retired) are ignored
     cfg = TrainConfig(**_typed_config(hp, f"{checkpoint}.json"))
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise MalformedHeader(f"{checkpoint}.json: {exc}") from None
     params = ModelParams.from_tensors(tensors, f"{checkpoint}.json")
     if params.embedding.weights.shape[0] != len(vocab):
         raise DimensionMismatch(

@@ -95,10 +95,6 @@ class EmbeddingTable:
 
     weights: np.ndarray  # (|V|, dim)
 
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
 
 def load_word2vec(path, fmt: str = "binary") -> dict[str, np.ndarray]:
     """Parse a word2vec file into word -> float32 vector (first occurrence wins).

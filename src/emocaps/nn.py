@@ -222,10 +222,6 @@ class DenseParams:
     W: np.ndarray  # (input_dim, N_CLASSES)
     b: np.ndarray  # (N_CLASSES,)
 
-    @property
-    def input_dim(self) -> int:
-        return self.W.shape[0]
-
 
 def init_dense(input_dim: int, rng) -> DenseParams:
     return DenseParams(W=glorot_uniform((input_dim, N_CLASSES), rng), b=np.zeros(N_CLASSES))
@@ -234,8 +230,8 @@ def init_dense(input_dim: int, rng) -> DenseParams:
 def dense_forward(c: np.ndarray, p: DenseParams) -> np.ndarray:
     """Affine map to the class logits, c @ W + b, for one input row or a
     (B, input_dim) batch; softmax is a separate step."""
-    if c.ndim not in (1, 2) or c.shape[-1] != p.input_dim:
-        raise ShapeMismatch(f"input {c.shape} vs dense ({p.input_dim}, {N_CLASSES})")
+    if c.ndim not in (1, 2) or c.shape[-1] != p.W.shape[0]:
+        raise ShapeMismatch(f"input {c.shape} vs dense {p.W.shape}")
     return c @ p.W + p.b
 
 

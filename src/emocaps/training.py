@@ -28,13 +28,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .capsule import (
-    CapsuleCache,
-    CapsuleParams,
-    capsule_layer,
-    capsule_layer_backward,
-    init_capsule,
-)
+from .capsule import CapsuleCache, capsule_layer, capsule_layer_backward, init_capsule
 from .embeddings import EmbeddingTable, embed, embed_backward
 from .errors import (
     DimensionMismatch,
@@ -122,7 +116,7 @@ def _gru_tensors(gru: GruParams) -> dict[str, np.ndarray]:
 class ModelParams:
     embedding: EmbeddingTable
     gru: GruParams
-    capsule: CapsuleParams
+    capsule: np.ndarray  # (J, 2h, d_out) one transform per output capsule
     dense: DenseParams
 
     def tensors(self) -> dict[str, np.ndarray]:
@@ -130,7 +124,7 @@ class ModelParams:
         return {
             "embedding/W_e": self.embedding.weights,
             **_gru_tensors(self.gru),
-            "capsule/W": self.capsule.W,
+            "capsule/W": self.capsule,
             "dense/W": self.dense.W,
             "dense/b": self.dense.b,
         }
@@ -162,15 +156,15 @@ class ModelParams:
         return cls(
             embedding=EmbeddingTable(weights=tensors["embedding/W_e"]),
             gru=GruParams(**{f.name: np.stack([tensors[f"{p}/{f.name}"] for p in GRU_PREFIXES]) for f in fields(GruParams)}),
-            capsule=CapsuleParams(W=tensors["capsule/W"]),
+            capsule=tensors["capsule/W"],
             dense=DenseParams(W=tensors["dense/W"], b=tensors["dense/b"]),
         )
 
 
 def init_model(cfg: TrainConfig, embedding: EmbeddingTable) -> ModelParams:
-    if embedding.dim != cfg.embed_dim:
+    if embedding.weights.shape[1] != cfg.embed_dim:
         raise DimensionMismatch(
-            f"embedding table is {embedding.dim}-dimensional, config says {cfg.embed_dim}"
+            f"embedding table is {embedding.weights.shape[1]}-dimensional, config says {cfg.embed_dim}"
         )
     rng = np.random.default_rng([cfg.seed, 0])
     return ModelParams(
@@ -279,11 +273,12 @@ def gaussian_noise(x: np.ndarray, std: float, rng) -> np.ndarray:
 def spatial_dropout(X: np.ndarray, rate: float, rng):
     """Channel dropout with inverted scaling: one keep/drop draw per column,
     applied across every row; returns (output, broadcastable (1, columns)
-    mask, or None at rate 0). The mask carries the 1/(1-rate) survivor
-    scaling, so the backward pass is a plain multiply. On a one-row input
-    it is plain unit dropout."""
+    mask). The mask carries the 1/(1-rate) survivor scaling, so the
+    backward pass is a plain multiply. At rate 0 the output is X itself and
+    the mask all ones, and nothing is drawn. On a one-row input it is plain
+    unit dropout."""
     if rate == 0.0:
-        return X, None
+        return X, np.ones((1, X.shape[1]))
     keep = rng.random((1, X.shape[1])) >= rate
     mask = keep / (1.0 - rate)
     return X * mask, mask
@@ -292,17 +287,17 @@ def spatial_dropout(X: np.ndarray, rate: float, rng):
 @dataclass
 class ForwardCache:
     ids: np.ndarray  # the sequences' ids back to back
-    spatial_mask: np.ndarray | None  # (N, embed_dim) each row's sequence's mask
+    spatial_mask: np.ndarray  # (N, embed_dim) each row's sequence's mask
     bigru: BigruCache
     capsule: CapsuleCache
-    drop_mask: np.ndarray | None  # (B, J * d_out)
+    drop_mask: np.ndarray  # (B, J * d_out)
     c: np.ndarray  # (B, J * d_out) dense input, after dropout and noise
 
 
 def _regularize(rows: np.ndarray, lengths, rngs, rate: float, std: float):
     """Sequence b's rows through spatial dropout and then Gaussian noise,
     both drawn from its own stream rngs[b]; returns (output, the per-row
-    dropout masks or None)."""
+    dropout masks)."""
     out = np.empty_like(rows)
     masks = []
     start = 0
@@ -311,8 +306,6 @@ def _regularize(rows: np.ndarray, lengths, rngs, rate: float, std: float):
         out[start : start + n] = gaussian_noise(part, std, rng)
         masks.append(mask)
         start += n
-    if masks[0] is None:
-        return out, None
     return out, np.concatenate([np.broadcast_to(m, (n, m.shape[1])) for m, n in zip(masks, lengths)])
 
 
@@ -339,7 +332,6 @@ def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rngs=None)
     training_pass = rngs is not None
     ids = np.concatenate([np.asarray(s, dtype=np.intp) for s in sequences])
     X = embed(ids, params.embedding)
-    spatial_mask = drop_mask = None
     if training_pass:
         X, spatial_mask = _regularize(X, lengths, rngs, cfg.spatial_dropout, cfg.noise_std)
     H, bigru_cache = bigru_forward(X, lengths, params.gru, keep_cache=training_pass)
@@ -366,12 +358,9 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
     `grads`, one array per ModelParams.tensors() key and of its shape.
     Additive noise backpropagates as identity."""
     grad_c, gW_dense, gb_dense = dense_backward(grad_logits, cache.c, params.dense)
-    if cache.drop_mask is not None:
-        grad_c = grad_c * cache.drop_mask
-    grad_H, gW_caps = capsule_layer_backward(grad_c, cache.capsule, params.capsule)
+    grad_H, gW_caps = capsule_layer_backward(grad_c * cache.drop_mask, cache.capsule, params.capsule)
     grad_X, g_gru = bigru_backward(grad_H, cache.bigru, params.gru)
-    if cache.spatial_mask is not None:
-        grad_X = grad_X * cache.spatial_mask
+    grad_X = grad_X * cache.spatial_mask
     rows, values = embed_backward(cache.ids, grad_X, params.embedding.weights.shape[0])
     grads["embedding/W_e"][rows] += values
     for name, t in _gru_tensors(g_gru).items():
@@ -497,7 +486,6 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
     adam = init_adam(updated)
     history: list[dict] = []
     best_f1 = -1.0
-    best_tensors = None
     since_best = 0
 
     for epoch in range(cfg.max_epochs):
@@ -544,8 +532,8 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
             if since_best > cfg.patience:
                 break
 
-    if best_tensors is not None:
-        for name, values in best_tensors.items():
-            tensors[name][...] = values
-        W[slots] = tensors["embedding/W_e"]
+    # epoch 0 always sets best_tensors: its dev macro-F1 is at least 0
+    for name, values in best_tensors.items():
+        tensors[name][...] = values
+    W[slots] = tensors["embedding/W_e"]
     return params, history

@@ -58,7 +58,7 @@ def dynamic_routing(U: np.ndarray, iterations: int) -> list:
 def forward_probs(ids, params, cfg) -> np.ndarray:
     """Eval-mode class probabilities (N_CLASSES,) of one id sequence."""
     H = bigru_forward(embed(ids, params.embedding), params.gru)
-    U = np.einsum("nd,jdo->njo", H, params.capsule.W)
+    U = np.einsum("nd,jdo->njo", H, params.capsule)
     _, _, V = dynamic_routing(U, cfg.routing_iters)[-1]
     return softmax(dense_forward(V.reshape(-1), params.dense))
 

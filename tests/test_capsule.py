@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from emocaps.capsule import (
-    CapsuleParams,
     capsule_layer,
     capsule_layer_backward,
     dynamic_routing,
@@ -22,7 +21,7 @@ import eval_oracle
 
 def random_capsule(J, d_in, d_out, seed, scale=0.6):
     rng = np.random.default_rng(seed)
-    return CapsuleParams(W=rng.normal(scale=scale, size=(J, d_in, d_out)))
+    return rng.normal(scale=scale, size=(J, d_in, d_out))
 
 
 def route(U, r):
@@ -148,7 +147,7 @@ class TestSquash:
 class TestPredictVectors:
     def test_identity_transforms(self):
         H = np.random.default_rng(3).normal(size=(4, 3))
-        p = CapsuleParams(W=np.stack([np.eye(3), np.eye(3)]))
+        p = np.stack([np.eye(3), np.eye(3)])
         U = predict_vectors(H, p)
         for j in range(2):
             np.testing.assert_array_equal(U[j], H)
@@ -165,7 +164,7 @@ class TestPredictVectors:
         U = predict_vectors(H, p)
         for i in range(3):
             for j in range(2):
-                np.testing.assert_allclose(U[j, i], H[i] @ p.W[j], rtol=1e-12)
+                np.testing.assert_allclose(U[j, i], H[i] @ p[j], rtol=1e-12)
 
     def test_shape_mismatch(self):
         p = random_capsule(2, 4, 2, seed=7)
@@ -277,7 +276,7 @@ class TestRoutingBackward:
             grad_H, grad_W = capsule_layer_backward(R.reshape(1, -1), cache, p)
             return float(np.sum(V * R)), {"W": grad_W, "H": grad_H}
 
-        assert finite_diff_check(loss_and_grad, {"W": p.W, "H": H}) < 1e-6
+        assert finite_diff_check(loss_and_grad, {"W": p, "H": H}) < 1e-6
 
 
 # --- einsum oracle: the contractions as the capsule layer first wrote them ---
@@ -327,7 +326,7 @@ class TestMatmulContractions:
         grad_flat = rng.normal(size=J * d_out)
 
         flat, cache = layer(H, p, iterations=3)
-        U = einsum_predict_vectors(H, p.W)
+        U = einsum_predict_vectors(H, p)
         np.testing.assert_allclose(cache.U[0], U.transpose(1, 0, 2), rtol=0, atol=self.TOL)
         assert cache.U.flags.c_contiguous
         states = eval_oracle.dynamic_routing(U, 3)
@@ -342,8 +341,8 @@ class TestMatmulContractions:
         )
         grad_U = grad_U[0].transpose(1, 0, 2)
         np.testing.assert_allclose(grad_W, einsum_grad_W(H, grad_U), rtol=0, atol=self.TOL)
-        np.testing.assert_allclose(grad_H, einsum_grad_H(grad_U, p.W), rtol=0, atol=self.TOL)
-        assert grad_W.shape == p.W.shape and grad_H.shape == H.shape
+        np.testing.assert_allclose(grad_H, einsum_grad_H(grad_U, p), rtol=0, atol=self.TOL)
+        assert grad_W.shape == p.shape and grad_H.shape == H.shape
 
 
 class TestCapsuleLayer:
@@ -366,7 +365,7 @@ class TestCapsuleLayer:
         U = np.empty((3, 2, 2))
         for i in range(3):
             for j in range(2):
-                U[i, j] = H[i] @ p.W[j]
+                U[i, j] = H[i] @ p[j]
         np.testing.assert_allclose(flat, oracle_routing(U, 3).reshape(-1), atol=1e-12)
 
     @pytest.mark.parametrize("n,J,d_out,r", [(1, 1, 1, 1), (2, 3, 2, 2), (4, 3, 3, 3)])
@@ -381,7 +380,7 @@ class TestCapsuleLayer:
             grad_H, grad_W = capsule_layer_backward(R[None], cache, p)
             return float(flat @ R), {"W": grad_W, "H": grad_H}
 
-        assert finite_diff_check(loss_and_grad, {"W": p.W, "H": H}) < 1e-4
+        assert finite_diff_check(loss_and_grad, {"W": p, "H": H}) < 1e-4
 
     def test_backward_shape_mismatch(self):
         p = random_capsule(2, 4, 2, seed=30)
@@ -419,7 +418,7 @@ class TestCapsuleLayer:
     def test_init_capsule_deterministic_and_bounded(self):
         a = init_capsule(4, 6, 3, np.random.default_rng(31))
         b = init_capsule(4, 6, 3, np.random.default_rng(31))
-        np.testing.assert_array_equal(a.W, b.W)
+        np.testing.assert_array_equal(a, b)
         limit = math.sqrt(6.0 / 9.0)
-        assert np.all(np.abs(a.W) <= limit)
-        assert (a.num_capsules, a.input_dim, a.capsule_dim) == (4, 6, 3)
+        assert np.all(np.abs(a) <= limit)
+        assert a.shape == (4, 6, 3)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_toy_examples, write_labeled
-from emocaps import cli
+from emocaps import cli, training
 from emocaps.checkpoint import load_checkpoint, save_checkpoint
 from emocaps.cli import build_parser, entry, load_dataset, main
 from emocaps.embeddings import Vocabulary
@@ -553,6 +553,62 @@ class TestExitCodes:
         assert code == 3
         assert f"error: {stem}.json: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_out_of_range_hyperparameter_names_manifest(self, workspace, tmp_path, capsys, command):
+        stem = tmp_path / "model"
+        manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
+        manifest["hyperparameters"]["routing_iters"] = 0
+        Path(f"{stem}.json").write_text(json.dumps(manifest))
+        Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {stem}.json: ") and "routing_iters" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, dtype", [("dense/b", "<U1"), ("dense/W", "<i8"), ("capsule/W", "|b1")])
+    def test_non_floating_model_tensor_is_refused(self, workspace, tmp_path, capsys, name, dtype):
+        tensors, manifest = load_checkpoint(workspace["ckpt"] / "model")
+        tensors[name] = np.ones(tensors[name].shape).astype(dtype)
+        stem = tmp_path / "model"
+        save_checkpoint(stem, tensors, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        out = tmp_path / "preds.txt"
+        capsys.readouterr()
+        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+                    "--checkpoint", stem, "--output", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {stem}.json: tensor {name!r} has unknown dtype {dtype!r}, not a floating-point one\n"
+        assert not out.exists()
+
+    def test_non_floating_embedding_payload_is_refused(self, workspace, tmp_path, capsys):
+        tensors, manifest = load_checkpoint(workspace["payload"])
+        stem = tmp_path / "emb"
+        save_checkpoint(stem, {"embedding/W_e": np.full(tensors["embedding/W_e"].shape, "x")},
+                        manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--embeddings-payload", stem, "--checkpoint-dir", out] + TINY_FLAGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {stem}.json: tensor 'embedding/W_e' has unknown dtype '<U1', not a floating-point one\n"
+        assert not out.exists()
+
+    def test_unwritable_checkpoint_dir_fails_before_the_first_step(self, workspace, capsys, monkeypatch):
+        steps = []
+        monkeypatch.setattr(training, "adam_step", lambda *a: steps.append(a))
+        out = workspace["clean"] / "run"  # under a file: mkdir fails
+        capsys.readouterr()
+        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--checkpoint-dir", out] + TINY_FLAGS)
+        assert code == 3
+        assert "Not a directory" in capsys.readouterr().err
+        assert steps == []
 
     def test_shape_beyond_int64_names_payload(self, workspace, tmp_path, capsys):
         stem = tmp_path / "huge"

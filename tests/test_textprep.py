@@ -344,7 +344,10 @@ def enumerated_spell(word, lex):
     edits = _edits1(word)
     known = [w for w in edits if w in lex.counts]
     if not known:
-        known = [w2 for w1 in edits for w2 in _edits1(w1) if w2 in lex.counts]
+        # one edit shortens a string by at most one character, so a w1 more
+        # than one longer than every lexicon word has no lexicon word in reach
+        longest = max(map(len, lex.counts), default=0)
+        known = [w2 for w1 in edits if len(w1) <= longest + 1 for w2 in _edits1(w1) if w2 in lex.counts]
     if not known:
         return word
     return min(set(known), key=lambda w: (-lex.counts[w], w))

@@ -247,11 +247,27 @@ class TestRegularizers:
         assert abs(out.mean()) < 0.001
 
     def test_dropout_identity_cases(self):
-        x = np.ones((1, 6))
-        out, mask = spatial_dropout(x, 0.0, np.random.default_rng(0))
-        assert out is x and mask is None
-        out, mask = spatial_dropout(x.reshape(2, 3), 0.0, np.random.default_rng(0))
-        assert np.shares_memory(out, x) and mask is None
+        # rate 0: the input itself, a ones mask, and nothing drawn
+        for x in (np.ones((1, 6)), np.ones((2, 3))):
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            out, mask = spatial_dropout(x, 0.0, rng)
+            assert out is x
+            np.testing.assert_array_equal(mask, np.ones((1, x.shape[1])))
+            assert rng.bit_generator.state == state
+
+    def test_rate_zero_training_pass_draws_only_noise(self):
+        cfg = tiny_config(noise_std=0.1)
+        vocab, params = tiny_model(cfg)
+        sequences = [vocab.encode(["alpha", "beta", "gamma"]), vocab.encode(["beta"])]
+        rngs = [np.random.default_rng([7, b]) for b in range(len(sequences))]
+        _, cache = forward_full(sequences, params, cfg, rngs=rngs)
+        assert np.all(cache.spatial_mask == 1.0) and np.all(cache.drop_mask == 1.0)
+        for b, (ids, rng) in enumerate(zip(sequences, rngs)):
+            alone = np.random.default_rng([7, b])
+            alone.normal(0.0, cfg.noise_std, size=(len(ids), cfg.embed_dim))
+            alone.normal(0.0, cfg.noise_std, size=(1, cfg.num_capsules * cfg.capsule_dim))
+            assert rng.bit_generator.state == alone.bit_generator.state
 
     def test_dropout_mask_values(self):
         # on one row, as capsule dropout runs it: a draw per unit
@@ -429,7 +445,7 @@ class TestModelParams:
             np.testing.assert_array_equal(gru.W_h[k], np.concatenate([W_hr, W_hz, W_hn], axis=1))
         np.testing.assert_array_equal(gru.b, np.zeros((2, 2, 3 * h)))
         J, D = cfg.num_capsules, cfg.capsule_dim
-        np.testing.assert_array_equal(params.capsule.W, glorot(2 * h, D, J))
+        np.testing.assert_array_equal(params.capsule, glorot(2 * h, D, J))
         np.testing.assert_array_equal(params.dense.W, glorot(J * D, N_CLASSES))
         np.testing.assert_array_equal(params.dense.b, np.zeros(N_CLASSES))
 
@@ -532,7 +548,7 @@ class TestTrainLoop:
     def test_non_finite_gradient_stops_before_adam(self, toy_examples, monkeypatch):
         cfg, vocab, params = toy_setup(toy_examples)
         data = encode_examples(toy_examples, vocab)
-        params.capsule.W[0, 0, 0] = np.nan
+        params.capsule[0, 0, 0] = np.nan
         before = {k: t.copy() for k, t in params.tensors().items()}
         states = []
         monkeypatch.setattr(training, "init_adam", lambda *a: states.append(init_adam(*a)) or states[-1])

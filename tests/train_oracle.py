@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import eval_oracle
-from emocaps.capsule import CapsuleParams, capsule_layer_backward
+from emocaps.capsule import capsule_layer_backward
 from emocaps.embeddings import EmbeddingTable
 from emocaps.evaluation import confusion, metrics
 from emocaps.nn import BigruCache, DenseParams, GruParams
@@ -91,18 +91,16 @@ def example_loss_and_grads(ids, gold, params, cfg, rng):
     probs, cache = forward_full([ids], params, cfg, rngs=[rng])
     (loss,), grad_logits = cross_entropy_loss(probs, [gold])
     grad_c = grad_logits[0] @ params.dense.W.T
-    if cache.drop_mask is not None:
-        grad_c = grad_c * cache.drop_mask[0]
+    grad_c = grad_c * cache.drop_mask[0]
     grad_H, gW_caps = capsule_layer_backward(grad_c[None], cache.capsule, params.capsule)
     grad_X, g_gru = bigru_backward(grad_H, cache.bigru, params.gru)
-    if cache.spatial_mask is not None:
-        grad_X = grad_X * cache.spatial_mask
+    grad_X = grad_X * cache.spatial_mask
     gW_e = np.zeros_like(params.embedding.weights)
     np.add.at(gW_e, cache.ids, grad_X)
     grads = ModelParams(
         embedding=EmbeddingTable(weights=gW_e),
         gru=g_gru,
-        capsule=CapsuleParams(W=gW_caps),
+        capsule=gW_caps,
         dense=DenseParams(W=np.outer(cache.c[0], grad_logits[0]), b=grad_logits[0].copy()),
     ).tensors()
     return float(loss), grads
