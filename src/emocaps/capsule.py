@@ -23,36 +23,13 @@ def init_capsule(num_capsules, input_dim, capsule_dim, rng) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(num_capsules, input_dim, capsule_dim))
 
 
-@dataclass
-class RoutingState:
-    """Per-iteration forward intermediates, kept for the backward pass."""
-
-    couplings: list  # each (B, J, T); at every position they sum to 1 over J
-    sums: list  # each (B, J, d_out), pre-squash
-    outputs: list  # each (B, J, d_out), post-squash
-
-
-def predict_vectors(H: np.ndarray, W: np.ndarray, out=None) -> np.ndarray:
-    """U[j, i] = h_i W_j for every output capsule j and input row i: (J, N,
-    d_out), written into `out` when given."""
-    if H.ndim != 2 or H.shape[1] != W.shape[1]:
-        raise ShapeMismatch(f"H {H.shape} vs capsule input dim {W.shape[1]}")
-    # one (N, d) @ (d, d_out) product per capsule, as a batched matmul; W has
-    # no 2-D (d, J * d_out) view, and copying it into one costs more than a
-    # single tweet saves
-    return np.matmul(H, W, out=out)
-
-
 def squash(s: np.ndarray) -> np.ndarray:
     """Scale vectors (last axis) so the norm maps into [0, 1), direction kept.
 
     v = (|s|^2 / (1 + |s|^2)) * s / |s|, with squash(0) = 0.
     """
     sq = np.sum(s * s, axis=-1, keepdims=True)
-    norm = np.sqrt(sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(norm > 0.0, norm / (1.0 + sq), 0.0)
-    return s * scale
+    return s * (np.sqrt(sq) / (1.0 + sq))
 
 
 def squash_backward(grad_v: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -61,13 +38,12 @@ def squash_backward(grad_v: np.ndarray, s: np.ndarray) -> np.ndarray:
     norm = np.sqrt(sq)
     one_plus = 1.0 + sq
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(norm > 0.0, norm / one_plus, 0.0)
         # d scale / d rho divided by rho, for the radial term
         radial = np.where(
             norm > 0.0, (1.0 - sq) / (one_plus * one_plus * norm), 0.0
         )
     inner = np.sum(grad_v * s, axis=-1, keepdims=True)
-    return grad_v * scale + s * (radial * inner)
+    return grad_v * (norm / one_plus) + s * (radial * inner)
 
 
 def dynamic_routing(U: np.ndarray, iterations: int):
@@ -80,67 +56,74 @@ def dynamic_routing(U: np.ndarray, iterations: int):
     after the last iteration) raises the logits by the dot-product agreement
     between predictions and outputs. A zero prediction adds nothing to a sum
     and gains no agreement, so padding leaves every sequence's routing exact.
-    Returns V (B, J, d_out) and the state.
+    Returns V (B, J, d_out) and, per iteration, the couplings C (B, J, T; at
+    every position they sum to 1 over J), the pre-squash sums S and the
+    outputs V (each (B, J, d_out)) as a (C, S, V) triple.
     """
     if iterations < 1:
         raise ValueError("routing needs at least one iteration")
     logits = np.zeros(U.shape[:3], dtype=U.dtype)
-    couplings, sums, outputs = [], [], []
-    V = None
+    state = []
     for k in range(iterations):
         C = softmax(logits, axis=1)
         S = (C[:, :, None, :] @ U)[:, :, 0]
         V = squash(S)
-        couplings.append(C)
-        sums.append(S)
-        outputs.append(V)
+        state.append((C, S, V))
         if k < iterations - 1:
             logits = logits + (U @ V[..., None])[..., 0]
-    return V, RoutingState(couplings=couplings, sums=sums, outputs=outputs)
+    return V, state
 
 
-def routing_backward(grad_V: np.ndarray, U: np.ndarray, state: RoutingState) -> np.ndarray:
+def routing_backward(grad_V: np.ndarray, U: np.ndarray, state: list) -> np.ndarray:
     """Backprop through the unrolled routing loop; returns grad_U.
 
-    Walks the iterations in reverse, carrying the gradient of the running
-    logits; the agreement update feeds gradient into both the predictions
-    and the previous iteration's output.
+    Walks the iterations in reverse, carrying the gradient dB of the running
+    logits. grad_U is a sum of outer products: (C_k, dS_k) through every
+    coupled sum, and (dB_k, V_{k-1}) through every agreement update, which
+    also passes dB_k @ U back into the previous iteration's output. The
+    first iteration's logits are constant, so its couplings get no gradient.
     """
-    iterations = len(state.couplings)
-    grad_U = np.zeros_like(U)
-    dB_carry = np.zeros_like(state.couplings[0])
-    for k in range(iterations - 1, -1, -1):
-        C, S, V = state.couplings[k], state.sums[k], state.outputs[k]
-        dV = (dB_carry[:, :, None, :] @ U)[:, :, 0]
-        if k == iterations - 1:
-            dV = dV + grad_V
-        grad_U += dB_carry[..., None] * V[:, :, None, :]
+    left, right = [], []
+    dV, dB = grad_V, 0.0
+    for k in range(len(state) - 1, -1, -1):
+        C, S, _ = state[k]
         dS = squash_backward(dV, S)
-        grad_U += C[..., None] * dS[:, :, None, :]
-        dC = (U @ dS[..., None])[..., 0]
-        dB_carry = softmax_backward(dC, C, axis=1) + dB_carry
-    return grad_U
+        left.append(C)
+        right.append(dS)
+        if k:
+            dB = softmax_backward((U @ dS[..., None])[..., 0], C, axis=1) + dB
+            dV = (dB[:, :, None, :] @ U)[:, :, 0]
+            left.append(dB)
+            right.append(state[k - 1][2])
+    # every outer product at once: (B, J, T, 2K-1) @ (B, J, 2K-1, d_out)
+    return np.stack(left, axis=-1) @ np.stack(right, axis=-2)
 
 
 @dataclass
 class CapsuleCache:
     H: np.ndarray  # (N, d) the input rows, packed
     U: np.ndarray  # (B, J, T, d_out) zero-padded prediction blocks
-    state: RoutingState
+    state: list  # per routing iteration, the (C, S, V) of dynamic_routing
     lengths: np.ndarray  # (B,) sequence lengths, in input order
 
 
 def capsule_layer(H: np.ndarray, lengths, W: np.ndarray, iterations: int):
-    """predict_vectors -> zero-padded blocks -> dynamic_routing -> row-major
-    flatten. H (N, d) holds the sequences' rows back to back, `lengths` their
-    lengths in the same order; returns (B, J * d_out) and the cache."""
+    """Prediction vectors U[b, j, t] = h_t W_j in zero-padded blocks ->
+    dynamic_routing -> row-major flatten. H (N, d) holds the sequences' rows
+    back to back, `lengths` their lengths in the same order; returns
+    (B, J * d_out) and the cache."""
+    if H.ndim != 2 or H.shape[1] != W.shape[1]:
+        raise ShapeMismatch(f"H {H.shape} vs capsule input dim {W.shape[1]}")
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != len(H):
         raise ShapeMismatch(f"lengths {lengths.tolist()} do not cover the {len(H)} input rows")
     blocks = np.zeros((len(lengths), W.shape[0], lengths.max(), W.shape[2]), dtype=H.dtype)
     start = 0
-    for b, n in enumerate(lengths.tolist()):  # per sequence: no (J, N, d_out) copy, and as fast
-        predict_vectors(H[start : start + n], W, out=blocks[b, :, :n])
+    for b, n in enumerate(lengths.tolist()):
+        # one (n, d) @ (d, d_out) product per capsule, straight into the block:
+        # W has no 2-D (d, J * d_out) view, and copying it into one, or going
+        # through a (J, N, d_out) intermediate, costs more than it saves
+        np.matmul(H[start : start + n], W, out=blocks[b, :, :n])
         start += n
     V, state = dynamic_routing(blocks, iterations)
     return V.reshape(len(lengths), -1), CapsuleCache(H=H, U=blocks, state=state, lengths=lengths)
@@ -149,7 +132,7 @@ def capsule_layer(H: np.ndarray, lengths, W: np.ndarray, iterations: int):
 def capsule_layer_backward(grad_flat: np.ndarray, cache: CapsuleCache, W: np.ndarray):
     """Backprop through routing and the prediction transforms; returns
     (grad_H, grad_W) for the gradient of the flattened (B, J * d_out) output."""
-    V_shape = cache.state.outputs[-1].shape
+    V_shape = cache.state[-1][2].shape
     if V_shape[1:] != (W.shape[0], W.shape[2]) or grad_flat.shape != (V_shape[0], V_shape[1] * V_shape[2]):
         raise ShapeMismatch(f"grad {grad_flat.shape} vs flattened capsule output {V_shape}")
     grad_U = routing_backward(grad_flat.reshape(V_shape), cache.U, cache.state)

@@ -205,12 +205,10 @@ def cmd_build_vocab(args) -> int:
         _require_nonempty(examples, path)
         sequences.extend(text.split() for _, text in examples)
     vocab = Vocabulary.build(sequences)
-    vocab.save(args.vocab)
-
-    raw = {}
-    if args.embeddings:
-        raw = load_word2vec(args.embeddings, fmt=args.embeddings_format)
+    # read and check the vectors before writing anything: bad input leaves no output
+    raw = load_word2vec(args.embeddings, fmt=args.embeddings_format) if args.embeddings else {}
     table = build_embedding(vocab, raw, cfg.embed_dim, cfg.seed)
+    vocab.save(args.vocab)
     save_checkpoint(
         args.embedding_out,
         {"embedding/W_e": table.weights},
@@ -263,10 +261,16 @@ def cmd_train(args) -> int:
         table = build_embedding(vocab, {}, cfg.embed_dim, cfg.seed)
     params = init_model(cfg, table)
     out = Path(args.checkpoint_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
     out.mkdir(parents=True, exist_ok=True)  # before the first step: a bad directory fails at once
 
     clock = time.perf_counter if args.wall_clock else None
-    params, history = train(train_set, dev_set, params, cfg, clock=clock)
+    try:
+        params, history = train(train_set, dev_set, params, cfg, clock=clock)
+    except BaseException:
+        for d in made:  # a failed run leaves no directory behind, but keeps the user's own
+            d.rmdir()
+        raise
     save_checkpoint(out / "model", params.tensors(), cfg.__dict__.copy(), cfg.seed, _vocab_sha256(vocab))
     with open(out / "history.jsonl", "w", encoding="utf-8") as fh:
         for row in history:

@@ -8,7 +8,6 @@ from emocaps.capsule import (
     capsule_layer_backward,
     dynamic_routing,
     init_capsule,
-    predict_vectors,
     routing_backward,
     squash,
     squash_backward,
@@ -28,7 +27,7 @@ def route(U, r):
     """dynamic_routing over one sequence's (n, J, d_out) predictions; returns
     V (J, d_out) and every iteration's couplings as an (n, J) array."""
     V, state = dynamic_routing(U.transpose(1, 0, 2)[None], r)
-    return V[0], [C[0].T for C in state.couplings]
+    return V[0], [C[0].T for C, _, _ in state]
 
 
 def layer(H, p, iterations):
@@ -145,31 +144,33 @@ class TestSquash:
 
 
 class TestPredictVectors:
+    """The prediction vectors capsule_layer routes: cache.U[0, j, i] = h_i W_j."""
+
     def test_identity_transforms(self):
         H = np.random.default_rng(3).normal(size=(4, 3))
         p = np.stack([np.eye(3), np.eye(3)])
-        U = predict_vectors(H, p)
+        _, cache = layer(H, p, iterations=1)
         for j in range(2):
-            np.testing.assert_array_equal(U[j], H)
+            np.testing.assert_array_equal(cache.U[0, j], H)
 
     def test_zero_input(self):
         p = random_capsule(2, 3, 2, seed=4)
-        U = predict_vectors(np.zeros((5, 3)), p)
-        np.testing.assert_array_equal(U, np.zeros((2, 5, 2)))
+        _, cache = layer(np.zeros((5, 3)), p, iterations=1)
+        np.testing.assert_array_equal(cache.U, np.zeros((1, 2, 5, 2)))
 
     def test_matches_per_position_matmul(self):
         rng = np.random.default_rng(5)
         H = rng.normal(size=(3, 4))
         p = random_capsule(2, 4, 2, seed=6)
-        U = predict_vectors(H, p)
+        _, cache = layer(H, p, iterations=1)
         for i in range(3):
             for j in range(2):
-                np.testing.assert_allclose(U[j, i], H[i] @ p[j], rtol=1e-12)
+                np.testing.assert_allclose(cache.U[0, j, i], H[i] @ p[j], rtol=1e-12)
 
     def test_shape_mismatch(self):
         p = random_capsule(2, 4, 2, seed=7)
-        with pytest.raises(ShapeMismatch):
-            predict_vectors(np.zeros((3, 5)), p)
+        with pytest.raises(ShapeMismatch, match="capsule input dim 4"):
+            capsule_layer(np.zeros((3, 5)), [3], p, iterations=1)
 
 
 class TestDynamicRouting:
@@ -311,38 +312,48 @@ def einsum_routing_backward(grad_V, U, states):
     return grad_U
 
 
+# (lengths of one chunk's sequences, routing iterations); the id names the
+# lengths, and the iteration count when it is not 3
+CHUNKS = [([1], 3)] + [(lengths, r) for lengths in ([12], [50], [5, 9, 13, 20]) for r in (1, 3, 5)]
+
+
 class TestMatmulContractions:
     """The batched matmuls of the capsule layer reorder the sums of the
     einsum contractions they replaced; float64 results agree to 1e-10."""
 
     TOL = 1e-10
 
-    @pytest.mark.parametrize("T", [1, 12, 50])
+    @pytest.mark.parametrize(
+        "lengths,r", CHUNKS, ids=["-".join(map(str, n)) + ("" if r == 3 else f"-r{r}") for n, r in CHUNKS]
+    )
     @pytest.mark.parametrize("J,d_in,d_out", [(16, 256, 32), (3, 5, 2)], ids=["paper", "small"])
-    def test_match_einsum_oracle(self, T, J, d_in, d_out):
-        rng = np.random.default_rng(T)
+    def test_match_einsum_oracle(self, lengths, r, J, d_in, d_out):
+        rng = np.random.default_rng([sum(lengths), r])
         p = init_capsule(J, d_in, d_out, rng)
-        H = rng.uniform(-1.0, 1.0, size=(T, d_in))  # Bi-GRU outputs lie in (-1, 1)
-        grad_flat = rng.normal(size=J * d_out)
+        H = rng.uniform(-1.0, 1.0, size=(sum(lengths), d_in))  # Bi-GRU outputs lie in (-1, 1)
+        grad_flat = rng.normal(size=(len(lengths), J * d_out))
 
-        flat, cache = layer(H, p, iterations=3)
-        U = einsum_predict_vectors(H, p)
-        np.testing.assert_allclose(cache.U[0], U.transpose(1, 0, 2), rtol=0, atol=self.TOL)
+        flat, cache = capsule_layer(H, lengths, p, iterations=r)
         assert cache.U.flags.c_contiguous
-        states = eval_oracle.dynamic_routing(U, 3)
-        np.testing.assert_allclose(flat, states[-1][2].reshape(-1), rtol=0, atol=self.TOL)
-        grad_H, grad_W = capsule_layer_backward(grad_flat[None], cache, p)
-        grad_U = routing_backward(grad_flat.reshape(1, J, d_out), cache.U, cache.state)
-        np.testing.assert_allclose(
-            grad_U[0].transpose(1, 0, 2),
-            einsum_routing_backward(grad_flat.reshape(J, d_out), U, states),
-            rtol=0,
-            atol=self.TOL,
-        )
-        grad_U = grad_U[0].transpose(1, 0, 2)
-        np.testing.assert_allclose(grad_W, einsum_grad_W(H, grad_U), rtol=0, atol=self.TOL)
-        np.testing.assert_allclose(grad_H, einsum_grad_H(grad_U, p), rtol=0, atol=self.TOL)
+        grad_H, grad_W = capsule_layer_backward(grad_flat, cache, p)
+        grad_U = routing_backward(grad_flat.reshape(-1, J, d_out), cache.U, cache.state)
         assert grad_W.shape == p.shape and grad_H.shape == H.shape
+        expected_W = np.zeros_like(p)
+        start = 0
+        for b, n in enumerate(lengths):
+            H_b = H[start : start + n]
+            U = einsum_predict_vectors(H_b, p)
+            np.testing.assert_allclose(cache.U[b, :, :n], U.transpose(1, 0, 2), rtol=0, atol=self.TOL)
+            states = eval_oracle.dynamic_routing(U, r)
+            np.testing.assert_allclose(flat[b], states[-1][2].reshape(-1), rtol=0, atol=self.TOL)
+            expected_U = einsum_routing_backward(grad_flat[b].reshape(J, d_out), U, states)
+            np.testing.assert_allclose(grad_U[b, :, :n].transpose(1, 0, 2), expected_U, rtol=0, atol=self.TOL)
+            np.testing.assert_allclose(
+                grad_H[start : start + n], einsum_grad_H(expected_U, p), rtol=0, atol=self.TOL
+            )
+            expected_W += einsum_grad_W(H_b, expected_U)
+            start += n
+        np.testing.assert_allclose(grad_W, expected_W, rtol=0, atol=self.TOL)
 
 
 class TestCapsuleLayer:

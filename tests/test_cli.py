@@ -521,6 +521,21 @@ class TestExitCodes:
         assert f"error: {vectors}:2: entry 'hello' has a non-numeric value 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "emb.bin").exists()
 
+    @pytest.mark.parametrize("vectors_text, embed_dim, message", [
+        ("1 3\nhappy 0.1 0.2\n", "3", "v.txt:2: entry 'happy' has 2 values, expected 3"),
+        ("1 2\nhappy 0.1 0.2\n", "3", "pretrained vector for 'happy' has length 2, expected 3"),
+    ], ids=["value-count", "embed-dim"])
+    def test_bad_word2vec_writes_nothing(self, workspace, tmp_path, capsys, vectors_text, embed_dim, message):
+        vectors = tmp_path / "v.txt"
+        vectors.write_text(vectors_text)
+        capsys.readouterr()
+        code = run(["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+                    "--embedding-out", tmp_path / "emb", "--embeddings", vectors,
+                    "--embeddings-format", "text", "--embed-dim", embed_dim])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.txt"]
+
     def test_manifest_not_an_object(self, workspace, tmp_path, capsys):
         stem = tmp_path / "bad"
         Path(f"{stem}.json").write_text("[]")
@@ -609,6 +624,19 @@ class TestExitCodes:
         assert code == 3
         assert "Not a directory" in capsys.readouterr().err
         assert steps == []
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["made-by-train", "users-own"])
+    def test_failed_training_removes_only_the_directories_it_made(self, workspace, tmp_path, capsys, existing):
+        if existing:
+            (tmp_path / "runs").mkdir()
+        out = tmp_path / "runs" / "nanrun"
+        capsys.readouterr()
+        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--checkpoint-dir", out, "--learning-rate", "1e200", "--clip-norm", "1e300"] + TINY_FLAGS)
+        assert code == 4
+        assert capsys.readouterr().err.startswith("numeric failure: epoch 0, batch ")
+        assert not out.exists()
+        assert (tmp_path / "runs").exists() == existing
 
     def test_shape_beyond_int64_names_payload(self, workspace, tmp_path, capsys):
         stem = tmp_path / "huge"

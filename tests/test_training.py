@@ -384,7 +384,7 @@ class TestForwardFull:
         cfg = tiny_config(noise_std=0.5)
         vocab, params = tiny_model(cfg)
         probs, cache = forward_full([vocab.encode(["alpha"])], params, cfg, rngs=[np.random.default_rng(11)])
-        flat = cache.capsule.state.outputs[-1].reshape(1, -1)
+        flat = cache.capsule.state[-1][2].reshape(1, -1)
         assert not np.array_equal(cache.c, flat)
         np.testing.assert_array_equal(probs, softmax(dense_forward(cache.c, params.dense)))
 
