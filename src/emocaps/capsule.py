@@ -138,6 +138,10 @@ def capsule_layer_backward(grad_flat: np.ndarray, cache: CapsuleCache, W: np.nda
     grad_U = routing_backward(grad_flat.reshape(V_shape), cache.U, cache.state)
     # (J, N, d_out): the real rows of every block, padding dropped
     per_capsule = np.concatenate([grad_U[b, :, :n] for b, n in enumerate(cache.lengths.tolist())], axis=1)
+    del grad_U
     grad_W = cache.H.T @ per_capsule
-    grad_H = (per_capsule @ W.transpose(0, 2, 1)).sum(axis=0)
+    # summed one capsule at a time: a (J, N, d) product would hold J times grad_H
+    grad_H = per_capsule[0] @ W[0].T
+    for j in range(1, len(W)):
+        grad_H += per_capsule[j] @ W[j].T
     return grad_H, grad_W

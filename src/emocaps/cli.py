@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import fields
@@ -208,14 +209,21 @@ def cmd_build_vocab(args) -> int:
     # read and check the vectors before writing anything: bad input leaves no output
     raw = load_word2vec(args.embeddings, fmt=args.embeddings_format) if args.embeddings else {}
     table = build_embedding(vocab, raw, cfg.embed_dim, cfg.seed)
-    vocab.save(args.vocab)
-    save_checkpoint(
-        args.embedding_out,
-        {"embedding/W_e": table.weights},
-        {"embed_dim": cfg.embed_dim, "vocab_size": len(vocab)},
-        cfg.seed,
-        _vocab_sha256(vocab),
-    )
+    # the vocabulary goes to a .tmp sibling and into place after the payload:
+    # a payload that cannot be written leaves no vocabulary behind
+    vocab_tmp = Path(f"{args.vocab}.tmp")
+    try:
+        vocab.save(vocab_tmp)
+        save_checkpoint(
+            args.embedding_out,
+            {"embedding/W_e": table.weights},
+            {"embed_dim": cfg.embed_dim, "vocab_size": len(vocab)},
+            cfg.seed,
+            _vocab_sha256(vocab),
+        )
+        os.replace(vocab_tmp, args.vocab)
+    finally:
+        vocab_tmp.unlink(missing_ok=True)
     covered = sum(1 for w in vocab.word_to_id if w in raw)
     print(f"vocabulary: {len(vocab)} words ({covered} pretrained) -> {args.vocab}")
     return 0

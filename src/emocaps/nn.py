@@ -103,7 +103,7 @@ class BigruCache:
     H: np.ndarray  # (2, N, h) states h_t
     rz: np.ndarray  # (2, N, 2h) reset and update gates
     n: np.ndarray  # (2, N, h) candidates
-    hh: np.ndarray  # (2, N, h) the biased recurrent candidate term, gated by r
+    rhh: np.ndarray  # (2, N, h) r * (h W_hn + b_hn), the gated recurrent candidate term
 
 
 def bigru_forward(X: np.ndarray, lengths, p: GruParams, *, keep_cache: bool = False):
@@ -138,14 +138,15 @@ def bigru_forward(X: np.ndarray, lengths, p: GruParams, *, keep_cache: bool = Fa
     n_rows, d_h = X.shape[0], p.W_h.shape[1]
     A = np.matmul(X[index], p.W_i)
     A += p.b[:, :1]
-    # Only a training chunk keeps every step's gates (RZ, N) and biased
-    # recurrent terms h W_h + b_h (G, whose candidate block is the cache's
-    # hh). An eval chunk's steps reuse the first rows instead, which keeps
-    # its memory to a few MB.
+    # Only a training chunk keeps every step's gates (RZ, N) and gated
+    # recurrent candidate terms (RHH). An eval chunk's steps reuse the first
+    # rows instead, which keeps its memory to a few MB. The recurrent terms
+    # h W_h + b_h (G) are per-step scratch in both.
     depth = n_rows if keep_cache else counts[0]
     RZ = np.empty((2, depth, 2 * d_h), dtype=X.dtype)
     N = np.empty((2, depth, d_h), dtype=X.dtype)
-    G = np.empty((2, depth, 3 * d_h), dtype=X.dtype)
+    RHH = np.empty((2, depth, d_h), dtype=X.dtype)
+    G = np.empty((2, counts[0], 3 * d_h), dtype=X.dtype)
     H = np.empty((2, n_rows, d_h), dtype=X.dtype)
     h_prev = np.zeros((2, counts[0], d_h), dtype=X.dtype)
     end = 0
@@ -153,10 +154,11 @@ def bigru_forward(X: np.ndarray, lengths, p: GruParams, *, keep_cache: bool = Fa
         rows, end = slice(end, end + n_t), end + n_t
         kept = rows if keep_cache else slice(n_t)
         h_prev = h_prev[:, :n_t]
-        g = np.matmul(h_prev, p.W_h, out=G[:, kept])
+        g = np.matmul(h_prev, p.W_h, out=G[:, :n_t])
         g += p.b[:, 1:]
         rz = sigmoid(A[:, rows, : 2 * d_h] + g[..., : 2 * d_h], out=RZ[:, kept])
-        n = np.tanh(A[:, rows, 2 * d_h :] + rz[..., :d_h] * g[..., 2 * d_h :], out=N[:, kept])
+        rhh = np.multiply(rz[..., :d_h], g[..., 2 * d_h :], out=RHH[:, kept])
+        n = np.tanh(np.add(A[:, rows, 2 * d_h :], rhh), out=N[:, kept])
         z = rz[..., d_h:]
         h_prev = np.add((1.0 - z) * n, z * h_prev, out=H[:, rows])
     out = np.empty((n_rows, 2, d_h), dtype=X.dtype)
@@ -164,7 +166,7 @@ def bigru_forward(X: np.ndarray, lengths, p: GruParams, *, keep_cache: bool = Fa
     out = out.reshape(n_rows, 2 * d_h)
     if not keep_cache:
         return out, None
-    return out, BigruCache(X=X, counts=counts, index=index, H=H, rz=RZ, n=N, hh=G[..., 2 * d_h :])
+    return out, BigruCache(X=X, counts=counts, index=index, H=H, rz=RZ, n=N, rhh=RHH)
 
 
 def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
@@ -174,10 +176,11 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
     The packed steps run in reverse. Only the recurrent carry stays in the
     loop: a (2, n_0, h) array, zero at first, whose prefix of the n_t
     sequences running at step t each step reads and rewrites, with one
-    batched matmul. It fills the pre-activation gradients of the input side
-    (dA) and of the recurrent side (dG), which differ only in the candidate
-    block; every weight gradient and grad_X is then one matmul over all the
-    chunk's rows.
+    batched matmul. It fills the pre-activation gradients of the recurrent
+    side (dG); those of the input side (dA) differ only in the candidate
+    block, so dA is dG scattered into input order with that block
+    overwritten. Every weight gradient is then one matmul over all the
+    chunk's rows, and grad_X one per direction.
     """
     n_rows, d_h = cache.X.shape[0], p.W_h.shape[1]
     if grad_H.shape != (n_rows, 2 * d_h):
@@ -189,10 +192,16 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
     H_prev = np.zeros_like(cache.H)
     H_prev[:, counts[0] :] = cache.H[:, np.arange(counts[0], n_rows) - np.repeat(counts[:-1], counts[1:])]
     dtanh = (1.0 - z) * (1.0 - cache.n * cache.n)  # dh -> candidate pre-activation
-    # dG[t] = dh_t * K[t], blockwise: reset, update, recurrent candidate term
-    K = np.stack([dtanh * cache.hh * r * (1.0 - r), (H_prev - cache.n) * z * (1.0 - z), dtanh * r], axis=2)
+    # dG[t] = dh_t * K[t], blockwise: reset, update, recurrent candidate
+    # term; each step overwrites its rows of K with them, so K becomes dG
+    K = np.empty((2, n_rows, 3, d_h), dtype=grad_H.dtype)
+    np.multiply(dtanh, cache.rhh, out=K[:, :, 0])
+    K[:, :, 0] *= 1.0 - r
+    np.subtract(H_prev, cache.n, out=K[:, :, 1])
+    K[:, :, 1] *= z
+    K[:, :, 1] *= 1.0 - z
+    np.multiply(dtanh, r, out=K[:, :, 2])
     dH = grad_H.reshape(n_rows, 2, d_h)[cache.index, _DIRECTION]
-    dG = np.empty((2, n_rows, 3, d_h), dtype=grad_H.dtype)
     W_hT = p.W_h.transpose(0, 2, 1)
     carry = np.zeros((2, counts[0], d_h), dtype=grad_H.dtype)
     end = n_rows
@@ -200,21 +209,28 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
         rows, end = slice(end - n_t, end), end - n_t
         c = carry[:, :n_t]
         dh = np.add(dH[:, rows], c, out=dH[:, rows])
-        dg = np.multiply(dh[:, :, None, :], K[:, rows], out=dG[:, rows])
+        dg = np.multiply(dh[:, :, None, :], K[:, rows], out=K[:, rows])
         np.multiply(dh, z[:, rows], out=c)
         c += np.matmul(dg.reshape(2, n_t, 3 * d_h), W_hT)
-    dG = dG.reshape(2, n_rows, 3 * d_h)
-    dA = dG.copy()
-    dA[..., 2 * d_h :] = dH * dtanh
+    dG = K.reshape(2, n_rows, 3 * d_h)
+    # each stack goes once its last use is past (with the loop's views of
+    # it), which keeps its own arrays to about 14 KB a token at paper dims
+    del K, carry, c, dh, dg
+    dtanh *= dH  # the candidate block of dA
+    del dH
+    b = np.repeat(dG.sum(axis=1)[:, None], 2, axis=1)
+    b[:, 0, 2 * d_h :] = dtanh.sum(axis=1)
+    grad_W_h = np.matmul(H_prev.transpose(0, 2, 1), dG)
+    del H_prev
     # back to input order, where X and grad_X live
-    dA_in = np.empty_like(dA)
-    dA_in[_DIRECTION, cache.index] = dA
-    grads = GruParams(
-        W_i=np.matmul(cache.X.T, dA_in),
-        W_h=np.matmul(H_prev.transpose(0, 2, 1), dG),
-        b=np.stack([dA.sum(axis=1), dG.sum(axis=1)], axis=1),
-    )
-    return np.matmul(dA_in, p.W_i.transpose(0, 2, 1)).sum(axis=0), grads
+    dA = np.empty_like(dG)
+    dA[_DIRECTION, cache.index] = dG
+    del dG
+    dA[:, :, 2 * d_h :][_DIRECTION, cache.index] = dtanh
+    del dtanh
+    grad_X = np.matmul(dA[0], p.W_i[0].T)
+    grad_X += np.matmul(dA[1], p.W_i[1].T)
+    return grad_X, GruParams(W_i=np.matmul(cache.X.T, dA), W_h=grad_W_h, b=b)
 
 
 @dataclass

@@ -286,18 +286,21 @@ def spatial_dropout(X: np.ndarray, rate: float, rng):
 
 @dataclass
 class ForwardCache:
+    """What a training pass keeps for `backward_full`, which consumes it."""
+
     ids: np.ndarray  # the sequences' ids back to back
-    spatial_mask: np.ndarray  # (N, embed_dim) each row's sequence's mask
+    lengths: list[int]  # (B,) sequence lengths
+    spatial_mask: np.ndarray  # (B, embed_dim) one mask per sequence
     bigru: BigruCache
-    capsule: CapsuleCache
+    capsule: CapsuleCache | None  # None once backward_full has used it
     drop_mask: np.ndarray  # (B, J * d_out)
     c: np.ndarray  # (B, J * d_out) dense input, after dropout and noise
 
 
 def _regularize(rows: np.ndarray, lengths, rngs, rate: float, std: float):
     """Sequence b's rows through spatial dropout and then Gaussian noise,
-    both drawn from its own stream rngs[b]; returns (output, the per-row
-    dropout masks)."""
+    both drawn from its own stream rngs[b]; returns (output, the (B,
+    columns) dropout masks, one per sequence)."""
     out = np.empty_like(rows)
     masks = []
     start = 0
@@ -306,7 +309,7 @@ def _regularize(rows: np.ndarray, lengths, rngs, rate: float, std: float):
         out[start : start + n] = gaussian_noise(part, std, rng)
         masks.append(mask)
         start += n
-    return out, np.concatenate([np.broadcast_to(m, (n, m.shape[1])) for m, n in zip(masks, lengths)])
+    return out, np.concatenate(masks)
 
 
 def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rngs=None):
@@ -343,6 +346,7 @@ def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rngs=None)
         return probs, None
     cache = ForwardCache(
         ids=ids,
+        lengths=lengths,
         spatial_mask=spatial_mask,
         bigru=bigru_cache,
         capsule=caps_cache,
@@ -356,18 +360,26 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
     """Add the gradients of every trainable tensor, given dL/dlogits
     (B, N_CLASSES) of a training pass and summed over its sequences, into
     `grads`, one array per ModelParams.tensors() key and of its shape.
-    Additive noise backpropagates as identity."""
+    Additive noise backpropagates as identity.
+
+    The cache is consumed: its capsule cache is dropped once the capsule
+    backward has run, so the routing blocks (and the capsule weight
+    gradient, added to `grads` by then) are freed before the Bi-GRU
+    backward allocates its own arrays, and a second call raises ValueError."""
+    if cache.capsule is None:
+        raise ValueError("this forward cache has already been backpropagated")
     grad_c, gW_dense, gb_dense = dense_backward(grad_logits, cache.c, params.dense)
+    grads["dense/W"] += gW_dense
+    grads["dense/b"] += gb_dense
     grad_H, gW_caps = capsule_layer_backward(grad_c * cache.drop_mask, cache.capsule, params.capsule)
+    grads["capsule/W"] += gW_caps
+    cache.capsule = gW_caps = None
     grad_X, g_gru = bigru_backward(grad_H, cache.bigru, params.gru)
-    grad_X = grad_X * cache.spatial_mask
+    grad_X *= np.repeat(cache.spatial_mask, cache.lengths, axis=0)
     rows, values = embed_backward(cache.ids, grad_X, params.embedding.weights.shape[0])
     grads["embedding/W_e"][rows] += values
     for name, t in _gru_tensors(g_gru).items():
         grads[name] += t
-    grads["capsule/W"] += gW_caps
-    grads["dense/W"] += gW_dense
-    grads["dense/b"] += gb_dense
 
 
 # A chunk holds at most this many real tokens, and its zero-padded routing
@@ -377,10 +389,11 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
 # at paper dims, whatever mix of lengths comes in, and still puts 8 or more
 # tweets of up to 50 tokens into each GRU step and routing matmul.
 EVAL_CHUNK_TOKENS = 512
-# Training: a chunk keeps its backward caches, about 50 KB a token at paper
-# dims, so it never holds more than one 64-token tweet did when training
-# ran one tweet at a time, and 12-token tweets still share a chunk by fives.
-TRAIN_CHUNK_TOKENS = 64
+# Training: a chunk's traced memory grows by about 20 KB a token at paper
+# dims (backward caches of about 17 KB and the backward's transients), so a
+# full chunk takes about 5 MB, and it runs 46-54-token tweets four or five
+# at a time and a batch of sixteen 12-token tweets as one chunk.
+TRAIN_CHUNK_TOKENS = 256
 
 
 def _chunks(lengths: list[int], max_tokens: int) -> list[list[int]]:
@@ -440,6 +453,9 @@ def _check_dataset(dataset, name: str, vocab_size: int) -> np.ndarray:
     return unique
 
 
+# a diverged run is reported once, by the NumericError naming its epoch and
+# batch, not by numpy's warnings about the overflows that led to it
+@np.errstate(all="ignore")
 def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None):
     """Epoch loop with early stopping on dev macro-F1.
 
@@ -449,7 +465,8 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
     TRAIN_CHUNK_TOKENS); its losses stay in batch order. Updates average
     the chunks' gradient sums over the batch, drop the padding row, clip,
     then apply Adam; a non-finite gradient norm raises NumericError naming
-    the epoch and batch before Adam runs. Stops once the dev score has
+    the epoch and batch before Adam runs, and numpy's floating-point
+    warnings stay off throughout. Stops once the dev score has
     failed to improve for more than `patience` consecutive epochs, and
     restores the best-scoring parameters before returning.
 

@@ -638,6 +638,32 @@ class TestExitCodes:
         assert not out.exists()
         assert (tmp_path / "runs").exists() == existing
 
+    def test_diverged_training_prints_only_the_numeric_failure(self, workspace, tmp_path):
+        """Run as a process, so numpy's warnings would reach its stderr."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        out = tmp_path / "nanrun"
+        done = subprocess.run(
+            [sys.executable, "-m", "emocaps", "train", "--train-file", str(workspace["clean"]),
+             "--vocab", str(workspace["vocab"]), "--checkpoint-dir", str(out),
+             "--learning-rate", "1e200", "--clip-norm", "1e300", *TINY_FLAGS],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 4
+        assert "RuntimeWarning" not in done.stderr
+        assert done.stderr.startswith("numeric failure: epoch 0, batch ")
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert not out.exists()
+
+    def test_unwritable_payload_leaves_no_vocabulary(self, workspace, tmp_path, capsys):
+        vocab = tmp_path / "v_new.tsv"
+        capsys.readouterr()
+        code = run(["build-vocab", "--inputs", workspace["clean"], "--vocab", vocab,
+                    "--embedding-out", Path(workspace["clean"]) / "emb", "--profile", "desk"])
+        assert code == 3
+        assert "Not a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_shape_beyond_int64_names_payload(self, workspace, tmp_path, capsys):
         stem = tmp_path / "huge"
         manifest = json.loads((workspace["ckpt"] / "model.json").read_text())

@@ -1,5 +1,6 @@
 """Chunked training against the per-example oracle (`train_oracle`), the
-chunk backward against finite differences, and the chunk memory cap."""
+chunk backward against finite differences and, at paper dims, against the
+per-sequence and einsum oracles, and the training memory per token."""
 
 import dataclasses
 import tracemalloc
@@ -8,12 +9,15 @@ import numpy as np
 import pytest
 
 import emocaps.training as training
+import eval_oracle
 import gru_oracle
 import train_oracle
+from emocaps.capsule import capsule_layer, capsule_layer_backward, init_capsule
 from emocaps.embeddings import EmbeddingTable
-from emocaps.nn import N_CLASSES, bigru_backward, bigru_forward
+from emocaps.nn import N_CLASSES, bigru_backward, bigru_forward, init_gru
 from emocaps.training import TRAIN_CHUNK_TOKENS, TrainConfig, init_model, train
 from gradcheck import chunk_loss_and_grads, finite_diff_check
+from test_capsule import einsum_grad_H, einsum_grad_W, einsum_predict_vectors, einsum_routing_backward
 
 # A chunk sums its examples' gradients in other orders (matmuls over all
 # its rows) than the per-example backward; in float64 they must agree to
@@ -21,8 +25,8 @@ from gradcheck import chunk_loss_and_grads, finite_diff_check
 ORACLE_ATOL = 1e-10
 
 # Lengths 1 to past the chunk cap: in a batch of 7 or 16, the short tweets
-# share chunks and the 70-token one runs alone.
-LENGTHS = [1, 3, 12, 2, 70, 9, 5, 1, 20, 33, 4, 12, 7, 1, 15, 6, 64, 2, 11, 8, 3, 27, 10, 5]
+# share chunks and the 260-token one runs alone.
+LENGTHS = [1, 3, 12, 2, 260, 9, 5, 1, 20, 33, 4, 12, 7, 1, 15, 6, 64, 2, 11, 8, 3, 27, 10, 5]
 
 
 def tiny_config(**overrides):
@@ -85,7 +89,7 @@ def test_train_matches_per_example_oracle(batch_size, monkeypatch):
     for chunk in chunks:
         assert chunk == sorted(chunk)
         assert len(chunk) == 1 or sum(chunk) <= TRAIN_CHUNK_TOKENS
-    assert [70] in chunks
+    assert [260] in chunks
     if batch_size > 1:
         assert max(len(c) for c in chunks) > 2  # the check is not vacuous
 
@@ -106,6 +110,24 @@ def test_chunk_backward_finite_difference():
     _, grads = loss_and_grad()
     assert np.any(grads["embedding/W_e"] != 0.0)
     assert finite_diff_check(loss_and_grad, params.tensors()) < 1e-6
+
+
+def test_backward_full_consumes_its_cache():
+    """One mask row per sequence in the cache; `backward_full` drops the
+    capsule cache, and a second call on the same cache raises."""
+    vocab = 12
+    cfg = tiny_config()
+    params = init_model(cfg, EmbeddingTable(start_table(cfg, vocab, seed=7)))
+    sequences = [ids for ids, _ in examples([4, 1, 7], vocab, seed=9)]
+    rngs = [np.random.default_rng([0, b]) for b in range(len(sequences))]
+    probs, cache = training.forward_full(sequences, params, cfg, rngs=rngs)
+    assert cache.spatial_mask.shape == (3, cfg.embed_dim)
+    _, grad_logits = training.cross_entropy_loss(probs, [2, 0, 5])
+    grads = {name: np.zeros_like(t) for name, t in params.tensors().items()}
+    training.backward_full(grad_logits, cache, params, grads)
+    assert cache.capsule is None
+    with pytest.raises(ValueError, match="already been backpropagated"):
+        training.backward_full(grad_logits, cache, params, grads)
 
 
 def test_chunk_bigru_backward_matches_each_sequence_alone():
@@ -139,6 +161,49 @@ def test_chunk_bigru_backward_matches_each_sequence_alone():
         np.testing.assert_allclose(getattr(grads, name), sums[name], rtol=0, atol=ORACLE_ATOL, err_msg=name)
 
 
+@pytest.mark.parametrize("lengths", [[50] * 5, [12] * 16], ids=["5x50", "16x12"])
+def test_paper_dims_chunk_backwards_match_oracles(lengths):
+    """At paper dims (d 300, h 128, 16 capsules of 32, 5 routing
+    iterations), the Bi-GRU backward of a full training chunk equals the
+    per-sequence one (`train_oracle`), and the capsule backward the einsum
+    contractions it replaced (`test_capsule`), per sequence for the input
+    gradients and summed for the weights."""
+    cfg = TrainConfig()
+    rng = np.random.default_rng(len(lengths))
+    gru = init_gru(cfg.embed_dim, cfg.hidden_dim, rng)
+    gru.b[:] = rng.normal(scale=0.3, size=gru.b.shape)
+    W = init_capsule(cfg.num_capsules, 2 * cfg.hidden_dim, cfg.capsule_dim, rng)
+    X = rng.uniform(-0.3, 0.3, size=(sum(lengths), cfg.embed_dim))
+    grad_flat = rng.normal(size=(len(lengths), cfg.num_capsules * cfg.capsule_dim))
+
+    H, gru_cache = bigru_forward(X, lengths, gru, keep_cache=True)
+    flat, caps_cache = capsule_layer(H, lengths, W, cfg.routing_iters)
+    grad_H, grad_W = capsule_layer_backward(grad_flat, caps_cache, W)
+    grad_X, grads = bigru_backward(grad_H, gru_cache, gru)
+
+    names = [f.name for f in dataclasses.fields(grads)]
+    gru_sums = {name: np.zeros_like(getattr(gru, name)) for name in names}
+    expected_W = np.zeros_like(W)
+    start = 0
+    for b, n in enumerate(lengths):
+        rows = slice(start, start + n)
+        U = einsum_predict_vectors(H[rows], W)
+        states = eval_oracle.dynamic_routing(U, cfg.routing_iters)
+        np.testing.assert_allclose(flat[b], states[-1][2].reshape(-1), rtol=0, atol=ORACLE_ATOL)
+        grad_U = einsum_routing_backward(grad_flat[b].reshape(W.shape[0], -1), U, states)
+        np.testing.assert_allclose(grad_H[rows], einsum_grad_H(grad_U, W), rtol=0, atol=ORACLE_ATOL)
+        expected_W += einsum_grad_W(H[rows], grad_U)
+        _, one = bigru_forward(X[rows], [n], gru, keep_cache=True)
+        gX_one, g_one = train_oracle.bigru_backward(grad_H[rows], one, gru)
+        np.testing.assert_allclose(grad_X[rows], gX_one, rtol=0, atol=ORACLE_ATOL)
+        for name in names:
+            gru_sums[name] += getattr(g_one, name)
+        start += n
+    np.testing.assert_allclose(grad_W, expected_W, rtol=0, atol=ORACLE_ATOL)
+    for name in names:
+        np.testing.assert_allclose(getattr(grads, name), gru_sums[name], rtol=0, atol=ORACLE_ATOL, err_msg=name)
+
+
 def test_long_sequence_runs_alone():
     lengths = [12, TRAIN_CHUNK_TOKENS + 1, 12, 30, TRAIN_CHUNK_TOKENS, 1]
     chunks = training._chunks(lengths, TRAIN_CHUNK_TOKENS)
@@ -168,14 +233,17 @@ def _peak_training_bytes(lengths, monkeypatch) -> tuple[int, list]:
     return peak, chunks
 
 
-def test_chunk_memory_stays_under_one_long_tweet(monkeypatch):
-    """A batch of sixteen 12-token tweets packs into chunks of at most
-    TRAIN_CHUNK_TOKENS = 64 tokens, so its peak stays near that of a batch
-    of one 64-token tweet. Run as one chunk, the sixteen peak at about 1.45 times
-    the long tweet: their 192 tokens' caches are held at once."""
+def test_training_memory_per_token(monkeypatch):
+    """A training chunk's traced memory grows by under 45 KB a token at
+    paper dims: the peak of a batch of one 256-token tweet (a full
+    TRAIN_CHUNK_TOKENS chunk) less that of one 50-token tweet, over the 206
+    tokens between them. The backward caches, the Bi-GRU and capsule
+    backward's transients and the forward's inputs all grow with the
+    tokens; everything else (weights, gradient sums, Adam) is the same in
+    both runs."""
     _peak_training_bytes([3], monkeypatch)  # one-time allocations out of the way
-    long_peak, long_chunks = _peak_training_bytes([64], monkeypatch)
-    short_peak, short_chunks = _peak_training_bytes([12] * 16, monkeypatch)
-    assert long_chunks == [[64]]
-    assert sorted(map(len, short_chunks)) == [1, 5, 5, 5]
-    assert short_peak < 1.25 * long_peak, (short_peak, long_peak)
+    long_peak, long_chunks = _peak_training_bytes([256], monkeypatch)
+    short_peak, short_chunks = _peak_training_bytes([50], monkeypatch)
+    assert long_chunks == [[256]] and short_chunks == [[50]]
+    per_token_kb = (long_peak - short_peak) / 206 / 1024
+    assert per_token_kb < 45, per_token_kb

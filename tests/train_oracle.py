@@ -38,7 +38,7 @@ class GruCache:
     H: np.ndarray  # (T, h) states h_t
     rz: np.ndarray  # (T, 2h) reset and update gates
     n: np.ndarray  # (T, h) candidates
-    hh: np.ndarray  # (T, h) the biased recurrent candidate term, gated by r
+    rhh: np.ndarray  # (T, h) r * (h W_hn + b_hn), the gated recurrent candidate term
 
 
 def direction_caches(cache: BigruCache) -> tuple[GruCache, GruCache]:
@@ -47,7 +47,7 @@ def direction_caches(cache: BigruCache) -> tuple[GruCache, GruCache]:
     if len(cache.counts) != cache.X.shape[0]:
         raise ValueError("a per-sequence backward needs a one-sequence chunk")
     return tuple(
-        GruCache(X=cache.X[cache.index[k]], H=cache.H[k], rz=cache.rz[k], n=cache.n[k], hh=cache.hh[k])
+        GruCache(X=cache.X[cache.index[k]], H=cache.H[k], rz=cache.rz[k], n=cache.n[k], rhh=cache.rhh[k])
         for k in range(2)
     )
 
@@ -61,7 +61,7 @@ def gru_backward(grad_H: np.ndarray, c: GruCache, p: GruParams, k: int):
     H_prev = np.zeros_like(c.H)
     H_prev[1:] = c.H[:-1]
     dtanh = (1.0 - z) * (1.0 - c.n * c.n)
-    K = np.stack([dtanh * c.hh * r * (1.0 - r), (H_prev - c.n) * z * (1.0 - z), dtanh * r], axis=1)
+    K = np.stack([dtanh * c.rhh * (1.0 - r), (H_prev - c.n) * z * (1.0 - z), dtanh * r], axis=1)
     dG = np.empty((T, 3, d_h))
     dH = np.empty((T, d_h))
     W_hT = W_h.T
