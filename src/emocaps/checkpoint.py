@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedHeader, TruncatedFile
+from .errors import MalformedHeader, TruncatedFile, reading_utf8
 
 FORMAT_VERSION = 2
 
@@ -92,8 +92,10 @@ def load_checkpoint(stem):
     is about.
     """
     manifest_path, payload_path = Path(f"{stem}.json"), Path(f"{stem}.bin")
+    with reading_utf8(manifest_path):
+        text = manifest_path.read_text(encoding="utf-8")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedHeader(f"{manifest_path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):

@@ -33,19 +33,14 @@ from .errors import (
     NumericError,
     UnknownLabel,
     VocabularyMismatch,
+    reading_utf8,
 )
 from .evaluation import LABELS, confusion, format_report, label_index, metrics
 from .textprep import Lexicon, preprocess
 from .training import ModelParams, TrainConfig, init_model, predict_dataset, train
 
 PROFILES = {
-    "paper": {
-        "embed_dim": 300,
-        "hidden_dim": 128,
-        "num_capsules": 16,
-        "capsule_dim": 32,
-        "batch_size": 512,
-    },
+    "paper": {},  # the TrainConfig defaults are the paper's dims and batch size
     "desk": {
         "embed_dim": 50,
         "hidden_dim": 32,
@@ -90,8 +85,10 @@ def _read_config_file(path) -> dict:
     """The keys of a flat JSON config file: TrainConfig fields plus an
     optional "profile". Any other key, or a value of the wrong type, is an
     error naming the file."""
+    with reading_utf8(path):
+        text = Path(path).read_text(encoding="utf-8")
     try:
-        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+        loaded = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedLine(f"{path}: {exc}") from exc
     if not isinstance(loaded, dict):
@@ -131,7 +128,8 @@ def load_dataset(path, labeled: bool = True) -> list:
     examples = []
     # read_text turns \r\n and \r into \n; lines end only there, so a
     # Unicode line separator inside a tweet stays in its line
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    with reading_utf8(path):
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines[-1] == "":
         lines.pop()  # the final newline ends the last line; an empty file has none
     for lineno, line in enumerate(lines, 1):
@@ -148,15 +146,13 @@ def load_dataset(path, labeled: bool = True) -> list:
     return examples
 
 
-def _encode(examples, vocab: Vocabulary, path):
-    """(label, text) pairs -> (ids, label) pairs on whitespace tokens.
-
-    `examples` holds one entry per line of `path`, as load_dataset returns
-    them. A line with no tokens cannot be classified, so it is rejected with
-    its file and line number before any output is written.
+def _encode(path, vocab: Vocabulary, labeled: bool = True):
+    """The lines of `path`, read by load_dataset, as (ids, label) pairs on
+    whitespace tokens. A line with no tokens cannot be classified, so it is
+    rejected with its file and line number before any output is written.
     """
     encoded = []
-    for lineno, (label, text) in enumerate(examples, 1):
+    for lineno, (label, text) in enumerate(load_dataset(path, labeled), 1):
         tokens = text.split()
         if not tokens:
             raise MalformedLine(f"{path}:{lineno}: line has no tokens", lineno)
@@ -174,9 +170,11 @@ def _vocab_sha256(vocab: Vocabulary) -> str:
     return hashlib.sha256("\n".join(vocab.id_to_word).encode("utf-8")).hexdigest()
 
 
-def _check_vocab(manifest: dict, stem, vocab: Vocabulary, vocab_path) -> None:
-    """Refuse a checkpoint written with another vocabulary; a manifest that
-    records no fingerprint is accepted."""
+def _load_for_vocab(stem, vocab: Vocabulary, vocab_path):
+    """load_checkpoint(stem), refused when it was written with another
+    vocabulary: its manifest records another fingerprint (a manifest that
+    records none is accepted), or its embedding/W_e has another row count."""
+    tensors, manifest = load_checkpoint(stem)
     recorded = manifest.get("vocab_sha256")
     fingerprint = _vocab_sha256(vocab)
     if recorded is not None and recorded != fingerprint:
@@ -184,6 +182,12 @@ def _check_vocab(manifest: dict, stem, vocab: Vocabulary, vocab_path) -> None:
             f"{vocab_path} is not the vocabulary checkpoint {stem} was written with "
             f"(vocabulary sha256 {fingerprint}, checkpoint records {recorded})"
         )
+    W = tensors.get("embedding/W_e")
+    if W is not None and W.shape[:1] != (len(vocab),):
+        raise DimensionMismatch(
+            f"{stem}.bin: embedding/W_e has shape {W.shape}, but vocabulary {vocab_path} has {len(vocab)} words"
+        )
+    return tensors, manifest
 
 
 def cmd_preprocess(args) -> int:
@@ -230,15 +234,12 @@ def cmd_build_vocab(args) -> int:
 
 
 def _load_embedding_payload(stem, vocab: Vocabulary, vocab_path, cfg: TrainConfig) -> EmbeddingTable:
-    tensors, manifest = load_checkpoint(stem)
-    _check_vocab(manifest, stem, vocab, vocab_path)
+    tensors, _ = _load_for_vocab(stem, vocab, vocab_path)
     if "embedding/W_e" not in tensors:
         raise MalformedHeader(f"{stem}.json: missing tensors: embedding/W_e")
     W = tensors["embedding/W_e"]
-    if W.shape[0] != len(vocab):
-        raise DimensionMismatch(
-            f"embedding payload has {W.shape[0]} rows, vocabulary has {len(vocab)}"
-        )
+    if W.ndim != 2:
+        raise MalformedHeader(f"{stem}.json: tensor embedding/W_e has shape {W.shape}, expected (rows, dim)")
     if W.shape[1] != cfg.embed_dim:
         # payload wins; dims must agree with the model we are about to build
         print(
@@ -253,15 +254,12 @@ def _load_embedding_payload(stem, vocab: Vocabulary, vocab_path, cfg: TrainConfi
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     vocab = Vocabulary.load(args.vocab)
-    train_examples = load_dataset(args.train_file)
-    _require_nonempty(train_examples, args.train_file)
-    train_set = _encode(train_examples, vocab, args.train_file)
+    train_set = _encode(args.train_file, vocab)
+    _require_nonempty(train_set, args.train_file)
+    dev_set = train_set
     if args.dev_file:
-        dev_examples = load_dataset(args.dev_file)
-        _require_nonempty(dev_examples, args.dev_file)
-        dev_set = _encode(dev_examples, vocab, args.dev_file)
-    else:
-        dev_set = train_set
+        dev_set = _encode(args.dev_file, vocab)
+        _require_nonempty(dev_set, args.dev_file)
 
     if args.embeddings_payload:
         table = _load_embedding_payload(args.embeddings_payload, vocab, args.vocab, cfg)
@@ -289,8 +287,7 @@ def cmd_train(args) -> int:
 
 
 def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
-    tensors, manifest = load_checkpoint(checkpoint)
-    _check_vocab(manifest, checkpoint, vocab, vocab_path)
+    tensors, manifest = _load_for_vocab(checkpoint, vocab, vocab_path)
     hp = manifest.get("hyperparameters", {})
     if not isinstance(hp, dict):
         raise MalformedHeader(f"{checkpoint}.json: hyperparameters are not a JSON object")
@@ -300,23 +297,21 @@ def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
         cfg.validate()
     except ValueError as exc:
         raise MalformedHeader(f"{checkpoint}.json: {exc}") from None
-    params = ModelParams.from_tensors(tensors, f"{checkpoint}.json")
-    if params.embedding.weights.shape[0] != len(vocab):
-        raise DimensionMismatch(
-            f"checkpoint embeds {params.embedding.weights.shape[0]} words, "
-            f"vocabulary has {len(vocab)}"
-        )
-    return params, cfg
+    return ModelParams.from_tensors(tensors, f"{checkpoint}.json"), cfg
+
+
+def _predict_input(args, labeled: bool):
+    """Load --vocab and the --checkpoint model, encode --input and classify
+    it; returns (golds, predictions), a gold None for an unlabeled line."""
+    vocab = Vocabulary.load(args.vocab)
+    params, cfg = _load_model(args.checkpoint, vocab, args.vocab)
+    encoded = _encode(args.input, vocab, labeled)
+    return [gold for _, gold in encoded], predict_dataset([ids for ids, _ in encoded], params, cfg)
 
 
 def cmd_evaluate(args) -> int:
-    vocab = Vocabulary.load(args.vocab)
-    params, cfg = _load_model(args.checkpoint, vocab, args.vocab)
-    examples = load_dataset(args.input)
-    _require_nonempty(examples, args.input)
-    encoded = _encode(examples, vocab, args.input)
-    preds = predict_dataset([ids for ids, _ in encoded], params, cfg)
-    golds = [gold for _, gold in encoded]
+    golds, preds = _predict_input(args, labeled=True)
+    _require_nonempty(golds, args.input)
     report = metrics(confusion(golds, preds))
     if args.output:
         Path(args.output).write_text(
@@ -328,11 +323,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    vocab = Vocabulary.load(args.vocab)
-    params, cfg = _load_model(args.checkpoint, vocab, args.vocab)
-    examples = load_dataset(args.input, labeled=args.labeled)
-    encoded = _encode(examples, vocab, args.input)
-    preds = predict_dataset([ids for ids, _ in encoded], params, cfg)
+    _, preds = _predict_input(args, labeled=args.labeled)
     lines = [LABELS[p] for p in preds]
     Path(args.output).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     print(f"wrote {len(lines)} predictions to {args.output}")
@@ -377,17 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a labeled file against a checkpoint")
-    p.add_argument("--input", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--checkpoint", required=True, help="checkpoint stem")
+    model_input = argparse.ArgumentParser(add_help=False)  # evaluate's and predict's
+    model_input.add_argument("--input", required=True)
+    model_input.add_argument("--vocab", required=True)
+    model_input.add_argument("--checkpoint", required=True, help="checkpoint stem")
+
+    p = sub.add_parser("evaluate", parents=[model_input], help="score a labeled file against a checkpoint")
     p.add_argument("--output", help="write the report as JSON")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", help="write one label per input line")
-    p.add_argument("--input", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--checkpoint", required=True, help="checkpoint stem")
+    p = sub.add_parser("predict", parents=[model_input], help="write one label per input line")
     p.add_argument("--output", required=True)
     p.add_argument("--labeled", action="store_true", help="input has a label column to ignore")
     p.set_defaults(func=cmd_predict)
@@ -401,10 +391,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except EmocapsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (EmocapsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

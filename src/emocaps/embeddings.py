@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile
+from .errors import DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile, reading_utf8
 from .textprep import TAG_SURFACES
 
 PAD = "<pad>"
@@ -67,7 +67,7 @@ class Vocabulary:
         id_to_word = []
         word_to_id = {}
         lineno = 0
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle, reading_utf8(path):
             for lineno, line in enumerate(handle, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -152,7 +152,7 @@ def _load_word2vec_binary(path) -> dict[str, np.ndarray]:
 
 def _load_word2vec_text(path) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle, reading_utf8(path):
         header = handle.readline()
         if not header.strip():
             raise MalformedHeader(f"{path}: empty file")

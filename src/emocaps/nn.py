@@ -95,7 +95,8 @@ class BigruCache:
 
     Every (2, N, ·) stack holds the forward direction at [0] and the
     backward one at [1]; row r is packed row r of `_packed_steps`, which
-    read input row index[k, r]."""
+    read input row index[k, r]. `bigru_backward` consumes the cache: it
+    takes H, rz, n and rhh out and leaves None in their place."""
 
     X: np.ndarray  # (N, d) inputs, in input order
     counts: np.ndarray  # (steps,) sequences still running at each step
@@ -181,29 +182,43 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
     block, so dA is dG scattered into input order with that block
     overwritten. Every weight gradient is then one matmul over all the
     chunk's rows, and grad_X one per direction.
+
+    Each step stack, and grad_H, is freed once its last use is past, so
+    the call holds about 8.5 KB a token beyond its inputs at paper dims
+    when the caller keeps no other reference to grad_H. The cache is
+    consumed: a second call on it raises ValueError.
     """
     n_rows, d_h = cache.X.shape[0], p.W_h.shape[1]
     if grad_H.shape != (n_rows, 2 * d_h):
         raise ShapeMismatch(f"grad_H {grad_H.shape} vs bigru output ({n_rows}, {2 * d_h})")
+    if cache.H is None:
+        raise ValueError("this Bi-GRU cache has already been backpropagated")
     counts = cache.counts
-    r, z = cache.rz[..., :d_h], cache.rz[..., d_h:]
+    H, rz, n, rhh = cache.H, cache.rz, cache.n, cache.rhh
+    cache.H = cache.rz = cache.n = cache.rhh = None
+    r, z = rz[..., :d_h], rz[..., d_h:]
     # the state each packed row started from: the same sequence's row one
     # step earlier, counts[t - 1] rows back, and zero at step 0
-    H_prev = np.zeros_like(cache.H)
-    H_prev[:, counts[0] :] = cache.H[:, np.arange(counts[0], n_rows) - np.repeat(counts[:-1], counts[1:])]
-    dtanh = (1.0 - z) * (1.0 - cache.n * cache.n)  # dh -> candidate pre-activation
+    H_prev = np.zeros_like(H)
+    H_prev[:, counts[0] :] = H[:, np.arange(counts[0], n_rows) - np.repeat(counts[:-1], counts[1:])]
+    del H
+    dtanh = (1.0 - z) * (1.0 - n * n)  # dh -> candidate pre-activation
     # dG[t] = dh_t * K[t], blockwise: reset, update, recurrent candidate
     # term; each step overwrites its rows of K with them, so K becomes dG
     K = np.empty((2, n_rows, 3, d_h), dtype=grad_H.dtype)
-    np.multiply(dtanh, cache.rhh, out=K[:, :, 0])
+    np.multiply(dtanh, rhh, out=K[:, :, 0])
+    del rhh
     K[:, :, 0] *= 1.0 - r
-    np.subtract(H_prev, cache.n, out=K[:, :, 1])
+    np.subtract(H_prev, n, out=K[:, :, 1])
+    del n
     K[:, :, 1] *= z
     K[:, :, 1] *= 1.0 - z
     np.multiply(dtanh, r, out=K[:, :, 2])
+    del r
     dH = grad_H.reshape(n_rows, 2, d_h)[cache.index, _DIRECTION]
+    del grad_H
     W_hT = p.W_h.transpose(0, 2, 1)
-    carry = np.zeros((2, counts[0], d_h), dtype=grad_H.dtype)
+    carry = np.zeros((2, counts[0], d_h), dtype=dH.dtype)
     end = n_rows
     for n_t in counts[::-1].tolist():
         rows, end = slice(end - n_t, end), end - n_t
@@ -213,9 +228,7 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
         np.multiply(dh, z[:, rows], out=c)
         c += np.matmul(dg.reshape(2, n_t, 3 * d_h), W_hT)
     dG = K.reshape(2, n_rows, 3 * d_h)
-    # each stack goes once its last use is past (with the loop's views of
-    # it), which keeps its own arrays to about 14 KB a token at paper dims
-    del K, carry, c, dh, dg
+    del K, carry, c, dh, dg, rz, z  # with the loop's views of them
     dtanh *= dH  # the candidate block of dA
     del dH
     b = np.repeat(dG.sum(axis=1)[:, None], 2, axis=1)

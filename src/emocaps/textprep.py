@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import MalformedLine
+from .errors import MalformedLine, reading_utf8
 
 TARGETWORD_PLACEHOLDER = "[#TARGETWORD#]"
 
@@ -183,7 +183,7 @@ class Lexicon:
         """Read "word<TAB>count" lines, skipping blank ones; an error is a
         MalformedLine naming the file and line."""
         counts: dict[str, int] = {}
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle, reading_utf8(path):
             for lineno, line in enumerate(handle, start=1):
                 line = line.rstrip("\n")
                 if not line:

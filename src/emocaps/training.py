@@ -365,16 +365,19 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
     The cache is consumed: its capsule cache is dropped once the capsule
     backward has run, so the routing blocks (and the capsule weight
     gradient, added to `grads` by then) are freed before the Bi-GRU
-    backward allocates its own arrays, and a second call raises ValueError."""
+    backward allocates its own arrays. That backward consumes the Bi-GRU
+    cache and grad_H, which no name here keeps. A second call raises
+    ValueError."""
     if cache.capsule is None:
         raise ValueError("this forward cache has already been backpropagated")
     grad_c, gW_dense, gb_dense = dense_backward(grad_logits, cache.c, params.dense)
     grads["dense/W"] += gW_dense
     grads["dense/b"] += gb_dense
-    grad_H, gW_caps = capsule_layer_backward(grad_c * cache.drop_mask, cache.capsule, params.capsule)
-    grads["capsule/W"] += gW_caps
-    cache.capsule = gW_caps = None
-    grad_X, g_gru = bigru_backward(grad_H, cache.bigru, params.gru)
+    grad_H_and_W = list(capsule_layer_backward(grad_c * cache.drop_mask, cache.capsule, params.capsule))
+    grads["capsule/W"] += grad_H_and_W.pop()
+    cache.capsule = None
+    # grad_H goes from the list straight to bigru_backward, which frees it once gathered
+    grad_X, g_gru = bigru_backward(grad_H_and_W.pop(), cache.bigru, params.gru)
     grad_X *= np.repeat(cache.spatial_mask, cache.lengths, axis=0)
     rows, values = embed_backward(cache.ids, grad_X, params.embedding.weights.shape[0])
     grads["embedding/W_e"][rows] += values

@@ -365,6 +365,72 @@ class TestExitCodes:
                     workspace["vocab"], "--checkpoint", stem, "--output", out]) == 0
         assert len(out.read_text().splitlines()) == 60
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
+    def test_vocabulary_of_another_size_names_both_files(self, workspace, tmp_path, capsys, command):
+        """A manifest without a fingerprint is checked by its row count."""
+        stem = tmp_path / "old"
+        source = workspace["payload"] if command == "train" else workspace["ckpt"] / "model"
+        manifest = json.loads(Path(f"{source}.json").read_text())
+        del manifest["vocab_sha256"]
+        Path(f"{stem}.json").write_text(json.dumps(manifest))
+        Path(f"{stem}.bin").write_bytes(Path(f"{source}.bin").read_bytes())
+        lines = workspace["vocab"].read_text().splitlines()
+        vocab = tmp_path / "short.tsv"
+        vocab.write_text("\n".join(lines[:-4]) + "\n")
+        out = tmp_path / "out"
+        argv = {
+            "predict": ["predict", "--input", workspace["clean"], "--labeled", "--output", out,
+                        "--checkpoint", stem],
+            "evaluate": ["evaluate", "--input", workspace["clean"], "--output", out, "--checkpoint", stem],
+            "train": ["train", "--train-file", workspace["clean"], "--checkpoint-dir", out,
+                      "--embeddings-payload", stem] + TINY_FLAGS,
+        }[command]
+        capsys.readouterr()
+        assert run(argv + ["--vocab", vocab]) == 3
+        rows = len(lines)
+        assert capsys.readouterr().err == (
+            f"error: {stem}.bin: embedding/W_e has shape ({rows}, 8), "
+            f"but vocabulary {vocab} has {rows - 4} words\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reader", ["input", "evaluate-input", "vocab", "lexicon", "config", "manifest", "word2vec"])
+    def test_file_that_is_not_utf8_names_file_and_line(self, workspace, tmp_path, capsys, reader):
+        """Each file's first byte that is not UTF-8 is on the line given with
+        it; the vocabulary's lines end in \\r\\n and the lexicon's in \\r."""
+        model, vocab, clean = workspace["ckpt"] / "model", workspace["vocab"], workspace["clean"]
+        bad, out, raw = tmp_path / "bad", tmp_path / "out", tmp_path / "raw.tsv"
+        raw.write_text("joy\tsome text\n")
+        manifest = Path(f"{model}.json").read_bytes()
+        words = vocab.read_bytes().splitlines()
+        if reader == "manifest":
+            bad = tmp_path / "model.json"
+            (tmp_path / "model.bin").write_bytes(Path(f"{model}.bin").read_bytes())
+        content, line, argv = {
+            "input": (b"joy\tgood\nsad\tcaf\xe9 x\n", 2, ["preprocess", "--input", bad, "--output", out]),
+            "evaluate-input": (b"joy\tgood\nsad\tcaf\xe9 x\n", 2, ["evaluate", "--input", bad, "--vocab", vocab,
+                                                                "--checkpoint", model, "--output", out]),
+            "vocab": (b"\r\n".join(words[:2] + [b"2\tcaf\xe9"] + words[3:]) + b"\r\n", 3,
+                      ["predict", "--input", clean, "--labeled", "--vocab", bad, "--checkpoint", model,
+                       "--output", out]),
+            "lexicon": (b"the\t5\rit\t3\rcaf\xe9\t2\r", 3,
+                        ["preprocess", "--input", raw, "--lexicon", bad, "--output", out]),
+            "config": (b'{"seed": 1,\n "s\xe9ed": 2}', 2,
+                       ["train", "--train-file", clean, "--vocab", vocab, "--config", bad, "--checkpoint-dir", out]),
+            "manifest": (manifest.replace(b'"seed"', b'"s\xe9ed"'), manifest[: manifest.index(b'"seed"')].count(b"\n") + 1,
+                         ["predict", "--input", clean, "--labeled", "--vocab", vocab,
+                          "--checkpoint", tmp_path / "model", "--output", out]),
+            "word2vec": (b"1 2\ncaf\xe9 0.1 0.2\n", 2,
+                         ["build-vocab", "--inputs", clean, "--vocab", out, "--embedding-out", tmp_path / "emb",
+                          "--embeddings", bad, "--embeddings-format", "text", "--embed-dim", "2"]),
+        }[reader]
+        bad.write_bytes(content)
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{line}: not UTF-8 text: can't decode byte 0xe9 at file offset "), err
+        assert not out.exists() and not (tmp_path / "emb.bin").exists()
+
     @pytest.mark.parametrize("bad", ["no tab here", "x\tword"])
     def test_malformed_vocabulary_names_file_and_line(self, workspace, tmp_path, capsys, bad):
         vocab = tmp_path / "vocab.tsv"
@@ -443,6 +509,21 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err == f"error: {stem}.json: tensor {name} has shape {tensors[name].shape}, expected {expected}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cut", [lambda t: t[:, 0], lambda t: t[..., None]], ids=["1-d", "3-d"])
+    def test_embedding_payload_of_the_wrong_rank_is_refused(self, workspace, tmp_path, capsys, cut):
+        tensors, manifest = load_checkpoint(workspace["payload"])
+        W = cut(tensors["embedding/W_e"])
+        stem = tmp_path / "emb"
+        save_checkpoint(stem, {"embedding/W_e": W}, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--embeddings-payload", stem, "--checkpoint-dir", out] + TINY_FLAGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {stem}.json: tensor embedding/W_e has shape {W.shape}, expected (rows, dim)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["build-vocab", "train", "evaluate"])
@@ -810,6 +891,24 @@ class TestConfiguration:
         expected = ["-h", "--help"] + fixed + ["--config", "--profile"]
         expected += ["--" + name.replace("_", "-") for name in fields]
         assert options == expected
+
+    @pytest.mark.parametrize("command, options, optional", [
+        ("evaluate", ["--input", "--vocab", "--checkpoint", "--output"], ["--output"]),
+        ("predict", ["--input", "--vocab", "--checkpoint", "--output", "--labeled"], ["--labeled"]),
+    ])
+    def test_model_input_options(self, command, options, optional):
+        """evaluate and predict share --input, --vocab and --checkpoint, and
+        each lists its options in this order."""
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        parser = subparsers.choices[command]
+        assert [o for a in parser._actions for o in a.option_strings] == ["-h", "--help"] + options
+        required = [a.option_strings[0] for a in parser._actions if a.required]
+        assert required == [o for o in options if o not in optional]
+
+    def test_paper_profile_is_the_defaults(self):
+        args = build_parser().parse_args(["train", "--train-file", "t", "--vocab", "v",
+                                          "--checkpoint-dir", "c", "--profile", "paper"])
+        assert cli._resolve_config(args) == TrainConfig()
 
     def test_desk_profile_sets_dimensions(self, workspace, tmp_path):
         ckpt = tmp_path / "ckpt"
