@@ -101,9 +101,11 @@ def routing_backward(grad_V: np.ndarray, U: np.ndarray, state: list) -> np.ndarr
 
 @dataclass
 class CapsuleCache:
+    """Consumed by `capsule_layer_backward`, which leaves None in U and state."""
+
     H: np.ndarray  # (N, d) the input rows, packed
-    U: np.ndarray  # (B, J, T, d_out) zero-padded prediction blocks
-    state: list  # per routing iteration, the (C, S, V) of dynamic_routing
+    U: np.ndarray | None  # (B, J, T, d_out) zero-padded prediction blocks
+    state: list | None  # per routing iteration, the (C, S, V) of dynamic_routing
     lengths: np.ndarray  # (B,) sequence lengths, in input order
 
 
@@ -131,11 +133,19 @@ def capsule_layer(H: np.ndarray, lengths, W: np.ndarray, iterations: int):
 
 def capsule_layer_backward(grad_flat: np.ndarray, cache: CapsuleCache, W: np.ndarray):
     """Backprop through routing and the prediction transforms; returns
-    (grad_H, grad_W) for the gradient of the flattened (B, J * d_out) output."""
-    V_shape = cache.state[-1][2].shape
-    if V_shape[1:] != (W.shape[0], W.shape[2]) or grad_flat.shape != (V_shape[0], V_shape[1] * V_shape[2]):
+    (grad_H, grad_W) for the gradient of the flattened (B, J * d_out) output.
+
+    The routing blocks `U` and `state` are freed once `routing_backward`
+    has read them, so they are not held while grad_H is summed; `H` and
+    `lengths` stay. The cache is consumed: a second call on it raises
+    ValueError."""
+    V_shape = (len(cache.lengths), W.shape[0], W.shape[2])
+    if grad_flat.shape != (V_shape[0], V_shape[1] * V_shape[2]):
         raise ShapeMismatch(f"grad {grad_flat.shape} vs flattened capsule output {V_shape}")
+    if cache.U is None:
+        raise ValueError("this capsule cache has already been backpropagated")
     grad_U = routing_backward(grad_flat.reshape(V_shape), cache.U, cache.state)
+    cache.U = cache.state = None
     # (J, N, d_out): the real rows of every block, padding dropped
     per_capsule = np.concatenate([grad_U[b, :, :n] for b, n in enumerate(cache.lengths.tolist())], axis=1)
     del grad_U

@@ -19,12 +19,9 @@ from .textprep import TAG_SURFACES
 PAD = "<pad>"
 UNK = "<unk>"
 
-# Fixed id layout: <pad>=0, <unk>=1, then the normalization tags in this
-# order. Corpus words follow, most frequent first.
-RESERVED = (PAD, UNK) + tuple(
-    TAG_SURFACES[k]
-    for k in ("URL", "USER", "EMAIL", "PHONE", "DATE", "TIME", "MONEY", "TARGETWORD")
-)
+# Fixed id layout: <pad>=0, <unk>=1, then the normalization tags in their
+# TAG_SURFACES order. Corpus words follow, most frequent first.
+RESERVED = (PAD, UNK) + tuple(TAG_SURFACES.values())
 
 
 @dataclass

@@ -84,10 +84,8 @@ def metrics(cm: np.ndarray) -> MetricsReport:
         )
 
     # pooled counts: every error is one false positive and one false negative
-    tp_pool = float(np.trace(cm))
-    micro_p = _safe_div(tp_pool, float(total))
-    micro_r = _safe_div(tp_pool, float(total))
-    micro = ClassMetrics(precision=micro_p, recall=micro_r, f1=_f1(micro_p, micro_r), support=total)
+    micro_ratio = _safe_div(float(np.trace(cm)), float(total))
+    micro = ClassMetrics(precision=micro_ratio, recall=micro_ratio, f1=_f1(micro_ratio, micro_ratio), support=total)
 
     values = list(per_class.values())
     macro = ClassMetrics(
@@ -102,13 +100,7 @@ def metrics(cm: np.ndarray) -> MetricsReport:
 def format_report(report: MetricsReport) -> str:
     """Human-readable table, one row per class plus the two averages."""
     rows = [f"{'':<10} {'prec':>7} {'recall':>7} {'f1':>7} {'support':>8}"]
-    for label, m in report.per_class.items():
-        rows.append(
-            f"{label:<10} {m.precision:>7.3f} {m.recall:>7.3f} {m.f1:>7.3f} {m.support:>8d}"
-        )
-    for name, m in (("micro", report.micro), ("macro", report.macro)):
-        rows.append(
-            f"{name:<10} {m.precision:>7.3f} {m.recall:>7.3f} {m.f1:>7.3f} {m.support:>8d}"
-        )
+    for name, m in [*report.per_class.items(), ("micro", report.micro), ("macro", report.macro)]:
+        rows.append(f"{name:<10} {m.precision:>7.3f} {m.recall:>7.3f} {m.f1:>7.3f} {m.support:>8d}")
     return "\n".join(rows)
 

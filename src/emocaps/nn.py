@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
+from .evaluation import LABELS
 
-N_CLASSES = 6
+N_CLASSES = len(LABELS)
 
 
 def sigmoid(x, out=None):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from importlib import resources
@@ -34,49 +34,11 @@ from .errors import MalformedLine, reading_utf8
 
 TARGETWORD_PLACEHOLDER = "[#TARGETWORD#]"
 
-# Reserved surfaces produced by normalize(). Hashtags are segmented into
-# plain words instead of being tagged, so they are absent here.
-TAG_SURFACES = {
-    "URL": "<url>",
-    "USER": "<user>",
-    "EMAIL": "<email>",
-    "PHONE": "<phone>",
-    "DATE": "<date>",
-    "TIME": "<time>",
-    "MONEY": "<money>",
-    "TARGETWORD": "<targetword>",
-}
-
 _SPELL_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _LETTER_BIN = {ch: i for i, ch in enumerate(_SPELL_ALPHABET)}
 _SPELL_MIN_LEN = 4  # pipeline-level gate; spell_correct itself is unrestricted
 _SPELL_MEMO_MAX = 100_000  # answers memoised per Lexicon, about 10 MB at most
 _OOV_LEN_PENALTY = 3.0  # per-character log-prob penalty for out-of-lexicon words
-
-
-class TokenKind(Enum):
-    WORD = "word"
-    URL = "url"
-    USER = "user"
-    EMAIL = "email"
-    PHONE = "phone"
-    DATE = "date"
-    TIME = "time"
-    MONEY = "money"
-    HASHTAG = "hashtag"
-    EMOTICON = "emoticon"
-    ACRONYM = "acronym"
-    CENSORED = "censored"
-    EMPHASIS = "emphasis"
-    NUMBER = "number"
-    PUNCT = "punct"
-    TARGETWORD = "targetword"
-
-
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    kind: TokenKind
 
 
 def _load_emoticons() -> list[str]:
@@ -118,6 +80,23 @@ _TOKEN_RE = re.compile(
     "|".join(f"(?P<{name}>{pattern})" for name, pattern in _COMPONENTS)
 )
 
+# One kind per tokenizer group, in match order, valued by its lowercase name.
+TokenKind = Enum("TokenKind", [(name, name.lower()) for name, _ in _COMPONENTS], module=__name__)
+
+
+@dataclass(frozen=True)
+class Token:
+    surface: str
+    kind: TokenKind
+
+
+# Reserved surfaces produced by normalize(). Hashtags are segmented into
+# plain words instead of being tagged, so they are absent here.
+TAG_SURFACES = {
+    kind: f"<{kind.lower()}>"
+    for kind in ("URL", "USER", "EMAIL", "PHONE", "DATE", "TIME", "MONEY", "TARGETWORD")
+}
+
 
 def tokenize(raw: str) -> list[Token]:
     """Split raw tweet text into typed tokens.
@@ -134,10 +113,10 @@ def tokenize(raw: str) -> list[Token]:
 def normalize(tokens: list[Token]) -> list[Token]:
     """Lowercase surfaces and replace tag-like tokens with reserved surfaces.
 
-    URL/USER/EMAIL/PHONE/DATE/TIME/MONEY and the target-word placeholder map
-    to their fixed tags; everything else (including emoticons) is lowercased
-    so no uppercase letter survives. Hashtags pass through unchanged apart
-    from case; they are expanded later by segmentation.
+    Tokens of a kind in TAG_SURFACES (the target-word placeholder among
+    them) map to their fixed tags; everything else (including emoticons) is
+    lowercased so no uppercase letter survives. Hashtags pass through
+    unchanged apart from case; they are expanded later by segmentation.
     """
     out = []
     for token in tokens:
@@ -153,21 +132,19 @@ def normalize(tokens: list[Token]) -> list[Token]:
 class Lexicon:
     """Unigram counts backing hashtag segmentation and spell correction.
 
-    Immutable once built: `counts` is a read-only view of a dict no one
-    else holds (a copy of the mapping given, or the dict `from_pairs` or
-    `from_file` built), so the spelling memo and the letter index it
-    carries cannot go stale. Neither takes part in comparison or repr.
-    `total` is the sum of the counts."""
+    Immutable once built: the constructor, which `from_pairs` and
+    `from_file` also end in, copies the mapping it is given, and `counts`
+    is a read-only view of that copy, so the spelling memo and the letter
+    index it carries cannot go stale. Neither takes part in comparison or
+    repr. `total` is the sum of the counts."""
 
     counts: Mapping[str, int] = field(default_factory=dict)
     total: int = field(init=False)
     _spelled: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _handed_over: InitVar[bool] = False  # `counts` is a dict no one else holds
 
-    def __post_init__(self, _handed_over):
-        counts = self.counts if _handed_over else dict(self.counts)
-        object.__setattr__(self, "counts", MappingProxyType(counts))
-        object.__setattr__(self, "total", sum(counts.values()))
+    def __post_init__(self):
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+        object.__setattr__(self, "total", sum(self.counts.values()))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Lexicon":
@@ -176,7 +153,7 @@ class Lexicon:
         counts: dict[str, int] = {}
         for word, count in pairs:
             _add_count(counts, word, count)
-        return cls(counts=counts, _handed_over=True)
+        return cls(counts)
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
@@ -199,7 +176,7 @@ class Lexicon:
                     _add_count(counts, word, count)
                 except ValueError as exc:
                     raise MalformedLine(f"{path}:{lineno}: {exc}", lineno) from None
-        return cls(counts=counts, _handed_over=True)
+        return cls(counts)
 
     def word_logp(self, word: str) -> float:
         """Unigram log-probability; out-of-lexicon words pay a length penalty."""

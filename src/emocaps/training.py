@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .capsule import CapsuleCache, capsule_layer, capsule_layer_backward, init_capsule
-from .embeddings import EmbeddingTable, embed, embed_backward
+from .embeddings import PAD, RESERVED, EmbeddingTable, embed, embed_backward
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -56,7 +56,7 @@ from .nn import (
     softmax,
 )
 
-PAD_ID = 0  # embedding row pinned to zero; its gradient is discarded
+PAD_ID = RESERVED.index(PAD)  # embedding row pinned to zero; its gradient is discarded
 
 
 @dataclass
@@ -362,11 +362,11 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
     `grads`, one array per ModelParams.tensors() key and of its shape.
     Additive noise backpropagates as identity.
 
-    The cache is consumed: its capsule cache is dropped once the capsule
-    backward has run, so the routing blocks (and the capsule weight
-    gradient, added to `grads` by then) are freed before the Bi-GRU
-    backward allocates its own arrays. That backward consumes the Bi-GRU
-    cache and grad_H, which no name here keeps. A second call raises
+    The cache is consumed: its capsule cache, whose routing blocks the
+    capsule backward frees, is dropped once that backward has run, so it
+    (and the capsule weight gradient, added to `grads` by then) is freed
+    before the Bi-GRU backward allocates its own arrays. That backward
+    consumes the Bi-GRU cache and grad_H, which no name here keeps. A second call raises
     ValueError."""
     if cache.capsule is None:
         raise ValueError("this forward cache has already been backpropagated")

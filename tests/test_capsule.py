@@ -334,16 +334,17 @@ class TestMatmulContractions:
         grad_flat = rng.normal(size=(len(lengths), J * d_out))
 
         flat, cache = capsule_layer(H, lengths, p, iterations=r)
-        assert cache.U.flags.c_contiguous
+        blocks, state = cache.U, cache.state  # the backward frees both
+        assert blocks.flags.c_contiguous
         grad_H, grad_W = capsule_layer_backward(grad_flat, cache, p)
-        grad_U = routing_backward(grad_flat.reshape(-1, J, d_out), cache.U, cache.state)
+        grad_U = routing_backward(grad_flat.reshape(-1, J, d_out), blocks, state)
         assert grad_W.shape == p.shape and grad_H.shape == H.shape
         expected_W = np.zeros_like(p)
         start = 0
         for b, n in enumerate(lengths):
             H_b = H[start : start + n]
             U = einsum_predict_vectors(H_b, p)
-            np.testing.assert_allclose(cache.U[b, :, :n], U.transpose(1, 0, 2), rtol=0, atol=self.TOL)
+            np.testing.assert_allclose(blocks[b, :, :n], U.transpose(1, 0, 2), rtol=0, atol=self.TOL)
             states = eval_oracle.dynamic_routing(U, r)
             np.testing.assert_allclose(flat[b], states[-1][2].reshape(-1), rtol=0, atol=self.TOL)
             expected_U = einsum_routing_backward(grad_flat[b].reshape(J, d_out), U, states)

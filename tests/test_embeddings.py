@@ -40,6 +40,14 @@ class TestVocabulary:
         assert vocab.word_to_id["<targetword>"] == len(RESERVED) - 1
         assert len(vocab) == len(RESERVED)
 
+    def test_reserved_ids_are_pinned(self):
+        """Every vocabulary starts with these ten words at these ids; a
+        reorder of the tag table would renumber every vocabulary and
+        invalidate every checkpoint's vocabulary fingerprint."""
+        assert RESERVED == (
+            "<pad>", "<unk>", "<url>", "<user>", "<email>", "<phone>", "<date>", "<time>", "<money>", "<targetword>"
+        )
+
     def test_frequency_then_alpha_order(self):
         vocab = Vocabulary.build([["b", "a", "b"], ["c", "a"]])
         words = vocab.id_to_word[len(RESERVED) :]
