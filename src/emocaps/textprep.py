@@ -10,11 +10,14 @@ come last so that no non-whitespace character is ever dropped.
 Spell correction gives the answer of enumerating every string one and two
 edits away (Norvig-style candidates) without building the two-edit strings.
 Distance 1 does enumerate, which is cheap. Distance 2 filters the whole
-lexicon at once by length and by a packed letter mask, then checks the few
-survivors exactly. The masks are built on the first distance-2 search, not
-when the lexicon is read, and take 9 bytes a word; a deletion index such as
-SymSpell's would take far more memory. Each answer is memoised on the
-immutable `Lexicon`, per input surface, up to `_SPELL_MEMO_MAX` surfaces.
+lexicon at once by length and by a packed letter mask; on a 30k-word
+lexicon about a hundred words survive. A bit-parallel longest-common-
+subsequence test (Allison and Dix, 1986) drops most of those, and the rest
+are checked exactly by undoing one edit. The masks are built with numpy on
+the first distance-2 search, not when the lexicon is read, and take 9 bytes
+a word; a deletion index such as SymSpell's would take far more memory.
+Each answer is memoised on the immutable `Lexicon`, per input surface, up
+to `_SPELL_MEMO_MAX` surfaces.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ _LETTER_BIN = {ch: i for i, ch in enumerate(_SPELL_ALPHABET)}
 _SPELL_MIN_LEN = 4  # pipeline-level gate; spell_correct itself is unrestricted
 _SPELL_MEMO_MAX = 100_000  # answers memoised per Lexicon, about 10 MB at most
 _OOV_LEN_PENALTY = 3.0  # per-character log-prob penalty for out-of-lexicon words
+_INDEX_BLOCK = 1024  # words per numpy pass when the letter index is built
 
 
 def _load_emoticons() -> list[str]:
@@ -286,12 +290,29 @@ class _LetterIndex:
 
     @classmethod
     def build(cls, counts) -> "_LetterIndex":
+        """Compute `_letter_mask` of every word with numpy, `_INDEX_BLOCK`
+        words at a time to bound the temporaries."""
         words = tuple(counts)
-        return cls(
-            words=words,
-            masks=np.fromiter(map(_letter_mask, words), dtype=np.uint64, count=len(words)),
-            lengths=np.fromiter((min(len(w), 255) for w in words), dtype=np.uint8, count=len(words)),
-        )
+        sizes = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+        masks = np.zeros(len(words), dtype=np.uint64)  # as `_letter_mask("")`
+        for start in range(0, len(words), _INDEX_BLOCK):
+            block = sizes[start : start + _INDEX_BLOCK]
+            text = "".join(words[start : start + _INDEX_BLOCK])
+            # one uint32 per character; "surrogatepass" keeps a lone surrogate, which a word may hold
+            codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+            # a-z map to bins 0-25; every other code wraps or lies above 25
+            bins = np.minimum(codes - np.uint32(97), np.uint32(26))
+            keys = np.repeat(np.arange(block.size, dtype=np.uint32) << 5, block) | bins
+            keys.sort()  # the word index is the high part: each word stays in place
+            # a bin's first character in a word sets bit `bin`, any later one bit 27 + `bin`
+            shifts = (keys & 31).astype(np.uint8)
+            shifts[1:][keys[1:] == keys[:-1]] += np.uint8(27)
+            firsts = np.cumsum(block) - block
+            filled = block > 0  # reduceat would give an empty word the next one's first bit
+            masks[start : start + block.size][filled] = np.bitwise_or.reduceat(
+                np.uint64(1) << shifts, firsts[filled]
+            )
+        return cls(words=words, masks=masks, lengths=np.minimum(sizes, 255, out=sizes).astype(np.uint8))
 
     def two_edits(self, word: str, edits: set[str]) -> list[str]:
         """The lexicon words two edits from `word`, whose one-edit set is
@@ -300,22 +321,24 @@ class _LetterIndex:
         One edit changes the length by at most 1 and flips at most 2 mask
         bits (an insert or delete only 1), so a word two edits away differs
         in length by at most 2 and in bits by at most 4 minus that length
-        difference. Survivors of that filter must also share a string with
-        `word` after at most two deletions from each; the rest are checked
-        exactly against `edits`."""
+        difference. Survivors of that filter, about a hundred in a 30k-word
+        lexicon, must also become one string with `word` after at most two
+        deletions from each (`_meet_after_two_deletes`, a few integer
+        operations per character); those that do are checked exactly
+        against `edits`."""
         n = min(len(word), 255)
         shift = np.abs(self.lengths.astype(np.int16) - n)
         flips = np.bitwise_count(self.masks ^ np.uint64(_letter_mask(word)))
         survivors = np.flatnonzero(flips + shift <= 4)
         if survivors.size == 0:
             return []
-        shared = _deletes2(word)
+        positions = _positions(word)
         # the strings of `edits` hold only a-z and the characters of `word`
         letters = _SPELL_ALPHABET + "".join(set(word).difference(_LETTER_BIN))
         out = []
         for i in survivors.tolist():
             w = self.words[i]
-            if not shared.isdisjoint(_deletes2(w)) and not edits.isdisjoint(_sources1(w, letters)):
+            if _meet_after_two_deletes(positions, len(word), w) and not edits.isdisjoint(_sources1(w, letters)):
                 out.append(w)
         return out
 
@@ -331,10 +354,27 @@ def _letter_mask(word: str) -> int:
     return mask
 
 
-def _deletes2(word: str) -> set[str]:
-    """`word` and every string made from it by one or two deletions."""
-    one = {word[:i] + word[i + 1 :] for i in range(len(word))}
-    return {word} | one | {w[:i] + w[i + 1 :] for w in one for i in range(len(w))}
+def _positions(word: str) -> dict[str, int]:
+    """Per character of `word`, the bits of the positions where it occurs."""
+    bits: dict[str, int] = {}
+    for i, ch in enumerate(word):
+        bits[ch] = bits.get(ch, 0) | 1 << i
+    return bits
+
+
+def _meet_after_two_deletes(positions: dict[str, int], n: int, other: str) -> bool:
+    """Whether the length-`n` word of `positions` and `other` become the
+    same string after at most two deletions from each: exactly when their
+    longest common subsequence is at most two shorter than the longer word.
+    That length is the count of zero bits among the low `n` of `v` after
+    Allison and Dix's bit-parallel update (1986) over `other`; Python ints
+    put no limit on `n`."""
+    full = (1 << n) - 1
+    v = full
+    for ch in other:
+        u = v & positions.get(ch, 0)
+        v = (v + u) | (v - u)
+    return n - (v & full).bit_count() >= max(n, len(other)) - 2
 
 
 def _sources1(target: str, letters: str) -> set[str]:

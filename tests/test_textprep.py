@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from types import MappingProxyType
 
 import numpy as np
@@ -15,6 +16,9 @@ from emocaps.textprep import (
     TokenKind,
     _edits1,
     _letter_mask,
+    _LetterIndex,
+    _meet_after_two_deletes,
+    _positions,
     normalize,
     preprocess,
     segment_hashtag,
@@ -353,6 +357,14 @@ def enumerated_spell(word, lex):
     return min(set(known), key=lambda w: (-lex.counts[w], w))
 
 
+def _deletes2(word):
+    """`word` and every string made from it by one or two deletions: the
+    reference for the longest-common-subsequence test of the distance-2
+    search."""
+    one = {word[:i] + word[i + 1 :] for i in range(len(word))}
+    return {word} | one | {w[:i] + w[i + 1 :] for w in one for i in range(len(w))}
+
+
 def noisy_word(rng, word, letters):
     """`word` after one or two random deletes, inserts, replacements or
     swaps; inserted and replacing characters come from `letters`."""
@@ -441,6 +453,58 @@ class TestSpellCorrect:
         assert _letter_mask("abca") == 1 << 0 | 1 << 1 | 1 << 2 | 1 << 27
         assert _letter_mask("zé") == 1 << 25 | 1 << 26
         assert _letter_mask("éüé") == 1 << 26 | 1 << 53
+
+    # The second alphabet holds a character outside the Basic Multilingual
+    # Plane; words of 60-70 characters take the bit vector past 64 bits.
+    @pytest.mark.parametrize("letters", ["abcdefghijklmnopqrstuvwxyz", "aeéü😀"], ids=["a-z", "accented"])
+    def test_lcs_test_matches_two_deletion_sets(self, letters):
+        rng = np.random.default_rng([13, len(letters)])
+        chars = np.array(list(letters))
+        met = 0
+        for k in range(10_000):
+            size = int(rng.integers(60, 71)) if k % 100 == 0 else int(rng.integers(0, 13))
+            q = "".join(rng.choice(chars, size=size))
+            # 0-4 edits from q, or (one pair in 5) a word drawn on its own
+            w = q
+            for _ in range(int(rng.integers(3))):
+                w = noisy_word(rng, w, letters)
+            if k % 5 == 4:
+                w = "".join(rng.choice(chars, size=int(rng.integers(0, 13))))
+            expected = not _deletes2(q).isdisjoint(_deletes2(w))
+            assert _meet_after_two_deletes(_positions(q), len(q), w) == expected, (q, w)
+            met += expected
+        assert 2_000 < met < 8_000  # both answers are common
+
+    def test_index_build_matches_letter_mask(self):
+        rng = np.random.default_rng(14)
+        special = ["café", "über", "naïve", "smile😀", "\ud83d", "ab" * 150, "aabbcc", "mississippi", "éüéü"]
+        plain = {"".join(rng.choice(list("abcdeilmnorstu"), size=int(rng.integers(1, 13)))) for _ in range(5_000)}
+        assert len(plain) > textprep._INDEX_BLOCK  # the build crosses a block boundary
+        lex = Lexicon.from_pairs((w, 1) for w in rng.permutation(sorted(plain | set(special))).tolist())
+        # a Lexicon built directly does not check its words: "" between others, and last
+        for counts in (lex.counts, {"a": 1, "": 1, "bb": 1}, {"bb": 1, "": 1}):
+            index = _LetterIndex.build(counts)
+            assert index.words == tuple(counts)
+            assert index.masks.tolist() == [_letter_mask(w) for w in index.words]
+            assert index.lengths.tolist() == [min(len(w), 255) for w in index.words]
+
+    def test_index_build_temporaries_are_small(self):
+        # 30k words, as the preprocess-oov benchmark lexicon; the build's own
+        # temporaries stay well below that workload's peak-RSS bound (4.3 MB)
+        rng = np.random.default_rng(15)
+        words = set()
+        while len(words) < 30_000:
+            words.add("".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=int(rng.integers(3, 13)))))
+        lex = Lexicon.from_pairs((w, 1) for w in words)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            index = _LetterIndex.build(lex.counts)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index.words) == 30_000
+        assert peak - kept < 2e6
 
     def test_words_longer_than_255(self):
         word = "abc" * 86  # the letter index caps lengths at 255
