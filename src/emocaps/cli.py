@@ -238,7 +238,7 @@ def _load_embedding_payload(stem, vocab: Vocabulary, vocab_path, cfg: TrainConfi
     if "embedding/W_e" not in tensors:
         raise MalformedHeader(f"{stem}.json: missing tensors: embedding/W_e")
     W = tensors["embedding/W_e"]
-    if W.ndim != 2:
+    if W.ndim != 2 or W.shape[1] == 0:
         raise MalformedHeader(f"{stem}.json: tensor embedding/W_e has shape {W.shape}, expected (rows, dim)")
     if W.shape[1] != cfg.embed_dim:
         # payload wins; dims must agree with the model we are about to build

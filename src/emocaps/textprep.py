@@ -137,50 +137,58 @@ class Lexicon:
     """Unigram counts backing hashtag segmentation and spell correction.
 
     Immutable once built: the constructor, which `from_pairs` and
-    `from_file` also end in, copies the mapping it is given, and `counts`
-    is a read-only view of that copy, so the spelling memo and the letter
-    index it carries cannot go stale. Neither takes part in comparison or
-    repr. `total` is the sum of the counts."""
+    `from_file` also end in, checks and copies the mapping it is given, and
+    `counts` is a read-only view of that copy, so the spelling memo and the
+    letter index it carries cannot go stale. Neither takes part in
+    comparison or repr. `total` is the sum of the counts. Words are
+    non-empty, lowercase and free of the censoring `*`, and counts are
+    non-negative: the first entry that breaks a rule raises ValueError."""
 
     counts: Mapping[str, int] = field(default_factory=dict)
     total: int = field(init=False)
     _spelled: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
-        object.__setattr__(self, "total", sum(self.counts.values()))
+        counts = dict(self.counts)
+        letters = "".join(counts)  # one test of all words; only a bad mapping is walked, to name its entry
+        if "" in counts or "*" in letters or letters != letters.lower() or min(counts.values(), default=0) < 0:
+            for word, count in counts.items():
+                if not word or "*" in word or word != word.lower():
+                    raise ValueError(f"bad lexicon word: {word!r}")
+                if count < 0:
+                    raise ValueError(f"negative count for {word!r}")
+        object.__setattr__(self, "counts", MappingProxyType(counts))
+        object.__setattr__(self, "total", sum(counts.values()))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Lexicon":
         """Sum the counts of repeated words; a bad word or a negative count
-        raises ValueError."""
+        raises ValueError naming the first bad pair."""
         counts: dict[str, int] = {}
         for word, count in pairs:
-            _add_count(counts, word, count)
+            if count < 0:  # a sum could hide it: check the earlier words, then this pair
+                cls(counts)
+                cls({word: count})
+            counts[word] = counts.get(word, 0) + int(count)
         return cls(counts)
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
         """Read "word<TAB>count" lines, skipping blank ones; an error is a
-        MalformedLine naming the file and line."""
-        counts: dict[str, int] = {}
+        MalformedLine naming the file and its first bad line."""
         with open(path, encoding="utf-8") as handle, reading_utf8(path):
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    word, count_text = line.split("\t")
-                    count = int(count_text)
-                except ValueError:
-                    raise MalformedLine(
-                        f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}", lineno
-                    ) from None
-                try:
-                    _add_count(counts, word, count)
-                except ValueError as exc:
-                    raise MalformedLine(f"{path}:{lineno}: {exc}", lineno) from None
-        return cls(counts)
+            try:
+                return cls.from_pairs(_lexicon_pairs(path, handle))
+            except (ValueError, MalformedLine) as exc:
+                handle.seek(0)  # a bad file is read again, a line at a time, to name its first bad line
+                for lineno, line in enumerate(handle, start=1):
+                    try:
+                        cls.from_pairs(_lexicon_pairs(path, [line], lineno))
+                    except ValueError as bad:
+                        raise MalformedLine(f"{path}:{lineno}: {bad}", lineno) from None
+                if isinstance(exc, MalformedLine):  # no line is bad now: the file changed since the failed read
+                    raise
+                raise MalformedLine(f"{path}: {exc}") from exc
 
     def word_logp(self, word: str) -> float:
         """Unigram log-probability; out-of-lexicon words pay a length penalty."""
@@ -195,14 +203,20 @@ class Lexicon:
         return _LetterIndex.build(self.counts)
 
 
-def _add_count(counts: dict[str, int], word: str, count: int) -> None:
-    """Add one lexicon entry. Words are non-empty, lowercase and free of the
-    censoring `*`; counts are non-negative."""
-    if not word or "*" in word or word != word.lower():
-        raise ValueError(f"bad lexicon word: {word!r}")
-    if count < 0:
-        raise ValueError(f"negative count for {word!r}")
-    counts[word] = counts.get(word, 0) + int(count)
+def _lexicon_pairs(path, lines, start=1):
+    """Yield (word, count) of each non-blank one of `lines`, numbered from
+    `start`; one that is not "word<TAB>count" raises MalformedLine naming
+    `path` and the line."""
+    for lineno, line in enumerate(lines, start):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        try:
+            word, count_text = line.split("\t")
+            count = int(count_text)
+        except ValueError:
+            raise MalformedLine(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}", lineno) from None
+        yield word, count
 
 
 def segment_hashtag(tag: str, lex: Lexicon) -> list[str]:

@@ -56,7 +56,7 @@ from .nn import (
     softmax,
 )
 
-PAD_ID = RESERVED.index(PAD)  # embedding row pinned to zero; its gradient is discarded
+PAD_ID = RESERVED.index(PAD)  # embedding row pinned to zero; its gradient is zeroed
 
 
 @dataclass
@@ -465,12 +465,12 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
     Examples are shuffled per epoch from a seeded stream; per-example noise
     and dropout draw from streams keyed by (seed, epoch, position in the
     shuffled order). A batch runs in length-sorted chunks (`_chunks`,
-    TRAIN_CHUNK_TOKENS); its losses stay in batch order. Updates average
-    the chunks' gradient sums over the batch, drop the padding row, clip,
-    then apply Adam; a non-finite gradient norm raises NumericError naming
-    the epoch and batch before Adam runs, and numpy's floating-point
-    warnings stay off throughout. Stops once the dev score has
-    failed to improve for more than `patience` consecutive epochs, and
+    TRAIN_CHUNK_TOKENS); its losses stay in batch order. Updates zero the
+    padding row's gradient, average the chunks' gradient sums over the
+    batch, clip, then apply Adam; a non-finite gradient norm raises
+    NumericError naming the epoch and batch before Adam runs, and numpy's
+    floating-point warnings stay off throughout. Stops once the dev score
+    has failed to improve for more than `patience` consecutive epochs, and
     restores the best-scoring parameters before returning.
 
     An empty train or dev example raises EmptySequence, and a train or
@@ -499,11 +499,10 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
     trainable = replace(params, embedding=EmbeddingTable(weights=W[slots]))
     train_set = [(np.searchsorted(slots, ids), gold) for ids, gold in train_set]
     tensors = trainable.tensors()
-    # a <pad> slot is slot 0; clipping and Adam see the table without it,
-    # which drops its gradient and sums the squares of the rest alone
+    # a <pad> slot is slot 0; each batch zeroes its gradient, and Adam moves a
+    # row whose gradient and moments are zero by exactly 0.0
     pad = int(slots[0] == PAD_ID)
-    updated = dict(tensors, **{"embedding/W_e": tensors["embedding/W_e"][pad:]})
-    adam = init_adam(updated)
+    adam = init_adam(tensors)
     history: list[dict] = []
     best_f1 = -1.0
     since_best = 0
@@ -523,7 +522,7 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
                 batch_losses[chunk], grad_logits = cross_entropy_loss(probs, [gold for _, gold in examples])
                 backward_full(grad_logits, cache, trainable, sums)
             losses.extend(batch_losses.tolist())
-            sums["embedding/W_e"] = sums["embedding/W_e"][pad:]
+            sums["embedding/W_e"][:pad] = 0.0
             inv = 1.0 / len(batch)
             for total in sums.values():
                 total *= inv
@@ -531,7 +530,7 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
                 clip_gradients(sums, cfg.clip_norm)
             except NumericError as exc:
                 raise NumericError(f"epoch {epoch}, batch {start // cfg.batch_size}: {exc}") from exc
-            adam_step(updated, sums, adam, cfg)
+            adam_step(tensors, sums, adam, cfg)
 
         train_loss = float(np.mean(losses))
         if not np.isfinite(train_loss):

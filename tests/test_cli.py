@@ -511,7 +511,8 @@ class TestExitCodes:
         assert err == f"error: {stem}.json: tensor {name} has shape {tensors[name].shape}, expected {expected}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("cut", [lambda t: t[:, 0], lambda t: t[..., None]], ids=["1-d", "3-d"])
+    @pytest.mark.parametrize("cut", [lambda t: t[:, 0], lambda t: t[..., None], lambda t: t[:, :0]],
+                             ids=["1-d", "3-d", "0-wide"])
     def test_embedding_payload_of_the_wrong_rank_is_refused(self, workspace, tmp_path, capsys, cut):
         tensors, manifest = load_checkpoint(workspace["payload"])
         W = cut(tensors["embedding/W_e"])

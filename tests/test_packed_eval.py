@@ -1,5 +1,6 @@
 """The packed, length-sorted eval path against the per-example oracle
-(`eval_oracle`, `gru_oracle`), and the benchmark tracer's hooks on it."""
+(`eval_oracle`, `gru_oracle`), the benchmark tracer's hooks on it, and the
+functions the benchmark's smoke test replaces."""
 
 import importlib.util
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import emocaps.textprep as textprep
 import emocaps.training as training
 import eval_oracle
 import gru_oracle
@@ -150,3 +152,36 @@ def test_benchmark_tracer_hooks_fit_the_training_path():
     assert stats["capsule.capsule_layer_backward"]["tokens"] == tokens
     assert stats["training.backward_full"]["calls"] < cfg.max_epochs * len(lengths)  # chunks, not examples
     assert stats["training.adam_step"]["calls"] == cfg.max_epochs * 2
+
+
+def _predicted_labels():
+    cfg, params = paper_model(seed=8)
+    return training.predict_dataset(random_sequences([2, 5, 7], 60, seed=9), params, cfg)
+
+
+def _trained_bias():
+    cfg = TrainConfig(embed_dim=12, hidden_dim=6, num_capsules=3, capsule_dim=4, routing_iters=2,
+                      batch_size=8, max_epochs=1, clip_norm=1e-3, seed=10)
+    table = np.random.default_rng(11).uniform(-0.5, 0.5, size=(40, cfg.embed_dim))
+    train_set = list(zip(random_sequences([3, 5, 4, 6], 40, seed=13), [0, 1, 2, 3]))
+    params, _ = training.train(train_set, train_set, init_model(cfg, EmbeddingTable(weights=table)), cfg)
+    return params.dense.b.tolist()
+
+
+def _preprocessed():
+    return textprep.preprocess("so haappy today", textprep.Lexicon.from_pairs([("happy", 5), ("today", 3)]))
+
+
+@pytest.mark.parametrize("module, name, broken, outputs", [
+    (training, "predict_class", lambda probs: -1, _predicted_labels),
+    (training, "clip_gradients", lambda grads, *a, **k: grads, _trained_bias),
+    (textprep, "spell_correct", lambda word, lex: word, _preprocessed),
+], ids=["predict_class", "clip_gradients", "spell_correct"])
+def test_benchmark_breakages_reach_the_output(monkeypatch, module, name, broken, outputs):
+    """perfbench/test_smoke.py proves that the benchmark's output checks
+    catch wrong answers by replacing these module attributes; each
+    replacement must change what predict_dataset, train or preprocess
+    return, so none of them may be inlined or called by another name."""
+    expected = outputs()
+    monkeypatch.setattr(module, name, broken)
+    assert outputs() != expected

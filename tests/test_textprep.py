@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from types import MappingProxyType
 
@@ -154,6 +155,26 @@ class TestLexicon:
             with pytest.raises(ValueError):
                 Lexicon.from_pairs([(word, 1)])
 
+    # one case per rule; a lexicon built directly is checked as the
+    # other two ways in are, so an empty word cannot make spelling
+    # correction delete a token
+    @pytest.mark.parametrize("word, count, says", [
+        ("", 100, "bad lexicon word: ''"),
+        ("Cat", 5, "bad lexicon word: 'Cat'"),
+        ("bi*d", 1, "bad lexicon word: 'bi*d'"),
+        ("cat", -2, "negative count for 'cat'"),
+    ], ids=["empty", "uppercase", "censored", "negative"])
+    def test_every_way_in_checks_the_rule(self, tmp_path, word, count, says):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"dog\t1\n{word}\t{count}\nowl\t2\n", encoding="utf-8")
+        pairs = [("dog", 1), (word, count), ("owl", 2)]
+        with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+            Lexicon(dict(pairs))
+        with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+            Lexicon.from_pairs(pairs)
+        with pytest.raises(MalformedLine, match=f"^{re.escape(f'{path}:2: {says}')}$"):
+            Lexicon.from_file(path)
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("cat\t3\ndog\t1\n\ncat\t2\n", encoding="utf-8")
@@ -174,6 +195,9 @@ class TestLexicon:
         ("cat\t-2", "negative count for 'cat'"),
         ("cat\t2\t3", "expected 'word<TAB>count'"),
         ("cat\tmany", "expected 'word<TAB>count'"),
+        ("dog\t-1", "negative count for 'dog'"),  # though the summed count is 0
+        ("Cat\t1\nbroken line", "bad lexicon word: 'Cat'"),  # the first bad line is named
+        ("Cat\t1\ncat\t-2", "bad lexicon word: 'Cat'"),
     ])
     def test_from_file_names_file_and_line(self, tmp_path, line, says):
         path = tmp_path / "lex.tsv"
@@ -182,6 +206,30 @@ class TestLexicon:
             Lexicon.from_file(path)
         assert err.value.line_number == 3
         assert str(err.value).startswith(f"{path}:3: {says}")
+
+    @pytest.mark.parametrize("text, says", [
+        ("Cat\t1\n", ": bad lexicon word: 'Cat'"),
+        ("broken\n", ":1: expected 'word<TAB>count', got 'broken'"),
+    ])
+    def test_from_file_mended_before_the_naming_read(self, tmp_path, monkeypatch, text, says):
+        # the read that names the bad line finds none: the error is still a
+        # MalformedLine naming the file, never a bare ValueError
+        path = tmp_path / "lex.tsv"
+        path.write_text(text, encoding="utf-8")
+        pairs, reads = textprep._lexicon_pairs, []
+
+        def mended_after_first_read(*args):
+            reads.append(args)
+            try:
+                yield from pairs(*args)
+            finally:
+                if len(reads) == 1:
+                    path.write_text("cat\t1\n", encoding="utf-8")
+
+        monkeypatch.setattr(textprep, "_lexicon_pairs", mended_after_first_read)
+        with pytest.raises(MalformedLine, match=f"^{re.escape(f'{path}{says}')}$"):
+            Lexicon.from_file(path)
+        assert len(reads) == 2  # the whole file, then its one line
 
     def test_word_logp(self):
         lex = Lexicon.from_pairs([("cat", 3), ("dog", 1)])
@@ -391,6 +439,11 @@ class TestSpellCorrect:
 
     def test_transposition(self):
         assert spell_correct("teh", self.LEX) == "the"
+        # a swap, then an insert between the swapped letters: two edits,
+        # though the optimal-string-alignment distance (restricted
+        # Damerau-Levenshtein, which never edits a swapped pair again) is 3
+        lex = Lexicon.from_pairs([("bxacd", 3)])
+        assert spell_correct("abcd", lex) == enumerated_spell("abcd", lex) == "bxacd"
 
     def test_no_candidate_unchanged(self):
         assert spell_correct("zzqqzz", self.LEX) == "zzqqzz"
@@ -481,7 +534,7 @@ class TestSpellCorrect:
         plain = {"".join(rng.choice(list("abcdeilmnorstu"), size=int(rng.integers(1, 13)))) for _ in range(5_000)}
         assert len(plain) > textprep._INDEX_BLOCK  # the build crosses a block boundary
         lex = Lexicon.from_pairs((w, 1) for w in rng.permutation(sorted(plain | set(special))).tolist())
-        # a Lexicon built directly does not check its words: "" between others, and last
+        # the build takes any mapping, not only a checked Lexicon: "" between others, and last
         for counts in (lex.counts, {"a": 1, "": 1, "bb": 1}, {"bb": 1, "": 1}):
             index = _LetterIndex.build(counts)
             assert index.words == tuple(counts)

@@ -532,11 +532,27 @@ class TestTrainLoop:
         best = max(row["dev_macro_f1"] for row in history)
         assert dataset_macro_f1(data, params, cfg) == pytest.approx(best)
 
-    def test_pad_row_never_learns(self, toy_examples):
+    def test_pad_row_never_learns(self, toy_examples, monkeypatch):
+        # every third tweet holds the padding id, so the <pad> slot trains
+        # alongside the others; its gradient is zeroed, so its row and its
+        # Adam moments stay exactly 0.0
         cfg, vocab, params = toy_setup(toy_examples, max_epochs=3)
         data = encode_examples(toy_examples, vocab)
+        data = [([0] + ids if i % 3 == 0 else ids, gold) for i, (ids, gold) in enumerate(data)]
+        states = []
+        monkeypatch.setattr(training, "init_adam", lambda *a: states.append(init_adam(*a)) or states[-1])
         params, _ = train(data, data, params, cfg)
-        np.testing.assert_array_equal(params.embedding.weights[0], np.zeros(cfg.embed_dim))
+        zeros = np.zeros(cfg.embed_dim)
+        assert params.embedding.weights[0].tobytes() == zeros.tobytes()
+        (state,) = states
+        assert state.t > 0
+        slots = len({i for ids, _ in data for i in ids})
+        for moments in (state.m, state.v):
+            assert {k: t.shape for k, t in moments.items()} == {
+                k: (slots, cfg.embed_dim) if k == "embedding/W_e" else t.shape for k, t in params.tensors().items()
+            }
+            assert moments["embedding/W_e"][0].tobytes() == zeros.tobytes()
+            assert np.all(moments["embedding/W_e"][1:].any(axis=1))  # every other slot moved
 
     def test_injected_clock_lands_in_history(self, toy_examples):
         cfg, vocab, params = toy_setup(toy_examples, max_epochs=2)
