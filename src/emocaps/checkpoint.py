@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedHeader, TruncatedFile, reading_utf8
+from .errors import MalformedHeader, TruncatedFile, text_lines
 
 FORMAT_VERSION = 2
 
@@ -92,8 +92,8 @@ def load_checkpoint(stem):
     is about.
     """
     manifest_path, payload_path = Path(f"{stem}.json"), Path(f"{stem}.bin")
-    with reading_utf8(manifest_path):
-        text = manifest_path.read_text(encoding="utf-8")
+    with text_lines(manifest_path, keepends=True) as lines:
+        text = "".join(line for _, line in lines)
     try:
         manifest = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -33,7 +33,7 @@ from .errors import (
     NumericError,
     UnknownLabel,
     VocabularyMismatch,
-    reading_utf8,
+    text_lines,
 )
 from .evaluation import LABELS, confusion, format_report, label_index, metrics
 from .textprep import Lexicon, preprocess
@@ -85,8 +85,8 @@ def _read_config_file(path) -> dict:
     """The keys of a flat JSON config file: TrainConfig fields plus an
     optional "profile". Any other key, or a value of the wrong type, is an
     error naming the file."""
-    with reading_utf8(path):
-        text = Path(path).read_text(encoding="utf-8")
+    with text_lines(path, keepends=True) as lines:
+        text = "".join(line for _, line in lines)
     try:
         loaded = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -125,24 +125,18 @@ def _resolve_config(args) -> TrainConfig:
 def load_dataset(path, labeled: bool = True) -> list:
     """Parse "label<TAB>text" lines (or bare text when labeled=False) into
     (label index or None, text) pairs; label names match case-insensitively."""
-    examples = []
-    # read_text turns \r\n and \r into \n; lines end only there, so a
-    # Unicode line separator inside a tweet stays in its line
-    with reading_utf8(path):
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the final newline ends the last line; an empty file has none
-    for lineno, line in enumerate(lines, 1):
+    with text_lines(path) as lines:
         if not labeled:
-            examples.append((None, line))
-            continue
-        if "\t" not in line:
-            raise MalformedLine(f"{path}:{lineno}: expected label<TAB>text", lineno)
-        label, text = line.split("\t", 1)
-        try:
-            examples.append((label_index(label), text))
-        except UnknownLabel as exc:
-            raise UnknownLabel(f"{path}:{lineno}: {exc}") from None
+            return [(None, line) for _, line in lines]
+        examples = []
+        for lineno, line in lines:
+            if "\t" not in line:
+                raise MalformedLine(f"{path}:{lineno}: expected label<TAB>text", lineno)
+            label, text = line.split("\t", 1)
+            try:
+                examples.append((label_index(label), text))
+            except UnknownLabel as exc:
+                raise UnknownLabel(f"{path}:{lineno}: {exc}") from None
     return examples
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .errors import DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile, reading_utf8
+from .errors import DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile, text_lines
 from .textprep import TAG_SURFACES
 
 PAD = "<pad>"
@@ -64,9 +65,8 @@ class Vocabulary:
         id_to_word = []
         word_to_id = {}
         lineno = 0
-        with open(path, encoding="utf-8") as handle, reading_utf8(path):
-            for lineno, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
+        with text_lines(path) as lines:
+            for lineno, line in lines:
                 if not line:
                     continue
                 try:
@@ -149,15 +149,12 @@ def _load_word2vec_binary(path) -> dict[str, np.ndarray]:
 
 def _load_word2vec_text(path) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as handle, reading_utf8(path):
-        header = handle.readline()
+    with text_lines(path, keepends=True) as lines:  # with ends: a bad header is quoted with its newline
+        lineno, header = next(lines, (1, ""))
         if not header.strip():
             raise MalformedHeader(f"{path}: empty file")
         count, dim = _parse_header(header, f"{path}:1")
-        for lineno in range(2, count + 2):
-            line = handle.readline()
-            if not line:
-                raise TruncatedFile(f"{path}:{lineno}: file ended after {lineno - 2} of {count} entries")
+        for lineno, line in islice(lines, count):
             # the word2vec C tool ends each line with "vd \n"
             parts = line.rstrip().split(" ")
             word, values = parts[0], parts[1:]
@@ -169,6 +166,8 @@ def _load_word2vec_text(path) -> dict[str, np.ndarray]:
                 bad = next(v for v in values if not _is_float(v))
                 raise MalformedLine(f"{path}:{lineno}: entry {word!r} has a non-numeric value {bad!r}", lineno) from None
             table.setdefault(word, vector)
+    if lineno <= count:
+        raise TruncatedFile(f"{path}:{lineno + 1}: file ended after {lineno - 1} of {count} entries")
     return table
 
 

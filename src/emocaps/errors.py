@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `text_lines`, the one
+reader of every text file the program is given."""
 
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 
 
@@ -53,23 +55,25 @@ class MalformedLine(EmocapsError):
 
 
 @contextmanager
-def reading_utf8(path):
-    """Turns a UnicodeDecodeError raised inside, as `path` is read as UTF-8
-    text, into a MalformedLine naming the file and the line of its first
-    byte that is not UTF-8; lines end at \\n, \\r\\n or \\r, as in text
-    mode. Only a failed read pays for the line: it reads the file again."""
-    try:
-        yield
-    except UnicodeDecodeError:
-        data = Path(path).read_bytes()
+def text_lines(path, keepends=False):
+    """Yield the lines of UTF-8 text file `path`, after a leading byte-order
+    mark, as (number from 1, line) pairs. A line ends only at \\n, \\r\\n
+    or \\r, which is cut off, or read as \\n with `keepends`. A byte that
+    is not UTF-8 raises MalformedLine naming the file and the line of that
+    byte; only a failed read pays for the line: it reads the file again."""
+    with open(path, encoding="utf-8-sig") as handle:
         try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = data[: exc.start]
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            reason = f"can't decode byte {data[exc.start]:#04x} at file offset {exc.start} ({exc.reason})"
-            raise MalformedLine(f"{path}:{line}: not UTF-8 text: {reason}", line) from None
-        raise MalformedLine(f"{path}: not UTF-8 text") from None  # it changed since the failed read
+            yield enumerate(handle if keepends else map(str.removesuffix, handle, repeat("\n")), 1)
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                head = data[: exc.start]
+                line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+                reason = f"can't decode byte {data[exc.start]:#04x} at file offset {exc.start} ({exc.reason})"
+                raise MalformedLine(f"{path}:{line}: not UTF-8 text: {reason}", line) from None
+            raise MalformedLine(f"{path}: not UTF-8 text") from None  # it changed since the failed read
 
 
 class VocabularyMismatch(EmocapsError):

@@ -33,7 +33,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import MalformedLine, reading_utf8
+from .errors import MalformedLine, text_lines
 
 TARGETWORD_PLACEHOLDER = "[#TARGETWORD#]"
 
@@ -136,13 +136,13 @@ def normalize(tokens: list[Token]) -> list[Token]:
 class Lexicon:
     """Unigram counts backing hashtag segmentation and spell correction.
 
-    Immutable once built: the constructor, which `from_pairs` and
-    `from_file` also end in, checks and copies the mapping it is given, and
-    `counts` is a read-only view of that copy, so the spelling memo and the
-    letter index it carries cannot go stale. Neither takes part in
-    comparison or repr. `total` is the sum of the counts. Words are
-    non-empty, lowercase and free of the censoring `*`, and counts are
-    non-negative: the first entry that breaks a rule raises ValueError."""
+    Immutable once built: the constructor, which `from_pairs` and `from_file`
+    also end in, checks and copies the mapping it is given, and `counts` is a
+    read-only view of that copy, so the spelling memo and the letter index it
+    carries cannot go stale. Neither takes part in comparison or repr. `total`
+    is the sum of the counts. Words are non-empty, lowercase and free of the
+    censoring `*`, and counts are non-negative ints (a bool is not an int):
+    the first entry that breaks a rule raises ValueError."""
 
     counts: Mapping[str, int] = field(default_factory=dict)
     total: int = field(init=False)
@@ -150,11 +150,14 @@ class Lexicon:
 
     def __post_init__(self):
         counts = dict(self.counts)
-        letters = "".join(counts)  # one test of all words; only a bad mapping is walked, to name its entry
-        if "" in counts or "*" in letters or letters != letters.lower() or min(counts.values(), default=0) < 0:
+        letters = "".join(counts)  # one test of all words and counts; only a bad mapping is walked, to name its entry
+        if ("" in counts or "*" in letters or letters != letters.lower()
+                or not set(map(type, counts.values())) <= {int} or min(counts.values(), default=0) < 0):
             for word, count in counts.items():
                 if not word or "*" in word or word != word.lower():
                     raise ValueError(f"bad lexicon word: {word!r}")
+                if type(count) is not int:
+                    raise ValueError(f"count for {word!r} is not an int: {count!r}")
                 if count < 0:
                     raise ValueError(f"negative count for {word!r}")
         object.__setattr__(self, "counts", MappingProxyType(counts))
@@ -162,33 +165,33 @@ class Lexicon:
 
     @classmethod
     def from_pairs(cls, pairs) -> "Lexicon":
-        """Sum the counts of repeated words; a bad word or a negative count
-        raises ValueError naming the first bad pair."""
+        """Sum the counts of repeated words; a bad word, or a count that is
+        no non-negative int, raises ValueError naming the first bad pair."""
         counts: dict[str, int] = {}
         for word, count in pairs:
-            if count < 0:  # a sum could hide it: check the earlier words, then this pair
+            if type(count) is not int or count < 0:  # a sum could hide it: check the earlier words, then this pair
                 cls(counts)
                 cls({word: count})
-            counts[word] = counts.get(word, 0) + int(count)
+            counts[word] = counts.get(word, 0) + count
         return cls(counts)
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
         """Read "word<TAB>count" lines, skipping blank ones; an error is a
         MalformedLine naming the file and its first bad line."""
-        with open(path, encoding="utf-8") as handle, reading_utf8(path):
-            try:
-                return cls.from_pairs(_lexicon_pairs(path, handle))
-            except (ValueError, MalformedLine) as exc:
-                handle.seek(0)  # a bad file is read again, a line at a time, to name its first bad line
-                for lineno, line in enumerate(handle, start=1):
+        try:
+            with text_lines(path) as lines:
+                return cls.from_pairs(_lexicon_pairs(path, lines))
+        except (ValueError, MalformedLine) as exc:
+            with text_lines(path) as lines:  # a bad file is read again, a line at a time, to name its first bad line
+                for lineno, line in lines:
                     try:
-                        cls.from_pairs(_lexicon_pairs(path, [line], lineno))
+                        cls.from_pairs(_lexicon_pairs(path, [(lineno, line)]))
                     except ValueError as bad:
                         raise MalformedLine(f"{path}:{lineno}: {bad}", lineno) from None
-                if isinstance(exc, MalformedLine):  # no line is bad now: the file changed since the failed read
-                    raise
-                raise MalformedLine(f"{path}: {exc}") from exc
+            if isinstance(exc, MalformedLine):  # no line is bad now: the file changed since the failed read
+                raise
+            raise MalformedLine(f"{path}: {exc}") from exc
 
     def word_logp(self, word: str) -> float:
         """Unigram log-probability; out-of-lexicon words pay a length penalty."""
@@ -203,12 +206,11 @@ class Lexicon:
         return _LetterIndex.build(self.counts)
 
 
-def _lexicon_pairs(path, lines, start=1):
-    """Yield (word, count) of each non-blank one of `lines`, numbered from
-    `start`; one that is not "word<TAB>count" raises MalformedLine naming
-    `path` and the line."""
-    for lineno, line in enumerate(lines, start):
-        line = line.rstrip("\n")
+def _lexicon_pairs(path, lines):
+    """Yield (word, count) of each non-blank one of the numbered `lines`;
+    one that is not "word<TAB>count" raises MalformedLine naming `path`
+    and the line."""
+    for lineno, line in lines:
         if not line:
             continue
         try:

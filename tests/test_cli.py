@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,10 @@ from conftest import make_toy_examples, write_labeled
 from emocaps import cli, training
 from emocaps.checkpoint import load_checkpoint, save_checkpoint
 from emocaps.cli import build_parser, entry, load_dataset, main
-from emocaps.embeddings import Vocabulary
+from emocaps.embeddings import Vocabulary, load_word2vec
+from emocaps.errors import MalformedLine
 from emocaps.evaluation import LABELS
+from emocaps.textprep import Lexicon
 from emocaps.training import TrainConfig
 
 TINY_FLAGS = [
@@ -298,6 +301,42 @@ class TestDatasetParsing:
         path = tmp_path / "data.txt"
         path.write_text(text)
         assert load_dataset(path, labeled=False) == [(None, line) for line in lines]
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("reader", ["labeled", "unlabeled", "vocabulary", "lexicon", "word2vec", "config", "manifest"])
+def test_byte_order_mark_is_skipped(tmp_path, reader):
+    """Every reader reads a file that starts with a UTF-8 byte-order mark as
+    it reads the same file without one."""
+    content, read = {
+        "labeled": (b"joy\tgood news\nsad\tbad news\n", load_dataset),
+        "unlabeled": (b"good news\nbad news\n", lambda path: load_dataset(path, labeled=False)),
+        "vocabulary": (b"0\t<pad>\n1\t<unk>\n2\tcat\n", lambda path: Vocabulary.load(path).id_to_word),
+        "lexicon": (b"the\t5\ncat\t2\n", lambda path: dict(Lexicon.from_file(path).counts)),
+        "word2vec": (b"2 2\ncat 0.5 1\ndog 1 2\n",
+                     lambda path: {w: v.tolist() for w, v in load_word2vec(path, fmt="text").items()}),
+        "config": (b'{"seed": 3, "profile": "desk"}\n', cli._read_config_file),
+        "manifest": (None, lambda path: load_checkpoint(path.with_suffix(""))[1]),
+    }[reader]
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    if reader == "manifest":
+        save_checkpoint(tmp_path / "plain", {"w": np.arange(3.0)}, {"embed_dim": 3}, seed=1)
+        content = plain.read_bytes()
+        (tmp_path / "marked.bin").write_bytes((tmp_path / "plain.bin").read_bytes())
+    plain.write_bytes(content)
+    marked.write_bytes(BOM + content)
+    assert read(marked) == read(plain)
+
+
+def test_byte_order_mark_keeps_file_offsets(tmp_path):
+    # the mark is valid UTF-8: the file offset in the error counts its three bytes
+    path = tmp_path / "data.tsv"
+    path.write_bytes(BOM + b"joy\tgood\nsad\tcaf\xe9\n")
+    with pytest.raises(MalformedLine, match="^" + re.escape(
+            f"{path}:2: not UTF-8 text: can't decode byte 0xe9 at file offset 19 (invalid continuation byte)") + "$"):
+        load_dataset(path)
 
 
 class TestExitCodes:

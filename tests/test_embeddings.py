@@ -96,6 +96,12 @@ class TestVocabulary:
             Vocabulary.load(path)
         assert err.value.line_number == 5
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"])
+    def test_load_lines_end_only_at_newline(self, tmp_path, sep):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(f"0\t<pad>\r\n1\t<unk>\r2\tone{sep}two\n".encode("utf-8"))
+        assert Vocabulary.load(path).id_to_word == ["<pad>", "<unk>", f"one{sep}two"]
+
     def test_load_skips_blank_lines_and_keeps_tabs_in_words(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("0\t<pad>\n1\t<unk>\n\n2\ta\tb\n", encoding="utf-8")
@@ -159,6 +165,13 @@ class TestLoadWord2vec:
         table = load_word2vec(path, fmt="text")
         np.testing.assert_array_equal(table["hello"], np.asarray([0.1, 0.2, 0.3], dtype=np.float32))
         np.testing.assert_array_equal(table["world"], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"])
+    def test_text_lines_end_only_at_newline(self, tmp_path, sep):
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(f"3 1\r\none{sep}two 0.5\rcat 1\r\ndog 2\n".encode("utf-8"))
+        table = load_word2vec(path, fmt="text")
+        assert {word: vec.tolist() for word, vec in table.items()} == {f"one{sep}two": [0.5], "cat": [1.0], "dog": [2.0]}
 
     @pytest.mark.parametrize(
         "fmt, content, error, where",

@@ -163,7 +163,9 @@ class TestLexicon:
         ("Cat", 5, "bad lexicon word: 'Cat'"),
         ("bi*d", 1, "bad lexicon word: 'bi*d'"),
         ("cat", -2, "negative count for 'cat'"),
-    ], ids=["empty", "uppercase", "censored", "negative"])
+        ("cat", 2.5, "count for 'cat' is not an int: 2.5"),
+        ("cat", True, "count for 'cat' is not an int: True"),
+    ], ids=["empty", "uppercase", "censored", "negative", "float", "bool"])
     def test_every_way_in_checks_the_rule(self, tmp_path, word, count, says):
         path = tmp_path / "lex.tsv"
         path.write_text(f"dog\t1\n{word}\t{count}\nowl\t2\n", encoding="utf-8")
@@ -172,14 +174,27 @@ class TestLexicon:
             Lexicon(dict(pairs))
         with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
             Lexicon.from_pairs(pairs)
+        if type(count) is not int:  # a file's count is digits: 2.5 or True there is a line of the wrong form
+            says = "expected 'word<TAB>count', got " + repr(f"{word}\t{count}")
         with pytest.raises(MalformedLine, match=f"^{re.escape(f'{path}:2: {says}')}$"):
             Lexicon.from_file(path)
+
+    def test_a_sum_hides_no_bool(self):
+        # True + 1 is the int 2: each pair is checked before it is summed
+        with pytest.raises(ValueError, match="^count for 'cat' is not an int: True$"):
+            Lexicon.from_pairs([("cat", 1), ("cat", True)])
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("cat\t3\ndog\t1\n\ncat\t2\n", encoding="utf-8")
         lex = Lexicon.from_file(path)
         assert lex.counts == {"cat": 5, "dog": 1}
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"])
+    def test_from_file_lines_end_only_at_newline(self, tmp_path, sep):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(f"one{sep}two\t3\r\ncat\t2\rdog\t1\n".encode("utf-8"))
+        assert Lexicon.from_file(path).counts == {f"one{sep}two": 3, "cat": 2, "dog": 1}
 
     def test_from_file_malformed(self, tmp_path):
         path = tmp_path / "lex.tsv"
