@@ -97,8 +97,9 @@ def load_word2vec(path, fmt: str = "binary") -> dict[str, np.ndarray]:
     """Parse a word2vec file into word -> float32 vector (first occurrence wins).
 
     Formats: text = header "count dim", then "word v1 ... vd" per line;
-    binary = same ASCII header, then per entry the word bytes terminated by a
-    space followed by dim little-endian float32 values.
+    binary = same ASCII header, then per entry the UTF-8 word bytes terminated
+    by a space followed by dim little-endian float32 values. A word that is
+    not UTF-8 raises MalformedLine naming the file and the entry.
     """
     if fmt == "binary":
         return _load_word2vec_binary(path)
@@ -141,7 +142,10 @@ def _load_word2vec_binary(path) -> dict[str, np.ndarray]:
             payload = handle.read(vector_bytes)
             if len(payload) != vector_bytes:
                 raise TruncatedFile(f"{path}: vector truncated after {entry} of {count} entries")
-            word = word_chars.decode("utf-8", errors="replace")
+            try:
+                word = word_chars.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedLine(f"{path}: entry {entry + 1} of {count}: word {bytes(word_chars)!r} is not UTF-8 ({exc.reason})") from None
             vector = np.frombuffer(payload, dtype="<f4").astype(np.float32)
             table.setdefault(word, vector)
     return table

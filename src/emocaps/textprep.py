@@ -5,7 +5,12 @@ The tokenizer is a single alternation of named regex groups, tried left to
 right at each position. Order matters: the target-word placeholder must win
 over everything, URLs must win over emoticons (``http://`` contains ``:/``),
 dates must win over phone numbers, and the single-character catch-all must
-come last so that no non-whitespace character is ever dropped.
+come last so that no non-whitespace character is ever dropped. A token is
+a `NamedTuple` of surface and kind.
+
+Hashtag segmentation weighs each substring of the body once, in a dynamic
+program over three flat lists (score, word count, end of the first word),
+and builds no tuple per candidate; nothing is memoised.
 
 Spell correction gives the answer of enumerating every string one and two
 edits away (Norvig-style candidates) without building the two-edit strings.
@@ -30,6 +35,7 @@ from enum import Enum
 from functools import cached_property
 from importlib import resources
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,10 +92,10 @@ _TOKEN_RE = re.compile(
 
 # One kind per tokenizer group, in match order, valued by its lowercase name.
 TokenKind = Enum("TokenKind", [(name, name.lower()) for name, _ in _COMPONENTS], module=__name__)
+_KIND_OF_GROUP = {kind.name: kind for kind in TokenKind}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     kind: TokenKind
 
@@ -100,6 +106,7 @@ TAG_SURFACES = {
     kind: f"<{kind.lower()}>"
     for kind in ("URL", "USER", "EMAIL", "PHONE", "DATE", "TIME", "MONEY", "TARGETWORD")
 }
+_TAG_OF_KIND = {TokenKind[name]: tag for name, tag in TAG_SURFACES.items()}
 
 
 def tokenize(raw: str) -> list[Token]:
@@ -108,10 +115,7 @@ def tokenize(raw: str) -> list[Token]:
     Total over any input: every non-whitespace character lands in exactly one
     token (the final single-character catch-all guarantees coverage).
     """
-    tokens = []
-    for match in _TOKEN_RE.finditer(raw):
-        tokens.append(Token(match.group(), TokenKind[match.lastgroup]))
-    return tokens
+    return [Token(match.group(), _KIND_OF_GROUP[match.lastgroup]) for match in _TOKEN_RE.finditer(raw)]
 
 
 def normalize(tokens: list[Token]) -> list[Token]:
@@ -122,14 +126,7 @@ def normalize(tokens: list[Token]) -> list[Token]:
     lowercased so no uppercase letter survives. Hashtags pass through
     unchanged apart from case; they are expanded later by segmentation.
     """
-    out = []
-    for token in tokens:
-        tag = TAG_SURFACES.get(token.kind.name)
-        if tag is not None:
-            out.append(Token(tag, token.kind))
-        else:
-            out.append(Token(token.surface.lower(), token.kind))
-    return out
+    return [Token(_TAG_OF_KIND.get(kind) or surface.lower(), kind) for surface, kind in tokens]
 
 
 @dataclass(frozen=True)
@@ -227,28 +224,35 @@ def segment_hashtag(tag: str, lex: Lexicon) -> list[str]:
     Maximizes the summed word log-probability; exact ties prefer fewer words,
     then the lexicographically smallest word tuple, so the result is fully
     deterministic. A body with no viable split comes back as a single word.
+
+    A right-to-left dynamic program keeps three flat lists: per suffix of
+    the body, the negated score and the word count of its best split, and
+    the end of that split's first word. It weighs each of the n(n+1)/2
+    substrings once, with `Lexicon.word_logp`'s arithmetic inlined. When
+    two splits of a suffix tie on score and count, the first word of one
+    is a prefix of the other's, so the smaller word tuple is the split
+    whose first word ends earlier: the one tried first, kept on a tie.
     """
     body = tag.lstrip("#").lower()
     if not body:
         return [tag]
     n = len(body)
-    # best[i] covers body[i:]; key = (negated score, word count, words)
-    best = [None] * (n + 1)
-    best[n] = (0.0, 0, ())
+    count_of, total, log = lex.counts.get, lex.total, math.log
+    oov = log(1.0 / max(total, 1))
+    score, size, cut = [0.0] * (n + 1), [0] * (n + 1), [n] * (n + 1)
     for i in range(n - 1, -1, -1):
-        winner = None
+        best = math.inf
         for j in range(i + 1, n + 1):
-            word = body[i:j]
-            tail = best[j]
-            candidate = (
-                tail[0] - lex.word_logp(word),
-                tail[1] + 1,
-                (word,) + tail[2],
-            )
-            if winner is None or candidate < winner:
-                winner = candidate
-        best[i] = winner
-    return list(best[0][2])
+            count = count_of(body[i:j], 0)
+            s = score[j] - (log(count / total) if count > 0 else oov - _OOV_LEN_PENALTY * (j - i))
+            if s < best or (s == best and size[j] < fewest):
+                best, fewest, end = s, size[j], j
+        score[i], size[i], cut[i] = best, fewest + 1, end
+    words, i = [], 0
+    while i < n:
+        words.append(body[i : cut[i]])
+        i = cut[i]
+    return words
 
 
 def _edits1(word: str) -> set[str]:

@@ -642,6 +642,18 @@ class TestExitCodes:
         assert f"error: {vectors}:2: entry 'hello' has a non-numeric value 'abc'" in capsys.readouterr().err
         assert not (tmp_path / "emb.bin").exists()
 
+    def test_binary_word2vec_word_not_utf8_names_file_and_entry(self, workspace, tmp_path, capsys):
+        vectors = tmp_path / "vec.bin"
+        vectors.write_bytes(b"2 1\nhappy " + bytes(4) + b"\ncaf\xe9 " + bytes(4))
+        capsys.readouterr()
+        code = run(["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+                    "--embedding-out", tmp_path / "emb", "--embeddings", vectors,
+                    "--embeddings-format", "binary", "--embed-dim", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {vectors}: entry 2 of 2: word b'caf\\xe9' is not UTF-8 (unexpected end of data)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vec.bin"]
+
     @pytest.mark.parametrize("vectors_text, embed_dim, message", [
         ("1 3\nhappy 0.1 0.2\n", "3", "v.txt:2: entry 'happy' has 2 values, expected 3"),
         ("1 2\nhappy 0.1 0.2\n", "3", "pretrained vector for 'happy' has length 2, expected 3"),

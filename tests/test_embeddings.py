@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -126,11 +127,12 @@ class TestVocabulary:
 
 
 def write_binary_fixture(path, entries, dim, separator=b"\n"):
-    """Hand-rolled word2vec binary writer, independent of the library's."""
+    """Hand-rolled word2vec binary writer, independent of the library's;
+    a word given as bytes is written as it is."""
     with open(path, "wb") as fh:
         fh.write(f"{len(entries)} {dim}\n".encode())
         for word, vec in entries:
-            fh.write(word.encode("utf-8") + b" ")
+            fh.write((word if isinstance(word, bytes) else word.encode("utf-8")) + b" ")
             fh.write(struct.pack(f"<{dim}f", *vec))
             fh.write(separator)
 
@@ -208,6 +210,14 @@ class TestLoadWord2vec:
         assert set(from_bin) == set(from_txt)
         for word in from_bin:
             np.testing.assert_allclose(from_bin[word], from_txt[word], atol=1e-6)
+
+    def test_binary_word_not_utf8_names_file_and_entry(self, tmp_path):
+        # two Latin-1 words that a lenient decode would both read as "caf\ufffd"
+        path = tmp_path / "vecs.bin"
+        write_binary_fixture(path, [("café", [1.0]), (b"caf\xe9", [2.0]), (b"caf\xe8", [3.0])], 1)
+        with pytest.raises(MalformedLine, match=(
+                "^" + re.escape(f"{path}: entry 2 of 3: word b'caf\\xe9' is not UTF-8 (unexpected end of data)") + "$")):
+            load_word2vec(path, fmt="binary")
 
     def test_truncated_binary(self, tmp_path):
         path = tmp_path / "vecs.bin"

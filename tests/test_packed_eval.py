@@ -1,6 +1,7 @@
 """The packed, length-sorted eval path against the per-example oracle
-(`eval_oracle`, `gru_oracle`), the benchmark tracer's hooks on it, and the
-functions the benchmark's smoke test replaces."""
+(`eval_oracle`, `gru_oracle`), the benchmark tracer's hooks on it and on
+the training and text paths, and the functions the benchmark's smoke test
+replaces."""
 
 import importlib.util
 from pathlib import Path
@@ -152,6 +153,23 @@ def test_benchmark_tracer_hooks_fit_the_training_path():
     assert stats["capsule.capsule_layer_backward"]["tokens"] == tokens
     assert stats["training.backward_full"]["calls"] < cfg.max_epochs * len(lengths)  # chunks, not examples
     assert stats["training.adam_step"]["calls"] == cfg.max_epochs * 2
+
+
+def test_benchmark_tracer_hooks_fit_the_text_path():
+    """The same tracer over `preprocess` on a tweet with a hashtag and a
+    misspelled word: every text-path span is still wrapped and called, so
+    the per-layer times of preprocess-oov cannot silently read zero."""
+    spans = _load_spans()
+    lex = textprep.Lexicon.from_pairs([("happy", 5), ("today", 3), ("make", 4), ("it", 9), ("rain", 2)])
+    with spans.Tracer() as tracer:
+        assert tracer.missing == []
+        tokens = textprep.preprocess("So haappy #MakeItRain today", lex)
+    stats = tracer.summary()
+    assert tracer.hook_errors == 0
+    assert tokens == ["so", "happy", "make", "it", "rain", "today"]
+    for name in ("tokenize", "normalize", "segment_hashtag", "spell_correct", "preprocess"):
+        assert stats[f"textprep.{name}"]["calls"] >= 1, name
+    assert stats["textprep.spell_correct"]["changed"] == 1
 
 
 def _predicted_labels():

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import re
 import tracemalloc
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -307,6 +309,32 @@ def oracle_segment(body, lex):
     return best_words
 
 
+def tuple_segment(tag, lex):
+    """The dynamic program that `segment_hashtag` replaced, the exact
+    oracle: per suffix it keeps the key (negated score, word count, word
+    tuple) of its best split, building one tuple per candidate."""
+    body = tag.lstrip("#").lower()
+    if not body:
+        return [tag]
+    n = len(body)
+    best = [None] * (n + 1)
+    best[n] = (0.0, 0, ())
+    for i in range(n - 1, -1, -1):
+        winner = None
+        for j in range(i + 1, n + 1):
+            word = body[i:j]
+            tail = best[j]
+            candidate = (
+                tail[0] - lex.word_logp(word),
+                tail[1] + 1,
+                (word,) + tail[2],
+            )
+            if winner is None or candidate < winner:
+                winner = candidate
+        best[i] = winner
+    return list(best[0][2])
+
+
 SEG_LEXICON = Lexicon.from_pairs(
     [
         ("make", 50), ("it", 400), ("rain", 30), ("the", 900), ("a", 700),
@@ -353,6 +381,54 @@ class TestSegmentHashtag:
             bodies.add("".join(chr(97 + c) for c in rng.integers(26, size=length)))
         for body in sorted(bodies):
             assert segment_hashtag("#" + body, SEG_LEXICON) == oracle_segment(body, SEG_LEXICON), body
+
+    @pytest.mark.parametrize("lex", [
+        # every word of 1-3 letters over "abc", all counted alike: many splits tie exactly
+        Lexicon({"".join(w): 3 for k in (1, 2, 3) for w in itertools.product("abc", repeat=k)}),
+        Lexicon({}),
+        SEG_LEXICON,
+    ], ids=["equal-counts", "empty", "seg"])
+    def test_matches_tuple_oracle(self, lex):
+        rng = np.random.default_rng(22)
+        alphabets = ("ab", "abc", "bcd", "ait", "ton", "sun", "ins")
+        for _ in range(20_000):
+            letters = alphabets[int(rng.integers(len(alphabets)))]
+            body = "".join(letters[k] for k in rng.integers(len(letters), size=int(rng.integers(1, 11))))
+            form = int(rng.integers(3))
+            if form == 1:  # camel case
+                body = "".join(ch.upper() if up else ch for ch, up in zip(body, rng.random(len(body)) < 0.3))
+            tag = ("##" if form == 2 else "#") + body
+            assert segment_hashtag(tag, lex) == tuple_segment(tag, lex), tag
+        for tag in ("#", "##"):
+            assert segment_hashtag(tag, lex) == tuple_segment(tag, lex) == [tag]
+
+    def test_inlined_word_logp_is_bitwise_word_logp(self, monkeypatch):
+        """segment_hashtag inlines `Lexicon.word_logp`: the cost it
+        subtracts from a tail's score must be the very float word_logp
+        gives, for every substring, inside the lexicon and out of it. The
+        costs are caught as they are subtracted, through a `math.log` that
+        returns a recording float. At a total of 100 the penalty of 10 and
+        20 unknown letters rounds differently if summed another way."""
+        lexicons = (SEG_LEXICON, GOLDEN_LEXICON, Lexicon({}), Lexicon({"a": 1}), Lexicon({"cat": 3, "dog": 97}))
+        cases = [(lex, body) for lex in lexicons
+                 for body in ("makeitrain", "qzxqzx", "sunnydaytoday", "cafébest", "a", "dogqzxqzxqzxqzxqzxqzxcat")]
+        expected = [[lex.word_logp(body[i:j]).hex() for i in reversed(range(len(body)))
+                     for j in range(i + 1, len(body) + 1)] for lex, body in cases]
+        costs = []
+
+        class Cost(float):
+            def __sub__(self, other):  # the out-of-lexicon length penalty
+                return Cost(float(self) - other)
+
+            def __rsub__(self, other):  # a tail's score less this cost
+                costs.append(float(self).hex())
+                return other - float(self)
+
+        monkeypatch.setattr(textprep, "math", SimpleNamespace(log=lambda x: Cost(math.log(x)), inf=math.inf))
+        for (lex, body), want in zip(cases, expected):
+            costs.clear()
+            segment_hashtag("#" + body, lex)
+            assert costs == want, body
 
     def test_deterministic(self):
         first = segment_hashtag("#sunnydaytoday", SEG_LEXICON)
@@ -625,3 +701,84 @@ class TestPreprocess:
     def test_deterministic(self):
         raw = CORPUS[1]
         assert preprocess(raw, SEG_LEXICON) == preprocess(raw, SEG_LEXICON)
+
+
+# Preprocessing golden: seeded raw tweets over a lexicon with accented words.
+# The digests were recorded from the tuple-building segmentation and the
+# dataclass tokens that the flat DP and the NamedTuple tokens replaced.
+GOLDEN_LEXICON = Lexicon({**SEG_LEXICON.counts, "café": 12, "naïve": 5, "über": 3, "déjà": 4, "vu": 6})
+GOLDEN_ENTITIES = (
+    TARGETWORD_PLACEHOLDER, "http://a.io/x?q=1", "www.example.com", "bob.smith+x@mail.example.org",
+    "@user1", "@Ölaf", ":-)", ":))", "<3", "2018-12-25", "12/25/2018", "3:30pm", "7 am", "$20", "5,50€",
+    "555-123-4567", "+1 (555) 123-4567", "U.S.A.", "s**t", "f*ck*ng", "*very*", "*naïve*", "1,000", "3rd",
+    "-2.5", "!!!", "...", "?", "&", "don't", "Café", "NAÏVE", "Über", "déjà-vu",
+)
+GOLDEN_PREPROCESS_SHA256 = "41b03861d30a87effd8590bf1e89b293cda92e17906a6b57c1f849562b266b61"
+GOLDEN_TOKENIZE_SHA256 = "78f29e2138a57c9538a24901a070d4a7b788632da281aa4de005d3f504f8ba42"
+
+
+def golden_tweets():
+    """300 tweets of 3-9 pieces: lexicon words, their typos one or two
+    edits away, hashtags (camel case, `##`, trailing digits) and entities
+    of every other token kind, accented letters among them."""
+    rng = np.random.default_rng(2022)
+    words = sorted(GOLDEN_LEXICON.counts)
+    long_words = [w for w in words if len(w) >= 4]
+
+    def pick(pool):
+        return pool[int(rng.integers(len(pool)))]
+
+    def typo(word, edits):
+        for _ in range(edits):
+            i, op, ch = int(rng.integers(len(word))), int(rng.integers(4)), chr(97 + int(rng.integers(26)))
+            if op == 0 and len(word) > 1:
+                word = word[:i] + word[i + 1:]
+            elif op == 1 and i + 1 < len(word):
+                word = word[:i] + word[i + 1] + word[i] + word[i + 2:]
+            elif op == 2:
+                word = word[:i] + ch + word[i + 1:]
+            else:
+                word = word[:i] + ch + word[i:]
+        return word
+
+    def hashtag():
+        parts = [pick(words) for _ in range(int(rng.integers(1, 4)))]
+        if rng.random() < 0.3:
+            parts = [p.capitalize() for p in parts]
+        if rng.random() < 0.2:
+            parts.append(str(int(rng.integers(100))))
+        return "#" * int(rng.integers(1, 3)) + "".join(parts)
+
+    tweets = []
+    for _ in range(300):
+        pieces = []
+        for _ in range(int(rng.integers(3, 10))):
+            r = rng.random()
+            if r < 0.3:
+                pieces.append(pick(words))
+            elif r < 0.45:
+                pieces.append(typo(pick(long_words), int(rng.integers(1, 3))))
+            elif r < 0.6:
+                pieces.append(hashtag())
+            else:
+                pieces.append(pick(GOLDEN_ENTITIES))
+        tweets.append(" ".join(pieces))
+    return tweets
+
+
+def sha256_json(rows):
+    return hashlib.sha256(json.dumps(rows, ensure_ascii=False).encode("utf-8")).hexdigest()
+
+
+class TestGolden:
+    def test_corpus_covers_every_token_kind(self):
+        seen = {token.kind for raw in golden_tweets() for token in tokenize(raw)}
+        assert seen == set(TokenKind)
+
+    def test_preprocess_tokens_unchanged(self):
+        tweets = golden_tweets()
+        assert sha256_json([preprocess(raw, GOLDEN_LEXICON) for raw in tweets]) == GOLDEN_PREPROCESS_SHA256
+
+    def test_tokenize_fields_unchanged(self):
+        rows = [[[token.surface, token.kind.value] for token in tokenize(raw)] for raw in golden_tweets()]
+        assert sha256_json(rows) == GOLDEN_TOKENIZE_SHA256
