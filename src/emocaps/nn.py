@@ -1,4 +1,4 @@
-"""Numeric core: activations, parameter initialization, the bidirectional GRU
+"""Numeric core: softmax, parameter initialization, the bidirectional GRU
 encoder and the dense head.
 
 All backward passes are written by hand against the forward definitions; a
@@ -15,15 +15,6 @@ from .errors import ShapeMismatch
 from .evaluation import LABELS
 
 N_CLASSES = len(LABELS)
-
-
-def sigmoid(x, out=None):
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp(-|x|) never
-    # overflows, and as e <= 1 the maximum picks the numerator 1 or e
-    # without boolean indexing (and faster than np.where)
-    x = np.asarray(x)
-    e = np.exp(-np.abs(x))
-    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
 def softmax(y: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -68,9 +59,9 @@ def init_gru(input_dim: int, hidden_dim: int, rng) -> GruParams:
     return GruParams(W_i=W_i, W_h=W_h, b=np.zeros((2, 2, 3 * h)))
 
 
-# (2, 1) direction index; with a (2, N) array of row indices it picks row
-# index[k, r] of direction k's half of a (N, 2, h) array
-_DIRECTION = np.arange(2)[:, None]
+# with an (N, 2) array of row indices, picks row index[r, k] of direction
+# k's half of an (·, 2, h) array
+_DIRECTION = np.arange(2)
 
 
 def _packed_steps(lengths: np.ndarray):
@@ -78,34 +69,39 @@ def _packed_steps(lengths: np.ndarray):
 
     Sequences are ordered longest first (stable), so the ones still running
     at step t are a prefix of size counts[t]. Row r of the packed order is
-    step t of one of them; index[0, r] is the input row it reads going
-    forward (its position t) and index[1, r] the one it reads going
+    step t of one of them; index[r, 0] is the input row it reads going
+    forward (its position t) and index[r, 1] the one it reads going
     backward (its position length - 1 - t).
     """
+    if lengths.size == 1:  # one step per position, rows in input order
+        steps = np.arange(lengths[0])
+        return np.ones_like(steps), np.stack([steps, steps[::-1]], axis=1)
     order = np.argsort(-lengths, kind="stable")
     running = lengths[order] > np.arange(lengths.max())[:, None]  # (steps, sequences)
     step, rank = np.nonzero(running)
     seq = order[rank]
     start = (np.cumsum(lengths) - lengths)[seq]
-    return np.count_nonzero(running, axis=1), np.stack([start + step, start + lengths[seq] - 1 - step])
+    return np.count_nonzero(running, axis=1), np.stack([start + step, start + lengths[seq] - 1 - step], axis=1)
 
 
 @dataclass
 class BigruCache:
     """The packed step stacks of a training chunk, for `bigru_backward`.
 
-    Every (2, N, ·) stack holds the forward direction at [0] and the
-    backward one at [1]; row r is packed row r of `_packed_steps`, which
-    read input row index[k, r]. `bigru_backward` consumes the cache: it
+    Every stack is row-major: row r is packed row r of `_packed_steps`,
+    which read input row index[r, k] in direction k, with the forward
+    direction at [r, 0] and the backward one at [r, 1], so the rows of one
+    step are one contiguous block. rz and rhh are views of the forward's
+    gate-major (3, N, 2, h) stack. `bigru_backward` consumes the cache: it
     takes H, rz, n and rhh out and leaves None in their place."""
 
     X: np.ndarray  # (N, d) inputs, in input order
     counts: np.ndarray  # (steps,) sequences still running at each step
-    index: np.ndarray  # (2, N) input row of each packed row, per direction
-    H: np.ndarray  # (2, N, h) states h_t
-    rz: np.ndarray  # (2, N, 2h) reset and update gates
-    n: np.ndarray  # (2, N, h) candidates
-    rhh: np.ndarray  # (2, N, h) r * (h W_hn + b_hn), the gated recurrent candidate term
+    index: np.ndarray  # (N, 2) input row of each packed row, per direction
+    H: np.ndarray  # (N, 2, h) states h_t
+    rz: np.ndarray  # (2, N, 2, h) reset and update gates
+    n: np.ndarray  # (N, 2, h) candidates
+    rhh: np.ndarray  # (N, 2, h) r * (h W_hn + b_hn), the gated recurrent candidate term
 
 
 def bigru_forward(X: np.ndarray, lengths, p: GruParams, *, keep_cache: bool = False):
@@ -119,13 +115,23 @@ def bigru_forward(X: np.ndarray, lengths, p: GruParams, *, keep_cache: bool = Fa
     r = sig(x W_ir + b_ir + h W_hr + b_hr)
     z = sig(x W_iz + b_iz + h W_hz + b_hz)
     n = tanh(x W_in + b_in + r * (h W_hn + b_hn))
-    h = (1 - z) * n + z * h_prev
+    h = n + z * (h_prev - n)
 
-    The reset gate multiplies the already-biased recurrent term. The input
-    projections of every step are one (2, N, d) @ (2, d, 3h) matmul before
-    the loop. Each step is one (2, n_t, h) @ (2, h, 3h) matmul over the n_t
-    sequences still running (`_packed_steps`), so no padded position is
-    computed, and both directions share every elementwise operation.
+    The reset gate multiplies the already-biased recurrent term, so only
+    b_hn stays in the loop: the input projections of every step, with the
+    recurrent r and z biases added, are one (2, N, d) @ (2, d, 3h) matmul
+    before it. Each step runs the n_t sequences still running
+    (`_packed_steps`), so no padded position is computed, and both
+    directions share every operation. One (2, n_t, h) @ (3, 2, h, h)
+    matmul over gate-major views of W_h writes the step's r, z and
+    recurrent candidate terms as a (3, n_t, 2, h) block, and twelve
+    elementwise calls that allocate nothing finish the step, the sigmoid
+    as 0.5 tanh(0.5 x) + 0.5. Every stack is row-major, (rows, direction,
+    h), so a step's states, its candidates and each of its gates are one
+    contiguous block. An eval chunk reuses one block of gates and
+    candidates for every step: while all its sequences run, as in every
+    step of a lone tweet, the whole block is contiguous, r and z its first
+    4 n_t h values.
 
     The cache, for `bigru_backward`, is None unless `keep_cache` is set.
     """
@@ -138,37 +144,49 @@ def bigru_forward(X: np.ndarray, lengths, p: GruParams, *, keep_cache: bool = Fa
         raise ShapeMismatch(f"input width {X.shape[1]} vs GRU input {p.W_i.shape[1]}")
     counts, index = _packed_steps(lengths)
     n_rows, d_h = X.shape[0], p.W_h.shape[1]
-    A = np.matmul(X[index], p.W_i)
-    A += p.b[:, :1]
-    # Only a training chunk keeps every step's gates (RZ, N) and gated
-    # recurrent candidate terms (RHH). An eval chunk's steps reuse the first
-    # rows instead, which keeps its memory to a few MB. The recurrent terms
-    # h W_h + b_h (G) are per-step scratch in both.
+    A = np.empty((n_rows, 2, 3 * d_h), dtype=X.dtype)
+    np.matmul(X[index].transpose(1, 0, 2), p.W_i, out=A.transpose(1, 0, 2))
+    b = p.b[:, 0].copy()
+    b[:, : 2 * d_h] += p.b[:, 1, : 2 * d_h]
+    A += b
+    A = A.reshape(n_rows, 2, 3, d_h).transpose(2, 0, 1, 3)  # gate-major view (3, N, 2, h)
+    W_h = p.W_h.reshape(2, d_h, 3, d_h).transpose(2, 0, 1, 3)  # (3, 2, h, h)
+    b_hn = np.ascontiguousarray(p.b[None, :, 1, 2 * d_h :])
+    # Only a training chunk keeps every step's gates and gated recurrent
+    # candidate terms (S) and candidates (N). An eval chunk's steps reuse
+    # the first rows instead, which keeps its memory to a few MB.
     depth = n_rows if keep_cache else counts[0]
-    RZ = np.empty((2, depth, 2 * d_h), dtype=X.dtype)
-    N = np.empty((2, depth, d_h), dtype=X.dtype)
-    RHH = np.empty((2, depth, d_h), dtype=X.dtype)
-    G = np.empty((2, counts[0], 3 * d_h), dtype=X.dtype)
-    H = np.empty((2, n_rows, d_h), dtype=X.dtype)
-    h_prev = np.zeros((2, counts[0], d_h), dtype=X.dtype)
+    S = np.empty((3, depth, 2, d_h), dtype=X.dtype)
+    N = np.empty((depth, 2, d_h), dtype=X.dtype)
+    H = np.empty((n_rows, 2, d_h), dtype=X.dtype)
+    h_prev = np.zeros((counts[0], 2, d_h), dtype=X.dtype)
     end = 0
     for n_t in counts.tolist():
         rows, end = slice(end, end + n_t), end + n_t
         kept = rows if keep_cache else slice(n_t)
-        h_prev = h_prev[:, :n_t]
-        g = np.matmul(h_prev, p.W_h, out=G[:, :n_t])
-        g += p.b[:, 1:]
-        rz = sigmoid(A[:, rows, : 2 * d_h] + g[..., : 2 * d_h], out=RZ[:, kept])
-        rhh = np.multiply(rz[..., :d_h], g[..., 2 * d_h :], out=RHH[:, kept])
-        n = np.tanh(np.add(A[:, rows, 2 * d_h :], rhh), out=N[:, kept])
-        z = rz[..., d_h:]
-        h_prev = np.add((1.0 - z) * n, z * h_prev, out=H[:, rows])
+        h_prev = h_prev[:n_t]
+        g = S[:, kept]
+        np.matmul(h_prev.transpose(1, 0, 2), W_h, out=g.transpose(0, 2, 1, 3))
+        rz = g[:2]
+        rz += A[:2, rows]
+        rz *= 0.5
+        np.tanh(rz, out=rz)
+        rz *= 0.5
+        rz += 0.5
+        rhh = g[2]
+        rhh += b_hn
+        rhh *= g[0]
+        n = np.add(A[2, rows], rhh, out=N[kept])
+        np.tanh(n, out=n)
+        h_prev = np.subtract(h_prev, n, out=H[rows])
+        h_prev *= g[1]
+        h_prev += n
     out = np.empty((n_rows, 2, d_h), dtype=X.dtype)
     out[index, _DIRECTION] = H
     out = out.reshape(n_rows, 2 * d_h)
     if not keep_cache:
         return out, None
-    return out, BigruCache(X=X, counts=counts, index=index, H=H, rz=RZ, n=N, rhh=RHH)
+    return out, BigruCache(X=X, counts=counts, index=index, H=H, rz=S[:2], n=N, rhh=S[2])
 
 
 def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
@@ -176,7 +194,7 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
     returns (grad_X, grads), the GruParams gradients summed over the chunk.
 
     The packed steps run in reverse. Only the recurrent carry stays in the
-    loop: a (2, n_0, h) array, zero at first, whose prefix of the n_t
+    loop: an (n_0, 2, h) array, zero at first, whose prefix of the n_t
     sequences running at step t each step reads and rewrites, with one
     batched matmul. It fills the pre-activation gradients of the recurrent
     side (dG); those of the input side (dA) differ only in the candidate
@@ -184,8 +202,9 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
     overwritten. Every weight gradient is then one matmul over all the
     chunk's rows, and grad_X one per direction.
 
-    Each step stack, and grad_H, is freed once its last use is past, so
-    the call holds about 8.5 KB a token beyond its inputs at paper dims
+    Each step stack, and grad_H, is freed once its last use is past (rhh
+    with the gates, whose block it shares), so
+    the call holds about 10.5 KB a token beyond its inputs at paper dims
     when the caller keeps no other reference to grad_H. The cache is
     consumed: a second call on it raises ValueError.
     """
@@ -197,16 +216,16 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
     counts = cache.counts
     H, rz, n, rhh = cache.H, cache.rz, cache.n, cache.rhh
     cache.H = cache.rz = cache.n = cache.rhh = None
-    r, z = rz[..., :d_h], rz[..., d_h:]
+    r, z = rz
     # the state each packed row started from: the same sequence's row one
     # step earlier, counts[t - 1] rows back, and zero at step 0
     H_prev = np.zeros_like(H)
-    H_prev[:, counts[0] :] = H[:, np.arange(counts[0], n_rows) - np.repeat(counts[:-1], counts[1:])]
+    H_prev[counts[0] :] = H[np.arange(counts[0], n_rows) - np.repeat(counts[:-1], counts[1:])]
     del H
     dtanh = (1.0 - z) * (1.0 - n * n)  # dh -> candidate pre-activation
     # dG[t] = dh_t * K[t], blockwise: reset, update, recurrent candidate
     # term; each step overwrites its rows of K with them, so K becomes dG
-    K = np.empty((2, n_rows, 3, d_h), dtype=grad_H.dtype)
+    K = np.empty((n_rows, 2, 3, d_h), dtype=grad_H.dtype)
     np.multiply(dtanh, rhh, out=K[:, :, 0])
     del rhh
     K[:, :, 0] *= 1.0 - r
@@ -219,32 +238,32 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
     dH = grad_H.reshape(n_rows, 2, d_h)[cache.index, _DIRECTION]
     del grad_H
     W_hT = p.W_h.transpose(0, 2, 1)
-    carry = np.zeros((2, counts[0], d_h), dtype=dH.dtype)
+    carry = np.zeros((counts[0], 2, d_h), dtype=dH.dtype)
     end = n_rows
     for n_t in counts[::-1].tolist():
         rows, end = slice(end - n_t, end), end - n_t
-        c = carry[:, :n_t]
-        dh = np.add(dH[:, rows], c, out=dH[:, rows])
-        dg = np.multiply(dh[:, :, None, :], K[:, rows], out=K[:, rows])
-        np.multiply(dh, z[:, rows], out=c)
-        c += np.matmul(dg.reshape(2, n_t, 3 * d_h), W_hT)
-    dG = K.reshape(2, n_rows, 3 * d_h)
+        c = carry[:n_t]
+        dh = np.add(dH[rows], c, out=dH[rows])
+        dg = np.multiply(dh[:, :, None, :], K[rows], out=K[rows])
+        np.multiply(dh, z[rows], out=c)
+        c += np.matmul(dg.reshape(n_t, 2, 3 * d_h).transpose(1, 0, 2), W_hT).transpose(1, 0, 2)
+    dG = K.reshape(n_rows, 2, 3 * d_h)
     del K, carry, c, dh, dg, rz, z  # with the loop's views of them
     dtanh *= dH  # the candidate block of dA
     del dH
-    b = np.repeat(dG.sum(axis=1)[:, None], 2, axis=1)
-    b[:, 0, 2 * d_h :] = dtanh.sum(axis=1)
-    grad_W_h = np.matmul(H_prev.transpose(0, 2, 1), dG)
+    b = np.repeat(dG.sum(axis=0)[:, None], 2, axis=1)
+    b[:, 0, 2 * d_h :] = dtanh.sum(axis=0)
+    grad_W_h = np.matmul(H_prev.transpose(1, 2, 0), dG.transpose(1, 0, 2))
     del H_prev
     # back to input order, where X and grad_X live
     dA = np.empty_like(dG)
-    dA[_DIRECTION, cache.index] = dG
+    dA[cache.index, _DIRECTION] = dG
     del dG
-    dA[:, :, 2 * d_h :][_DIRECTION, cache.index] = dtanh
+    dA[:, :, 2 * d_h :][cache.index, _DIRECTION] = dtanh
     del dtanh
-    grad_X = np.matmul(dA[0], p.W_i[0].T)
-    grad_X += np.matmul(dA[1], p.W_i[1].T)
-    return grad_X, GruParams(W_i=np.matmul(cache.X.T, dA), W_h=grad_W_h, b=b)
+    grad_X = np.matmul(dA[:, 0], p.W_i[0].T)
+    grad_X += np.matmul(dA[:, 1], p.W_i[1].T)
+    return grad_X, GruParams(W_i=np.matmul(cache.X.T, dA.transpose(1, 0, 2)), W_h=grad_W_h, b=b)
 
 
 @dataclass

@@ -15,7 +15,8 @@ import numpy as np
 
 from emocaps.capsule import squash
 from emocaps.embeddings import embed
-from emocaps.nn import GruParams, dense_forward, predict_class, sigmoid, softmax
+from emocaps.nn import GruParams, dense_forward, predict_class, softmax
+from gru_oracle import sigmoid
 
 
 def gru_forward(X: np.ndarray, p: GruParams, k: int) -> np.ndarray:

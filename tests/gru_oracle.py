@@ -2,9 +2,11 @@
 `emocaps.nn` Bi-GRU.
 
 Every step does its own mat-vecs and accumulates every weight gradient with
-`np.outer`, exactly as the equations read. `pack` / `unpack` convert between
-these twelve per-gate tensors per direction and the three fused ones of
-`GruParams`, which stack both directions (gate blocks in r, z, n order).
+`np.outer`, exactly as the equations read, with `sigmoid` in its textbook
+form (the fused loop computes it as 0.5 tanh(0.5 x) + 0.5). `pack` /
+`unpack` convert between these twelve per-gate tensors per direction and
+the three fused ones of `GruParams`, which stack both directions (gate
+blocks in r, z, n order).
 """
 
 from __future__ import annotations
@@ -14,10 +16,18 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from emocaps.errors import ShapeMismatch
-from emocaps.nn import GruParams, sigmoid
+from emocaps.nn import GruParams
 
 GATES = ("r", "z", "n")
 WEIGHT_NAMES = ("W_ir", "W_iz", "W_in", "W_hr", "W_hz", "W_hn")
+
+
+def sigmoid(x):
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp(-|x|) never
+    # overflows, and as e <= 1 the maximum picks the numerator 1 or e
+    x = np.asarray(x)
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 @dataclass

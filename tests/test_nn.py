@@ -19,7 +19,6 @@ from emocaps.nn import (
     init_dense,
     init_gru,
     predict_class,
-    sigmoid,
     softmax,
     softmax_backward,
 )
@@ -80,12 +79,20 @@ def gru_params(X, p):
 class TestActivations:
     def test_sigmoid_matches_definition(self):
         x = np.linspace(-20, 20, 41)
-        np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-12)
+        np.testing.assert_allclose(oracle.sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-12)
 
     def test_sigmoid_extreme_inputs(self):
-        out = sigmoid(np.asarray([-1000.0, 1000.0]))
+        out = oracle.sigmoid(np.asarray([-1000.0, 1000.0]))
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0 and out[1] == 1.0
+
+    def test_tanh_form_matches_sigmoid(self):
+        """The Bi-GRU step computes its gates as 0.5 tanh(0.5 x) + 0.5,
+        in place; it agrees with the oracle's sigmoid to float
+        resolution and saturates to exactly 0 and 1."""
+        x = np.concatenate([np.linspace(-40, 40, 8001), [-1000.0, 1000.0]])
+        np.testing.assert_allclose(0.5 * np.tanh(0.5 * x) + 0.5, oracle.sigmoid(x), rtol=0, atol=3e-16)
+        assert (0.5 * np.tanh(0.5 * np.asarray([-1000.0, 1000.0])) + 0.5).tolist() == [0.0, 1.0]
 
     def test_softmax_uniform(self):
         np.testing.assert_allclose(softmax(np.zeros(6)), np.full(6, 1 / 6), rtol=1e-15)
@@ -446,7 +453,7 @@ class TestFiniteness:
         rng = np.random.default_rng(22)
         for _ in range(10):
             x = rng.uniform(-10, 10, size=4)
-            assert np.all(np.isfinite(sigmoid(x)))
+            assert np.all(np.isfinite(oracle.sigmoid(x)))
             assert np.all(np.isfinite(softmax(rng.uniform(-10, 10, size=6))))
             p = random_gru(4, 3, seed=int(rng.integers(1000)), scale=2.0)
             h, _ = forward_direction(x[None, :], p)

@@ -14,7 +14,7 @@ import emocaps.training as training
 import eval_oracle
 import gru_oracle
 from emocaps.embeddings import EmbeddingTable
-from emocaps.nn import bigru_forward
+from emocaps.nn import _packed_steps, bigru_forward
 from emocaps.training import EVAL_CHUNK_TOKENS, TrainConfig, forward_full, init_model, predict_dataset
 
 # The packed path reorders sums (stacked and batched matmuls) against the
@@ -26,6 +26,10 @@ LENGTH_MIXES = {
     "all-equal": [5, 5, 5, 5],
     "single": [6],
     "descending": [9, 4, 2],
+    # the predict benchmark's shapes: its longest single tweet and a bulk
+    # chunk of 16 tweets of 5-40 tokens
+    "single-40": [40],
+    "bulk-16": [5, 40, 12, 33, 7, 21, 18, 40, 9, 27, 14, 5, 36, 11, 24, 30],
 }
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -58,6 +62,41 @@ def test_packed_bigru_matches_per_gate_oracle(lengths):
         expected, _ = gru_oracle.bigru_forward(X[start : start + n], c_fwd, c_bwd)
         np.testing.assert_allclose(H[start : start + n], expected, rtol=0, atol=ORACLE_ATOL)
         start += n
+
+
+@pytest.mark.parametrize("lengths", list(LENGTH_MIXES.values()), ids=list(LENGTH_MIXES))
+def test_eval_and_training_forward_agree_bitwise(lengths):
+    """One step loop serves both: a training forward, which keeps every
+    step's stacks, computes exactly the states an eval forward does."""
+    p = gru_oracle.pack(gru_oracle.random_cell(7, 5, seed=3), gru_oracle.random_cell(7, 5, seed=4))
+    X = np.random.default_rng(len(lengths)).normal(size=(sum(lengths), 7))
+    H_eval, _ = bigru_forward(X, lengths, p)
+    H_train, cache = bigru_forward(X, lengths, p, keep_cache=True)
+    assert cache is not None
+    np.testing.assert_array_equal(H_train, H_eval)
+
+
+def general_packed_steps(lengths):
+    """`_packed_steps` without its one-sequence shortcut: the longest-first
+    packed order of any chunk."""
+    order = np.argsort(-lengths, kind="stable")
+    running = lengths[order] > np.arange(lengths.max())[:, None]
+    step, rank = np.nonzero(running)
+    seq = order[rank]
+    start = (np.cumsum(lengths) - lengths)[seq]
+    return np.count_nonzero(running, axis=1), np.stack([start + step, start + lengths[seq] - 1 - step], axis=1)
+
+
+def test_packed_steps_shortcut_matches_general_path():
+    """A lone sequence takes a shortcut; it must give the general path's
+    step sizes and gather indices, with the same dtypes and shapes."""
+    for lengths in list(LENGTH_MIXES.values()) + [[n] for n in range(1, 65)]:
+        lengths = np.asarray(lengths, dtype=np.intp)
+        counts, index = _packed_steps(lengths)
+        expected_counts, expected_index = general_packed_steps(lengths)
+        for got, expected in ((counts, expected_counts), (index, expected_index)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            np.testing.assert_array_equal(got, expected)
 
 
 @pytest.mark.parametrize("lengths", list(LENGTH_MIXES.values()), ids=list(LENGTH_MIXES))

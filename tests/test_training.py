@@ -309,7 +309,7 @@ class TestForwardFull:
         ids = vocab.encode(["alpha", "beta"])
         probs, cache = forward_full([ids], params, cfg, rngs=[np.random.default_rng(0)])
         assert cache.bigru.X.shape == (2, 300)
-        assert cache.bigru.rz.shape == (2, 2, 256)
+        assert cache.bigru.rz.shape == (2, 2, 2, 128)  # (gate, packed row, direction, h)
         assert cache.capsule.H.shape == (2, 256)
         assert cache.c.shape == (1, 512)
         assert probs.shape == (1, 6)

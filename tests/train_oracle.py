@@ -47,7 +47,10 @@ def direction_caches(cache: BigruCache) -> tuple[GruCache, GruCache]:
     if len(cache.counts) != cache.X.shape[0]:
         raise ValueError("a per-sequence backward needs a one-sequence chunk")
     return tuple(
-        GruCache(X=cache.X[cache.index[k]], H=cache.H[k], rz=cache.rz[k], n=cache.n[k], rhh=cache.rhh[k])
+        GruCache(
+            X=cache.X[cache.index[:, k]], H=cache.H[:, k], rz=np.concatenate(cache.rz[:, :, k], axis=1),
+            n=cache.n[:, k], rhh=cache.rhh[:, k],
+        )
         for k in range(2)
     )
 
