@@ -86,13 +86,21 @@ class TestActivations:
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0 and out[1] == 1.0
 
-    def test_tanh_form_matches_sigmoid(self):
-        """The Bi-GRU step computes its gates as 0.5 tanh(0.5 x) + 0.5,
-        in place; it agrees with the oracle's sigmoid to float
-        resolution and saturates to exactly 0 and 1."""
-        x = np.concatenate([np.linspace(-40, 40, 8001), [-1000.0, 1000.0]])
-        np.testing.assert_allclose(0.5 * np.tanh(0.5 * x) + 0.5, oracle.sigmoid(x), rtol=0, atol=3e-16)
-        assert (0.5 * np.tanh(0.5 * np.asarray([-1000.0, 1000.0])) + 0.5).tolist() == [0.0, 1.0]
+    def test_bigru_gates_saturate_exactly(self):
+        """The Bi-GRU step computes its gates as 0.5 tanh(0.5 x) + 0.5 in
+        place. With reset and update biases of +-1000 every gate it keeps
+        is exactly 0 or 1, and its states are finite and match the
+        per-gate oracle's."""
+        rng = np.random.default_rng(8)
+        cells = [oracle.random_cell(4, 6, seed) for seed in (8, 9)]
+        for cell in cells:
+            cell.b_ir[:] = rng.choice([-1000.0, 1000.0], size=6)
+            cell.b_iz[:] = rng.choice([-1000.0, 1000.0], size=6)
+        X = rng.normal(size=(5, 4))
+        H, cache = bigru_forward(X, [5], oracle.pack(*cells), keep_cache=True)
+        assert set(np.unique(cache.rz).tolist()) == {0.0, 1.0}
+        assert np.all(np.isfinite(H))
+        np.testing.assert_allclose(H, oracle.bigru_forward(X, *cells)[0], rtol=0, atol=ORACLE_ATOL)
 
     def test_softmax_uniform(self):
         np.testing.assert_allclose(softmax(np.zeros(6)), np.full(6, 1 / 6), rtol=1e-15)

@@ -76,27 +76,29 @@ def test_eval_and_training_forward_agree_bitwise(lengths):
     np.testing.assert_array_equal(H_train, H_eval)
 
 
-def general_packed_steps(lengths):
-    """`_packed_steps` without its one-sequence shortcut: the longest-first
-    packed order of any chunk."""
-    order = np.argsort(-lengths, kind="stable")
-    running = lengths[order] > np.arange(lengths.max())[:, None]
-    step, rank = np.nonzero(running)
-    seq = order[rank]
-    start = (np.cumsum(lengths) - lengths)[seq]
-    return np.count_nonzero(running, axis=1), np.stack([start + step, start + lengths[seq] - 1 - step], axis=1)
+def packed_order_oracle(lengths):
+    """The packed step order of `_packed_steps`, one step at a time: the
+    sequences still running at step t, longest first (ties in input
+    order), each reading its position t forward and length - 1 - t
+    backward."""
+    starts = np.cumsum([0] + lengths[:-1])
+    order = sorted(range(len(lengths)), key=lambda s: -lengths[s])
+    counts, index = [], []
+    for t in range(max(lengths)):
+        running = [s for s in order if lengths[s] > t]
+        counts.append(len(running))
+        index += [(starts[s] + t, starts[s] + lengths[s] - 1 - t) for s in running]
+    return counts, index
 
 
-def test_packed_steps_shortcut_matches_general_path():
-    """A lone sequence takes a shortcut; it must give the general path's
-    step sizes and gather indices, with the same dtypes and shapes."""
+def test_packed_steps_match_loop_oracle():
+    """Every mix, and a lone sequence of each length 1 to 64 (which skips
+    the sort), gives the oracle's step sizes and gather indices."""
     for lengths in list(LENGTH_MIXES.values()) + [[n] for n in range(1, 65)]:
-        lengths = np.asarray(lengths, dtype=np.intp)
-        counts, index = _packed_steps(lengths)
-        expected_counts, expected_index = general_packed_steps(lengths)
-        for got, expected in ((counts, expected_counts), (index, expected_index)):
-            assert got.dtype == expected.dtype and got.shape == expected.shape
-            np.testing.assert_array_equal(got, expected)
+        counts, index = _packed_steps(np.asarray(lengths, dtype=np.intp))
+        expected_counts, expected_index = packed_order_oracle(lengths)
+        assert counts.tolist() == expected_counts
+        assert index.shape == (sum(lengths), 2) and index.tolist() == [list(row) for row in expected_index]
 
 
 @pytest.mark.parametrize("lengths", list(LENGTH_MIXES.values()), ids=list(LENGTH_MIXES))
