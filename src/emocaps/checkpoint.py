@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedHeader, TruncatedFile, text_lines
+from .errors import MalformedHeader, TruncatedFile, replacing, text_lines
 
 FORMAT_VERSION = 2
 
@@ -29,7 +28,7 @@ def save_checkpoint(
 
     Each tensor is written to the payload in turn, with no copy of it
     when it is already contiguous and little-endian. Both files are
-    written to `.tmp` siblings first and then renamed into place, payload
+    written through `errors.replacing` and renamed into place, payload
     first and manifest last, so a failed write leaves the previous pair
     untouched and no temporary files behind.
     """
@@ -46,19 +45,12 @@ def save_checkpoint(
     }
     if vocab_sha256 is not None:
         manifest["vocab_sha256"] = vocab_sha256
-    payload, manifest_path = Path(f"{stem}.bin"), Path(f"{stem}.json")
-    tmp_payload = payload.with_name(payload.name + ".tmp")
-    tmp_manifest = manifest_path.with_name(manifest_path.name + ".tmp")
-    try:
-        with open(tmp_payload, "wb") as f:
-            for t in tensors.values():
-                f.write(np.ascontiguousarray(t, dtype=t.dtype.newbyteorder("<")))
-        tmp_manifest.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        os.replace(tmp_payload, payload)
-        os.replace(tmp_manifest, manifest_path)
-    finally:
-        tmp_payload.unlink(missing_ok=True)
-        tmp_manifest.unlink(missing_ok=True)
+    # the payload lands first, after the manifest is flushed: a failed write of either lands neither
+    with replacing(f"{stem}.json") as manifest_file, replacing(f"{stem}.bin", "wb") as payload:
+        manifest_file.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        manifest_file.flush()
+        for t in tensors.values():
+            payload.write(np.ascontiguousarray(t, dtype=t.dtype.newbyteorder("<")))
 
 
 def _tensor_layout(entry, index: int, where) -> tuple:
@@ -91,7 +83,7 @@ def load_checkpoint(stem):
     or disagrees with the payload size. Every message names the file it
     is about.
     """
-    manifest_path, payload_path = Path(f"{stem}.json"), Path(f"{stem}.bin")
+    manifest_path, payload_path = f"{stem}.json", f"{stem}.bin"
     with text_lines(manifest_path, keepends=True) as lines:
         text = "".join(line for _, line in lines)
     try:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import fields
@@ -33,6 +32,7 @@ from .errors import (
     NumericError,
     UnknownLabel,
     VocabularyMismatch,
+    replacing,
     text_lines,
 )
 from .evaluation import LABELS, confusion, format_report, label_index, metrics
@@ -187,12 +187,11 @@ def _load_for_vocab(stem, vocab: Vocabulary, vocab_path):
 def cmd_preprocess(args) -> int:
     lex = Lexicon.from_file(args.lexicon) if args.lexicon else Lexicon.from_pairs([])
     examples = load_dataset(args.input, labeled=not args.unlabeled)
-    lines = []
-    for label, text in examples:
-        tokens = " ".join(preprocess(text, lex))
-        lines.append(tokens if label is None else f"{LABELS[label]}\t{tokens}")
-    Path(args.output).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    print(f"wrote {len(lines)} lines to {args.output}")
+    with replacing(args.output) as handle:
+        for label, text in examples:
+            tokens = " ".join(preprocess(text, lex))
+            handle.write(f"{tokens}\n" if label is None else f"{LABELS[label]}\t{tokens}\n")
+    print(f"wrote {len(examples)} lines to {args.output}")
     return 0
 
 
@@ -206,12 +205,13 @@ def cmd_build_vocab(args) -> int:
     vocab = Vocabulary.build(sequences)
     # read and check the vectors before writing anything: bad input leaves no output
     raw = load_word2vec(args.embeddings, fmt=args.embeddings_format) if args.embeddings else {}
-    table = build_embedding(vocab, raw, cfg.embed_dim, cfg.seed)
-    # the vocabulary goes to a .tmp sibling and into place after the payload:
-    # a payload that cannot be written leaves no vocabulary behind
-    vocab_tmp = Path(f"{args.vocab}.tmp")
     try:
-        vocab.save(vocab_tmp)
+        table = build_embedding(vocab, raw, cfg.embed_dim, cfg.seed)
+    except DimensionMismatch as exc:
+        raise DimensionMismatch(f"{args.embeddings}: {exc}") from None
+    with replacing(args.vocab) as handle:
+        vocab.write(handle)
+        handle.flush()  # written before the payload, landing after it: a failed write lands neither
         save_checkpoint(
             args.embedding_out,
             {"embedding/W_e": table.weights},
@@ -219,9 +219,6 @@ def cmd_build_vocab(args) -> int:
             cfg.seed,
             _vocab_sha256(vocab),
         )
-        os.replace(vocab_tmp, args.vocab)
-    finally:
-        vocab_tmp.unlink(missing_ok=True)
     covered = sum(1 for w in vocab.word_to_id if w in raw)
     print(f"vocabulary: {len(vocab)} words ({covered} pretrained) -> {args.vocab}")
     return 0
@@ -267,14 +264,16 @@ def cmd_train(args) -> int:
     clock = time.perf_counter if args.wall_clock else None
     try:
         params, history = train(train_set, dev_set, params, cfg, clock=clock)
+        with replacing(out / "history.jsonl") as fh:
+            fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in history)
+            fh.flush()  # written before the model, landing after it: a failed write lands neither
+            save_checkpoint(out / "model", params.tensors(), cfg.__dict__.copy(), cfg.seed, _vocab_sha256(vocab))
     except BaseException:
         for d in made:  # a failed run leaves no directory behind, but keeps the user's own
+            for name in ("model.bin", "model.json", "history.jsonl"):  # what landed before the failure
+                (d / name).unlink(missing_ok=True)
             d.rmdir()
         raise
-    save_checkpoint(out / "model", params.tensors(), cfg.__dict__.copy(), cfg.seed, _vocab_sha256(vocab))
-    with open(out / "history.jsonl", "w", encoding="utf-8") as fh:
-        for row in history:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
     best = max(h["dev_macro_f1"] for h in history)
     print(f"trained {len(history)} epochs, best dev macro-F1 {best:.4f} -> {out}")
     return 0
@@ -308,9 +307,8 @@ def cmd_evaluate(args) -> int:
     _require_nonempty(golds, args.input)
     report = metrics(confusion(golds, preds))
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        with replacing(args.output) as handle:
+            handle.write(json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
     print(format_report(report))
     print(f"macro-F1 {report.macro.f1:.4f}")
     return 0
@@ -318,9 +316,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     _, preds = _predict_input(args, labeled=args.labeled)
-    lines = [LABELS[p] for p in preds]
-    Path(args.output).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    print(f"wrote {len(lines)} predictions to {args.output}")
+    with replacing(args.output) as handle:
+        handle.writelines(f"{LABELS[p]}\n" for p in preds)
+    print(f"wrote {len(preds)} predictions to {args.output}")
     return 0
 
 

@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile, text_lines
+from .errors import DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile, replacing, text_lines
 from .textprep import TAG_SURFACES
 
 PAD = "<pad>"
@@ -52,9 +52,11 @@ class Vocabulary:
         return [self.word_to_id.get(s, unk) for s in surfaces]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            for idx, word in enumerate(self.id_to_word):
-                handle.write(f"{idx}\t{word}\n")
+        with replacing(path) as handle:
+            self.write(handle)
+
+    def write(self, handle) -> None:
+        handle.writelines(f"{idx}\t{word}\n" for idx, word in enumerate(self.id_to_word))
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

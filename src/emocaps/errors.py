@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and `text_lines`, the one
-reader of every text file the program is given."""
+"""Exception types shared across the package; `text_lines`, the one reader
+of every text file the program is given; `replacing`, its one writer."""
 
+import os
 from contextlib import contextmanager
 from itertools import repeat
 from pathlib import Path
@@ -74,6 +75,20 @@ def text_lines(path, keepends=False):
                 reason = f"can't decode byte {data[exc.start]:#04x} at file offset {exc.start} ({exc.reason})"
                 raise MalformedLine(f"{path}:{line}: not UTF-8 text: {reason}", line) from None
             raise MalformedLine(f"{path}: not UTF-8 text") from None  # it changed since the failed read
+
+
+@contextmanager
+def replacing(path, mode="w"):
+    """Yield `<path>.tmp` open for writing, as UTF-8 text or with mode "wb"
+    as bytes; rename it onto `path` when the block ends, or remove it if
+    the block raises. `path` keeps its previous bytes until then."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class VocabularyMismatch(EmocapsError):

@@ -8,9 +8,9 @@ dates must win over phone numbers, and the single-character catch-all must
 come last so that no non-whitespace character is ever dropped. A token is
 a `NamedTuple` of surface and kind.
 
-Hashtag segmentation weighs each substring of the body once, in a dynamic
-program over three flat lists (score, word count, end of the first word),
-and builds no tuple per candidate; nothing is memoised.
+Hashtag segmentation weighs each substring once, in a dynamic program over
+three flat lists, with no tuple per candidate and no memo; the per-word
+score it inlines is kept in the tests as the oracle `word_logp`.
 
 Spell correction gives the answer of enumerating every string one and two
 edits away (Norvig-style candidates) without building the two-edit strings.
@@ -190,13 +190,6 @@ class Lexicon:
                 raise
             raise MalformedLine(f"{path}: {exc}") from exc
 
-    def word_logp(self, word: str) -> float:
-        """Unigram log-probability; out-of-lexicon words pay a length penalty."""
-        count = self.counts.get(word, 0)
-        if count > 0:
-            return math.log(count / self.total)
-        return math.log(1.0 / max(self.total, 1)) - _OOV_LEN_PENALTY * len(word)
-
     @cached_property
     def _letters(self) -> "_LetterIndex":
         """Letter masks of every word, built by the first distance-2 search."""
@@ -221,14 +214,14 @@ def _lexicon_pairs(path, lines):
 def segment_hashtag(tag: str, lex: Lexicon) -> list[str]:
     """Split a hashtag body into its best word sequence under the unigram model.
 
-    Maximizes the summed word log-probability; exact ties prefer fewer words,
-    then the lexicographically smallest word tuple, so the result is fully
-    deterministic. A body with no viable split comes back as a single word.
+    Maximizes the summed word log-probability: log(count / total), or
+    log(1 / total) less `_OOV_LEN_PENALTY` a letter out of the lexicon.
+    Exact ties prefer fewer words, then the smallest word tuple.
 
     A right-to-left dynamic program keeps three flat lists: per suffix of
     the body, the negated score and the word count of its best split, and
     the end of that split's first word. It weighs each of the n(n+1)/2
-    substrings once, with `Lexicon.word_logp`'s arithmetic inlined. When
+    substrings once, computing the word's score where it is used. When
     two splits of a suffix tie on score and count, the first word of one
     is a prefix of the other's, so the smaller word tuple is the split
     whose first word ends earlier: the one tried first, kept on a tie.

@@ -1,12 +1,13 @@
 import json
-import os
 import re
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import DiskFull, FullOnFlush, fail_rename, open_as
 from emocaps import checkpoint
 from emocaps.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from emocaps.errors import MalformedHeader, TruncatedFile
@@ -165,55 +166,28 @@ class TestCorruption:
             load_checkpoint(stem)
 
 
-class FailsAfterFirstWrite:
-    """A payload file whose second write fails, as on a full disk: the
-    first tensor's bytes reach the file, the rest do not."""
-
-    def __init__(self, path, mode):
-        self.f = open(path, mode)
-        self.on_disk_at_failure = None
-
-    def write(self, data):
-        if self.on_disk_at_failure is None:
-            self.f.flush()
-            if self.f.tell():
-                self.on_disk_at_failure = os.path.getsize(self.f.name)
-                raise OSError("no space left on device")
-        return self.f.write(data)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.f.close()
-
-
 class TestAtomicWrite:
-    @pytest.mark.parametrize("failing", ["payload", "write_text"])
+    @pytest.mark.parametrize("failing", ["payload", "manifest", "manifest-flush", "rename"])
     def test_failed_write_keeps_previous_pair(self, tmp_path, monkeypatch, failing):
         stem = tmp_path / "model"
         save_checkpoint(stem, sample_tensors(), {"k": 1}, seed=1)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-        payloads = []
-
-        def open_payload(path, mode):
-            payloads.append(FailsAfterFirstWrite(path, mode))
-            return payloads[-1]
-
-        def disk_full(self, data, *args, **kwargs):
-            raise OSError("no space left on device")
-
-        if failing == "payload":
-            monkeypatch.setattr(checkpoint, "open", open_payload, raising=False)
-        else:
-            monkeypatch.setattr(Path, failing, disk_full)
+        opened = []
+        if failing == "payload":  # the disk fills after the first tensor
+            opened = open_as(monkeypatch, f"{stem}.bin.tmp", partial(DiskFull, room=3 * 8))
+        elif failing == "manifest":
+            opened = open_as(monkeypatch, f"{stem}.json.tmp", partial(DiskFull, room=10))
+        elif failing == "manifest-flush":  # it must fail before the payload lands
+            open_as(monkeypatch, f"{stem}.json.tmp", FullOnFlush)
+        else:  # the payload, which lands first, cannot be renamed into place
+            fail_rename(monkeypatch, f"{stem}.bin")
         with pytest.raises(OSError):
             save_checkpoint(stem, {"other": np.ones(3), "more": np.zeros(2)}, {"k": 2}, seed=2)
         monkeypatch.undo()
 
-        if failing == "payload":  # the save failed with a partial .tmp payload on disk
-            assert [p.on_disk_at_failure for p in payloads] == [3 * 8]
+        # a disk that filled mid-write left a partial .tmp file when the save failed
+        assert [f.on_disk_at_failure for f in opened] == {"payload": [3 * 8], "manifest": [10]}.get(failing, [])
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         loaded, manifest = load_checkpoint(stem)
         assert list(loaded) == list(sample_tensors()) and manifest["seed"] == 1

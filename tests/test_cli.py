@@ -5,12 +5,13 @@ import os
 import re
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_toy_examples, write_labeled
+from conftest import DiskFull, FullOnFlush, fail_rename, make_toy_examples, open_as, write_labeled
 from emocaps import cli, training
 from emocaps.checkpoint import load_checkpoint, save_checkpoint
 from emocaps.cli import build_parser, entry, load_dataset, main
@@ -37,6 +38,17 @@ TINY_FLAGS = [
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture(autouse=True)
+def no_tmp_file_left(request, tmp_path):
+    """After every test, also one whose command exits 3 or 4, no `.tmp`
+    file of errors.replacing is left in its temporary directories."""
+    roots = [tmp_path]
+    if "workspace" in request.fixturenames:
+        roots.append(request.getfixturevalue("workspace")["root"])
+    yield
+    assert [p for root in roots for p in root.rglob("*.tmp")] == []
 
 
 @pytest.fixture(scope="module")
@@ -655,8 +667,8 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["vec.bin"]
 
     @pytest.mark.parametrize("vectors_text, embed_dim, message", [
-        ("1 3\nhappy 0.1 0.2\n", "3", "v.txt:2: entry 'happy' has 2 values, expected 3"),
-        ("1 2\nhappy 0.1 0.2\n", "3", "pretrained vector for 'happy' has length 2, expected 3"),
+        ("1 3\nhappy 0.1 0.2\n", "3", ":2: entry 'happy' has 2 values, expected 3"),
+        ("1 2\nhappy 0.1 0.2\n", "3", ": pretrained vector for 'happy' has length 2, expected 3"),
     ], ids=["value-count", "embed-dim"])
     def test_bad_word2vec_writes_nothing(self, workspace, tmp_path, capsys, vectors_text, embed_dim, message):
         vectors = tmp_path / "v.txt"
@@ -666,8 +678,19 @@ class TestExitCodes:
                     "--embedding-out", tmp_path / "emb", "--embeddings", vectors,
                     "--embeddings-format", "text", "--embed-dim", embed_dim])
         assert code == 3
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {vectors}{message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v.txt"]
+
+    def test_binary_word2vec_of_another_width_names_file(self, workspace, tmp_path, capsys):
+        vectors = tmp_path / "v.bin"
+        vectors.write_bytes(b"1 2\nhappy " + np.asarray([0.1, 0.2], "<f4").tobytes())
+        capsys.readouterr()
+        code = run(["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+                    "--embedding-out", tmp_path / "emb", "--embeddings", vectors,
+                    "--embeddings-format", "binary", "--embed-dim", "3"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {vectors}: pretrained vector for 'happy' has length 2, expected 3\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.bin"]
 
     def test_manifest_not_an_object(self, workspace, tmp_path, capsys):
         stem = tmp_path / "bad"
@@ -768,6 +791,23 @@ class TestExitCodes:
                     "--checkpoint-dir", out, "--learning-rate", "1e200", "--clip-norm", "1e300"] + TINY_FLAGS)
         assert code == 4
         assert capsys.readouterr().err.startswith("numeric failure: epoch 0, batch ")
+        assert not out.exists()
+        assert (tmp_path / "runs").exists() == existing
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["made-by-train", "users-own"])
+    def test_failed_save_removes_only_the_directories_it_made(self, workspace, tmp_path, capsys, monkeypatch, existing):
+        def disk_full(*args):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "save_checkpoint", disk_full)
+        if existing:
+            (tmp_path / "runs").mkdir()
+        out = tmp_path / "runs" / "run"
+        capsys.readouterr()
+        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--checkpoint-dir", out] + TINY_FLAGS)
+        assert code == 3
+        assert capsys.readouterr().err == "error: no space left on device\n"
         assert not out.exists()
         assert (tmp_path / "runs").exists() == existing
 
@@ -894,6 +934,77 @@ class TestExitCodes:
                     "--vocab", workspace["vocab"],
                     "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
         assert code == 3
+
+
+# the files each command writes, in the order they land
+LANDING = {
+    "preprocess": ["clean.tsv"],
+    "build-vocab": ["embed.bin", "embed.json", "vocab.tsv"],
+    "train": ["model.bin", "model.json", "history.jsonl"],
+    "evaluate": ["report.json"],
+    "predict": ["preds.txt"],
+}
+
+
+def writing_argv(command, workspace, out):
+    """`command` run as the workspace fixture runs it, writing into `out`;
+    so preprocess, build-vocab and train write the workspace's bytes."""
+    model = ["--vocab", workspace["vocab"], "--checkpoint", workspace["ckpt"] / "model"]
+    return {
+        "preprocess": ["preprocess", "--input", workspace["raw"], "--output", out / "clean.tsv"],
+        "build-vocab": ["build-vocab", "--inputs", workspace["clean"], "--vocab", out / "vocab.tsv",
+                        "--embedding-out", out / "embed", *TINY_FLAGS],
+        "train": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                  "--checkpoint-dir", out, *TINY_FLAGS],
+        "evaluate": ["evaluate", "--input", workspace["clean"], *model, "--output", out / "report.json"],
+        "predict": ["predict", "--input", workspace["clean"], "--labeled", *model, "--output", out / "preds.txt"],
+    }[command]
+
+
+class TestWholeOrUntouched:
+    """A write that fails, when the disk fills or a rename is refused,
+    leaves each output with its previous bytes, or absent, or whole."""
+
+    @pytest.mark.parametrize("fault", ["disk-full", "full-on-flush", "rename"])
+    @pytest.mark.parametrize("previous", [False, True], ids=["absent", "previous"])
+    @pytest.mark.parametrize("command, failing", [(c, name) for c, names in LANDING.items() for name in names])
+    def test_failed_write(self, workspace, tmp_path, capsys, monkeypatch, command, failing, fault, previous):
+        out = tmp_path / "out"
+        if previous or command != "train":  # train makes its directory; others write into one
+            out.mkdir()
+        for name in LANDING[command] if previous else ():
+            (out / name).write_bytes(f"previous {name}\n".encode())
+        full = []
+        if fault == "disk-full":
+            full = open_as(monkeypatch, out / f"{failing}.tmp", partial(DiskFull, room=5))
+        elif fault == "full-on-flush":
+            open_as(monkeypatch, out / f"{failing}.tmp", FullOnFlush)
+        else:
+            fail_rename(monkeypatch, out / failing)
+        capsys.readouterr()
+
+        code = run(writing_argv(command, workspace, out))
+        monkeypatch.undo()
+        assert code == 3
+        # a full disk failed the command with a partial .tmp file on disk
+        assert [f.on_disk_at_failure for f in full] == ([5] if fault == "disk-full" else [])
+        errno_text = "[Errno 5] Input/output error" if fault == "rename" else "[Errno 28] No space left on device"
+        assert capsys.readouterr().err == f"error: {errno_text}\n"
+
+        if command == "train" and not previous:  # a failed run leaves no directory behind
+            assert not out.exists()
+            return
+        # every write comes before the first rename: only a refused rename
+        # comes after files that landed, and those are whole
+        landed = LANDING[command][: LANDING[command].index(failing)] if fault == "rename" else []
+        reference = workspace["ckpt"] if command == "train" else workspace["root"]
+        for name in LANDING[command]:
+            if name in landed:
+                assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+            elif previous:
+                assert (out / name).read_bytes() == f"previous {name}\n".encode(), name
+            else:
+                assert not (out / name).exists(), name
 
 
 class TestConfiguration:

@@ -250,8 +250,8 @@ class TestLexicon:
 
     def test_word_logp(self):
         lex = Lexicon.from_pairs([("cat", 3), ("dog", 1)])
-        assert lex.word_logp("cat") == pytest.approx(math.log(3 / 4))
-        assert lex.word_logp("zzz") == pytest.approx(math.log(1 / 4) - 3.0 * 3)
+        assert word_logp(lex, "cat") == pytest.approx(math.log(3 / 4))
+        assert word_logp(lex, "zzz") == pytest.approx(math.log(1 / 4) - 3.0 * 3)
 
     def test_immutable(self):
         lex = Lexicon.from_pairs([("cat", 3)])
@@ -270,7 +270,7 @@ class TestLexicon:
         lex = Lexicon(counts=shared)
         counts["cow"] = 1
         assert lex.counts == {"cat": 3, "dog": 1} and lex.total == 4
-        assert lex.word_logp("cat") == pytest.approx(math.log(3 / 4))
+        assert word_logp(lex, "cat") == pytest.approx(math.log(3 / 4))
         with pytest.raises(TypeError):  # the total follows from the counts
             Lexicon(counts={"cat": 3}, total=4)
 
@@ -291,6 +291,15 @@ class TestLexicon:
         assert "_letters" in vars(lex)
 
 
+def word_logp(lex, word):
+    """The unigram log-probability that `segment_hashtag` inlines, the
+    oracle of its per-word score: out-of-lexicon words pay a length penalty."""
+    count = lex.counts.get(word, 0)
+    if count > 0:
+        return math.log(count / lex.total)
+    return math.log(1.0 / max(lex.total, 1)) - textprep._OOV_LEN_PENALTY * len(word)
+
+
 def oracle_segment(body, lex):
     """Exhaustive best split: try all 2^(n-1) segmentations."""
     n = len(body)
@@ -302,7 +311,7 @@ def oracle_segment(body, lex):
                 words.append(body[start : i + 1])
                 start = i + 1
         words.append(body[start:])
-        score = sum(lex.word_logp(w) for w in words)
+        score = sum(word_logp(lex, w) for w in words)
         key = (-score, len(words), tuple(words))
         if best_key is None or key < best_key:
             best_key, best_words = key, list(words)
@@ -325,7 +334,7 @@ def tuple_segment(tag, lex):
             word = body[i:j]
             tail = best[j]
             candidate = (
-                tail[0] - lex.word_logp(word),
+                tail[0] - word_logp(lex, word),
                 tail[1] + 1,
                 (word,) + tail[2],
             )
@@ -403,7 +412,7 @@ class TestSegmentHashtag:
             assert segment_hashtag(tag, lex) == tuple_segment(tag, lex) == [tag]
 
     def test_inlined_word_logp_is_bitwise_word_logp(self, monkeypatch):
-        """segment_hashtag inlines `Lexicon.word_logp`: the cost it
+        """segment_hashtag inlines the oracle `word_logp`: the cost it
         subtracts from a tail's score must be the very float word_logp
         gives, for every substring, inside the lexicon and out of it. The
         costs are caught as they are subtracted, through a `math.log` that
@@ -412,7 +421,7 @@ class TestSegmentHashtag:
         lexicons = (SEG_LEXICON, GOLDEN_LEXICON, Lexicon({}), Lexicon({"a": 1}), Lexicon({"cat": 3, "dog": 97}))
         cases = [(lex, body) for lex in lexicons
                  for body in ("makeitrain", "qzxqzx", "sunnydaytoday", "cafébest", "a", "dogqzxqzxqzxqzxqzxqzxcat")]
-        expected = [[lex.word_logp(body[i:j]).hex() for i in reversed(range(len(body)))
+        expected = [[word_logp(lex, body[i:j]).hex() for i in reversed(range(len(body)))
                      for j in range(i + 1, len(body) + 1)] for lex, body in cases]
         costs = []
 
