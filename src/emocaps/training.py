@@ -57,15 +57,13 @@ from .nn import (
 )
 
 PAD_ID = RESERVED.index(PAD)  # embedding row pinned to zero; its gradient is zeroed
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's, fixed at Kingma & Ba's (2015) values
 
 
 @dataclass
 class TrainConfig:
     batch_size: int = 512
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     clip_norm: float = 1.0
     spatial_dropout: float = 0.3
     capsule_dropout: float = 0.25
@@ -80,22 +78,21 @@ class TrainConfig:
     capsule_dim: int = 32
 
     def validate(self) -> None:
-        for name in ("learning_rate", "epsilon", "clip_norm", "noise_std"):
+        for name in ("learning_rate", "clip_norm", "noise_std"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("spatial_dropout", "capsule_dropout", "beta1", "beta2"):
+        for name in ("spatial_dropout", "capsule_dropout"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {value}")
-        if self.clip_norm <= 0.0:
-            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
+        for name in ("learning_rate", "clip_norm"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.noise_std < 0.0:
             raise ValueError("noise_std must be non-negative")
-        if self.learning_rate <= 0.0 or self.epsilon <= 0.0:
-            raise ValueError("learning_rate and epsilon must be positive")
         if self.routing_iters < 1 or self.max_epochs < 1 or self.patience < 0:
             raise ValueError("routing_iters/max_epochs must be >= 1, patience >= 0")
         for name in ("embed_dim", "hidden_dim", "num_capsules", "capsule_dim"):
@@ -209,10 +206,10 @@ def cross_entropy_loss(probs: np.ndarray, golds):
     return losses, grad_logits
 
 
-def clip_gradients(grads: dict, clip_norm: float = 1.0) -> dict:
+def clip_gradients(grads: dict, clip_norm: float = 1.0) -> float:
     """Scale all gradients in place so their global L2 norm is at most
-    clip_norm. Raises NumericError naming the tensors whose norm is not
-    finite, before anything is scaled."""
+    clip_norm, and return that norm before clipping. Raises NumericError
+    naming the tensors whose norm is not finite, before anything is scaled."""
     with np.errstate(over="ignore"):  # an overflow is reported below
         squares = {k: float(np.sum(g * g)) for k, g in grads.items()}
     bad = [k for k, sq in squares.items() if not math.isfinite(sq)]
@@ -223,7 +220,7 @@ def clip_gradients(grads: dict, clip_norm: float = 1.0) -> dict:
         scale = clip_norm / norm
         for g in grads.values():
             g *= scale
-    return grads
+    return norm
 
 
 def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
@@ -236,29 +233,29 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) ->
         if grads[name].shape != theta.shape:
             raise ShapeMismatch(f"{name}: gradient {grads[name].shape}, expected {theta.shape}")
     state.t += 1
-    correct1 = 1.0 - cfg.beta1 ** state.t
-    correct2 = 1.0 - cfg.beta2 ** state.t
+    correct1 = 1.0 - BETA1 ** state.t
+    correct2 = 1.0 - BETA2 ** state.t
     for name, theta in tensors.items():
-        _adam_update(theta, grads[name].copy(), state.m[name], state.v[name], cfg, correct1, correct2)
+        _adam_update(theta, grads[name].copy(), state.m[name], state.v[name], cfg.learning_rate, correct1, correct2)
 
 
-def _adam_update(theta, g, m, v, cfg: TrainConfig, correct1: float, correct2: float) -> None:
+def _adam_update(theta, g, m, v, lr: float, correct1: float, correct2: float) -> None:
     """One Adam step on `theta`, `m` and `v` in place, with `g` as scratch
     space (it is overwritten) and one more buffer. Every operation rounds as
     in `theta -= lr * (m / correct1) / (sqrt(v / correct2) + eps)`, so the
     result is bitwise that expression's."""
     scratch = np.multiply(g, g)
-    scratch *= 1.0 - cfg.beta2
-    v *= cfg.beta2
+    scratch *= 1.0 - BETA2
+    v *= BETA2
     v += scratch
-    g *= 1.0 - cfg.beta1
-    m *= cfg.beta1
+    g *= 1.0 - BETA1
+    m *= BETA1
     m += g
     np.divide(m, correct1, out=g)
-    g *= cfg.learning_rate
+    g *= lr
     np.divide(v, correct2, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += cfg.epsilon
+    scratch += EPSILON
     g /= scratch
     theta -= g
 
@@ -395,7 +392,10 @@ EVAL_CHUNK_TOKENS = 512
 # Training: a chunk's traced memory grows by about 20 KB a token at paper
 # dims (backward caches of about 17 KB and the backward's transients), so a
 # full chunk takes about 5 MB, and it runs 46-54-token tweets four or five
-# at a time and a batch of sixteen 12-token tweets as one chunk.
+# at a time and a batch of sixteen 12-token tweets as one chunk. It stays
+# at 256 because 512 measured no faster: on perfbench's train-longseq
+# (2-vCPU host, 10 alternating 20-s pairs) items_per_ref_s read 132.7 ->
+# 128.1, better in 2 of 10 pairs, and peak_rss_mb 85.6 -> 90.6.
 TRAIN_CHUNK_TOKENS = 256
 
 

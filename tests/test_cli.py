@@ -153,13 +153,15 @@ class TestPipeline:
         assert len(out.read_text().splitlines()) == 2
 
     def test_manifest_with_retired_options_still_predicts(self, workspace, tmp_path):
-        """Checkpoints written before the clip mode, the second noise site and
-        the dense-bias switch were retired keep those keys; they are ignored,
-        and eval never used the first two."""
+        """Checkpoints written before the clip mode, the second noise site,
+        the dense-bias switch and Adam's beta1, beta2 and epsilon were retired
+        keep those keys; they are ignored, and eval never used any but the
+        dense bias."""
         stem = tmp_path / "old"
         manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
         manifest["hyperparameters"].update(
-            {"clip_mode": "value", "second_noise_site": "logits", "dense_bias": False}
+            {"clip_mode": "value", "second_noise_site": "logits", "dense_bias": False,
+             "beta1": 0.5, "beta2": 0.5, "epsilon": 1.0}
         )
         Path(f"{stem}.json").write_text(json.dumps(manifest))
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
@@ -867,6 +869,14 @@ class TestExitCodes:
                  "--checkpoint-dir", "c", "--batch-size", "banana"])
         assert err.value.code == 2
 
+    def test_retired_adam_flag_is_bad_argument(self, workspace, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                 "--checkpoint-dir", tmp_path / "ckpt", "--beta1", "0.8"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --beta1 0.8" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     def test_config_value_out_of_range(self, workspace, tmp_path):
         code = run(["train", "--train-file", workspace["clean"],
                     "--vocab", workspace["vocab"],
@@ -914,8 +924,9 @@ class TestExitCodes:
         ({"noise_std": None}, "noise_std must be float, got None"),
         ({"no_such_knob": 1}, "unknown config keys: no_such_knob"),
         ({"clip_mode": "value", "dense_bias": False}, "unknown config keys: clip_mode, dense_bias"),
+        ({"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}, "unknown config keys: beta1, beta2, epsilon"),
     ], ids=["list", "unknown-profile", "list-profile", "int-as-str", "int-as-float", "int-as-bool",
-            "float-as-str", "float-as-null", "unknown-key", "retired-keys"])
+            "float-as-str", "float-as-null", "unknown-key", "retired-keys", "retired-adam-keys"])
     def test_bad_config_file_names_file_and_key(self, workspace, tmp_path, capsys, content, says):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(content))
@@ -1043,7 +1054,7 @@ class TestConfiguration:
         """One flag per TrainConfig field plus the command's fixed options;
         a new option has to change this test on purpose."""
         fields = [
-            "batch_size", "learning_rate", "beta1", "beta2", "epsilon", "clip_norm",
+            "batch_size", "learning_rate", "clip_norm",
             "spatial_dropout", "capsule_dropout", "noise_std", "routing_iters",
             "max_epochs", "patience", "seed", "embed_dim", "hidden_dim",
             "num_capsules", "capsule_dim",
@@ -1054,6 +1065,13 @@ class TestConfiguration:
         expected = ["-h", "--help"] + fixed + ["--config", "--profile"]
         expected += ["--" + name.replace("_", "-") for name in fields]
         assert options == expected
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        count, keys = re.search(r"The keys are the (\d+) flag names with `_` for `-` \((.*?)\)", readme, re.S).groups()
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert re.findall(r"`(\w+)`", keys) == names
+        assert int(count) == len(names)
 
     @pytest.mark.parametrize("command, options, optional", [
         ("evaluate", ["--input", "--vocab", "--checkpoint", "--output"], ["--output"]),

@@ -134,7 +134,7 @@ class TestClipGradients:
         dense = {"e": np.zeros((12, 5)), "w": grads["w"].copy()}
         dense["e"][rows] = grads["e"]
         norm = dense_clip(dense, clip_norm)
-        clip_gradients(grads, clip_norm)
+        assert clip_gradients(grads, clip_norm) == norm  # the pre-clip norm, bitwise
         assert (norm > clip_norm) == (clip_norm == 1.0)
         np.testing.assert_array_equal(grads["e"], dense["e"][rows])
         np.testing.assert_array_equal(grads["w"], dense["w"])
@@ -470,10 +470,13 @@ class TestModelParams:
             TrainConfig(clip_norm=0.0).validate()
         with pytest.raises(TypeError):  # the clip mode is no longer an option
             TrainConfig(clip_mode="nonsense")
+        for name in ("beta1", "beta2", "epsilon"):  # nor are Adam's constants
+            with pytest.raises(TypeError):
+                TrainConfig(**{name: math.nan})
         TrainConfig().validate()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["learning_rate", "clip_norm", "epsilon", "noise_std"])
+    @pytest.mark.parametrize("name", ["learning_rate", "clip_norm", "noise_std"])
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             TrainConfig(**{name: value}).validate()

@@ -123,17 +123,18 @@ def dense_clip(grads: dict, clip_norm: float) -> float:
 
 
 def dense_adam(tensors: dict, grads: dict, m: dict, v: dict, t: int, cfg) -> None:
-    correct1 = 1.0 - cfg.beta1**t
-    correct2 = 1.0 - cfg.beta2**t
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8  # Kingma & Ba's, not imported from src: an independent oracle
+    correct1 = 1.0 - beta1**t
+    correct2 = 1.0 - beta2**t
     for name, theta in tensors.items():
         g = grads[name]
-        m[name] *= cfg.beta1
-        m[name] += (1.0 - cfg.beta1) * g
-        v[name] *= cfg.beta2
-        v[name] += (1.0 - cfg.beta2) * (g * g)
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
         m_hat = m[name] / correct1
         v_hat = v[name] / correct2
-        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
 
 
 def dense_train(train_set, dev_set, params, cfg):
