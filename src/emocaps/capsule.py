@@ -17,12 +17,6 @@ from .errors import ShapeMismatch
 from .nn import softmax, softmax_backward
 
 
-def init_capsule(num_capsules, input_dim, capsule_dim, rng) -> np.ndarray:
-    """Glorot-uniform W (num_capsules, input_dim, capsule_dim), one transform per output capsule."""
-    limit = np.sqrt(6.0 / (input_dim + capsule_dim))
-    return rng.uniform(-limit, limit, size=(num_capsules, input_dim, capsule_dim))
-
-
 def squash(s: np.ndarray) -> np.ndarray:
     """Scale vectors (last axis) so the norm maps into [0, 1), direction kept.
 

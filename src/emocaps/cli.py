@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,9 +117,7 @@ def _resolve_config(args) -> TrainConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    cfg = TrainConfig(**values)
-    cfg.validate()
-    return cfg
+    return TrainConfig(**values)
 
 
 def load_dataset(path, labeled: bool = True) -> list:
@@ -232,13 +230,12 @@ def _load_embedding_payload(stem, vocab: Vocabulary, vocab_path, cfg: TrainConfi
     if W.ndim != 2 or W.shape[1] == 0:
         raise MalformedHeader(f"{stem}.json: tensor embedding/W_e has shape {W.shape}, expected (rows, dim)")
     if W.shape[1] != cfg.embed_dim:
-        # payload wins; dims must agree with the model we are about to build
+        # payload wins: cmd_train builds the model at the payload's width
         print(
             f"warning: embedding payload {stem} is {W.shape[1]}-dimensional; "
             f"using that instead of embed_dim {cfg.embed_dim}",
             file=sys.stderr,
         )
-        cfg.embed_dim = W.shape[1]
     return EmbeddingTable(weights=W.astype(np.float64, copy=False))
 
 
@@ -254,6 +251,7 @@ def cmd_train(args) -> int:
 
     if args.embeddings_payload:
         table = _load_embedding_payload(args.embeddings_payload, vocab, args.vocab, cfg)
+        cfg = replace(cfg, embed_dim=table.weights.shape[1])
     else:
         table = build_embedding(vocab, {}, cfg.embed_dim, cfg.seed)
     params = init_model(cfg, table)
@@ -285,9 +283,8 @@ def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
     if not isinstance(hp, dict):
         raise MalformedHeader(f"{checkpoint}.json: hyperparameters are not a JSON object")
     # keys this version does not know (options since retired) are ignored
-    cfg = TrainConfig(**_typed_config(hp, f"{checkpoint}.json"))
     try:
-        cfg.validate()
+        cfg = TrainConfig(**_typed_config(hp, f"{checkpoint}.json"))
     except ValueError as exc:
         raise MalformedHeader(f"{checkpoint}.json: {exc}") from None
     return ModelParams.from_tensors(tensors, f"{checkpoint}.json"), cfg

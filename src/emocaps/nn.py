@@ -31,7 +31,9 @@ def softmax_backward(grad_probs: np.ndarray, probs: np.ndarray, axis: int = -1) 
 
 
 def glorot_uniform(shape, rng) -> np.ndarray:
-    fan_in, fan_out = shape[0], shape[-1]
+    """Glorot & Bengio's (2010) uniform draw, fans from the last two axes:
+    a stack of (fan_in, fan_out) matrices shares one limit."""
+    fan_in, fan_out = shape[-2], shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
@@ -270,10 +272,6 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
 class DenseParams:
     W: np.ndarray  # (input_dim, N_CLASSES)
     b: np.ndarray  # (N_CLASSES,)
-
-
-def init_dense(input_dim: int, rng) -> DenseParams:
-    return DenseParams(W=glorot_uniform((input_dim, N_CLASSES), rng), b=np.zeros(N_CLASSES))
 
 
 def dense_forward(c: np.ndarray, p: DenseParams) -> np.ndarray:

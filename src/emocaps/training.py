@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .capsule import CapsuleCache, capsule_layer, capsule_layer_backward, init_capsule
+from .capsule import CapsuleCache, capsule_layer, capsule_layer_backward
 from .embeddings import PAD, RESERVED, EmbeddingTable, embed, embed_backward
 from .errors import (
     DimensionMismatch,
@@ -50,7 +50,7 @@ from .nn import (
     bigru_forward,
     dense_backward,
     dense_forward,
-    init_dense,
+    glorot_uniform,
     init_gru,
     predict_class,
     softmax,
@@ -60,8 +60,11 @@ PAD_ID = RESERVED.index(PAD)  # embedding row pinned to zero; its gradient is ze
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's, fixed at Kingma & Ba's (2015) values
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Every setting of a run. Frozen and checked when built, so any config
+    in hand is valid; `dataclasses.replace` makes a changed copy."""
+
     batch_size: int = 512
     learning_rate: float = 1e-3
     clip_norm: float = 1.0
@@ -77,27 +80,23 @@ class TrainConfig:
     num_capsules: int = 16
     capsule_dim: int = 32
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
-        for name in ("learning_rate", "clip_norm", "noise_std"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("spatial_dropout", "capsule_dropout"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
-        for name in ("learning_rate", "clip_norm"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be non-negative")
-        if self.routing_iters < 1 or self.max_epochs < 1 or self.patience < 0:
-            raise ValueError("routing_iters/max_epochs must be >= 1, patience >= 0")
-        for name in ("embed_dim", "hidden_dim", "num_capsules", "capsule_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        """Raise ValueError naming the first setting out of its range."""
+        counts = ("batch_size", "routing_iters", "max_epochs", "embed_dim", "hidden_dim", "num_capsules", "capsule_dim")
+        for names, in_range, rule in (
+            (("learning_rate", "clip_norm", "noise_std"), math.isfinite, "finite"),
+            (("spatial_dropout", "capsule_dropout"), lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+            (("learning_rate", "clip_norm"), lambda v: v > 0.0, "positive"),
+            (("noise_std", "patience", "seed"), lambda v: v >= 0, "non-negative"),
+            (counts, lambda v: v >= 1, "at least 1"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if not in_range(value):
+                    raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 # the names checkpoints, clipping and Adam give to gru.*[0] and gru.*[1]
@@ -167,8 +166,8 @@ def init_model(cfg: TrainConfig, embedding: EmbeddingTable) -> ModelParams:
     return ModelParams(
         embedding=embedding,
         gru=init_gru(cfg.embed_dim, cfg.hidden_dim, rng),
-        capsule=init_capsule(cfg.num_capsules, 2 * cfg.hidden_dim, cfg.capsule_dim, rng),
-        dense=init_dense(cfg.num_capsules * cfg.capsule_dim, rng),
+        capsule=glorot_uniform((cfg.num_capsules, 2 * cfg.hidden_dim, cfg.capsule_dim), rng),
+        dense=DenseParams(W=glorot_uniform((cfg.num_capsules * cfg.capsule_dim, N_CLASSES), rng), b=np.zeros(N_CLASSES)),
     )
 
 
@@ -489,7 +488,6 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
 
     Returns (params, history): one history dict per completed epoch.
     """
-    cfg.validate()
     train_set = list(train_set)
     dev_set = list(dev_set)
     W = params.embedding.weights

@@ -7,13 +7,12 @@ from emocaps.capsule import (
     capsule_layer,
     capsule_layer_backward,
     dynamic_routing,
-    init_capsule,
     routing_backward,
     squash,
     squash_backward,
 )
 from emocaps.errors import ShapeMismatch
-from emocaps.nn import softmax_backward
+from emocaps.nn import glorot_uniform, softmax_backward
 from gradcheck import finite_diff_check
 import eval_oracle
 
@@ -329,7 +328,7 @@ class TestMatmulContractions:
     @pytest.mark.parametrize("J,d_in,d_out", [(16, 256, 32), (3, 5, 2)], ids=["paper", "small"])
     def test_match_einsum_oracle(self, lengths, r, J, d_in, d_out):
         rng = np.random.default_rng([sum(lengths), r])
-        p = init_capsule(J, d_in, d_out, rng)
+        p = glorot_uniform((J, d_in, d_out), rng)
         H = rng.uniform(-1.0, 1.0, size=(sum(lengths), d_in))  # Bi-GRU outputs lie in (-1, 1)
         grad_flat = rng.normal(size=(len(lengths), J * d_out))
 
@@ -359,7 +358,7 @@ class TestMatmulContractions:
 
 class TestCapsuleLayer:
     def test_full_configuration_shapes(self):
-        p = init_capsule(16, 256, 32, np.random.default_rng(23))
+        p = glorot_uniform((16, 256, 32), np.random.default_rng(23))
         H = np.random.default_rng(24).normal(size=(7, 256))
         flat, _ = capsule_layer(H, [7], p, iterations=2)
         assert flat.shape == (1, 512)
@@ -427,10 +426,3 @@ class TestCapsuleLayer:
             alone_W += g_W
         np.testing.assert_allclose(grad_W, alone_W, rtol=0, atol=1e-13)
 
-    def test_init_capsule_deterministic_and_bounded(self):
-        a = init_capsule(4, 6, 3, np.random.default_rng(31))
-        b = init_capsule(4, 6, 3, np.random.default_rng(31))
-        np.testing.assert_array_equal(a, b)
-        limit = math.sqrt(6.0 / 9.0)
-        assert np.all(np.abs(a) <= limit)
-        assert a.shape == (4, 6, 3)

@@ -863,6 +863,17 @@ class TestExitCodes:
         assert f"{dev}:2:" in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
 
+    def test_empty_dev_file_names_file_and_leaves_no_checkpoint_dir(self, workspace, tmp_path, capsys):
+        dev = tmp_path / "empty.tsv"
+        dev.write_text("")
+        capsys.readouterr()
+        code = run(["train", "--train-file", workspace["clean"], "--dev-file", dev,
+                    "--vocab", workspace["vocab"], "--checkpoint-dir", tmp_path / "ckpt"]
+                   + TINY_FLAGS)
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {dev} contains no examples\n"
+        assert not (tmp_path / "ckpt").exists()
+
     def test_unparseable_flag_value(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(["train", "--train-file", "x", "--vocab", "v",
@@ -904,6 +915,38 @@ class TestExitCodes:
         assert code == 2
         assert "bad arguments: learning_rate must be finite" in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["build-vocab", "train"])
+    def test_negative_seed_is_bad_argument_before_anything_is_read(self, tmp_path, capsys, command, source):
+        missing = tmp_path / "missing.tsv"  # never opened: the config is checked first
+        argv = {
+            "build-vocab": ["build-vocab", "--inputs", missing, "--vocab", tmp_path / "vocab.tsv",
+                            "--embedding-out", tmp_path / "emb"],
+            "train": ["train", "--train-file", missing, "--vocab", missing, "--checkpoint-dir", tmp_path / "ckpt"],
+        }[command]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
+            argv += ["--config", tmp_path / "cfg.json"]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "bad arguments: seed must be non-negative, got -1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if source == "config" else [])
+
+    def test_negative_seed_in_manifest_names_manifest(self, workspace, tmp_path, capsys):
+        stem = tmp_path / "model"
+        manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
+        manifest["hyperparameters"]["seed"] = -1
+        Path(f"{stem}.json").write_text(json.dumps(manifest))
+        Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
+        capsys.readouterr()
+        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+                    "--checkpoint", stem, "--output", tmp_path / "out"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {stem}.json: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_config_key(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"

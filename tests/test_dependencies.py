@@ -2,15 +2,18 @@
 package names the standard library, numpy or the package itself. And
 errors holds the one reader and the one writer of files: no other module
 opens a file to read it as text (errors.text_lines), nor writes or
-renames one (errors.replacing)."""
+renames one (errors.replacing). And every function the benchmark traces or
+breaks on purpose is still there under its name."""
 
 import ast
 import sys
+import types
 from pathlib import Path
 
 import emocaps
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "emocaps"}
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_imports_are_stdlib_numpy_or_emocaps():
@@ -100,3 +103,16 @@ def test_only_errors_writes_files():
             if isinstance(node, ast.Call) and _writes(node)
         ]
     assert writes == []
+
+
+def test_benchmark_span_targets_resolve():
+    """Every function the benchmark's tracer wraps, and every one its smoke
+    test breaks to see the output check fail, exists under its name: the
+    tracer counts a missing one instead of failing, and this suite does not
+    run the smoke test. spans.py (standard library only) runs from its
+    source text, so no bytecode is written beside it."""
+    spans = types.ModuleType("spans")
+    exec(compile(SPANS.read_text("utf-8"), str(SPANS), "exec"), spans.__dict__)
+    seams = [("emocaps.training", "predict_class"), ("emocaps.training", "clip_gradients"), ("emocaps.textprep", "spell_correct")]
+    targets = [(module, path) for module, path, _, _ in spans.TARGETS] + seams
+    assert [f"{module}.{path}" for module, path in targets if spans._resolve(module, path) is None] == []

@@ -239,6 +239,12 @@ class TestLoadWord2vec:
         with pytest.raises(DimensionMismatch):
             load_word2vec(path, fmt="text")
 
+    def test_unknown_format_is_refused(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("1 2\nhi 0.5 -0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^unknown word2vec format: 'csv'$"):
+            load_word2vec(path, fmt="csv")
+
     def test_duplicates_keep_first(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("2 1\nhi 1.0\nhi 2.0\n", encoding="utf-8")

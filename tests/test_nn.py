@@ -16,7 +16,6 @@ from emocaps.nn import (
     dense_backward,
     dense_forward,
     glorot_uniform,
-    init_dense,
     init_gru,
     predict_class,
     softmax,
@@ -176,6 +175,14 @@ class TestActivations:
         np.testing.assert_array_equal(a, b)
         limit = math.sqrt(6.0 / 50.0)
         assert np.all(np.abs(a) <= limit)
+
+    def test_glorot_fans_from_last_two_axes(self):
+        """A (J, d, o) stack, as of the capsule transforms, is one draw with
+        the limit of its (d, o) matrices; the model's weights depend on it."""
+        J, d, o = 4, 6, 3
+        limit = math.sqrt(6.0 / (d + o))
+        expected = np.random.default_rng(31).uniform(-limit, limit, (J, d, o))
+        np.testing.assert_array_equal(glorot_uniform((J, d, o), np.random.default_rng(31)), expected)
 
 
 class TestGruCell:
@@ -380,8 +387,7 @@ class TestDenseSoftmax:
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(15)
-        p = init_dense(8, rng)
-        p.b[:] = rng.normal(size=N_CLASSES)
+        p = DenseParams(W=glorot_uniform((8, N_CLASSES), rng), b=rng.normal(size=N_CLASSES))
         for _ in range(20):
             probs = softmax(dense_forward(rng.normal(scale=3, size=8), p))
             assert abs(probs.sum() - 1.0) < 1e-12
@@ -389,8 +395,7 @@ class TestDenseSoftmax:
 
     def test_backward_finite_difference(self):
         rng = np.random.default_rng(17)
-        p = init_dense(5, rng)
-        p.b[:] = rng.normal(size=N_CLASSES)
+        p = DenseParams(W=glorot_uniform((5, N_CLASSES), rng), b=rng.normal(size=N_CLASSES))
         c = rng.normal(size=(3, 5))
         R = rng.normal(size=(3, N_CLASSES))
 
@@ -402,7 +407,7 @@ class TestDenseSoftmax:
         assert finite_diff_check(loss_and_grad, {"W": p.W, "b": p.b, "c": c}) < 1e-8
 
     def test_shape_mismatch(self):
-        p = init_dense(4, np.random.default_rng(0))
+        p = DenseParams(W=np.zeros((4, N_CLASSES)), b=np.zeros(N_CLASSES))
         with pytest.raises(ShapeMismatch):
             dense_forward(np.zeros(5), p)
         with pytest.raises(ShapeMismatch):

@@ -12,9 +12,9 @@ import emocaps.training as training
 import eval_oracle
 import gru_oracle
 import train_oracle
-from emocaps.capsule import capsule_layer, capsule_layer_backward, init_capsule
+from emocaps.capsule import capsule_layer, capsule_layer_backward
 from emocaps.embeddings import EmbeddingTable
-from emocaps.nn import N_CLASSES, bigru_backward, bigru_forward, init_gru
+from emocaps.nn import N_CLASSES, bigru_backward, bigru_forward, glorot_uniform, init_gru
 from emocaps.training import TRAIN_CHUNK_TOKENS, TrainConfig, init_model, train
 from gradcheck import chunk_loss_and_grads, finite_diff_check
 from test_capsule import einsum_grad_H, einsum_grad_W, einsum_predict_vectors, einsum_routing_backward
@@ -172,7 +172,7 @@ def test_paper_dims_chunk_backwards_match_oracles(lengths):
     rng = np.random.default_rng(len(lengths))
     gru = init_gru(cfg.embed_dim, cfg.hidden_dim, rng)
     gru.b[:] = rng.normal(scale=0.3, size=gru.b.shape)
-    W = init_capsule(cfg.num_capsules, 2 * cfg.hidden_dim, cfg.capsule_dim, rng)
+    W = glorot_uniform((cfg.num_capsules, 2 * cfg.hidden_dim, cfg.capsule_dim), rng)
     X = rng.uniform(-0.3, 0.3, size=(sum(lengths), cfg.embed_dim))
     grad_flat = rng.normal(size=(len(lengths), cfg.num_capsules * cfg.capsule_dim))
 
@@ -282,7 +282,7 @@ def test_capsule_backward_frees_its_routing_blocks():
     where keeping both to the end took 12.1. A second call on the spent
     cache raises."""
     rng = np.random.default_rng(3)
-    W = init_capsule(16, 256, 32, rng)
+    W = glorot_uniform((16, 256, 32), rng)
     tracemalloc.start()
     try:
         _, cache = capsule_layer(rng.uniform(-1.0, 1.0, size=(250, 256)), [50] * 5, W, iterations=3)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -403,6 +405,24 @@ class TestForwardFull:
         assert all(np.any(g != 0.0) for g in grads.values())
 
 
+RANGE_CASES = [  # every range rule of TrainConfig.validate, as (field, value, message)
+    ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
+    ("clip_norm", -1.0, "clip_norm must be positive, got -1.0"),
+    ("spatial_dropout", 1.0, "spatial_dropout must be in [0, 1), got 1.0"),
+    ("capsule_dropout", -0.25, "capsule_dropout must be in [0, 1), got -0.25"),
+    ("noise_std", -0.1, "noise_std must be non-negative, got -0.1"),
+    ("patience", -1, "patience must be non-negative, got -1"),
+    ("seed", -1, "seed must be non-negative, got -1"),
+    ("batch_size", 0, "batch_size must be at least 1, got 0"),
+    ("routing_iters", 0, "routing_iters must be at least 1, got 0"),
+    ("max_epochs", 0, "max_epochs must be at least 1, got 0"),
+    ("embed_dim", 0, "embed_dim must be at least 1, got 0"),
+    ("hidden_dim", 0, "hidden_dim must be at least 1, got 0"),
+    ("num_capsules", 0, "num_capsules must be at least 1, got 0"),
+    ("capsule_dim", 0, "capsule_dim must be at least 1, got 0"),
+]
+
+
 class TestModelParams:
     def test_tensor_round_trip(self):
         cfg = tiny_config()
@@ -464,13 +484,21 @@ class TestModelParams:
             init_model(cfg, table)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(spatial_dropout=1.0).validate()
-        with pytest.raises(ValueError):
-            TrainConfig(clip_norm=0.0).validate()
         with pytest.raises(TypeError):  # the clip mode is no longer an option
             TrainConfig(clip_mode="nonsense")
-        TrainConfig().validate()
+        TrainConfig()
+        TrainConfig(spatial_dropout=0.0, capsule_dropout=0.0, noise_std=0.0, patience=0, seed=0, batch_size=1)
+
+    @pytest.mark.parametrize("name, value, message", RANGE_CASES, ids=[name for name, _, _ in RANGE_CASES])
+    def test_out_of_range_value_rejected_when_built(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{name: value})
+
+    def test_config_is_frozen(self):
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = -1
+        assert dataclasses.replace(cfg, seed=3) == TrainConfig(seed=3)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["beta1", "beta2", "epsilon"])
@@ -482,7 +510,7 @@ class TestModelParams:
     @pytest.mark.parametrize("name", ["learning_rate", "clip_norm", "noise_std"])
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            TrainConfig(**{name: value}).validate()
+            TrainConfig(**{name: value})
 
 
 def toy_setup(toy_examples, **overrides):
