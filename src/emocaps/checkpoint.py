@@ -79,9 +79,9 @@ def load_checkpoint(stem):
     Tensor dict order follows the manifest; each tensor is read straight
     into its own fresh, writable array, so a load holds every tensor once.
     Raises TruncatedFile when the payload is shorter than the manifest
-    describes, MalformedHeader when the manifest is unreadable, malformed
-    or disagrees with the payload size. Every message names the file it
-    is about.
+    describes, MalformedHeader when the manifest is unreadable, malformed,
+    lists a tensor name twice or disagrees with the payload size. Every
+    message names the file it is about.
     """
     manifest_path, payload_path = f"{stem}.json", f"{stem}.bin"
     with text_lines(manifest_path, keepends=True) as lines:
@@ -103,6 +103,8 @@ def load_checkpoint(stem):
         size = os.fstat(f.fileno()).st_size
         for index, entry in enumerate(manifest["tensors"]):
             name, shape, dtype = _tensor_layout(entry, index, manifest_path)
+            if name in tensors:
+                raise MalformedHeader(f"{manifest_path}: tensor {name!r} is listed twice")
             nbytes = math.prod(shape) * dtype.itemsize  # a Python int: a huge shape must not wrap
             if offset + nbytes > size:
                 raise TruncatedFile(

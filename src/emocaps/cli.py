@@ -1,9 +1,11 @@
 """Command-line entry point: preprocess, build-vocab, train, evaluate, predict.
 
-Configuration is a flat JSON file; every key can be overridden by a flag of
-the same name, and --profile picks between the full-scale and desk-scale
-defaults. train/evaluate/predict consume preprocessed files (whitespace
-tokenized), so the text pipeline runs exactly once, in `preprocess`.
+Configuration is a flat JSON file of TrainConfig keys, and --profile picks
+the full-scale or desk-scale defaults. `train` has a flag per key that
+overrides the file; `build-vocab` has only --embed-dim and --seed, the two
+it reads. TrainConfig checks the config in effect when it is built.
+train/evaluate/predict consume preprocessed (whitespace tokenized) files,
+so the text pipeline runs exactly once, in `preprocess`.
 
 Exit codes: 0 success, 2 bad arguments, 3 data or file error, 4 numeric
 failure.
@@ -49,51 +51,40 @@ PROFILES = {
         "batch_size": 32,
     },
 }
+CONFIG_KEYS = tuple(f.name for f in fields(TrainConfig))
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per TrainConfig field, plus --config and --profile."""
+
+def _add_config_flags(parser: argparse.ArgumentParser, names=CONFIG_KEYS) -> None:
+    """--config and --profile, then one flag per TrainConfig field in `names`."""
     parser.add_argument("--config", help="flat JSON config file; flags override its keys")
     parser.add_argument("--profile", choices=sorted(PROFILES), help="dimension/batch preset")
-    for f in fields(TrainConfig):
-        parser.add_argument(
-            f"--{f.name.replace('_', '-')}",
-            dest=f.name,
-            type=type(f.default),
-            default=None,
-            help=f"default {f.default}",
-        )
-
-
-def _typed_config(values: dict, where) -> dict:
-    """Check each TrainConfig key in `values` against its field's type and
-    return those entries. An int is accepted for a float field and becomes a
-    float; a bool is not a number. Errors name `where` and the key."""
-    out = {}
-    for f in fields(TrainConfig):
-        if f.name not in values:
-            continue
-        value, kind = values[f.name], type(f.default)
-        if kind is float and type(value) is int:
-            value = float(value)
-        if type(value) is not kind:
-            raise MalformedLine(f"{where}: {f.name} must be {kind.__name__}, got {value!r}")
-        out[f.name] = value
-    return out
+    for name in names:
+        default = getattr(TrainConfig(), name)
+        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=type(default), help=f"default {default}")
 
 
 def _read_config_file(path) -> dict:
     """The keys of a flat JSON config file: TrainConfig fields plus an
-    optional "profile". Any other key, or a value of the wrong type, is an
-    error naming the file."""
+    optional "profile". Any other key, a repeated key or an unknown profile
+    is an error naming the file."""
     with text_lines(path, keepends=True) as lines:
         text = "".join(line for _, line in lines)
+
+    def once(pairs):
+        loaded = {}
+        for key, value in pairs:
+            if key in loaded:
+                raise MalformedLine(f"{path}: repeated config key {key!r}")
+            loaded[key] = value
+        return loaded
+
     try:
-        loaded = json.loads(text)
+        loaded = json.loads(text, object_pairs_hook=once)
     except json.JSONDecodeError as exc:
         raise MalformedLine(f"{path}: {exc}") from exc
     if not isinstance(loaded, dict):
         raise MalformedLine(f"{path}: expected a JSON object of config keys")
-    unknown = set(loaded) - {f.name for f in fields(TrainConfig)} - {"profile"}
+    unknown = set(loaded) - {*CONFIG_KEYS, "profile"}
     if unknown:
         raise MalformedLine(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     profiles = sorted(PROFILES)
@@ -103,21 +94,20 @@ def _read_config_file(path) -> dict:
 
 
 def _resolve_config(args) -> TrainConfig:
-    """Defaults, then profile, then config file, then explicit flags."""
-    names = {f.name for f in fields(TrainConfig)}
-    values = {}
-    if args.profile:
-        values.update(PROFILES[args.profile])
+    """Defaults, then profile, then config file, then explicit flags. Flags
+    and profiles are typed, so a TypeError comes from the config file."""
+    values = dict(PROFILES[args.profile]) if args.profile else {}
     if args.config:
         loaded = _read_config_file(args.config)
-        if "profile" in loaded and not args.profile:
-            values.update(PROFILES[loaded["profile"]])
-        values.update(_typed_config(loaded, args.config))
-    for name in names:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    return TrainConfig(**values)
+        profile = loaded.pop("profile", None)
+        if profile and not args.profile:
+            values.update(PROFILES[profile])
+        values.update(loaded)
+    values.update((key, value) for key, value in vars(args).items() if key in CONFIG_KEYS and value is not None)
+    try:
+        return TrainConfig(**values)
+    except TypeError as exc:
+        raise MalformedLine(f"{args.config}: {exc}") from None
 
 
 def load_dataset(path, labeled: bool = True) -> list:
@@ -282,10 +272,9 @@ def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
     hp = manifest.get("hyperparameters", {})
     if not isinstance(hp, dict):
         raise MalformedHeader(f"{checkpoint}.json: hyperparameters are not a JSON object")
-    # keys this version does not know (options since retired) are ignored
-    try:
-        cfg = TrainConfig(**_typed_config(hp, f"{checkpoint}.json"))
-    except ValueError as exc:
+    try:  # keys of options since retired are ignored
+        cfg = TrainConfig(**{key: value for key, value in hp.items() if key in CONFIG_KEYS})
+    except (TypeError, ValueError) as exc:
         raise MalformedHeader(f"{checkpoint}.json: {exc}") from None
     return ModelParams.from_tensors(tensors, f"{checkpoint}.json"), cfg
 
@@ -340,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", help="pretrained word2vec file")
     p.add_argument("--embeddings-format", choices=("binary", "text"), default="binary")
     p.add_argument("--unlabeled", action="store_true")
-    _add_config_flags(p)
+    _add_config_flags(p, ("embed_dim", "seed"))  # the two settings it reads
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("train", help="train on preprocessed data")

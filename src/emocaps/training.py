@@ -62,8 +62,8 @@ BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's, fixed at Kingma & Ba's (2015
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every setting of a run. Frozen and checked when built, so any config
-    in hand is valid; `dataclasses.replace` makes a changed copy."""
+    """Every setting of a run. Frozen and checked when built, types first,
+    so any config in hand is valid; `dataclasses.replace` makes a changed copy."""
 
     batch_size: int = 512
     learning_rate: float = 1e-3
@@ -81,6 +81,13 @@ class TrainConfig:
     capsule_dim: int = 32
 
     def __post_init__(self) -> None:
+        """Raise TypeError naming the first field of the wrong type, then validate."""
+        for f in fields(self):  # an int field takes an int; a float field a float, or an int it converts
+            value, kind = getattr(self, f.name), type(f.default)
+            if kind is float and type(value) is int:
+                object.__setattr__(self, f.name, float(value))
+            elif type(value) is not kind:
+                raise TypeError(f"{f.name} must be {kind.__name__}, got {value!r}")
         self.validate()
 
     def validate(self) -> None:

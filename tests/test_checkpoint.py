@@ -136,9 +136,11 @@ class TestCorruption:
         (lambda m: m["tensors"][0].update(dtype="<U1"), "tensor 'embedding/W_e' has unknown dtype '<U1', not a floating"),
         (lambda m: m["tensors"][1].update(dtype="<i8"), "tensor 'dense/b' has unknown dtype '<i8', not a floating"),
         (lambda m: m["tensors"][2].update(dtype="|b1"), "tensor 'scalarish' has unknown dtype '|b1', not a floating"),
+        # a later entry of the same name would silently replace the earlier tensor
+        (lambda m: m["tensors"][2].update(name="embedding/W_e"), "tensor 'embedding/W_e' is listed twice"),
     ], ids=["tensors-dict", "entry-list", "no-name", "no-shape", "no-dtype",
             "negative-dim", "scalar-shape", "unknown-dtype", "null-dtype", "object-dtype",
-            "str-dtype", "int-dtype", "bool-dtype"])
+            "str-dtype", "int-dtype", "bool-dtype", "repeated-name"])
     def test_malformed_manifest_names_file(self, tmp_path, mangle, says):
         stem = self.make_checkpoint(tmp_path)
         manifest = json.loads((tmp_path / "model.json").read_text())

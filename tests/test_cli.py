@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from functools import partial
@@ -34,6 +35,7 @@ TINY_FLAGS = [
     "--noise-std", "0.0",
     "--seed", "0",
 ]
+VOCAB_FLAGS = ["--embed-dim", "8", "--seed", "0"]  # build-vocab reads only these two settings
 
 
 def run(argv):
@@ -65,7 +67,7 @@ def workspace(tmp_path_factory):
     payload = root / "embed"
     assert run(
         ["build-vocab", "--inputs", clean, "--vocab", vocab, "--embedding-out", payload]
-        + TINY_FLAGS
+        + VOCAB_FLAGS
     ) == 0
 
     ckpt = root / "run1"
@@ -380,7 +382,7 @@ class TestExitCodes:
         data = tmp_path / "two.tsv"
         data.write_text("anger\tone two\njoy\tthree\n")
         assert run(["build-vocab", "--inputs", data, "--vocab", small,
-                    "--embedding-out", tmp_path / "emb"] + TINY_FLAGS) == 0
+                    "--embedding-out", tmp_path / "emb"] + VOCAB_FLAGS) == 0
         code = run(["evaluate", "--input", data, "--vocab", small,
                     "--checkpoint", workspace["ckpt"] / "model"])
         assert code == 3
@@ -586,13 +588,15 @@ class TestExitCodes:
         data.write_text("anger\tangersig0 the\nhappy\tjoysig1 to\n")
         out = tmp_path / "out"
         argv = {
-            "build-vocab": ["build-vocab", "--inputs", data, "--vocab", out, "--embedding-out", tmp_path / "emb"],
-            "train": ["train", "--train-file", data, "--vocab", workspace["vocab"], "--checkpoint-dir", out],
+            "build-vocab": ["build-vocab", "--inputs", data, "--vocab", out, "--embedding-out", tmp_path / "emb",
+                            *VOCAB_FLAGS],
+            "train": ["train", "--train-file", data, "--vocab", workspace["vocab"], "--checkpoint-dir", out,
+                      *TINY_FLAGS],
             "evaluate": ["evaluate", "--input", data, "--vocab", workspace["vocab"],
                          "--checkpoint", workspace["ckpt"] / "model", "--output", out],
         }[command]
         capsys.readouterr()
-        assert run(argv + (TINY_FLAGS if command != "evaluate" else [])) == 3
+        assert run(argv) == 3
         expected = f"error: {data}:2: unknown label 'happy'; expected one of {', '.join(LABELS)}\n"
         assert capsys.readouterr().err == expected
         assert not out.exists()
@@ -725,6 +729,22 @@ class TestExitCodes:
                     workspace["vocab"], "--checkpoint", stem, "--output", out])
         assert code == 3
         assert f"error: {stem}.json: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tensor_listed_twice_names_manifest(self, workspace, tmp_path, capsys):
+        """A second dense/b entry, its bytes appended to the payload, would
+        silently replace the trained bias."""
+        stem = tmp_path / "model"
+        manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
+        manifest["tensors"].append(manifest["tensors"][-1])
+        Path(f"{stem}.json").write_text(json.dumps(manifest))
+        Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes() + bytes(6 * 8))
+        out = tmp_path / "preds.txt"
+        capsys.readouterr()
+        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+                    "--checkpoint", stem, "--output", out])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {stem}.json: tensor 'dense/b' is listed twice\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
@@ -989,6 +1009,23 @@ class TestExitCodes:
                     "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["build-vocab", "train"])
+    def test_repeated_config_key_names_file_and_key(self, tmp_path, capsys, command):
+        """JSON would keep the last of the three seeds, and the -5 would
+        never be checked."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1, "seed": -5, "seed": 2}')
+        missing = tmp_path / "missing.tsv"
+        argv = {
+            "build-vocab": ["build-vocab", "--inputs", missing, "--vocab", tmp_path / "vocab.tsv",
+                            "--embedding-out", tmp_path / "emb"],
+            "train": ["train", "--train-file", missing, "--vocab", missing, "--checkpoint-dir", tmp_path / "ckpt"],
+        }[command]
+        capsys.readouterr()
+        assert run(argv + ["--config", cfg]) == 3
+        assert capsys.readouterr().err == f"error: {cfg}: repeated config key 'seed'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
 
 # the files each command writes, in the order they land
 LANDING = {
@@ -1007,7 +1044,7 @@ def writing_argv(command, workspace, out):
     return {
         "preprocess": ["preprocess", "--input", workspace["raw"], "--output", out / "clean.tsv"],
         "build-vocab": ["build-vocab", "--inputs", workspace["clean"], "--vocab", out / "vocab.tsv",
-                        "--embedding-out", out / "embed", *TINY_FLAGS],
+                        "--embedding-out", out / "embed", *VOCAB_FLAGS],
         "train": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
                   "--checkpoint-dir", out, *TINY_FLAGS],
         "evaluate": ["evaluate", "--input", workspace["clean"], *model, "--output", out / "report.json"],
@@ -1094,8 +1131,9 @@ class TestConfiguration:
                          "--embeddings-format", "--unlabeled"]),
     ])
     def test_configuration_surface(self, command, fixed):
-        """One flag per TrainConfig field plus the command's fixed options;
-        a new option has to change this test on purpose."""
+        """The command's fixed options, --config and --profile, then a flag
+        per TrainConfig field for train, and for build-vocab only the two
+        settings it reads; a new option has to change this test on purpose."""
         fields = [
             "batch_size", "learning_rate", "clip_norm",
             "spatial_dropout", "capsule_dropout", "noise_std", "routing_iters",
@@ -1105,9 +1143,52 @@ class TestConfiguration:
         assert [f.name for f in dataclasses.fields(TrainConfig)] == fields
         subparsers = next(a for a in build_parser()._actions if a.dest == "command")
         options = [o for a in subparsers.choices[command]._actions for o in a.option_strings]
+        settings = {"train": fields, "build-vocab": ["embed_dim", "seed"]}[command]
         expected = ["-h", "--help"] + fixed + ["--config", "--profile"]
-        expected += ["--" + name.replace("_", "-") for name in fields]
+        expected += ["--" + name.replace("_", "-") for name in settings]
         assert options == expected
+
+    def test_build_vocab_refuses_settings_it_does_not_read(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["build-vocab", "--inputs", "x", "--vocab", "v", "--embedding-out", "e", "--hidden-dim", "4"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --hidden-dim 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, code, says", [
+        ({"hidden_dim": "big"}, 3, "error: {cfg}: hidden_dim must be int, got 'big'"),
+        ({"hidden_dim": 0}, 2, "bad arguments: hidden_dim must be at least 1, got 0"),
+    ], ids=["type", "range"])
+    def test_build_vocab_checks_the_whole_config_file(self, tmp_path, capsys, content, code, says):
+        """build-vocab reads two settings but checks every key of the shared
+        file, before any input is read."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        missing = tmp_path / "missing.tsv"
+        capsys.readouterr()
+        assert run(["build-vocab", "--inputs", missing, "--vocab", tmp_path / "vocab.tsv",
+                    "--embedding-out", tmp_path / "emb", "--config", cfg]) == code
+        assert capsys.readouterr().err == says.format(cfg=cfg) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_flag_over_a_wrongly_typed_file_value_is_accepted(self, tmp_path):
+        """The config in effect is checked, so a file value that a flag
+        overrides is never used and never checked."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"batch_size": "big", "seed": 3}))
+        args = build_parser().parse_args(["train", "--train-file", "t", "--vocab", "v", "--checkpoint-dir", "c",
+                                          "--config", str(cfg), "--batch-size", "16"])
+        assert cli._resolve_config(args) == TrainConfig(batch_size=16, seed=3)
+
+    def test_readme_commands_parse(self):
+        """Every `emocaps ...` line of README's sh blocks, its backslash
+        continuations joined, parses: an example naming a removed flag fails."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("emocaps ")]
+        assert {argv[0] for argv in commands} == {"preprocess", "build-vocab", "train", "evaluate", "predict"}
+        for argv in commands:
+            build_parser().parse_args(argv)
 
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -422,6 +422,16 @@ RANGE_CASES = [  # every range rule of TrainConfig.validate, as (field, value, m
     ("capsule_dim", 0, "capsule_dim must be at least 1, got 0"),
 ]
 
+TYPE_CASES = [  # the type rule of TrainConfig, checked before any range, as (field, value, message)
+    ("batch_size", 2.5, "batch_size must be int, got 2.5"),
+    ("seed", 1.5, "seed must be int, got 1.5"),
+    ("hidden_dim", True, "hidden_dim must be int, got True"),
+    ("learning_rate", True, "learning_rate must be float, got True"),
+    ("learning_rate", "0.1", "learning_rate must be float, got '0.1'"),
+    ("noise_std", None, "noise_std must be float, got None"),
+    ("patience", -0.5, "patience must be int, got -0.5"),
+]
+
 
 class TestModelParams:
     def test_tensor_round_trip(self):
@@ -493,6 +503,16 @@ class TestModelParams:
     def test_out_of_range_value_rejected_when_built(self, name, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value, message", TYPE_CASES, ids=[f"{n}={v!r}" for n, v, _ in TYPE_CASES])
+    def test_wrong_type_rejected_when_built(self, name, value, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{name: value})
+
+    def test_int_for_float_field_becomes_float(self):
+        cfg = TrainConfig(learning_rate=1)
+        assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
+        assert cfg == TrainConfig(learning_rate=1.0)
 
     def test_config_is_frozen(self):
         cfg = TrainConfig()
