@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .errors import MalformedHeader, TruncatedFile, replacing, text_lines
+from .errors import MalformedHeader, TruncatedFile, json_object, replacing
 
 FORMAT_VERSION = 2
 
@@ -62,6 +62,8 @@ def _tensor_layout(entry, index: int, where) -> tuple:
         if key not in entry:
             raise MalformedHeader(f"{where}: tensor entry {index} has no {key!r}")
     name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
+    if not isinstance(name, str):
+        raise MalformedHeader(f"{where}: tensor entry {index} has name {name!r}, not a string")
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise MalformedHeader(f"{where}: tensor {name!r} has bad shape {shape!r}")
     try:
@@ -79,19 +81,12 @@ def load_checkpoint(stem):
     Tensor dict order follows the manifest; each tensor is read straight
     into its own fresh, writable array, so a load holds every tensor once.
     Raises TruncatedFile when the payload is shorter than the manifest
-    describes, MalformedHeader when the manifest is unreadable, malformed,
-    lists a tensor name twice or disagrees with the payload size. Every
-    message names the file it is about.
+    describes, MalformedHeader when the manifest is unreadable, repeats a
+    key, is malformed, lists a tensor name twice or disagrees with the
+    payload size. Every message names the file it is about.
     """
     manifest_path, payload_path = f"{stem}.json", f"{stem}.bin"
-    with text_lines(manifest_path, keepends=True) as lines:
-        text = "".join(line for _, line in lines)
-    try:
-        manifest = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedHeader(f"{manifest_path}: unreadable manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise MalformedHeader(f"{manifest_path}: manifest is not a JSON object")
+    manifest = json_object(manifest_path, "manifest")
     if manifest.get("version") != FORMAT_VERSION:
         raise MalformedHeader(f"{manifest_path}: unsupported manifest version: {manifest.get('version')!r}")
     if not isinstance(manifest.get("tensors"), list):

@@ -34,6 +34,7 @@ from .errors import (
     NumericError,
     UnknownLabel,
     VocabularyMismatch,
+    json_object,
     replacing,
     text_lines,
 )
@@ -67,29 +68,13 @@ def _read_config_file(path) -> dict:
     """The keys of a flat JSON config file: TrainConfig fields plus an
     optional "profile". Any other key, a repeated key or an unknown profile
     is an error naming the file."""
-    with text_lines(path, keepends=True) as lines:
-        text = "".join(line for _, line in lines)
-
-    def once(pairs):
-        loaded = {}
-        for key, value in pairs:
-            if key in loaded:
-                raise MalformedLine(f"{path}: repeated config key {key!r}")
-            loaded[key] = value
-        return loaded
-
-    try:
-        loaded = json.loads(text, object_pairs_hook=once)
-    except json.JSONDecodeError as exc:
-        raise MalformedLine(f"{path}: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise MalformedLine(f"{path}: expected a JSON object of config keys")
+    loaded = json_object(path, "config")
     unknown = set(loaded) - {*CONFIG_KEYS, "profile"}
     if unknown:
-        raise MalformedLine(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
+        raise MalformedHeader(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     profiles = sorted(PROFILES)
     if "profile" in loaded and loaded["profile"] not in profiles:
-        raise MalformedLine(f"{path}: profile must be one of {', '.join(profiles)}, got {loaded['profile']!r}")
+        raise MalformedHeader(f"{path}: profile must be one of {', '.join(profiles)}, got {loaded['profile']!r}")
     return loaded
 
 
@@ -107,7 +92,7 @@ def _resolve_config(args) -> TrainConfig:
     try:
         return TrainConfig(**values)
     except TypeError as exc:
-        raise MalformedLine(f"{args.config}: {exc}") from None
+        raise MalformedHeader(f"{args.config}: {exc}") from None
 
 
 def load_dataset(path, labeled: bool = True) -> list:
@@ -184,6 +169,8 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
+    if Path(args.vocab).resolve() in {Path(f"{args.embedding_out}{ext}").resolve() for ext in (".json", ".bin")}:
+        raise ValueError(f"--vocab {args.vocab} is a file of --embedding-out {args.embedding_out}")
     cfg = _resolve_config(args)
     sequences = []
     for path in args.inputs:
@@ -192,11 +179,8 @@ def cmd_build_vocab(args) -> int:
         sequences.extend(text.split() for _, text in examples)
     vocab = Vocabulary.build(sequences)
     # read and check the vectors before writing anything: bad input leaves no output
-    raw = load_word2vec(args.embeddings, fmt=args.embeddings_format) if args.embeddings else {}
-    try:
-        table = build_embedding(vocab, raw, cfg.embed_dim, cfg.seed)
-    except DimensionMismatch as exc:
-        raise DimensionMismatch(f"{args.embeddings}: {exc}") from None
+    raw = load_word2vec(args.embeddings, args.embeddings_format, vocab.word_to_id, cfg.embed_dim) if args.embeddings else {}
+    table = build_embedding(vocab, raw, cfg.embed_dim, cfg.seed)
     with replacing(args.vocab) as handle:
         vocab.write(handle)
         handle.flush()  # written before the payload, landing after it: a failed write lands neither
@@ -207,8 +191,7 @@ def cmd_build_vocab(args) -> int:
             cfg.seed,
             _vocab_sha256(vocab),
         )
-    covered = sum(1 for w in vocab.word_to_id if w in raw)
-    print(f"vocabulary: {len(vocab)} words ({covered} pretrained) -> {args.vocab}")
+    print(f"vocabulary: {len(vocab)} words ({len(raw)} pretrained) -> {args.vocab}")
     return 0
 
 
@@ -373,7 +356,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        # config value out of range: an argument problem, not a data problem
+        # a config value out of range or clashing output paths: an argument problem, not a data problem
         print(f"bad arguments: {exc}", file=sys.stderr)
         return 2
 

@@ -95,41 +95,44 @@ class EmbeddingTable:
     weights: np.ndarray  # (|V|, dim)
 
 
-def load_word2vec(path, fmt: str = "binary") -> dict[str, np.ndarray]:
-    """Parse a word2vec file into word -> float32 vector (first occurrence wins).
+def load_word2vec(path, fmt: str, words, dim: int) -> dict[str, np.ndarray]:
+    """Parse a word2vec file into word -> float32 vector for the words in
+    `words` (first occurrence wins); every entry is read and checked.
 
     Formats: text = header "count dim", then "word v1 ... vd" per line;
     binary = same ASCII header, then per entry the UTF-8 word bytes terminated
-    by a space followed by dim little-endian float32 values. A word that is
-    not UTF-8 raises MalformedLine naming the file and the entry.
+    by a space followed by dim little-endian float32 values. A header whose
+    width is not `dim` raises DimensionMismatch before any entry is read. A
+    word that is not UTF-8 raises MalformedLine naming the file and the entry.
     """
-    if fmt == "binary":
-        return _load_word2vec_binary(path)
-    if fmt == "text":
-        return _load_word2vec_text(path)
-    raise ValueError(f"unknown word2vec format: {fmt!r}")
+    loaders = {"binary": _load_word2vec_binary, "text": _load_word2vec_text}
+    if fmt not in loaders:
+        raise ValueError(f"unknown word2vec format: {fmt!r}")
+    return loaders[fmt](path, words, dim)
 
 
-def _parse_header(header: str, where: str):
-    parts = header.split()
+def _parse_header(header: str, path, dim: int) -> int:
+    """The entry count of file `path`'s "count dim" header, of width `dim`."""
+    if not header.strip():
+        raise MalformedHeader(f"{path}: empty file")
+    where, parts = f"{path}:1", header.split()
     if len(parts) != 2:
         raise MalformedHeader(f"{where}: expected 'count dim', got {header!r}")
     try:
-        count, dim = int(parts[0]), int(parts[1])
+        count, width = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise MalformedHeader(f"{where}: non-integer header fields: {header!r}") from exc
-    if count < 0 or dim <= 0:
+    if count < 0 or width <= 0:
         raise MalformedHeader(f"{where}: invalid header values: {header!r}")
-    return count, dim
+    if width != dim:
+        raise DimensionMismatch(f"{where}: vectors are {width}-dimensional, expected {dim}")
+    return count
 
 
-def _load_word2vec_binary(path) -> dict[str, np.ndarray]:
+def _load_word2vec_binary(path, words, dim: int) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
     with open(path, "rb") as handle:
-        header = handle.readline()
-        if not header:
-            raise MalformedHeader(f"{path}: empty file")
-        count, dim = _parse_header(header.decode("utf-8", errors="replace"), f"{path}:1")
+        count = _parse_header(handle.readline().decode("utf-8", errors="replace"), path, dim)
         vector_bytes = 4 * dim
         for entry in range(count):
             word_chars = bytearray()
@@ -148,18 +151,16 @@ def _load_word2vec_binary(path) -> dict[str, np.ndarray]:
                 word = word_chars.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise MalformedLine(f"{path}: entry {entry + 1} of {count}: word {bytes(word_chars)!r} is not UTF-8 ({exc.reason})") from None
-            vector = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-            table.setdefault(word, vector)
+            if word in words and word not in table:
+                table[word] = np.frombuffer(payload, dtype="<f4").astype(np.float32)
     return table
 
 
-def _load_word2vec_text(path) -> dict[str, np.ndarray]:
+def _load_word2vec_text(path, words, dim: int) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
     with text_lines(path, keepends=True) as lines:  # with ends: a bad header is quoted with its newline
         lineno, header = next(lines, (1, ""))
-        if not header.strip():
-            raise MalformedHeader(f"{path}: empty file")
-        count, dim = _parse_header(header, f"{path}:1")
+        count = _parse_header(header, path, dim)
         for lineno, line in islice(lines, count):
             # the word2vec C tool ends each line with "vd \n"
             parts = line.rstrip().split(" ")
@@ -171,7 +172,8 @@ def _load_word2vec_text(path) -> dict[str, np.ndarray]:
             except ValueError:
                 bad = next(v for v in values if not _is_float(v))
                 raise MalformedLine(f"{path}:{lineno}: entry {word!r} has a non-numeric value {bad!r}", lineno) from None
-            table.setdefault(word, vector)
+            if word in words:
+                table.setdefault(word, vector)
     if lineno <= count:
         raise TruncatedFile(f"{path}:{lineno + 1}: file ended after {lineno - 1} of {count} entries")
     return table
@@ -188,11 +190,6 @@ def _is_float(text: str) -> bool:
 def build_embedding(vocab: Vocabulary, raw_table: dict[str, np.ndarray], dim: int, seed: int) -> EmbeddingTable:
     """Assemble the trainable table: pretrained rows where available, seeded
     uniform(-0.05, 0.05) rows for everything else, zeros for <pad>."""
-    for word, vector in raw_table.items():
-        if len(vector) != dim:
-            raise DimensionMismatch(
-                f"pretrained vector for {word!r} has length {len(vector)}, expected {dim}"
-            )
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-0.05, 0.05, size=(len(vocab), dim))
     for idx, word in enumerate(vocab.id_to_word):

@@ -1,7 +1,10 @@
 """Exception types shared across the package; `text_lines`, the one reader
-of every text file the program is given; `replacing`, its one writer."""
+of every text file the program is given (`json_object` reads JSON with
+it); `replacing`, its one writer."""
 
+import json
 import os
+from collections import Counter
 from contextlib import contextmanager
 from itertools import repeat
 from pathlib import Path
@@ -20,7 +23,7 @@ class IdOutOfRange(EmocapsError):
 
 
 class MalformedHeader(EmocapsError):
-    """A file header or a checkpoint manifest is malformed."""
+    """A file header, a checkpoint manifest or a config file is malformed."""
 
 
 class DimensionMismatch(EmocapsError):
@@ -75,6 +78,27 @@ def text_lines(path, keepends=False):
                 reason = f"can't decode byte {data[exc.start]:#04x} at file offset {exc.start} ({exc.reason})"
                 raise MalformedLine(f"{path}:{line}: not UTF-8 text: {reason}", line) from None
             raise MalformedLine(f"{path}: not UTF-8 text") from None  # it changed since the failed read
+
+
+def json_object(path, what: str) -> dict:
+    """The JSON object in text file `path`, a `what` ("config", "manifest").
+    Text that is not JSON, a key repeated in any object of it, or a value
+    other than an object raises MalformedHeader naming the file."""
+
+    def once(pairs):
+        repeated = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
+        if repeated:
+            raise MalformedHeader(f"{path}: repeated {what} key {repeated[0]!r}")
+        return dict(pairs)
+
+    try:
+        with text_lines(path, keepends=True) as lines:
+            loaded = json.loads("".join(line for _, line in lines), object_pairs_hook=once)
+    except json.JSONDecodeError as exc:
+        raise MalformedHeader(f"{path}: unreadable {what}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise MalformedHeader(f"{path}: {what} is not a JSON object")
+    return loaded
 
 
 @contextmanager

@@ -267,9 +267,10 @@ def test_word2vec_reader(tmp_path):
         for word, vec in entries:
             fh.write(word + " " + " ".join(repr(v) for v in vec) + "\n")
 
-    from_binary = load_word2vec(binary, fmt="binary")
-    from_text = load_word2vec(text, fmt="text")
-    assert set(from_binary) == set(from_text) == {w for w, _ in entries}
+    words = {w for w, _ in entries}
+    from_binary = load_word2vec(binary, "binary", words, 3)
+    from_text = load_word2vec(text, "text", words, 3)
+    assert set(from_binary) == set(from_text) == words
     for word in from_binary:
         assert np.max(np.abs(from_binary[word] - from_text[word])) < 1e-6
 
@@ -278,7 +279,7 @@ def test_word2vec_reader(tmp_path):
     truncated = tmp_path / "short.bin"
     truncated.write_bytes(payload[:-5])
     with pytest.raises(TruncatedFile):
-        load_word2vec(truncated, fmt="binary")
+        load_word2vec(truncated, "binary", words, 3)
     report("word2vec reader")
 
 

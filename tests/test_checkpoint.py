@@ -100,6 +100,13 @@ class TestCorruption:
         with pytest.raises(MalformedHeader):
             load_checkpoint(stem)
 
+    def test_repeated_key_at_any_depth(self, tmp_path):
+        stem = self.make_checkpoint(tmp_path)
+        text = (tmp_path / "model.json").read_text()
+        (tmp_path / "model.json").write_text(text.replace('"name": ', '"name": "x", "name": ', 1))
+        with pytest.raises(MalformedHeader, match="^" + re.escape(f"{tmp_path / 'model.json'}: repeated manifest key 'name'") + "$"):
+            load_checkpoint(stem)
+
     def test_wrong_version(self, tmp_path):
         stem = self.make_checkpoint(tmp_path)
         manifest = json.loads((tmp_path / "model.json").read_text())
@@ -126,6 +133,9 @@ class TestCorruption:
         (lambda m: m.update(tensors={"a": 1}), "manifest has no tensor list"),
         (lambda m: m["tensors"].__setitem__(0, ["a"]), "tensor entry 0 is not an object"),
         (lambda m: m["tensors"][1].pop("name"), "tensor entry 1 has no 'name'"),
+        (lambda m: m["tensors"][1].update(name={"x": 1}), "tensor entry 1 has name {'x': 1}, not a string"),
+        (lambda m: m["tensors"][1].update(name=5), "tensor entry 1 has name 5, not a string"),
+        (lambda m: m["tensors"][1].update(name=None), "tensor entry 1 has name None, not a string"),
         (lambda m: m["tensors"][0].pop("shape"), "tensor entry 0 has no 'shape'"),
         (lambda m: m["tensors"][0].pop("dtype"), "tensor entry 0 has no 'dtype'"),
         (lambda m: m["tensors"][0].update(shape=[2, -1]), "tensor 'embedding/W_e' has bad shape [2, -1]"),
@@ -138,7 +148,7 @@ class TestCorruption:
         (lambda m: m["tensors"][2].update(dtype="|b1"), "tensor 'scalarish' has unknown dtype '|b1', not a floating"),
         # a later entry of the same name would silently replace the earlier tensor
         (lambda m: m["tensors"][2].update(name="embedding/W_e"), "tensor 'embedding/W_e' is listed twice"),
-    ], ids=["tensors-dict", "entry-list", "no-name", "no-shape", "no-dtype",
+    ], ids=["tensors-dict", "entry-list", "no-name", "dict-name", "int-name", "null-name", "no-shape", "no-dtype",
             "negative-dim", "scalar-shape", "unknown-dtype", "null-dtype", "object-dtype",
             "str-dtype", "int-dtype", "bool-dtype", "repeated-name"])
     def test_malformed_manifest_names_file(self, tmp_path, mangle, says):

@@ -236,6 +236,40 @@ class TestPipeline:
         np.testing.assert_array_equal(table.weights, loaded[0].astype(np.float64))
         assert np.shares_memory(table.weights, loaded[0]) == (dtype == "float64")
 
+    @pytest.mark.parametrize("fmt, separator", [("binary", b"\n"), ("binary", b""), ("text", b"\n")],
+                             ids=["binary-newline", "binary-no-newline", "text"])
+    def test_build_vocab_keeps_first_vectors_of_vocabulary_words(self, workspace, tmp_path, capsys, fmt, separator):
+        """build-vocab's bytes against an oracle: every vector of the file,
+        the first of a repeated word, filtered to the vocabulary, over the
+        seeded uniform rows."""
+        vocab = Vocabulary.load(workspace["vocab"])
+        words = vocab.id_to_word[7::2] + [f"zz{i}" for i in range(20)] + [vocab.id_to_word[9], "zz3"]
+        vectors = np.random.default_rng(5).normal(size=(len(words), 8)).astype(np.float32)
+        path = tmp_path / "vecs"
+        with open(path, "wb") as fh:
+            fh.write(f"{len(words)} 8\n".encode())
+            for word, vec in zip(words, vectors):
+                values = vec.astype("<f4").tobytes() if fmt == "binary" else " ".join(map(repr, vec.tolist())).encode()
+                fh.write(word.encode() + b" " + values + separator)
+        everything = {}
+        for word, vec in zip(words, vectors):
+            everything.setdefault(word, vec)
+        kept = {word: vec for word, vec in everything.items() if word in vocab.word_to_id}
+        weights = np.random.default_rng(0).uniform(-0.05, 0.05, size=(len(vocab), 8))
+        for word, vec in kept.items():
+            weights[vocab.word_to_id[word]] = vec
+        weights[0] = 0.0
+
+        capsys.readouterr()
+        assert run(["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+                    "--embedding-out", tmp_path / "emb", "--embeddings", path, "--embeddings-format", fmt]
+                   + VOCAB_FLAGS) == 0
+        assert capsys.readouterr().out == f"vocabulary: {len(vocab)} words ({len(kept)} pretrained) -> {tmp_path / 'vocab.tsv'}\n"
+        assert len(kept) == len(vocab.id_to_word[7::2])
+        assert (tmp_path / "vocab.tsv").read_bytes() == workspace["vocab"].read_bytes()
+        assert (tmp_path / "emb.json").read_bytes() == Path(f"{workspace['payload']}.json").read_bytes()
+        assert (tmp_path / "emb.bin").read_bytes() == weights.astype("<f8").tobytes()
+
     def test_checkpoints_record_vocabulary_fingerprint(self, workspace):
         words = [line.split("\t", 1)[1] for line in workspace["vocab"].read_text().splitlines()]
         expected = hashlib.sha256("\n".join(words).encode("utf-8")).hexdigest()
@@ -332,7 +366,7 @@ def test_byte_order_mark_is_skipped(tmp_path, reader):
         "vocabulary": (b"0\t<pad>\n1\t<unk>\n2\tcat\n", lambda path: Vocabulary.load(path).id_to_word),
         "lexicon": (b"the\t5\ncat\t2\n", lambda path: dict(Lexicon.from_file(path).counts)),
         "word2vec": (b"2 2\ncat 0.5 1\ndog 1 2\n",
-                     lambda path: {w: v.tolist() for w, v in load_word2vec(path, fmt="text").items()}),
+                     lambda path: {w: v.tolist() for w, v in load_word2vec(path, "text", {"cat", "dog"}, 2).items()}),
         "config": (b'{"seed": 3, "profile": "desk"}\n', cli._read_config_file),
         "manifest": (None, lambda path: load_checkpoint(path.with_suffix(""))[1]),
     }[reader]
@@ -674,7 +708,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("vectors_text, embed_dim, message", [
         ("1 3\nhappy 0.1 0.2\n", "3", ":2: entry 'happy' has 2 values, expected 3"),
-        ("1 2\nhappy 0.1 0.2\n", "3", ": pretrained vector for 'happy' has length 2, expected 3"),
+        ("1 2\nhappy 0.1 0.2\n", "3", ":1: vectors are 2-dimensional, expected 3"),
     ], ids=["value-count", "embed-dim"])
     def test_bad_word2vec_writes_nothing(self, workspace, tmp_path, capsys, vectors_text, embed_dim, message):
         vectors = tmp_path / "v.txt"
@@ -695,8 +729,21 @@ class TestExitCodes:
                     "--embedding-out", tmp_path / "emb", "--embeddings", vectors,
                     "--embeddings-format", "binary", "--embed-dim", "3"])
         assert code == 3
-        assert capsys.readouterr().err == f"error: {vectors}: pretrained vector for 'happy' has length 2, expected 3\n"
+        assert capsys.readouterr().err == f"error: {vectors}:1: vectors are 2-dimensional, expected 3\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v.bin"]
+
+    @pytest.mark.parametrize("ext", [".json", ".bin"])
+    def test_vocab_path_of_the_payload_is_bad_argument(self, tmp_path, capsys, ext):
+        """The vocabulary would be renamed onto the payload's own file, or
+        the payload onto the vocabulary, and the run would leave both
+        behind; refused before any input is read."""
+        stem = tmp_path / "emb"
+        capsys.readouterr()
+        code = run(["build-vocab", "--inputs", tmp_path / "missing.tsv", "--vocab", f"{stem}{ext}",
+                    "--embedding-out", stem, "--config", tmp_path / "missing.json"])
+        assert code == 2
+        assert capsys.readouterr().err == f"bad arguments: --vocab {stem}{ext} is a file of --embedding-out {stem}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_manifest_not_an_object(self, workspace, tmp_path, capsys):
         stem = tmp_path / "bad"
@@ -716,7 +763,12 @@ class TestExitCodes:
         lambda m: m["tensors"][1].update(dtype="<f9"),
         lambda m: m.update(hyperparameters=[]),
         lambda m: m["hyperparameters"].update(routing_iters="5"),
-    ], ids=["empty", "no-dtype", "no-name", "null-shape", "unknown-dtype", "hp-list", "hp-type"])
+        lambda m: m["tensors"][3].update(name={"x": 1}),
+        lambda m: m["tensors"][3].update(name=["a"]),
+        lambda m: m["tensors"][3].update(name=5),
+        lambda m: m["tensors"][3].update(name=None),
+    ], ids=["empty", "no-dtype", "no-name", "null-shape", "unknown-dtype", "hp-list", "hp-type",
+            "dict-name", "list-name", "int-name", "null-name"])
     def test_malformed_manifest_names_checkpoint(self, workspace, tmp_path, capsys, mangle):
         stem = tmp_path / "bad"
         manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
@@ -729,6 +781,23 @@ class TestExitCodes:
                     workspace["vocab"], "--checkpoint", stem, "--output", out])
         assert code == 3
         assert f"error: {stem}.json: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["routing_iters", "version"], ids=["nested", "top-level"])
+    def test_repeated_manifest_key_names_manifest_and_key(self, workspace, tmp_path, capsys, key):
+        """JSON would keep the last value: a routing_iters of 0 would never
+        be checked."""
+        stem = tmp_path / "model"
+        text = (workspace["ckpt"] / "model.json").read_text()
+        assert text.count(f'"{key}": ') == 1
+        Path(f"{stem}.json").write_text(text.replace(f'"{key}": ', f'"{key}": 0, "{key}": '))
+        Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
+        out = tmp_path / "preds.txt"
+        capsys.readouterr()
+        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+                    "--checkpoint", stem, "--output", out])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {stem}.json: repeated manifest key {key!r}\n"
         assert not out.exists()
 
     def test_tensor_listed_twice_names_manifest(self, workspace, tmp_path, capsys):
@@ -977,7 +1046,7 @@ class TestExitCodes:
         assert code == 3
 
     @pytest.mark.parametrize("content, says", [
-        ([1], "expected a JSON object"),
+        ([1], "config is not a JSON object"),
         ({"profile": "huge"}, "profile must be one of desk, paper, got 'huge'"),
         ({"profile": ["desk"]}, "profile must be one of desk, paper"),
         ({"batch_size": "big"}, "batch_size must be int, got 'big'"),

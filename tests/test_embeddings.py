@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestLoadWord2vec:
     def test_binary_fixture_exact(self, tmp_path):
         path = tmp_path / "vecs.bin"
         write_binary_fixture(path, self.ENTRIES, 3)
-        table = load_word2vec(path, fmt="binary")
+        table = load_word2vec(path, "binary", {"hi", "yo"}, 3)
         assert set(table) == {"hi", "yo"}
         for word, vec in self.ENTRIES:
             np.testing.assert_array_equal(table[word], np.asarray(vec, dtype=np.float32))
@@ -151,20 +152,20 @@ class TestLoadWord2vec:
     def test_binary_without_newline_separators(self, tmp_path):
         path = tmp_path / "vecs.bin"
         write_binary_fixture(path, self.ENTRIES, 3, separator=b"")
-        table = load_word2vec(path, fmt="binary")
+        table = load_word2vec(path, "binary", {"hi", "yo"}, 3)
         assert set(table) == {"hi", "yo"}
 
     def test_text_fixture(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("1 2\nhi 0.5 -0.5\n", encoding="utf-8")
-        table = load_word2vec(path, fmt="text")
+        table = load_word2vec(path, "text", {"hi"}, 2)
         np.testing.assert_allclose(table["hi"], [0.5, -0.5])
 
     def test_text_from_the_word2vec_tool(self, tmp_path):
         # the C tool writes each value followed by a space, so lines end "vd \n"
         path = tmp_path / "vecs.txt"
         path.write_text("2 3\nhello 0.1 0.2 0.3 \nworld 1 2 3 \n", encoding="utf-8")
-        table = load_word2vec(path, fmt="text")
+        table = load_word2vec(path, "text", {"hello", "world"}, 3)
         np.testing.assert_array_equal(table["hello"], np.asarray([0.1, 0.2, 0.3], dtype=np.float32))
         np.testing.assert_array_equal(table["world"], [1.0, 2.0, 3.0])
 
@@ -172,32 +173,76 @@ class TestLoadWord2vec:
     def test_text_lines_end_only_at_newline(self, tmp_path, sep):
         path = tmp_path / "vecs.txt"
         path.write_bytes(f"3 1\r\none{sep}two 0.5\rcat 1\r\ndog 2\n".encode("utf-8"))
-        table = load_word2vec(path, fmt="text")
+        table = load_word2vec(path, "text", {f"one{sep}two", "cat", "dog"}, 1)
         assert {word: vec.tolist() for word, vec in table.items()} == {f"one{sep}two": [0.5], "cat": [1.0], "dog": [2.0]}
 
     @pytest.mark.parametrize(
-        "fmt, content, error, where",
+        "fmt, content, dim, error, where",
         [
-            ("text", b"", MalformedHeader, ": empty file"),
-            ("text", b"not a header\nhi 0.5\n", MalformedHeader, ":1: expected 'count dim'"),
-            ("text", b"2 x\n", MalformedHeader, ":1: non-integer header fields"),
-            ("text", b"3 1\nhi 1.0\nhi 2.0\n", TruncatedFile, ":4: file ended after 2 of 3 entries"),
-            ("text", b"2 2\nhi 0.5 0.5\nyo 0.5\n", DimensionMismatch, ":3: entry 'yo' has 1 values, expected 2"),
-            ("text", b"1 2\nhello 0.1 abc\n", MalformedLine, ":2: entry 'hello' has a non-numeric value 'abc'"),
-            ("binary", b"", MalformedHeader, ": empty file"),
-            ("binary", b"0 -1\n", MalformedHeader, ":1: invalid header values"),
-            ("binary", b"1 2\nhi", TruncatedFile, ": file ended after 0 of 1 entries"),
-            ("binary", b"1 2\nhi \x00", TruncatedFile, ": vector truncated after 0 of 1 entries"),
+            ("text", b"", 1, MalformedHeader, ": empty file"),
+            ("text", b"not a header\nhi 0.5\n", 1, MalformedHeader, ":1: expected 'count dim'"),
+            ("text", b"2 x\n", 1, MalformedHeader, ":1: non-integer header fields"),
+            ("text", b"3 1\nhi 1.0\nhi 2.0\n", 1, TruncatedFile, ":4: file ended after 2 of 3 entries"),
+            ("text", b"2 2\nhi 0.5 0.5\nyo 0.5\n", 2, DimensionMismatch, ":3: entry 'yo' has 1 values, expected 2"),
+            ("text", b"1 2\nhello 0.1 abc\n", 2, MalformedLine, ":2: entry 'hello' has a non-numeric value 'abc'"),
+            ("binary", b"", 1, MalformedHeader, ": empty file"),
+            ("binary", b" \n1 2\n", 1, MalformedHeader, ": empty file"),
+            ("binary", b"0 -1\n", 1, MalformedHeader, ":1: invalid header values"),
+            ("binary", b"1 2\nhi", 2, TruncatedFile, ": file ended after 0 of 1 entries"),
+            ("binary", b"1 2\nhi \x00", 2, TruncatedFile, ": vector truncated after 0 of 1 entries"),
+            # the width is checked at the header, before a malformed first entry, and with no entries
+            ("text", b"1 2\nhi 0.5 abc\n", 3, DimensionMismatch, ":1: vectors are 2-dimensional, expected 3"),
+            ("binary", b"1 2\nhi", 3, DimensionMismatch, ":1: vectors are 2-dimensional, expected 3"),
+            ("text", b"0 2\n", 3, DimensionMismatch, ":1: vectors are 2-dimensional, expected 3"),
+            ("binary", b"0 2\n", 3, DimensionMismatch, ":1: vectors are 2-dimensional, expected 3"),
         ],
         ids=["text-empty", "text-header", "text-header-fields", "text-truncated", "text-short-entry", "text-non-numeric",
-             "binary-empty", "binary-header-values", "binary-word-cut", "binary-vector-cut"],
+             "binary-empty", "binary-blank-header", "binary-header-values", "binary-word-cut", "binary-vector-cut",
+             "text-width-before-entry", "binary-width-before-entry", "text-width-no-entries", "binary-width-no-entries"],
     )
-    def test_errors_name_file_and_line(self, tmp_path, fmt, content, error, where):
+    def test_errors_name_file_and_line(self, tmp_path, fmt, content, dim, error, where):
+        # every entry is checked, whether its word is kept or not
         path = tmp_path / "vecs"
         path.write_bytes(content)
-        with pytest.raises(error) as err:
-            load_word2vec(path, fmt=fmt)
-        assert str(err.value).startswith(f"{path}{where}")
+        for words in (set(), {"hi", "yo", "hello"}):
+            with pytest.raises(error) as err:
+                load_word2vec(path, fmt, words, dim)
+            assert str(err.value).startswith(f"{path}{where}")
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_keeps_only_the_words_asked_for(self, tmp_path, fmt):
+        entries = [("cat", [1.0, 2.0]), ("owl", [3.0, 4.0]), ("cat", [5.0, 6.0]), ("dog", [7.0, 8.0])]
+        path = tmp_path / "vecs"
+        if fmt == "binary":
+            write_binary_fixture(path, entries, 2)
+        else:
+            path.write_text("4 2\n" + "".join(f"{w} {a} {b}\n" for w, (a, b) in entries), encoding="utf-8")
+        table = load_word2vec(path, fmt, {"cat": 5, "dog": 6, "emu": 7}, 2)
+        assert {word: vec.tolist() for word, vec in table.items()} == {"cat": [1.0, 2.0], "dog": [7.0, 8.0]}
+        assert all(vec.dtype == np.float32 for vec in table.values())
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_memory_follows_the_words_kept_not_the_file(self, tmp_path, fmt):
+        """20k vectors of 50 floats hold 4 MB as float32 arrays; kept for
+        a 100-word vocabulary, 100 of them hold 20 KB."""
+        rng = np.random.default_rng(0)
+        vectors = rng.normal(size=(20_000, 50)).astype(np.float32)
+        path = tmp_path / "vecs"
+        if fmt == "binary":
+            write_binary_fixture(path, [(f"w{i}", vec) for i, vec in enumerate(vectors)], 50)
+        else:
+            rows = (f"w{i} " + " ".join(map(repr, vec.tolist())) + "\n" for i, vec in enumerate(vectors))
+            path.write_text("20000 50\n" + "".join(rows), encoding="utf-8")
+        words = {f"w{i}" for i in range(0, 20_000, 200)}
+        tracemalloc.start()
+        try:
+            table = load_word2vec(path, fmt, words, 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert set(table) == words
+        np.testing.assert_array_equal(table["w200"], vectors[200])
+        assert peak < 1_000_000
 
     def test_binary_and_text_agree(self, tmp_path):
         binary = tmp_path / "vecs.bin"
@@ -205,8 +250,8 @@ class TestLoadWord2vec:
         write_binary_fixture(binary, self.ENTRIES, 3)
         lines = ["2 3"] + [f"{w} " + " ".join(str(v) for v in vec) for w, vec in self.ENTRIES]
         text.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        from_bin = load_word2vec(binary, fmt="binary")
-        from_txt = load_word2vec(text, fmt="text")
+        from_bin = load_word2vec(binary, "binary", {"hi", "yo"}, 3)
+        from_txt = load_word2vec(text, "text", {"hi", "yo"}, 3)
         assert set(from_bin) == set(from_txt)
         for word in from_bin:
             np.testing.assert_allclose(from_bin[word], from_txt[word], atol=1e-6)
@@ -217,7 +262,7 @@ class TestLoadWord2vec:
         write_binary_fixture(path, [("café", [1.0]), (b"caf\xe9", [2.0]), (b"caf\xe8", [3.0])], 1)
         with pytest.raises(MalformedLine, match=(
                 "^" + re.escape(f"{path}: entry 2 of 3: word b'caf\\xe9' is not UTF-8 (unexpected end of data)") + "$")):
-            load_word2vec(path, fmt="binary")
+            load_word2vec(path, "binary", {"café"}, 1)
 
     def test_truncated_binary(self, tmp_path):
         path = tmp_path / "vecs.bin"
@@ -225,30 +270,30 @@ class TestLoadWord2vec:
         data = path.read_bytes()
         path.write_bytes(data[:-5])  # cut into the last vector
         with pytest.raises(TruncatedFile):
-            load_word2vec(path, fmt="binary")
+            load_word2vec(path, "binary", {"hi", "yo"}, 3)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("not a header\nhi 0.5\n", encoding="utf-8")
         with pytest.raises(MalformedHeader):
-            load_word2vec(path, fmt="text")
+            load_word2vec(path, "text", {"hi"}, 1)
 
     def test_text_dimension_mismatch(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("1 3\nhi 0.5 -0.5\n", encoding="utf-8")
         with pytest.raises(DimensionMismatch):
-            load_word2vec(path, fmt="text")
+            load_word2vec(path, "text", {"hi"}, 3)
 
     def test_unknown_format_is_refused(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("1 2\nhi 0.5 -0.5\n", encoding="utf-8")
         with pytest.raises(ValueError, match="^unknown word2vec format: 'csv'$"):
-            load_word2vec(path, fmt="csv")
+            load_word2vec(path, "csv", {"hi"}, 2)
 
     def test_duplicates_keep_first(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("2 1\nhi 1.0\nhi 2.0\n", encoding="utf-8")
-        table = load_word2vec(path, fmt="text")
+        table = load_word2vec(path, "text", {"hi"}, 1)
         np.testing.assert_allclose(table["hi"], [1.0])
 
     def test_writer_reader_round_trip(self, tmp_path):
@@ -256,7 +301,7 @@ class TestLoadWord2vec:
         rng = np.random.default_rng(0)
         table = {w: rng.normal(size=4).astype(np.float32) for w in ("alpha", "beta")}
         write_binary_fixture(path, table.items(), 4, separator=b"")
-        back = load_word2vec(path, fmt="binary")
+        back = load_word2vec(path, "binary", {"alpha", "beta"}, 4)
         for word, vec in table.items():
             np.testing.assert_array_equal(back[word], vec)
 
@@ -287,12 +332,6 @@ class TestBuildEmbedding:
         table = build_embedding(vocab, {}, 10, seed=1)
         others = table.weights[1:]
         assert np.all(others >= -0.05) and np.all(others <= 0.05)
-
-    def test_raw_dimension_mismatch(self):
-        vocab = Vocabulary.build([["w"]])
-        raw = {"w": np.zeros(5, dtype=np.float32)}
-        with pytest.raises(DimensionMismatch):
-            build_embedding(vocab, raw, 3, seed=0)
 
 
 class TestEmbed:
