@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -53,6 +54,9 @@ PROFILES = {
     },
 }
 CONFIG_KEYS = tuple(f.name for f in fields(TrainConfig))
+# the files an option names besides its own path: a checkpoint stem's manifest and payload, train's outputs
+FILES_OF = {"embedding_out": (".json", ".bin"), "embeddings_payload": (".json", ".bin"), "checkpoint": (".json", ".bin"),
+            "checkpoint_dir": ("/model.json", "/model.bin", "/history.jsonl")}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, names=CONFIG_KEYS) -> None:
@@ -157,7 +161,30 @@ def _load_for_vocab(stem, vocab: Vocabulary, vocab_path):
     return tensors, manifest
 
 
+def _refuse_overwriting(args, outputs, inputs) -> None:
+    """Refuse, before anything is read or written, an output file that is
+    another output or one of the inputs: writing it would replace what the
+    command reads or writes. `outputs` and `inputs` name options of `args`;
+    one in FILES_OF names the files its value + each suffix, any other the
+    path itself, and one left out is None."""
+    written = {}
+    for is_output, names in ((True, outputs), (False, inputs)):
+        for name in names:
+            flag, values = f"--{name.replace('_', '-')}", getattr(args, name)
+            values = values if isinstance(values, list) else [] if values is None else [values]
+            for value, suffix in itertools.product(values, FILES_OF.get(name, ("",))):
+                path = Path(f"{value}{suffix}").resolve()
+                if path in written:  # an option that names the path itself comes first
+                    (fa, va, sa), (fb, vb, sb) = sorted((written[path], (flag, value, suffix)), key=lambda o: o[2] != "")
+                    if sa:
+                        raise ValueError(f"{va}{sa} is a file of {fa} {va} and of {fb} {vb}")
+                    raise ValueError(f"{fa} {va} is {'a file of' if sb else 'also'} {fb} {vb}")
+                if is_output:
+                    written[path] = (flag, value, suffix)
+
+
 def cmd_preprocess(args) -> int:
+    _refuse_overwriting(args, ["output"], ["input", "lexicon"])
     lex = Lexicon.from_file(args.lexicon) if args.lexicon else Lexicon.from_pairs([])
     examples = load_dataset(args.input, labeled=not args.unlabeled)
     with replacing(args.output) as handle:
@@ -169,8 +196,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    if Path(args.vocab).resolve() in {Path(f"{args.embedding_out}{ext}").resolve() for ext in (".json", ".bin")}:
-        raise ValueError(f"--vocab {args.vocab} is a file of --embedding-out {args.embedding_out}")
+    _refuse_overwriting(args, ["vocab", "embedding_out"], ["inputs", "embeddings", "config"])
     cfg = _resolve_config(args)
     sequences = []
     for path in args.inputs:
@@ -213,6 +239,7 @@ def _load_embedding_payload(stem, vocab: Vocabulary, vocab_path, cfg: TrainConfi
 
 
 def cmd_train(args) -> int:
+    _refuse_overwriting(args, ["checkpoint_dir"], ["train_file", "dev_file", "vocab", "embeddings_payload", "config"])
     cfg = _resolve_config(args)
     vocab = Vocabulary.load(args.vocab)
     train_set = _encode(args.train_file, vocab)
@@ -264,7 +291,9 @@ def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
 
 def _predict_input(args, labeled: bool):
     """Load --vocab and the --checkpoint model, encode --input and classify
-    it; returns (golds, predictions), a gold None for an unlabeled line."""
+    it; returns (golds, predictions), a gold None for an unlabeled line.
+    --output, when given, is none of those files."""
+    _refuse_overwriting(args, ["output"], ["input", "vocab", "checkpoint"])
     vocab = Vocabulary.load(args.vocab)
     params, cfg = _load_model(args.checkpoint, vocab, args.vocab)
     encoded = _encode(args.input, vocab, labeled)

@@ -13,16 +13,15 @@ three flat lists, with no tuple per candidate and no memo; the per-word
 score it inlines is kept in the tests as the oracle `word_logp`.
 
 Spell correction gives the answer of enumerating every string one and two
-edits away (Norvig-style candidates) without building the two-edit strings.
-Distance 1 does enumerate, which is cheap. Distance 2 filters the whole
-lexicon at once by length and by a packed letter mask; on a 30k-word
-lexicon about a hundred words survive. A bit-parallel longest-common-
-subsequence test (Allison and Dix, 1986) drops most of those, and the rest
-are checked exactly by undoing one edit. The masks are built with numpy on
-the first distance-2 search, not when the lexicon is read, and take 9 bytes
-a word; a deletion index such as SymSpell's would take far more memory.
-Each answer is memoised on the immutable `Lexicon`, per input surface, up
-to `_SPELL_MEMO_MAX` surfaces.
+edits away (Norvig-style candidates) but builds none of them. The lexicon's
+words are kept in order of length, each with a packed letter mask (8 bytes
+a word, built with numpy by the first out-of-lexicon search, not when the
+lexicon is read). One vectorised pass over the words of nearby length keeps
+those that one or two edits could reach; an O(n) comparison confirms one
+edit, and for two a bit-parallel longest-common-subsequence test (Allison
+and Dix, 1986) then an edit table (Lowrance and Wagner, 1975). Each answer
+is memoised on the immutable `Lexicon`, per input surface, up to
+`_SPELL_MEMO_MAX` surfaces.
 """
 
 from __future__ import annotations
@@ -192,7 +191,8 @@ class Lexicon:
 
     @cached_property
     def _letters(self) -> "_LetterIndex":
-        """Letter masks of every word, built by the first distance-2 search."""
+        """Words by length and their letter masks, built by the first
+        out-of-lexicon search."""
         return _LetterIndex.build(self.counts)
 
 
@@ -248,64 +248,42 @@ def segment_hashtag(tag: str, lex: Lexicon) -> list[str]:
     return words
 
 
-def _edits1(word: str) -> set[str]:
-    splits = [(word[:i], word[i:]) for i in range(len(word) + 1)]
-    deletes = {left + right[1:] for left, right in splits if right}
-    transposes = {
-        left + right[1] + right[0] + right[2:] for left, right in splits if len(right) > 1
-    }
-    replaces = {
-        left + ch + right[1:] for left, right in splits if right for ch in _SPELL_ALPHABET
-    }
-    inserts = {left + ch + right for left, right in splits for ch in _SPELL_ALPHABET}
-    return deletes | transposes | replaces | inserts
-
-
 def spell_correct(word: str, lex: Lexicon) -> str:
     """Return the closest lexicon word within edit distance 2, else the input.
 
     Distance-1 candidates beat distance-2 ones; among candidates at the same
     distance the highest count wins, ties broken lexicographically. An edit
     deletes a character, swaps two adjacent ones, or replaces or inserts a
-    letter a-z. Every answer, "unchanged" too, is kept in the lexicon's
-    memo and returned again for the same input, until the memo holds
-    `_SPELL_MEMO_MAX` answers; later ones are computed each time.
+    letter a-z. The candidates come from `_LetterIndex.search`, which builds
+    no edited string. Every answer, "unchanged" too, is kept in the
+    lexicon's memo and returned again for the same input, until the memo
+    holds `_SPELL_MEMO_MAX` answers; later ones are computed each time.
     """
     if word in lex.counts:
         return word
     fixed = lex._spelled.get(word)
     if fixed is None:
-        fixed = _closest(word, lex)
+        known = lex._letters.search(word)
+        fixed = min(known, key=lambda w: (-lex.counts[w], w)) if known else word
         if len(lex._spelled) < _SPELL_MEMO_MAX:
             lex._spelled[word] = fixed
     return fixed
 
 
-def _closest(word: str, lex: Lexicon) -> str:
-    edits = _edits1(word)
-    known = [w for w in edits if w in lex.counts]
-    if not known:
-        known = lex._letters.two_edits(word, edits)
-    if not known:
-        return word
-    return min(known, key=lambda w: (-lex.counts[w], w))
-
-
 @dataclass(frozen=True)
 class _LetterIndex:
-    """Per lexicon word a letter mask (`_letter_mask`) and its length
-    (capped at 255): 9 bytes a word besides the tuple of words, filtered
-    with one vectorised pass."""
+    """Every lexicon word's `_letter_mask`, the words in order of length
+    capped at 255: 8 bytes a word besides the tuple of words."""
 
     words: tuple[str, ...]
     masks: np.ndarray  # uint64
-    lengths: np.ndarray  # uint8
+    bounds: tuple[int, ...]  # words[bounds[k] : bounds[k + 1]] are those of capped length k
 
     @classmethod
     def build(cls, counts) -> "_LetterIndex":
-        """Compute `_letter_mask` of every word with numpy, `_INDEX_BLOCK`
-        words at a time to bound the temporaries."""
-        words = tuple(counts)
+        """Sort the words stably by length and compute their `_letter_mask`
+        with numpy, `_INDEX_BLOCK` words at a time to bound the temporaries."""
+        words = tuple(sorted(counts, key=len))
         sizes = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
         masks = np.zeros(len(words), dtype=np.uint64)  # as `_letter_mask("")`
         for start in range(0, len(words), _INDEX_BLOCK):
@@ -325,35 +303,32 @@ class _LetterIndex:
             masks[start : start + block.size][filled] = np.bitwise_or.reduceat(
                 np.uint64(1) << shifts, firsts[filled]
             )
-        return cls(words=words, masks=masks, lengths=np.minimum(sizes, 255, out=sizes).astype(np.uint8))
+        bounds = np.searchsorted(np.minimum(sizes, 255, out=sizes), np.arange(257))
+        return cls(words=words, masks=masks, bounds=tuple(bounds.tolist()))
 
-    def two_edits(self, word: str, edits: set[str]) -> list[str]:
-        """The lexicon words two edits from `word`, whose one-edit set is
-        `edits`.
+    def search(self, word: str) -> list[str]:
+        """The lexicon words one edit from `word`, which is not one of
+        them, or else those two edits away.
 
-        One edit changes the length by at most 1 and flips at most 2 mask
-        bits (an insert or delete only 1), so a word two edits away differs
-        in length by at most 2 and in bits by at most 4 minus that length
-        difference. Survivors of that filter, about a hundred in a 30k-word
-        lexicon, must also become one string with `word` after at most two
-        deletions from each (`_meet_after_two_deletes`, a few integer
-        operations per character); those that do are checked exactly
-        against `edits`."""
-        n = min(len(word), 255)
-        shift = np.abs(self.lengths.astype(np.int16) - n)
-        flips = np.bitwise_count(self.masks ^ np.uint64(_letter_mask(word)))
-        survivors = np.flatnonzero(flips + shift <= 4)
-        if survivors.size == 0:
-            return []
+        k edits change the length by at most k and flip at most 2k mask
+        bits, one fewer per character of length change: one xor and popcount
+        over the words of lengths n-2 to n+2 serves both tiers. On the
+        30k-word `preprocess-oov` lexicon about 7 words pass for one edit
+        and go to `_one_edit`; about 150 pass for two, and the 2 or so that
+        `_meet_after_two_deletes` keeps go to `_two_edits`."""
+        n, bounds, words = min(len(word), 255), self.bounds, self.words
+        low = bounds[max(n - 2, 0)]
+        flips = np.bitwise_count(self.masks[low : bounds[min(n + 2, 255) + 1]] ^ np.uint64(_letter_mask(word)))
         positions = _positions(word)
-        # the strings of `edits` hold only a-z and the characters of `word`
-        letters = _SPELL_ALPHABET + "".join(set(word).difference(_LETTER_BIN))
-        out = []
-        for i in survivors.tolist():
-            w = self.words[i]
-            if _meet_after_two_deletes(positions, len(word), w) and not edits.isdisjoint(_sources1(w, letters)):
-                out.append(w)
-        return out
+        for k, near in ((1, lambda w: _one_edit(word, w)),
+                        (2, lambda w: _meet_after_two_deletes(positions, len(word), w) and _two_edits(word, w))):
+            found = []
+            for size in range(max(n - k, 0), min(n + k, 255) + 1):
+                hits = np.flatnonzero(flips[bounds[size] - low : bounds[size + 1] - low] <= 2 * k - abs(size - n))
+                found += [w for w in map(words.__getitem__, (hits + bounds[size]).tolist()) if near(w)]
+            if found:
+                return found
+        return []
 
 
 def _letter_mask(word: str) -> int:
@@ -390,18 +365,53 @@ def _meet_after_two_deletes(positions: dict[str, int], n: int, other: str) -> bo
     return n - (v & full).bit_count() >= max(n, len(other)) - 2
 
 
-def _sources1(target: str, letters: str) -> set[str]:
-    """Every string whose `_edits1` holds `target`, where a character that
-    string has in place of or besides those of `target` is one of `letters`:
-    undo a delete by inserting, a swap by swapping, a replacement by an a-z
-    letter by replacing it, an insert of an a-z letter by deleting it."""
-    splits = [(target[:i], target[i:]) for i in range(len(target) + 1)]
-    inserts = {left + ch + right for left, right in splits for ch in letters}
-    swaps = {left + right[1] + right[0] + right[2:] for left, right in splits if len(right) > 1}
-    plain = [(left, right) for left, right in splits if right and right[0] in _LETTER_BIN]
-    replaces = {left + ch + right[1:] for left, right in plain for ch in letters}
-    deletes = {left + right[1:] for left, right in plain}
-    return inserts | swaps | replaces | deletes
+def _one_edit(word: str, w: str) -> bool:
+    """Whether one edit turns `word` into `w`. Past their common prefix `w`
+    deletes a character, inserts or puts a letter a-z in place of one, or
+    swaps two. An insert is looked for at the first difference: inserting
+    the letter anywhere in the run of equal characters ending there makes
+    the same string. A word is one edit from itself when it holds a letter
+    a-z or two equal neighbours."""
+    n, m = len(word), len(w)
+    p, stop = 0, min(n, m)
+    while p < stop and word[p] == w[p]:
+        p += 1
+    if m != n:
+        return word[p + 1 :] == w[p:] if m == n - 1 else m == n + 1 and w[p] in _LETTER_BIN and w[p + 1 :] == word[p:]
+    if p == n:
+        return any(ch in _LETTER_BIN for ch in word) or any(map(str.__eq__, word, word[1:]))
+    return (w[p] in _LETTER_BIN and word[p + 1 :] == w[p + 1 :]
+            or w[p : p + 2] == word[p : p + 2][::-1] and word[p + 2 :] == w[p + 2 :])
+
+
+def _two_edits(word: str, w: str) -> bool:
+    """Whether two edits turn `word` into `w`, asked only when no lexicon
+    word is one edit away: Lowrance and Wagner's edit table (1975), whose
+    transposition may also delete the characters between the swapped pair
+    and insert others, under the edits' rule that a replacing or inserted
+    character, in such a gap too, is a letter a-z. Two swaps sharing a
+    character rotate three, at cost 2. `d[i + 1][j + 1]` holds the edits
+    from `word[:i]` to `w[:j]`, filled only within 2 of the diagonal; the
+    rest, row and column 0 too, read as 3, out of reach."""
+    n, m = len(word), len(w)
+    letter = [ch in _LETTER_BIN for ch in w]
+    d = [[3] * (m + 2) for _ in range(n + 2)]
+    d[1][1 : min(m, 2) + 2] = [j if all(letter[:j]) else 3 for j in range(min(m, 2) + 1)]
+    last_row: dict[str, int] = {}
+    for i, a in enumerate(word, 1):
+        above, row, col = d[i], d[i + 1], 0  # col: the last `a` in the band before j; one further back costs 3
+        row[1] = i
+        for j in range(max(i - 2, 1), min(i + 2, m) + 1):
+            b, k, last, free = w[j - 1], last_row.get(w[j - 1], 0), col, letter[j - 1]
+            col = j if a == b else col
+            cost = min(above[j + 1] + 1, row[j] + 1 if free else 3, above[j] + (a != b) if free or a == b else 3)
+            if k and last and all(letter[last : j - 1]):  # swap a and b, with a gap deleted and one inserted
+                cost = min(cost, d[k][last] + i - k + j - last - 1)
+            if i > 2 and j > 2 and w[j - 3 : j] in (word[i - 2 : i] + word[i - 3], a + word[i - 3 : i - 1]):
+                cost = min(cost, d[i - 2][j - 2] + 2)
+            row[j + 1] = cost
+        last_row[a] = i
+    return d[n + 1][m + 1] <= 2
 
 
 def preprocess(raw: str, lex: Lexicon) -> list[str]:

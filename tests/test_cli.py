@@ -745,6 +745,38 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"bad arguments: --vocab {stem}{ext} is a file of --embedding-out {stem}\n"
         assert list(tmp_path.iterdir()) == []
 
+    # Each command gets an output path that resolves to one of its own
+    # inputs, a copy in tmp_path. build-vocab used to replace the labeled
+    # tweets with the vocabulary and exit 0.
+    @pytest.mark.parametrize("command", ["preprocess", "build-vocab", "train", "evaluate", "predict"])
+    def test_output_over_an_input_is_bad_argument(self, workspace, tmp_path, capsys, command):
+        ckpt = workspace["ckpt"] / "model"
+        name, source = {"preprocess": ("raw.tsv", workspace["raw"]), "train": ("history.jsonl", workspace["clean"]),
+                        "predict": ("model.json", f"{ckpt}.json")}.get(command, ("t.tsv", workspace["clean"]))
+        victim, model = tmp_path / name, ["--vocab", workspace["vocab"], "--checkpoint", ckpt]
+        victim.write_bytes(Path(source).read_bytes())
+        (tmp_path / "model.bin").write_bytes(Path(f"{ckpt}.bin").read_bytes())  # predict's checkpoint is the copy
+        argv, says = {
+            "preprocess": (["preprocess", "--input", victim, "--output", f"{tmp_path}/./{name}"],
+                           f"--output {tmp_path}/./{name} is also --input {victim}"),
+            "build-vocab": (["build-vocab", "--inputs", victim, "--vocab", victim,
+                             "--embedding-out", tmp_path / "e", *VOCAB_FLAGS],
+                            f"--vocab {victim} is also --inputs {victim}"),
+            "train": (["train", "--train-file", victim, "--vocab", workspace["vocab"], "--checkpoint-dir", tmp_path,
+                       *TINY_FLAGS], f"--train-file {victim} is a file of --checkpoint-dir {tmp_path}"),
+            "evaluate": (["evaluate", "--input", victim, *model, "--output", victim],
+                         f"--output {victim} is also --input {victim}"),
+            "predict": (["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+                         "--checkpoint", tmp_path / "model", "--output", victim],
+                        f"--output {victim} is a file of --checkpoint {tmp_path / 'model'}"),
+        }[command]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"bad arguments: {says}\n"
+        assert victim.read_bytes() == Path(source).read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == before  # nothing written, no .tmp file left
+
     def test_manifest_not_an_object(self, workspace, tmp_path, capsys):
         stem = tmp_path / "bad"
         Path(f"{stem}.json").write_text("[]")

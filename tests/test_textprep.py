@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+from bisect import bisect_left
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
@@ -17,17 +18,19 @@ from emocaps.textprep import (
     TARGETWORD_PLACEHOLDER,
     Lexicon,
     TokenKind,
-    _edits1,
     _letter_mask,
     _LetterIndex,
     _meet_after_two_deletes,
+    _one_edit,
     _positions,
+    _two_edits,
     normalize,
     preprocess,
     segment_hashtag,
     spell_correct,
     tokenize,
 )
+from spell_oracle import ALPHABET, edits1, sources1, two_steps
 
 CORPUS = [
     "It's [#TARGETWORD#] when you feel invisible",
@@ -280,14 +283,15 @@ class TestLexicon:
         assert lex == other
         assert repr(lex) == repr(other) == "Lexicon(counts=mappingproxy({'cats': 3}), total=3)"
 
-    def test_letter_index_built_on_first_distance_two_search(self, tmp_path):
+    def test_letter_index_built_by_first_out_of_lexicon_search(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("cat\t3\ndog\t1\n", encoding="utf-8")
         lex = Lexicon.from_file(path)
         assert "_letters" not in vars(lex)
-        assert spell_correct("cta", lex) == "cat"  # one edit away: no index needed
+        assert preprocess("the cat", lex) == ["the", "cat"]  # no surface is spell-corrected
+        assert spell_correct("dog", lex) == "dog"  # in the lexicon: no search
         assert "_letters" not in vars(lex)
-        assert spell_correct("dgox", lex) == "dog"
+        assert spell_correct("cta", lex) == "cat"  # one edit away: the index finds it
         assert "_letters" in vars(lex)
 
 
@@ -487,22 +491,22 @@ def oracle_spell(word, lex):
 
 
 def enumerated_spell(word, lex):
-    """Spell correction by enumerating every string two edits away (about
-    160k for a 7-letter word): the reference for the memo and the letter
+    """Spell correction by enumeration: the lexicon words among the strings
+    one edit from `word`, else those one edit from one of these
+    (`spell_oracle.two_steps`). The reference for the memo and the letter
     index of `spell_correct`, which must give the same answer for every
     input."""
     if word in lex.counts:
         return word
-    edits = _edits1(word)
-    known = [w for w in edits if w in lex.counts]
-    if not known:
-        # one edit shortens a string by at most one character, so a w1 more
-        # than one longer than every lexicon word has no lexicon word in reach
-        longest = max(map(len, lex.counts), default=0)
-        known = [w2 for w1 in edits if len(w1) <= longest + 1 for w2 in _edits1(w1) if w2 in lex.counts]
+    known = edits1(word) & lex.counts.keys() or [w for w in lex.counts if two_steps(word, w)]
     if not known:
         return word
-    return min(set(known), key=lambda w: (-lex.counts[w], w))
+    return min(known, key=lambda w: (-lex.counts[w], w))
+
+
+def strings_up_to(letters, longest):
+    """Every string over `letters` of at most `longest` characters."""
+    return ["".join(t) for size in range(longest + 1) for t in itertools.product(letters, repeat=size)]
 
 
 def _deletes2(word):
@@ -593,7 +597,7 @@ class TestSpellCorrect:
                 expected = enumerated_spell(word, lex)
                 assert spell_correct(word, lex) == expected, (seed, word)
                 assert spell_correct(word, lex) == expected, (seed, word)  # from the memo
-                checked += word not in lex.counts and expected != word and not _edits1(word) & lex.counts.keys()
+                checked += word not in lex.counts and expected != word and not edits1(word) & lex.counts.keys()
         assert checked > 100  # answers that only the distance-2 search finds
 
     def test_edits_never_make_non_ascii_letters(self):
@@ -628,6 +632,66 @@ class TestSpellCorrect:
             met += expected
         assert 2_000 < met < 8_000  # both answers are common
 
+    # Each alphabet holds a-z letters, an accented one (edits never insert
+    # it) and a character outside the Basic Multilingual Plane.
+    def test_one_edit_test_matches_enumeration(self):
+        words = strings_up_to("abé😀", 4)
+        for word in words:
+            edits = edits1(word)
+            assert [w for w in words if _one_edit(word, w)] == [w for w in words if w in edits], word
+
+    def test_sources_invert_the_edits(self):
+        letters = ALPHABET + "é😀"
+        words = strings_up_to("abé😀", 3)
+        for target in words:
+            sources = sources1(target, letters)
+            assert [w for w in words if w in sources] == [w for w in words if target in edits1(w)], target
+            if len(target) < 3:  # every source, those with other letters a-z too
+                assert all(target in edits1(w) for w in sources), target
+
+    # Asked only when no word is one edit away, as `_LetterIndex.search`
+    # asks it; every pair of strings up to the given length.
+    @pytest.mark.parametrize("letters, longest", [("abé😀", 3), ("aé😀", 4), ("ab", 5)])
+    def test_two_edit_table_matches_two_steps(self, letters, longest):
+        words = strings_up_to(letters, longest)
+        asked = found = 0
+        for word in words:
+            edits = edits1(word)
+            for w in words:
+                if w not in edits:
+                    expected = two_steps(word, w)
+                    assert _two_edits(word, w) == expected, (word, w)
+                    asked, found = asked + 1, found + expected
+        assert 0.1 < found / asked < 0.9  # both answers are common
+
+    def test_two_edit_pins(self):
+        # a swap, then an insert between the swapped letters: a transposition
+        # whose gap gets a letter a-z
+        assert _two_edits("abcd", "bxacd") and two_steps("abcd", "bxacd")
+        assert not _two_edits("abcd", "béacd")  # é is never inserted
+        # two swaps that share a character rotate three
+        assert _two_edits("cbé", "écb") and two_steps("cbé", "écb") and not _one_edit("cbé", "écb")
+        lex = Lexicon.from_pairs([("écb", 1)])
+        assert spell_correct("cbé", lex) == enumerated_spell("cbé", lex) == "écb"
+        # one swap and no second edit: the table says two edits or fewer, so
+        # it is asked only when no word is one edit away
+        assert _one_edit("é😀", "😀é") and not two_steps("é😀", "😀é") and _two_edits("é😀", "😀é")
+        lex = Lexicon.from_pairs([("😀é", 1), ("é😀xy", 9)])
+        assert spell_correct("é😀", lex) == enumerated_spell("é😀", lex) == "😀é"
+
+    def test_index_windows_at_the_length_cap(self):
+        # lexicon words of 253-257 characters; the index puts the last three
+        # in one length, 255, and searches lengths 253-255 for them
+        text = ("abcdefghijklmnopqrstuvwxy" * 11)[:259]
+        lex = Lexicon.from_pairs((text[:size], size) for size in range(253, 258))
+        assert lex._letters.bounds[253:] == (0, 1, 2, 5)
+        for size in range(251, 260):
+            for word in ("z" + text[1:size], "zz" + text[2:size], "zzz" + text[3:size]):
+                one = sorted(w for w in lex.counts if w in edits1(word))
+                two = sorted(w for w in lex.counts if two_steps(word, w))
+                assert sorted(lex._letters.search(word)) == (one or two), (size, word[:3])
+                assert spell_correct(word, lex) == max(one or two or [word], key=len)  # counts grow with length
+
     def test_index_build_matches_letter_mask(self):
         rng = np.random.default_rng(14)
         special = ["café", "über", "naïve", "smile😀", "\ud83d", "ab" * 150, "aabbcc", "mississippi", "éüéü"]
@@ -637,9 +701,10 @@ class TestSpellCorrect:
         # the build takes any mapping, not only a checked Lexicon: "" between others, and last
         for counts in (lex.counts, {"a": 1, "": 1, "bb": 1}, {"bb": 1, "": 1}):
             index = _LetterIndex.build(counts)
-            assert index.words == tuple(counts)
+            assert index.words == tuple(sorted(counts, key=len))  # each length keeps the lexicon's order
             assert index.masks.tolist() == [_letter_mask(w) for w in index.words]
-            assert index.lengths.tolist() == [min(len(w), 255) for w in index.words]
+            capped = [min(len(w), 255) for w in index.words]
+            assert index.bounds == tuple(bisect_left(capped, k) for k in range(257))
 
     def test_index_build_temporaries_are_small(self):
         # 30k words, as the preprocess-oov benchmark lexicon; the build's own
