@@ -278,6 +278,8 @@ def cmd_train(args) -> int:
 
 
 def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
+    """The checkpoint's model and config. A dimension its hyperparameters
+    state must be the one its tensors have."""
     tensors, manifest = _load_for_vocab(checkpoint, vocab, vocab_path)
     hp = manifest.get("hyperparameters", {})
     if not isinstance(hp, dict):
@@ -286,7 +288,14 @@ def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
         cfg = TrainConfig(**{key: value for key, value in hp.items() if key in CONFIG_KEYS})
     except (TypeError, ValueError) as exc:
         raise MalformedHeader(f"{checkpoint}.json: {exc}") from None
-    return ModelParams.from_tensors(tensors, f"{checkpoint}.json"), cfg
+    params = ModelParams.from_tensors(tensors, f"{checkpoint}.json")
+    J, _, d_out = params.capsule.shape
+    read = {"hidden_dim": params.gru.W_h.shape[1], "num_capsules": J, "capsule_dim": d_out,
+            "embed_dim": params.embedding.weights.shape[1]}
+    for key, size in read.items():
+        if key in hp and hp[key] != size:
+            raise MalformedHeader(f"{checkpoint}.json: hyperparameters say {key} {hp[key]}, tensors say {size}")
+    return params, cfg
 
 
 def _predict_input(args, labeled: bool):

@@ -81,17 +81,14 @@ class TrainConfig:
     capsule_dim: int = 32
 
     def __post_init__(self) -> None:
-        """Raise TypeError naming the first field of the wrong type, then validate."""
+        """Raise TypeError naming the first field of the wrong type, then
+        ValueError naming the first setting out of its range."""
         for f in fields(self):  # an int field takes an int; a float field a float, or an int it converts
             value, kind = getattr(self, f.name), type(f.default)
             if kind is float and type(value) is int:
                 object.__setattr__(self, f.name, float(value))
             elif type(value) is not kind:
                 raise TypeError(f"{f.name} must be {kind.__name__}, got {value!r}")
-        self.validate()
-
-    def validate(self) -> None:
-        """Raise ValueError naming the first setting out of its range."""
         counts = ("batch_size", "routing_iters", "max_epochs", "embed_dim", "hidden_dim", "num_capsules", "capsule_dim")
         for names, in_range, rule in (
             (("learning_rate", "clip_norm", "noise_std"), math.isfinite, "finite"),
@@ -266,27 +263,6 @@ def _adam_update(theta, g, m, v, lr: float, correct1: float, correct2: float) ->
     theta -= g
 
 
-def gaussian_noise(x: np.ndarray, std: float, rng) -> np.ndarray:
-    """Additive zero-mean noise drawn from rng; identity at std 0."""
-    if std == 0.0:
-        return x
-    return x + rng.normal(0.0, std, size=x.shape)
-
-
-def spatial_dropout(X: np.ndarray, rate: float, rng):
-    """Channel dropout with inverted scaling: one keep/drop draw per column,
-    applied across every row; returns (output, broadcastable (1, columns)
-    mask). The mask carries the 1/(1-rate) survivor scaling, so the
-    backward pass is a plain multiply. At rate 0 the output is X itself and
-    the mask all ones, and nothing is drawn. On a one-row input it is plain
-    unit dropout."""
-    if rate == 0.0:
-        return X, np.ones((1, X.shape[1]))
-    keep = rng.random((1, X.shape[1])) >= rate
-    mask = keep / (1.0 - rate)
-    return X * mask, mask
-
-
 @dataclass
 class ForwardCache:
     """What a training pass keeps for `backward_full`, which consumes it."""
@@ -301,18 +277,30 @@ class ForwardCache:
 
 
 def _regularize(rows: np.ndarray, lengths, rngs, rate: float, std: float):
-    """Sequence b's rows through spatial dropout and then Gaussian noise,
-    both drawn from its own stream rngs[b]; returns (output, the (B,
-    columns) dropout masks, one per sequence)."""
+    """Spatial dropout and then Gaussian noise on each sequence's rows, the
+    `lengths` of them back to back; returns (output, the (B, columns)
+    dropout masks, one per sequence). Sequence b draws from its own stream
+    rngs[b]: first one keep draw per column, applied across every row (on a
+    one-row sequence, plain unit dropout), then its noise. The mask carries
+    the 1/(1-rate) survivor scaling, so the backward pass is a plain
+    multiply. At rate 0 the mask is all ones and at std 0 no noise is
+    added; neither draws. Without streams (`rngs` None, the eval pass) it
+    returns (rows, None)."""
+    if rngs is None:
+        return rows, None
     out = np.empty_like(rows)
-    masks = []
+    masks = np.ones((len(lengths), rows.shape[1]))
     start = 0
-    for n, rng in zip(lengths, rngs):
-        part, mask = spatial_dropout(rows[start : start + n], rate, rng)
-        out[start : start + n] = gaussian_noise(part, std, rng)
-        masks.append(mask)
+    for mask, n, rng in zip(masks, lengths, rngs):
+        part = rows[start : start + n]
+        if rate != 0.0:
+            mask[:] = (rng.random(rows.shape[1]) >= rate) / (1.0 - rate)
+            part = part * mask
+        if std != 0.0:
+            part = part + rng.normal(0.0, std, size=part.shape)
+        out[start : start + n] = part
         start += n
-    return out, np.concatenate(masks)
+    return out, masks
 
 
 def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rngs=None):
@@ -335,28 +323,15 @@ def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rngs=None)
     lengths = [len(ids) for ids in sequences]
     if min(lengths) == 0:
         raise EmptySequence("cannot classify an empty token sequence")
-    training_pass = rngs is not None
     ids = np.concatenate([np.asarray(s, dtype=np.intp) for s in sequences])
-    X = embed(ids, params.embedding)
-    if training_pass:
-        X, spatial_mask = _regularize(X, lengths, rngs, cfg.spatial_dropout, cfg.noise_std)
-    H, bigru_cache = bigru_forward(X, lengths, params.gru, keep_cache=training_pass)
+    X, spatial_mask = _regularize(embed(ids, params.embedding), lengths, rngs, cfg.spatial_dropout, cfg.noise_std)
+    H, bigru_cache = bigru_forward(X, lengths, params.gru, keep_cache=rngs is not None)
     c, caps_cache = capsule_layer(H, lengths, params.capsule, cfg.routing_iters)
-    if training_pass:
-        c, drop_mask = _regularize(c, [1] * len(c), rngs, cfg.capsule_dropout, cfg.noise_std)
+    c, drop_mask = _regularize(c, [1] * len(c), rngs, cfg.capsule_dropout, cfg.noise_std)
     probs = softmax(dense_forward(c, params.dense))
-    if not training_pass:
+    if rngs is None:
         return probs, None
-    cache = ForwardCache(
-        ids=ids,
-        lengths=lengths,
-        spatial_mask=spatial_mask,
-        bigru=bigru_cache,
-        capsule=caps_cache,
-        drop_mask=drop_mask,
-        c=c,
-    )
-    return probs, cache
+    return probs, ForwardCache(ids, lengths, spatial_mask, bigru_cache, caps_cache, drop_mask, c)
 
 
 def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelParams, grads: dict) -> None:

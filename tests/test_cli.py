@@ -864,6 +864,27 @@ class TestExitCodes:
         assert err.startswith(f"error: {stem}.json: ") and "routing_iters" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("edits, says", [
+        ({"hidden_dim": 999, "num_capsules": 3, "capsule_dim": 77, "embed_dim": 12}, "hidden_dim 999, tensors say 4"),
+        ({"num_capsules": 3}, "num_capsules 3, tensors say 2"),
+        ({"capsule_dim": 77}, "capsule_dim 77, tensors say 2"),
+        ({"embed_dim": 12}, "embed_dim 12, tensors say 8"),
+    ])
+    def test_hyperparameters_contradicting_tensors_are_refused(self, workspace, tmp_path, capsys, command, edits, says):
+        stem = tmp_path / "model"
+        manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
+        manifest["hyperparameters"].update(edits)
+        Path(f"{stem}.json").write_text(json.dumps(manifest))
+        Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {stem}.json: hyperparameters say {says}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, dtype", [("dense/b", "<U1"), ("dense/W", "<i8"), ("capsule/W", "|b1")])
     def test_non_floating_model_tensor_is_refused(self, workspace, tmp_path, capsys, name, dtype):
         tensors, manifest = load_checkpoint(workspace["ckpt"] / "model")
@@ -1369,3 +1390,35 @@ class TestEntryPoint:
         assert done.returncode == 0, done.stderr
         for command in ("preprocess", "build-vocab", "train", "evaluate", "predict"):
             assert command in done.stdout
+
+
+def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """`train` at paper dims writes the same model.bin with the BLAS thread
+    variables unset as with them set to 1: some backward-pass products round
+    differently with the thread count, and the package pins one thread
+    before numpy loads. On a 1-core machine BLAS runs one thread either way,
+    so there this test cannot fail."""
+    rng = np.random.default_rng(3)
+    words = [f"w{k}" for k in range(300)]
+    clean = tmp_path / "clean.tsv"
+    clean.write_text("".join(
+        f"{LABELS[rng.integers(len(LABELS))]}\t{' '.join(rng.choice(words, rng.integers(3, 20)))}\n"
+        for _ in range(192)
+    ), encoding="utf-8")
+    vocab = tmp_path / "vocab.tsv"
+    assert run(["build-vocab", "--inputs", clean, "--vocab", vocab, "--embedding-out", tmp_path / "emb",
+                "--embed-dim", "300", "--seed", "3"]) == 0
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {key: value for key, value in os.environ.items() if key not in blas}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    models = []
+    for name, threads in (("unset", {}), ("one", dict.fromkeys(blas, "1"))):
+        done = subprocess.run(
+            [sys.executable, "-m", "emocaps", "train", "--train-file", str(clean), "--vocab", str(vocab),
+             "--checkpoint-dir", str(tmp_path / name), "--profile", "paper",
+             "--seed", "3", "--batch-size", "64", "--max-epochs", "2"],
+            capture_output=True, text=True, env={**env, **threads}, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        models.append(hashlib.sha256((tmp_path / name / "model.bin").read_bytes()).hexdigest())
+    assert models[0] == models[1]

@@ -3,7 +3,8 @@ package names the standard library, numpy or the package itself. And
 errors holds the one reader and the one writer of files: no other module
 opens a file to read it as text (errors.text_lines), nor writes or
 renames one (errors.replacing). And every function the benchmark traces or
-breaks on purpose is still there under its name."""
+breaks on purpose is still there under its name. And the package pins
+BLAS to one thread before anything it imports can load numpy."""
 
 import ast
 import sys
@@ -28,6 +29,27 @@ def test_imports_are_stdlib_numpy_or_emocaps():
                 continue
             outside += [f"{path.name}:{node.lineno}: {name}" for name in names if name.split(".")[0] not in ALLOWED]
     assert outside == []
+
+
+def test_blas_threads_are_pinned_before_any_import():
+    """`emocaps/__init__.py` sets each BLAS thread variable to "1" with
+    os.environ.setdefault, and imports nothing but `os` before those calls:
+    numpy reads the variables once, when it loads."""
+    tree = ast.parse(Path(emocaps.__file__).read_text("utf-8"))
+    pins = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "os.environ.setdefault"
+    ]
+    assert sorted(ast.literal_eval(ast.unparse(call.args[0])) for call in pins) == [
+        "MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"
+    ]
+    assert all(ast.literal_eval(ast.unparse(call.args[1])) == "1" for call in pins)
+    last_pin = max(call.lineno for call in pins)
+    before = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node.lineno < last_pin
+    ]
+    assert before == ["import os"]
 
 
 def _open_mode(call: ast.Call):

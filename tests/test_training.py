@@ -21,19 +21,19 @@ from emocaps.training import (
     AdamState,
     ModelParams,
     TrainConfig,
+    _regularize,
     adam_step,
     backward_full,
     clip_gradients,
     cross_entropy_loss,
     dataset_macro_f1,
     forward_full,
-    gaussian_noise,
     init_adam,
     init_model,
-    spatial_dropout,
     train,
 )
 from gradcheck import chunk_loss_and_grads, finite_diff_check
+import train_oracle
 from train_oracle import dense_adam, dense_clip, dense_train
 
 
@@ -237,26 +237,65 @@ class TestAdam:
             adam_step(theta, {"t": np.zeros(3)}, state, cfg)
 
 
+def _streams(seed, count):
+    return [np.random.default_rng([seed, b]) for b in range(count)]
+
+
 class TestRegularizers:
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("std", [0.0, 0.1])
+    @pytest.mark.parametrize("lengths", [[1], [3, 1, 4, 1], [1, 1, 1], [6, 2]])
+    def test_matches_two_step_oracle(self, rate, std, lengths):
+        """Bitwise the oracle's spatial dropout then Gaussian noise, one
+        sequence at a time: outputs, masks and every stream's state after."""
+        rows = np.random.default_rng(1).normal(size=(sum(lengths), 5))
+        got_rngs, want_rngs = _streams(8, len(lengths)), _streams(8, len(lengths))
+        got, got_masks = _regularize(rows, lengths, got_rngs, rate, std)
+        want, want_masks = train_oracle.regularize(rows, lengths, want_rngs, rate, std)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_masks, want_masks)
+        assert got_masks.shape == (len(lengths), 5)
+        assert [r.bit_generator.state for r in got_rngs] == [r.bit_generator.state for r in want_rngs]
+
     def test_noise_eval_and_zero_std_are_identity(self):
-        x = np.ones(5)
-        assert gaussian_noise(x, 0.0, np.random.default_rng(0)) is x
+        x = np.ones((5, 3))
+        out, masks = _regularize(x, [2, 3], None, 0.3, 0.1)
+        assert out is x and masks is None
+        rngs = _streams(0, 2)
+        states = [r.bit_generator.state for r in rngs]
+        out, masks = _regularize(x, [2, 3], rngs, 0.0, 0.0)
+        np.testing.assert_array_equal(out, x)
+        np.testing.assert_array_equal(masks, np.ones((2, 3)))
+        assert [r.bit_generator.state for r in rngs] == states
 
     def test_noise_sample_statistics(self):
         rng = np.random.default_rng(2)
-        out = gaussian_noise(np.zeros(1_000_000), 0.1, rng)
+        out, _ = _regularize(np.zeros((1000, 1000)), [1000], [rng], 0.0, 0.1)
         assert abs(out.std() - 0.1) < 0.002
         assert abs(out.mean()) < 0.001
 
     def test_dropout_identity_cases(self):
-        # rate 0: the input itself, a ones mask, and nothing drawn
-        for x in (np.ones((1, 6)), np.ones((2, 3))):
-            rng = np.random.default_rng(0)
-            state = rng.bit_generator.state
-            out, mask = spatial_dropout(x, 0.0, rng)
-            assert out is x
-            np.testing.assert_array_equal(mask, np.ones((1, x.shape[1])))
-            assert rng.bit_generator.state == state
+        # rate 0 draws no mask: the stream moves only by the noise, or not at all
+        for lengths, std in (([1], 0.0), ([2, 1], 0.0), ([1, 2], 0.1)):
+            x = np.ones((sum(lengths), 3))
+            rngs = _streams(0, len(lengths))
+            alone = _streams(0, len(lengths))
+            out, mask = _regularize(x, lengths, rngs, 0.0, std)
+            np.testing.assert_array_equal(mask, np.ones((len(lengths), 3)))
+            if std == 0.0:
+                np.testing.assert_array_equal(out, x)
+            for n, rng, other in zip(lengths, rngs, alone):
+                if std != 0.0:
+                    other.normal(0.0, std, size=(n, 3))
+                assert rng.bit_generator.state == other.bit_generator.state
+        # std 0 draws no noise: the stream moves only by the mask
+        rngs, alone = _streams(1, 2), _streams(1, 2)
+        x = np.random.default_rng(3).normal(size=(4, 3))
+        out, masks = _regularize(x, [3, 1], rngs, 0.3, 0.0)
+        np.testing.assert_array_equal(out, x * np.repeat(masks, [3, 1], axis=0))
+        for rng, other in zip(rngs, alone):
+            other.random(3)
+            assert rng.bit_generator.state == other.bit_generator.state
 
     def test_rate_zero_training_pass_draws_only_noise(self):
         cfg = tiny_config(noise_std=0.1)
@@ -274,7 +313,7 @@ class TestRegularizers:
     def test_dropout_mask_values(self):
         # on one row, as capsule dropout runs it: a draw per unit
         rng = np.random.default_rng(3)
-        out, mask = spatial_dropout(np.ones((1, 1000)), 0.25, rng)
+        out, mask = _regularize(np.ones((1, 1000)), [1], [rng], 0.25, 0.0)
         scale = 1.0 / 0.75
         assert mask.shape == (1, 1000)
         assert set(np.round(np.unique(mask), 12)) == {0.0, round(scale, 12)}
@@ -282,23 +321,24 @@ class TestRegularizers:
 
     def test_dropout_preserves_expectation(self):
         rng = np.random.default_rng(4)
-        out, _ = spatial_dropout(np.ones((1, 100_000)), 0.25, rng)
+        out, _ = _regularize(np.ones((1, 100_000)), [1], [rng], 0.25, 0.0)
         assert abs(out.mean() - 1.0) < 0.01
 
     def test_spatial_dropout_kills_whole_channels(self):
-        rng = np.random.default_rng(5)
-        X = np.ones((7, 40))
-        out, mask = spatial_dropout(X, 0.3, rng)
-        assert mask.shape == (1, 40)
-        dropped = np.flatnonzero(mask[0] == 0.0)
-        assert dropped.size > 0
-        assert np.all(out[:, dropped] == 0.0)
-        kept = np.flatnonzero(mask[0] != 0.0)
-        np.testing.assert_allclose(out[:, kept], 1.0 / 0.7, rtol=1e-12)
+        # one mask per sequence, across all of its rows
+        out, masks = _regularize(np.ones((10, 40)), [7, 3], _streams(5, 2), 0.3, 0.0)
+        assert masks.shape == (2, 40)
+        assert not np.array_equal(masks[0], masks[1])
+        for rows, mask in zip((out[:7], out[7:]), masks):
+            dropped = np.flatnonzero(mask == 0.0)
+            assert dropped.size > 0
+            assert np.all(rows[:, dropped] == 0.0)
+            kept = np.flatnonzero(mask != 0.0)
+            np.testing.assert_allclose(rows[:, kept], 1.0 / 0.7, rtol=1e-12)
 
     def test_spatial_dropout_preserves_expectation(self):
         rng = np.random.default_rng(6)
-        out, _ = spatial_dropout(np.ones((10, 10_000)), 0.3, rng)
+        out, _ = _regularize(np.ones((10, 10_000)), [10], [rng], 0.3, 0.0)
         assert abs(out.mean() - 1.0) < 0.01
 
 
@@ -405,7 +445,7 @@ class TestForwardFull:
         assert all(np.any(g != 0.0) for g in grads.values())
 
 
-RANGE_CASES = [  # every range rule of TrainConfig.validate, as (field, value, message)
+RANGE_CASES = [  # every range rule TrainConfig checks when built, as (field, value, message)
     ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
     ("clip_norm", -1.0, "clip_norm must be positive, got -1.0"),
     ("spatial_dropout", 1.0, "spatial_dropout must be in [0, 1), got 1.0"),

@@ -11,6 +11,10 @@ row, the padding row is zeroed, clipping sums squares over every row and
 Adam keeps vocabulary-sized moments. The shuffles, per-example random
 streams and early stopping are those of `train`; the dev pass runs one
 tweet at a time (`eval_oracle`), not in packed chunks.
+
+The regularizers are here as two steps, spatial dropout and then Gaussian
+noise (`regularize`), one sequence at a time: the oracle for
+`training._regularize`, which states both in one loop.
 """
 
 from __future__ import annotations
@@ -87,6 +91,38 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
     gX_fwd, g_fwd = gru_backward(grad_H[:, :d_h], c_fwd, p, 0)
     gX_bwd, g_bwd = gru_backward(grad_H[::-1, d_h:], c_bwd, p, 1)
     return gX_fwd + gX_bwd[::-1], GruParams(*(np.stack(pair) for pair in zip(g_fwd, g_bwd)))
+
+
+def gaussian_noise(x: np.ndarray, std: float, rng) -> np.ndarray:
+    """Additive zero-mean noise drawn from rng; identity at std 0."""
+    if std == 0.0:
+        return x
+    return x + rng.normal(0.0, std, size=x.shape)
+
+
+def spatial_dropout(X: np.ndarray, rate: float, rng):
+    """Channel dropout with inverted scaling: one keep/drop draw per column,
+    applied across every row; returns (output, (1, columns) mask). At rate
+    0 the output is X itself and the mask all ones, and nothing is drawn."""
+    if rate == 0.0:
+        return X, np.ones((1, X.shape[1]))
+    keep = rng.random((1, X.shape[1])) >= rate
+    mask = keep / (1.0 - rate)
+    return X * mask, mask
+
+
+def regularize(rows: np.ndarray, lengths, rngs, rate: float, std: float):
+    """Each sequence's rows through `spatial_dropout` and then
+    `gaussian_noise`, drawn from its own stream; returns (output, the
+    (B, columns) masks)."""
+    parts, masks = [], []
+    start = 0
+    for n, rng in zip(lengths, rngs):
+        part, mask = spatial_dropout(rows[start : start + n], rate, rng)
+        parts.append(gaussian_noise(part, std, rng))
+        masks.append(mask)
+        start += n
+    return np.concatenate(parts), np.concatenate(masks)
 
 
 def example_loss_and_grads(ids, gold, params, cfg, rng):
