@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
+from operator import contains
 
 import numpy as np
 
-from .errors import DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile, replacing, text_lines
+from .errors import (
+    DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile, replacing, text_lines, whole_text,
+)
 from .textprep import TAG_SURFACES
 
 PAD = "<pad>"
@@ -23,6 +26,11 @@ UNK = "<unk>"
 # Fixed id layout: <pad>=0, <unk>=1, then the normalization tags in their
 # TAG_SURFACES order. Corpus words follow, most frequent first.
 RESERVED = (PAD, UNK) + tuple(TAG_SURFACES.values())
+
+# Characters of whole lines that Vocabulary.load parses at once: the rows of
+# one block are alive at a time, not those of the whole file. Larger blocks
+# parse no faster and leave more freed strings holding allocator memory.
+VOCAB_BLOCK_CHARS = 1 << 14
 
 
 @dataclass
@@ -63,7 +71,42 @@ class Vocabulary:
         """Read "id<TAB>word" lines with ids 0, 1, 2, ...; blank lines are
         skipped. Ids 0 and 1 must be <pad> and <unk>, which training and
         encoding rely on. A repeated word is an error, as only one of its
-        ids could be reached. Errors name the file and line."""
+        ids could be reached. Errors name the file and line: only a file
+        that fails a check of `_parse` pays for them, by being read again
+        a line at a time (`_load_lines`)."""
+        return cls._parse(whole_text(path)) or cls._load_lines(path)
+
+    @classmethod
+    def _parse(cls, text: str) -> "Vocabulary | None":
+        """The vocabulary in `text`, parsed by str calls a block of whole
+        lines at a time, or None if a check fails. A word that holds a tab
+        fails one too: the line loop reads it."""
+        id_to_word, word_to_id = [], {}
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + VOCAB_BLOCK_CHARS) + 1 or len(text)
+            rows = list(filter(None, text[start:end].split("\n")))
+            start = end
+            cells = "\t".join(rows).split("\t") if rows else []
+            if len(cells) != 2 * len(rows) or not all(map(contains, rows, repeat("\t"))):
+                return None  # some row holds no tab or more than one
+            try:
+                block_ids = list(map(int, cells[0::2]))
+            except ValueError:  # an id that is no integer
+                return None
+            if block_ids != list(range(len(id_to_word), len(id_to_word) + len(rows))):
+                return None
+            words = cells[1::2]
+            id_to_word += words
+            word_to_id.update(zip(words, block_ids))
+        if id_to_word[:2] != [PAD, UNK] or len(word_to_id) != len(id_to_word):
+            return None
+        return cls(word_to_id, id_to_word)
+
+    @classmethod
+    def _load_lines(cls, path) -> "Vocabulary":
+        """`load` read a line at a time: the error of the first bad line, or
+        the vocabulary of a file whose words hold tabs."""
         id_to_word = []
         word_to_id = {}
         lineno = 0

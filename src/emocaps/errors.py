@@ -1,6 +1,7 @@
-"""Exception types shared across the package; `text_lines`, the one reader
-of every text file the program is given (`json_object` reads JSON with
-it); `replacing`, its one writer."""
+"""Exception types shared across the package; `text_lines` and
+`whole_text`, the readers of every text file the program is given, a line
+at a time or at once (`json_object` reads JSON with the latter);
+`replacing`, its one writer."""
 
 import json
 import os
@@ -69,15 +70,33 @@ def text_lines(path, keepends=False):
         try:
             yield enumerate(handle if keepends else map(str.removesuffix, handle, repeat("\n")), 1)
         except UnicodeDecodeError:
-            data = Path(path).read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                head = data[: exc.start]
-                line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-                reason = f"can't decode byte {data[exc.start]:#04x} at file offset {exc.start} ({exc.reason})"
-                raise MalformedLine(f"{path}:{line}: not UTF-8 text: {reason}", line) from None
-            raise MalformedLine(f"{path}: not UTF-8 text") from None  # it changed since the failed read
+            raise _not_utf8(path) from None
+
+
+def whole_text(path) -> str:
+    """The text of UTF-8 file `path`, read at once, after a leading
+    byte-order mark and with each \\r\\n and \\r read as \\n: its
+    `split("\\n")` holds the lines `text_lines` yields. A byte that is not
+    UTF-8 raises the same MalformedLine as there."""
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> MalformedLine:
+    """The MalformedLine naming file `path` and the line of its first byte
+    that is not UTF-8, found by reading the file again."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        reason = f"can't decode byte {data[exc.start]:#04x} at file offset {exc.start} ({exc.reason})"
+        return MalformedLine(f"{path}:{line}: not UTF-8 text: {reason}", line)
+    return MalformedLine(f"{path}: not UTF-8 text")  # it changed since the failed read
 
 
 def json_object(path, what: str) -> dict:
@@ -92,8 +111,7 @@ def json_object(path, what: str) -> dict:
         return dict(pairs)
 
     try:
-        with text_lines(path, keepends=True) as lines:
-            loaded = json.loads("".join(line for _, line in lines), object_pairs_hook=once)
+        loaded = json.loads(whole_text(path), object_pairs_hook=once)
     except json.JSONDecodeError as exc:
         raise MalformedHeader(f"{path}: unreadable {what}: {exc}") from exc
     if not isinstance(loaded, dict):

@@ -17,7 +17,7 @@ from emocaps import cli, training
 from emocaps.checkpoint import load_checkpoint, save_checkpoint
 from emocaps.cli import build_parser, entry, load_dataset, main
 from emocaps.embeddings import Vocabulary, load_word2vec
-from emocaps.errors import MalformedLine
+from emocaps.errors import MalformedLine, text_lines, whole_text
 from emocaps.evaluation import LABELS
 from emocaps.textprep import Lexicon
 from emocaps.training import TrainConfig
@@ -387,6 +387,32 @@ def test_byte_order_mark_keeps_file_offsets(tmp_path):
     with pytest.raises(MalformedLine, match="^" + re.escape(
             f"{path}:2: not UTF-8 text: can't decode byte 0xe9 at file offset 19 (invalid continuation byte)") + "$"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("content", [
+    b"a\r\nb\rc\n", "a\u2028b\u2029c\x85d\x0be\x0cf\x1cg\n".encode("utf-8"), BOM + b"a\nb\r\n",
+    b"a\n\nb", b"", b"\n", b"\r\r\n\r",
+], ids=["crlf-cr", "separators-inside", "byte-order-mark", "no-final-newline", "empty", "newline", "blank-lines"])
+def test_whole_text_splits_into_the_lines_of_text_lines(tmp_path, content):
+    """The lines of the whole-file reader, split at \\n, are the lines the
+    line reader yields; a final newline or an empty file adds one ""."""
+    path = tmp_path / "data.txt"
+    path.write_bytes(content)
+    text = whole_text(path)
+    with text_lines(path) as numbered:
+        lines = [line for _, line in numbered]
+    assert text.split("\n") == lines + [""] * (text == "" or text.endswith("\n"))
+    with text_lines(path, keepends=True) as numbered:
+        assert text == "".join(line for _, line in numbered)
+
+
+def test_whole_text_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_bytes(b"one\r\ntwo\rcaf\xe9\n")
+    with pytest.raises(MalformedLine, match="^" + re.escape(
+            f"{path}:3: not UTF-8 text: can't decode byte 0xe9 at file offset 12 (invalid continuation byte)") + "$") as err:
+        whole_text(path)
+    assert err.value.line_number == 3
 
 
 class TestExitCodes:

@@ -1,9 +1,10 @@
 """numpy is the only runtime dependency: every absolute import in the
 package names the standard library, numpy or the package itself. And
-errors holds the one reader and the one writer of files: no other module
-opens a file to read it as text (errors.text_lines), nor writes or
-renames one (errors.replacing). And every function the benchmark traces or
-breaks on purpose is still there under its name. And the package pins
+errors holds the readers and the one writer of files: no other module
+opens a file to read it as text (errors.text_lines, a line at a time, or
+errors.whole_text, at once), nor writes or renames one
+(errors.replacing). And every function the benchmark traces or breaks on
+purpose is still there under its name. And the package pins
 BLAS to one thread before anything it imports can load numpy."""
 
 import ast

@@ -1,10 +1,13 @@
+import random
 import re
 import struct
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from emocaps import embeddings
 from emocaps.embeddings import (
     PAD,
     RESERVED,
@@ -18,11 +21,15 @@ from emocaps.embeddings import (
 )
 from emocaps.errors import (
     DimensionMismatch,
+    EmocapsError,
     IdOutOfRange,
     MalformedHeader,
     MalformedLine,
     TruncatedFile,
 )
+from vocab_oracle import load_lines
+
+BOM = b"\xef\xbb\xbf"
 
 
 def dense(rows, values, num_rows):
@@ -125,6 +132,155 @@ class TestVocabulary:
         path.write_text(content, encoding="utf-8")
         with pytest.raises(MalformedHeader, match=f"^{path}:{where}: {message}$"):
             Vocabulary.load(path)
+
+
+# words that the line rule, the tab split or int() could misread
+ODD_WORDS = ("a\tb", "\t", "x\u2028y", "p\x0bq", "r\x1cs", "café", " sp", "7")
+TABLESS_WORDS = tuple(word for word in ODD_WORDS if "\t" not in word)
+ID_FORMATS = ("{}", "{}", "{}", "0{}", "+{}", " {}", "{} ")
+BAD_ROWS = ("7 cat", "x\tcat", "\tcat", " ", "7", "-1\tcat")
+
+
+def vocab_rows(rng, count, odd_words=ODD_WORDS):
+    """`count` rows of a well-formed vocabulary, some with odd words or ids."""
+    words = list(RESERVED[:2]) + [rng.choice(odd_words) + str(i) if rng.random() < 0.2 else f"w{i}"
+                                  for i in range(2, count)]
+    return [f"{rng.choice(ID_FORMATS).format(i)}\t{word}" for i, word in enumerate(words[:count])]
+
+
+def spoil(rng, rows):
+    """`rows` with one fault at a random row, or none, and blank lines
+    around that row."""
+    at = rng.randrange(len(rows) + 1)
+    fault = rng.choice(["none", "gap", "repeat", "reserved", "truncate", "bad-row", "tab-word", "shifted-tab"])
+    if fault == "bad-row" or at == len(rows):
+        rows.insert(at, rng.choice(BAD_ROWS))
+    elif fault == "gap":
+        del rows[at]
+    elif fault == "repeat" and at > 0:
+        rows[at] = rows[at].split("\t", 1)[0] + "\t" + rows[rng.randrange(at)].split("\t", 1)[1]
+    elif fault == "reserved":
+        rows[min(at, 1)] = rng.choice(["0\t<unk>", "1\t<pad>", "1\tcat", "0\t"])
+    elif fault == "truncate":
+        del rows[min(at, 2) :]
+    elif fault == "tab-word":
+        rows[at] += "\tmore"
+    elif fault == "shifted-tab" and at + 1 < len(rows):
+        shift_tab(rows, at)
+    for _ in range(rng.choice([0, 0, 1, 3])):
+        rows.insert(min(max(at + rng.randint(-1, 1), 0), len(rows)), "")
+    return rows
+
+
+def shift_tab(rows, at):
+    """Move row `at + 1`'s tab and id to the end of row `at`: each row holds
+    one tab on average, and the tab-separated cells still count up."""
+    rows[at] += "\t" + rows[at + 1].split("\t", 1)[0]
+    rows[at + 1] = rows[at + 1].split("\t", 1)[1]
+
+
+def encode_rows(rng, rows) -> bytes:
+    """The rows as a file: mixed line ends, maybe a byte-order mark, no
+    final newline, or a byte that is not UTF-8."""
+    ends = [rng.choice(["\n", "\n", "\n", "\r\n", "\r"]) for _ in rows]
+    if rows and rng.random() < 0.2:
+        ends[-1] = ""
+    data = "".join(map(str.__add__, rows, ends)).encode("utf-8")
+    if rng.random() < 0.2:
+        data = BOM + data
+    if data and rng.random() < 0.05:
+        cut = rng.randrange(len(data))
+        data = data[:cut] + b"\xe9" + data[cut:]
+    return data
+
+
+def assert_loads_as_oracle(path):
+    """Vocabulary.load gives the line loop's vocabulary, or its error with
+    the same type, message and line number; the name of the outcome."""
+    try:
+        expected = load_lines(path)
+    except EmocapsError as exc:
+        with pytest.raises(EmocapsError) as err:
+            Vocabulary.load(path)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        assert getattr(err.value, "line_number", None) == getattr(exc, "line_number", None)
+        return type(exc).__name__
+    vocab = Vocabulary.load(path)
+    assert (vocab.id_to_word, vocab.word_to_id) == expected
+    return "loaded"
+
+
+class TestVocabularyBlocks:
+    """Vocabulary.load parses blocks of whole lines; the line loop of
+    vocab_oracle is what it must agree with, on every file."""
+
+    @pytest.mark.parametrize("block", [1, 5, 23, embeddings.VOCAB_BLOCK_CHARS])
+    def test_small_files_agree_with_the_line_loop(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(embeddings, "VOCAB_BLOCK_CHARS", block)
+        rng = random.Random(block)
+        outcomes = Counter()
+        for n in range(200):
+            rows = spoil(rng, vocab_rows(rng, rng.randint(0, 12)))
+            path = tmp_path / f"vocab{n}.tsv"
+            path.write_bytes(encode_rows(rng, rows))
+            outcomes[assert_loads_as_oracle(path)] += 1
+        assert set(outcomes) == {"loaded", "MalformedLine", "MalformedHeader"}, outcomes
+
+    @pytest.mark.parametrize("fault, outcome", [
+        (None, "loaded"), ("bad-row", "MalformedLine"), ("blank", "loaded"), ("gap", "MalformedHeader"),
+        ("repeat", "MalformedLine"), ("tab-word", "loaded"), ("shifted-tab", "MalformedLine"),
+    ])
+    def test_large_file_agrees_at_the_block_boundary(self, tmp_path, fault, outcome):
+        """A 50,000-word file with a fault on each side of the line that
+        starts its second block, or on that line."""
+        rows = vocab_rows(random.Random(50_000), 50_000, TABLESS_WORDS)
+        text = "\n".join(rows) + "\n"
+        second = text.count("\n", 0, text.find("\n", embeddings.VOCAB_BLOCK_CHARS) + 1)
+        for at in (second - 1, second, second + 1) if fault else (0,):
+            spoiled = list(rows)
+            if fault == "bad-row":
+                spoiled.insert(at, "oops")
+            elif fault == "blank":
+                spoiled[at:at] = ["", ""]
+            elif fault == "gap":
+                del spoiled[at]
+            elif fault == "repeat":
+                spoiled[at] = f"{at}\t" + spoiled[5].split("\t", 1)[1]
+            elif fault == "tab-word":
+                spoiled[at] += "\tmore"
+            elif fault == "shifted-tab":
+                shift_tab(spoiled, at)
+            path = tmp_path / f"vocab{at}.tsv"
+            path.write_text("\n".join(spoiled) + "\n", encoding="utf-8")
+            assert assert_loads_as_oracle(path) == outcome
+
+    def test_a_well_formed_file_is_read_once(self, tmp_path, monkeypatch):
+        """Only a file that fails a check is read again, a line at a time."""
+        def reread(cls, path):
+            raise AssertionError(f"{path} was read a line at a time")
+
+        rows = vocab_rows(random.Random(1), 50_000, TABLESS_WORDS)
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(BOM + "\r\n\n".join(rows).encode("utf-8"))
+        expected = load_lines(path)
+        monkeypatch.setattr(Vocabulary, "_load_lines", classmethod(reread))
+        vocab = Vocabulary.load(path)
+        assert (vocab.id_to_word, vocab.word_to_id) == expected
+
+    def test_memory_stays_near_the_vocabulary_kept(self, tmp_path):
+        """The traced peak of a load is at most 1.5 times what the loaded
+        vocabulary holds: the text is parsed a block at a time, so the
+        rows of the whole file never exist at once."""
+        path = tmp_path / "vocab.tsv"
+        Vocabulary.build([[f"word{i}" for i in range(50_000 - len(RESERVED))]]).save(path)
+        tracemalloc.start()
+        try:
+            vocab = Vocabulary.load(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(vocab) == 50_000
+        assert peak <= 1.5 * kept
 
 
 def write_binary_fixture(path, entries, dim, separator=b"\n"):
