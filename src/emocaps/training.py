@@ -1,6 +1,6 @@
 """Training pipeline: cross-entropy loss, Adam, gradient clipping, the
 regularizers (Gaussian noise, spatial dropout), the end-to-end
-forward/backward composition, and the epoch loop.
+forward/backward composition, and the run: one state, one step, one epoch.
 
 Training runs each batch in length-sorted chunks of at most
 TRAIN_CHUNK_TOKENS tokens: one forward and one backward pass per chunk, and
@@ -14,11 +14,12 @@ zero rows, which leaves it exact. All randomness is drawn from streams
 keyed by (seed, purpose, epoch, position), which makes runs reproducible.
 
 Training updates only the embedding rows of the training set's ids: every
-epoch visits every example, so `train` gathers these rows into a table of
-their own before the first step and trains it as it trains every other
-tensor, with plain dense arrays from the backward pass to Adam. Every other
-row would take a zero gradient at every step, which dense Adam moves by
-exactly zero, so the results are those of dense Adam over the whole table.
+epoch visits every example, so `start_training` gathers these rows before
+the first step into a table of their own, the embedding of
+`TrainState.model`, which is trained as every other tensor is, with plain
+dense arrays from the backward pass to Adam. Every other row would take a
+zero gradient at every step, which dense Adam moves by exactly zero, so the
+results are those of dense Adam over the whole table.
 """
 
 from __future__ import annotations
@@ -228,8 +229,8 @@ def clip_gradients(grads: dict, clip_norm: float = 1.0) -> float:
 
 def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
     """Standard Adam with bias correction over name-keyed tensors; updates
-    tensors and state in place and leaves `grads` alone. A gradient of the
-    wrong shape raises ShapeMismatch before anything is updated."""
+    tensors and state in place and overwrites `grads`, its scratch space. A
+    gradient of the wrong shape raises ShapeMismatch before anything is updated."""
     if set(grads) != set(tensors):
         raise ShapeMismatch("gradient keys do not match parameter keys")
     for name, theta in tensors.items():
@@ -239,7 +240,7 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) ->
     correct1 = 1.0 - BETA1 ** state.t
     correct2 = 1.0 - BETA2 ** state.t
     for name, theta in tensors.items():
-        _adam_update(theta, grads[name].copy(), state.m[name], state.v[name], cfg.learning_rate, correct1, correct2)
+        _adam_update(theta, grads[name], state.m[name], state.v[name], cfg.learning_rate, correct1, correct2)
 
 
 def _adam_update(theta, g, m, v, lr: float, correct1: float, correct2: float) -> None:
@@ -437,102 +438,119 @@ def _check_dataset(dataset, name: str, vocab_size: int) -> np.ndarray:
     return unique
 
 
-# a diverged run is reported once, by the NumericError naming its epoch and
-# batch, not by numpy's warnings about the overflows that led to it
-@np.errstate(all="ignore")
-def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None):
-    """Epoch loop with early stopping on dev macro-F1.
+@dataclass
+class TrainState:
+    """A training run between epochs: what `run_epoch` reads and advances,
+    besides the datasets and the model whose table it writes back to."""
 
-    Examples are shuffled per epoch from a seeded stream; per-example noise
-    and dropout draw from streams keyed by (seed, epoch, position in the
-    shuffled order). A batch runs in length-sorted chunks (`_chunks`,
-    TRAIN_CHUNK_TOKENS); its losses stay in batch order. Updates zero the
-    padding row's gradient, average the chunks' gradient sums over the
-    batch, clip, then apply Adam; a non-finite gradient norm raises
-    NumericError naming the epoch and batch before Adam runs, and numpy's
-    floating-point warnings stay off throughout. Stops once the dev score
-    has failed to improve for more than `patience` consecutive epochs, and
-    restores the best-scoring parameters before returning.
+    slots: np.ndarray  # the training set's sorted unique ids: trained row i is the model's row slots[i]
+    model: ModelParams  # the trained tensors: the trained-row table and the model's other arrays
+    adam: AdamState
+    epoch: int = 0  # the next epoch to run
+    best_f1: float = -1.0
+    since_best: int = 0  # epochs since the best dev score
+    best: dict[str, np.ndarray] | None = None  # a copy of model.tensors() from the best epoch
 
-    An empty train or dev example raises EmptySequence, and a train or
-    dev id outside the embedding table IdOutOfRange, before the first
-    step (`_check_dataset`). Every epoch visits every training example,
-    so the rows of the training set's ids are the embedding rows training
-    can move: they are gathered once into a table of their own, the
-    training set is re-encoded to its row indices, and training updates
-    that table, the model's other tensors in place. The trained rows are
-    written back to the model's table before each dev pass and after the
-    best epoch is restored, so a run that raises leaves the table as the
-    last dev pass saw it.
 
-    `clock` supplies the per-epoch seconds in the history; the default
-    reports 0.0 so histories are byte-stable across machines.
-
-    Returns (params, history): one history dict per completed epoch.
-    """
-    train_set = list(train_set)
-    dev_set = list(dev_set)
+def start_training(train_set, dev_set, params: ModelParams):
+    """Check both datasets (`_check_dataset`) and set up a run; returns
+    (state, the training set re-encoded to rows of the trained table).
+    Every epoch visits every training example, so the rows of the training
+    set's ids are the embedding rows training can move: the state's model
+    trains them as a table of their own, and the model's other arrays."""
     W = params.embedding.weights
     slots = _check_dataset(train_set, "train", len(W))
     _check_dataset(dev_set, "dev", len(W))
+    model = replace(params, embedding=EmbeddingTable(weights=W[slots]))
+    encoded = [(np.searchsorted(slots, ids), gold) for ids, gold in train_set]
+    return TrainState(slots=slots, model=model, adam=init_adam(model.tensors())), encoded
 
-    trainable = replace(params, embedding=EmbeddingTable(weights=W[slots]))
-    train_set = [(np.searchsorted(slots, ids), gold) for ids, gold in train_set]
-    tensors = trainable.tensors()
-    # a <pad> slot is slot 0; each batch zeroes its gradient, and Adam moves a
-    # row whose gradient and moments are zero by exactly 0.0
-    pad = int(slots[0] == PAD_ID)
-    adam = init_adam(tensors)
+
+def batch_gradients(state: TrainState, examples, epoch: int, start: int, cfg: TrainConfig):
+    """(gradient sums per tensor of the state's model, (B,) losses in batch
+    order) of the re-encoded `examples` at `start` in epoch `epoch`'s order.
+    They run in length-sorted chunks (`_chunks`, TRAIN_CHUNK_TOKENS); the
+    example at offset i draws from the stream (seed, 2, epoch, start + i)."""
+    sums = {k: np.zeros_like(t) for k, t in state.model.tensors().items()}
+    losses = np.empty(len(examples))
+    for chunk in _chunks([len(ids) for ids, _ in examples], TRAIN_CHUNK_TOKENS):
+        rngs = [np.random.default_rng([cfg.seed, 2, epoch, start + offset]) for offset in chunk]
+        probs, cache = forward_full([examples[offset][0] for offset in chunk], state.model, cfg, rngs=rngs)
+        losses[chunk], grad_logits = cross_entropy_loss(probs, [examples[offset][1] for offset in chunk])
+        backward_full(grad_logits, cache, state.model, sums)
+    return sums, losses
+
+
+def step(state: TrainState, sums: dict, size: int, cfg: TrainConfig) -> float:
+    """One update from the gradient sums of `size` examples, which it
+    consumes: zero the `<pad>` slot's row (slot 0, if the training set holds
+    it; Adam then moves it by exactly 0.0), average, clip, then Adam.
+    Returns the norm before clipping; a non-finite one raises NumericError."""
+    sums["embedding/W_e"][: int(state.slots[0] == PAD_ID)] = 0.0
+    for total in sums.values():
+        total *= 1.0 / size
+    norm = clip_gradients(sums, cfg.clip_norm)
+    adam_step(state.model.tensors(), sums, state.adam, cfg)
+    return norm
+
+
+# a diverged run is reported once, by the NumericError naming its epoch and
+# batch, not by numpy's warnings about the overflows that led to it
+@np.errstate(all="ignore")
+def run_epoch(state: TrainState, train_set, dev_set, params: ModelParams, cfg: TrainConfig) -> dict:
+    """Epoch `state.epoch` over the re-encoded training set, shuffled from
+    the stream (seed, 1, epoch), then a dev pass on `params`, to whose table
+    the trained rows are first written back; returns the history record,
+    without "seconds". A non-finite gradient norm raises NumericError naming
+    the epoch and batch, and a non-finite mean loss one naming the epoch,
+    with numpy's warnings off. The state counts the epoch and keeps the
+    best dev score's tensors."""
+    epoch = state.epoch
+    order = np.random.default_rng([cfg.seed, 1, epoch]).permutation(len(train_set))
+    losses = []
+    for start in range(0, len(order), cfg.batch_size):
+        batch = order[start : start + cfg.batch_size]
+        sums, batch_losses = batch_gradients(state, [train_set[index] for index in batch], epoch, start, cfg)
+        losses.extend(batch_losses.tolist())
+        try:
+            step(state, sums, len(batch), cfg)
+        except NumericError as exc:
+            raise NumericError(f"epoch {epoch}, batch {start // cfg.batch_size}: {exc}") from exc
+    train_loss = float(np.mean(losses))
+    if not np.isfinite(train_loss):
+        raise NumericError(f"training loss diverged at epoch {epoch}")
+    params.embedding.weights[state.slots] = state.model.embedding.weights
+    dev_f1 = dataset_macro_f1(dev_set, params, cfg)
+    state.epoch += 1
+    if dev_f1 > state.best_f1:
+        state.best_f1, state.since_best = dev_f1, 0
+        state.best = {k: t.copy() for k, t in state.model.tensors().items()}
+    else:
+        state.since_best += 1
+    return {"epoch": epoch, "train_loss": train_loss, "dev_macro_f1": dev_f1}
+
+
+def finish_training(state: TrainState, params: ModelParams) -> None:
+    """Restore the best epoch's tensors (epoch 0's dev macro-F1, at least 0,
+    always sets them) and write the trained rows back to the model's table."""
+    for name, t in state.model.tensors().items():
+        t[...] = state.best[name]
+    params.embedding.weights[state.slots] = state.model.embedding.weights
+
+
+def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None):
+    """`start_training`, then epochs (`run_epoch`) until `max_epochs`, or
+    until the dev macro-F1 has failed to improve for more than `patience`
+    epochs in a row, then `finish_training`. Returns (params, history), one
+    record per epoch; `clock` supplies its seconds, which default to 0.0 so
+    histories are byte-stable across machines."""
+    dev_set = list(dev_set)
+    state, train_set = start_training(list(train_set), dev_set, params)
     history: list[dict] = []
-    best_f1 = -1.0
-    since_best = 0
-
-    for epoch in range(cfg.max_epochs):
+    while state.epoch < cfg.max_epochs and state.since_best <= cfg.patience:
         started = clock() if clock is not None else 0.0
-        order = np.random.default_rng([cfg.seed, 1, epoch]).permutation(len(train_set))
-        losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            sums = {k: np.zeros_like(t) for k, t in tensors.items()}
-            batch_losses = np.empty(len(batch))
-            for chunk in _chunks([len(train_set[index][0]) for index in batch], TRAIN_CHUNK_TOKENS):
-                examples = [train_set[batch[offset]] for offset in chunk]
-                rngs = [np.random.default_rng([cfg.seed, 2, epoch, start + offset]) for offset in chunk]
-                probs, cache = forward_full([ids for ids, _ in examples], trainable, cfg, rngs=rngs)
-                batch_losses[chunk], grad_logits = cross_entropy_loss(probs, [gold for _, gold in examples])
-                backward_full(grad_logits, cache, trainable, sums)
-            losses.extend(batch_losses.tolist())
-            sums["embedding/W_e"][:pad] = 0.0
-            inv = 1.0 / len(batch)
-            for total in sums.values():
-                total *= inv
-            try:
-                clip_gradients(sums, cfg.clip_norm)
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch}, batch {start // cfg.batch_size}: {exc}") from exc
-            adam_step(tensors, sums, adam, cfg)
-
-        train_loss = float(np.mean(losses))
-        if not np.isfinite(train_loss):
-            raise NumericError(f"training loss diverged at epoch {epoch}")
-        W[slots] = tensors["embedding/W_e"]
-        dev_f1 = dataset_macro_f1(dev_set, params, cfg)
-        seconds = (clock() - started) if clock is not None else 0.0
-        history.append(
-            {"epoch": epoch, "train_loss": train_loss, "dev_macro_f1": dev_f1, "seconds": seconds}
-        )
-
-        if dev_f1 > best_f1:
-            best_f1 = dev_f1
-            since_best = 0
-            best_tensors = {k: t.copy() for k, t in tensors.items()}
-        else:
-            since_best += 1
-            if since_best > cfg.patience:
-                break
-
-    # epoch 0 always sets best_tensors: its dev macro-F1 is at least 0
-    for name, values in best_tensors.items():
-        tensors[name][...] = values
-    W[slots] = tensors["embedding/W_e"]
+        record = run_epoch(state, train_set, dev_set, params, cfg)
+        record["seconds"] = (clock() - started) if clock is not None else 0.0
+        history.append(record)
+    finish_training(state, params)
     return params, history

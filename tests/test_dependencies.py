@@ -5,7 +5,9 @@ opens a file to read it as text (errors.text_lines, a line at a time, or
 errors.whole_text, at once), nor writes or renames one
 (errors.replacing). And every function the benchmark traces or breaks on
 purpose is still there under its name. And the package pins
-BLAS to one thread before anything it imports can load numpy."""
+BLAS to one thread before anything it imports can load numpy. And a
+training run has one step path: one place clips and applies Adam, and one
+runs training passes."""
 
 import ast
 import sys
@@ -66,6 +68,15 @@ def _call_name(call: ast.Call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
+def _owners(tree) -> dict:
+    """id of a node -> name of the innermost function holding it."""
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    return owner
+
+
 def _reads_text(call: ast.Call) -> bool:
     """Whether `call` is `open(path, mode)` or `path.open(mode)` with a mode
     that reads text (or one only known at run time), or `.read_text(...)`."""
@@ -102,10 +113,7 @@ def test_only_errors_reads_text_files():
         if path.name == "errors.py":
             continue
         tree = ast.parse(path.read_text("utf-8"), filename=str(path))
-        owner = {}  # id of a node -> name of the innermost function holding it
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        owner = _owners(tree)
         reads += [
             f"{path.name}:{node.lineno}: {ast.unparse(node)}"
             for node in ast.walk(tree)
@@ -139,3 +147,26 @@ def test_benchmark_span_targets_resolve():
     seams = [("emocaps.training", "predict_class"), ("emocaps.training", "clip_gradients"), ("emocaps.textprep", "spell_correct")]
     targets = [(module, path) for module, path, _, _ in spans.TARGETS] + seams
     assert [f"{module}.{path}" for module, path in targets if spans._resolve(module, path) is None] == []
+
+
+def test_one_step_path():
+    """Only `training.step` clips and calls Adam, and only
+    `training.batch_gradients` runs a training pass (`forward_full` given
+    `rngs`): a new optimizer or a parallel batch replaces these two rather
+    than forking them."""
+    calls = []
+    for path in sorted(Path(emocaps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        owner = _owners(tree)
+        calls += [
+            (path.name, owner.get(id(node)), _call_name(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (_call_name(node) in ("clip_gradients", "adam_step")
+                 or _call_name(node) == "forward_full" and any(kw.arg in ("rngs", None) for kw in node.keywords))
+        ]
+    assert sorted(calls) == [
+        ("training.py", "batch_gradients", "forward_full"),
+        ("training.py", "step", "adam_step"),
+        ("training.py", "step", "clip_gradients"),
+    ]

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import re
@@ -18,18 +19,23 @@ from emocaps.errors import (
 )
 from emocaps.nn import N_CLASSES, dense_forward, softmax
 from emocaps.training import (
+    PAD_ID,
     AdamState,
     ModelParams,
     TrainConfig,
+    TrainState,
     _regularize,
     adam_step,
     backward_full,
     clip_gradients,
     cross_entropy_loss,
     dataset_macro_f1,
+    finish_training,
     forward_full,
     init_adam,
     init_model,
+    run_epoch,
+    start_training,
     train,
 )
 from gradcheck import chunk_loss_and_grads, finite_diff_check
@@ -184,7 +190,7 @@ class TestAdam:
         grad = np.asarray([10.0, -10.0])
         adam_step(theta, {"t": grad}, state, cfg)
         np.testing.assert_allclose(theta["t"], [5.0 - 1e-3, -5.0 + 1e-3], atol=1e-6)
-        np.testing.assert_array_equal(grad, [10.0, -10.0])  # the caller's gradient is left alone
+        assert not np.any(grad == [10.0, -10.0])  # the gradient is Adam's scratch space, overwritten
 
     def test_five_steps_match_scalar_transcription(self):
         cfg = TrainConfig(learning_rate=0.1)
@@ -573,6 +579,47 @@ class TestModelParams:
             TrainConfig(**{name: value})
 
 
+class TestStep:
+    @pytest.mark.parametrize("pad", [True, False], ids=["pad-slot", "no-pad-slot"])
+    @pytest.mark.parametrize("clip_norm", [1e-3, 1e3], ids=["clipped", "unclipped"])
+    def test_zeroes_pad_averages_clips_and_returns_the_norm(self, monkeypatch, pad, clip_norm):
+        """`step` hands Adam the batch mean of the sums, the <pad> slot's
+        row zeroed, scaled to `clip_norm` only when its norm exceeds it, and
+        returns that norm before clipping."""
+        cfg = tiny_config(clip_norm=clip_norm)
+        _, params = tiny_model(cfg, words=("alpha", "beta", "gamma", "delta"))
+        slots = np.array([PAD_ID, 2, 4] if pad else [2, 4, 5])
+        model = dataclasses.replace(params, embedding=EmbeddingTable(weights=params.embedding.weights[slots]))
+        state = TrainState(slots=slots, model=model, adam=init_adam(model.tensors()))
+        rng = np.random.default_rng(6)
+        sums = {k: rng.normal(size=t.shape) for k, t in model.tensors().items()}
+        mean = {k: t * (1.0 / 5) for k, t in sums.items()}
+        if pad:
+            mean["embedding/W_e"][0] = 0.0
+        seen = []
+        real = training.adam_step
+
+        def record(tensors, grads, *rest):  # Adam overwrites the gradients it is given
+            seen.append({k: g.copy() for k, g in grads.items()})
+            real(tensors, grads, *rest)
+
+        monkeypatch.setattr(training, "adam_step", record)
+        before = model.embedding.weights.copy()
+
+        norm = training.step(state, sums, 5, cfg)
+
+        expected = math.sqrt(sum(float(np.sum(t * t)) for t in mean.values()))
+        assert norm == pytest.approx(expected, rel=1e-12)
+        scale = clip_norm / norm if norm > clip_norm else 1.0
+        assert (scale < 1.0) == (clip_norm == 1e-3)
+        (grads,) = seen
+        for k, t in mean.items():
+            np.testing.assert_allclose(grads[k], t * scale, rtol=1e-14, atol=0, err_msg=k)
+        assert state.adam.t == 1
+        assert (model.embedding.weights[0] == before[0]).all() == pad  # Adam moves the <pad> row by exactly 0.0
+        assert not (model.embedding.weights[1:] == before[1:]).any()
+
+
 def toy_setup(toy_examples, **overrides):
     cfg = tiny_config(
         embed_dim=12, hidden_dim=6, num_capsules=2, capsule_dim=2, **overrides
@@ -626,19 +673,52 @@ class TestTrainLoop:
         best = max(row["dev_macro_f1"] for row in history)
         assert dataset_macro_f1(data, params, cfg) == pytest.approx(best)
 
-    def test_pad_row_never_learns(self, toy_examples, monkeypatch):
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_deep_copied_state_resumes_bitwise(self, toy_examples, k):
+        """A copy of the run and the model taken after epoch k, continued
+        epoch by epoch, ends where one uninterrupted `train` call does. The
+        run stops early, its last epoch not its best, so the restore runs."""
+        def setup():
+            cfg, vocab, params = toy_setup(toy_examples, spatial_dropout=0.2, capsule_dropout=0.2, noise_std=0.05,
+                                           batch_size=8, max_epochs=6, patience=2)
+            return cfg, encode_examples(toy_examples, vocab), params
+
+        cfg, data, params = setup()
+        params, history = train(data, data, params, cfg)
+        scores = [row["dev_macro_f1"] for row in history]
+        assert len(history) < cfg.max_epochs and scores[-1] < max(scores)
+
+        cfg, data, start = setup()
+        run, encoded = start_training(data, data, start)
+        records = [run_epoch(run, encoded, data, start, cfg) for _ in range(k + 1)]
+        copied, resumed = copy.deepcopy((run, start))
+        assert copied.model.gru is resumed.gru and copied.model.capsule is resumed.capsule
+        assert copied.model.dense is resumed.dense
+        # the copy shares no array with the run it was taken from
+        for t in [*start.tensors().values(), *run.model.tensors().values(), *run.adam.m.values(), *run.adam.v.values()]:
+            t[...] = np.nan
+        while copied.epoch < cfg.max_epochs and copied.since_best <= cfg.patience:
+            records.append(run_epoch(copied, encoded, data, resumed, cfg))
+        finish_training(copied, resumed)
+
+        assert [dict(row, seconds=0.0) for row in records] == history
+        for name, t in params.tensors().items():
+            assert resumed.tensors()[name].tobytes() == t.tobytes(), name
+
+    def test_pad_row_never_learns(self, toy_examples):
         # every third tweet holds the padding id, so the <pad> slot trains
         # alongside the others; its gradient is zeroed, so its row and its
         # Adam moments stay exactly 0.0
         cfg, vocab, params = toy_setup(toy_examples, max_epochs=3)
         data = encode_examples(toy_examples, vocab)
         data = [([0] + ids if i % 3 == 0 else ids, gold) for i, (ids, gold) in enumerate(data)]
-        states = []
-        monkeypatch.setattr(training, "init_adam", lambda *a: states.append(init_adam(*a)) or states[-1])
-        params, _ = train(data, data, params, cfg)
+        run, encoded = start_training(data, data, params)
+        for _ in range(cfg.max_epochs):
+            run_epoch(run, encoded, data, params, cfg)
+        finish_training(run, params)
         zeros = np.zeros(cfg.embed_dim)
         assert params.embedding.weights[0].tobytes() == zeros.tobytes()
-        (state,) = states
+        state = run.adam
         assert state.t > 0
         slots = len({i for ids, _ in data for i in ids})
         for moments in (state.m, state.v):
@@ -655,25 +735,24 @@ class TestTrainLoop:
         _, history = train(data, data, params, cfg, clock=lambda: float(next(ticks)))
         assert all(row["seconds"] == 1.0 for row in history)
 
-    def test_non_finite_gradient_stops_before_adam(self, toy_examples, monkeypatch):
+    def test_non_finite_gradient_stops_before_adam(self, toy_examples):
         cfg, vocab, params = toy_setup(toy_examples)
         data = encode_examples(toy_examples, vocab)
         params.capsule[0, 0, 0] = np.nan
         before = {k: t.copy() for k, t in params.tensors().items()}
-        states = []
-        monkeypatch.setattr(training, "init_adam", lambda *a: states.append(init_adam(*a)) or states[-1])
+        run, encoded = start_training(data, data, params)
         with pytest.raises(NumericError, match=r"^epoch 0, batch 0: gradient norm is not finite in "):
-            train(data, data, params, cfg)
+            run_epoch(run, encoded, data, params, cfg)
         for k, t in params.tensors().items():
             np.testing.assert_array_equal(t, before[k])
-        (state,) = states
+        state = run.adam
         assert state.t == 0
         # Adam trains the training set's embedding rows as a table of their own
         assert state.m["embedding/W_e"].shape == (len({i for ids, _ in data for i in ids}), cfg.embed_dim)
         for k in state.m:
             assert np.all(state.m[k] == 0.0) and np.all(state.v[k] == 0.0)
 
-    def test_non_finite_gradient_names_its_batch(self, toy_examples, monkeypatch):
+    def test_non_finite_gradient_names_its_batch(self, toy_examples):
         # a poisoned embedding row reaches the gradient only in the batch of
         # the one example that holds it; earlier updates ran, that one did not
         cfg, vocab, params = toy_setup(toy_examples, batch_size=8)
@@ -684,11 +763,10 @@ class TestTrainLoop:
         ids, gold = data[victim]
         dev = list(data)
         data[victim] = ([poisoned] + ids[1:], gold)
-        states = []
-        monkeypatch.setattr(training, "init_adam", lambda *a: states.append(init_adam(*a)) or states[-1])
+        run, encoded = start_training(data, dev, params)
         with pytest.raises(NumericError, match=r"^epoch 0, batch 2: gradient norm is not finite in embedding/W_e"):
-            train(data, dev, params, cfg)
-        (state,) = states
+            run_epoch(run, encoded, dev, params, cfg)
+        state = run.adam
         assert state.t == 2
         # the poisoned row is the largest training id, so the trained table's last
         assert len(state.m["embedding/W_e"]) == len({i for ids, _ in data for i in ids})
@@ -845,3 +923,23 @@ class TestRowSparseTraining:
         assert untouched.size > self.VOCAB // 2
         np.testing.assert_array_equal(sparse.embedding.weights[untouched], start[untouched])
         assert not np.array_equal(sparse.embedding.weights[touched], start[touched])
+
+    @pytest.mark.parametrize("seed", [22, 28])
+    def test_step_norms_match_dense_oracle(self, monkeypatch, seed):
+        """The norm `step` returns, before clipping, is the dense oracle's
+        norm of the whole table's gradient at every update."""
+        cfg = tiny_config(batch_size=8, clip_norm=0.5, learning_rate=0.01, seed=seed,
+                          spatial_dropout=0.2, capsule_dropout=0.2, noise_std=0.05)
+        start = np.random.default_rng([seed, 9]).uniform(-0.05, 0.05, size=(self.VOCAB, cfg.embed_dim))
+        start[0] = 0.0
+        train_set = sparse_vocab_examples([seed, 1], 40, self.VOCAB)
+        dev_set = sparse_vocab_examples([seed, 2], 24, self.VOCAB)
+        norms = []
+        real = training.step
+        monkeypatch.setattr(training, "step", lambda *a: norms.append(real(*a)) or norms[-1])
+
+        train(train_set, dev_set, init_model(cfg, EmbeddingTable(start.copy())), cfg)
+        _, _, dense_norms = dense_train(train_set, dev_set, init_model(cfg, EmbeddingTable(start.copy())), cfg)
+
+        assert len(norms) == len(dense_norms) == 15
+        np.testing.assert_allclose(norms, dense_norms, rtol=1e-10, atol=0)
