@@ -142,9 +142,9 @@ def _vocab_sha256(vocab: Vocabulary) -> str:
 
 
 def _load_for_vocab(stem, vocab: Vocabulary, vocab_path):
-    """load_checkpoint(stem), refused when it was written with another
-    vocabulary: its manifest records another fingerprint (a manifest that
-    records none is accepted), or its embedding/W_e has another row count."""
+    """load_checkpoint(stem), refused when its manifest records another
+    vocabulary's fingerprint (one that records none passes), or its
+    embedding/W_e is not 2-D with columns or has another row count."""
     tensors, manifest = load_checkpoint(stem)
     recorded = manifest.get("vocab_sha256")
     fingerprint = _vocab_sha256(vocab)
@@ -154,7 +154,9 @@ def _load_for_vocab(stem, vocab: Vocabulary, vocab_path):
             f"(vocabulary sha256 {fingerprint}, checkpoint records {recorded})"
         )
     W = tensors.get("embedding/W_e")
-    if W is not None and W.shape[:1] != (len(vocab),):
+    if W is not None and (W.ndim != 2 or W.shape[1] == 0):
+        raise MalformedHeader(f"{stem}.json: tensor embedding/W_e has shape {W.shape}, expected (rows, dim)")
+    if W is not None and len(W) != len(vocab):
         raise DimensionMismatch(
             f"{stem}.bin: embedding/W_e has shape {W.shape}, but vocabulary {vocab_path} has {len(vocab)} words"
         )
@@ -226,8 +228,6 @@ def _load_embedding_payload(stem, vocab: Vocabulary, vocab_path, cfg: TrainConfi
     if "embedding/W_e" not in tensors:
         raise MalformedHeader(f"{stem}.json: missing tensors: embedding/W_e")
     W = tensors["embedding/W_e"]
-    if W.ndim != 2 or W.shape[1] == 0:
-        raise MalformedHeader(f"{stem}.json: tensor embedding/W_e has shape {W.shape}, expected (rows, dim)")
     if W.shape[1] != cfg.embed_dim:
         # payload wins: cmd_train builds the model at the payload's width
         print(

@@ -185,14 +185,6 @@ class AdamState:
     t: int = 0
 
 
-def init_adam(tensors: dict[str, np.ndarray]) -> AdamState:
-    """Zero moments for every tensor of a name -> array dict."""
-    return AdamState(
-        m={name: np.zeros_like(t) for name, t in tensors.items()},
-        v={name: np.zeros_like(t) for name, t in tensors.items()},
-    )
-
-
 def cross_entropy_loss(probs: np.ndarray, golds):
     """Negative log-likelihood of each row's gold class, for (B, N_CLASSES)
     probabilities and B gold classes; returns (losses (B,), dL/dlogits
@@ -440,21 +432,23 @@ def _check_dataset(dataset, name: str, vocab_size: int) -> np.ndarray:
 
 @dataclass
 class TrainState:
-    """A training run between epochs: what `run_epoch` reads and advances,
-    besides the datasets and the model whose table it writes back to."""
+    """A training run: what `run_epoch` reads and advances, besides the dev
+    set and the model whose table it writes back to."""
 
     slots: np.ndarray  # the training set's sorted unique ids: trained row i is the model's row slots[i]
     model: ModelParams  # the trained tensors: the trained-row table and the model's other arrays
     adam: AdamState
+    examples: list  # the training set re-encoded to rows of the trained table
+    sums: dict[str, np.ndarray]  # every batch's gradient sums, reused: one buffer per tensor of model.tensors()
     epoch: int = 0  # the next epoch to run
     best_f1: float = -1.0
     since_best: int = 0  # epochs since the best dev score
     best: dict[str, np.ndarray] | None = None  # a copy of model.tensors() from the best epoch
 
 
-def start_training(train_set, dev_set, params: ModelParams):
-    """Check both datasets (`_check_dataset`) and set up a run; returns
-    (state, the training set re-encoded to rows of the trained table).
+def start_training(train_set, dev_set, params: ModelParams) -> TrainState:
+    """Check both datasets (`_check_dataset`) and set up a run: Adam's
+    moments and the batch sums zero, and the training set re-encoded.
     Every epoch visits every training example, so the rows of the training
     set's ids are the embedding rows training can move: the state's model
     trains them as a table of their own, and the model's other arrays."""
@@ -462,30 +456,33 @@ def start_training(train_set, dev_set, params: ModelParams):
     slots = _check_dataset(train_set, "train", len(W))
     _check_dataset(dev_set, "dev", len(W))
     model = replace(params, embedding=EmbeddingTable(weights=W[slots]))
-    encoded = [(np.searchsorted(slots, ids), gold) for ids, gold in train_set]
-    return TrainState(slots=slots, model=model, adam=init_adam(model.tensors())), encoded
+    m, v, sums = ({k: np.zeros_like(t) for k, t in model.tensors().items()} for _ in range(3))
+    examples = [(np.searchsorted(slots, ids), gold) for ids, gold in train_set]
+    return TrainState(slots=slots, model=model, adam=AdamState(m=m, v=v), examples=examples, sums=sums)
 
 
-def batch_gradients(state: TrainState, examples, epoch: int, start: int, cfg: TrainConfig):
-    """(gradient sums per tensor of the state's model, (B,) losses in batch
-    order) of the re-encoded `examples` at `start` in epoch `epoch`'s order.
-    They run in length-sorted chunks (`_chunks`, TRAIN_CHUNK_TOKENS); the
-    example at offset i draws from the stream (seed, 2, epoch, start + i)."""
-    sums = {k: np.zeros_like(t) for k, t in state.model.tensors().items()}
+def batch_gradients(state: TrainState, examples, start: int, cfg: TrainConfig) -> np.ndarray:
+    """The (B,) losses, in batch order, of the re-encoded `examples` at
+    `start` in epoch `state.epoch`'s order, and their gradients summed into
+    `state.sums`, zeroed first. They run in length-sorted chunks (`_chunks`,
+    TRAIN_CHUNK_TOKENS); offset i draws from the stream (seed, 2, epoch, start + i)."""
+    for total in state.sums.values():
+        total.fill(0.0)
     losses = np.empty(len(examples))
     for chunk in _chunks([len(ids) for ids, _ in examples], TRAIN_CHUNK_TOKENS):
-        rngs = [np.random.default_rng([cfg.seed, 2, epoch, start + offset]) for offset in chunk]
+        rngs = [np.random.default_rng([cfg.seed, 2, state.epoch, start + offset]) for offset in chunk]
         probs, cache = forward_full([examples[offset][0] for offset in chunk], state.model, cfg, rngs=rngs)
         losses[chunk], grad_logits = cross_entropy_loss(probs, [examples[offset][1] for offset in chunk])
-        backward_full(grad_logits, cache, state.model, sums)
-    return sums, losses
+        backward_full(grad_logits, cache, state.model, state.sums)
+    return losses
 
 
-def step(state: TrainState, sums: dict, size: int, cfg: TrainConfig) -> float:
-    """One update from the gradient sums of `size` examples, which it
-    consumes: zero the `<pad>` slot's row (slot 0, if the training set holds
-    it; Adam then moves it by exactly 0.0), average, clip, then Adam.
-    Returns the norm before clipping; a non-finite one raises NumericError."""
+def step(state: TrainState, size: int, cfg: TrainConfig) -> float:
+    """One update from `state.sums`, the gradient sums of `size` examples,
+    which it consumes: zero the `<pad>` slot's row (slot 0, if the training
+    set holds it; Adam then moves it by exactly 0.0), average, clip, then
+    Adam. Returns the norm before clipping; a non-finite one raises NumericError."""
+    sums = state.sums
     sums["embedding/W_e"][: int(state.slots[0] == PAD_ID)] = 0.0
     for total in sums.values():
         total *= 1.0 / size
@@ -497,8 +494,8 @@ def step(state: TrainState, sums: dict, size: int, cfg: TrainConfig) -> float:
 # a diverged run is reported once, by the NumericError naming its epoch and
 # batch, not by numpy's warnings about the overflows that led to it
 @np.errstate(all="ignore")
-def run_epoch(state: TrainState, train_set, dev_set, params: ModelParams, cfg: TrainConfig) -> dict:
-    """Epoch `state.epoch` over the re-encoded training set, shuffled from
+def run_epoch(state: TrainState, dev_set, params: ModelParams, cfg: TrainConfig) -> dict:
+    """Epoch `state.epoch` over `state.examples`, shuffled from
     the stream (seed, 1, epoch), then a dev pass on `params`, to whose table
     the trained rows are first written back; returns the history record,
     without "seconds". A non-finite gradient norm raises NumericError naming
@@ -506,14 +503,13 @@ def run_epoch(state: TrainState, train_set, dev_set, params: ModelParams, cfg: T
     with numpy's warnings off. The state counts the epoch and keeps the
     best dev score's tensors."""
     epoch = state.epoch
-    order = np.random.default_rng([cfg.seed, 1, epoch]).permutation(len(train_set))
+    order = np.random.default_rng([cfg.seed, 1, epoch]).permutation(len(state.examples))
     losses = []
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start : start + cfg.batch_size]
-        sums, batch_losses = batch_gradients(state, [train_set[index] for index in batch], epoch, start, cfg)
-        losses.extend(batch_losses.tolist())
+        losses.extend(batch_gradients(state, [state.examples[index] for index in batch], start, cfg).tolist())
         try:
-            step(state, sums, len(batch), cfg)
+            step(state, len(batch), cfg)
         except NumericError as exc:
             raise NumericError(f"epoch {epoch}, batch {start // cfg.batch_size}: {exc}") from exc
     train_loss = float(np.mean(losses))
@@ -545,11 +541,11 @@ def train(train_set, dev_set, params: ModelParams, cfg: TrainConfig, clock=None)
     record per epoch; `clock` supplies its seconds, which default to 0.0 so
     histories are byte-stable across machines."""
     dev_set = list(dev_set)
-    state, train_set = start_training(list(train_set), dev_set, params)
+    state = start_training(list(train_set), dev_set, params)
     history: list[dict] = []
     while state.epoch < cfg.max_epochs and state.since_best <= cfg.patience:
         started = clock() if clock is not None else 0.0
-        record = run_epoch(state, train_set, dev_set, params, cfg)
+        record = run_epoch(state, dev_set, params, cfg)
         record["seconds"] = (clock() - started) if clock is not None else 0.0
         history.append(record)
     finish_training(state, params)

@@ -36,6 +36,9 @@ TINY_FLAGS = [
     "--seed", "0",
 ]
 VOCAB_FLAGS = ["--embed-dim", "8", "--seed", "0"]  # build-vocab reads only these two settings
+# an embedding/W_e table that is not 2-D with columns, as each command reads one
+WRONG_RANK = pytest.mark.parametrize("cut", [lambda t: t[:, 0], lambda t: t[..., None], lambda t: t[:, :0]],
+                                     ids=["1-d", "3-d", "0-wide"])
 
 
 def run(argv):
@@ -622,12 +625,12 @@ class TestExitCodes:
         code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
+        expected = "(rows, dim)" if name == "embedding/W_e" else expected
         err = capsys.readouterr().err
         assert err == f"error: {stem}.json: tensor {name} has shape {tensors[name].shape}, expected {expected}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("cut", [lambda t: t[:, 0], lambda t: t[..., None], lambda t: t[:, :0]],
-                             ids=["1-d", "3-d", "0-wide"])
+    @WRONG_RANK
     def test_embedding_payload_of_the_wrong_rank_is_refused(self, workspace, tmp_path, capsys, cut):
         tensors, manifest = load_checkpoint(workspace["payload"])
         W = cut(tensors["embedding/W_e"])
@@ -637,6 +640,25 @@ class TestExitCodes:
         capsys.readouterr()
         code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
                     "--embeddings-payload", stem, "--checkpoint-dir", out] + TINY_FLAGS)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {stem}.json: tensor embedding/W_e has shape {W.shape}, expected (rows, dim)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @WRONG_RANK
+    def test_model_embedding_of_the_wrong_rank_is_refused(self, workspace, tmp_path, capsys, cut, command):
+        """predict and evaluate hold a checkpoint's table to the rule train
+        holds a payload to, and say so before the row count or another
+        tensor's shape."""
+        tensors, manifest = load_checkpoint(workspace["ckpt"] / "model")
+        W = tensors["embedding/W_e"] = cut(tensors["embedding/W_e"])
+        stem = tmp_path / "model"
+        save_checkpoint(stem, tensors, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"], "--checkpoint", stem,
+                    "--output", out] + (["--labeled"] if command == "predict" else []))
         assert code == 3
         err = capsys.readouterr().err
         assert err == f"error: {stem}.json: tensor embedding/W_e has shape {W.shape}, expected (rows, dim)\n"

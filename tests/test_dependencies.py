@@ -7,7 +7,8 @@ errors.whole_text, at once), nor writes or renames one
 purpose is still there under its name. And the package pins
 BLAS to one thread before anything it imports can load numpy. And a
 training run has one step path: one place clips and applies Adam, and one
-runs training passes."""
+runs training passes. And the run's arrays have one owner: one place
+builds the training state, and no step allocates the batch sums."""
 
 import ast
 import sys
@@ -170,3 +171,23 @@ def test_one_step_path():
         ("training.py", "step", "adam_step"),
         ("training.py", "step", "clip_gradients"),
     ]
+
+
+def test_one_owner_of_the_run():
+    """Only `training.start_training` builds a `TrainState`, and neither
+    `batch_gradients` nor `step` calls `np.zeros*`: the batch sums are the
+    state's, built once and zeroed in place by every batch."""
+    builds, allocations = [], []
+    for path in sorted(Path(emocaps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        owner = _owners(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name, where = _call_name(node) or "", (path.name, owner.get(id(node)))
+            if name == "TrainState":
+                builds.append(where)
+            elif name.startswith("zeros") and where in {("training.py", "batch_gradients"), ("training.py", "step")}:
+                allocations.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert builds == [("training.py", "start_training")]
+    assert allocations == []

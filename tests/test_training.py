@@ -32,7 +32,6 @@ from emocaps.training import (
     dataset_macro_f1,
     finish_training,
     forward_full,
-    init_adam,
     init_model,
     run_epoch,
     start_training,
@@ -176,7 +175,8 @@ class TestAdam:
         cfg = tiny_config()
         _, params = tiny_model(cfg)
         before = {k: t.copy() for k, t in params.tensors().items()}
-        state = init_adam(params.tensors())
+        state = AdamState(m={k: np.zeros_like(t) for k, t in params.tensors().items()},
+                          v={k: np.zeros_like(t) for k, t in params.tensors().items()})
         grads = {k: np.zeros_like(m) for k, m in state.m.items()}
         adam_step(params.tensors(), grads, state, cfg)
         for k, t in params.tensors().items():
@@ -200,18 +200,6 @@ class TestAdam:
         for step in range(5):
             adam_step(theta, {"t": 2.0 * theta["t"]}, state, cfg)
             assert abs(theta["t"][0] - expected[step]) < 1e-12
-
-    def test_init_adam_keeps_no_embedding_rows(self):
-        """Every tensor's moments are zeros of its shape, a table of no rows
-        included."""
-        cfg = tiny_config()
-        _, params = tiny_model(cfg)
-        tensors = dict(params.tensors(), **{"embedding/W_e": np.empty((0, cfg.embed_dim))})
-        state = init_adam(tensors)
-        assert list(state.m) == list(state.v) == list(tensors) and state.t == 0
-        for name, t in tensors.items():
-            assert state.m[name].shape == state.v[name].shape == t.shape
-            assert np.all(state.m[name] == 0.0) and np.all(state.v[name] == 0.0)
 
     def test_row_grad_mismatch_rejected(self):
         cfg = TrainConfig()
@@ -590,9 +578,10 @@ class TestStep:
         _, params = tiny_model(cfg, words=("alpha", "beta", "gamma", "delta"))
         slots = np.array([PAD_ID, 2, 4] if pad else [2, 4, 5])
         model = dataclasses.replace(params, embedding=EmbeddingTable(weights=params.embedding.weights[slots]))
-        state = TrainState(slots=slots, model=model, adam=init_adam(model.tensors()))
         rng = np.random.default_rng(6)
         sums = {k: rng.normal(size=t.shape) for k, t in model.tensors().items()}
+        moments = [{k: np.zeros_like(t) for k, t in model.tensors().items()} for _ in range(2)]
+        state = TrainState(slots=slots, model=model, adam=AdamState(*moments), examples=[], sums=sums)
         mean = {k: t * (1.0 / 5) for k, t in sums.items()}
         if pad:
             mean["embedding/W_e"][0] = 0.0
@@ -606,7 +595,7 @@ class TestStep:
         monkeypatch.setattr(training, "adam_step", record)
         before = model.embedding.weights.copy()
 
-        norm = training.step(state, sums, 5, cfg)
+        norm = training.step(state, 5, cfg)
 
         expected = math.sqrt(sum(float(np.sum(t * t)) for t in mean.values()))
         assert norm == pytest.approx(expected, rel=1e-12)
@@ -673,6 +662,26 @@ class TestTrainLoop:
         best = max(row["dev_macro_f1"] for row in history)
         assert dataset_macro_f1(data, params, cfg) == pytest.approx(best)
 
+    def test_start_training_builds_the_whole_run(self, toy_examples):
+        """Before its first step a run holds zero Adam moments and zero
+        batch sums for every trained tensor, in order and each an array of
+        its own, and the training set re-encoded to trained-table rows."""
+        cfg, vocab, params = toy_setup(toy_examples)
+        data = encode_examples(toy_examples, vocab)
+        data[0] = ([PAD_ID] + data[0][0], data[0][1])
+        run = start_training(data, data, params)
+        tensors = run.model.tensors()
+        assert list(run.adam.m) == list(run.adam.v) == list(run.sums) == list(tensors)
+        for name, t in tensors.items():
+            for buffer in (run.adam.m[name], run.adam.v[name], run.sums[name]):
+                assert buffer.shape == t.shape and buffer.dtype == t.dtype and not buffer.any(), name
+        arrays = [*run.adam.m.values(), *run.adam.v.values(), *run.sums.values(), *tensors.values()]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+        assert run.adam.t == 0 and run.epoch == 0
+        for (rows, gold), (ids, expected) in zip(run.examples, data, strict=True):
+            np.testing.assert_array_equal(rows, np.searchsorted(run.slots, ids))
+            assert gold == expected
+
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_deep_copied_state_resumes_bitwise(self, toy_examples, k):
         """A copy of the run and the model taken after epoch k, continued
@@ -689,8 +698,8 @@ class TestTrainLoop:
         assert len(history) < cfg.max_epochs and scores[-1] < max(scores)
 
         cfg, data, start = setup()
-        run, encoded = start_training(data, data, start)
-        records = [run_epoch(run, encoded, data, start, cfg) for _ in range(k + 1)]
+        run = start_training(data, data, start)
+        records = [run_epoch(run, data, start, cfg) for _ in range(k + 1)]
         copied, resumed = copy.deepcopy((run, start))
         assert copied.model.gru is resumed.gru and copied.model.capsule is resumed.capsule
         assert copied.model.dense is resumed.dense
@@ -698,7 +707,7 @@ class TestTrainLoop:
         for t in [*start.tensors().values(), *run.model.tensors().values(), *run.adam.m.values(), *run.adam.v.values()]:
             t[...] = np.nan
         while copied.epoch < cfg.max_epochs and copied.since_best <= cfg.patience:
-            records.append(run_epoch(copied, encoded, data, resumed, cfg))
+            records.append(run_epoch(copied, data, resumed, cfg))
         finish_training(copied, resumed)
 
         assert [dict(row, seconds=0.0) for row in records] == history
@@ -712,9 +721,9 @@ class TestTrainLoop:
         cfg, vocab, params = toy_setup(toy_examples, max_epochs=3)
         data = encode_examples(toy_examples, vocab)
         data = [([0] + ids if i % 3 == 0 else ids, gold) for i, (ids, gold) in enumerate(data)]
-        run, encoded = start_training(data, data, params)
+        run = start_training(data, data, params)
         for _ in range(cfg.max_epochs):
-            run_epoch(run, encoded, data, params, cfg)
+            run_epoch(run, data, params, cfg)
         finish_training(run, params)
         zeros = np.zeros(cfg.embed_dim)
         assert params.embedding.weights[0].tobytes() == zeros.tobytes()
@@ -740,9 +749,9 @@ class TestTrainLoop:
         data = encode_examples(toy_examples, vocab)
         params.capsule[0, 0, 0] = np.nan
         before = {k: t.copy() for k, t in params.tensors().items()}
-        run, encoded = start_training(data, data, params)
+        run = start_training(data, data, params)
         with pytest.raises(NumericError, match=r"^epoch 0, batch 0: gradient norm is not finite in "):
-            run_epoch(run, encoded, data, params, cfg)
+            run_epoch(run, data, params, cfg)
         for k, t in params.tensors().items():
             np.testing.assert_array_equal(t, before[k])
         state = run.adam
@@ -763,9 +772,9 @@ class TestTrainLoop:
         ids, gold = data[victim]
         dev = list(data)
         data[victim] = ([poisoned] + ids[1:], gold)
-        run, encoded = start_training(data, dev, params)
+        run = start_training(data, dev, params)
         with pytest.raises(NumericError, match=r"^epoch 0, batch 2: gradient norm is not finite in embedding/W_e"):
-            run_epoch(run, encoded, dev, params, cfg)
+            run_epoch(run, dev, params, cfg)
         state = run.adam
         assert state.t == 2
         # the poisoned row is the largest training id, so the trained table's last
