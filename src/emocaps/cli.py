@@ -278,10 +278,12 @@ def cmd_train(args) -> int:
 
 
 def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
-    """The checkpoint's model and config. A dimension its hyperparameters
-    state must be the one its tensors have."""
+    """The checkpoint's model and config. Its manifest must hold hyperparameters,
+    and a dimension they state must be the one its tensors have."""
     tensors, manifest = _load_for_vocab(checkpoint, vocab, vocab_path)
-    hp = manifest.get("hyperparameters", {})
+    if "hyperparameters" not in manifest:
+        raise MalformedHeader(f"{checkpoint}.json: manifest has no hyperparameters")
+    hp = manifest["hyperparameters"]
     if not isinstance(hp, dict):
         raise MalformedHeader(f"{checkpoint}.json: hyperparameters are not a JSON object")
     try:  # keys of options since retired are ignored

@@ -104,15 +104,6 @@ class TrainConfig:
                     raise ValueError(f"{name} must be {rule}, got {value}")
 
 
-# the names checkpoints, clipping and Adam give to gru.*[0] and gru.*[1]
-GRU_PREFIXES = ("gru_fwd", "gru_bwd")
-
-
-def _gru_tensors(gru: GruParams) -> dict[str, np.ndarray]:
-    """One view per direction and weight: gru.W_i[0] is "gru_fwd/W_i"."""
-    return {f"{prefix}/{f.name}": getattr(gru, f.name)[k] for k, prefix in enumerate(GRU_PREFIXES) for f in fields(gru)}
-
-
 @dataclass
 class ModelParams:
     embedding: EmbeddingTable
@@ -121,10 +112,10 @@ class ModelParams:
     dense: DenseParams
 
     def tensors(self) -> dict[str, np.ndarray]:
-        """Flat name -> array view of every trainable tensor, fixed order."""
+        """Flat name -> the model's own array of every trainable tensor, fixed order."""
         return {
             "embedding/W_e": self.embedding.weights,
-            **_gru_tensors(self.gru),
+            **{f"gru/{f.name}": getattr(self.gru, f.name) for f in fields(GruParams)},
             "capsule/W": self.capsule,
             "dense/W": self.dense.W,
             "dense/b": self.dense.b,
@@ -132,18 +123,19 @@ class ModelParams:
 
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray], where: str = "tensors") -> "ModelParams":
-        """The model held in a name -> array dict, each GRU direction pair
-        stacked. MalformedHeader names `where` and every missing tensor, or
-        the first tensor whose shape disagrees with the dims the tensors imply:
-        V and d from embedding/W_e, h from gru_fwd/W_h, J and d_out from capsule/W."""
-        # a dim missing from its source's shape reads as 0, so a source of
-        # the wrong rank fails its own check
-        E, W_h, C = (np.shape(tensors.get(name)) + (0, 0, 0) for name in ("embedding/W_e", "gru_fwd/W_h", "capsule/W"))
-        d, h, J, d_out = E[1], W_h[0], C[0], C[2]
-        gru = {"W_i": (d, 3 * h), "W_h": (h, 3 * h), "b": (2, 3 * h)}
+        """The model that holds the arrays of a name -> array dict themselves.
+        MalformedHeader names `where` and every missing tensor, or the first
+        tensor whose shape disagrees with the dims the tensors imply: V and d
+        from embedding/W_e, h from gru/W_h, J and d_out from capsule/W."""
+        # a dim missing from its source's shape reads as 0, and h's source is
+        # checked first, so a source of the wrong rank fails its own check
+        E, W_h, C = (np.shape(tensors.get(name)) + (0, 0, 0) for name in ("embedding/W_e", "gru/W_h", "capsule/W"))
+        d, h, J, d_out = E[1], W_h[1], C[0], C[2]
         expected = {
             "embedding/W_e": (E[0], d),
-            **{f"{prefix}/{name}": shape for prefix in GRU_PREFIXES for name, shape in gru.items()},
+            "gru/W_i": (2, d, 3 * h),
+            "gru/W_h": (2, h, 3 * h),
+            "gru/b": (2, 2, 3 * h),
             "capsule/W": (J, 2 * h, d_out),
             "dense/W": (J * d_out, N_CLASSES),
             "dense/b": (N_CLASSES,),
@@ -151,12 +143,12 @@ class ModelParams:
         missing = [name for name in expected if name not in tensors]
         if missing:
             raise MalformedHeader(f"{where}: missing tensors: {', '.join(missing)}")
-        for name, shape in expected.items():
-            if tensors[name].shape != shape:
-                raise MalformedHeader(f"{where}: tensor {name} has shape {tensors[name].shape}, expected {shape}")
+        for name in ("gru/W_h", *expected):
+            if tensors[name].shape != expected[name]:
+                raise MalformedHeader(f"{where}: tensor {name} has shape {tensors[name].shape}, expected {expected[name]}")
         return cls(
             embedding=EmbeddingTable(weights=tensors["embedding/W_e"]),
-            gru=GruParams(**{f.name: np.stack([tensors[f"{p}/{f.name}"] for p in GRU_PREFIXES]) for f in fields(GruParams)}),
+            gru=GruParams(**{f.name: tensors[f"gru/{f.name}"] for f in fields(GruParams)}),
             capsule=tensors["capsule/W"],
             dense=DenseParams(W=tensors["dense/W"], b=tensors["dense/b"]),
         )
@@ -352,8 +344,8 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
     grad_X *= np.repeat(cache.spatial_mask, cache.lengths, axis=0)
     rows, values = embed_backward(cache.ids, grad_X, params.embedding.weights.shape[0])
     grads["embedding/W_e"][rows] += values
-    for name, t in _gru_tensors(g_gru).items():
-        grads[name] += t
+    for f in fields(GruParams):
+        grads[f"gru/{f.name}"] += getattr(g_gru, f.name)
 
 
 # A chunk holds at most this many real tokens, and its zero-padded routing

@@ -189,6 +189,8 @@ class TestPipeline:
         assert code == 0
         manifest = json.loads((ckpt / "model.json").read_text())
         assert manifest["hyperparameters"]["embed_dim"] == 8
+        names = [entry["name"] for entry in manifest["tensors"]]
+        assert names == ["embedding/W_e", "gru/W_i", "gru/W_h", "gru/b", "capsule/W", "dense/W", "dense/b"]
 
     def test_payload_dimension_wins_over_flag(self, workspace):
         ckpt = workspace["root"] / "dim_override"
@@ -598,18 +600,51 @@ class TestExitCodes:
         code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
                     "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
         assert code == 3
-        missing = "gru_fwd/W_i, gru_fwd/W_h, gru_fwd/b, gru_bwd/W_i, gru_bwd/W_h, gru_bwd/b, capsule/W, dense/W, dense/b"
+        missing = "gru/W_i, gru/W_h, gru/b, capsule/W, dense/W, dense/b"
         assert f"error: {stem}.json: missing tensors: {missing}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_per_direction_model_is_refused(self, workspace, tmp_path, capsys, command):
+        """A model written with one tensor per GRU direction and weight
+        (gru_fwd/W_i ... gru_bwd/b) is not read, and nothing is written."""
+        tensors, manifest = load_checkpoint(workspace["ckpt"] / "model")
+        split = {}
+        for name, t in tensors.items():
+            kind, _, weight = name.partition("/")
+            split.update({f"gru_fwd/{weight}": t[0], f"gru_bwd/{weight}": t[1]} if kind == "gru" else {name: t})
+        stem = tmp_path / "model"
+        save_checkpoint(stem, split, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {stem}.json: missing tensors: gru/W_i, gru/W_h, gru/b\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_manifest_without_hyperparameters_is_refused(self, workspace, tmp_path, capsys, command):
+        """Every model manifest holds its hyperparameters; one without them
+        would route with the default iterations, so it is not read."""
+        stem = tmp_path / "model"
+        manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
+        del manifest["hyperparameters"]
+        Path(f"{stem}.json").write_text(json.dumps(manifest))
+        Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {stem}.json: manifest has no hyperparameters\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("name, cut", [
         ("embedding/W_e", lambda t: t[..., None]),  # a source of the wrong rank fails its own check
-        ("gru_fwd/W_i", lambda t: t[:-1]),
-        ("gru_fwd/W_h", lambda t: t[:, :-1]),
-        ("gru_fwd/b", lambda t: t[:-1]),
-        ("gru_bwd/W_i", lambda t: t[:-1]),
-        ("gru_bwd/W_h", lambda t: t[:-1]),
-        ("gru_bwd/b", lambda t: t[:-1]),
+        ("gru/W_i", lambda t: t[:-1]),
+        ("gru/W_h", lambda t: t[..., None]),  # h's source
+        ("gru/b", lambda t: t[:, :-1]),
         ("capsule/W", lambda t: t[:, :-1]),
         ("dense/W", lambda t: t[:-1]),
         ("dense/b", lambda t: t[:-1]),

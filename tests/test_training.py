@@ -14,6 +14,7 @@ from emocaps.errors import (
     EmptySequence,
     IdOutOfRange,
     LabelOutOfRange,
+    MalformedHeader,
     NumericError,
     ShapeMismatch,
 )
@@ -477,13 +478,27 @@ class TestModelParams:
             np.testing.assert_array_equal(a, b)
 
     def test_tensor_names_follow_fused_gru_layout(self):
+        """Every trained tensor is a whole model array, each GRU one holding
+        both directions, and a model built from tensors holds them themselves."""
         _, params = tiny_model(tiny_config())
-        assert list(params.tensors()) == [
-            "embedding/W_e",
-            "gru_fwd/W_i", "gru_fwd/W_h", "gru_fwd/b",
-            "gru_bwd/W_i", "gru_bwd/W_h", "gru_bwd/b",
-            "capsule/W", "dense/W", "dense/b",
-        ]
+        arrays = [params.embedding.weights, params.gru.W_i, params.gru.W_h, params.gru.b,
+                  params.capsule, params.dense.W, params.dense.b]
+        tensors = params.tensors()
+        assert list(tensors) == ["embedding/W_e", "gru/W_i", "gru/W_h", "gru/b", "capsule/W", "dense/W", "dense/b"]
+        assert all(t is array for t, array in zip(tensors.values(), arrays, strict=True))
+        rebuilt = ModelParams.from_tensors(tensors).tensors()
+        assert all(rebuilt[name] is t for name, t in tensors.items())
+
+    @pytest.mark.parametrize("cut", [lambda t: t[0], lambda t: t[0, 0], lambda t: t[..., None]],
+                             ids=["one-direction", "1-d", "4-d"])
+    def test_hidden_size_source_of_the_wrong_rank_fails_its_own_check(self, cut):
+        """h is read from gru/W_h, so a W_h of the wrong rank is named, not
+        gru/W_i, which the wrong h would also fail."""
+        _, params = tiny_model(tiny_config())
+        tensors = params.tensors()
+        tensors["gru/W_h"] = cut(tensors["gru/W_h"])
+        with pytest.raises(MalformedHeader, match=r"^here: tensor gru/W_h has shape \("):
+            ModelParams.from_tensors(tensors, "here")
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_init_draws_per_gate_blocks_in_order(self, seed):
@@ -857,11 +872,20 @@ class TestTrainLoop:
         vocab, params = tiny_model(cfg)
         ids = vocab.encode(["alpha", "beta", "gamma"])
 
+        def per_direction(tensors):
+            """Each GRU tensor as its two direction views, so that each
+            direction gets 40 sampled entries of its own."""
+            views = {}
+            for name, t in tensors.items():
+                views.update({f"{name}[{k}]": t[k] for k in range(2)} if name.startswith("gru/") else {name: t})
+            return views
+
         def loss_and_grad():
-            return chunk_loss_and_grads([ids], [2], params, cfg)
+            loss, grads = chunk_loss_and_grads([ids], [2], params, cfg)
+            return loss, per_direction(grads)
 
         rng = np.random.default_rng(13)
-        err = finite_diff_check(loss_and_grad, params.tensors(), sample=40, rng=rng)
+        err = finite_diff_check(loss_and_grad, per_direction(params.tensors()), sample=40, rng=rng)
         assert err < 1e-6
 
 
