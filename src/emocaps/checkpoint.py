@@ -107,23 +107,15 @@ def load_checkpoint(stem):
                     f"(need {offset + nbytes} bytes, have {size})"
                 )
             t = np.empty(shape, dtype)
-            _read_full(f, t, payload_path, name)
+            # one buffered readinto fills t's bytes (a 0-d or empty t's too) unless the file ends first
+            got = f.readinto(t.reshape(-1).view(np.uint8))
+            if got != nbytes:
+                raise TruncatedFile(
+                    f"{payload_path}: payload ends inside tensor {name!r} (read {got} of {nbytes} bytes)"
+                )
             tensors[name] = t
             offset += nbytes
     if offset != size:
         raise MalformedHeader(f"{payload_path}: payload has {size - offset} trailing bytes beyond the manifest")
     return tensors, manifest
 
-
-def _read_full(f, t: np.ndarray, payload_path, name: str) -> None:
-    """Fill the fresh array t from f, straight into its own memory; a
-    payload that ends early raises TruncatedFile."""
-    buf = t.reshape(-1).view(np.uint8)  # t's bytes, also for a 0-d or empty t
-    done = 0
-    while done < buf.size:
-        n = f.readinto(buf[done:])
-        if not n:
-            raise TruncatedFile(
-                f"{payload_path}: payload ends inside tensor {name!r} (read {done} of {buf.size} bytes)"
-            )
-        done += n

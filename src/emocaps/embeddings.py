@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import contains
+from itertools import islice
 
 import numpy as np
 
 from .errors import (
-    DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile, replacing, text_lines, whole_text,
+    DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile, read_blocks, replacing, text_lines,
+    two_column_blocks,
 )
 from .textprep import TAG_SURFACES
 
@@ -26,11 +26,6 @@ UNK = "<unk>"
 # Fixed id layout: <pad>=0, <unk>=1, then the normalization tags in their
 # TAG_SURFACES order. Corpus words follow, most frequent first.
 RESERVED = (PAD, UNK) + tuple(TAG_SURFACES.values())
-
-# Characters of whole lines that Vocabulary.load parses at once: the rows of
-# one block are alive at a time, not those of the whole file. Larger blocks
-# parse no faster and leave more freed strings holding allocator memory.
-VOCAB_BLOCK_CHARS = 1 << 14
 
 
 @dataclass
@@ -69,65 +64,35 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         """Read "id<TAB>word" lines with ids 0, 1, 2, ...; blank lines are
-        skipped. Ids 0 and 1 must be <pad> and <unk>, which training and
-        encoding rely on. A repeated word is an error, as only one of its
-        ids could be reached. Errors name the file and line: only a file
-        that fails a check of `_parse` pays for them, by being read again
-        a line at a time (`_load_lines`)."""
-        return cls._parse(whole_text(path)) or cls._load_lines(path)
+        skipped, and a word holds no tab. Ids 0 and 1 must be <pad> and
+        <unk>, which training and encoding rely on. A repeated word is an
+        error, as only one of its ids could be reached. Errors name the
+        file and line."""
+        return read_blocks(path, cls._parse)
 
     @classmethod
-    def _parse(cls, text: str) -> "Vocabulary | None":
-        """The vocabulary in `text`, parsed by str calls a block of whole
-        lines at a time, or None if a check fails. A word that holds a tab
-        fails one too: the line loop reads it."""
+    def _parse(cls, path, text: str, block_chars: int) -> "Vocabulary":
+        """The vocabulary in `text`, parsed by str calls a block at a time.
+        A block that fails a check raises the error of its first line, which
+        is the failing line when a block is one line (`block_chars` 0)."""
         id_to_word, word_to_id = [], {}
-        start = 0
-        while start < len(text):
-            end = text.find("\n", start + VOCAB_BLOCK_CHARS) + 1 or len(text)
-            rows = list(filter(None, text[start:end].split("\n")))
-            start = end
-            cells = "\t".join(rows).split("\t") if rows else []
-            if len(cells) != 2 * len(rows) or not all(map(contains, rows, repeat("\t"))):
-                return None  # some row holds no tab or more than one
+        for lineno, rows, columns in two_column_blocks(text, block_chars):
             try:
-                block_ids = list(map(int, cells[0::2]))
-            except ValueError:  # an id that is no integer
-                return None
-            if block_ids != list(range(len(id_to_word), len(id_to_word) + len(rows))):
-                return None
-            words = cells[1::2]
+                id_texts, words = columns  # None: a row holds no tab or more than one
+                ids = list(map(int, id_texts))
+            except (TypeError, ValueError):
+                raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {rows[0]!r}", lineno) from None
+            if ids != list(range(len(id_to_word), len(id_to_word) + len(ids))):
+                raise MalformedHeader(f"{path}:{lineno}: non-contiguous vocabulary id: {rows[0]!r}")
             id_to_word += words
-            word_to_id.update(zip(words, block_ids))
-        if id_to_word[:2] != [PAD, UNK] or len(word_to_id) != len(id_to_word):
-            return None
-        return cls(word_to_id, id_to_word)
-
-    @classmethod
-    def _load_lines(cls, path) -> "Vocabulary":
-        """`load` read a line at a time: the error of the first bad line, or
-        the vocabulary of a file whose words hold tabs."""
-        id_to_word = []
-        word_to_id = {}
-        lineno = 0
-        with text_lines(path) as lines:
-            for lineno, line in lines:
-                if not line:
-                    continue
-                try:
-                    idx_text, word = line.split("\t", 1)
-                    idx = int(idx_text)
-                except ValueError:
-                    raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {line!r}", lineno) from None
-                if idx != len(id_to_word):
-                    raise MalformedHeader(f"{path}:{lineno}: non-contiguous vocabulary id: {line!r}")
-                if idx < 2 and word != RESERVED[idx]:
-                    raise MalformedHeader(f"{path}:{lineno}: id {idx} must be {RESERVED[idx]!r}, got {word!r}")
-                if word_to_id.setdefault(word, idx) != idx:
-                    raise MalformedLine(f"{path}:{lineno}: word {word!r} repeats id {word_to_id[word]}", lineno)
-                id_to_word.append(word)
+            if ids[0] < 2 and id_to_word[:2] != list(RESERVED[: min(len(id_to_word), 2)]):
+                raise MalformedHeader(f"{path}:{lineno}: id {ids[0]} must be {RESERVED[ids[0]]!r}, got {words[0]!r}")
+            word_to_id.update(zip(words, ids))
+            if len(word_to_id) != len(id_to_word):
+                raise MalformedLine(f"{path}:{lineno}: word {words[0]!r} repeats id {id_to_word.index(words[0])}", lineno)
         if len(id_to_word) < 2:
-            raise MalformedHeader(f"{path}:{lineno + 1}: file ends before id {len(id_to_word)}, {RESERVED[len(id_to_word)]!r}")
+            end = text.count("\n") + 1 + (text[-1:] not in ("", "\n"))  # the line after the last, one with no newline too
+            raise MalformedHeader(f"{path}:{end}: file ends before id {len(id_to_word)}, {RESERVED[len(id_to_word)]!r}")
         return cls(word_to_id, id_to_word)
 
 

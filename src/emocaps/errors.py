@@ -1,14 +1,22 @@
 """Exception types shared across the package; `text_lines` and
 `whole_text`, the readers of every text file the program is given, a line
 at a time or at once (`json_object` reads JSON with the latter);
-`replacing`, its one writer."""
+`read_blocks` and `two_column_blocks`, which read a two-column file (a
+vocabulary or a lexicon) once and cut it into blocks of whole lines for its
+parser; `replacing`, the one writer."""
 
 import json
 import os
 from collections import Counter
 from contextlib import contextmanager
 from itertools import repeat
+from operator import contains
 from pathlib import Path
+
+# Characters of whole lines that a two-column file is parsed in at once: the
+# rows of one block are alive at a time, not those of the whole file. Larger
+# blocks parse no faster and leave more freed strings holding allocator memory.
+BLOCK_CHARS = 1 << 14
 
 
 class EmocapsError(Exception):
@@ -83,6 +91,36 @@ def whole_text(path) -> str:
             return handle.read()
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+
+
+def read_blocks(path, parse):
+    """`parse(path, text, BLOCK_CHARS)` of the text of file `path`, read
+    once by `whole_text`. When a block fails a check, the parse runs again
+    over the same text one line a block, `parse(path, text, 0)`, so that
+    the block its error names is the failing line."""
+    text = whole_text(path)
+    try:
+        return parse(path, text, BLOCK_CHARS)
+    except EmocapsError:
+        return parse(path, text, 0)
+
+
+def two_column_blocks(text: str, block_chars: int):
+    """Cut `text`, a file read by `whole_text`, into blocks of whole lines
+    of just over `block_chars` characters, one line a block at 0. Yield for
+    each block that holds a non-blank row the number of its first line, its
+    non-blank rows, and its two columns as lists, or None when some row
+    holds no tab or more than one."""
+    start, first = 0, 1
+    while start < len(text):
+        end = text.find("\n", start + block_chars) + 1 or len(text)
+        block = text[start:end]
+        rows = list(filter(None, block.split("\n")))
+        if rows:
+            cells = "\t".join(rows).split("\t")
+            one_tab = len(cells) == 2 * len(rows) and all(map(contains, rows, repeat("\t")))
+            yield first, rows, ((cells[0::2], cells[1::2]) if one_tab else None)
+        start, first = end, first + block.count("\n")
 
 
 def _not_utf8(path) -> MalformedLine:

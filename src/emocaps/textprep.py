@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedLine, text_lines
+from .errors import MalformedLine, read_blocks, two_column_blocks
 
 TARGETWORD_PLACEHOLDER = "[#TARGETWORD#]"
 
@@ -146,16 +146,7 @@ class Lexicon:
 
     def __post_init__(self):
         counts = dict(self.counts)
-        letters = "".join(counts)  # one test of all words and counts; only a bad mapping is walked, to name its entry
-        if ("" in counts or "*" in letters or letters != letters.lower()
-                or not set(map(type, counts.values())) <= {int} or min(counts.values(), default=0) < 0):
-            for word, count in counts.items():
-                if not word or "*" in word or word != word.lower():
-                    raise ValueError(f"bad lexicon word: {word!r}")
-                if type(count) is not int:
-                    raise ValueError(f"count for {word!r} is not an int: {count!r}")
-                if count < 0:
-                    raise ValueError(f"negative count for {word!r}")
+        _check_entries(counts.keys(), counts.values())
         object.__setattr__(self, "counts", MappingProxyType(counts))
         object.__setattr__(self, "total", sum(counts.values()))
 
@@ -163,31 +154,32 @@ class Lexicon:
     def from_pairs(cls, pairs) -> "Lexicon":
         """Sum the counts of repeated words; a bad word, or a count that is
         no non-negative int, raises ValueError naming the first bad pair."""
-        counts: dict[str, int] = {}
-        for word, count in pairs:
-            if type(count) is not int or count < 0:  # a sum could hide it: check the earlier words, then this pair
-                cls(counts)
-                cls({word: count})
-            counts[word] = counts.get(word, 0) + count
-        return cls(counts)
+        pairs = list(pairs)
+        return cls(_summed({}, [word for word, _ in pairs], [count for _, count in pairs]))
 
     @classmethod
     def from_file(cls, path) -> "Lexicon":
         """Read "word<TAB>count" lines, skipping blank ones; an error is a
         MalformedLine naming the file and its first bad line."""
-        try:
-            with text_lines(path) as lines:
-                return cls.from_pairs(_lexicon_pairs(path, lines))
-        except (ValueError, MalformedLine) as exc:
-            with text_lines(path) as lines:  # a bad file is read again, a line at a time, to name its first bad line
-                for lineno, line in lines:
-                    try:
-                        cls.from_pairs(_lexicon_pairs(path, [(lineno, line)]))
-                    except ValueError as bad:
-                        raise MalformedLine(f"{path}:{lineno}: {bad}", lineno) from None
-            if isinstance(exc, MalformedLine):  # no line is bad now: the file changed since the failed read
-                raise
-            raise MalformedLine(f"{path}: {exc}") from exc
+        return read_blocks(path, cls._parse)
+
+    @classmethod
+    def _parse(cls, path, text: str, block_chars: int) -> "Lexicon":
+        """The lexicon in `text`, parsed a block at a time. A block that
+        fails a check raises the error of its first line, which is the
+        failing line when a block is one line (`block_chars` 0)."""
+        counts: dict[str, int] = {}
+        for lineno, rows, columns in two_column_blocks(text, block_chars):
+            try:
+                words, count_texts = columns  # None: a row holds no tab or more than one
+                block_counts = list(map(int, count_texts))
+            except (TypeError, ValueError):
+                raise MalformedLine(f"{path}:{lineno}: expected 'word<TAB>count', got {rows[0]!r}", lineno) from None
+            try:
+                _summed(counts, words, block_counts)
+            except ValueError as bad:
+                raise MalformedLine(f"{path}:{lineno}: {bad}", lineno) from None
+        return cls(counts)
 
     @cached_property
     def _letters(self) -> "_LetterIndex":
@@ -196,19 +188,29 @@ class Lexicon:
         return _LetterIndex.build(self.counts)
 
 
-def _lexicon_pairs(path, lines):
-    """Yield (word, count) of each non-blank one of the numbered `lines`;
-    one that is not "word<TAB>count" raises MalformedLine naming `path`
-    and the line."""
-    for lineno, line in lines:
-        if not line:
-            continue
-        try:
-            word, count_text = line.split("\t")
-            count = int(count_text)
-        except ValueError:
-            raise MalformedLine(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}", lineno) from None
-        yield word, count
+def _check_entries(words, counts) -> None:
+    """Raise ValueError naming the first of the parallel `words` and
+    `counts` that breaks a lexicon rule: a word is non-empty, lowercase and
+    free of `*`, and a count is a non-negative int (a bool is not an int)."""
+    letters = "".join(words)  # one test of all entries; only a set that fails it is walked, to name its entry
+    if ("" in words or "*" in letters or letters != letters.lower()
+            or not set(map(type, counts)) <= {int} or min(counts, default=0) < 0):
+        for word, count in zip(words, counts):
+            if not word or "*" in word or word != word.lower():
+                raise ValueError(f"bad lexicon word: {word!r}")
+            if type(count) is not int:
+                raise ValueError(f"count for {word!r} is not an int: {count!r}")
+            if count < 0:
+                raise ValueError(f"negative count for {word!r}")
+
+
+def _summed(counts: dict, words, new_counts) -> dict:
+    """`counts` with each of `new_counts` added to its word's, once every
+    pair has passed `_check_entries`: a sum could hide a bad count."""
+    _check_entries(words, new_counts)
+    for word, count in zip(words, new_counts):
+        counts[word] = counts.get(word, 0) + count
+    return counts
 
 
 def segment_hashtag(tag: str, lex: Lexicon) -> list[str]:

@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import re
 import tracemalloc
 from functools import partial
@@ -227,28 +229,34 @@ def whole_payload_load(stem):
     return tensors
 
 
-class Trickle:
-    """A payload file whose readinto returns at most `step` bytes a call,
-    and nothing once `limit` bytes are read, as when the file is cut
-    after its size was taken."""
+class Trickle(io.RawIOBase):
+    """A raw payload file whose readinto returns at most `step` bytes a
+    call, and nothing once `limit` bytes are read, as when the file is cut
+    after its size was taken. `opened` serves it as `open(path, "rb")`
+    serves a file: through a BufferedReader."""
 
-    def __init__(self, path, mode, step, limit):
-        self.f = open(path, mode)
+    def __init__(self, path, step, limit):
+        self.f = io.FileIO(path)
         self.step, self.left = step, limit
+
+    @classmethod
+    def opened(cls, step, limit):
+        return lambda path, mode: io.BufferedReader(cls(path, step, limit))
+
+    def readable(self):
+        return True
 
     def fileno(self):
         return self.f.fileno()
 
     def readinto(self, buf):
-        n = self.f.readinto(buf[: min(len(buf), self.step, self.left)])
+        n = self.f.readinto(memoryview(buf)[: min(len(buf), self.step, self.left)])
         self.left -= n
         return n
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
+    def close(self):
         self.f.close()
+        super().close()
 
 
 class TestStreamingLoad:
@@ -282,7 +290,7 @@ class TestStreamingLoad:
 
     def test_short_reads_are_resumed(self, tmp_path, monkeypatch):
         save_checkpoint(tmp_path / "m", sample_tensors(), {}, seed=0)
-        monkeypatch.setattr(checkpoint, "open", lambda path, mode: Trickle(path, mode, 5, 1 << 30), raising=False)
+        monkeypatch.setattr(checkpoint, "open", Trickle.opened(5, 1 << 30), raising=False)
         loaded, _ = load_checkpoint(tmp_path / "m")
         monkeypatch.undo()
         for name, t in sample_tensors().items():
@@ -292,11 +300,26 @@ class TestStreamingLoad:
         stem = tmp_path / "m"
         save_checkpoint(stem, sample_tensors(), {}, seed=0)
         first = 7 * 5 * 8  # embedding/W_e, then dense/b comes back short
-        monkeypatch.setattr(
-            checkpoint, "open", lambda path, mode: Trickle(path, mode, 1 << 30, first + 5), raising=False
-        )
+        monkeypatch.setattr(checkpoint, "open", Trickle.opened(1 << 30, first + 5), raising=False)
         says = f"{tmp_path / 'm.bin'}: payload ends inside tensor 'dense/b' (read 5 of 24 bytes)"
         with pytest.raises(TruncatedFile, match="^" + re.escape(says)):
+            load_checkpoint(stem)
+
+    def test_payload_cut_after_its_size_is_taken(self, tmp_path, monkeypatch):
+        """The payload file itself shrinks between the size check and the
+        reads: the tensor read short is named, with the bytes it got."""
+        stem, payload = tmp_path / "m", tmp_path / "m.bin"
+        save_checkpoint(stem, sample_tensors(), {}, seed=0)
+        fstat = os.fstat
+
+        def fstat_then_cut(fd):
+            size = fstat(fd)
+            os.truncate(payload, 7 * 5 * 8 + 5)  # embedding/W_e, then 5 bytes of dense/b
+            return size
+
+        monkeypatch.setattr(os, "fstat", fstat_then_cut)
+        says = f"{payload}: payload ends inside tensor 'dense/b' (read 5 of 24 bytes)"
+        with pytest.raises(TruncatedFile, match="^" + re.escape(says) + "$"):
             load_checkpoint(stem)
 
 

@@ -3,7 +3,9 @@ package names the standard library, numpy or the package itself. And
 errors holds the readers and the one writer of files: no other module
 opens a file to read it as text (errors.text_lines, a line at a time, or
 errors.whole_text, at once), nor writes or renames one
-(errors.replacing). And every function the benchmark traces or breaks on
+(errors.replacing). Only the two streaming readers, of labeled datasets
+and of text word2vec files, read a line at a time: the vocabulary and the
+lexicon are read whole, once. And every function the benchmark traces or breaks on
 purpose is still there under its name. And the package pins
 BLAS to one thread before anything it imports can load numpy. And a
 training run has one step path: one place clips and applies Adam, and one
@@ -121,6 +123,19 @@ def test_only_errors_reads_text_files():
             if isinstance(node, ast.Call) and _reads_text(node) and (path.name, owner.get(id(node))) not in allowed
         ]
     assert reads == []
+
+
+def test_only_the_streaming_readers_read_by_line():
+    calls = []
+    for path in sorted(Path(emocaps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        owner = _owners(tree)
+        calls += [
+            (path.name, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _call_name(node) == "text_lines"
+        ]
+    assert sorted(calls) == [("cli.py", "load_dataset"), ("embeddings.py", "_load_word2vec_text")]
 
 
 def test_only_errors_writes_files():

@@ -1,3 +1,5 @@
+import builtins
+import io
 import random
 import re
 import struct
@@ -7,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from emocaps import embeddings
+from emocaps import errors
 from emocaps.embeddings import (
     PAD,
     RESERVED,
@@ -27,6 +29,7 @@ from emocaps.errors import (
     MalformedLine,
     TruncatedFile,
 )
+from emocaps.textprep import Lexicon
 from vocab_oracle import load_lines
 
 BOM = b"\xef\xbb\xbf"
@@ -111,10 +114,16 @@ class TestVocabulary:
         path.write_bytes(f"0\t<pad>\r\n1\t<unk>\r2\tone{sep}two\n".encode("utf-8"))
         assert Vocabulary.load(path).id_to_word == ["<pad>", "<unk>", f"one{sep}two"]
 
-    def test_load_skips_blank_lines_and_keeps_tabs_in_words(self, tmp_path):
+    def test_load_skips_blank_lines_and_refuses_tabs_in_words(self, tmp_path):
+        # encoding looks up whitespace-split tokens, so a word with a tab could never be found
         path = tmp_path / "vocab.tsv"
-        path.write_text("0\t<pad>\n1\t<unk>\n\n2\ta\tb\n", encoding="utf-8")
-        assert Vocabulary.load(path).id_to_word == ["<pad>", "<unk>", "a\tb"]
+        path.write_text("0\t<pad>\n1\t<unk>\n\n2\ta\n", encoding="utf-8")
+        assert Vocabulary.load(path).id_to_word == ["<pad>", "<unk>", "a"]
+        path.write_text("0\t<pad>\n1\t<unk>\n\n2\ta\n3\tb\tc\n", encoding="utf-8")
+        with pytest.raises(MalformedLine) as err:
+            Vocabulary.load(path)
+        assert str(err.value) == f"{path}:5: expected id<TAB>word, got " + repr("3\tb\tc")
+        assert err.value.line_number == 5
 
     @pytest.mark.parametrize(
         "content, where, message",
@@ -214,9 +223,9 @@ class TestVocabularyBlocks:
     """Vocabulary.load parses blocks of whole lines; the line loop of
     vocab_oracle is what it must agree with, on every file."""
 
-    @pytest.mark.parametrize("block", [1, 5, 23, embeddings.VOCAB_BLOCK_CHARS])
+    @pytest.mark.parametrize("block", [1, 5, 23, errors.BLOCK_CHARS])
     def test_small_files_agree_with_the_line_loop(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(embeddings, "VOCAB_BLOCK_CHARS", block)
+        monkeypatch.setattr(errors, "BLOCK_CHARS", block)
         rng = random.Random(block)
         outcomes = Counter()
         for n in range(200):
@@ -228,14 +237,14 @@ class TestVocabularyBlocks:
 
     @pytest.mark.parametrize("fault, outcome", [
         (None, "loaded"), ("bad-row", "MalformedLine"), ("blank", "loaded"), ("gap", "MalformedHeader"),
-        ("repeat", "MalformedLine"), ("tab-word", "loaded"), ("shifted-tab", "MalformedLine"),
+        ("repeat", "MalformedLine"), ("tab-word", "MalformedLine"), ("shifted-tab", "MalformedLine"),
     ])
     def test_large_file_agrees_at_the_block_boundary(self, tmp_path, fault, outcome):
         """A 50,000-word file with a fault on each side of the line that
         starts its second block, or on that line."""
         rows = vocab_rows(random.Random(50_000), 50_000, TABLESS_WORDS)
         text = "\n".join(rows) + "\n"
-        second = text.count("\n", 0, text.find("\n", embeddings.VOCAB_BLOCK_CHARS) + 1)
+        second = text.count("\n", 0, text.find("\n", errors.BLOCK_CHARS) + 1)
         for at in (second - 1, second, second + 1) if fault else (0,):
             spoiled = list(rows)
             if fault == "bad-row":
@@ -254,18 +263,41 @@ class TestVocabularyBlocks:
             path.write_text("\n".join(spoiled) + "\n", encoding="utf-8")
             assert assert_loads_as_oracle(path) == outcome
 
-    def test_a_well_formed_file_is_read_once(self, tmp_path, monkeypatch):
-        """Only a file that fails a check is read again, a line at a time."""
-        def reread(cls, path):
-            raise AssertionError(f"{path} was read a line at a time")
+    def test_each_loader_opens_its_file_once(self, tmp_path, monkeypatch):
+        """A well-formed and a faulty vocabulary, and a well-formed and a
+        faulty lexicon, are each opened once: the fault is named from the
+        text already read. Only a file that is not UTF-8 is opened again,
+        for the bytes that name its line."""
+        vocab = BOM + "\r\n\n".join(vocab_rows(random.Random(1), 50_000, TABLESS_WORDS)).encode("utf-8")
+        lexicon = "\n".join(f"w{i}\t{i}" for i in range(30_000)).encode("utf-8")
+        cases = [  # (loader, file, times opened); a faulty file's last line is bad
+            (Vocabulary.load, vocab, 1),
+            (Vocabulary.load, vocab + b"\noops\n", 1),
+            (Vocabulary.load, vocab + b"\n\xe9\n", 2),
+            (Lexicon.from_file, lexicon, 1),
+            (Lexicon.from_file, lexicon + b"\nCat\t1\n", 1),
+            (Lexicon.from_file, lexicon + b"\n\xe9\t1\n", 2),
+        ]
+        paths = [tmp_path / f"file{n}.tsv" for n in range(len(cases))]
+        for path, (_, data, _) in zip(paths, cases):
+            path.write_bytes(data)
+        opened, real_open = [], io.open
 
-        rows = vocab_rows(random.Random(1), 50_000, TABLESS_WORDS)
-        path = tmp_path / "vocab.tsv"
-        path.write_bytes(BOM + "\r\n\n".join(rows).encode("utf-8"))
-        expected = load_lines(path)
-        monkeypatch.setattr(Vocabulary, "_load_lines", classmethod(reread))
-        vocab = Vocabulary.load(path)
-        assert (vocab.id_to_word, vocab.word_to_id) == expected
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)  # pathlib's reads
+        for path, (load, data, opens) in zip(paths, cases):
+            del opened[:]
+            if data in (vocab, lexicon):
+                load(path)
+            else:
+                with pytest.raises(MalformedLine) as err:
+                    load(path)
+                assert err.value.line_number == data.count(b"\n")
+            assert opened == [path] * opens, path.name
 
     def test_memory_stays_near_the_vocabulary_kept(self, tmp_path):
         """The traced peak of a load is at most 1.5 times what the loaded

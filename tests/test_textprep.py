@@ -3,16 +3,19 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import re
 import tracemalloc
 from bisect import bisect_left
+from collections import Counter
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
 
 import emocaps.textprep as textprep
-from emocaps.errors import MalformedLine
+from emocaps import errors
+from emocaps.errors import EmocapsError, MalformedLine
 from emocaps.textprep import (
     TAG_SURFACES,
     TARGETWORD_PLACEHOLDER,
@@ -30,7 +33,9 @@ from emocaps.textprep import (
     spell_correct,
     tokenize,
 )
+import lexicon_oracle
 from spell_oracle import ALPHABET, edits1, sources1, two_steps
+from test_embeddings import encode_rows
 
 CORPUS = [
     "It's [#TARGETWORD#] when you feel invisible",
@@ -227,30 +232,6 @@ class TestLexicon:
         assert err.value.line_number == 3
         assert str(err.value).startswith(f"{path}:3: {says}")
 
-    @pytest.mark.parametrize("text, says", [
-        ("Cat\t1\n", ": bad lexicon word: 'Cat'"),
-        ("broken\n", ":1: expected 'word<TAB>count', got 'broken'"),
-    ])
-    def test_from_file_mended_before_the_naming_read(self, tmp_path, monkeypatch, text, says):
-        # the read that names the bad line finds none: the error is still a
-        # MalformedLine naming the file, never a bare ValueError
-        path = tmp_path / "lex.tsv"
-        path.write_text(text, encoding="utf-8")
-        pairs, reads = textprep._lexicon_pairs, []
-
-        def mended_after_first_read(*args):
-            reads.append(args)
-            try:
-                yield from pairs(*args)
-            finally:
-                if len(reads) == 1:
-                    path.write_text("cat\t1\n", encoding="utf-8")
-
-        monkeypatch.setattr(textprep, "_lexicon_pairs", mended_after_first_read)
-        with pytest.raises(MalformedLine, match=f"^{re.escape(f'{path}{says}')}$"):
-            Lexicon.from_file(path)
-        assert len(reads) == 2  # the whole file, then its one line
-
     def test_word_logp(self):
         lex = Lexicon.from_pairs([("cat", 3), ("dog", 1)])
         assert word_logp(lex, "cat") == pytest.approx(math.log(3 / 4))
@@ -293,6 +274,103 @@ class TestLexicon:
         assert "_letters" not in vars(lex)
         assert spell_correct("cta", lex) == "cat"  # one edit away: the index finds it
         assert "_letters" in vars(lex)
+
+
+# words that the line rule, the tab split or the case test could misread
+LEXICON_ODD_WORDS = ("café", "x\u2028y", "p\x0bq", "r\x1cs", " sp", "7", "\ufeffbom", "ǆ")
+COUNT_FORMATS = ("{}", "{}", "{}", "0{}", "+{}", " {}", "{} ")
+BAD_LEXICON_ROWS = ("cat", "cat\t1\t2", "cat\tmany", "\t1", "Cat\t1", "s*t\t1", "cat\t-1", "cat\t2.5", " ", "ǅ\t1")
+
+
+def lexicon_rows(rng, count):
+    """`count` rows of a well-formed lexicon, some with odd words or
+    counts, and one word in five a repeat of an earlier one."""
+    words = []
+    for i in range(count):
+        fresh = rng.choice(LEXICON_ODD_WORDS) + str(i) if rng.random() < 0.2 else f"w{i}"
+        words.append(rng.choice(words) if words and rng.random() < 0.2 else fresh)
+    return [f"{word}\t{rng.choice(COUNT_FORMATS).format(rng.randint(1, 99))}" for word in words]
+
+
+def spoil_lexicon(rng, rows):
+    """`rows` with one fault at a random row, or none, and blank lines
+    around that row."""
+    at = rng.randrange(len(rows) + 1)
+    fault = rng.choice(["none", "bad-row", "hidden-negative", "tab-word"])
+    if fault == "bad-row" or fault != "none" and at == len(rows):
+        rows.insert(at, rng.choice(BAD_LEXICON_ROWS))
+    elif fault == "hidden-negative":  # the row's own count is larger: the sum is not negative
+        rows.insert(at, rows[at].split("\t")[0] + "\t-1")
+    elif fault == "tab-word":
+        rows[at] = "more\t" + rows[at]
+    for _ in range(rng.choice([0, 0, 1, 3])):
+        rows.insert(min(max(at + rng.randint(-1, 1), 0), len(rows)), "")
+    return rows
+
+
+def assert_reads_as_oracle(path):
+    """Lexicon.from_file gives the line loop's counts, or its error with
+    the same type, message and line number; the name of the outcome."""
+    try:
+        expected = lexicon_oracle.from_file(path)
+    except EmocapsError as exc:
+        with pytest.raises(EmocapsError) as err:
+            Lexicon.from_file(path)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        assert getattr(err.value, "line_number", None) == getattr(exc, "line_number", None)
+        return type(exc).__name__
+    assert Lexicon.from_file(path).counts == expected
+    return "loaded"
+
+
+class TestLexiconBlocks:
+    """Lexicon.from_file parses blocks of whole lines; the line loop of
+    lexicon_oracle is what it must agree with, on every file."""
+
+    @pytest.mark.parametrize("block", [1, 5, 23, errors.BLOCK_CHARS])
+    def test_small_files_agree_with_the_line_loop(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(errors, "BLOCK_CHARS", block)
+        rng = random.Random(block)
+        outcomes = Counter()
+        for n in range(200):
+            rows = spoil_lexicon(rng, lexicon_rows(rng, rng.randint(0, 12)))
+            path = tmp_path / f"lex{n}.tsv"
+            path.write_bytes(encode_rows(rng, rows))
+            outcomes[assert_reads_as_oracle(path)] += 1
+        assert set(outcomes) == {"loaded", "MalformedLine"}, outcomes
+
+    @pytest.mark.parametrize("fault, outcome", [
+        (None, "loaded"), ("bad-row", "MalformedLine"), ("blank", "loaded"), ("uppercase", "MalformedLine"),
+        ("censored", "MalformedLine"), ("hidden-negative", "MalformedLine"), ("crlf", "loaded"), ("cr", "loaded"),
+        ("bom", "loaded"), ("not-utf8", "MalformedLine"),
+    ])
+    def test_large_file_agrees_at_the_block_boundary(self, tmp_path, fault, outcome):
+        """A 30,000-line file with a fault on each side of the line that
+        starts its second block, or on that line."""
+        rows = lexicon_rows(random.Random(30_000), 30_000)
+        text = "\n".join(rows) + "\n"
+        second = text.count("\n", 0, text.find("\n", errors.BLOCK_CHARS) + 1)
+        for at in (second - 1, second, second + 1) if fault else (0,):
+            spoiled = list(rows)
+            if fault == "bad-row":
+                spoiled.insert(at, "oops")
+            elif fault == "blank":
+                spoiled[at:at] = ["", ""]
+            elif fault in ("uppercase", "censored"):
+                spoiled[at] = ("W" if fault == "uppercase" else "w*") + spoiled[at]
+            elif fault == "hidden-negative":
+                spoiled.insert(at, spoiled[at].split("\t")[0] + "\t-1")
+            elif fault == "crlf":
+                spoiled[at] += "\r"
+            elif fault == "cr":
+                spoiled[at : at + 2] = [spoiled[at] + "\r" + spoiled[at + 1]]
+            elif fault == "bom":
+                spoiled[at] = "\ufeff" + spoiled[at]
+            elif fault == "not-utf8":
+                spoiled[at] += "\udce9"  # the byte 0xe9 alone, written by surrogateescape
+            path = tmp_path / f"lex{at}.tsv"
+            path.write_bytes(("\n".join(spoiled) + "\n").encode("utf-8", "surrogateescape"))
+            assert assert_reads_as_oracle(path) == outcome
 
 
 def word_logp(lex, word):

@@ -1,9 +1,9 @@
 """The vocabulary reader that `Vocabulary.load` must agree with.
 
 `load_lines` reads an "id<TAB>word" file a line at a time, the way the
-loader did before it parsed blocks of lines with str calls: every result
-and every error of the block parse is checked against it, line numbers
-included.
+loader did before it parsed blocks of lines with str calls, with one tab a
+line: every result and every error of the block parse is checked against
+it, line numbers included.
 """
 
 from emocaps.embeddings import RESERVED
@@ -21,7 +21,7 @@ def load_lines(path) -> tuple[list[str], dict[str, int]]:
             if not line:
                 continue
             try:
-                idx_text, word = line.split("\t", 1)
+                idx_text, word = line.split("\t")
                 idx = int(idx_text)
             except ValueError:
                 raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {line!r}", lineno) from None
