@@ -15,8 +15,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import (
-    DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile, read_blocks, replacing, text_lines,
-    two_column_blocks,
+    DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile, integer_cells, read_blocks, replacing,
+    text_lines, two_column_blocks,
 )
 from .textprep import TAG_SURFACES
 
@@ -79,7 +79,7 @@ class Vocabulary:
         for lineno, rows, columns in two_column_blocks(text, block_chars):
             try:
                 id_texts, words = columns  # None: a row holds no tab or more than one
-                ids = list(map(int, id_texts))
+                ids = integer_cells(id_texts)
             except (TypeError, ValueError):
                 raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {rows[0]!r}", lineno) from None
             if ids != list(range(len(id_to_word), len(id_to_word) + len(ids))):

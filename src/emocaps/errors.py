@@ -3,7 +3,8 @@
 at a time or at once (`json_object` reads JSON with the latter);
 `read_blocks` and `two_column_blocks`, which read a two-column file (a
 vocabulary or a lexicon) once and cut it into blocks of whole lines for its
-parser; `replacing`, the one writer."""
+parser, and `integer_cells`, which reads its ids or counts; `replacing`,
+the one writer."""
 
 import json
 import os
@@ -121,6 +122,16 @@ def two_column_blocks(text: str, block_chars: int):
             one_tab = len(cells) == 2 * len(rows) and all(map(contains, rows, repeat("\t")))
             yield first, rows, ((cells[0::2], cells[1::2]) if one_tab else None)
         start, first = end, first + block.count("\n")
+
+
+def integer_cells(cells: list[str]) -> list[int]:
+    """The ints written in `cells`, each an optional `-` and ASCII digits,
+    checked at once. Any other cell raises ValueError, also one that `int`
+    takes: `+7`, ` 7`, `1_000`, `\u0663`."""
+    digits = "".join(cells).replace("-", "")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("a cell is not an optional '-' and ASCII digits")
+    return list(map(int, cells))  # which refuses a misplaced '-'
 
 
 def _not_utf8(path) -> MalformedLine:

@@ -25,18 +25,17 @@ def label_index(name: str) -> int:
 
 def confusion(golds, preds) -> np.ndarray:
     """Count matrix with rows = gold class, columns = predicted class."""
-    golds = list(golds)
-    preds = list(preds)
+    # an empty list would make a float array, which bincount refuses
+    golds, preds = (np.asarray(list(labels) or np.empty(0, np.intp)) for labels in (golds, preds))
     if len(golds) != len(preds):
         raise LengthMismatch(f"{len(golds)} gold labels vs {len(preds)} predictions")
-    cm = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
-    for g, p in zip(golds, preds):
-        if not 0 <= g < len(LABELS):
-            raise LabelOutOfRange(f"gold label {g} outside 0..{len(LABELS) - 1}")
-        if not 0 <= p < len(LABELS):
-            raise LabelOutOfRange(f"predicted label {p} outside 0..{len(LABELS) - 1}")
-        cm[g, p] += 1
-    return cm
+    n = len(LABELS)
+    gold_out, pred_out = (golds < 0) | (golds >= n), (preds < 0) | (preds >= n)
+    if gold_out.any() or pred_out.any():
+        first = np.argmax(gold_out | pred_out)
+        which, label = ("gold", golds[first]) if gold_out[first] else ("predicted", preds[first])
+        raise LabelOutOfRange(f"{which} label {label} outside 0..{n - 1}")
+    return np.bincount(golds * n + preds, minlength=n * n).reshape(n, n)
 
 
 @dataclass
@@ -64,37 +63,19 @@ class MetricsReport:
         }
 
 
-def _safe_div(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
-
-
-def _f1(p: float, r: float) -> float:
-    return _safe_div(2.0 * p * r, p + r)
-
-
 def metrics(cm: np.ndarray) -> MetricsReport:
-    total = int(cm.sum())
-    per_class: dict[str, ClassMetrics] = {}
-    for c, label in enumerate(LABELS):
-        tp = float(cm[c, c])
-        p = _safe_div(tp, float(cm[:, c].sum()))
-        r = _safe_div(tp, float(cm[c, :].sum()))
-        per_class[label] = ClassMetrics(
-            precision=p, recall=r, f1=_f1(p, r), support=int(cm[c, :].sum())
-        )
-
-    # pooled counts: every error is one false positive and one false negative
-    micro_ratio = _safe_div(float(np.trace(cm)), float(total))
-    micro = ClassMetrics(precision=micro_ratio, recall=micro_ratio, f1=_f1(micro_ratio, micro_ratio), support=total)
-
-    values = list(per_class.values())
-    macro = ClassMetrics(
-        precision=float(np.mean([m.precision for m in values])),
-        recall=float(np.mean([m.recall for m in values])),
-        f1=float(np.mean([m.f1 for m in values])),
-        support=total,
-    )
-    return MetricsReport(per_class=per_class, micro=micro, macro=macro)
+    # the pooled counts ride along as a seventh class: every error is one false
+    # positive and one false negative, so its precision and recall are the accuracy
+    total = cm.sum()
+    hits = np.append(np.diag(cm), np.trace(cm))
+    support = np.append(cm.sum(axis=1), total)
+    precision, recall = (np.divide(hits, den, out=np.zeros(len(hits)), where=den > 0)
+                         for den in (np.append(cm.sum(axis=0), total), support))
+    both = precision + recall
+    f1 = np.divide(2.0 * precision * recall, both, out=np.zeros(len(hits)), where=both > 0)
+    *per_class, micro = map(ClassMetrics, precision.tolist(), recall.tolist(), f1.tolist(), support.tolist())
+    macro = ClassMetrics(*(float(a[:-1].mean()) for a in (precision, recall, f1)), support=int(total))
+    return MetricsReport(per_class=dict(zip(LABELS, per_class)), micro=micro, macro=macro)
 
 
 def format_report(report: MetricsReport) -> str:

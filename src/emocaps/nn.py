@@ -292,7 +292,7 @@ def dense_backward(grad_logits: np.ndarray, c: np.ndarray, p: DenseParams):
 
 
 # a function of its own so that perfbench/test_smoke.py can replace it and see the predict check fail
-def predict_class(f: np.ndarray) -> int:
-    """Index of the largest probability; exact ties go to the lowest index."""
-    return int(np.argmax(f))
+def predict_class(f: np.ndarray) -> np.ndarray:
+    """Index of the largest probability in each row of `f`, or in `f` if 1-D; exact ties go to the lowest index."""
+    return np.argmax(f, axis=-1)
 

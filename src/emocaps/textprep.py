@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedLine, read_blocks, two_column_blocks
+from .errors import MalformedLine, integer_cells, read_blocks, two_column_blocks
 
 TARGETWORD_PLACEHOLDER = "[#TARGETWORD#]"
 
@@ -172,7 +172,7 @@ class Lexicon:
         for lineno, rows, columns in two_column_blocks(text, block_chars):
             try:
                 words, count_texts = columns  # None: a row holds no tab or more than one
-                block_counts = list(map(int, count_texts))
+                block_counts = integer_cells(count_texts)
             except (TypeError, ValueError):
                 raise MalformedLine(f"{path}:{lineno}: expected 'word<TAB>count', got {rows[0]!r}", lineno) from None
             try:

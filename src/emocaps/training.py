@@ -390,12 +390,11 @@ def predict_dataset(sequences, params: ModelParams, cfg: TrainConfig) -> list[in
     for index, ids in enumerate(sequences):
         if len(ids) == 0:
             raise EmptySequence(f"sequence {index} is empty: cannot classify an empty token sequence")
-    labels = [0] * len(sequences)
+    labels = np.zeros(len(sequences), dtype=np.intp)
     for chunk in _chunks([len(ids) for ids in sequences], EVAL_CHUNK_TOKENS):
         probs, _ = forward_full([sequences[i] for i in chunk], params, cfg)
-        for index, row in zip(chunk, probs):
-            labels[index] = predict_class(row)
-    return labels
+        labels[chunk] = predict_class(probs)
+    return labels.tolist()
 
 
 def dataset_macro_f1(dataset, params: ModelParams, cfg: TrainConfig) -> float:

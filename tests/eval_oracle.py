@@ -1,5 +1,6 @@
-"""The per-example eval forward: the oracle for the packed, chunked one in
-`emocaps`.
+"""The per-example eval forward, and the per-item scoring after it: the
+oracles for the packed, chunked forward in `emocaps` and for its array
+scoring.
 
 One tweet at a time, as prediction first ran: each GRU direction steps
 through its own sequence with a (h,) @ (h, 3h) mat-vec on its slice of the
@@ -7,6 +8,11 @@ stacked weights, and routing contracts one sequence's (n, J, d_out)
 predictions with `np.einsum`. The packed path reorders some sums (stacked
 and batched matmuls), so float64 results agree to a tolerance, not
 bitwise.
+
+`label`, `confusion` and `metrics` are the loops `emocaps` ran before its
+labels, counts and ratios became array operations: one row, one pair and
+one class at a time. Those do the same float operations in the same order,
+so they must agree bitwise, errors included.
 """
 
 from __future__ import annotations
@@ -15,7 +21,9 @@ import numpy as np
 
 from emocaps.capsule import squash
 from emocaps.embeddings import embed
-from emocaps.nn import GruParams, dense_forward, predict_class, softmax
+from emocaps.errors import LabelOutOfRange, LengthMismatch
+from emocaps.evaluation import LABELS, ClassMetrics, MetricsReport
+from emocaps.nn import GruParams, dense_forward, softmax
 from gru_oracle import sigmoid
 
 
@@ -64,5 +72,59 @@ def forward_probs(ids, params, cfg) -> np.ndarray:
     return softmax(dense_forward(V.reshape(-1), params.dense))
 
 
+def label(row: np.ndarray) -> int:
+    """Index of the largest probability; exact ties go to the lowest index."""
+    return int(np.argmax(row))
+
+
 def predict_labels(sequences, params, cfg) -> list[int]:
-    return [predict_class(forward_probs(ids, params, cfg)) for ids in sequences]
+    return [label(forward_probs(ids, params, cfg)) for ids in sequences]
+
+
+def confusion(golds, preds) -> np.ndarray:
+    """Count matrix with rows = gold class, columns = predicted class."""
+    golds = list(golds)
+    preds = list(preds)
+    if len(golds) != len(preds):
+        raise LengthMismatch(f"{len(golds)} gold labels vs {len(preds)} predictions")
+    cm = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
+    for g, p in zip(golds, preds):
+        if not 0 <= g < len(LABELS):
+            raise LabelOutOfRange(f"gold label {g} outside 0..{len(LABELS) - 1}")
+        if not 0 <= p < len(LABELS):
+            raise LabelOutOfRange(f"predicted label {p} outside 0..{len(LABELS) - 1}")
+        cm[g, p] += 1
+    return cm
+
+
+def _safe_div(num: float, den: float) -> float:
+    return num / den if den > 0 else 0.0
+
+
+def _f1(p: float, r: float) -> float:
+    return _safe_div(2.0 * p * r, p + r)
+
+
+def metrics(cm: np.ndarray) -> MetricsReport:
+    total = int(cm.sum())
+    per_class: dict[str, ClassMetrics] = {}
+    for c, name in enumerate(LABELS):
+        tp = float(cm[c, c])
+        p = _safe_div(tp, float(cm[:, c].sum()))
+        r = _safe_div(tp, float(cm[c, :].sum()))
+        per_class[name] = ClassMetrics(
+            precision=p, recall=r, f1=_f1(p, r), support=int(cm[c, :].sum())
+        )
+
+    # pooled counts: every error is one false positive and one false negative
+    micro_ratio = _safe_div(float(np.trace(cm)), float(total))
+    micro = ClassMetrics(precision=micro_ratio, recall=micro_ratio, f1=_f1(micro_ratio, micro_ratio), support=total)
+
+    values = list(per_class.values())
+    macro = ClassMetrics(
+        precision=float(np.mean([m.precision for m in values])),
+        recall=float(np.mean([m.recall for m in values])),
+        f1=float(np.mean([m.f1 for m in values])),
+        support=total,
+    )
+    return MetricsReport(per_class=per_class, micro=micro, macro=macro)

@@ -766,6 +766,29 @@ class TestExitCodes:
         assert f"error: {lexicon}:2: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("id_cell, count_cell", [("0_2", "1_000"), ("\u0662", "\u0663"), ("+2", " 7"), ("\uff12", "7 ")],
+                             ids=["underscore", "arabic-indic", "sign-or-space", "fullwidth-or-space"])
+    def test_id_or_count_that_is_not_ascii_digits_names_file_and_line(self, workspace, tmp_path, capsys, id_cell, count_cell):
+        """An id or a count is an optional '-' and ASCII digits: a cell that
+        int() reads otherwise, here the third vocabulary line's id 2, exits 3."""
+        vocab = tmp_path / "vocab.tsv"
+        lines = workspace["vocab"].read_text().splitlines()
+        vocab.write_text("\n".join(lines[:2] + [id_cell + "\t" + lines[2].split("\t", 1)[1]] + lines[3:]) + "\n")
+        ckpt = tmp_path / "run"
+        capsys.readouterr()
+        assert run(["train", "--train-file", workspace["clean"], "--vocab", vocab, "--checkpoint-dir", ckpt] + TINY_FLAGS) == 3
+        assert f"error: {vocab}:3: expected id<TAB>word" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text(f"the\t5\ncat\t{count_cell}\n", encoding="utf-8")
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("joy\tsome text\n")
+        out = tmp_path / "clean.tsv"
+        assert run(["preprocess", "--input", raw, "--output", out, "--lexicon", lexicon]) == 3
+        assert f"error: {lexicon}:2: expected 'word<TAB>count'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_numeric_word2vec_value_names_file_and_line(self, workspace, tmp_path, capsys):
         vectors = tmp_path / "vec.txt"
         vectors.write_text("1 2\nhello 0.1 abc\n")

@@ -146,8 +146,18 @@ class TestVocabulary:
 # words that the line rule, the tab split or int() could misread
 ODD_WORDS = ("a\tb", "\t", "x\u2028y", "p\x0bq", "r\x1cs", "café", " sp", "7")
 TABLESS_WORDS = tuple(word for word in ODD_WORDS if "\t" not in word)
-ID_FORMATS = ("{}", "{}", "{}", "0{}", "+{}", " {}", "{} ")
-BAD_ROWS = ("7 cat", "x\tcat", "\tcat", " ", "7", "-1\tcat")
+ID_FORMATS = ("{}", "{}", "{}", "0{}")
+BAD_ROWS = ("7 cat", "x\tcat", "\tcat", " ", "7", "-1\tcat", "-\tcat", "--1\tcat", "1-\tcat")
+DIGITS = "0123456789"
+OTHER_DIGITS = (str.maketrans(DIGITS, "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"),  # Arabic-Indic
+                str.maketrans(DIGITS, "".join(map(chr, range(0xFF10, 0xFF1A)))))  # fullwidth
+
+
+def odd_cell(rng, value: int) -> str:
+    """`value` written so that `int` reads it, but not as an optional `-`
+    and ASCII digits: a plus, a space, an underscore or other digits."""
+    text = str(value)
+    return rng.choice([f"+{text}", f" {text}", f"{text} ", f"0_{text}", *(text.translate(t) for t in OTHER_DIGITS)])
 
 
 def vocab_rows(rng, count, odd_words=ODD_WORDS):
@@ -161,7 +171,7 @@ def spoil(rng, rows):
     """`rows` with one fault at a random row, or none, and blank lines
     around that row."""
     at = rng.randrange(len(rows) + 1)
-    fault = rng.choice(["none", "gap", "repeat", "reserved", "truncate", "bad-row", "tab-word", "shifted-tab"])
+    fault = rng.choice(["none", "gap", "repeat", "reserved", "truncate", "bad-row", "tab-word", "shifted-tab", "odd-id"])
     if fault == "bad-row" or at == len(rows):
         rows.insert(at, rng.choice(BAD_ROWS))
     elif fault == "gap":
@@ -176,6 +186,9 @@ def spoil(rng, rows):
         rows[at] += "\tmore"
     elif fault == "shifted-tab" and at + 1 < len(rows):
         shift_tab(rows, at)
+    elif fault == "odd-id":
+        id_text, word = rows[at].split("\t", 1)
+        rows[at] = f"{odd_cell(rng, int(id_text))}\t{word}"
     for _ in range(rng.choice([0, 0, 1, 3])):
         rows.insert(min(max(at + rng.randint(-1, 1), 0), len(rows)), "")
     return rows
@@ -238,6 +251,7 @@ class TestVocabularyBlocks:
     @pytest.mark.parametrize("fault, outcome", [
         (None, "loaded"), ("bad-row", "MalformedLine"), ("blank", "loaded"), ("gap", "MalformedHeader"),
         ("repeat", "MalformedLine"), ("tab-word", "MalformedLine"), ("shifted-tab", "MalformedLine"),
+        ("odd-id", "MalformedLine"),
     ])
     def test_large_file_agrees_at_the_block_boundary(self, tmp_path, fault, outcome):
         """A 50,000-word file with a fault on each side of the line that
@@ -259,6 +273,9 @@ class TestVocabularyBlocks:
                 spoiled[at] += "\tmore"
             elif fault == "shifted-tab":
                 shift_tab(spoiled, at)
+            elif fault == "odd-id":
+                word = spoiled[at].split("\t", 1)[1]
+                spoiled[at] = f"{odd_cell(random.Random(at), at)}\t{word}"
             path = tmp_path / f"vocab{at}.tsv"
             path.write_text("\n".join(spoiled) + "\n", encoding="utf-8")
             assert assert_loads_as_oracle(path) == outcome

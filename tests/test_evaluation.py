@@ -1,11 +1,14 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from emocaps.errors import LengthMismatch, LabelOutOfRange, UnknownLabel
+import eval_oracle
+from emocaps.errors import EmocapsError, LengthMismatch, LabelOutOfRange, UnknownLabel
 from emocaps.evaluation import (
     LABELS,
+    ClassMetrics,
     confusion,
     format_report,
     label_index,
@@ -160,6 +163,64 @@ class TestMetrics:
     def test_reported_per_class_scores_average_to_macro(self):
         scores = (0.622, 0.688, 0.730, 0.788, 0.668, 0.656)
         assert abs(sum(scores) / 6 - 0.692) < 0.0005
+
+
+def scoring_cases(rng, count):
+    """`count` seeded (golds, preds) lists: empty, one pair, a few or a few
+    hundred pairs, over a random subset of the classes (a single class,
+    others absent), with predictions right, random or from that subset."""
+    for case in range(count):
+        size = (0, 1, int(rng.integers(2, 20)), int(rng.integers(20, 300)))[case % 4]
+        classes = rng.choice(6, size=int(rng.integers(1, 7)), replace=False)
+        golds = rng.choice(classes, size=size)
+        preds = np.where(rng.random(size) < rng.random(), golds, rng.choice((classes, np.arange(6))[case % 2], size=size))
+        yield golds.tolist(), preds.tolist()
+
+
+def assert_same_report(report, expected):
+    """Every field of every ClassMetrics equal in type and in bytes."""
+    assert list(report.per_class) == list(expected.per_class)
+    for got, want in zip([*report.per_class.values(), report.micro, report.macro],
+                         [*expected.per_class.values(), expected.micro, expected.macro]):
+        for field in fields(ClassMetrics):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b) and np.array(a).tobytes() == np.array(b).tobytes(), (field.name, a, b)
+
+
+class TestAgainstTheLoops:
+    """confusion counts with one bincount and metrics divides arrays; the
+    per-pair and per-class loops they replaced (eval_oracle) must give the
+    same bytes and raise the same errors."""
+
+    def test_reports_are_bitwise_the_loops(self):
+        sizes = set()
+        for golds, preds in scoring_cases(np.random.default_rng(38), 2400):
+            cm, expected = confusion(golds, preds), eval_oracle.confusion(golds, preds)
+            assert cm.dtype == expected.dtype and np.array_equal(cm, expected)
+            assert_same_report(metrics(cm), eval_oracle.metrics(expected))
+            sizes.add(len(set(golds)))
+        assert sizes == {0, 1, 2, 3, 4, 5, 6}
+
+    def test_bad_labels_raise_as_the_loops(self):
+        """Bad labels at random positions, on either side or both sides of
+        a pair, some inserted so that the lengths differ too."""
+        rng = np.random.default_rng(39)
+        bad_values = (-1, 6, 7, -6, 100, 2**70, -(2**70))
+        seen = set()
+        for golds, preds in scoring_cases(rng, 2400):
+            for _ in range(int(rng.integers(1, 4))):
+                side, value = (golds, preds)[int(rng.integers(2))], bad_values[int(rng.integers(len(bad_values)))]
+                if side and rng.random() < 0.8:
+                    side[int(rng.integers(len(side)))] = value
+                else:
+                    side.insert(int(rng.integers(len(side) + 1)), value)
+            with pytest.raises(EmocapsError) as expected:
+                eval_oracle.confusion(golds, preds)
+            with pytest.raises(EmocapsError) as err:
+                confusion(golds, preds)
+            assert (type(err.value), str(err.value)) == (type(expected.value), str(expected.value))
+            seen.add(str(err.value).split()[0] if type(err.value) is LabelOutOfRange else "length")
+        assert seen == {"gold", "predicted", "length"}
 
 
 class TestReportOutput:

@@ -148,6 +148,29 @@ def test_predict_dataset_matches_per_example_labels_in_input_order(monkeypatch):
     assert len(set(labels)) > 1  # the check is not vacuous
 
 
+def test_predict_dataset_labels_each_row_as_the_row_loop(monkeypatch):
+    """predict_dataset labels a chunk's rows at once; each sequence must
+    get the label of its own row, exact ties to the lower index included.
+    The probabilities are class tallies of the ids, so ties are common."""
+
+    def tallies(chunk, *args, **kwargs):
+        return np.stack([np.bincount(np.asarray(ids) % 6, minlength=6) / len(ids) for ids in chunk]), None
+
+    monkeypatch.setattr(training, "forward_full", tallies)
+    cfg, params = paper_model(seed=5)
+    rng = np.random.default_rng(38)
+    ties = 0
+    for case in range(60):
+        lengths = rng.integers(1, 45, size=int(rng.integers(1, 40))).tolist()
+        sequences = random_sequences(lengths, 200, seed=case)
+        rows = [tallies([ids])[0][0] for ids in sequences]
+        labels = predict_dataset(sequences, params, cfg)
+        assert labels == [eval_oracle.label(row) for row in rows]
+        assert all(type(label) is int for label in labels)
+        ties += sum(int((row == row.max()).sum() > 1) for row in rows)
+    assert ties > 100
+
+
 def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)

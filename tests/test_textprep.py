@@ -35,7 +35,7 @@ from emocaps.textprep import (
 )
 import lexicon_oracle
 from spell_oracle import ALPHABET, edits1, sources1, two_steps
-from test_embeddings import encode_rows
+from test_embeddings import encode_rows, odd_cell
 
 CORPUS = [
     "It's [#TARGETWORD#] when you feel invisible",
@@ -278,8 +278,9 @@ class TestLexicon:
 
 # words that the line rule, the tab split or the case test could misread
 LEXICON_ODD_WORDS = ("café", "x\u2028y", "p\x0bq", "r\x1cs", " sp", "7", "\ufeffbom", "ǆ")
-COUNT_FORMATS = ("{}", "{}", "{}", "0{}", "+{}", " {}", "{} ")
-BAD_LEXICON_ROWS = ("cat", "cat\t1\t2", "cat\tmany", "\t1", "Cat\t1", "s*t\t1", "cat\t-1", "cat\t2.5", " ", "ǅ\t1")
+COUNT_FORMATS = ("{}", "{}", "{}", "0{}")
+BAD_LEXICON_ROWS = ("cat", "cat\t1\t2", "cat\tmany", "\t1", "Cat\t1", "s*t\t1", "cat\t-1", "cat\t2.5", " ", "ǅ\t1",
+                    "cat\t-", "cat\t--1", "cat\t1-")
 
 
 def lexicon_rows(rng, count):
@@ -296,13 +297,16 @@ def spoil_lexicon(rng, rows):
     """`rows` with one fault at a random row, or none, and blank lines
     around that row."""
     at = rng.randrange(len(rows) + 1)
-    fault = rng.choice(["none", "bad-row", "hidden-negative", "tab-word"])
+    fault = rng.choice(["none", "bad-row", "hidden-negative", "tab-word", "odd-count"])
     if fault == "bad-row" or fault != "none" and at == len(rows):
         rows.insert(at, rng.choice(BAD_LEXICON_ROWS))
     elif fault == "hidden-negative":  # the row's own count is larger: the sum is not negative
         rows.insert(at, rows[at].split("\t")[0] + "\t-1")
     elif fault == "tab-word":
         rows[at] = "more\t" + rows[at]
+    elif fault == "odd-count":
+        word, count = rows[at].split("\t")
+        rows[at] = f"{word}\t{odd_cell(rng, int(count))}"
     for _ in range(rng.choice([0, 0, 1, 3])):
         rows.insert(min(max(at + rng.randint(-1, 1), 0), len(rows)), "")
     return rows
@@ -342,7 +346,7 @@ class TestLexiconBlocks:
     @pytest.mark.parametrize("fault, outcome", [
         (None, "loaded"), ("bad-row", "MalformedLine"), ("blank", "loaded"), ("uppercase", "MalformedLine"),
         ("censored", "MalformedLine"), ("hidden-negative", "MalformedLine"), ("crlf", "loaded"), ("cr", "loaded"),
-        ("bom", "loaded"), ("not-utf8", "MalformedLine"),
+        ("bom", "loaded"), ("not-utf8", "MalformedLine"), ("odd-count", "MalformedLine"),
     ])
     def test_large_file_agrees_at_the_block_boundary(self, tmp_path, fault, outcome):
         """A 30,000-line file with a fault on each side of the line that
@@ -368,6 +372,9 @@ class TestLexiconBlocks:
                 spoiled[at] = "\ufeff" + spoiled[at]
             elif fault == "not-utf8":
                 spoiled[at] += "\udce9"  # the byte 0xe9 alone, written by surrogateescape
+            elif fault == "odd-count":
+                word, count = spoiled[at].split("\t")
+                spoiled[at] = f"{word}\t{odd_cell(random.Random(at), int(count))}"
             path = tmp_path / f"lex{at}.tsv"
             path.write_bytes(("\n".join(spoiled) + "\n").encode("utf-8", "surrogateescape"))
             assert assert_reads_as_oracle(path) == outcome

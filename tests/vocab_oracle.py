@@ -2,9 +2,12 @@
 
 `load_lines` reads an "id<TAB>word" file a line at a time, the way the
 loader did before it parsed blocks of lines with str calls, with one tab a
-line: every result and every error of the block parse is checked against
-it, line numbers included.
+line and an id that is an optional `-` and ASCII digits: every result and
+every error of the block parse is checked against it, line numbers
+included.
 """
+
+import re
 
 from emocaps.embeddings import RESERVED
 from emocaps.errors import MalformedHeader, MalformedLine, text_lines
@@ -22,6 +25,8 @@ def load_lines(path) -> tuple[list[str], dict[str, int]]:
                 continue
             try:
                 idx_text, word = line.split("\t")
+                if not re.fullmatch("-?[0-9]+", idx_text):
+                    raise ValueError(idx_text)
                 idx = int(idx_text)
             except ValueError:
                 raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {line!r}", lineno) from None
