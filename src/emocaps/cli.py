@@ -317,9 +317,9 @@ def cmd_evaluate(args) -> int:
     report = metrics(confusion(golds, preds))
     if args.output:
         with replacing(args.output) as handle:
-            handle.write(json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
+            handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     print(format_report(report))
-    print(f"macro-F1 {report.macro.f1:.4f}")
+    print(f"macro-F1 {report['macro']['f1']:.4f}")
     return 0
 
 

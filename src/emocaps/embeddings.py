@@ -109,9 +109,11 @@ def load_word2vec(path, fmt: str, words, dim: int) -> dict[str, np.ndarray]:
 
     Formats: text = header "count dim", then "word v1 ... vd" per line;
     binary = same ASCII header, then per entry the UTF-8 word bytes terminated
-    by a space followed by dim little-endian float32 values. A header whose
-    width is not `dim` raises DimensionMismatch before any entry is read. A
-    word that is not UTF-8 raises MalformedLine naming the file and the entry.
+    by a space followed by dim little-endian float32 values. The header's
+    cells are read by `errors.integer_cells`, and one whose width is not
+    `dim` raises DimensionMismatch before any entry is read. A word that is
+    not UTF-8, or a value that is NaN, infinite or beyond float32, raises
+    MalformedLine naming the file and the entry.
     """
     loaders = {"binary": _load_word2vec_binary, "text": _load_word2vec_text}
     if fmt not in loaders:
@@ -127,7 +129,7 @@ def _parse_header(header: str, path, dim: int) -> int:
     if len(parts) != 2:
         raise MalformedHeader(f"{where}: expected 'count dim', got {header!r}")
     try:
-        count, width = int(parts[0]), int(parts[1])
+        count, width = integer_cells(parts)
     except ValueError as exc:
         raise MalformedHeader(f"{where}: non-integer header fields: {header!r}") from exc
     if count < 0 or width <= 0:
@@ -159,8 +161,11 @@ def _load_word2vec_binary(path, words, dim: int) -> dict[str, np.ndarray]:
                 word = word_chars.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise MalformedLine(f"{path}: entry {entry + 1} of {count}: word {bytes(word_chars)!r} is not UTF-8 ({exc.reason})") from None
+            vector = np.frombuffer(payload, dtype="<f4")
+            if not np.isfinite(vector).all():
+                raise MalformedLine(f"{path}: entry {entry + 1} of {count}: word {word!r} has a non-finite value")
             if word in words and word not in table:
-                table[word] = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+                table[word] = vector.astype(np.float32)
     return table
 
 
@@ -176,10 +181,15 @@ def _load_word2vec_text(path, words, dim: int) -> dict[str, np.ndarray]:
             if len(values) != dim:
                 raise DimensionMismatch(f"{path}:{lineno}: entry {word!r} has {len(values)} values, expected {dim}")
             try:
-                vector = np.array([float(v) for v in values], dtype=np.float32)
+                with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, refused below
+                    vector = np.array([float(v) for v in values], dtype=np.float32)
             except ValueError:
                 bad = next(v for v in values if not _is_float(v))
                 raise MalformedLine(f"{path}:{lineno}: entry {word!r} has a non-numeric value {bad!r}", lineno) from None
+            finite = np.isfinite(vector)
+            if not finite.all():
+                bad = values[np.argmin(finite)]
+                raise MalformedLine(f"{path}:{lineno}: entry {word!r} has a non-finite value {bad!r}", lineno)
             if word in words:
                 table.setdefault(word, vector)
     if lineno <= count:

@@ -7,13 +7,12 @@ Undefined ratios (empty row or column) are reported as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import LabelOutOfRange, LengthMismatch, UnknownLabel
 
 LABELS = ("anger", "disgust", "fear", "joy", "sad", "surprise")
+ENTRY_KEYS = ("p", "r", "f1", "support")  # of each class's entry in a report
 
 
 def label_index(name: str) -> int:
@@ -38,32 +37,10 @@ def confusion(golds, preds) -> np.ndarray:
     return np.bincount(golds * n + preds, minlength=n * n).reshape(n, n)
 
 
-@dataclass
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-@dataclass
-class MetricsReport:
-    per_class: dict[str, ClassMetrics]
-    micro: ClassMetrics
-    macro: ClassMetrics
-
-    def to_json(self) -> dict:
-        def entry(m: ClassMetrics) -> dict:
-            return {"p": m.precision, "r": m.recall, "f1": m.f1, "support": m.support}
-
-        return {
-            "per_class": {label: entry(m) for label, m in self.per_class.items()},
-            "micro": entry(self.micro),
-            "macro": entry(self.macro),
-        }
-
-
-def metrics(cm: np.ndarray) -> MetricsReport:
+def metrics(cm: np.ndarray) -> dict:
+    """The report `evaluate --output` writes: {"per_class": {label: entry},
+    "micro": entry, "macro": entry}, each entry {"p", "r", "f1", "support"}
+    with float ratios and an int support."""
     # the pooled counts ride along as a seventh class: every error is one false
     # positive and one false negative, so its precision and recall are the accuracy
     total = cm.sum()
@@ -73,15 +50,16 @@ def metrics(cm: np.ndarray) -> MetricsReport:
                          for den in (np.append(cm.sum(axis=0), total), support))
     both = precision + recall
     f1 = np.divide(2.0 * precision * recall, both, out=np.zeros(len(hits)), where=both > 0)
-    *per_class, micro = map(ClassMetrics, precision.tolist(), recall.tolist(), f1.tolist(), support.tolist())
-    macro = ClassMetrics(*(float(a[:-1].mean()) for a in (precision, recall, f1)), support=int(total))
-    return MetricsReport(per_class=dict(zip(LABELS, per_class)), micro=micro, macro=macro)
+    *per_class, micro = (dict(zip(ENTRY_KEYS, entry))
+                         for entry in zip(precision.tolist(), recall.tolist(), f1.tolist(), support.tolist()))
+    macro = dict(zip(ENTRY_KEYS, [*(float(a[:-1].mean()) for a in (precision, recall, f1)), int(total)]))
+    return {"per_class": dict(zip(LABELS, per_class)), "micro": micro, "macro": macro}
 
 
-def format_report(report: MetricsReport) -> str:
+def format_report(report: dict) -> str:
     """Human-readable table, one row per class plus the two averages."""
     rows = [f"{'':<10} {'prec':>7} {'recall':>7} {'f1':>7} {'support':>8}"]
-    for name, m in [*report.per_class.items(), ("micro", report.micro), ("macro", report.macro)]:
-        rows.append(f"{name:<10} {m.precision:>7.3f} {m.recall:>7.3f} {m.f1:>7.3f} {m.support:>8d}")
+    for name, m in [*report["per_class"].items(), ("micro", report["micro"]), ("macro", report["macro"])]:
+        rows.append(f"{name:<10} {m['p']:>7.3f} {m['r']:>7.3f} {m['f1']:>7.3f} {m['support']:>8d}")
     return "\n".join(rows)
 

@@ -400,7 +400,7 @@ def predict_dataset(sequences, params: ModelParams, cfg: TrainConfig) -> list[in
 def dataset_macro_f1(dataset, params: ModelParams, cfg: TrainConfig) -> float:
     preds = predict_dataset([ids for ids, _ in dataset], params, cfg)
     golds = [gold for _, gold in dataset]
-    return metrics(confusion(golds, preds)).macro.f1
+    return metrics(confusion(golds, preds))["macro"]["f1"]
 
 
 def _check_dataset(dataset, name: str, vocab_size: int) -> np.ndarray:

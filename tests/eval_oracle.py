@@ -22,7 +22,7 @@ import numpy as np
 from emocaps.capsule import squash
 from emocaps.embeddings import embed
 from emocaps.errors import LabelOutOfRange, LengthMismatch
-from emocaps.evaluation import LABELS, ClassMetrics, MetricsReport
+from emocaps.evaluation import LABELS
 from emocaps.nn import GruParams, dense_forward, softmax
 from gru_oracle import sigmoid
 
@@ -105,26 +105,20 @@ def _f1(p: float, r: float) -> float:
     return _safe_div(2.0 * p * r, p + r)
 
 
-def metrics(cm: np.ndarray) -> MetricsReport:
+def metrics(cm: np.ndarray) -> dict:
     total = int(cm.sum())
-    per_class: dict[str, ClassMetrics] = {}
+    per_class: dict[str, dict] = {}
     for c, name in enumerate(LABELS):
         tp = float(cm[c, c])
         p = _safe_div(tp, float(cm[:, c].sum()))
         r = _safe_div(tp, float(cm[c, :].sum()))
-        per_class[name] = ClassMetrics(
-            precision=p, recall=r, f1=_f1(p, r), support=int(cm[c, :].sum())
-        )
+        per_class[name] = {"p": p, "r": r, "f1": _f1(p, r), "support": int(cm[c, :].sum())}
 
     # pooled counts: every error is one false positive and one false negative
     micro_ratio = _safe_div(float(np.trace(cm)), float(total))
-    micro = ClassMetrics(precision=micro_ratio, recall=micro_ratio, f1=_f1(micro_ratio, micro_ratio), support=total)
+    micro = {"p": micro_ratio, "r": micro_ratio, "f1": _f1(micro_ratio, micro_ratio), "support": total}
 
     values = list(per_class.values())
-    macro = ClassMetrics(
-        precision=float(np.mean([m.precision for m in values])),
-        recall=float(np.mean([m.recall for m in values])),
-        f1=float(np.mean([m.f1 for m in values])),
-        support=total,
-    )
-    return MetricsReport(per_class=per_class, micro=micro, macro=macro)
+    macro = {key: float(np.mean([m[key] for m in values])) for key in ("p", "r", "f1")}
+    macro["support"] = total
+    return {"per_class": per_class, "micro": micro, "macro": macro}

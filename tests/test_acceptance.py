@@ -142,11 +142,11 @@ def test_metric_oracle():
         golds = rng.integers(0, 6, size=50).tolist()
         preds = rng.integers(0, 6, size=50).tolist()
         rep = metrics(confusion(golds, preds))
-        mean_f1 = sum(c.f1 for c in rep.per_class.values()) / 6
-        assert abs(rep.macro.f1 - mean_f1) < 1e-15
+        mean_f1 = sum(c["f1"] for c in rep["per_class"].values()) / 6
+        assert abs(rep["macro"]["f1"] - mean_f1) < 1e-15
         # ... and micro-F1 equals accuracy
         accuracy = sum(g == p for g, p in zip(golds, preds)) / len(golds)
-        assert abs(rep.micro.f1 - accuracy) < 1e-12
+        assert abs(rep["micro"]["f1"] - accuracy) < 1e-12
     # the averaging rule applied to the reference per-class scores must
     # reproduce the reference macro score
     reference = (0.622, 0.688, 0.730, 0.788, 0.668, 0.656)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -53,7 +54,9 @@ class TestRoundTrip:
         save_checkpoint(stem, tensors, {}, seed=0)
         payload = (tmp_path / "le.bin").read_bytes()
         expected = tensors["a"].astype("<f8").tobytes() + tensors["b"].astype("<f4").tobytes()
-        assert payload == expected
+        digest = hashlib.sha256(expected)
+        assert payload == expected + digest.digest()
+        assert json.loads((tmp_path / "le.json").read_text())["payload_sha256"] == digest.hexdigest()
 
     def test_save_is_deterministic(self, tmp_path):
         tensors = sample_tensors()
@@ -68,6 +71,35 @@ class TestRoundTrip:
         loaded, _ = load_checkpoint(stem)
         loaded["a"][0] = 1.0  # must not raise
         assert all(t.flags.writeable and t.flags.owndata for t in loaded.values())
+
+    def test_same_tensors_same_digest(self, tmp_path):
+        """The digest covers the tensors' bytes only, not the seed or the
+        hyperparameters, so equal weights give equal payloads."""
+        save_checkpoint(tmp_path / "one", sample_tensors(), {"k": 1}, seed=1)
+        save_checkpoint(tmp_path / "two", sample_tensors(), {"k": 2}, seed=2)
+        assert (tmp_path / "one.bin").read_bytes() == (tmp_path / "two.bin").read_bytes()
+
+    def test_version_2_pair_loads_unchecked(self, tmp_path):
+        """A version-2 pair, written here as version 2 wrote it: no digest in
+        the manifest and none after the last tensor."""
+        tensors = sample_tensors()
+        manifest = {
+            "version": 2,
+            "tensors": [{"name": n, "shape": list(t.shape), "dtype": t.dtype.newbyteorder("<").str} for n, t in tensors.items()],
+            "hyperparameters": {"lr": 0.001},
+            "seed": 7,
+        }
+        (tmp_path / "old.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        (tmp_path / "old.bin").write_bytes(b"".join(t.astype(t.dtype.newbyteorder("<")).tobytes() for t in tensors.values()))
+        loaded, got = load_checkpoint(tmp_path / "old")
+        assert got == manifest and list(loaded) == list(tensors)
+        for name, t in tensors.items():
+            assert loaded[name].dtype == t.dtype
+            np.testing.assert_array_equal(loaded[name], t)
+        # a version-2 payload ends at its last tensor
+        (tmp_path / "old.bin").write_bytes((tmp_path / "old.bin").read_bytes() + bytes(32))
+        with pytest.raises(MalformedHeader, match="32 trailing bytes"):
+            load_checkpoint(tmp_path / "old")
 
 
 class TestCorruption:
@@ -179,6 +211,36 @@ class TestCorruption:
         with pytest.raises(error, match="^" + re.escape(f"{tmp_path / 'model.bin'}: ")):
             load_checkpoint(stem)
 
+    @pytest.mark.parametrize("at", [0, 17, 31])
+    def test_flipped_trailer_byte(self, tmp_path, at):
+        stem = self.make_checkpoint(tmp_path)
+        payload = bytearray((tmp_path / "model.bin").read_bytes())
+        payload[len(payload) - 32 + at] ^= 0x01
+        (tmp_path / "model.bin").write_bytes(payload)
+        with pytest.raises(MalformedHeader, match=re.escape(f"payload_sha256 of {tmp_path / 'model.json'}")):
+            load_checkpoint(stem)
+
+    @pytest.mark.parametrize("digest", [None, "", "ab" * 31, "AB" * 32, "g" * 64, 7, ["ab" * 32]],
+                             ids=["missing", "empty", "short", "upper", "not-hex", "int", "list"])
+    def test_malformed_digest_names_both_files(self, tmp_path, digest):
+        stem = self.make_checkpoint(tmp_path)
+        manifest = json.loads((tmp_path / "model.json").read_text())
+        if digest is None:
+            del manifest["payload_sha256"]
+        else:
+            manifest["payload_sha256"] = digest
+        (tmp_path / "model.json").write_text(json.dumps(manifest))
+        says = f"{tmp_path / 'model.json'}: payload_sha256 must be the 64 hex digits that end {tmp_path / 'model.bin'}"
+        with pytest.raises(MalformedHeader, match="^" + re.escape(says)):
+            load_checkpoint(stem)
+
+    def test_trailer_cut_short(self, tmp_path):
+        stem = self.make_checkpoint(tmp_path)
+        payload = (tmp_path / "model.bin").read_bytes()
+        (tmp_path / "model.bin").write_bytes(payload[:-1])
+        with pytest.raises(TruncatedFile, match="^" + re.escape(f"{tmp_path / 'model.bin'}: payload ends inside its sha256 trailer")):
+            load_checkpoint(stem)
+
 
 class TestAtomicWrite:
     @pytest.mark.parametrize("failing", ["payload", "manifest", "manifest-flush", "rename"])
@@ -205,6 +267,23 @@ class TestAtomicWrite:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         loaded, manifest = load_checkpoint(stem)
         assert list(loaded) == list(sample_tensors()) and manifest["seed"] == 1
+
+    def test_refused_manifest_rename_leaves_a_refused_pair(self, tmp_path, monkeypatch):
+        """The new payload lands, the old manifest stays: tensors of one
+        save with the seed and hyperparameters of another, of equal shapes,
+        so only the digest tells them apart."""
+        stem = tmp_path / "model"
+        save_checkpoint(stem, {"w": np.zeros(4)}, {"k": 1}, seed=1)
+        fail_rename(monkeypatch, f"{stem}.json")
+        with pytest.raises(OSError):
+            save_checkpoint(stem, {"w": np.full(4, 7.0)}, {"k": 2}, seed=2)
+        monkeypatch.undo()
+
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.json"]
+        says = (f"{tmp_path / 'model.bin'}: its sha256 trailer is not the payload_sha256 of {tmp_path / 'model.json'}: "
+                "the two files are not from one save")
+        with pytest.raises(MalformedHeader, match="^" + re.escape(says) + "$"):
+            load_checkpoint(stem)
 
     def test_overwrite_replaces_both_files(self, tmp_path):
         stem = tmp_path / "model"

@@ -272,8 +272,11 @@ class TestPipeline:
         assert capsys.readouterr().out == f"vocabulary: {len(vocab)} words ({len(kept)} pretrained) -> {tmp_path / 'vocab.tsv'}\n"
         assert len(kept) == len(vocab.id_to_word[7::2])
         assert (tmp_path / "vocab.tsv").read_bytes() == workspace["vocab"].read_bytes()
-        assert (tmp_path / "emb.json").read_bytes() == Path(f"{workspace['payload']}.json").read_bytes()
-        assert (tmp_path / "emb.bin").read_bytes() == weights.astype("<f8").tobytes()
+        # the manifests differ only by the digest of the weights, which ends the payload
+        manifest, plain = (json.loads(Path(f"{stem}.json").read_text()) for stem in (tmp_path / "emb", workspace["payload"]))
+        digest = hashlib.sha256(weights.astype("<f8").tobytes())
+        assert manifest == {**plain, "payload_sha256": digest.hexdigest()}
+        assert (tmp_path / "emb.bin").read_bytes() == weights.astype("<f8").tobytes() + digest.digest()
 
     def test_checkpoints_record_vocabulary_fingerprint(self, workspace):
         words = [line.split("\t", 1)[1] for line in workspace["vocab"].read_text().splitlines()]
@@ -815,7 +818,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("vectors_text, embed_dim, message", [
         ("1 3\nhappy 0.1 0.2\n", "3", ":2: entry 'happy' has 2 values, expected 3"),
         ("1 2\nhappy 0.1 0.2\n", "3", ":1: vectors are 2-dimensional, expected 3"),
-    ], ids=["value-count", "embed-dim"])
+        # a NaN would pass build-vocab and stop train at its first gradient, naming no file
+        ("2 2\nhappy 0.1 0.2\nzzz 0.3 nan\n", "2", ":3: entry 'zzz' has a non-finite value 'nan'"),
+        ("0_2 \u0663\nhappy 0.1 0.2 0.3\nsad 1 2 3\n", "3", ":1: non-integer header fields: '0_2 \u0663\\n'"),
+    ], ids=["value-count", "embed-dim", "nan", "header-cells"])
     def test_bad_word2vec_writes_nothing(self, workspace, tmp_path, capsys, vectors_text, embed_dim, message):
         vectors = tmp_path / "v.txt"
         vectors.write_text(vectors_text)
@@ -1324,6 +1330,30 @@ class TestWholeOrUntouched:
                 assert (out / name).read_bytes() == f"previous {name}\n".encode(), name
             else:
                 assert not (out / name).exists(), name
+
+    def test_refused_manifest_rename_is_not_a_checkpoint(self, workspace, tmp_path, capsys, monkeypatch):
+        """A second run's model.bin lands and its model.json is refused: the
+        first run's manifest beside the second run's tensors, of the same
+        shapes. predict refuses the pair, naming both files."""
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("model.json", "model.bin"):
+            (out / name).write_bytes((workspace["ckpt"] / name).read_bytes())
+        fail_rename(monkeypatch, out / "model.json")
+        assert run(writing_argv("train", workspace, out) + ["--seed", "1"]) == 3
+        monkeypatch.undo()
+        assert (out / "model.json").read_bytes() == (workspace["ckpt"] / "model.json").read_bytes()
+        assert (out / "model.bin").read_bytes() != (workspace["ckpt"] / "model.bin").read_bytes()
+
+        capsys.readouterr()
+        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+                    "--checkpoint", out / "model", "--output", tmp_path / "preds.txt"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {out / 'model.bin'}: its sha256 trailer is not the payload_sha256 of {out / 'model.json'}: "
+            "the two files are not from one save\n"
+        )
+        assert not (tmp_path / "preds.txt").exists()
 
 
 class TestConfiguration:

@@ -415,6 +415,45 @@ class TestLoadWord2vec:
             assert str(err.value).startswith(f"{path}{where}")
 
     @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("header", ["0_2 \u0663", "+2 3", "2 \uff13", " 2 3_0", "2 -3"],
+                             ids=["underscore-arabic", "plus", "fullwidth", "underscore", "negative"])
+    def test_header_cells_are_ascii_integers(self, tmp_path, fmt, header):
+        """`int` would read 2 entries of width 3 from each of the first
+        three; the header's cells follow the vocabulary's rule for ids."""
+        path = tmp_path / "vecs"
+        if fmt == "binary":
+            path.write_bytes(f"{header}\n".encode() + b"".join(w + b" " + bytes(12) for w in (b"hi", b"yo")))
+        else:
+            path.write_text(f"{header}\nhi 1 2 3\nyo 4 5 6\n", encoding="utf-8")
+        says = "invalid header values" if header == "2 -3" else "non-integer header fields"
+        with pytest.raises(MalformedHeader, match="^" + re.escape(f"{path}:1: {says}: {header + chr(10)!r}") + "$"):
+            load_word2vec(path, fmt, {"hi"}, 3)
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", "1e39", "-3.5e38"])
+    def test_text_non_finite_value_is_refused(self, tmp_path, value):
+        """Every entry is checked, kept or not; a value beyond float32 would
+        load as inf, with a RuntimeWarning, which must not escape."""
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"3 2\nhi 1 2\ncat 0.5 {value}\nyo 3 4\n", encoding="utf-8")
+        for words in (set(), {"hi", "cat"}):
+            with pytest.raises(MalformedLine, match="^" + re.escape(f"{path}:3: entry 'cat' has a non-finite value {value!r}") + "$"):
+                load_word2vec(path, "text", words, 2)
+
+    def test_text_float32_extremes_load(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("1 2\nhi 3.4028235e38 -1e-50\n", encoding="utf-8")
+        table = load_word2vec(path, "text", {"hi"}, 2)
+        assert table["hi"].tolist() == [float(np.finfo(np.float32).max), -0.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_binary_non_finite_value_is_refused(self, tmp_path, bad):
+        path = tmp_path / "vecs.bin"
+        write_binary_fixture(path, [("hi", [1.0, 2.0]), ("cat", [bad, 0.5]), ("yo", [3.0, 4.0])], 2)
+        for words in (set(), {"hi", "cat"}):
+            with pytest.raises(MalformedLine, match="^" + re.escape(f"{path}: entry 2 of 3: word 'cat' has a non-finite value") + "$"):
+                load_word2vec(path, "binary", words, 2)
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
     def test_keeps_only_the_words_asked_for(self, tmp_path, fmt):
         entries = [("cat", [1.0, 2.0]), ("owl", [3.0, 4.0]), ("cat", [5.0, 6.0]), ("dog", [7.0, 8.0])]
         path = tmp_path / "vecs"

@@ -1,5 +1,4 @@
 import json
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ import eval_oracle
 from emocaps.errors import EmocapsError, LengthMismatch, LabelOutOfRange, UnknownLabel
 from emocaps.evaluation import (
     LABELS,
-    ClassMetrics,
     confusion,
     format_report,
     label_index,
@@ -86,30 +84,30 @@ class TestConfusion:
 class TestMetrics:
     def test_perfect_scores(self):
         report = metrics(confusion([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5]))
-        assert report.macro.f1 == 1.0
-        assert report.micro.f1 == 1.0
-        for cls in report.per_class.values():
-            assert cls.precision == cls.recall == cls.f1 == 1.0
-            assert cls.support == 1
+        assert report["macro"]["f1"] == 1.0
+        assert report["micro"]["f1"] == 1.0
+        for cls in report["per_class"].values():
+            assert cls["p"] == cls["r"] == cls["f1"] == 1.0
+            assert cls["support"] == 1
 
     def test_hand_computed_fixture(self):
         # gold: 3x anger, 2x joy; predictions confuse one each way
         golds = [0, 0, 0, 3, 3]
         preds = [0, 0, 3, 0, 3]
         report = metrics(confusion(golds, preds))
-        anger = report.per_class["anger"]
-        joy = report.per_class["joy"]
-        assert anger.precision == pytest.approx(2 / 3)
-        assert anger.recall == pytest.approx(2 / 3)
-        assert anger.f1 == pytest.approx(2 / 3)
-        assert anger.support == 3
-        assert joy.precision == pytest.approx(1 / 2)
-        assert joy.recall == pytest.approx(1 / 2)
-        assert joy.support == 2
+        anger = report["per_class"]["anger"]
+        joy = report["per_class"]["joy"]
+        assert anger["p"] == pytest.approx(2 / 3)
+        assert anger["r"] == pytest.approx(2 / 3)
+        assert anger["f1"] == pytest.approx(2 / 3)
+        assert anger["support"] == 3
+        assert joy["p"] == pytest.approx(1 / 2)
+        assert joy["r"] == pytest.approx(1 / 2)
+        assert joy["support"] == 2
         # micro pools counts: 3 correct of 5
-        assert report.micro.f1 == pytest.approx(3 / 5)
+        assert report["micro"]["f1"] == pytest.approx(3 / 5)
         expected_macro = (2 / 3 + 0 + 0 + 1 / 2 + 0 + 0) / 6
-        assert report.macro.f1 == pytest.approx(expected_macro)
+        assert report["macro"]["f1"] == pytest.approx(expected_macro)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
@@ -120,14 +118,14 @@ class TestMetrics:
             report = metrics(confusion(golds, preds))
             oracle = brute_force_metrics(golds, preds)
             for c, name in enumerate(LABELS):
-                cls = report.per_class[name]
+                cls = report["per_class"][name]
                 prec, rec, f1, support = oracle[c]
-                assert cls.precision == pytest.approx(prec, abs=1e-12)
-                assert cls.recall == pytest.approx(rec, abs=1e-12)
-                assert cls.f1 == pytest.approx(f1, abs=1e-12)
-                assert cls.support == support
+                assert cls["p"] == pytest.approx(prec, abs=1e-12)
+                assert cls["r"] == pytest.approx(rec, abs=1e-12)
+                assert cls["f1"] == pytest.approx(f1, abs=1e-12)
+                assert cls["support"] == support
             macro_oracle = sum(oracle[c][2] for c in range(6)) / 6
-            assert report.macro.f1 == pytest.approx(macro_oracle, abs=1e-12)
+            assert report["macro"]["f1"] == pytest.approx(macro_oracle, abs=1e-12)
 
     def test_micro_f1_equals_accuracy(self):
         rng = np.random.default_rng(2)
@@ -137,28 +135,28 @@ class TestMetrics:
             preds = rng.integers(0, 6, size=n).tolist()
             report = metrics(confusion(golds, preds))
             accuracy = sum(g == p for g, p in zip(golds, preds)) / n
-            assert abs(report.micro.f1 - accuracy) < 1e-12
-            assert abs(report.micro.precision - accuracy) < 1e-12
+            assert abs(report["micro"]["f1"] - accuracy) < 1e-12
+            assert abs(report["micro"]["p"] - accuracy) < 1e-12
 
     def test_macro_invariant_under_relabeling(self):
         rng = np.random.default_rng(3)
         golds = rng.integers(0, 6, size=60).tolist()
         preds = rng.integers(0, 6, size=60).tolist()
-        base = metrics(confusion(golds, preds)).macro.f1
+        base = metrics(confusion(golds, preds))["macro"]["f1"]
         perm = rng.permutation(6).tolist()
         remapped = metrics(
             confusion([perm[g] for g in golds], [perm[p] for p in preds])
-        ).macro.f1
+        )["macro"]["f1"]
         assert base == pytest.approx(remapped, abs=1e-12)
 
     def test_absent_class_scores_zero(self):
         # nothing gold or predicted for most classes: no division blowups
         report = metrics(confusion([0, 0], [1, 1]))
-        fear = report.per_class["fear"]
-        assert fear.precision == 0.0 and fear.recall == 0.0 and fear.f1 == 0.0
-        assert report.per_class["anger"].f1 == 0.0  # recall 0
-        assert report.per_class["disgust"].f1 == 0.0  # precision 0
-        assert report.macro.f1 == 0.0
+        fear = report["per_class"]["fear"]
+        assert fear["p"] == 0.0 and fear["r"] == 0.0 and fear["f1"] == 0.0
+        assert report["per_class"]["anger"]["f1"] == 0.0  # recall 0
+        assert report["per_class"]["disgust"]["f1"] == 0.0  # precision 0
+        assert report["macro"]["f1"] == 0.0
 
     def test_reported_per_class_scores_average_to_macro(self):
         scores = (0.622, 0.688, 0.730, 0.788, 0.668, 0.656)
@@ -178,13 +176,14 @@ def scoring_cases(rng, count):
 
 
 def assert_same_report(report, expected):
-    """Every field of every ClassMetrics equal in type and in bytes."""
-    assert list(report.per_class) == list(expected.per_class)
-    for got, want in zip([*report.per_class.values(), report.micro, report.macro],
-                         [*expected.per_class.values(), expected.micro, expected.macro]):
-        for field in fields(ClassMetrics):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            assert type(a) is type(b) and np.array(a).tobytes() == np.array(b).tobytes(), (field.name, a, b)
+    """Every entry of every class equal in type and in bytes."""
+    assert list(report) == list(expected) and list(report["per_class"]) == list(expected["per_class"])
+    for got, want in zip([*report["per_class"].values(), report["micro"], report["macro"]],
+                         [*expected["per_class"].values(), expected["micro"], expected["macro"]]):
+        assert list(got) == list(want) == ["p", "r", "f1", "support"]
+        for key, a in got.items():
+            b = want[key]
+            assert type(a) is type(b) and np.array(a).tobytes() == np.array(b).tobytes(), (key, a, b)
 
 
 class TestAgainstTheLoops:
@@ -226,7 +225,7 @@ class TestAgainstTheLoops:
 class TestReportOutput:
     def test_json_schema(self):
         report = metrics(confusion([0, 1, 3], [0, 1, 4]))
-        payload = json.loads(json.dumps(report.to_json()))
+        payload = json.loads(json.dumps(report))
         assert set(payload) == {"per_class", "micro", "macro"}
         assert set(payload["per_class"]) == set(LABELS)
         for entry in payload["per_class"].values():
@@ -240,7 +239,8 @@ class TestReportOutput:
 
     def test_values_round_trip_through_json(self):
         report = metrics(confusion([0, 1, 3, 3], [0, 2, 3, 1]))
-        payload = report.to_json()
-        assert payload["per_class"]["anger"]["f1"] == report.per_class["anger"].f1
+        payload = json.loads(json.dumps(report))
+        assert payload == report
+        assert payload["per_class"]["anger"]["f1"] == report["per_class"]["anger"]["f1"]
         assert payload["micro"]["support"] == 4
 

@@ -203,7 +203,7 @@ def dense_train(train_set, dev_set, params, cfg):
             step += 1
             dense_adam(tensors, sums, m, v, step, cfg)
         preds = eval_oracle.predict_labels([ids for ids, _ in dev_set], params, cfg)
-        dev_f1 = metrics(confusion([gold for _, gold in dev_set], preds)).macro.f1
+        dev_f1 = metrics(confusion([gold for _, gold in dev_set], preds))["macro"]["f1"]
         history.append({"epoch": epoch, "train_loss": float(np.mean(losses)), "dev_macro_f1": dev_f1, "seconds": 0.0})
         if dev_f1 > best_f1:
             best_f1, since_best = dev_f1, 0
