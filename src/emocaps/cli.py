@@ -1,9 +1,9 @@
 """Command-line entry point: preprocess, build-vocab, train, evaluate, predict.
 
-Configuration is a flat JSON file of TrainConfig keys, and --profile picks
-the full-scale or desk-scale defaults. `train` has a flag per key that
-overrides the file; `build-vocab` has only --embed-dim and --seed, the two
-it reads. TrainConfig checks the config in effect when it is built.
+Configuration is the TrainConfig defaults, then the --profile preset, then
+a flat JSON --config file of TrainConfig keys, then flags, each overriding
+the ones before: `train` has a flag per key, `build-vocab` only --embed-dim
+and --seed, the two it reads. TrainConfig checks the config in effect.
 train/evaluate/predict consume preprocessed (whitespace tokenized) files,
 so the text pipeline runs exactly once, in `preprocess`.
 
@@ -69,29 +69,22 @@ def _add_config_flags(parser: argparse.ArgumentParser, names=CONFIG_KEYS) -> Non
 
 
 def _read_config_file(path) -> dict:
-    """The keys of a flat JSON config file: TrainConfig fields plus an
-    optional "profile". Any other key, a repeated key or an unknown profile
+    """The keys of a flat JSON config file, each a TrainConfig field. Any
+    other key ("profile" too: the preset is --profile's) or a repeated key
     is an error naming the file."""
     loaded = json_object(path, "config")
-    unknown = set(loaded) - {*CONFIG_KEYS, "profile"}
+    unknown = set(loaded) - set(CONFIG_KEYS)
     if unknown:
         raise MalformedHeader(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
-    profiles = sorted(PROFILES)
-    if "profile" in loaded and loaded["profile"] not in profiles:
-        raise MalformedHeader(f"{path}: profile must be one of {', '.join(profiles)}, got {loaded['profile']!r}")
     return loaded
 
 
 def _resolve_config(args) -> TrainConfig:
-    """Defaults, then profile, then config file, then explicit flags. Flags
-    and profiles are typed, so a TypeError comes from the config file."""
+    """Defaults, then --profile, then the config file, then explicit flags.
+    Flags and profiles are typed, so a TypeError comes from the config file."""
     values = dict(PROFILES[args.profile]) if args.profile else {}
     if args.config:
-        loaded = _read_config_file(args.config)
-        profile = loaded.pop("profile", None)
-        if profile and not args.profile:
-            values.update(PROFILES[profile])
-        values.update(loaded)
+        values.update(_read_config_file(args.config))
     values.update((key, value) for key, value in vars(args).items() if key in CONFIG_KEYS and value is not None)
     try:
         return TrainConfig(**values)
@@ -108,7 +101,7 @@ def load_dataset(path, labeled: bool = True) -> list:
         examples = []
         for lineno, line in lines:
             if "\t" not in line:
-                raise MalformedLine(f"{path}:{lineno}: expected label<TAB>text", lineno)
+                raise MalformedLine(f"{path}:{lineno}: expected label<TAB>text")
             label, text = line.split("\t", 1)
             try:
                 examples.append((label_index(label), text))
@@ -126,7 +119,7 @@ def _encode(path, vocab: Vocabulary, labeled: bool = True):
     for lineno, (label, text) in enumerate(load_dataset(path, labeled), 1):
         tokens = text.split()
         if not tokens:
-            raise MalformedLine(f"{path}:{lineno}: line has no tokens", lineno)
+            raise MalformedLine(f"{path}:{lineno}: line has no tokens")
         encoded.append((vocab.encode(tokens), label))
     return encoded
 
@@ -187,7 +180,7 @@ def _refuse_overwriting(args, outputs, inputs) -> None:
 
 def cmd_preprocess(args) -> int:
     _refuse_overwriting(args, ["output"], ["input", "lexicon"])
-    lex = Lexicon.from_file(args.lexicon) if args.lexicon else Lexicon.from_pairs([])
+    lex = Lexicon.from_file(args.lexicon) if args.lexicon else Lexicon()
     examples = load_dataset(args.input, labeled=not args.unlabeled)
     with replacing(args.output) as handle:
         for label, text in examples:
@@ -268,8 +261,8 @@ def cmd_train(args) -> int:
             save_checkpoint(out / "model", params.tensors(), cfg.__dict__.copy(), cfg.seed, _vocab_sha256(vocab))
     except BaseException:
         for d in made:  # a failed run leaves no directory behind, but keeps the user's own
-            for name in ("model.bin", "model.json", "history.jsonl"):  # what landed before the failure
-                (d / name).unlink(missing_ok=True)
+            for suffix in FILES_OF["checkpoint_dir"]:  # what landed before the failure
+                Path(f"{d}{suffix}").unlink(missing_ok=True)
             d.rmdir()
         raise
     best = max(h["dev_macro_f1"] for h in history)

@@ -81,7 +81,7 @@ class Vocabulary:
                 id_texts, words = columns  # None: a row holds no tab or more than one
                 ids = integer_cells(id_texts)
             except (TypeError, ValueError):
-                raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {rows[0]!r}", lineno) from None
+                raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {rows[0]!r}") from None
             if ids != list(range(len(id_to_word), len(id_to_word) + len(ids))):
                 raise MalformedHeader(f"{path}:{lineno}: non-contiguous vocabulary id: {rows[0]!r}")
             id_to_word += words
@@ -89,7 +89,7 @@ class Vocabulary:
                 raise MalformedHeader(f"{path}:{lineno}: id {ids[0]} must be {RESERVED[ids[0]]!r}, got {words[0]!r}")
             word_to_id.update(zip(words, ids))
             if len(word_to_id) != len(id_to_word):
-                raise MalformedLine(f"{path}:{lineno}: word {words[0]!r} repeats id {id_to_word.index(words[0])}", lineno)
+                raise MalformedLine(f"{path}:{lineno}: word {words[0]!r} repeats id {id_to_word.index(words[0])}")
         if len(id_to_word) < 2:
             end = text.count("\n") + 1 + (text[-1:] not in ("", "\n"))  # the line after the last, one with no newline too
             raise MalformedHeader(f"{path}:{end}: file ends before id {len(id_to_word)}, {RESERVED[len(id_to_word)]!r}")
@@ -112,8 +112,9 @@ def load_word2vec(path, fmt: str, words, dim: int) -> dict[str, np.ndarray]:
     by a space followed by dim little-endian float32 values. The header's
     cells are read by `errors.integer_cells`, and one whose width is not
     `dim` raises DimensionMismatch before any entry is read. A word that is
-    not UTF-8, or a value that is NaN, infinite or beyond float32, raises
-    MalformedLine naming the file and the entry.
+    not UTF-8, a text value that is not `_is_float`, one not finite in float32,
+    or anything but blank lines (newlines, binary) after the header's count of
+    entries raises MalformedLine naming the file and the entry, line or byte.
     """
     loaders = {"binary": _load_word2vec_binary, "text": _load_word2vec_text}
     if fmt not in loaders:
@@ -142,7 +143,7 @@ def _parse_header(header: str, path, dim: int) -> int:
 def _load_word2vec_binary(path, words, dim: int) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
     with open(path, "rb") as handle:
-        count = _parse_header(handle.readline().decode("utf-8", errors="replace"), path, dim)
+        count = _parse_header(handle.readline().decode("utf-8", errors="replace").removesuffix("\n"), path, dim)
         vector_bytes = 4 * dim
         for entry in range(count):
             word_chars = bytearray()
@@ -166,12 +167,15 @@ def _load_word2vec_binary(path, words, dim: int) -> dict[str, np.ndarray]:
                 raise MalformedLine(f"{path}: entry {entry + 1} of {count}: word {word!r} has a non-finite value")
             if word in words and word not in table:
                 table[word] = vector.astype(np.float32)
+        while rest := handle.read(1 << 16):  # the C tool ends each vector with \n; anything else is one entry too many
+            if extra := len(rest.lstrip(b"\n")):
+                raise MalformedLine(f"{path}: byte {handle.tell() - extra} follows the header's {count} entries")
     return table
 
 
 def _load_word2vec_text(path, words, dim: int) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
-    with text_lines(path, keepends=True) as lines:  # with ends: a bad header is quoted with its newline
+    with text_lines(path) as lines:
         lineno, header = next(lines, (1, ""))
         count = _parse_header(header, path, dim)
         for lineno, line in islice(lines, count):
@@ -180,24 +184,31 @@ def _load_word2vec_text(path, words, dim: int) -> dict[str, np.ndarray]:
             word, values = parts[0], parts[1:]
             if len(values) != dim:
                 raise DimensionMismatch(f"{path}:{lineno}: entry {word!r} has {len(values)} values, expected {dim}")
-            try:
+            try:  # _is_float's first test, of every value at once
+                if "_" in (numbers := " ".join(values)) or not (numbers.isascii() and numbers.isprintable()):
+                    raise ValueError(numbers)
                 with np.errstate(over="ignore"):  # a value beyond float32 becomes inf, refused below
                     vector = np.array([float(v) for v in values], dtype=np.float32)
             except ValueError:
                 bad = next(v for v in values if not _is_float(v))
-                raise MalformedLine(f"{path}:{lineno}: entry {word!r} has a non-numeric value {bad!r}", lineno) from None
+                raise MalformedLine(f"{path}:{lineno}: entry {word!r} has a non-numeric value {bad!r}") from None
             finite = np.isfinite(vector)
             if not finite.all():
                 bad = values[np.argmin(finite)]
-                raise MalformedLine(f"{path}:{lineno}: entry {word!r} has a non-finite value {bad!r}", lineno)
+                raise MalformedLine(f"{path}:{lineno}: entry {word!r} has a non-finite value {bad!r}")
             if word in words:
                 table.setdefault(word, vector)
-    if lineno <= count:
-        raise TruncatedFile(f"{path}:{lineno + 1}: file ended after {lineno - 1} of {count} entries")
+        if lineno <= count:
+            raise TruncatedFile(f"{path}:{lineno + 1}: file ended after {lineno - 1} of {count} entries")
+        if extra := next((n for n, line in lines if line.strip()), None):
+            raise MalformedLine(f"{path}:{extra}: a line follows the header's {count} entries")
     return table
 
 
 def _is_float(text: str) -> bool:
+    """Whether `text` is ASCII, printable, free of `_` and a `float`, which alone takes `1_0`."""
+    if not (text.isascii() and text.isprintable()) or "_" in text:
+        return False
     try:
         float(text)
     except ValueError:

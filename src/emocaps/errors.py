@@ -63,21 +63,17 @@ class LengthMismatch(EmocapsError):
 class MalformedLine(EmocapsError):
     """A data file line does not match the expected format."""
 
-    def __init__(self, message, line_number=None):
-        super().__init__(message)
-        self.line_number = line_number
-
 
 @contextmanager
-def text_lines(path, keepends=False):
+def text_lines(path):
     """Yield the lines of UTF-8 text file `path`, after a leading byte-order
     mark, as (number from 1, line) pairs. A line ends only at \\n, \\r\\n
-    or \\r, which is cut off, or read as \\n with `keepends`. A byte that
-    is not UTF-8 raises MalformedLine naming the file and the line of that
-    byte; only a failed read pays for the line: it reads the file again."""
+    or \\r, which is cut off. A byte that is not UTF-8 raises MalformedLine
+    naming the file and the line of that byte; only a failed read pays for
+    the line: it reads the file again."""
     with open(path, encoding="utf-8-sig") as handle:
         try:
-            yield enumerate(handle if keepends else map(str.removesuffix, handle, repeat("\n")), 1)
+            yield enumerate(map(str.removesuffix, handle, repeat("\n")), 1)
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
 
@@ -144,7 +140,7 @@ def _not_utf8(path) -> MalformedLine:
         head = data[: exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         reason = f"can't decode byte {data[exc.start]:#04x} at file offset {exc.start} ({exc.reason})"
-        return MalformedLine(f"{path}:{line}: not UTF-8 text: {reason}", line)
+        return MalformedLine(f"{path}:{line}: not UTF-8 text: {reason}")
     return MalformedLine(f"{path}: not UTF-8 text")  # it changed since the failed read
 
 

@@ -132,10 +132,10 @@ def normalize(tokens: list[Token]) -> list[Token]:
 class Lexicon:
     """Unigram counts backing hashtag segmentation and spell correction.
 
-    Immutable once built: the constructor, which `from_pairs` and `from_file`
-    also end in, checks and copies the mapping it is given, and `counts` is a
-    read-only view of that copy, so the spelling memo and the letter index it
-    carries cannot go stale. Neither takes part in comparison or repr. `total`
+    Immutable once built: the constructor, which `from_file` also ends in,
+    checks and copies the mapping it is given, and `counts` is a read-only
+    view of that copy, so the spelling memo and the letter index it carries
+    cannot go stale. Neither takes part in comparison or repr. `total`
     is the sum of the counts. Words are non-empty, lowercase and free of the
     censoring `*`, and counts are non-negative ints (a bool is not an int):
     the first entry that breaks a rule raises ValueError."""
@@ -151,16 +151,10 @@ class Lexicon:
         object.__setattr__(self, "total", sum(counts.values()))
 
     @classmethod
-    def from_pairs(cls, pairs) -> "Lexicon":
-        """Sum the counts of repeated words; a bad word, or a count that is
-        no non-negative int, raises ValueError naming the first bad pair."""
-        pairs = list(pairs)
-        return cls(_summed({}, [word for word, _ in pairs], [count for _, count in pairs]))
-
-    @classmethod
     def from_file(cls, path) -> "Lexicon":
-        """Read "word<TAB>count" lines, skipping blank ones; an error is a
-        MalformedLine naming the file and its first bad line."""
+        """Read "word<TAB>count" lines, skipping blank ones, and sum the
+        counts of a repeated word; an error is a MalformedLine naming the
+        file and its first bad line."""
         return read_blocks(path, cls._parse)
 
     @classmethod
@@ -174,11 +168,13 @@ class Lexicon:
                 words, count_texts = columns  # None: a row holds no tab or more than one
                 block_counts = integer_cells(count_texts)
             except (TypeError, ValueError):
-                raise MalformedLine(f"{path}:{lineno}: expected 'word<TAB>count', got {rows[0]!r}", lineno) from None
-            try:
-                _summed(counts, words, block_counts)
+                raise MalformedLine(f"{path}:{lineno}: expected 'word<TAB>count', got {rows[0]!r}") from None
+            try:  # every entry of the block before any is summed: a sum could hide a bad count
+                _check_entries(words, block_counts)
             except ValueError as bad:
-                raise MalformedLine(f"{path}:{lineno}: {bad}", lineno) from None
+                raise MalformedLine(f"{path}:{lineno}: {bad}") from None
+            for word, count in zip(words, block_counts):
+                counts[word] = counts.get(word, 0) + count
         return cls(counts)
 
     @cached_property
@@ -202,15 +198,6 @@ def _check_entries(words, counts) -> None:
                 raise ValueError(f"count for {word!r} is not an int: {count!r}")
             if count < 0:
                 raise ValueError(f"negative count for {word!r}")
-
-
-def _summed(counts: dict, words, new_counts) -> dict:
-    """`counts` with each of `new_counts` added to its word's, once every
-    pair has passed `_check_entries`: a sum could hide a bad count."""
-    _check_entries(words, new_counts)
-    for word, count in zip(words, new_counts):
-        counts[word] = counts.get(word, 0) + count
-    return counts
 
 
 def segment_hashtag(tag: str, lex: Lexicon) -> list[str]:

@@ -194,7 +194,7 @@ def cross_entropy_loss(probs: np.ndarray, golds):
     return losses, grad_logits
 
 
-def clip_gradients(grads: dict, clip_norm: float = 1.0) -> float:
+def clip_gradients(grads: dict, clip_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is at most
     clip_norm, and return that norm before clipping. Raises NumericError
     naming the tensors whose norm is not finite, before anything is scaled."""

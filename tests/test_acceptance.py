@@ -184,7 +184,7 @@ def test_overfit_capacity(tmp_path):
 
 def test_preprocessing_fixtures():
     assert [t.surface for t in normalize(tokenize("@user1"))] == ["<user>"]
-    lex = Lexicon.from_pairs([("make", 10), ("it", 10), ("rain", 10), ("main", 1)])
+    lex = Lexicon({"make": 10, "it": 10, "rain": 10, "main": 1})
     assert preprocess("#makeitrain", lex) == ["make", "it", "rain"]
     assert [t.surface for t in tokenize("s**t")] == ["s**t"]
     emphasis = tokenize("*very*")

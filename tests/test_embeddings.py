@@ -96,17 +96,15 @@ class TestVocabulary:
     def test_load_names_file_and_line_of_malformed_line(self, tmp_path, bad):
         path = tmp_path / "vocab.tsv"
         path.write_text(f"0\t<pad>\n\n{bad}\n", encoding="utf-8")
-        with pytest.raises(MalformedLine, match=f"{path}:3: expected id<TAB>word") as err:
+        with pytest.raises(MalformedLine, match=f"^{re.escape(f'{path}:3: ')}expected id<TAB>word"):
             Vocabulary.load(path)
-        assert err.value.line_number == 3
 
     def test_load_rejects_repeated_word(self, tmp_path):
         # keeping one id of the word would leave the other's row unreachable
         path = tmp_path / "vocab.tsv"
         path.write_text("0\t<pad>\n1\t<unk>\n\n2\tcat\n3\tcat\n", encoding="utf-8")
-        with pytest.raises(MalformedLine, match=f"{path}:5: word 'cat' repeats id 2$") as err:
+        with pytest.raises(MalformedLine, match=f"^{re.escape(f'{path}:5: ')}word 'cat' repeats id 2$"):
             Vocabulary.load(path)
-        assert err.value.line_number == 5
 
     @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"])
     def test_load_lines_end_only_at_newline(self, tmp_path, sep):
@@ -123,7 +121,6 @@ class TestVocabulary:
         with pytest.raises(MalformedLine) as err:
             Vocabulary.load(path)
         assert str(err.value) == f"{path}:5: expected id<TAB>word, got " + repr("3\tb\tc")
-        assert err.value.line_number == 5
 
     @pytest.mark.parametrize(
         "content, where, message",
@@ -218,14 +215,13 @@ def encode_rows(rng, rows) -> bytes:
 
 def assert_loads_as_oracle(path):
     """Vocabulary.load gives the line loop's vocabulary, or its error with
-    the same type, message and line number; the name of the outcome."""
+    the same type and message, which names the line; the name of the outcome."""
     try:
         expected = load_lines(path)
     except EmocapsError as exc:
         with pytest.raises(EmocapsError) as err:
             Vocabulary.load(path)
         assert (type(err.value), str(err.value)) == (type(exc), str(exc))
-        assert getattr(err.value, "line_number", None) == getattr(exc, "line_number", None)
         return type(exc).__name__
     vocab = Vocabulary.load(path)
     assert (vocab.id_to_word, vocab.word_to_id) == expected
@@ -313,7 +309,8 @@ class TestVocabularyBlocks:
             else:
                 with pytest.raises(MalformedLine) as err:
                     load(path)
-                assert err.value.line_number == data.count(b"\n")
+                line = data.count(b"\n")
+                assert str(err.value).startswith(f"{path}:{line}: ")
             assert opened == [path] * opens, path.name
 
     def test_memory_stays_near_the_vocabulary_kept(self, tmp_path):
@@ -390,11 +387,19 @@ class TestLoadWord2vec:
             ("text", b"3 1\nhi 1.0\nhi 2.0\n", 1, TruncatedFile, ":4: file ended after 2 of 3 entries"),
             ("text", b"2 2\nhi 0.5 0.5\nyo 0.5\n", 2, DimensionMismatch, ":3: entry 'yo' has 1 values, expected 2"),
             ("text", b"1 2\nhello 0.1 abc\n", 2, MalformedLine, ":2: entry 'hello' has a non-numeric value 'abc'"),
+            # float() alone would read these three lines as [10, 3], [1, 2] and [1, 3]
+            ("text", "1 2\nhi 1_0 \u0663\n".encode(), 2, MalformedLine, ":2: entry 'hi' has a non-numeric value '1_0'"),
+            ("text", b"1 2\nhi 1.0\t 2\n", 2, MalformedLine, ":2: entry 'hi' has a non-numeric value '1.0\\t'"),
+            ("text", "1 2\nhi 1 \u0663\n".encode(), 2, MalformedLine, ":2: entry 'hi' has a non-numeric value '\u0663'"),
+            ("text", b"2 2\nhi 1 1\nyo 2 2\nc 3 3\n", 2, MalformedLine, ":4: a line follows the header's 2 entries"),
             ("binary", b"", 1, MalformedHeader, ": empty file"),
             ("binary", b" \n1 2\n", 1, MalformedHeader, ": empty file"),
             ("binary", b"0 -1\n", 1, MalformedHeader, ":1: invalid header values"),
             ("binary", b"1 2\nhi", 2, TruncatedFile, ": file ended after 0 of 1 entries"),
             ("binary", b"1 2\nhi \x00", 2, TruncatedFile, ": vector truncated after 0 of 1 entries"),
+            ("binary", b"1 1\nhi \x00\x00\x80\x3f\nyo \x00\x00\x00\x40\n", 1, MalformedLine,
+             ": byte 12 follows the header's 1 entries"),
+            ("binary", b"1 1\nhi \x00\x00\x80\x3f\n\n\x00", 1, MalformedLine, ": byte 13 follows the header's 1 entries"),
             # the width is checked at the header, before a malformed first entry, and with no entries
             ("text", b"1 2\nhi 0.5 abc\n", 3, DimensionMismatch, ":1: vectors are 2-dimensional, expected 3"),
             ("binary", b"1 2\nhi", 3, DimensionMismatch, ":1: vectors are 2-dimensional, expected 3"),
@@ -402,7 +407,9 @@ class TestLoadWord2vec:
             ("binary", b"0 2\n", 3, DimensionMismatch, ":1: vectors are 2-dimensional, expected 3"),
         ],
         ids=["text-empty", "text-header", "text-header-fields", "text-truncated", "text-short-entry", "text-non-numeric",
+             "text-underscore", "text-tab", "text-arabic-digit", "text-extra-entry",
              "binary-empty", "binary-blank-header", "binary-header-values", "binary-word-cut", "binary-vector-cut",
+             "binary-extra-entry", "binary-extra-byte",
              "text-width-before-entry", "binary-width-before-entry", "text-width-no-entries", "binary-width-no-entries"],
     )
     def test_errors_name_file_and_line(self, tmp_path, fmt, content, dim, error, where):
@@ -426,7 +433,7 @@ class TestLoadWord2vec:
         else:
             path.write_text(f"{header}\nhi 1 2 3\nyo 4 5 6\n", encoding="utf-8")
         says = "invalid header values" if header == "2 -3" else "non-integer header fields"
-        with pytest.raises(MalformedHeader, match="^" + re.escape(f"{path}:1: {says}: {header + chr(10)!r}") + "$"):
+        with pytest.raises(MalformedHeader, match="^" + re.escape(f"{path}:1: {says}: {header!r}") + "$"):
             load_word2vec(path, fmt, {"hi"}, 3)
 
     @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", "1e39", "-3.5e38"])
@@ -444,6 +451,47 @@ class TestLoadWord2vec:
         path.write_text("1 2\nhi 3.4028235e38 -1e-50\n", encoding="utf-8")
         table = load_word2vec(path, "text", {"hi"}, 2)
         assert table["hi"].tolist() == [float(np.finfo(np.float32).max), -0.0]
+
+    def test_text_plain_numbers_load(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("1 6\nhi -0.5 1e-3 .5 5. +2 1E2\n", encoding="utf-8")
+        table = load_word2vec(path, "text", {"hi"}, 6)
+        assert table["hi"].tolist() == np.asarray([-0.5, 1e-3, 0.5, 5.0, 2.0, 100.0], dtype=np.float32).tolist()
+
+    @pytest.mark.parametrize("fmt, tail", [("text", "\n \n\n\t\n"), ("binary", "\n\n\n")])
+    def test_blank_lines_may_follow_the_entries(self, tmp_path, fmt, tail):
+        path = tmp_path / "vecs"
+        if fmt == "binary":
+            write_binary_fixture(path, self.ENTRIES, 3)
+        else:
+            path.write_text("2 3\n" + "".join(f"{w} {' '.join(map(str, v))}\n" for w, v in self.ENTRIES), encoding="utf-8")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(tail)
+        table = load_word2vec(path, fmt, {"hi", "yo"}, 3)
+        assert {word: vec.tolist() for word, vec in table.items()} == dict(self.ENTRIES)
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_data_after_the_entries_is_found_in_little_memory(self, tmp_path, fmt):
+        """300 KB of newlines after the one entry, then a stray entry and
+        2 MB more: the loader names where the entry starts, holding no more
+        than a few of its 64 KiB reads."""
+        path = tmp_path / "vecs"
+        if fmt == "binary":
+            write_binary_fixture(path, self.ENTRIES[:1], 3)
+        else:
+            path.write_text("1 3\nhi 0.5 -0.5 1.25\n", encoding="utf-8")
+        start = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"\n" * 300_000 + b"yo 1 2 3\n" + b"x" * 2_000_000)
+        where = f":{300_000 + 3}: a line" if fmt == "text" else f": byte {start + 300_000}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedLine, match="^" + re.escape(f"{path}{where} follows the header's 1 entries") + "$"):
+                load_word2vec(path, fmt, {"hi"}, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_binary_non_finite_value_is_refused(self, tmp_path, bad):

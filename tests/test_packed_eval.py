@@ -224,7 +224,7 @@ def test_benchmark_tracer_hooks_fit_the_text_path():
     misspelled word: every text-path span is still wrapped and called, so
     the per-layer times of preprocess-oov cannot silently read zero."""
     spans = _load_spans()
-    lex = textprep.Lexicon.from_pairs([("happy", 5), ("today", 3), ("make", 4), ("it", 9), ("rain", 2)])
+    lex = textprep.Lexicon({"happy": 5, "today": 3, "make": 4, "it": 9, "rain": 2})
     with spans.Tracer() as tracer:
         assert tracer.missing == []
         tokens = textprep.preprocess("So haappy #MakeItRain today", lex)
@@ -251,7 +251,7 @@ def _trained_bias():
 
 
 def _preprocessed():
-    return textprep.preprocess("so haappy today", textprep.Lexicon.from_pairs([("happy", 5), ("today", 3)]))
+    return textprep.preprocess("so haappy today", textprep.Lexicon({"happy": 5, "today": 3}))
 
 
 @pytest.mark.parametrize("module, name, broken, outputs", [

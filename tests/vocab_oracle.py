@@ -29,13 +29,13 @@ def load_lines(path) -> tuple[list[str], dict[str, int]]:
                     raise ValueError(idx_text)
                 idx = int(idx_text)
             except ValueError:
-                raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {line!r}", lineno) from None
+                raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {line!r}") from None
             if idx != len(id_to_word):
                 raise MalformedHeader(f"{path}:{lineno}: non-contiguous vocabulary id: {line!r}")
             if idx < 2 and word != RESERVED[idx]:
                 raise MalformedHeader(f"{path}:{lineno}: id {idx} must be {RESERVED[idx]!r}, got {word!r}")
             if word_to_id.setdefault(word, idx) != idx:
-                raise MalformedLine(f"{path}:{lineno}: word {word!r} repeats id {word_to_id[word]}", lineno)
+                raise MalformedLine(f"{path}:{lineno}: word {word!r} repeats id {word_to_id[word]}")
             id_to_word.append(word)
     if len(id_to_word) < 2:
         raise MalformedHeader(f"{path}:{lineno + 1}: file ends before id {len(id_to_word)}, {RESERVED[len(id_to_word)]!r}")
