@@ -3,11 +3,11 @@
 The manifest records the format version, every tensor's name/shape/dtype in
 a fixed order, the hyperparameters, the seed, the sha256 of the payload's
 tensor bytes, and optionally the sha256 of the vocabulary the tensors
-belong to.  The payload is the concatenation of each tensor's little-endian
-bytes in manifest order, then that 32-byte digest, so a round trip is
-bit-identical, the files diff cleanly across runs, and a manifest loaded
-with a payload of another save is refused. Version-2 files, which have no
-digest, load unchecked.
+belong to. Every tensor is little-endian float64 (DTYPE). The payload is
+the concatenation of each tensor's bytes in manifest order, then that
+32-byte digest, so a round trip is bit-identical, the files diff cleanly
+across runs, and a manifest loaded with a payload of another save is
+refused. Only this format loads: another version or dtype is refused.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 from .errors import MalformedHeader, TruncatedFile, json_object, replacing
 
 FORMAT_VERSION = 3
-DIGEST_BYTES = 32  # the sha256 that ends a version-3 payload
+DTYPE = "<f8"  # every tensor's, in the manifest and the payload
+DIGEST_BYTES = 32  # the sha256 that ends the payload
 
 
 def save_checkpoint(
@@ -32,8 +33,8 @@ def save_checkpoint(
     """Write stem.json + stem.bin; tensor order follows the dict order.
     `vocab_sha256`, when given, is stored under the manifest key of that name.
 
-    Each tensor is written to the payload in turn, and fed to the digest,
-    with no copy of it when it is already contiguous and little-endian; the
+    Each tensor is written to the payload as DTYPE in turn, and fed to the
+    digest, with no copy of it when it is already contiguous DTYPE; the
     digest ends the payload and is the manifest's `payload_sha256`. Both
     files are written through `errors.replacing` and renamed into place,
     payload first and manifest last, so a failed write leaves the previous
@@ -41,13 +42,9 @@ def save_checkpoint(
     rename leaves a pair that `load_checkpoint` refuses.
     """
     tensors = {name: np.asarray(t) for name, t in tensors.items()}
-    entries = [
-        {"name": name, "shape": list(t.shape), "dtype": t.dtype.newbyteorder("<").str}
-        for name, t in tensors.items()
-    ]
     manifest = {
         "version": FORMAT_VERSION,
-        "tensors": entries,
+        "tensors": [{"name": name, "shape": list(t.shape), "dtype": DTYPE} for name, t in tensors.items()],
         "hyperparameters": hyperparameters,
         "seed": seed,
     }
@@ -57,7 +54,7 @@ def save_checkpoint(
     # the payload lands first, after the manifest is flushed: a failed write of either lands neither
     with replacing(f"{stem}.json") as manifest_file, replacing(f"{stem}.bin", "wb") as payload:
         for t in tensors.values():
-            data = np.ascontiguousarray(t, dtype=t.dtype.newbyteorder("<"))
+            data = np.ascontiguousarray(t, dtype=DTYPE)
             payload.write(data)
             digest.update(data)
         payload.write(digest.digest())
@@ -67,8 +64,7 @@ def save_checkpoint(
 
 
 def _tensor_layout(entry, index: int, where) -> tuple:
-    """(name, shape, dtype) of one manifest tensor entry; the dtype must be
-    a floating-point one, as every tensor of a model is."""
+    """(name, shape) of one manifest tensor entry, whose dtype must be DTYPE."""
     if not isinstance(entry, dict):
         raise MalformedHeader(f"{where}: tensor entry {index} is not an object")
     for key in ("name", "shape", "dtype"):
@@ -79,13 +75,9 @@ def _tensor_layout(entry, index: int, where) -> tuple:
         raise MalformedHeader(f"{where}: tensor entry {index} has name {name!r}, not a string")
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise MalformedHeader(f"{where}: tensor {name!r} has bad shape {shape!r}")
-    try:
-        dtype = np.dtype(dtype) if isinstance(dtype, str) else None
-    except TypeError:
-        dtype = None
-    if dtype is None or dtype.kind != "f":
-        raise MalformedHeader(f"{where}: tensor {name!r} has unknown dtype {entry['dtype']!r}, not a floating-point one")
-    return name, tuple(shape), dtype
+    if dtype != DTYPE:
+        raise MalformedHeader(f"{where}: tensor {name!r} has dtype {dtype!r}, not {DTYPE!r}")
+    return name, tuple(shape)
 
 
 def load_checkpoint(stem):
@@ -93,9 +85,9 @@ def load_checkpoint(stem):
 
     Tensor dict order follows the manifest; each tensor is read straight
     into its own fresh, writable array, so a load holds every tensor once.
-    A version-3 payload must end in exactly the 32 bytes of the manifest's
-    `payload_sha256`, compared in one read (the tensors are not hashed
-    again); a version-2 one ends after its last tensor. Raises
+    Only a version-FORMAT_VERSION manifest of DTYPE tensors loads, and its
+    payload must end in exactly the 32 bytes of its `payload_sha256`,
+    compared in one read (the tensors are not hashed again). Raises
     TruncatedFile when the payload is shorter than the manifest describes,
     MalformedHeader when the manifest is unreadable, repeats a key, is
     malformed, lists a tensor name twice, disagrees with the payload size
@@ -105,13 +97,12 @@ def load_checkpoint(stem):
     manifest_path, payload_path = f"{stem}.json", f"{stem}.bin"
     manifest = json_object(manifest_path, "manifest")
     version = manifest.get("version")
-    if version not in (2, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise MalformedHeader(f"{manifest_path}: unsupported manifest version: {version!r}")
     if not isinstance(manifest.get("tensors"), list):
         raise MalformedHeader(f"{manifest_path}: manifest has no tensor list")
     digest = manifest.get("payload_sha256")
-    trailer = DIGEST_BYTES if version == FORMAT_VERSION else 0
-    if trailer and not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+    if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
         raise MalformedHeader(
             f"{manifest_path}: payload_sha256 must be the 64 hex digits that end {payload_path}, got {digest!r}"
         )
@@ -121,16 +112,16 @@ def load_checkpoint(stem):
     with open(payload_path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         for index, entry in enumerate(manifest["tensors"]):
-            name, shape, dtype = _tensor_layout(entry, index, manifest_path)
+            name, shape = _tensor_layout(entry, index, manifest_path)
             if name in tensors:
                 raise MalformedHeader(f"{manifest_path}: tensor {name!r} is listed twice")
-            nbytes = math.prod(shape) * dtype.itemsize  # a Python int: a huge shape must not wrap
+            nbytes = math.prod(shape) * 8  # DTYPE's 8 bytes; a Python int: a huge shape must not wrap
             if offset + nbytes > size:
                 raise TruncatedFile(
                     f"{payload_path}: payload ends inside tensor {name!r} "
                     f"(need {offset + nbytes} bytes, have {size})"
                 )
-            t = np.empty(shape, dtype)
+            t = np.empty(shape, DTYPE)
             # one buffered readinto fills t's bytes (a 0-d or empty t's too) unless the file ends first
             got = f.readinto(t.reshape(-1).view(np.uint8))
             if got != nbytes:
@@ -139,15 +130,15 @@ def load_checkpoint(stem):
                 )
             tensors[name] = t
             offset += nbytes
-        if offset + trailer > size:
+        if offset + DIGEST_BYTES > size:
             raise TruncatedFile(
-                f"{payload_path}: payload ends inside its sha256 trailer (need {offset + trailer} bytes, have {size})"
+                f"{payload_path}: payload ends inside its sha256 trailer (need {offset + DIGEST_BYTES} bytes, have {size})"
             )
-        if offset + trailer != size:
+        if offset + DIGEST_BYTES != size:
             raise MalformedHeader(
-                f"{payload_path}: payload has {size - offset - trailer} trailing bytes beyond the manifest"
+                f"{payload_path}: payload has {size - offset - DIGEST_BYTES} trailing bytes beyond the manifest"
             )
-        if trailer and f.read(trailer) != bytes.fromhex(digest):
+        if f.read(DIGEST_BYTES) != bytes.fromhex(digest):
             raise MalformedHeader(
                 f"{payload_path}: its sha256 trailer is not the payload_sha256 of {manifest_path}: "
                 "the two files are not from one save"

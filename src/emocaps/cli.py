@@ -22,8 +22,6 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_checkpoint
 from .embeddings import EmbeddingTable, Vocabulary, build_embedding, load_word2vec
 from .errors import (
@@ -228,7 +226,7 @@ def _load_embedding_payload(stem, vocab: Vocabulary, vocab_path, cfg: TrainConfi
             f"using that instead of embed_dim {cfg.embed_dim}",
             file=sys.stderr,
         )
-    return EmbeddingTable(weights=W.astype(np.float64, copy=False))
+    return EmbeddingTable(weights=W)
 
 
 def cmd_train(args) -> int:
@@ -271,24 +269,26 @@ def cmd_train(args) -> int:
 
 
 def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
-    """The checkpoint's model and config. Its manifest must hold hyperparameters,
-    and a dimension they state must be the one its tensors have."""
+    """The checkpoint's model and config. Its tensors must make a model, then its
+    hyperparameters hold exactly the CONFIG_KEYS train writes, valid and of those dims."""
     tensors, manifest = _load_for_vocab(checkpoint, vocab, vocab_path)
-    if "hyperparameters" not in manifest:
-        raise MalformedHeader(f"{checkpoint}.json: manifest has no hyperparameters")
-    hp = manifest["hyperparameters"]
+    params = ModelParams.from_tensors(tensors, f"{checkpoint}.json")
+    hp = manifest.get("hyperparameters")
     if not isinstance(hp, dict):
-        raise MalformedHeader(f"{checkpoint}.json: hyperparameters are not a JSON object")
-    try:  # keys of options since retired are ignored
-        cfg = TrainConfig(**{key: value for key, value in hp.items() if key in CONFIG_KEYS})
+        raise MalformedHeader(f"{checkpoint}.json: manifest has no hyperparameters object")
+    missing, unknown = [key for key in CONFIG_KEYS if key not in hp], sorted(set(hp) - set(CONFIG_KEYS))
+    if missing or unknown:
+        wrong = [f"{what} keys {', '.join(keys)}" for what, keys in (("missing", missing), ("unknown", unknown)) if keys]
+        raise MalformedHeader(f"{checkpoint}.json: hyperparameters have {' and '.join(wrong)}")
+    try:
+        cfg = TrainConfig(**hp)
     except (TypeError, ValueError) as exc:
         raise MalformedHeader(f"{checkpoint}.json: {exc}") from None
-    params = ModelParams.from_tensors(tensors, f"{checkpoint}.json")
     J, _, d_out = params.capsule.shape
     read = {"hidden_dim": params.gru.W_h.shape[1], "num_capsules": J, "capsule_dim": d_out,
             "embed_dim": params.embedding.weights.shape[1]}
     for key, size in read.items():
-        if key in hp and hp[key] != size:
+        if hp[key] != size:
             raise MalformedHeader(f"{checkpoint}.json: hyperparameters say {key} {hp[key]}, tensors say {size}")
     return params, cfg
 

@@ -41,7 +41,7 @@ class DimensionMismatch(EmocapsError):
 
 
 class TruncatedFile(EmocapsError):
-    """A binary file ended before all declared entries were read."""
+    """A file ended before all the entries its header or manifest declares were read."""
 
 
 class EmptySequence(EmocapsError):

@@ -46,6 +46,21 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def write_checkpoint_as(stem, tensors, manifest, dtypes):
+    """Write `tensors` with `manifest` as a checkpoint pair whose payload
+    holds each tensor named in `dtypes` as that dtype and every other as
+    float64, with a matching digest, as a save that kept each array's own
+    dtype wrote it."""
+    dtypes = [np.dtype(dtypes.get(name, "<f8")) for name in tensors]
+    payload = b"".join(np.ascontiguousarray(t, dtype).tobytes() for t, dtype in zip(tensors.values(), dtypes))
+    digest = hashlib.sha256(payload)
+    entries = [{"name": name, "shape": list(t.shape), "dtype": dtype.str}
+               for (name, t), dtype in zip(tensors.items(), dtypes)]
+    manifest = {**manifest, "tensors": entries, "payload_sha256": digest.hexdigest()}
+    Path(f"{stem}.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    Path(f"{stem}.bin").write_bytes(payload + digest.digest())
+
+
 @pytest.fixture(autouse=True)
 def no_tmp_file_left(request, tmp_path):
     """After every test, also one whose command exits 3 or 4, no `.tmp`
@@ -158,28 +173,6 @@ class TestPipeline:
         assert code == 0
         assert len(out.read_text().splitlines()) == 2
 
-    def test_manifest_with_retired_options_still_predicts(self, workspace, tmp_path):
-        """Checkpoints written before the clip mode, the second noise site,
-        the dense-bias switch and Adam's beta1, beta2 and epsilon were retired
-        keep those keys; they are ignored, and eval never used any but the
-        dense bias."""
-        stem = tmp_path / "old"
-        manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
-        manifest["hyperparameters"].update(
-            {"clip_mode": "value", "second_noise_site": "logits", "dense_bias": False,
-             "beta1": 0.5, "beta2": 0.5, "epsilon": 1.0}
-        )
-        Path(f"{stem}.json").write_text(json.dumps(manifest))
-        Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
-        outputs = []
-        for checkpoint in (workspace["ckpt"] / "model", stem):
-            out = tmp_path / f"{checkpoint.name}.txt"
-            assert run(["predict", "--input", workspace["clean"], "--labeled", "--vocab",
-                        workspace["vocab"], "--checkpoint", checkpoint, "--output", out]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-        assert len(outputs[0].splitlines()) == 60
-
     def test_embeddings_payload_feeds_training(self, workspace):
         ckpt = workspace["root"] / "from_payload"
         code = run(
@@ -223,12 +216,14 @@ class TestPipeline:
         ]
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_embedding_payload_is_float64_without_a_needless_copy(self, workspace, tmp_path, monkeypatch, dtype):
-        stem = tmp_path / "embed"
+    def test_embedding_payload_is_float64_without_a_needless_copy(self, workspace, tmp_path, monkeypatch, capsys, dtype):
+        """train builds its model on the table of a float64 payload as it was
+        loaded. A payload of any other dtype is not converted: train exits 3
+        before it builds a model or writes a file."""
+        stem, out = tmp_path / "embed", tmp_path / "run"
         tensors, manifest = load_checkpoint(workspace["payload"])
-        tensors = {k: t.astype(dtype) for k, t in tensors.items()}
-        save_checkpoint(stem, tensors, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
-        loaded = []
+        write_checkpoint_as(stem, tensors, manifest, {"embedding/W_e": dtype})
+        loaded, tables = [], []
 
         def spy(path):
             result = load_checkpoint(path)
@@ -236,11 +231,15 @@ class TestPipeline:
             return result
 
         monkeypatch.setattr(cli, "load_checkpoint", spy)
-        vocab = Vocabulary.load(workspace["vocab"])
-        table = cli._load_embedding_payload(stem, vocab, workspace["vocab"], TrainConfig(embed_dim=8))
-        assert table.weights.dtype == np.float64
-        np.testing.assert_array_equal(table.weights, loaded[0].astype(np.float64))
-        assert np.shares_memory(table.weights, loaded[0]) == (dtype == "float64")
+        monkeypatch.setattr(cli, "init_model", lambda cfg, table: tables.append(table) or training.init_model(cfg, table))
+        capsys.readouterr()
+        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--embeddings-payload", stem, "--checkpoint-dir", out] + TINY_FLAGS)
+        if dtype == "float64":
+            assert code == 0 and tables[0].weights is loaded[0]
+        else:
+            assert code == 3 and tables == [] and not out.exists()
+            assert capsys.readouterr().err == f"error: {stem}.json: tensor 'embedding/W_e' has dtype '<f4', not '<f8'\n"
 
     @pytest.mark.parametrize("fmt, separator", [("binary", b"\n"), ("binary", b""), ("text", b"\n")],
                              ids=["binary-newline", "binary-no-newline", "text"])
@@ -626,11 +625,43 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_manifest_without_hyperparameters_is_refused(self, workspace, tmp_path, capsys, command):
-        """Every model manifest holds its hyperparameters; one without them
-        would route with the default iterations, so it is not read."""
+        """Every model manifest holds all of its hyperparameters; one without
+        them, or without one of them, would take a default (route with the
+        default iterations), so it is not read."""
         stem = tmp_path / "model"
+        original = json.loads((workspace["ckpt"] / "model.json").read_text())
+        all_keys = ", ".join(dataclasses.asdict(TrainConfig()))
+        for edit, says in [
+            (lambda hp: None, "manifest has no hyperparameters object"),
+            (lambda hp: {}, f"hyperparameters have missing keys {all_keys}"),
+            (lambda hp: {k: v for k, v in hp.items() if k != "routing_iters"}, "hyperparameters have missing keys routing_iters"),
+        ]:
+            manifest = {k: v for k, v in original.items() if k != "hyperparameters"}
+            if (hp := edit(original["hyperparameters"])) is not None:
+                manifest["hyperparameters"] = hp
+            Path(f"{stem}.json").write_text(json.dumps(manifest))
+            Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
+            out = tmp_path / "out"
+            capsys.readouterr()
+            code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+                        "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+            assert code == 3
+            assert capsys.readouterr().err == f"error: {stem}.json: {says}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_manifest_with_retired_options_is_refused(self, workspace, tmp_path, capsys, command):
+        """Checkpoints written before the clip mode, the second noise site,
+        the dense-bias switch and Adam's beta1, beta2 and epsilon were retired
+        hold those keys; only a version-2 pair ever did, and it is refused
+        before its keys are read. A manifest with those keys is not one that
+        train writes, so it is not read either."""
+        stem = tmp_path / "old"
         manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
-        del manifest["hyperparameters"]
+        manifest["hyperparameters"].update(
+            {"clip_mode": "value", "second_noise_site": "logits", "dense_bias": False,
+             "beta1": 0.5, "beta2": 0.5, "epsilon": 1.0}
+        )
         Path(f"{stem}.json").write_text(json.dumps(manifest))
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         out = tmp_path / "out"
@@ -638,7 +669,52 @@ class TestExitCodes:
         code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
                     "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
         assert code == 3
-        assert capsys.readouterr().err == f"error: {stem}.json: manifest has no hyperparameters\n"
+        unknown = "beta1, beta2, clip_mode, dense_bias, epsilon, second_noise_site"
+        assert capsys.readouterr().err == f"error: {stem}.json: hyperparameters have unknown keys {unknown}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("dtype", ["float32", "float16", ">f8"])
+    def test_model_of_another_dtype_is_refused(self, workspace, tmp_path, capsys, command, dtype):
+        """A model re-saved in a dtype other than little-endian float64 would
+        run the forward pass in that precision (float16 changes predictions),
+        or read byte-swapped values; it is refused before any output."""
+        tensors, manifest = load_checkpoint(workspace["ckpt"] / "model")
+        stem = tmp_path / "model"
+        write_checkpoint_as(stem, tensors, manifest, dict.fromkeys(tensors, dtype))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+        assert code == 3
+        says = f"tensor 'embedding/W_e' has dtype {np.dtype(dtype).str!r}, not '<f8'"
+        assert capsys.readouterr().err == f"error: {stem}.json: {says}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
+    def test_version_2_pair_is_refused(self, workspace, tmp_path, capsys, command):
+        """A version-2 pair (no digest in the manifest, none after the last
+        tensor) cannot be told from a pair of two saves; every command that
+        reads a checkpoint refuses it, naming the manifest."""
+        source = workspace["payload"] if command == "train" else workspace["ckpt"] / "model"
+        manifest = json.loads(Path(f"{source}.json").read_text())
+        manifest["version"] = 2
+        del manifest["payload_sha256"]
+        stem = tmp_path / "old"
+        Path(f"{stem}.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        Path(f"{stem}.bin").write_bytes(Path(f"{source}.bin").read_bytes()[:-32])
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                      "--embeddings-payload", stem, "--checkpoint-dir", out, *TINY_FLAGS],
+            "predict": ["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+                        "--checkpoint", stem, "--output", out],
+            "evaluate": ["evaluate", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+                         "--checkpoint", stem, "--output", out],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 3
+        assert capsys.readouterr().err == f"error: {stem}.json: unsupported manifest version: 2\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("name, cut", [
@@ -999,30 +1075,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("name, dtype", [("dense/b", "<U1"), ("dense/W", "<i8"), ("capsule/W", "|b1")])
     def test_non_floating_model_tensor_is_refused(self, workspace, tmp_path, capsys, name, dtype):
         tensors, manifest = load_checkpoint(workspace["ckpt"] / "model")
-        tensors[name] = np.ones(tensors[name].shape).astype(dtype)
         stem = tmp_path / "model"
-        save_checkpoint(stem, tensors, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        write_checkpoint_as(stem, tensors, manifest, {name: dtype})
         out = tmp_path / "preds.txt"
         capsys.readouterr()
         code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
-        err = capsys.readouterr().err
-        assert err == f"error: {stem}.json: tensor {name!r} has unknown dtype {dtype!r}, not a floating-point one\n"
+        assert capsys.readouterr().err == f"error: {stem}.json: tensor {name!r} has dtype {dtype!r}, not '<f8'\n"
         assert not out.exists()
 
     def test_non_floating_embedding_payload_is_refused(self, workspace, tmp_path, capsys):
         tensors, manifest = load_checkpoint(workspace["payload"])
         stem = tmp_path / "emb"
-        save_checkpoint(stem, {"embedding/W_e": np.full(tensors["embedding/W_e"].shape, "x")},
-                        manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        write_checkpoint_as(stem, {"embedding/W_e": np.full(tensors["embedding/W_e"].shape, "x")}, manifest,
+                            {"embedding/W_e": "<U1"})
         out = tmp_path / "run"
         capsys.readouterr()
         code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
                     "--embeddings-payload", stem, "--checkpoint-dir", out] + TINY_FLAGS)
         assert code == 3
-        err = capsys.readouterr().err
-        assert err == f"error: {stem}.json: tensor 'embedding/W_e' has unknown dtype '<U1', not a floating-point one\n"
+        assert capsys.readouterr().err == f"error: {stem}.json: tensor 'embedding/W_e' has dtype '<U1', not '<f8'\n"
         assert not out.exists()
 
     def test_unwritable_checkpoint_dir_fails_before_the_first_step(self, workspace, capsys, monkeypatch):
