@@ -2,8 +2,9 @@
 
 Configuration is the TrainConfig defaults, then the --profile preset, then
 a flat JSON --config file of TrainConfig keys, then flags, each overriding
-the ones before: `train` has a flag per key, `build-vocab` only --embed-dim
-and --seed, the two it reads. TrainConfig checks the config in effect.
+the ones before. Each command has a flag per key it reads: `build-vocab`
+--embed-dim and --seed, `train` all but embed_dim, which is its payload's
+width. TrainConfig checks the config in effect.
 train/evaluate/predict consume preprocessed (whitespace tokenized) files,
 so the text pipeline runs exactly once, in `preprocess`.
 
@@ -57,8 +58,8 @@ FILES_OF = {"embedding_out": (".json", ".bin"), "embeddings_payload": (".json", 
             "checkpoint_dir": ("/model.json", "/model.bin", "/history.jsonl")}
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, names=CONFIG_KEYS) -> None:
-    """--config and --profile, then one flag per TrainConfig field in `names`."""
+def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
+    """--config and --profile, then one flag per TrainConfig field in `names`, those the command reads."""
     parser.add_argument("--config", help="flat JSON config file; flags override its keys")
     parser.add_argument("--profile", choices=sorted(PROFILES), help="dimension/batch preset")
     for name in names:
@@ -133,16 +134,16 @@ def _vocab_sha256(vocab: Vocabulary) -> str:
 
 
 def _load_for_vocab(stem, vocab: Vocabulary, vocab_path):
-    """load_checkpoint(stem), refused when its manifest records another
-    vocabulary's fingerprint (one that records none passes), or its
-    embedding/W_e is not 2-D with columns or has another row count."""
+    """load_checkpoint(stem), refused when its manifest records no
+    fingerprint or another vocabulary's, or its embedding/W_e is not 2-D
+    with columns or has another row count."""
     tensors, manifest = load_checkpoint(stem)
     recorded = manifest.get("vocab_sha256")
     fingerprint = _vocab_sha256(vocab)
-    if recorded is not None and recorded != fingerprint:
+    if recorded != fingerprint:
         raise VocabularyMismatch(
             f"{vocab_path} is not the vocabulary checkpoint {stem} was written with "
-            f"(vocabulary sha256 {fingerprint}, checkpoint records {recorded})"
+            f"(vocabulary sha256 {fingerprint}, checkpoint records {recorded or 'none'})"
         )
     W = tensors.get("embedding/W_e")
     if W is not None and (W.ndim != 2 or W.shape[1] == 0):
@@ -214,21 +215,6 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
-def _load_embedding_payload(stem, vocab: Vocabulary, vocab_path, cfg: TrainConfig) -> EmbeddingTable:
-    tensors, _ = _load_for_vocab(stem, vocab, vocab_path)
-    if "embedding/W_e" not in tensors:
-        raise MalformedHeader(f"{stem}.json: missing tensors: embedding/W_e")
-    W = tensors["embedding/W_e"]
-    if W.shape[1] != cfg.embed_dim:
-        # payload wins: cmd_train builds the model at the payload's width
-        print(
-            f"warning: embedding payload {stem} is {W.shape[1]}-dimensional; "
-            f"using that instead of embed_dim {cfg.embed_dim}",
-            file=sys.stderr,
-        )
-    return EmbeddingTable(weights=W)
-
-
 def cmd_train(args) -> int:
     _refuse_overwriting(args, ["checkpoint_dir"], ["train_file", "dev_file", "vocab", "embeddings_payload", "config"])
     cfg = _resolve_config(args)
@@ -240,12 +226,12 @@ def cmd_train(args) -> int:
         dev_set = _encode(args.dev_file, vocab)
         _require_nonempty(dev_set, args.dev_file)
 
-    if args.embeddings_payload:
-        table = _load_embedding_payload(args.embeddings_payload, vocab, args.vocab, cfg)
-        cfg = replace(cfg, embed_dim=table.weights.shape[1])
-    else:
-        table = build_embedding(vocab, {}, cfg.embed_dim, cfg.seed)
-    params = init_model(cfg, table)
+    tensors, _ = _load_for_vocab(args.embeddings_payload, vocab, args.vocab)
+    if "embedding/W_e" not in tensors:
+        raise MalformedHeader(f"{args.embeddings_payload}.json: missing tensors: embedding/W_e")
+    W = tensors["embedding/W_e"]
+    cfg = replace(cfg, embed_dim=W.shape[1])  # the payload sets the width, as the vocabulary sets the rows
+    params = init_model(cfg, EmbeddingTable(weights=W))
     out = Path(args.checkpoint_dir)
     made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
     out.mkdir(parents=True, exist_ok=True)  # before the first step: a bad directory fails at once
@@ -352,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-file", required=True)
     p.add_argument("--dev-file", help="defaults to the training file")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--embeddings-payload", help="stem written by build-vocab")
+    p.add_argument("--embeddings-payload", required=True, help="stem written by build-vocab; sets the embedding width")
     p.add_argument("--checkpoint-dir", required=True)
     p.add_argument(
         "--wall-clock",
         action="store_true",
         help="record real epoch durations (history files then differ across runs)",
     )
-    _add_config_flags(p)
+    _add_config_flags(p, [name for name in CONFIG_KEYS if name != "embed_dim"])  # the payload sets the width
     p.set_defaults(func=cmd_train)
 
     model_input = argparse.ArgumentParser(add_help=False)  # evaluate's and predict's

@@ -196,8 +196,8 @@ def train_via_cli(root, clean, vocab, name):
     out = root / name
     code = cli_main([
         "train", "--train-file", str(clean), "--vocab", str(vocab),
-        "--checkpoint-dir", str(out),
-        "--embed-dim", "10", "--hidden-dim", "5", "--num-capsules", "2",
+        "--embeddings-payload", str(root / "emb"), "--checkpoint-dir", str(out),
+        "--hidden-dim", "5", "--num-capsules", "2",
         "--capsule-dim", "2", "--routing-iters", "2", "--batch-size", "16",
         "--max-epochs", "3", "--seed", "7",
     ])
@@ -214,7 +214,7 @@ def test_determinism(tmp_path):
     vocab = tmp_path / "vocab.tsv"
     assert cli_main([
         "build-vocab", "--inputs", str(clean), "--vocab", str(vocab),
-        "--embedding-out", str(tmp_path / "emb"), "--embed-dim", "10",
+        "--embedding-out", str(tmp_path / "emb"), "--embed-dim", "10", "--seed", "7",
     ]) == 0
     a = train_via_cli(tmp_path, clean, vocab, "run_a")
     b = train_via_cli(tmp_path, clean, vocab, "run_b")

@@ -23,8 +23,7 @@ from emocaps.textprep import Lexicon
 from emocaps.training import TrainConfig
 from test_order_task import bag_of_words_labels, macro_f1
 
-TINY_FLAGS = [
-    "--embed-dim", "8",
+TINY_FLAGS = [  # train's width is its payload's: VOCAB_FLAGS' 8
     "--hidden-dim", "4",
     "--num-capsules", "2",
     "--capsule-dim", "2",
@@ -91,7 +90,7 @@ def workspace(tmp_path_factory):
 
     ckpt = root / "run1"
     assert run(
-        ["train", "--train-file", clean, "--vocab", vocab, "--checkpoint-dir", ckpt]
+        ["train", "--train-file", clean, "--vocab", vocab, "--embeddings-payload", payload, "--checkpoint-dir", ckpt]
         + TINY_FLAGS
     ) == 0
     return {"root": root, "raw": raw, "clean": clean, "vocab": vocab,
@@ -186,34 +185,35 @@ class TestPipeline:
         names = [entry["name"] for entry in manifest["tensors"]]
         assert names == ["embedding/W_e", "gru/W_i", "gru/W_h", "gru/b", "capsule/W", "dense/W", "dense/b"]
 
-    def test_payload_dimension_wins_over_flag(self, workspace):
-        ckpt = workspace["root"] / "dim_override"
-        flags = [f if f != "8" else f for f in TINY_FLAGS]
-        flags[flags.index("--embed-dim") + 1] = "9"
-        code = run(
-            ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-             "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt]
-            + flags
-        )
+    def test_payload_dimension_wins_over_flag(self, workspace, tmp_path):
+        """train has no --embed-dim: the width is the payload's, as the row
+        count is the vocabulary's. A config file's embed_dim is checked with
+        the other keys, then replaced."""
+        cfg, ckpt = tmp_path / "cfg.json", tmp_path / "run"
+        cfg.write_text(json.dumps({"embed_dim": 9}))
+        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt, "--config", cfg]
+                   + TINY_FLAGS)
         assert code == 0
-        manifest = json.loads((ckpt / "model.json").read_text())
+        tensors, manifest = load_checkpoint(ckpt / "model")
         assert manifest["hyperparameters"]["embed_dim"] == 8
+        assert tensors["embedding/W_e"].shape[1] == 8 and tensors["gru/W_i"].shape[1] == 8
 
-    def test_payload_dimension_override_is_reported(self, workspace, capsys):
-        flags = list(TINY_FLAGS)
-        flags[flags.index("--embed-dim") + 1] = "9"
+    def test_payload_dimension_override_is_reported(self, workspace, tmp_path, capsys):
+        """The payload's width replacing a config file's embed_dim is reported
+        by the checkpoint alone: predict loads it at width 8, and neither run
+        writes to stderr."""
+        cfg, ckpt, out = tmp_path / "cfg.json", tmp_path / "run", tmp_path / "preds.txt"
+        cfg.write_text(json.dumps({"embed_dim": 9}))
         capsys.readouterr()
-        code = run(
-            ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-             "--embeddings-payload", workspace["payload"],
-             "--checkpoint-dir", workspace["root"] / "dim_warning"] + flags
-        )
-        assert code == 0
-        err = capsys.readouterr().err.splitlines()
-        assert err == [
-            f"warning: embedding payload {workspace['payload']} is 8-dimensional; "
-            "using that instead of embed_dim 9"
-        ]
+        assert run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt, "--config", cfg]
+                   + TINY_FLAGS) == 0
+        assert run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+                    "--checkpoint", ckpt / "model", "--output", out]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((ckpt / "model.json").read_text())["hyperparameters"]["embed_dim"] == 8
+        assert len(out.read_text().splitlines()) == 60
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_embedding_payload_is_float64_without_a_needless_copy(self, workspace, tmp_path, monkeypatch, capsys, dtype):
@@ -289,8 +289,8 @@ class TestPipeline:
         dirs = [workspace["root"] / name for name in ("det_a", "det_b")]
         for d in dirs:
             assert run(
-                ["train", "--train-file", workspace["clean"], "--vocab",
-                 workspace["vocab"], "--checkpoint-dir", d] + TINY_FLAGS
+                ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                 "--embeddings-payload", workspace["payload"], "--checkpoint-dir", d] + TINY_FLAGS
             ) == 0
         for name in ("model.json", "model.bin", "history.jsonl"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
@@ -439,7 +439,7 @@ class TestExitCodes:
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
         code = run(["train", "--train-file", empty, "--vocab", workspace["vocab"],
-                    "--checkpoint-dir", tmp_path / "ckpt"] + TINY_FLAGS)
+                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", tmp_path / "ckpt"] + TINY_FLAGS)
         assert code == 3
 
     def test_vocabulary_checkpoint_mismatch(self, workspace, tmp_path):
@@ -474,29 +474,46 @@ class TestExitCodes:
         assert str(vocab) in err and str(stem) in err
         assert not out.exists()
 
-    def test_manifest_without_fingerprint_is_accepted(self, workspace, tmp_path):
-        stem = tmp_path / "old"
-        manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
-        del manifest["vocab_sha256"]
-        Path(f"{stem}.json").write_text(json.dumps(manifest))
-        Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
-        out = tmp_path / "preds.txt"
-        assert run(["predict", "--input", workspace["clean"], "--labeled", "--vocab",
-                    workspace["vocab"], "--checkpoint", stem, "--output", out]) == 0
-        assert len(out.read_text().splitlines()) == 60
-
     @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
-    def test_vocabulary_of_another_size_names_both_files(self, workspace, tmp_path, capsys, command):
-        """A manifest without a fingerprint is checked by its row count."""
+    def test_manifest_without_fingerprint_is_refused(self, workspace, tmp_path, capsys, command):
+        """Every checkpoint names its vocabulary: one whose manifest records
+        no fingerprint would load with any vocabulary of its row count."""
         stem = tmp_path / "old"
         source = workspace["payload"] if command == "train" else workspace["ckpt"] / "model"
         manifest = json.loads(Path(f"{source}.json").read_text())
         del manifest["vocab_sha256"]
         Path(f"{stem}.json").write_text(json.dumps(manifest))
         Path(f"{stem}.bin").write_bytes(Path(f"{source}.bin").read_bytes())
+        out = tmp_path / "out"
+        argv = {
+            "predict": ["predict", "--input", workspace["clean"], "--labeled", "--output", out,
+                        "--checkpoint", stem],
+            "evaluate": ["evaluate", "--input", workspace["clean"], "--output", out, "--checkpoint", stem],
+            "train": ["train", "--train-file", workspace["clean"], "--checkpoint-dir", out,
+                      "--embeddings-payload", stem] + TINY_FLAGS,
+        }[command]
+        capsys.readouterr()
+        assert run(argv + ["--vocab", workspace["vocab"]]) == 3
+        fingerprint = cli._vocab_sha256(Vocabulary.load(workspace["vocab"]))
+        assert capsys.readouterr().err == (
+            f"error: {workspace['vocab']} is not the vocabulary checkpoint {stem} was written with "
+            f"(vocabulary sha256 {fingerprint}, checkpoint records none)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
+    def test_vocabulary_of_another_size_names_both_files(self, workspace, tmp_path, capsys, command):
+        """A manifest edited to record a shorter vocabulary's fingerprint is
+        still refused, by its row count."""
         lines = workspace["vocab"].read_text().splitlines()
         vocab = tmp_path / "short.tsv"
         vocab.write_text("\n".join(lines[:-4]) + "\n")
+        stem = tmp_path / "old"
+        source = workspace["payload"] if command == "train" else workspace["ckpt"] / "model"
+        manifest = json.loads(Path(f"{source}.json").read_text())
+        manifest["vocab_sha256"] = cli._vocab_sha256(Vocabulary.load(vocab))
+        Path(f"{stem}.json").write_text(json.dumps(manifest))
+        Path(f"{stem}.bin").write_bytes(Path(f"{source}.bin").read_bytes())
         out = tmp_path / "out"
         argv = {
             "predict": ["predict", "--input", workspace["clean"], "--labeled", "--output", out,
@@ -536,7 +553,8 @@ class TestExitCodes:
             "lexicon": (b"the\t5\rit\t3\rcaf\xe9\t2\r", 3,
                         ["preprocess", "--input", raw, "--lexicon", bad, "--output", out]),
             "config": (b'{"seed": 1,\n "s\xe9ed": 2}', 2,
-                       ["train", "--train-file", clean, "--vocab", vocab, "--config", bad, "--checkpoint-dir", out]),
+                       ["train", "--train-file", clean, "--vocab", vocab, "--embeddings-payload", workspace["payload"],
+                        "--config", bad, "--checkpoint-dir", out]),
             "manifest": (manifest.replace(b'"seed"', b'"s\xe9ed"'), manifest[: manifest.index(b'"seed"')].count(b"\n") + 1,
                          ["predict", "--input", clean, "--labeled", "--vocab", vocab,
                           "--checkpoint", tmp_path / "model", "--output", out]),
@@ -572,7 +590,7 @@ class TestExitCodes:
         out = tmp_path / "run"
         capsys.readouterr()
         code = run(["train", "--train-file", workspace["clean"], "--vocab", vocab,
-                    "--checkpoint-dir", out] + TINY_FLAGS)
+                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out] + TINY_FLAGS)
         assert code == 3
         assert f"error: {vocab}:4: word {word!r} repeats id 2" in capsys.readouterr().err
         assert not out.exists()
@@ -587,7 +605,7 @@ class TestExitCodes:
         out = tmp_path / "run"
         capsys.readouterr()
         code = run(["train", "--train-file", workspace["clean"], "--vocab", vocab,
-                    "--checkpoint-dir", out] + TINY_FLAGS)
+                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out] + TINY_FLAGS)
         assert code == 3
         assert f"error: {vocab}:{reserved + 1}: id {reserved} must be {expected!r}, got 'cat'" in capsys.readouterr().err
         assert not out.exists()
@@ -784,8 +802,8 @@ class TestExitCodes:
         argv = {
             "build-vocab": ["build-vocab", "--inputs", data, "--vocab", out, "--embedding-out", tmp_path / "emb",
                             *VOCAB_FLAGS],
-            "train": ["train", "--train-file", data, "--vocab", workspace["vocab"], "--checkpoint-dir", out,
-                      *TINY_FLAGS],
+            "train": ["train", "--train-file", data, "--vocab", workspace["vocab"],
+                      "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out, *TINY_FLAGS],
             "evaluate": ["evaluate", "--input", data, "--vocab", workspace["vocab"],
                          "--checkpoint", workspace["ckpt"] / "model", "--output", out],
         }[command]
@@ -821,7 +839,8 @@ class TestExitCodes:
         argv = {
             "predict": ["predict", "--input", data, "--output", out],
             "evaluate": ["evaluate", "--input", data, "--output", out],
-            "train": ["train", "--train-file", data, "--checkpoint-dir", out] + TINY_FLAGS,
+            "train": ["train", "--train-file", data, "--embeddings-payload", workspace["payload"],
+                      "--checkpoint-dir", out] + TINY_FLAGS,
         }[command]
         if command != "train":
             argv += ["--checkpoint", workspace["ckpt"] / "model"]
@@ -853,7 +872,8 @@ class TestExitCodes:
         vocab.write_text("\n".join(lines[:2] + [id_cell + "\t" + lines[2].split("\t", 1)[1]] + lines[3:]) + "\n")
         ckpt = tmp_path / "run"
         capsys.readouterr()
-        assert run(["train", "--train-file", workspace["clean"], "--vocab", vocab, "--checkpoint-dir", ckpt] + TINY_FLAGS) == 3
+        assert run(["train", "--train-file", workspace["clean"], "--vocab", vocab,
+                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt] + TINY_FLAGS) == 3
         assert f"error: {vocab}:3: expected id<TAB>word" in capsys.readouterr().err
         assert not ckpt.exists()
 
@@ -934,23 +954,30 @@ class TestExitCodes:
 
     # Each command gets an output path that resolves to one of its own
     # inputs, a copy in tmp_path. build-vocab used to replace the labeled
-    # tweets with the vocabulary and exit 0.
-    @pytest.mark.parametrize("command", ["preprocess", "build-vocab", "train", "evaluate", "predict"])
+    # tweets with the vocabulary and exit 0. In train-payload a file of the
+    # checkpoint directory is also one of the payload's.
+    @pytest.mark.parametrize("command", ["preprocess", "build-vocab", "train", "train-payload", "evaluate", "predict"])
     def test_output_over_an_input_is_bad_argument(self, workspace, tmp_path, capsys, command):
         ckpt = workspace["ckpt"] / "model"
+        pair = workspace["payload"] if command == "train-payload" else ckpt  # predict's checkpoint, train's payload
         name, source = {"preprocess": ("raw.tsv", workspace["raw"]), "train": ("history.jsonl", workspace["clean"]),
+                        "train-payload": ("model.json", f"{pair}.json"),
                         "predict": ("model.json", f"{ckpt}.json")}.get(command, ("t.tsv", workspace["clean"]))
         victim, model = tmp_path / name, ["--vocab", workspace["vocab"], "--checkpoint", ckpt]
         victim.write_bytes(Path(source).read_bytes())
-        (tmp_path / "model.bin").write_bytes(Path(f"{ckpt}.bin").read_bytes())  # predict's checkpoint is the copy
+        (tmp_path / "model.bin").write_bytes(Path(f"{pair}.bin").read_bytes())  # the other file of the copied pair
         argv, says = {
             "preprocess": (["preprocess", "--input", victim, "--output", f"{tmp_path}/./{name}"],
                            f"--output {tmp_path}/./{name} is also --input {victim}"),
             "build-vocab": (["build-vocab", "--inputs", victim, "--vocab", victim,
                              "--embedding-out", tmp_path / "e", *VOCAB_FLAGS],
                             f"--vocab {victim} is also --inputs {victim}"),
-            "train": (["train", "--train-file", victim, "--vocab", workspace["vocab"], "--checkpoint-dir", tmp_path,
-                       *TINY_FLAGS], f"--train-file {victim} is a file of --checkpoint-dir {tmp_path}"),
+            "train": (["train", "--train-file", victim, "--vocab", workspace["vocab"], "--embeddings-payload",
+                       workspace["payload"], "--checkpoint-dir", tmp_path, *TINY_FLAGS],
+                      f"--train-file {victim} is a file of --checkpoint-dir {tmp_path}"),
+            "train-payload": (["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                               "--embeddings-payload", tmp_path / "model", "--checkpoint-dir", tmp_path, *TINY_FLAGS],
+                              f"{victim} is a file of --checkpoint-dir {tmp_path} and of --embeddings-payload {tmp_path / 'model'}"),
             "evaluate": (["evaluate", "--input", victim, *model, "--output", victim],
                          f"--output {victim} is also --input {victim}"),
             "predict": (["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
@@ -962,6 +989,7 @@ class TestExitCodes:
         assert run(argv) == 2
         assert capsys.readouterr().err == f"bad arguments: {says}\n"
         assert victim.read_bytes() == Path(source).read_bytes()
+        assert (tmp_path / "model.bin").read_bytes() == Path(f"{pair}.bin").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == before  # nothing written, no .tmp file left
 
     def test_manifest_not_an_object(self, workspace, tmp_path, capsys):
@@ -1104,7 +1132,7 @@ class TestExitCodes:
         out = workspace["clean"] / "run"  # under a file: mkdir fails
         capsys.readouterr()
         code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-                    "--checkpoint-dir", out] + TINY_FLAGS)
+                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out] + TINY_FLAGS)
         assert code == 3
         assert "Not a directory" in capsys.readouterr().err
         assert steps == []
@@ -1116,7 +1144,8 @@ class TestExitCodes:
         out = tmp_path / "runs" / "nanrun"
         capsys.readouterr()
         code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-                    "--checkpoint-dir", out, "--learning-rate", "1e200", "--clip-norm", "1e300"] + TINY_FLAGS)
+                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out,
+                    "--learning-rate", "1e200", "--clip-norm", "1e300"] + TINY_FLAGS)
         assert code == 4
         assert capsys.readouterr().err.startswith("numeric failure: epoch 0, batch ")
         assert not out.exists()
@@ -1133,7 +1162,7 @@ class TestExitCodes:
         out = tmp_path / "runs" / "run"
         capsys.readouterr()
         code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-                    "--checkpoint-dir", out] + TINY_FLAGS)
+                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out] + TINY_FLAGS)
         assert code == 3
         assert capsys.readouterr().err == "error: no space left on device\n"
         assert not out.exists()
@@ -1146,7 +1175,8 @@ class TestExitCodes:
         out = tmp_path / "nanrun"
         done = subprocess.run(
             [sys.executable, "-m", "emocaps", "train", "--train-file", str(workspace["clean"]),
-             "--vocab", str(workspace["vocab"]), "--checkpoint-dir", str(out),
+             "--vocab", str(workspace["vocab"]), "--embeddings-payload", str(workspace["payload"]),
+             "--checkpoint-dir", str(out),
              "--learning-rate", "1e200", "--clip-norm", "1e300", *TINY_FLAGS],
             capture_output=True, text=True, env=env, timeout=120,
         )
@@ -1183,8 +1213,8 @@ class TestExitCodes:
         dev = tmp_path / "dev.tsv"
         dev.write_text("anger\tangersig0\n\n")
         code = run(["train", "--train-file", workspace["clean"], "--dev-file", dev,
-                    "--vocab", workspace["vocab"], "--checkpoint-dir", tmp_path / "ckpt"]
-                   + TINY_FLAGS)
+                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
+                    "--checkpoint-dir", tmp_path / "ckpt"] + TINY_FLAGS)
         assert code == 3
         assert f"{dev}:2:" in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
@@ -1194,29 +1224,46 @@ class TestExitCodes:
         dev.write_text("")
         capsys.readouterr()
         code = run(["train", "--train-file", workspace["clean"], "--dev-file", dev,
-                    "--vocab", workspace["vocab"], "--checkpoint-dir", tmp_path / "ckpt"]
-                   + TINY_FLAGS)
+                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
+                    "--checkpoint-dir", tmp_path / "ckpt"] + TINY_FLAGS)
         assert code == 3
         assert capsys.readouterr().err == f"error: {dev} contains no examples\n"
         assert not (tmp_path / "ckpt").exists()
 
     def test_unparseable_flag_value(self, capsys):
         with pytest.raises(SystemExit) as err:
-            run(["train", "--train-file", "x", "--vocab", "v",
+            run(["train", "--train-file", "x", "--vocab", "v", "--embeddings-payload", "e",
                  "--checkpoint-dir", "c", "--batch-size", "banana"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("payload, extra, says", [
+        (False, [], "the following arguments are required: --embeddings-payload"),
+        (True, ["--embed-dim", "8"], "unrecognized arguments: --embed-dim 8"),
+    ], ids=["no-payload", "embed-dim"])
+    def test_train_starts_only_from_a_payload_at_its_width(self, workspace, tmp_path, capsys, payload, extra, says):
+        """train builds no embedding table of its own, and takes no width:
+        both are the payload's, written by build-vocab."""
+        argv = ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                "--checkpoint-dir", tmp_path / "ckpt", *TINY_FLAGS, *extra]
+        argv += ["--embeddings-payload", workspace["payload"]] if payload else []
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        assert says in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_retired_adam_flag_is_bad_argument(self, workspace, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-                 "--checkpoint-dir", tmp_path / "ckpt", "--beta1", "0.8"])
+                 "--embeddings-payload", workspace["payload"], "--checkpoint-dir", tmp_path / "ckpt", "--beta1", "0.8"])
         assert err.value.code == 2
         assert "unrecognized arguments: --beta1 0.8" in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
 
     def test_config_value_out_of_range(self, workspace, tmp_path):
         code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"],
+                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
                     "--checkpoint-dir", tmp_path / "ckpt",
                     "--spatial-dropout", "1.5"])
         assert code == 2
@@ -1225,7 +1272,7 @@ class TestExitCodes:
     def test_non_finite_flag_is_bad_argument(self, workspace, tmp_path, capsys, value):
         capsys.readouterr()
         code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"],
+                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
                     "--checkpoint-dir", tmp_path / "ckpt", "--clip-norm", value])
         assert code == 2
         assert "bad arguments: clip_norm must be finite" in capsys.readouterr().err
@@ -1236,7 +1283,7 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"learning_rate": float("nan")}))  # written as NaN
         capsys.readouterr()
         code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"],
+                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
                     "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
         assert code == 2
         assert "bad arguments: learning_rate must be finite" in capsys.readouterr().err
@@ -1249,7 +1296,8 @@ class TestExitCodes:
         argv = {
             "build-vocab": ["build-vocab", "--inputs", missing, "--vocab", tmp_path / "vocab.tsv",
                             "--embedding-out", tmp_path / "emb"],
-            "train": ["train", "--train-file", missing, "--vocab", missing, "--checkpoint-dir", tmp_path / "ckpt"],
+            "train": ["train", "--train-file", missing, "--vocab", missing, "--embeddings-payload", tmp_path / "emb",
+                      "--checkpoint-dir", tmp_path / "ckpt"],
         }[command]
         if source == "flag":
             argv += ["--seed", "-1"]
@@ -1278,7 +1326,7 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no_such_knob": 1}))
         code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"],
+                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
                     "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
         assert code == 3
 
@@ -1301,7 +1349,7 @@ class TestExitCodes:
         cfg.write_text(json.dumps(content))
         capsys.readouterr()
         code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"],
+                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
                     "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
         assert code == 3
         assert f"error: {cfg}: {says}" in capsys.readouterr().err
@@ -1311,7 +1359,7 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")
         code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"],
+                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
                     "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
         assert code == 3
 
@@ -1325,7 +1373,8 @@ class TestExitCodes:
         argv = {
             "build-vocab": ["build-vocab", "--inputs", missing, "--vocab", tmp_path / "vocab.tsv",
                             "--embedding-out", tmp_path / "emb"],
-            "train": ["train", "--train-file", missing, "--vocab", missing, "--checkpoint-dir", tmp_path / "ckpt"],
+            "train": ["train", "--train-file", missing, "--vocab", missing, "--embeddings-payload", tmp_path / "emb",
+                      "--checkpoint-dir", tmp_path / "ckpt"],
         }[command]
         capsys.readouterr()
         assert run(argv + ["--config", cfg]) == 3
@@ -1352,7 +1401,7 @@ def writing_argv(command, workspace, out):
         "build-vocab": ["build-vocab", "--inputs", workspace["clean"], "--vocab", out / "vocab.tsv",
                         "--embedding-out", out / "embed", *VOCAB_FLAGS],
         "train": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-                  "--checkpoint-dir", out, *TINY_FLAGS],
+                  "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out, *TINY_FLAGS],
         "evaluate": ["evaluate", "--input", workspace["clean"], *model, "--output", out / "report.json"],
         "predict": ["predict", "--input", workspace["clean"], "--labeled", *model, "--output", out / "preds.txt"],
     }[command]
@@ -1434,7 +1483,7 @@ class TestConfiguration:
         cfg.write_text(json.dumps({"learning_rate": 0.5, "max_epochs": 1}))
         ckpt = tmp_path / "ckpt"
         code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"], "--checkpoint-dir", ckpt,
+                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt,
                     "--config", cfg, "--learning-rate", "0.25"] + TINY_FLAGS)
         assert code == 0
         hp = json.loads((ckpt / "model.json").read_text())["hyperparameters"]
@@ -1447,7 +1496,7 @@ class TestConfiguration:
         cfg.write_text(json.dumps({"learning_rate": 1, "clip_norm": 2}))
         ckpt = tmp_path / "ckpt"
         code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"], "--checkpoint-dir", ckpt,
+                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt,
                     "--config", cfg] + TINY_FLAGS)
         assert code == 0
         hp = json.loads((ckpt / "model.json").read_text())["hyperparameters"]
@@ -1462,8 +1511,9 @@ class TestConfiguration:
     ])
     def test_configuration_surface(self, command, fixed):
         """The command's fixed options, --config and --profile, then a flag
-        per TrainConfig field for train, and for build-vocab only the two
-        settings it reads; a new option has to change this test on purpose."""
+        per setting it reads: for train every TrainConfig field but
+        embed_dim, its payload's width, and for build-vocab only embed_dim
+        and seed; a new option has to change this test on purpose."""
         fields = [
             "batch_size", "learning_rate", "clip_norm",
             "spatial_dropout", "capsule_dropout", "noise_std", "routing_iters",
@@ -1473,7 +1523,7 @@ class TestConfiguration:
         assert [f.name for f in dataclasses.fields(TrainConfig)] == fields
         subparsers = next(a for a in build_parser()._actions if a.dest == "command")
         options = [o for a in subparsers.choices[command]._actions for o in a.option_strings]
-        settings = {"train": fields, "build-vocab": ["embed_dim", "seed"]}[command]
+        settings = {"train": [f for f in fields if f != "embed_dim"], "build-vocab": ["embed_dim", "seed"]}[command]
         expected = ["-h", "--help"] + fixed + ["--config", "--profile"]
         expected += ["--" + name.replace("_", "-") for name in settings]
         assert options == expected
@@ -1505,8 +1555,8 @@ class TestConfiguration:
         overrides is never used and never checked."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"batch_size": "big", "seed": 3}))
-        args = build_parser().parse_args(["train", "--train-file", "t", "--vocab", "v", "--checkpoint-dir", "c",
-                                          "--config", str(cfg), "--batch-size", "16"])
+        args = build_parser().parse_args(["train", "--train-file", "t", "--vocab", "v", "--embeddings-payload", "e",
+                                          "--checkpoint-dir", "c", "--config", str(cfg), "--batch-size", "16"])
         assert cli._resolve_config(args) == TrainConfig(batch_size=16, seed=3)
 
     def test_readme_commands_parse(self):
@@ -1541,14 +1591,17 @@ class TestConfiguration:
         assert required == [o for o in options if o not in optional]
 
     def test_paper_profile_is_the_defaults(self):
-        args = build_parser().parse_args(["train", "--train-file", "t", "--vocab", "v",
+        args = build_parser().parse_args(["train", "--train-file", "t", "--vocab", "v", "--embeddings-payload", "e",
                                           "--checkpoint-dir", "c", "--profile", "paper"])
         assert cli._resolve_config(args) == TrainConfig()
 
     def test_desk_profile_sets_dimensions(self, workspace, tmp_path):
-        ckpt = tmp_path / "ckpt"
+        """build-vocab's --profile desk sets the width, train's the rest."""
+        ckpt, payload = tmp_path / "ckpt", tmp_path / "emb"
+        assert run(["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+                    "--embedding-out", payload, "--profile", "desk"]) == 0
         code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"], "--checkpoint-dir", ckpt,
+                    "--vocab", tmp_path / "vocab.tsv", "--embeddings-payload", payload, "--checkpoint-dir", ckpt,
                     "--profile", "desk", "--max-epochs", "1",
                     "--routing-iters", "2", "--spatial-dropout", "0.0",
                     "--capsule-dropout", "0.0", "--noise-std", "0.0"])
@@ -1567,7 +1620,7 @@ class TestConfiguration:
         cfg.write_text(json.dumps({"profile": "desk", "max_epochs": 1}))
         out = tmp_path / "out"
         for argv in (["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-                      "--checkpoint-dir", out / "ckpt"],
+                      "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out / "ckpt"],
                      ["build-vocab", "--inputs", tmp_path / "missing.tsv", "--vocab", out / "vocab.tsv",
                       "--embedding-out", out / "emb"]):
             capsys.readouterr()
@@ -1578,10 +1631,11 @@ class TestConfiguration:
     def test_profile_then_file_then_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"hidden_dim": 4, "embed_dim": 6, "seed": 3}))
-        args = build_parser().parse_args(["train", "--train-file", "t", "--vocab", "v", "--checkpoint-dir", "c",
-                                          "--profile", "desk", "--config", str(cfg), "--embed-dim", "10"])
+        args = build_parser().parse_args(["train", "--train-file", "t", "--vocab", "v", "--embeddings-payload", "e",
+                                          "--checkpoint-dir", "c", "--profile", "desk", "--config", str(cfg),
+                                          "--hidden-dim", "10"])
         desk = cli.PROFILES["desk"]
-        assert cli._resolve_config(args) == TrainConfig(**{**desk, "hidden_dim": 4, "embed_dim": 10, "seed": 3})
+        assert cli._resolve_config(args) == TrainConfig(**{**desk, "hidden_dim": 10, "embed_dim": 6, "seed": 3})
 
 
 class TestEntryPoint:
@@ -1633,7 +1687,7 @@ def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
     for name, threads in (("unset", {}), ("one", dict.fromkeys(blas, "1"))):
         done = subprocess.run(
             [sys.executable, "-m", "emocaps", "train", "--train-file", str(clean), "--vocab", str(vocab),
-             "--checkpoint-dir", str(tmp_path / name), "--profile", "paper",
+             "--embeddings-payload", str(tmp_path / "emb"), "--checkpoint-dir", str(tmp_path / name), "--profile", "paper",
              "--seed", "3", "--batch-size", "64", "--max-epochs", "2"],
             capture_output=True, text=True, env={**env, **threads}, timeout=300,
         )
