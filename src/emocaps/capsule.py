@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import EmocapsError
 from .nn import softmax, softmax_backward
 
 
@@ -109,10 +109,10 @@ def capsule_layer(H: np.ndarray, lengths, W: np.ndarray, iterations: int):
     back to back, `lengths` their lengths in the same order; returns
     (B, J * d_out) and the cache."""
     if H.ndim != 2 or H.shape[1] != W.shape[1]:
-        raise ShapeMismatch(f"H {H.shape} vs capsule input dim {W.shape[1]}")
+        raise EmocapsError(f"H {H.shape} vs capsule input dim {W.shape[1]}")
     lengths = np.asarray(lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != len(H):
-        raise ShapeMismatch(f"lengths {lengths.tolist()} do not cover the {len(H)} input rows")
+        raise EmocapsError(f"lengths {lengths.tolist()} do not cover the {len(H)} input rows")
     blocks = np.zeros((len(lengths), W.shape[0], lengths.max(), W.shape[2]), dtype=H.dtype)
     start = 0
     for b, n in enumerate(lengths.tolist()):
@@ -135,7 +135,7 @@ def capsule_layer_backward(grad_flat: np.ndarray, cache: CapsuleCache, W: np.nda
     ValueError."""
     V_shape = (len(cache.lengths), W.shape[0], W.shape[2])
     if grad_flat.shape != (V_shape[0], V_shape[1] * V_shape[2]):
-        raise ShapeMismatch(f"grad {grad_flat.shape} vs flattened capsule output {V_shape}")
+        raise EmocapsError(f"grad {grad_flat.shape} vs flattened capsule output {V_shape}")
     if cache.U is None:
         raise ValueError("this capsule cache has already been backpropagated")
     grad_U = routing_backward(grad_flat.reshape(V_shape), cache.U, cache.state)

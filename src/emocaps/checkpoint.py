@@ -20,7 +20,7 @@ import re
 
 import numpy as np
 
-from .errors import MalformedHeader, TruncatedFile, json_object, replacing
+from .errors import EmocapsError, json_object, replacing
 
 FORMAT_VERSION = 3
 DTYPE = "<f8"  # every tensor's, in the manifest and the payload
@@ -66,17 +66,17 @@ def save_checkpoint(
 def _tensor_layout(entry, index: int, where) -> tuple:
     """(name, shape) of one manifest tensor entry, whose dtype must be DTYPE."""
     if not isinstance(entry, dict):
-        raise MalformedHeader(f"{where}: tensor entry {index} is not an object")
+        raise EmocapsError(f"{where}: tensor entry {index} is not an object")
     for key in ("name", "shape", "dtype"):
         if key not in entry:
-            raise MalformedHeader(f"{where}: tensor entry {index} has no {key!r}")
+            raise EmocapsError(f"{where}: tensor entry {index} has no {key!r}")
     name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
     if not isinstance(name, str):
-        raise MalformedHeader(f"{where}: tensor entry {index} has name {name!r}, not a string")
+        raise EmocapsError(f"{where}: tensor entry {index} has name {name!r}, not a string")
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
-        raise MalformedHeader(f"{where}: tensor {name!r} has bad shape {shape!r}")
+        raise EmocapsError(f"{where}: tensor {name!r} has bad shape {shape!r}")
     if dtype != DTYPE:
-        raise MalformedHeader(f"{where}: tensor {name!r} has dtype {dtype!r}, not {DTYPE!r}")
+        raise EmocapsError(f"{where}: tensor {name!r} has dtype {dtype!r}, not {DTYPE!r}")
     return name, tuple(shape)
 
 
@@ -88,22 +88,22 @@ def load_checkpoint(stem):
     Only a version-FORMAT_VERSION manifest of DTYPE tensors loads, and its
     payload must end in exactly the 32 bytes of its `payload_sha256`,
     compared in one read (the tensors are not hashed again). Raises
-    TruncatedFile when the payload is shorter than the manifest describes,
-    MalformedHeader when the manifest is unreadable, repeats a key, is
-    malformed, lists a tensor name twice, disagrees with the payload size
-    or has a digest that is not the payload's. Every message names the file
-    it is about, and a digest error both files.
+    EmocapsError when the payload is shorter than the manifest describes,
+    or when the manifest is unreadable, repeats a key, is malformed, lists
+    a tensor name twice or a shape numpy cannot make even empty, disagrees
+    with the payload size or has a digest that is not the payload's. Every
+    message names the file it is about, and a digest error both files.
     """
     manifest_path, payload_path = f"{stem}.json", f"{stem}.bin"
     manifest = json_object(manifest_path, "manifest")
     version = manifest.get("version")
     if version != FORMAT_VERSION:
-        raise MalformedHeader(f"{manifest_path}: unsupported manifest version: {version!r}")
+        raise EmocapsError(f"{manifest_path}: unsupported manifest version: {version!r}")
     if not isinstance(manifest.get("tensors"), list):
-        raise MalformedHeader(f"{manifest_path}: manifest has no tensor list")
+        raise EmocapsError(f"{manifest_path}: manifest has no tensor list")
     digest = manifest.get("payload_sha256")
     if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
-        raise MalformedHeader(
+        raise EmocapsError(
             f"{manifest_path}: payload_sha256 must be the 64 hex digits that end {payload_path}, got {digest!r}"
         )
 
@@ -114,32 +114,35 @@ def load_checkpoint(stem):
         for index, entry in enumerate(manifest["tensors"]):
             name, shape = _tensor_layout(entry, index, manifest_path)
             if name in tensors:
-                raise MalformedHeader(f"{manifest_path}: tensor {name!r} is listed twice")
+                raise EmocapsError(f"{manifest_path}: tensor {name!r} is listed twice")
             nbytes = math.prod(shape) * 8  # DTYPE's 8 bytes; a Python int: a huge shape must not wrap
             if offset + nbytes > size:
-                raise TruncatedFile(
+                raise EmocapsError(
                     f"{payload_path}: payload ends inside tensor {name!r} "
                     f"(need {offset + nbytes} bytes, have {size})"
                 )
-            t = np.empty(shape, DTYPE)
+            try:
+                t = np.empty(shape, DTYPE)
+            except ValueError:  # an empty shape whose other dims span more bytes than numpy counts
+                raise EmocapsError(f"{manifest_path}: tensor {name!r} has bad shape {list(shape)!r}") from None
             # one buffered readinto fills t's bytes (a 0-d or empty t's too) unless the file ends first
             got = f.readinto(t.reshape(-1).view(np.uint8))
             if got != nbytes:
-                raise TruncatedFile(
+                raise EmocapsError(
                     f"{payload_path}: payload ends inside tensor {name!r} (read {got} of {nbytes} bytes)"
                 )
             tensors[name] = t
             offset += nbytes
         if offset + DIGEST_BYTES > size:
-            raise TruncatedFile(
+            raise EmocapsError(
                 f"{payload_path}: payload ends inside its sha256 trailer (need {offset + DIGEST_BYTES} bytes, have {size})"
             )
         if offset + DIGEST_BYTES != size:
-            raise MalformedHeader(
+            raise EmocapsError(
                 f"{payload_path}: payload has {size - offset - DIGEST_BYTES} trailing bytes beyond the manifest"
             )
         if f.read(DIGEST_BYTES) != bytes.fromhex(digest):
-            raise MalformedHeader(
+            raise EmocapsError(
                 f"{payload_path}: its sha256 trailer is not the payload_sha256 of {manifest_path}: "
                 "the two files are not from one save"
             )

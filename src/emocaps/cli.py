@@ -25,19 +25,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .embeddings import EmbeddingTable, Vocabulary, build_embedding, load_word2vec
-from .errors import (
-    DimensionMismatch,
-    EmocapsError,
-    EmptyDataset,
-    MalformedHeader,
-    MalformedLine,
-    NumericError,
-    UnknownLabel,
-    VocabularyMismatch,
-    json_object,
-    replacing,
-    text_lines,
-)
+from .errors import EmocapsError, NumericError, json_object, replacing, text_lines
 from .evaluation import LABELS, confusion, format_report, label_index, metrics
 from .textprep import Lexicon, preprocess
 from .training import ModelParams, TrainConfig, init_model, predict_dataset, train
@@ -74,7 +62,7 @@ def _read_config_file(path) -> dict:
     loaded = json_object(path, "config")
     unknown = set(loaded) - set(CONFIG_KEYS)
     if unknown:
-        raise MalformedHeader(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
+        raise EmocapsError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
     return loaded
 
 
@@ -88,7 +76,7 @@ def _resolve_config(args) -> TrainConfig:
     try:
         return TrainConfig(**values)
     except TypeError as exc:
-        raise MalformedHeader(f"{args.config}: {exc}") from None
+        raise EmocapsError(f"{args.config}: {exc}") from None
 
 
 def load_dataset(path, labeled: bool = True) -> list:
@@ -100,12 +88,12 @@ def load_dataset(path, labeled: bool = True) -> list:
         examples = []
         for lineno, line in lines:
             if "\t" not in line:
-                raise MalformedLine(f"{path}:{lineno}: expected label<TAB>text")
+                raise EmocapsError(f"{path}:{lineno}: expected label<TAB>text")
             label, text = line.split("\t", 1)
             try:
                 examples.append((label_index(label), text))
-            except UnknownLabel as exc:
-                raise UnknownLabel(f"{path}:{lineno}: {exc}") from None
+            except EmocapsError as exc:
+                raise EmocapsError(f"{path}:{lineno}: {exc}") from None
     return examples
 
 
@@ -118,14 +106,14 @@ def _encode(path, vocab: Vocabulary, labeled: bool = True):
     for lineno, (label, text) in enumerate(load_dataset(path, labeled), 1):
         tokens = text.split()
         if not tokens:
-            raise MalformedLine(f"{path}:{lineno}: line has no tokens")
+            raise EmocapsError(f"{path}:{lineno}: line has no tokens")
         encoded.append((vocab.encode(tokens), label))
     return encoded
 
 
 def _require_nonempty(examples, path) -> None:
     if not examples:
-        raise EmptyDataset(f"{path} contains no examples")
+        raise EmocapsError(f"{path} contains no examples")
 
 
 def _vocab_sha256(vocab: Vocabulary) -> str:
@@ -141,15 +129,15 @@ def _load_for_vocab(stem, vocab: Vocabulary, vocab_path):
     recorded = manifest.get("vocab_sha256")
     fingerprint = _vocab_sha256(vocab)
     if recorded != fingerprint:
-        raise VocabularyMismatch(
+        raise EmocapsError(
             f"{vocab_path} is not the vocabulary checkpoint {stem} was written with "
             f"(vocabulary sha256 {fingerprint}, checkpoint records {recorded or 'none'})"
         )
     W = tensors.get("embedding/W_e")
     if W is not None and (W.ndim != 2 or W.shape[1] == 0):
-        raise MalformedHeader(f"{stem}.json: tensor embedding/W_e has shape {W.shape}, expected (rows, dim)")
+        raise EmocapsError(f"{stem}.json: tensor embedding/W_e has shape {W.shape}, expected (rows, dim)")
     if W is not None and len(W) != len(vocab):
-        raise DimensionMismatch(
+        raise EmocapsError(
             f"{stem}.bin: embedding/W_e has shape {W.shape}, but vocabulary {vocab_path} has {len(vocab)} words"
         )
     return tensors, manifest
@@ -228,7 +216,7 @@ def cmd_train(args) -> int:
 
     tensors, _ = _load_for_vocab(args.embeddings_payload, vocab, args.vocab)
     if "embedding/W_e" not in tensors:
-        raise MalformedHeader(f"{args.embeddings_payload}.json: missing tensors: embedding/W_e")
+        raise EmocapsError(f"{args.embeddings_payload}.json: missing tensors: embedding/W_e")
     W = tensors["embedding/W_e"]
     cfg = replace(cfg, embed_dim=W.shape[1])  # the payload sets the width, as the vocabulary sets the rows
     params = init_model(cfg, EmbeddingTable(weights=W))
@@ -261,21 +249,21 @@ def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
     params = ModelParams.from_tensors(tensors, f"{checkpoint}.json")
     hp = manifest.get("hyperparameters")
     if not isinstance(hp, dict):
-        raise MalformedHeader(f"{checkpoint}.json: manifest has no hyperparameters object")
+        raise EmocapsError(f"{checkpoint}.json: manifest has no hyperparameters object")
     missing, unknown = [key for key in CONFIG_KEYS if key not in hp], sorted(set(hp) - set(CONFIG_KEYS))
     if missing or unknown:
         wrong = [f"{what} keys {', '.join(keys)}" for what, keys in (("missing", missing), ("unknown", unknown)) if keys]
-        raise MalformedHeader(f"{checkpoint}.json: hyperparameters have {' and '.join(wrong)}")
+        raise EmocapsError(f"{checkpoint}.json: hyperparameters have {' and '.join(wrong)}")
     try:
         cfg = TrainConfig(**hp)
     except (TypeError, ValueError) as exc:
-        raise MalformedHeader(f"{checkpoint}.json: {exc}") from None
+        raise EmocapsError(f"{checkpoint}.json: {exc}") from None
     J, _, d_out = params.capsule.shape
     read = {"hidden_dim": params.gru.W_h.shape[1], "num_capsules": J, "capsule_dim": d_out,
             "embed_dim": params.embedding.weights.shape[1]}
     for key, size in read.items():
         if hp[key] != size:
-            raise MalformedHeader(f"{checkpoint}.json: hyperparameters say {key} {hp[key]}, tensors say {size}")
+            raise EmocapsError(f"{checkpoint}.json: hyperparameters say {key} {hp[key]}, tensors say {size}")
     return params, cfg
 
 

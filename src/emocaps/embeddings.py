@@ -14,10 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch, IdOutOfRange, MalformedHeader, MalformedLine, TruncatedFile, integer_cells, read_blocks, replacing,
-    text_lines, two_column_blocks,
-)
+from .errors import EmocapsError, integer_cells, read_blocks, replacing, text_lines, two_column_blocks
 from .textprep import TAG_SURFACES
 
 PAD = "<pad>"
@@ -81,18 +78,18 @@ class Vocabulary:
                 id_texts, words = columns  # None: a row holds no tab or more than one
                 ids = integer_cells(id_texts)
             except (TypeError, ValueError):
-                raise MalformedLine(f"{path}:{lineno}: expected id<TAB>word, got {rows[0]!r}") from None
+                raise EmocapsError(f"{path}:{lineno}: expected id<TAB>word, got {rows[0]!r}") from None
             if ids != list(range(len(id_to_word), len(id_to_word) + len(ids))):
-                raise MalformedHeader(f"{path}:{lineno}: non-contiguous vocabulary id: {rows[0]!r}")
+                raise EmocapsError(f"{path}:{lineno}: non-contiguous vocabulary id: {rows[0]!r}")
             id_to_word += words
             if ids[0] < 2 and id_to_word[:2] != list(RESERVED[: min(len(id_to_word), 2)]):
-                raise MalformedHeader(f"{path}:{lineno}: id {ids[0]} must be {RESERVED[ids[0]]!r}, got {words[0]!r}")
+                raise EmocapsError(f"{path}:{lineno}: id {ids[0]} must be {RESERVED[ids[0]]!r}, got {words[0]!r}")
             word_to_id.update(zip(words, ids))
             if len(word_to_id) != len(id_to_word):
-                raise MalformedLine(f"{path}:{lineno}: word {words[0]!r} repeats id {id_to_word.index(words[0])}")
+                raise EmocapsError(f"{path}:{lineno}: word {words[0]!r} repeats id {id_to_word.index(words[0])}")
         if len(id_to_word) < 2:
             end = text.count("\n") + 1 + (text[-1:] not in ("", "\n"))  # the line after the last, one with no newline too
-            raise MalformedHeader(f"{path}:{end}: file ends before id {len(id_to_word)}, {RESERVED[len(id_to_word)]!r}")
+            raise EmocapsError(f"{path}:{end}: file ends before id {len(id_to_word)}, {RESERVED[len(id_to_word)]!r}")
         return cls(word_to_id, id_to_word)
 
 
@@ -111,10 +108,10 @@ def load_word2vec(path, fmt: str, words, dim: int) -> dict[str, np.ndarray]:
     binary = same ASCII header, then per entry the UTF-8 word bytes terminated
     by a space followed by dim little-endian float32 values. The header's
     cells are read by `errors.integer_cells`, and one whose width is not
-    `dim` raises DimensionMismatch before any entry is read. A word that is
+    `dim` raises EmocapsError before any entry is read. A word that is
     not UTF-8, a text value that is not `_is_float`, one not finite in float32,
     or anything but blank lines (newlines, binary) after the header's count of
-    entries raises MalformedLine naming the file and the entry, line or byte.
+    entries raises EmocapsError naming the file and the entry, line or byte.
     """
     loaders = {"binary": _load_word2vec_binary, "text": _load_word2vec_text}
     if fmt not in loaders:
@@ -125,18 +122,18 @@ def load_word2vec(path, fmt: str, words, dim: int) -> dict[str, np.ndarray]:
 def _parse_header(header: str, path, dim: int) -> int:
     """The entry count of file `path`'s "count dim" header, of width `dim`."""
     if not header.strip():
-        raise MalformedHeader(f"{path}: empty file")
+        raise EmocapsError(f"{path}: empty file")
     where, parts = f"{path}:1", header.split()
     if len(parts) != 2:
-        raise MalformedHeader(f"{where}: expected 'count dim', got {header!r}")
+        raise EmocapsError(f"{where}: expected 'count dim', got {header!r}")
     try:
         count, width = integer_cells(parts)
     except ValueError as exc:
-        raise MalformedHeader(f"{where}: non-integer header fields: {header!r}") from exc
+        raise EmocapsError(f"{where}: non-integer header fields: {header!r}") from exc
     if count < 0 or width <= 0:
-        raise MalformedHeader(f"{where}: invalid header values: {header!r}")
+        raise EmocapsError(f"{where}: invalid header values: {header!r}")
     if width != dim:
-        raise DimensionMismatch(f"{where}: vectors are {width}-dimensional, expected {dim}")
+        raise EmocapsError(f"{where}: vectors are {width}-dimensional, expected {dim}")
     return count
 
 
@@ -150,26 +147,26 @@ def _load_word2vec_binary(path, words, dim: int) -> dict[str, np.ndarray]:
             while True:
                 ch = handle.read(1)
                 if not ch:
-                    raise TruncatedFile(f"{path}: file ended after {entry} of {count} entries")
+                    raise EmocapsError(f"{path}: file ended after {entry} of {count} entries")
                 if ch == b" ":
                     break
                 if ch != b"\n":  # some writers put a newline before each word
                     word_chars.extend(ch)
             payload = handle.read(vector_bytes)
             if len(payload) != vector_bytes:
-                raise TruncatedFile(f"{path}: vector truncated after {entry} of {count} entries")
+                raise EmocapsError(f"{path}: vector truncated after {entry} of {count} entries")
             try:
                 word = word_chars.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise MalformedLine(f"{path}: entry {entry + 1} of {count}: word {bytes(word_chars)!r} is not UTF-8 ({exc.reason})") from None
+                raise EmocapsError(f"{path}: entry {entry + 1} of {count}: word {bytes(word_chars)!r} is not UTF-8 ({exc.reason})") from None
             vector = np.frombuffer(payload, dtype="<f4")
             if not np.isfinite(vector).all():
-                raise MalformedLine(f"{path}: entry {entry + 1} of {count}: word {word!r} has a non-finite value")
+                raise EmocapsError(f"{path}: entry {entry + 1} of {count}: word {word!r} has a non-finite value")
             if word in words and word not in table:
                 table[word] = vector.astype(np.float32)
         while rest := handle.read(1 << 16):  # the C tool ends each vector with \n; anything else is one entry too many
             if extra := len(rest.lstrip(b"\n")):
-                raise MalformedLine(f"{path}: byte {handle.tell() - extra} follows the header's {count} entries")
+                raise EmocapsError(f"{path}: byte {handle.tell() - extra} follows the header's {count} entries")
     return table
 
 
@@ -183,7 +180,7 @@ def _load_word2vec_text(path, words, dim: int) -> dict[str, np.ndarray]:
             parts = line.rstrip().split(" ")
             word, values = parts[0], parts[1:]
             if len(values) != dim:
-                raise DimensionMismatch(f"{path}:{lineno}: entry {word!r} has {len(values)} values, expected {dim}")
+                raise EmocapsError(f"{path}:{lineno}: entry {word!r} has {len(values)} values, expected {dim}")
             try:  # _is_float's first test, of every value at once
                 if "_" in (numbers := " ".join(values)) or not (numbers.isascii() and numbers.isprintable()):
                     raise ValueError(numbers)
@@ -191,17 +188,17 @@ def _load_word2vec_text(path, words, dim: int) -> dict[str, np.ndarray]:
                     vector = np.array([float(v) for v in values], dtype=np.float32)
             except ValueError:
                 bad = next(v for v in values if not _is_float(v))
-                raise MalformedLine(f"{path}:{lineno}: entry {word!r} has a non-numeric value {bad!r}") from None
+                raise EmocapsError(f"{path}:{lineno}: entry {word!r} has a non-numeric value {bad!r}") from None
             finite = np.isfinite(vector)
             if not finite.all():
                 bad = values[np.argmin(finite)]
-                raise MalformedLine(f"{path}:{lineno}: entry {word!r} has a non-finite value {bad!r}")
+                raise EmocapsError(f"{path}:{lineno}: entry {word!r} has a non-finite value {bad!r}")
             if word in words:
                 table.setdefault(word, vector)
         if lineno <= count:
-            raise TruncatedFile(f"{path}:{lineno + 1}: file ended after {lineno - 1} of {count} entries")
+            raise EmocapsError(f"{path}:{lineno + 1}: file ended after {lineno - 1} of {count} entries")
         if extra := next((n for n, line in lines if line.strip()), None):
-            raise MalformedLine(f"{path}:{extra}: a line follows the header's {count} entries")
+            raise EmocapsError(f"{path}:{extra}: a line follows the header's {count} entries")
     return table
 
 
@@ -229,10 +226,10 @@ def build_embedding(vocab: Vocabulary, raw_table: dict[str, np.ndarray], dim: in
 
 
 def _checked_ids(ids, size: int) -> np.ndarray:
-    """ids as an intp array; IdOutOfRange lists the distinct ids outside [0, size)."""
+    """ids as an intp array; EmocapsError lists the distinct ids outside [0, size)."""
     ids = np.asarray(ids, dtype=np.intp)
     if ids.size and (ids.min() < 0 or ids.max() >= size):
-        raise IdOutOfRange(f"ids must lie in [0, {size}), got {np.unique(ids[(ids < 0) | (ids >= size)]).tolist()}")
+        raise EmocapsError(f"ids must lie in [0, {size}), got {np.unique(ids[(ids < 0) | (ids >= size)]).tolist()}")
     return ids
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package; `text_lines` and
+"""`EmocapsError`, which every refusal of the package raises with the
+message the CLI prints, and its subclass `NumericError` for NaN or Inf: a
+subclass exists only when a caller catches it by name. `text_lines` and
 `whole_text`, the readers of every text file the program is given, a line
 at a time or at once (`json_object` reads JSON with the latter);
 `read_blocks` and `two_column_blocks`, which read a two-column file (a
@@ -24,51 +26,15 @@ class EmocapsError(Exception):
     """Base class for all package errors."""
 
 
-class ShapeMismatch(EmocapsError):
-    """Tensor shapes are inconsistent with the configured dimensions."""
-
-
-class IdOutOfRange(EmocapsError):
-    """A token id falls outside the vocabulary."""
-
-
-class MalformedHeader(EmocapsError):
-    """A file header, a checkpoint manifest or a config file is malformed."""
-
-
-class DimensionMismatch(EmocapsError):
-    """A vector's length disagrees with the declared dimension."""
-
-
-class TruncatedFile(EmocapsError):
-    """A file ended before all the entries its header or manifest declares were read."""
-
-
-class EmptySequence(EmocapsError):
-    """A forward pass received a zero-length token sequence."""
-
-
-class EmptyDataset(EmocapsError):
-    """Training or evaluation data contains no examples."""
-
-
-class LabelOutOfRange(EmocapsError):
-    """A class index falls outside the label set."""
-
-
-class LengthMismatch(EmocapsError):
-    """Two aligned sequences have different lengths."""
-
-
-class MalformedLine(EmocapsError):
-    """A data file line does not match the expected format."""
+class NumericError(EmocapsError):
+    """NaN or Inf appeared in a tensor."""
 
 
 @contextmanager
 def text_lines(path):
     """Yield the lines of UTF-8 text file `path`, after a leading byte-order
     mark, as (number from 1, line) pairs. A line ends only at \\n, \\r\\n
-    or \\r, which is cut off. A byte that is not UTF-8 raises MalformedLine
+    or \\r, which is cut off. A byte that is not UTF-8 raises EmocapsError
     naming the file and the line of that byte; only a failed read pays for
     the line: it reads the file again."""
     with open(path, encoding="utf-8-sig") as handle:
@@ -82,7 +48,7 @@ def whole_text(path) -> str:
     """The text of UTF-8 file `path`, read at once, after a leading
     byte-order mark and with each \\r\\n and \\r read as \\n: its
     `split("\\n")` holds the lines `text_lines` yields. A byte that is not
-    UTF-8 raises the same MalformedLine as there."""
+    UTF-8 raises the same EmocapsError as there."""
     try:
         with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
@@ -130,8 +96,8 @@ def integer_cells(cells: list[str]) -> list[int]:
     return list(map(int, cells))  # which refuses a misplaced '-'
 
 
-def _not_utf8(path) -> MalformedLine:
-    """The MalformedLine naming file `path` and the line of its first byte
+def _not_utf8(path) -> EmocapsError:
+    """The EmocapsError naming file `path` and the line of its first byte
     that is not UTF-8, found by reading the file again."""
     data = Path(path).read_bytes()
     try:
@@ -140,27 +106,29 @@ def _not_utf8(path) -> MalformedLine:
         head = data[: exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         reason = f"can't decode byte {data[exc.start]:#04x} at file offset {exc.start} ({exc.reason})"
-        return MalformedLine(f"{path}:{line}: not UTF-8 text: {reason}")
-    return MalformedLine(f"{path}: not UTF-8 text")  # it changed since the failed read
+        return EmocapsError(f"{path}:{line}: not UTF-8 text: {reason}")
+    return EmocapsError(f"{path}: not UTF-8 text")  # it changed since the failed read
 
 
 def json_object(path, what: str) -> dict:
     """The JSON object in text file `path`, a `what` ("config", "manifest").
-    Text that is not JSON, a key repeated in any object of it, or a value
-    other than an object raises MalformedHeader naming the file."""
+    Text that is not JSON or that `json` cannot read (nested too deep, an
+    int of too many digits), a key repeated in any object of it, or a value
+    other than an object raises EmocapsError naming the file."""
 
     def once(pairs):
         repeated = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
         if repeated:
-            raise MalformedHeader(f"{path}: repeated {what} key {repeated[0]!r}")
+            raise EmocapsError(f"{path}: repeated {what} key {repeated[0]!r}")
         return dict(pairs)
 
+    text = whole_text(path)
     try:
-        loaded = json.loads(whole_text(path), object_pairs_hook=once)
-    except json.JSONDecodeError as exc:
-        raise MalformedHeader(f"{path}: unreadable {what}: {exc}") from exc
+        loaded = json.loads(text, object_pairs_hook=once)
+    except (ValueError, RecursionError) as exc:
+        raise EmocapsError(f"{path}: unreadable {what}: {exc}") from exc
     if not isinstance(loaded, dict):
-        raise MalformedHeader(f"{path}: {what} is not a JSON object")
+        raise EmocapsError(f"{path}: {what} is not a JSON object")
     return loaded
 
 
@@ -176,15 +144,3 @@ def replacing(path, mode="w"):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-class VocabularyMismatch(EmocapsError):
-    """A checkpoint was written with a different vocabulary."""
-
-
-class UnknownLabel(EmocapsError):
-    """A label string is not one of the known emotion classes."""
-
-
-class NumericError(EmocapsError):
-    """NaN or Inf appeared in a tensor."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LabelOutOfRange, LengthMismatch, UnknownLabel
+from .errors import EmocapsError
 
 LABELS = ("anger", "disgust", "fear", "joy", "sad", "surprise")
 ENTRY_KEYS = ("p", "r", "f1", "support")  # of each class's entry in a report
@@ -19,7 +19,7 @@ def label_index(name: str) -> int:
     try:
         return LABELS.index(name.strip().lower())
     except ValueError:
-        raise UnknownLabel(f"unknown label {name!r}; expected one of {', '.join(LABELS)}") from None
+        raise EmocapsError(f"unknown label {name!r}; expected one of {', '.join(LABELS)}") from None
 
 
 def confusion(golds, preds) -> np.ndarray:
@@ -27,13 +27,13 @@ def confusion(golds, preds) -> np.ndarray:
     # an empty list would make a float array, which bincount refuses
     golds, preds = (np.asarray(list(labels) or np.empty(0, np.intp)) for labels in (golds, preds))
     if len(golds) != len(preds):
-        raise LengthMismatch(f"{len(golds)} gold labels vs {len(preds)} predictions")
+        raise EmocapsError(f"{len(golds)} gold labels vs {len(preds)} predictions")
     n = len(LABELS)
     gold_out, pred_out = (golds < 0) | (golds >= n), (preds < 0) | (preds >= n)
     if gold_out.any() or pred_out.any():
         first = np.argmax(gold_out | pred_out)
         which, label = ("gold", golds[first]) if gold_out[first] else ("predicted", preds[first])
-        raise LabelOutOfRange(f"{which} label {label} outside 0..{n - 1}")
+        raise EmocapsError(f"{which} label {label} outside 0..{n - 1}")
     return np.bincount(golds * n + preds, minlength=n * n).reshape(n, n)
 
 

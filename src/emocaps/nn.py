@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import EmocapsError
 from .evaluation import LABELS
 
 N_CLASSES = len(LABELS)
@@ -137,11 +137,11 @@ def bigru_forward(X: np.ndarray, lengths, p: GruParams, *, keep_cache: bool = Fa
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     if X.ndim != 2 or lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
-        raise ShapeMismatch(f"bigru needs sequences of at least one position, got input {X.shape}")
+        raise EmocapsError(f"bigru needs sequences of at least one position, got input {X.shape}")
     if lengths.sum() != X.shape[0]:
-        raise ShapeMismatch(f"lengths sum to {lengths.sum()}, input has {X.shape[0]} rows")
+        raise EmocapsError(f"lengths sum to {lengths.sum()}, input has {X.shape[0]} rows")
     if X.shape[1] != p.W_i.shape[1]:
-        raise ShapeMismatch(f"input width {X.shape[1]} vs GRU input {p.W_i.shape[1]}")
+        raise EmocapsError(f"input width {X.shape[1]} vs GRU input {p.W_i.shape[1]}")
     counts, index = _packed_steps(lengths)
     n_rows, d_h = X.shape[0], p.W_h.shape[1]
     # Only a training chunk keeps every step's gates and gated recurrent
@@ -211,7 +211,7 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
     """
     n_rows, d_h = cache.X.shape[0], p.W_h.shape[1]
     if grad_H.shape != (n_rows, 2 * d_h):
-        raise ShapeMismatch(f"grad_H {grad_H.shape} vs bigru output ({n_rows}, {2 * d_h})")
+        raise EmocapsError(f"grad_H {grad_H.shape} vs bigru output ({n_rows}, {2 * d_h})")
     if cache.H is None:
         raise ValueError("this Bi-GRU cache has already been backpropagated")
     counts = cache.counts
@@ -278,7 +278,7 @@ def dense_forward(c: np.ndarray, p: DenseParams) -> np.ndarray:
     """Affine map to the class logits, c @ W + b, for one input row or a
     (B, input_dim) batch; softmax is a separate step."""
     if c.ndim not in (1, 2) or c.shape[-1] != p.W.shape[0]:
-        raise ShapeMismatch(f"input {c.shape} vs dense {p.W.shape}")
+        raise EmocapsError(f"input {c.shape} vs dense {p.W.shape}")
     return c @ p.W + p.b
 
 
@@ -287,7 +287,7 @@ def dense_backward(grad_logits: np.ndarray, c: np.ndarray, p: DenseParams):
     batch; returns (grad_c, gW, gb), the weight gradients summed over the
     batch."""
     if grad_logits.shape != (len(c), N_CLASSES):
-        raise ShapeMismatch(f"grad_logits {grad_logits.shape} vs ({len(c)}, {N_CLASSES})")
+        raise EmocapsError(f"grad_logits {grad_logits.shape} vs ({len(c)}, {N_CLASSES})")
     return grad_logits @ p.W.T, c.T @ grad_logits, grad_logits.sum(axis=0)
 
 

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedLine, integer_cells, read_blocks, two_column_blocks
+from .errors import EmocapsError, integer_cells, read_blocks, two_column_blocks
 
 TARGETWORD_PLACEHOLDER = "[#TARGETWORD#]"
 
@@ -153,7 +153,7 @@ class Lexicon:
     @classmethod
     def from_file(cls, path) -> "Lexicon":
         """Read "word<TAB>count" lines, skipping blank ones, and sum the
-        counts of a repeated word; an error is a MalformedLine naming the
+        counts of a repeated word; an error is an EmocapsError naming the
         file and its first bad line."""
         return read_blocks(path, cls._parse)
 
@@ -168,11 +168,11 @@ class Lexicon:
                 words, count_texts = columns  # None: a row holds no tab or more than one
                 block_counts = integer_cells(count_texts)
             except (TypeError, ValueError):
-                raise MalformedLine(f"{path}:{lineno}: expected 'word<TAB>count', got {rows[0]!r}") from None
+                raise EmocapsError(f"{path}:{lineno}: expected 'word<TAB>count', got {rows[0]!r}") from None
             try:  # every entry of the block before any is summed: a sum could hide a bad count
                 _check_entries(words, block_counts)
             except ValueError as bad:
-                raise MalformedLine(f"{path}:{lineno}: {bad}") from None
+                raise EmocapsError(f"{path}:{lineno}: {bad}") from None
             for word, count in zip(words, block_counts):
                 counts[word] = counts.get(word, 0) + count
         return cls(counts)

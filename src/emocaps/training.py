@@ -31,16 +31,7 @@ import numpy as np
 
 from .capsule import CapsuleCache, capsule_layer, capsule_layer_backward
 from .embeddings import PAD, RESERVED, EmbeddingTable, embed, embed_backward
-from .errors import (
-    DimensionMismatch,
-    EmptyDataset,
-    EmptySequence,
-    IdOutOfRange,
-    LabelOutOfRange,
-    MalformedHeader,
-    NumericError,
-    ShapeMismatch,
-)
+from .errors import EmocapsError, NumericError
 from .evaluation import confusion, metrics
 from .nn import (
     N_CLASSES,
@@ -124,7 +115,7 @@ class ModelParams:
     @classmethod
     def from_tensors(cls, tensors: dict[str, np.ndarray], where: str = "tensors") -> "ModelParams":
         """The model that holds the arrays of a name -> array dict themselves.
-        MalformedHeader names `where` and every missing tensor, or the first
+        EmocapsError names `where` and every missing tensor, or the first
         tensor whose shape disagrees with the dims the tensors imply: V and d
         from embedding/W_e, h from gru/W_h, J and d_out from capsule/W."""
         # a dim missing from its source's shape reads as 0, and h's source is
@@ -142,10 +133,10 @@ class ModelParams:
         }
         missing = [name for name in expected if name not in tensors]
         if missing:
-            raise MalformedHeader(f"{where}: missing tensors: {', '.join(missing)}")
+            raise EmocapsError(f"{where}: missing tensors: {', '.join(missing)}")
         for name in ("gru/W_h", *expected):
             if tensors[name].shape != expected[name]:
-                raise MalformedHeader(f"{where}: tensor {name} has shape {tensors[name].shape}, expected {expected[name]}")
+                raise EmocapsError(f"{where}: tensor {name} has shape {tensors[name].shape}, expected {expected[name]}")
         return cls(
             embedding=EmbeddingTable(weights=tensors["embedding/W_e"]),
             gru=GruParams(**{f.name: tensors[f"gru/{f.name}"] for f in fields(GruParams)}),
@@ -156,7 +147,7 @@ class ModelParams:
 
 def init_model(cfg: TrainConfig, embedding: EmbeddingTable) -> ModelParams:
     if embedding.weights.shape[1] != cfg.embed_dim:
-        raise DimensionMismatch(
+        raise EmocapsError(
             f"embedding table is {embedding.weights.shape[1]}-dimensional, config says {cfg.embed_dim}"
         )
     rng = np.random.default_rng([cfg.seed, 0])
@@ -183,10 +174,10 @@ def cross_entropy_loss(probs: np.ndarray, golds):
     (B, N_CLASSES)), the gradient being that of the losses' sum."""
     golds = np.asarray(golds, dtype=np.intp)
     if probs.ndim != 2 or golds.shape != probs.shape[:1]:
-        raise ShapeMismatch(f"{golds.shape} gold classes for probabilities {probs.shape}")
+        raise EmocapsError(f"{golds.shape} gold classes for probabilities {probs.shape}")
     bad = golds[(golds < 0) | (golds >= N_CLASSES)]
     if bad.size:
-        raise LabelOutOfRange(f"gold class {bad.tolist()} outside 0..{N_CLASSES - 1}")
+        raise EmocapsError(f"gold class {bad.tolist()} outside 0..{N_CLASSES - 1}")
     rows = np.arange(len(golds))
     losses = -np.log(np.maximum(probs[rows, golds], 1e-12))
     grad_logits = probs.copy()
@@ -214,12 +205,12 @@ def clip_gradients(grads: dict, clip_norm: float) -> float:
 def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
     """Standard Adam with bias correction over name-keyed tensors; updates
     tensors and state in place and overwrites `grads`, its scratch space. A
-    gradient of the wrong shape raises ShapeMismatch before anything is updated."""
+    gradient of the wrong shape raises EmocapsError before anything is updated."""
     if set(grads) != set(tensors):
-        raise ShapeMismatch("gradient keys do not match parameter keys")
+        raise EmocapsError("gradient keys do not match parameter keys")
     for name, theta in tensors.items():
         if grads[name].shape != theta.shape:
-            raise ShapeMismatch(f"{name}: gradient {grads[name].shape}, expected {theta.shape}")
+            raise EmocapsError(f"{name}: gradient {grads[name].shape}, expected {theta.shape}")
     state.t += 1
     correct1 = 1.0 - BETA1 ** state.t
     correct2 = 1.0 - BETA2 ** state.t
@@ -302,12 +293,12 @@ def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rngs=None)
     cache is None.
     """
     if len(sequences) == 0:
-        raise EmptySequence("no sequences to classify")
+        raise EmocapsError("no sequences to classify")
     if rngs is not None and len(rngs) != len(sequences):
         raise ValueError(f"a training pass needs one random stream per sequence, got {len(rngs)} for {len(sequences)}")
     lengths = [len(ids) for ids in sequences]
     if min(lengths) == 0:
-        raise EmptySequence("cannot classify an empty token sequence")
+        raise EmocapsError("cannot classify an empty token sequence")
     ids = np.concatenate([np.asarray(s, dtype=np.intp) for s in sequences])
     X, spatial_mask = _regularize(embed(ids, params.embedding), lengths, rngs, cfg.spatial_dropout, cfg.noise_std)
     H, bigru_cache = bigru_forward(X, lengths, params.gru, keep_cache=rngs is not None)
@@ -384,12 +375,12 @@ def _chunks(lengths: list[int], max_tokens: int) -> list[list[int]]:
 
 def predict_dataset(sequences, params: ModelParams, cfg: TrainConfig) -> list[int]:
     """Eval-mode class prediction for every id sequence, in order. An empty
-    sequence raises EmptySequence naming its 0-based index, before any
+    sequence raises EmocapsError naming its 0-based index, before any
     sequence is run. Sequences run in length-sorted chunks (`_chunks`)."""
     sequences = list(sequences)
     for index, ids in enumerate(sequences):
         if len(ids) == 0:
-            raise EmptySequence(f"sequence {index} is empty: cannot classify an empty token sequence")
+            raise EmocapsError(f"sequence {index} is empty: cannot classify an empty token sequence")
     labels = np.zeros(len(sequences), dtype=np.intp)
     for chunk in _chunks([len(ids) for ids in sequences], EVAL_CHUNK_TOKENS):
         probs, _ = forward_full([sequences[i] for i in chunk], params, cfg)
@@ -408,16 +399,16 @@ def _check_dataset(dataset, name: str, vocab_size: int) -> np.ndarray:
     label outside the classes, an empty example (named by its 0-based
     index) or an id outside [0, vocab_size) raises, naming the dataset."""
     if len(dataset) == 0:
-        raise EmptyDataset(f"{name} dataset is empty")
+        raise EmocapsError(f"{name} dataset is empty")
     for index, (ids, gold) in enumerate(dataset):
         if not 0 <= gold < N_CLASSES:
-            raise LabelOutOfRange(f"label {gold} outside 0..{N_CLASSES - 1} in {name} dataset")
+            raise EmocapsError(f"label {gold} outside 0..{N_CLASSES - 1} in {name} dataset")
         if len(ids) == 0:
-            raise EmptySequence(f"{name} dataset example {index} is empty: cannot classify an empty token sequence")
+            raise EmocapsError(f"{name} dataset example {index} is empty: cannot classify an empty token sequence")
     unique = np.unique(np.concatenate([np.asarray(ids, dtype=np.intp) for ids, _ in dataset]))
     bad = unique[(unique < 0) | (unique >= vocab_size)]
     if bad.size:
-        raise IdOutOfRange(f"{name} dataset holds ids outside [0, {vocab_size}): {bad.tolist()}")
+        raise EmocapsError(f"{name} dataset holds ids outside [0, {vocab_size}): {bad.tolist()}")
     return unique
 
 

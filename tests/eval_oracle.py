@@ -21,7 +21,7 @@ import numpy as np
 
 from emocaps.capsule import squash
 from emocaps.embeddings import embed
-from emocaps.errors import LabelOutOfRange, LengthMismatch
+from emocaps.errors import EmocapsError
 from emocaps.evaluation import LABELS
 from emocaps.nn import GruParams, dense_forward, softmax
 from gru_oracle import sigmoid
@@ -86,13 +86,13 @@ def confusion(golds, preds) -> np.ndarray:
     golds = list(golds)
     preds = list(preds)
     if len(golds) != len(preds):
-        raise LengthMismatch(f"{len(golds)} gold labels vs {len(preds)} predictions")
+        raise EmocapsError(f"{len(golds)} gold labels vs {len(preds)} predictions")
     cm = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
     for g, p in zip(golds, preds):
         if not 0 <= g < len(LABELS):
-            raise LabelOutOfRange(f"gold label {g} outside 0..{len(LABELS) - 1}")
+            raise EmocapsError(f"gold label {g} outside 0..{len(LABELS) - 1}")
         if not 0 <= p < len(LABELS):
-            raise LabelOutOfRange(f"predicted label {p} outside 0..{len(LABELS) - 1}")
+            raise EmocapsError(f"predicted label {p} outside 0..{len(LABELS) - 1}")
         cm[g, p] += 1
     return cm
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from emocaps.errors import ShapeMismatch
+from emocaps.errors import EmocapsError
 from emocaps.nn import GruParams
 
 GATES = ("r", "z", "n")
@@ -121,7 +121,7 @@ def cell_forward(x_t, h_prev, p: CellParams):
     h = (1 - z) * n + z * h_prev
     """
     if x_t.shape != (p.input_dim,) or h_prev.shape != (p.hidden_dim,):
-        raise ShapeMismatch(
+        raise EmocapsError(
             f"x {x_t.shape} / h {h_prev.shape} vs params ({p.input_dim}, {p.hidden_dim})"
         )
     r = sigmoid(x_t @ p.W_ir + p.b_ir + h_prev @ p.W_hr + p.b_hr)

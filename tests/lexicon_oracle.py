@@ -8,7 +8,7 @@ parse is checked against it, line numbers included.
 
 import re
 
-from emocaps.errors import MalformedLine, text_lines
+from emocaps.errors import EmocapsError, text_lines
 from emocaps.textprep import Lexicon
 
 
@@ -26,10 +26,10 @@ def from_file(path) -> dict[str, int]:
                     raise ValueError(count_text)
                 count = int(count_text)
             except ValueError:
-                raise MalformedLine(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}") from None
+                raise EmocapsError(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}") from None
             try:
                 Lexicon({word: count})
             except ValueError as bad:
-                raise MalformedLine(f"{path}:{lineno}: {bad}") from None
+                raise EmocapsError(f"{path}:{lineno}: {bad}") from None
             counts[word] = counts.get(word, 0) + count
     return counts

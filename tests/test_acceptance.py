@@ -21,7 +21,7 @@ from emocaps.capsule import squash
 from emocaps.checkpoint import load_checkpoint
 from emocaps.cli import main as cli_main
 from emocaps.embeddings import Vocabulary, build_embedding, load_word2vec
-from emocaps.errors import TruncatedFile
+from emocaps.errors import EmocapsError
 from emocaps.evaluation import confusion, metrics
 from emocaps.textprep import Lexicon, TokenKind, normalize, preprocess, tokenize
 from emocaps.training import (
@@ -278,7 +278,7 @@ def test_word2vec_reader(tmp_path):
         payload = fh.read()
     truncated = tmp_path / "short.bin"
     truncated.write_bytes(payload[:-5])
-    with pytest.raises(TruncatedFile):
+    with pytest.raises(EmocapsError, match="vector truncated after 2 of 3 entries"):
         load_word2vec(truncated, "binary", words, 3)
     report("word2vec reader")
 

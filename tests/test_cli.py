@@ -17,7 +17,7 @@ from emocaps import cli, training
 from emocaps.checkpoint import load_checkpoint, save_checkpoint
 from emocaps.cli import build_parser, entry, load_dataset, main
 from emocaps.embeddings import Vocabulary, load_word2vec
-from emocaps.errors import MalformedLine, text_lines, whole_text
+from emocaps.errors import EmocapsError, text_lines, whole_text
 from emocaps.evaluation import LABELS
 from emocaps.textprep import Lexicon
 from emocaps.training import TrainConfig
@@ -392,7 +392,7 @@ def test_byte_order_mark_keeps_file_offsets(tmp_path):
     # the mark is valid UTF-8: the file offset in the error counts its three bytes
     path = tmp_path / "data.tsv"
     path.write_bytes(BOM + b"joy\tgood\nsad\tcaf\xe9\n")
-    with pytest.raises(MalformedLine, match="^" + re.escape(
+    with pytest.raises(EmocapsError, match="^" + re.escape(
             f"{path}:2: not UTF-8 text: can't decode byte 0xe9 at file offset 19 (invalid continuation byte)") + "$"):
         load_dataset(path)
 
@@ -415,7 +415,7 @@ def test_whole_text_splits_into_the_lines_of_text_lines(tmp_path, content):
 def test_whole_text_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     path = tmp_path / "data.txt"
     path.write_bytes(b"one\r\ntwo\rcaf\xe9\n")
-    with pytest.raises(MalformedLine, match="^" + re.escape(
+    with pytest.raises(EmocapsError, match="^" + re.escape(
             f"{path}:3: not UTF-8 text: can't decode byte 0xe9 at file offset 12 (invalid continuation byte)") + "$"):
         whole_text(path)
 
@@ -1209,6 +1209,23 @@ class TestExitCodes:
         assert f"error: {stem}.bin: payload ends inside tensor 'embedding/W_e'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("shape", [[0, 10**30], [0, 2**62]], ids=["dimension", "bytes"])
+    def test_empty_tensor_numpy_cannot_hold_names_manifest(self, workspace, tmp_path, capsys, shape):
+        """A tensor of no elements passes the payload-size check, but numpy
+        makes no array of a dimension beyond an intp, nor of dimensions whose
+        bytes an intp cannot count, even an empty one."""
+        stem = tmp_path / "huge"
+        manifest = json.loads((workspace["ckpt"] / "model.json").read_text())
+        manifest["tensors"].append({"name": "extra", "shape": shape, "dtype": "<f8"})
+        Path(f"{stem}.json").write_text(json.dumps(manifest))
+        Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
+        capsys.readouterr()
+        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab",
+                    workspace["vocab"], "--checkpoint", stem, "--output", tmp_path / "preds.txt"])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {stem}.json: tensor 'extra' has bad shape {shape!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.bin", "huge.json"]
+
     def test_blank_dev_line_rejected_before_training(self, workspace, tmp_path, capsys):
         dev = tmp_path / "dev.tsv"
         dev.write_text("anger\tangersig0\n\n")
@@ -1362,6 +1379,26 @@ class TestExitCodes:
                     "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
                     "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
         assert code == 3
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"seed": ' + "9" * 5000 + "}"], ids=["deep", "long"])
+    @pytest.mark.parametrize("what", ["config", "manifest"])
+    def test_json_that_json_cannot_read_names_the_file(self, workspace, tmp_path, capsys, what, text):
+        """Arrays nested past the recursion limit, and an int of more digits
+        than Python converts, are unreadable JSON like any other."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        argv = {
+            "config": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                       "--embeddings-payload", workspace["payload"], "--checkpoint-dir", tmp_path / "ckpt",
+                       "--config", bad],
+            "manifest": ["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+                         "--checkpoint", tmp_path / "bad", "--output", tmp_path / "preds.txt"],
+        }[what]
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: unreadable {what}: ") and err.count("\n") == 1, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     @pytest.mark.parametrize("command", ["build-vocab", "train"])
     def test_repeated_config_key_names_file_and_key(self, tmp_path, capsys, command):

@@ -10,9 +10,12 @@ purpose is still there under its name. And the package pins
 BLAS to one thread before anything it imports can load numpy. And a
 training run has one step path: one place clips and applies Adam, and one
 runs training passes. And the run's arrays have one owner: one place
-builds the training state, and no step allocates the batch sums."""
+builds the training state, and no step allocates the batch sums. And
+the package has two exception classes, both in errors: EmocapsError and
+NumericError."""
 
 import ast
+import builtins
 import sys
 import types
 from pathlib import Path
@@ -206,3 +209,25 @@ def test_one_owner_of_the_run():
                 allocations.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert builds == [("training.py", "start_training")]
     assert allocations == []
+
+
+def test_two_exception_classes():
+    """errors.py defines EmocapsError and its subclass NumericError, which
+    the CLI maps to exit 4, and no module defines another: a subclass exists
+    only when a caller catches it by name, and a new refusal raises
+    EmocapsError with a message that names what it refuses."""
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    classes, aliases = [], []
+    for path in sorted(Path(emocaps.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        classes += [(path.name, node) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        aliases += [(alias.name, alias.asname) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names if alias.asname]
+    known = 0
+    while known != len(exceptions):  # a class whose base is an exception class, the package's own too, is one
+        known = len(exceptions)
+        found = {(name, node.name) for name, node in classes
+                 if any(ast.unparse(base).split(".")[-1] in exceptions for base in node.bases)}
+        exceptions |= {cls for _, cls in found} | {asname for name, asname in aliases if name in exceptions}
+    assert sorted(found) == [("errors.py", "EmocapsError"), ("errors.py", "NumericError")]

@@ -21,14 +21,7 @@ from emocaps.embeddings import (
     embed_backward,
     load_word2vec,
 )
-from emocaps.errors import (
-    DimensionMismatch,
-    EmocapsError,
-    IdOutOfRange,
-    MalformedHeader,
-    MalformedLine,
-    TruncatedFile,
-)
+from emocaps.errors import EmocapsError
 from emocaps.textprep import Lexicon
 from vocab_oracle import load_lines
 
@@ -89,21 +82,21 @@ class TestVocabulary:
     def test_load_rejects_gaps(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("0\t<pad>\n2\tskip\n", encoding="utf-8")
-        with pytest.raises(MalformedHeader, match=f"{path}:2: non-contiguous"):
+        with pytest.raises(EmocapsError, match=f"{path}:2: non-contiguous"):
             Vocabulary.load(path)
 
     @pytest.mark.parametrize("bad", ["1 <unk>", "one\t<unk>", "\t<unk>"])
     def test_load_names_file_and_line_of_malformed_line(self, tmp_path, bad):
         path = tmp_path / "vocab.tsv"
         path.write_text(f"0\t<pad>\n\n{bad}\n", encoding="utf-8")
-        with pytest.raises(MalformedLine, match=f"^{re.escape(f'{path}:3: ')}expected id<TAB>word"):
+        with pytest.raises(EmocapsError, match=f"^{re.escape(f'{path}:3: ')}expected id<TAB>word"):
             Vocabulary.load(path)
 
     def test_load_rejects_repeated_word(self, tmp_path):
         # keeping one id of the word would leave the other's row unreachable
         path = tmp_path / "vocab.tsv"
         path.write_text("0\t<pad>\n1\t<unk>\n\n2\tcat\n3\tcat\n", encoding="utf-8")
-        with pytest.raises(MalformedLine, match=f"^{re.escape(f'{path}:5: ')}word 'cat' repeats id 2$"):
+        with pytest.raises(EmocapsError, match=f"^{re.escape(f'{path}:5: ')}word 'cat' repeats id 2$"):
             Vocabulary.load(path)
 
     @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"])
@@ -118,9 +111,9 @@ class TestVocabulary:
         path.write_text("0\t<pad>\n1\t<unk>\n\n2\ta\n", encoding="utf-8")
         assert Vocabulary.load(path).id_to_word == ["<pad>", "<unk>", "a"]
         path.write_text("0\t<pad>\n1\t<unk>\n\n2\ta\n3\tb\tc\n", encoding="utf-8")
-        with pytest.raises(MalformedLine) as err:
+        says = f"{path}:5: expected id<TAB>word, got " + repr("3\tb\tc")
+        with pytest.raises(EmocapsError, match="^" + re.escape(says) + "$"):
             Vocabulary.load(path)
-        assert str(err.value) == f"{path}:5: expected id<TAB>word, got " + repr("3\tb\tc")
 
     @pytest.mark.parametrize(
         "content, where, message",
@@ -136,7 +129,7 @@ class TestVocabulary:
         # encoding falls back on <unk>, and training pins the <pad> row at id 0
         path = tmp_path / "vocab.tsv"
         path.write_text(content, encoding="utf-8")
-        with pytest.raises(MalformedHeader, match=f"^{path}:{where}: {message}$"):
+        with pytest.raises(EmocapsError, match=f"^{path}:{where}: {message}$"):
             Vocabulary.load(path)
 
 
@@ -213,16 +206,21 @@ def encode_rows(rng, rows) -> bytes:
     return data
 
 
+VOCAB_REFUSALS = ("expected id<TAB>word", "non-contiguous vocabulary id", "must be", "repeats id",
+                  "file ends before id", "not UTF-8 text")
+
+
 def assert_loads_as_oracle(path):
     """Vocabulary.load gives the line loop's vocabulary, or its error with
-    the same type and message, which names the line; the name of the outcome."""
+    the same type and message, which names the line; the outcome: "loaded"
+    or the one of VOCAB_REFUSALS that the message holds."""
     try:
         expected = load_lines(path)
     except EmocapsError as exc:
         with pytest.raises(EmocapsError) as err:
             Vocabulary.load(path)
         assert (type(err.value), str(err.value)) == (type(exc), str(exc))
-        return type(exc).__name__
+        return next(kind for kind in VOCAB_REFUSALS if kind in str(exc))
     vocab = Vocabulary.load(path)
     assert (vocab.id_to_word, vocab.word_to_id) == expected
     return "loaded"
@@ -242,12 +240,12 @@ class TestVocabularyBlocks:
             path = tmp_path / f"vocab{n}.tsv"
             path.write_bytes(encode_rows(rng, rows))
             outcomes[assert_loads_as_oracle(path)] += 1
-        assert set(outcomes) == {"loaded", "MalformedLine", "MalformedHeader"}, outcomes
+        assert set(outcomes) == {"loaded", *VOCAB_REFUSALS}, outcomes
 
     @pytest.mark.parametrize("fault, outcome", [
-        (None, "loaded"), ("bad-row", "MalformedLine"), ("blank", "loaded"), ("gap", "MalformedHeader"),
-        ("repeat", "MalformedLine"), ("tab-word", "MalformedLine"), ("shifted-tab", "MalformedLine"),
-        ("odd-id", "MalformedLine"),
+        (None, "loaded"), ("bad-row", "expected id<TAB>word"), ("blank", "loaded"),
+        ("gap", "non-contiguous vocabulary id"), ("repeat", "repeats id"), ("tab-word", "expected id<TAB>word"),
+        ("shifted-tab", "expected id<TAB>word"), ("odd-id", "expected id<TAB>word"),
     ])
     def test_large_file_agrees_at_the_block_boundary(self, tmp_path, fault, outcome):
         """A 50,000-word file with a fault on each side of the line that
@@ -307,10 +305,9 @@ class TestVocabularyBlocks:
             if data in (vocab, lexicon):
                 load(path)
             else:
-                with pytest.raises(MalformedLine) as err:
-                    load(path)
                 line = data.count(b"\n")
-                assert str(err.value).startswith(f"{path}:{line}: ")
+                with pytest.raises(EmocapsError, match="^" + re.escape(f"{path}:{line}: ")):
+                    load(path)
             assert opened == [path] * opens, path.name
 
     def test_memory_stays_near_the_vocabulary_kept(self, tmp_path):
@@ -379,32 +376,32 @@ class TestLoadWord2vec:
         assert {word: vec.tolist() for word, vec in table.items()} == {f"one{sep}two": [0.5], "cat": [1.0], "dog": [2.0]}
 
     @pytest.mark.parametrize(
-        "fmt, content, dim, error, where",
+        "fmt, content, dim, where",
         [
-            ("text", b"", 1, MalformedHeader, ": empty file"),
-            ("text", b"not a header\nhi 0.5\n", 1, MalformedHeader, ":1: expected 'count dim'"),
-            ("text", b"2 x\n", 1, MalformedHeader, ":1: non-integer header fields"),
-            ("text", b"3 1\nhi 1.0\nhi 2.0\n", 1, TruncatedFile, ":4: file ended after 2 of 3 entries"),
-            ("text", b"2 2\nhi 0.5 0.5\nyo 0.5\n", 2, DimensionMismatch, ":3: entry 'yo' has 1 values, expected 2"),
-            ("text", b"1 2\nhello 0.1 abc\n", 2, MalformedLine, ":2: entry 'hello' has a non-numeric value 'abc'"),
+            ("text", b"", 1, ": empty file"),
+            ("text", b"not a header\nhi 0.5\n", 1, ":1: expected 'count dim'"),
+            ("text", b"2 x\n", 1, ":1: non-integer header fields"),
+            ("text", b"3 1\nhi 1.0\nhi 2.0\n", 1, ":4: file ended after 2 of 3 entries"),
+            ("text", b"2 2\nhi 0.5 0.5\nyo 0.5\n", 2, ":3: entry 'yo' has 1 values, expected 2"),
+            ("text", b"1 2\nhello 0.1 abc\n", 2, ":2: entry 'hello' has a non-numeric value 'abc'"),
             # float() alone would read these three lines as [10, 3], [1, 2] and [1, 3]
-            ("text", "1 2\nhi 1_0 \u0663\n".encode(), 2, MalformedLine, ":2: entry 'hi' has a non-numeric value '1_0'"),
-            ("text", b"1 2\nhi 1.0\t 2\n", 2, MalformedLine, ":2: entry 'hi' has a non-numeric value '1.0\\t'"),
-            ("text", "1 2\nhi 1 \u0663\n".encode(), 2, MalformedLine, ":2: entry 'hi' has a non-numeric value '\u0663'"),
-            ("text", b"2 2\nhi 1 1\nyo 2 2\nc 3 3\n", 2, MalformedLine, ":4: a line follows the header's 2 entries"),
-            ("binary", b"", 1, MalformedHeader, ": empty file"),
-            ("binary", b" \n1 2\n", 1, MalformedHeader, ": empty file"),
-            ("binary", b"0 -1\n", 1, MalformedHeader, ":1: invalid header values"),
-            ("binary", b"1 2\nhi", 2, TruncatedFile, ": file ended after 0 of 1 entries"),
-            ("binary", b"1 2\nhi \x00", 2, TruncatedFile, ": vector truncated after 0 of 1 entries"),
-            ("binary", b"1 1\nhi \x00\x00\x80\x3f\nyo \x00\x00\x00\x40\n", 1, MalformedLine,
+            ("text", "1 2\nhi 1_0 \u0663\n".encode(), 2, ":2: entry 'hi' has a non-numeric value '1_0'"),
+            ("text", b"1 2\nhi 1.0\t 2\n", 2, ":2: entry 'hi' has a non-numeric value '1.0\\t'"),
+            ("text", "1 2\nhi 1 \u0663\n".encode(), 2, ":2: entry 'hi' has a non-numeric value '\u0663'"),
+            ("text", b"2 2\nhi 1 1\nyo 2 2\nc 3 3\n", 2, ":4: a line follows the header's 2 entries"),
+            ("binary", b"", 1, ": empty file"),
+            ("binary", b" \n1 2\n", 1, ": empty file"),
+            ("binary", b"0 -1\n", 1, ":1: invalid header values"),
+            ("binary", b"1 2\nhi", 2, ": file ended after 0 of 1 entries"),
+            ("binary", b"1 2\nhi \x00", 2, ": vector truncated after 0 of 1 entries"),
+            ("binary", b"1 1\nhi \x00\x00\x80\x3f\nyo \x00\x00\x00\x40\n", 1,
              ": byte 12 follows the header's 1 entries"),
-            ("binary", b"1 1\nhi \x00\x00\x80\x3f\n\n\x00", 1, MalformedLine, ": byte 13 follows the header's 1 entries"),
+            ("binary", b"1 1\nhi \x00\x00\x80\x3f\n\n\x00", 1, ": byte 13 follows the header's 1 entries"),
             # the width is checked at the header, before a malformed first entry, and with no entries
-            ("text", b"1 2\nhi 0.5 abc\n", 3, DimensionMismatch, ":1: vectors are 2-dimensional, expected 3"),
-            ("binary", b"1 2\nhi", 3, DimensionMismatch, ":1: vectors are 2-dimensional, expected 3"),
-            ("text", b"0 2\n", 3, DimensionMismatch, ":1: vectors are 2-dimensional, expected 3"),
-            ("binary", b"0 2\n", 3, DimensionMismatch, ":1: vectors are 2-dimensional, expected 3"),
+            ("text", b"1 2\nhi 0.5 abc\n", 3, ":1: vectors are 2-dimensional, expected 3"),
+            ("binary", b"1 2\nhi", 3, ":1: vectors are 2-dimensional, expected 3"),
+            ("text", b"0 2\n", 3, ":1: vectors are 2-dimensional, expected 3"),
+            ("binary", b"0 2\n", 3, ":1: vectors are 2-dimensional, expected 3"),
         ],
         ids=["text-empty", "text-header", "text-header-fields", "text-truncated", "text-short-entry", "text-non-numeric",
              "text-underscore", "text-tab", "text-arabic-digit", "text-extra-entry",
@@ -412,14 +409,13 @@ class TestLoadWord2vec:
              "binary-extra-entry", "binary-extra-byte",
              "text-width-before-entry", "binary-width-before-entry", "text-width-no-entries", "binary-width-no-entries"],
     )
-    def test_errors_name_file_and_line(self, tmp_path, fmt, content, dim, error, where):
+    def test_errors_name_file_and_line(self, tmp_path, fmt, content, dim, where):
         # every entry is checked, whether its word is kept or not
         path = tmp_path / "vecs"
         path.write_bytes(content)
         for words in (set(), {"hi", "yo", "hello"}):
-            with pytest.raises(error) as err:
+            with pytest.raises(EmocapsError, match="^" + re.escape(f"{path}{where}")):
                 load_word2vec(path, fmt, words, dim)
-            assert str(err.value).startswith(f"{path}{where}")
 
     @pytest.mark.parametrize("fmt", ["text", "binary"])
     @pytest.mark.parametrize("header", ["0_2 \u0663", "+2 3", "2 \uff13", " 2 3_0", "2 -3"],
@@ -433,7 +429,7 @@ class TestLoadWord2vec:
         else:
             path.write_text(f"{header}\nhi 1 2 3\nyo 4 5 6\n", encoding="utf-8")
         says = "invalid header values" if header == "2 -3" else "non-integer header fields"
-        with pytest.raises(MalformedHeader, match="^" + re.escape(f"{path}:1: {says}: {header!r}") + "$"):
+        with pytest.raises(EmocapsError, match="^" + re.escape(f"{path}:1: {says}: {header!r}") + "$"):
             load_word2vec(path, fmt, {"hi"}, 3)
 
     @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-Infinity", "1e39", "-3.5e38"])
@@ -443,7 +439,7 @@ class TestLoadWord2vec:
         path = tmp_path / "vecs.txt"
         path.write_text(f"3 2\nhi 1 2\ncat 0.5 {value}\nyo 3 4\n", encoding="utf-8")
         for words in (set(), {"hi", "cat"}):
-            with pytest.raises(MalformedLine, match="^" + re.escape(f"{path}:3: entry 'cat' has a non-finite value {value!r}") + "$"):
+            with pytest.raises(EmocapsError, match="^" + re.escape(f"{path}:3: entry 'cat' has a non-finite value {value!r}") + "$"):
                 load_word2vec(path, "text", words, 2)
 
     def test_text_float32_extremes_load(self, tmp_path):
@@ -486,7 +482,7 @@ class TestLoadWord2vec:
         where = f":{300_000 + 3}: a line" if fmt == "text" else f": byte {start + 300_000}"
         tracemalloc.start()
         try:
-            with pytest.raises(MalformedLine, match="^" + re.escape(f"{path}{where} follows the header's 1 entries") + "$"):
+            with pytest.raises(EmocapsError, match="^" + re.escape(f"{path}{where} follows the header's 1 entries") + "$"):
                 load_word2vec(path, fmt, {"hi"}, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -498,7 +494,7 @@ class TestLoadWord2vec:
         path = tmp_path / "vecs.bin"
         write_binary_fixture(path, [("hi", [1.0, 2.0]), ("cat", [bad, 0.5]), ("yo", [3.0, 4.0])], 2)
         for words in (set(), {"hi", "cat"}):
-            with pytest.raises(MalformedLine, match="^" + re.escape(f"{path}: entry 2 of 3: word 'cat' has a non-finite value") + "$"):
+            with pytest.raises(EmocapsError, match="^" + re.escape(f"{path}: entry 2 of 3: word 'cat' has a non-finite value") + "$"):
                 load_word2vec(path, "binary", words, 2)
 
     @pytest.mark.parametrize("fmt", ["text", "binary"])
@@ -552,7 +548,7 @@ class TestLoadWord2vec:
         # two Latin-1 words that a lenient decode would both read as "caf\ufffd"
         path = tmp_path / "vecs.bin"
         write_binary_fixture(path, [("café", [1.0]), (b"caf\xe9", [2.0]), (b"caf\xe8", [3.0])], 1)
-        with pytest.raises(MalformedLine, match=(
+        with pytest.raises(EmocapsError, match=(
                 "^" + re.escape(f"{path}: entry 2 of 3: word b'caf\\xe9' is not UTF-8 (unexpected end of data)") + "$")):
             load_word2vec(path, "binary", {"café"}, 1)
 
@@ -561,19 +557,19 @@ class TestLoadWord2vec:
         write_binary_fixture(path, self.ENTRIES, 3)
         data = path.read_bytes()
         path.write_bytes(data[:-5])  # cut into the last vector
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(EmocapsError, match="vector truncated after 1 of 2 entries"):
             load_word2vec(path, "binary", {"hi", "yo"}, 3)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("not a header\nhi 0.5\n", encoding="utf-8")
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(EmocapsError, match="expected 'count dim', got 'not a header'"):
             load_word2vec(path, "text", {"hi"}, 1)
 
     def test_text_dimension_mismatch(self, tmp_path):
         path = tmp_path / "vecs.txt"
         path.write_text("1 3\nhi 0.5 -0.5\n", encoding="utf-8")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(EmocapsError, match="entry 'hi' has 2 values, expected 3"):
             load_word2vec(path, "text", {"hi"}, 3)
 
     def test_unknown_format_is_refused(self, tmp_path):
@@ -645,9 +641,9 @@ class TestEmbed:
 
     def test_id_out_of_range(self):
         table = self.make_table(rows=4)
-        with pytest.raises(IdOutOfRange):
+        with pytest.raises(EmocapsError, match=r"ids must lie in \[0, 4\), got \[4\]"):
             embed([4], table)
-        with pytest.raises(IdOutOfRange):
+        with pytest.raises(EmocapsError, match=r"ids must lie in \[0, 4\), got \[-1\]"):
             embed([-1], table)
 
     def test_repeated_id_gradient_accumulates(self):
@@ -708,7 +704,7 @@ class TestRowGrad:
 
     @pytest.mark.parametrize("ids", [[4], [-1], [0, 7]])
     def test_ids_checked_against_vocab_size(self, ids):
-        with pytest.raises(IdOutOfRange):
+        with pytest.raises(EmocapsError, match=r"ids must lie in \[0, 4\)"):
             embed_backward(ids, np.ones((len(ids), 2)), vocab_size=4)
 
     def test_out_of_range_message_lists_only_the_bad_ids(self):
@@ -716,7 +712,7 @@ class TestRowGrad:
         not the whole chunk."""
         ids = [1, 2, 3] * 170 + [9, -1]
         table = EmbeddingTable(weights=np.zeros((4, 2)))
-        with pytest.raises(IdOutOfRange, match=r"^ids must lie in \[0, 4\), got \[-1, 9\]$"):
+        with pytest.raises(EmocapsError, match=r"^ids must lie in \[0, 4\), got \[-1, 9\]$"):
             embed(ids + [9], table)
-        with pytest.raises(IdOutOfRange, match=r"^ids must lie in \[0, 4\), got \[-1, 9\]$"):
+        with pytest.raises(EmocapsError, match=r"^ids must lie in \[0, 4\), got \[-1, 9\]$"):
             embed_backward(ids, np.ones((len(ids), 2)), vocab_size=4)

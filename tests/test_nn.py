@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gru_oracle as oracle
-from emocaps.errors import ShapeMismatch
+from emocaps.errors import EmocapsError
 from gradcheck import finite_diff_check
 from emocaps.nn import (
     N_CLASSES,
@@ -215,14 +215,14 @@ class TestGruCell:
 
     def test_shape_mismatch(self):
         p = init_gru(3, 2, np.random.default_rng(0))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EmocapsError, match="input width 4 vs GRU input 3"):
             bigru_forward(np.zeros((2, 4)), [2], p)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EmocapsError, match="lengths sum to 3, input has 2 rows"):
             bigru_forward(np.zeros((2, 3)), [1, 2], p)
         _, cache = bigru_forward(np.zeros((2, 3)), [2], p, keep_cache=True)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EmocapsError, match=r"grad_H \(2, 3\) vs bigru output \(2, 4\)"):
             bigru_backward(np.zeros((2, 3)), cache, p)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EmocapsError, match=r"grad_H \(3, 4\) vs bigru output"):
             bigru_backward(np.zeros((3, 4)), cache, p)
         _, cache = bigru_forward(np.zeros((2, 3)), [1, 1], p)
         assert cache is None  # only a training chunk keeps its step stacks
@@ -339,11 +339,11 @@ class TestBigru:
 
     def test_empty_sequence_rejected(self):
         p = init_gru(3, 2, np.random.default_rng(0))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EmocapsError, match=r"at least one position, got input \(0, 3\)"):
             bigru_forward(np.zeros((0, 3)), [0], p)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EmocapsError, match=r"at least one position, got input \(2, 3\)"):
             bigru_forward(np.zeros((2, 3)), [2, 0], p)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EmocapsError, match=r"at least one position, got input \(0, 3\)"):
             bigru_forward(np.zeros((0, 3)), [], p)
 
     def test_reversal_symmetry(self):
@@ -408,11 +408,11 @@ class TestDenseSoftmax:
 
     def test_shape_mismatch(self):
         p = DenseParams(W=np.zeros((4, N_CLASSES)), b=np.zeros(N_CLASSES))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EmocapsError, match=r"input \(5,\) vs dense \(4, 6\)"):
             dense_forward(np.zeros(5), p)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EmocapsError, match=r"grad_logits \(6,\) vs \(1, 6\)"):
             dense_backward(np.zeros(N_CLASSES), np.zeros((1, 4)), p)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EmocapsError, match=r"grad_logits \(2, 6\) vs \(1, 6\)"):
             dense_backward(np.zeros((2, N_CLASSES)), np.zeros((1, 4)), p)
 
 

@@ -8,16 +8,7 @@ import pytest
 
 import emocaps.training as training
 from emocaps.embeddings import EmbeddingTable, Vocabulary, build_embedding
-from emocaps.errors import (
-    DimensionMismatch,
-    EmptyDataset,
-    EmptySequence,
-    IdOutOfRange,
-    LabelOutOfRange,
-    MalformedHeader,
-    NumericError,
-    ShapeMismatch,
-)
+from emocaps.errors import EmocapsError, NumericError
 from emocaps.nn import N_CLASSES, dense_forward, softmax
 from emocaps.training import (
     PAD_ID,
@@ -100,9 +91,9 @@ class TestCrossEntropy:
         assert loss == pytest.approx(-math.log(1e-12))
 
     def test_label_out_of_range(self):
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(EmocapsError, match=r"gold class \[6\] outside 0..5"):
             cross_entropy_loss(np.full((2, N_CLASSES), 1 / 6), [0, 6])
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EmocapsError, match=r"\(1,\) gold classes for probabilities \(2, 6\)"):
             cross_entropy_loss(np.full((2, N_CLASSES), 1 / 6), [0])
 
 
@@ -212,13 +203,13 @@ class TestAdam:
         theta, state = setup()
         adam_step(theta, {"t": np.ones((4, 2))}, state, cfg)
         assert np.all(theta["t"] != 0.0)
-        for grad in [
-            {"t": np.ones((4, 3))},  # wrong width
-            {"t": np.ones((2, 2))},  # fewer rows than the tensor
-            {"other": np.ones((4, 2))},  # wrong key
+        for grad, says in [
+            ({"t": np.ones((4, 3))}, r"t: gradient \(4, 3\), expected \(4, 2\)"),  # wrong width
+            ({"t": np.ones((2, 2))}, r"t: gradient \(2, 2\), expected \(4, 2\)"),  # fewer rows than the tensor
+            ({"other": np.ones((4, 2))}, "gradient keys do not match parameter keys"),  # wrong key
         ]:
             theta, state = setup()
-            with pytest.raises(ShapeMismatch):
+            with pytest.raises(EmocapsError, match=says):
                 adam_step(theta, grad, state, cfg)
             assert state.t == 0 and np.all(theta["t"] == 0.0)
 
@@ -226,9 +217,9 @@ class TestAdam:
         cfg = TrainConfig()
         theta = {"t": np.zeros(2)}
         state = AdamState(m={"t": np.zeros(2)}, v={"t": np.zeros(2)})
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EmocapsError, match="gradient keys do not match parameter keys"):
             adam_step(theta, {"other": np.zeros(2)}, state, cfg)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EmocapsError, match=r"t: gradient \(3,\), expected \(2,\)"):
             adam_step(theta, {"t": np.zeros(3)}, state, cfg)
 
 
@@ -378,9 +369,9 @@ class TestForwardFull:
     def test_empty_sequence_rejected(self):
         cfg = tiny_config()
         _, params = tiny_model(cfg)
-        with pytest.raises(EmptySequence):
+        with pytest.raises(EmocapsError, match="no sequences to classify"):
             forward_full([], params, cfg)
-        with pytest.raises(EmptySequence):
+        with pytest.raises(EmocapsError, match="cannot classify an empty token sequence"):
             forward_full([[1], []], params, cfg)
 
     def test_training_pass_needs_one_stream_per_sequence(self):
@@ -402,7 +393,7 @@ class TestForwardFull:
         _, params = tiny_model(cfg)
         calls = []
         monkeypatch.setattr(training, "forward_full", lambda *a, **k: calls.append(a))
-        with pytest.raises(EmptySequence, match=r"^sequence 2 is empty"):
+        with pytest.raises(EmocapsError, match=r"^sequence 2 is empty"):
             training.predict_dataset([[1, 2], [3], [], [1]], params, cfg)
         assert calls == []
 
@@ -497,7 +488,7 @@ class TestModelParams:
         _, params = tiny_model(tiny_config())
         tensors = params.tensors()
         tensors["gru/W_h"] = cut(tensors["gru/W_h"])
-        with pytest.raises(MalformedHeader, match=r"^here: tensor gru/W_h has shape \("):
+        with pytest.raises(EmocapsError, match=r"^here: tensor gru/W_h has shape \("):
             ModelParams.from_tensors(tensors, "here")
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -539,7 +530,7 @@ class TestModelParams:
         cfg = tiny_config()
         vocab = Vocabulary.build([["alpha"]])
         table = build_embedding(vocab, {}, cfg.embed_dim + 1, cfg.seed)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(EmocapsError, match="embedding table is 9-dimensional, config says 8"):
             init_model(cfg, table)
 
     def test_config_validation(self):
@@ -811,7 +802,7 @@ class TestTrainLoop:
         before = {k: t.copy() for k, t in params.tensors().items()}
         calls = []
         monkeypatch.setattr(training, "forward_full", lambda *a, **k: calls.append(a))
-        with pytest.raises(IdOutOfRange, match=rf"^train dataset holds ids outside \[0, {size}\): \[{bad}\]$"):
+        with pytest.raises(EmocapsError, match=rf"^train dataset holds ids outside \[0, {size}\): \[{bad}\]$"):
             train(data, data, params, cfg)
         assert calls == []
         for k, t in params.tensors().items():
@@ -828,7 +819,7 @@ class TestTrainLoop:
         calls = []
         step = training.adam_step
         monkeypatch.setattr(training, "adam_step", lambda *a: calls.append(a) or step(*a))
-        with pytest.raises(IdOutOfRange, match=rf"^dev dataset holds ids outside \[0, {size}\): \[-2, {size}\]$"):
+        with pytest.raises(EmocapsError, match=rf"^dev dataset holds ids outside \[0, {size}\): \[-2, {size}\]$"):
             train(data, dev, params, cfg)
         assert calls == []
         for k, t in params.tensors().items():
@@ -847,7 +838,7 @@ class TestTrainLoop:
         calls = []
         step = training.adam_step
         monkeypatch.setattr(training, "adam_step", lambda *a: calls.append(a) or step(*a))
-        with pytest.raises(EmptySequence, match=rf"^{name} dataset example {victim} is empty: "):
+        with pytest.raises(EmocapsError, match=rf"^{name} dataset example {victim} is empty: "):
             train(data, dev, params, cfg)
         assert calls == []
         for k, t in params.tensors().items():
@@ -856,15 +847,15 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self, toy_examples):
         cfg, vocab, params = toy_setup(toy_examples)
         data = encode_examples(toy_examples, vocab)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(EmocapsError, match="train dataset is empty"):
             train([], data, params, cfg)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(EmocapsError, match="dev dataset is empty"):
             train(data, [], params, cfg)
 
     def test_bad_label_rejected(self, toy_examples):
         cfg, vocab, params = toy_setup(toy_examples)
         data = encode_examples(toy_examples, vocab)
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(EmocapsError, match="label 6 outside 0..5 in train dataset"):
             train(data + [([2], 6)], data, params, cfg)
 
     def test_full_gradient_with_example_helper(self):
