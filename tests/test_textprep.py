@@ -6,6 +6,7 @@ import math
 import random
 import re
 import tracemalloc
+import unicodedata
 from bisect import bisect_left
 from collections import Counter
 from types import MappingProxyType, SimpleNamespace
@@ -123,6 +124,20 @@ class TestTokenize:
             toks = tokenize(raw)
             again = tokenize(" ".join(surfaces(toks)))
             assert kinds(again) == kinds(toks), raw
+
+    @pytest.mark.parametrize("raw, expected", [
+        ("3:30 amazing day", ["3:30", "amazing", "day"]),
+        ("12:00 pmx", ["12:00", "pmx"]),
+        ("3:30 amé", ["3:30", "amé"]),
+        ("7 amé", ["7", "amé"]),
+        ("7 AMAZING", ["7", "AMAZING"]),
+    ])
+    def test_meridiem_takes_no_letters_of_the_next_word(self, raw, expected):
+        assert surfaces(tokenize(raw)) == expected
+
+    @pytest.mark.parametrize("raw", ["10 PM", "3:30PM", "10 pm", "7 Am", "11:05:59 pM"])
+    def test_meridiem_of_either_case_is_a_time(self, raw):
+        assert [(t.surface, t.kind) for t in tokenize(raw)] == [(raw, TokenKind.TIME)]
 
 
 class TestNormalize:
@@ -863,6 +878,12 @@ class TestPreprocess:
         raw = CORPUS[1]
         assert preprocess(raw, SEG_LEXICON) == preprocess(raw, SEG_LEXICON)
 
+    def test_combining_accents_compose_first(self):
+        composed = "café olé"
+        decomposed = unicodedata.normalize("NFD", composed)
+        assert decomposed != composed
+        assert preprocess(decomposed, GOLDEN_LEXICON) == preprocess(composed, GOLDEN_LEXICON) == ["café", "olé"]
+
 
 # Preprocessing golden: seeded raw tweets over a lexicon with accented words.
 # The digests were recorded from the tuple-building segmentation and the
@@ -943,3 +964,66 @@ class TestGolden:
     def test_tokenize_fields_unchanged(self):
         rows = [[[token.surface, token.kind.value] for token in tokenize(raw)] for raw in golden_tweets()]
         assert sha256_json(rows) == GOLDEN_TOKENIZE_SHA256
+
+
+# The tokenizer without its two shortcuts (the non-space lookahead and the
+# `PLAIN` alternative): the group table alone.
+TABLE_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in textprep._COMPONENTS))
+
+
+def table_tokens(raw):
+    return [(m.group(), TokenKind[m.lastgroup]) for m in TABLE_RE.finditer(raw)]
+
+
+LETTER_EMOTICONS = [e for e in textprep.EMOTICONS if re.match(textprep._L, e)]
+# What a letter run can meet: letter-initial emoticons, every follower that
+# `PLAIN` must refuse or accept, digits (an Arabic-Indic one too), accented
+# and upper-case letters, a combining mark, odd whitespace and fragments of
+# URLs, acronyms, e-mail addresses and the placeholder.
+ORACLE_ALPHABET = (
+    LETTER_EMOTICONS
+    + list(",!?;.:'’-*_@+#")
+    + list("0123456789٣")
+    + list("abcdmpwxyzDPTOBXé") + ["É", "Ü", "\u0301"]
+    + [" ", " ", " ", "\u00a0", "\u2028", "\t", "\n"]
+    + ["http://", "www.", "a.b.", "x@y.z", TARGETWORD_PLACEHOLDER]
+)
+
+
+class TestPlainAlternative:
+    """The shortcuts are not rules: the table alone gives the same tokens.
+    It is compiled from the module's own `_COMPONENTS`, so both sides match
+    times with the same pattern."""
+
+    def test_guard_covers_every_letter_initial_emoticon(self):
+        for emoticon in LETTER_EMOTICONS:
+            assert [(t.surface, t.kind) for t in tokenize(emoticon + " ok")] == [
+                (emoticon, TokenKind.EMOTICON), ("ok", TokenKind.WORD)]
+
+    @pytest.mark.parametrize("raw", ["word", "wórd ok", "Hi, there! ok? yes;"])
+    def test_plain_runs_take_the_fast_alternative(self, raw):
+        groups = {m.lastgroup for m in textprep._TOKEN_RE.finditer(raw)}
+        assert groups <= {"PLAIN", "PUNCT"} and "PLAIN" in groups
+
+    @pytest.mark.parametrize("raw", ["www.x.io", "http://x", "xD", "D: no", "a.b. x", "x.y@z.org",
+                                     "don't", "well-known", "s**t", "ab_c@d.io", "abc1@d.io", "x+y@z.io"])
+    def test_other_followers_leave_the_run_to_the_table(self, raw):
+        assert textprep._TOKEN_RE.match(raw).lastgroup != "PLAIN"
+        assert [(t.surface, t.kind) for t in tokenize(raw)] == table_tokens(raw)
+
+    def test_random_strings_match_the_table(self):
+        rng = random.Random(7)
+        for _ in range(100_000):
+            raw = "".join(rng.choices(ORACLE_ALPHABET, k=rng.randint(1, 12)))
+            assert [(t.surface, t.kind) for t in tokenize(raw)] == table_tokens(raw), raw
+
+    def test_golden_corpus_matches_the_table(self):
+        for raw in golden_tweets():
+            assert [(t.surface, t.kind) for t in tokenize(raw)] == table_tokens(raw), raw
+
+    def test_tokens_are_plain_named_tuples(self):
+        token = tokenize("Hi")[0]
+        assert type(token) is textprep.Token and token == ("Hi", TokenKind.WORD) and token.surface == "Hi"
+        tagged = normalize(tokenize("@Hi Hi"))
+        assert [type(t) for t in tagged] == [textprep.Token] * 2
+        assert tagged == [("<user>", TokenKind.USER), ("hi", TokenKind.WORD)]
