@@ -1,5 +1,5 @@
-"""Numeric core: softmax, parameter initialization, the bidirectional GRU
-encoder and the dense head.
+"""Numeric core: softmax, parameter initialization and the bidirectional GRU
+encoder.
 
 All backward passes are written by hand against the forward definitions; a
 finite-difference gradient checker in the tests keeps them honest.
@@ -266,29 +266,6 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
     grad_X = np.matmul(dA[:, 0], p.W_i[0].T)
     grad_X += np.matmul(dA[:, 1], p.W_i[1].T)
     return grad_X, GruParams(W_i=np.matmul(cache.X.T, dA.transpose(1, 0, 2)), W_h=grad_W_h, b=b)
-
-
-@dataclass
-class DenseParams:
-    W: np.ndarray  # (input_dim, N_CLASSES)
-    b: np.ndarray  # (N_CLASSES,)
-
-
-def dense_forward(c: np.ndarray, p: DenseParams) -> np.ndarray:
-    """Affine map to the class logits, c @ W + b, for one input row or a
-    (B, input_dim) batch; softmax is a separate step."""
-    if c.ndim not in (1, 2) or c.shape[-1] != p.W.shape[0]:
-        raise EmocapsError(f"input {c.shape} vs dense {p.W.shape}")
-    return c @ p.W + p.b
-
-
-def dense_backward(grad_logits: np.ndarray, c: np.ndarray, p: DenseParams):
-    """Gradient of the affine layer given dL/dlogits of a (B, input_dim)
-    batch; returns (grad_c, gW, gb), the weight gradients summed over the
-    batch."""
-    if grad_logits.shape != (len(c), N_CLASSES):
-        raise EmocapsError(f"grad_logits {grad_logits.shape} vs ({len(c)}, {N_CLASSES})")
-    return grad_logits @ p.W.T, c.T @ grad_logits, grad_logits.sum(axis=0)
 
 
 # a function of its own so that perfbench/test_smoke.py can replace it and see the predict check fail

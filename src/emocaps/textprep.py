@@ -5,8 +5,12 @@ The tokenizer is a single alternation of named regex groups, tried left to
 right at each position. Order matters: the target-word placeholder must win
 over everything, URLs must win over emoticons (``http://`` contains ``:/``),
 dates must win over phone numbers, and the single-character catch-all must
-come last so that no non-whitespace character is ever dropped. Two
-shortcuts give the table's tokens faster. A position at whitespace fails
+come last so that no non-whitespace character is ever dropped. A letter
+is a `str.isalpha` character, which a combining mark may follow inside
+its run; the patterns see a text that is not ASCII with each mark, and
+each numeric character that is not a digit, replaced by one stand-in of
+its class from a committed Unicode table. Two shortcuts give the table's
+tokens faster. A position at whitespace fails
 one lookahead for a non-space character, since no alternative starts
 there. And one fast alternative, `PLAIN`, is tried before the table: a
 run of letters that ends at whitespace, at the end of the text or before
@@ -58,45 +62,69 @@ _OOV_LEN_PENALTY = 3.0  # per-character log-prob penalty for out-of-lexicon word
 _INDEX_BLOCK = 1024  # words per numpy pass when the letter index is built
 
 
+def _data_lines(name: str) -> list[str]:
+    """The stripped lines of the package's data/`name`, blank and `#` ones left out."""
+    text = (resources.files("emocaps") / "data" / name).read_text("utf-8")
+    return [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
+
+
 def _load_emoticons() -> list[str]:
-    text = (resources.files("emocaps") / "data" / "emoticons.txt").read_text("utf-8")
-    entries = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            entries.append(line)
     # longest first so ":))" beats ":)" at the same position
-    return sorted(set(entries), key=len, reverse=True)
+    return sorted(set(_data_lines("emoticons.txt")), key=len, reverse=True)
 
 
 EMOTICONS = _load_emoticons()
 
-# Letters including accented ones, but not digits or underscore.
-_L = r"[^\W\d_]"
+# The tokenizer reads a text with each combining mark as `_MARK` and each
+# numeric character that is not a decimal digit (½, ², Ⅻ) as `_NUMERIC`,
+# so that each class is one character of its patterns.
+_MARK, _NUMERIC = "\u0301", "\u00b2"
+
+
+def _load_classes() -> dict[int, str]:
+    """The `str.translate` table of data/unicode_classes.txt: every code
+    point of an M range to `_MARK`, of an N range to `_NUMERIC`."""
+    table: dict[int, str] = {}
+    as_class = {"M": _MARK, "N": _NUMERIC}
+    for line in _data_lines("unicode_classes.txt"):
+        span, kind = line.split()
+        first, last = span.split("..")
+        table.update(dict.fromkeys(range(int(first, 16), int(last, 16) + 1), as_class[kind]))
+    return table
+
+
+_CLASSES = _load_classes()
+
+# A letter (`str.isalpha`): \w without digits, underscore and `_NUMERIC`.
+_L = r"[^\W\d_" + _NUMERIC + "]"
+# A run of letters, or of \w, that a mark continues but does not start.
+_RUN = _L + "+(?:" + _MARK + _L + "*)*"
+_W_RUN = r"\w+(?:" + _MARK + r"\w*)*"
+_NO_RUN = "(?!" + _L + "|" + _MARK + ")"  # no letter or mark follows
 
 _COMPONENTS = [
     ("TARGETWORD", re.escape(TARGETWORD_PLACEHOLDER)),
     ("URL", r"https?://\S+|www\.\S+"),
     ("EMAIL", r"[\w.+-]+@[\w-]+(?:\.[\w-]+)+"),
-    ("USER", r"@\w+"),
-    ("HASHTAG", r"\#+\w+"),
+    ("USER", "@" + _W_RUN),
+    ("HASHTAG", r"\#+" + _W_RUN),
     ("EMOTICON", "|".join(re.escape(e) for e in EMOTICONS)),
     ("DATE", r"\d{4}-\d{1,2}-\d{1,2}|\d{1,2}[/-]\d{1,2}(?:[/-]\d{2,4})?"),
-    ("TIME", r"\d{1,2}:\d{2}(?::\d{2})?(?:\s?[aApP][mM](?!" + _L + r"))?|\d{1,2}\s?[aApP][mM](?!" + _L + ")"),
+    ("TIME", r"\d{1,2}:\d{2}(?::\d{2})?(?:\s?[aApP][mM]" + _NO_RUN + r")?|\d{1,2}\s?[aApP][mM]" + _NO_RUN),
     ("MONEY", r"[$£€]\s?\d+(?:[.,]\d+)*|\d+(?:[.,]\d+)*\s?[$£€]"),
     ("PHONE", r"(?:\+?\d{1,2}[\s.-])?(?:\(?\d{3}\)?[\s.-])?\d{3}[\s.-]\d{4}"),
     ("ACRONYM", r"(?:[A-Za-z]\.){2,}"),
-    ("CENSORED", _L + r"+(?:\*+" + _L + r"+)+"),
-    ("EMPHASIS", r"\*+" + _L + r"+(?:['’-]" + _L + r"+)*\*+"),
+    ("CENSORED", _RUN + r"(?:\*+" + _RUN + ")+"),
+    ("EMPHASIS", r"\*+" + _RUN + "(?:['’-]" + _RUN + r")*\*+"),
     ("NUMBER", r"[+-]?\d+(?:[.,]\d+)*(?:st|nd|rd|th)?"),
-    ("WORD", _L + r"+(?:['’-]" + _L + r"+)*"),
+    ("WORD", _RUN + "(?:['’-]" + _RUN + ")*"),
     ("PUNCT", r"[.?!,;:]{2,}|\S"),
 ]
 
 # A run of letters that no group above `WORD` can claim: it does not start
 # a letter-initial emoticon, and what follows it can extend no URL (`www.`,
 # `http:`), acronym, e-mail address (`. _ + @`, digits), emoticon (`D:`),
-# word (`' ’ -`) or censored word (`*`).
+# word (`' ’ -`, a mark) or censored word (`*`).
 _PLAIN = ("(?!" + "|".join(re.escape(e) for e in EMOTICONS if re.match(_L, e)) + ")"
           + _L + r"+(?![^\s,!?;])")
 
@@ -130,10 +158,16 @@ def tokenize(raw: str) -> list[Token]:
     """Split raw tweet text into typed tokens.
 
     Total over any input: every non-whitespace character lands in exactly one
-    token (the final single-character catch-all guarantees coverage).
+    token (the final single-character catch-all guarantees coverage). The
+    patterns run over the text with its marks and numeric characters read
+    as `_MARK` and `_NUMERIC`, which an ASCII text holds none of; each
+    token's surface is the raw text's.
     """
     new, kind_of = tuple.__new__, _KIND_OF_GROUP
-    return [new(Token, (match.group(), kind_of[match.lastgroup])) for match in _TOKEN_RE.finditer(raw)]
+    if raw.isascii():
+        return [new(Token, (match.group(), kind_of[match.lastgroup])) for match in _TOKEN_RE.finditer(raw)]
+    return [new(Token, (raw[match.start() : match.end()], kind_of[match.lastgroup]))
+            for match in _TOKEN_RE.finditer(raw.translate(_CLASSES))]
 
 
 def normalize(tokens: list[Token]) -> list[Token]:

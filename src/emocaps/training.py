@@ -36,12 +36,9 @@ from .evaluation import confusion, metrics
 from .nn import (
     N_CLASSES,
     BigruCache,
-    DenseParams,
     GruParams,
     bigru_backward,
     bigru_forward,
-    dense_backward,
-    dense_forward,
     glorot_uniform,
     init_gru,
     predict_class,
@@ -100,7 +97,8 @@ class ModelParams:
     embedding: EmbeddingTable
     gru: GruParams
     capsule: np.ndarray  # (J, 2h, d_out) one transform per output capsule
-    dense: DenseParams
+    dense_W: np.ndarray  # (J * d_out, N_CLASSES) the head's weights
+    dense_b: np.ndarray  # (N_CLASSES,) the head's bias
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Flat name -> the model's own array of every trainable tensor, fixed order."""
@@ -108,8 +106,8 @@ class ModelParams:
             "embedding/W_e": self.embedding.weights,
             **{f"gru/{f.name}": getattr(self.gru, f.name) for f in fields(GruParams)},
             "capsule/W": self.capsule,
-            "dense/W": self.dense.W,
-            "dense/b": self.dense.b,
+            "dense/W": self.dense_W,
+            "dense/b": self.dense_b,
         }
 
     @classmethod
@@ -141,7 +139,8 @@ class ModelParams:
             embedding=EmbeddingTable(weights=tensors["embedding/W_e"]),
             gru=GruParams(**{f.name: tensors[f"gru/{f.name}"] for f in fields(GruParams)}),
             capsule=tensors["capsule/W"],
-            dense=DenseParams(W=tensors["dense/W"], b=tensors["dense/b"]),
+            dense_W=tensors["dense/W"],
+            dense_b=tensors["dense/b"],
         )
 
 
@@ -155,7 +154,8 @@ def init_model(cfg: TrainConfig, embedding: EmbeddingTable) -> ModelParams:
         embedding=embedding,
         gru=init_gru(cfg.embed_dim, cfg.hidden_dim, rng),
         capsule=glorot_uniform((cfg.num_capsules, 2 * cfg.hidden_dim, cfg.capsule_dim), rng),
-        dense=DenseParams(W=glorot_uniform((cfg.num_capsules * cfg.capsule_dim, N_CLASSES), rng), b=np.zeros(N_CLASSES)),
+        dense_W=glorot_uniform((cfg.num_capsules * cfg.capsule_dim, N_CLASSES), rng),
+        dense_b=np.zeros(N_CLASSES),
     )
 
 
@@ -304,7 +304,7 @@ def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rngs=None)
     H, bigru_cache = bigru_forward(X, lengths, params.gru, keep_cache=rngs is not None)
     c, caps_cache = capsule_layer(H, lengths, params.capsule, cfg.routing_iters)
     c, drop_mask = _regularize(c, [1] * len(c), rngs, cfg.capsule_dropout, cfg.noise_std)
-    probs = softmax(dense_forward(c, params.dense))
+    probs = softmax(c @ params.dense_W + params.dense_b)
     if rngs is None:
         return probs, None
     return probs, ForwardCache(ids, lengths, spatial_mask, bigru_cache, caps_cache, drop_mask, c)
@@ -324,9 +324,9 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
     ValueError."""
     if cache.capsule is None:
         raise ValueError("this forward cache has already been backpropagated")
-    grad_c, gW_dense, gb_dense = dense_backward(grad_logits, cache.c, params.dense)
-    grads["dense/W"] += gW_dense
-    grads["dense/b"] += gb_dense
+    grads["dense/W"] += cache.c.T @ grad_logits
+    grads["dense/b"] += grad_logits.sum(axis=0)
+    grad_c = grad_logits @ params.dense_W.T
     grad_H_and_W = list(capsule_layer_backward(grad_c * cache.drop_mask, cache.capsule, params.capsule))
     grads["capsule/W"] += grad_H_and_W.pop()
     cache.capsule = None

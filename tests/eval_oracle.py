@@ -23,7 +23,7 @@ from emocaps.capsule import squash
 from emocaps.embeddings import embed
 from emocaps.errors import EmocapsError
 from emocaps.evaluation import LABELS
-from emocaps.nn import GruParams, dense_forward, softmax
+from emocaps.nn import GruParams, softmax
 from gru_oracle import sigmoid
 
 
@@ -69,7 +69,7 @@ def forward_probs(ids, params, cfg) -> np.ndarray:
     H = bigru_forward(embed(ids, params.embedding), params.gru)
     U = np.einsum("nd,jdo->njo", H, params.capsule)
     _, _, V = dynamic_routing(U, cfg.routing_iters)[-1]
-    return softmax(dense_forward(V.reshape(-1), params.dense))
+    return softmax(V.reshape(-1) @ params.dense_W + params.dense_b)
 
 
 def label(row: np.ndarray) -> int:

@@ -2,10 +2,14 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import re
 import shlex
+import shutil
 import subprocess
 import sys
+import warnings
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -1801,3 +1805,119 @@ def test_a_bag_of_words_cannot_read_words_training_never_saw(tmp_path):
                                for name in ("train", "test"))
     score = macro_f1(test_split, bag_of_words_labels(train_split, test_split))
     assert score < 0.30, score
+
+
+# Bytes an insertion puts in: separators, line ends, numbers that do not
+# fit, JSON punctuation, and bytes that are not UTF-8.
+FUZZ_INSERTS = [b"\t", b"\n", b"\r\n", b" ", b"0", b"-1", b"1e999", b"nan", b"\xff", b"\x00", b'"', b"{", b"]", b",",
+                b"\xc3"]
+FUZZ_CASES_PER_INPUT = 300  # 7-11 s in all on a shared 2-vCPU Xeon
+
+
+def mutate(data: bytes, rng) -> bytes:
+    """`data` after one byte flip, cut, insertion or line edit."""
+    at = rng.randrange(len(data) + 1)
+    kind = rng.choice(["flip", "cut", "insert", "line"]) if data else "insert"
+    if kind == "flip":
+        at = min(at, len(data) - 1)
+        return data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1 :]
+    if kind == "cut":  # the end, or a span of up to 16 bytes
+        return data[:at] if rng.random() < 0.5 else data[:at] + data[at + rng.randint(1, 16) :]
+    if kind == "insert":
+        return data[:at] + rng.choice(FUZZ_INSERTS) + data[at:]
+    lines = data.split(b"\n")
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    edit = rng.choice(["drop", "repeat", "swap", "blank"])
+    if edit == "drop":
+        del lines[i]
+    elif edit == "repeat":
+        lines.insert(i, lines[j])
+    elif edit == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines[i] = b""
+    return b"\n".join(lines)
+
+
+def fuzz_inputs(workspace, root):
+    """The fuzz guard's eight inputs, a labeled file under two commands, by
+    name: (the file to mutate, the files copied beside it, the argv that
+    reads the mutant given the case directory, the outputs it writes)."""
+    ws, lexicon, vectors = workspace, root / "lex.tsv", root / "vectors.txt"
+    words = sorted({w for _, text in load_dataset(ws["clean"]) for w in text.split()})
+    lexicon.write_text("".join(f"{w}\t{3 + i % 5}\n" for i, w in enumerate(words)), encoding="utf-8")
+    rows = np.random.default_rng(5).uniform(-1, 1, size=(12, 8))
+    vectors.write_text("12 8\n" + "".join(f"{w} {' '.join(f'{x:.4f}' for x in row)}\n"
+                                           for w, row in zip(words, rows)), encoding="utf-8")
+    model, embed = ws["ckpt"] / "model", ws["payload"]
+
+    def evaluate(case, data=ws["clean"], vocab=ws["vocab"], stem=model):
+        return ["evaluate", "--input", data, "--vocab", vocab, "--checkpoint", stem,
+                "--output", case / "report.json"], ["report.json"]
+
+    def build_vocab(case, data=ws["clean"], *vectors_flags):
+        return (["build-vocab", "--inputs", data, "--vocab", case / "out.tsv", "--embedding-out", case / "out",
+                 *vectors_flags, *VOCAB_FLAGS], ["out.tsv", "out.json", "out.bin"])
+
+    def preprocess(case, data=ws["raw"], *lexicon_flags):
+        return ["preprocess", "--input", data, "--output", case / "out.tsv", *lexicon_flags], ["out.tsv"]
+
+    return {
+        "vocabulary": (ws["vocab"], [], lambda case: evaluate(case, vocab=case / "vocab.tsv")),
+        "model manifest": (model.with_suffix(".json"), [model.with_suffix(".bin")],
+                           lambda case: evaluate(case, stem=case / "model")),
+        "model payload": (model.with_suffix(".bin"), [model.with_suffix(".json")],
+                          lambda case: evaluate(case, stem=case / "model")),
+        "embedding manifest": (embed.with_suffix(".json"), [embed.with_suffix(".bin")], lambda case: (
+            ["train", "--train-file", ws["clean"], "--vocab", ws["vocab"], "--embeddings-payload", case / "embed",
+             "--checkpoint-dir", case / "run", *TINY_FLAGS, "--max-epochs", "1"], ["run"])),
+        "labeled file, evaluate": (ws["clean"], [], lambda case: evaluate(case, data=case / "clean.tsv")),
+        "labeled file, build-vocab": (ws["clean"], [], lambda case: build_vocab(case, case / "clean.tsv")),
+        "word2vec text": (vectors, [], lambda case: build_vocab(
+            case, ws["clean"], "--embeddings", case / "vectors.txt", "--embeddings-format", "text")),
+        "lexicon": (lexicon, [], lambda case: preprocess(case, ws["raw"], "--lexicon", case / "lex.tsv")),
+        "raw file": (ws["raw"], [], lambda case: preprocess(case, case / "raw.tsv")),
+    }
+
+
+def test_mutated_inputs_end_in_exit_0_3_or_4(workspace, tmp_path, capsys):
+    """A seeded fuzz guard: each case applies one or two byte flips, cuts,
+    insertions or line edits to one input, taking the inputs in turn, and
+    runs the command that reads it. Every case exits 0, 3 (a bad file) or
+    4 (a numeric failure), never 2 or with an exception, and a case that
+    does not exit 0 leaves no output and no `.tmp` file.
+
+    The commands run with warnings recorded, as they are outside the test
+    suite, not raised. Only a changed tensor byte warns: a checkpoint's
+    tensors are not hashed again when it loads (README, "Checkpoints"), so
+    a flipped exponent bit computes with an overflowing or NaN weight, and
+    numpy says so."""
+    inputs = list(fuzz_inputs(workspace, tmp_path).items())
+    rng = random.Random(0)
+    codes = Counter()
+    case = tmp_path / "case"
+    for n in range(FUZZ_CASES_PER_INPUT * len(inputs)):
+        name, (source, beside, argv_of) = inputs[n % len(inputs)]
+        case.mkdir()
+        data = source.read_bytes()
+        for _ in range(rng.randint(1, 2)):
+            data = mutate(data, rng)
+        (case / source.name).write_bytes(data)
+        for path in beside:
+            (case / path.name).write_bytes(path.read_bytes())
+        argv, outputs = argv_of(case)
+        try:
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                code = run(argv)
+        except (Exception, SystemExit) as exc:  # name the case that let it escape
+            raise AssertionError(f"case {n}, {name}: {exc!r}") from exc
+        capsys.readouterr()
+        assert {w.category for w in warned} <= ({RuntimeWarning} if name == "model payload" else set()), (
+            f"case {n}, {name}: {[str(w.message) for w in warned]}")
+        assert code in (0, 3, 4), f"case {n}, {name}: exit {code}"
+        if code != 0:
+            assert [p for p in case.iterdir() if p.name in outputs or p.suffix == ".tmp"] == [], f"case {n}, {name}"
+        codes[code] += 1
+        shutil.rmtree(case)
+    assert codes[0] and codes[3], codes  # mutations both pass and fail: the guard is not vacuous

@@ -12,10 +12,12 @@ training run has one step path: one place clips and applies Adam, and one
 runs training passes. And the run's arrays have one owner: one place
 builds the training state, and no step allocates the batch sums. And
 the package has two exception classes, both in errors: EmocapsError and
-NumericError."""
+NumericError. And every source file parses as the oldest Python the
+package supports, the lowest one CI runs."""
 
 import ast
 import builtins
+import re
 import sys
 import types
 from pathlib import Path
@@ -23,7 +25,8 @@ from pathlib import Path
 import emocaps
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "emocaps"}
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_imports_are_stdlib_numpy_or_emocaps():
@@ -112,8 +115,8 @@ def _writes(call: ast.Call) -> bool:
 
 
 def test_only_errors_reads_text_files():
-    # the emoticon list ships inside the package: it is no file a user gives
-    allowed = {("textprep.py", "_load_emoticons")}
+    # the emoticon list and the Unicode class table ship inside the package: no file a user gives
+    allowed = {("textprep.py", "_data_lines")}
     reads = []
     for path in sorted(Path(emocaps.__file__).parent.glob("*.py")):
         if path.name == "errors.py":
@@ -231,3 +234,21 @@ def test_two_exception_classes():
                  if any(ast.unparse(base).split(".")[-1] in exceptions for base in node.bases)}
         exceptions |= {cls for _, cls in found} | {asname for name, asname in aliases if name in exceptions}
     assert sorted(found) == [("errors.py", "EmocapsError"), ("errors.py", "NumericError")]
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    """The lowest `python-version` of the CI workflow is the floor of
+    `requires-python`, and every `.py` file under src/ and tests/ parses
+    with that version's grammar (`ast.parse`'s `feature_version`, so
+    `except*` fails on 3.10), on whichever Python runs the suite."""
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', (ROOT / "pyproject.toml").read_text("utf-8"), re.M)
+    matrix = re.search(r"^ *python-version: \[(.*)\]$", (ROOT / ".github" / "workflows" / "tests.yml").read_text("utf-8"), re.M)
+    lowest = min(tuple(map(int, v.strip(' "').split("."))) for v in matrix.group(1).split(","))
+    assert lowest == tuple(map(int, floor.groups()))
+    failing = []
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]):
+        try:
+            ast.parse(path.read_text("utf-8"), filename=str(path), feature_version=lowest)
+        except SyntaxError as exc:
+            failing.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert failing == []

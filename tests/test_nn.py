@@ -9,12 +9,9 @@ from emocaps.errors import EmocapsError
 from gradcheck import finite_diff_check
 from emocaps.nn import (
     N_CLASSES,
-    DenseParams,
     GruParams,
     bigru_backward,
     bigru_forward,
-    dense_backward,
-    dense_forward,
     glorot_uniform,
     init_gru,
     predict_class,
@@ -378,42 +375,22 @@ class TestBigru:
 
 
 class TestDenseSoftmax:
+    """softmax over the head's logits c @ W + b."""
+
     def test_uniform_logits_give_uniform_probs(self):
-        p = DenseParams(W=np.zeros((4, N_CLASSES)), b=np.zeros(N_CLASSES))
-        logits = dense_forward(np.ones(4), p)
+        W, b = np.zeros((4, N_CLASSES)), np.zeros(N_CLASSES)
+        logits = np.ones(4) @ W + b
         probs = softmax(logits)
         np.testing.assert_allclose(probs, np.full(N_CLASSES, 1 / 6), rtol=1e-15)
         np.testing.assert_array_equal(logits, np.zeros(N_CLASSES))
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(15)
-        p = DenseParams(W=glorot_uniform((8, N_CLASSES), rng), b=rng.normal(size=N_CLASSES))
+        W, b = glorot_uniform((8, N_CLASSES), rng), rng.normal(size=N_CLASSES)
         for _ in range(20):
-            probs = softmax(dense_forward(rng.normal(scale=3, size=8), p))
+            probs = softmax(rng.normal(scale=3, size=8) @ W + b)
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs > 0) and np.all(probs < 1)
-
-    def test_backward_finite_difference(self):
-        rng = np.random.default_rng(17)
-        p = DenseParams(W=glorot_uniform((5, N_CLASSES), rng), b=rng.normal(size=N_CLASSES))
-        c = rng.normal(size=(3, 5))
-        R = rng.normal(size=(3, N_CLASSES))
-
-        def loss_and_grad():
-            logits = dense_forward(c, p)
-            grad_c, gW, gb = dense_backward(R, c, p)
-            return float(np.sum(logits * R)), {"W": gW, "b": gb, "c": grad_c}
-
-        assert finite_diff_check(loss_and_grad, {"W": p.W, "b": p.b, "c": c}) < 1e-8
-
-    def test_shape_mismatch(self):
-        p = DenseParams(W=np.zeros((4, N_CLASSES)), b=np.zeros(N_CLASSES))
-        with pytest.raises(EmocapsError, match=r"input \(5,\) vs dense \(4, 6\)"):
-            dense_forward(np.zeros(5), p)
-        with pytest.raises(EmocapsError, match=r"grad_logits \(6,\) vs \(1, 6\)"):
-            dense_backward(np.zeros(N_CLASSES), np.zeros((1, 4)), p)
-        with pytest.raises(EmocapsError, match=r"grad_logits \(2, 6\) vs \(1, 6\)"):
-            dense_backward(np.zeros((2, N_CLASSES)), np.zeros((1, 4)), p)
 
 
 class TestPredictClass:

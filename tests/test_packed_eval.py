@@ -41,7 +41,7 @@ def paper_model(seed: int, vocab: int = 60):
     params = init_model(cfg, EmbeddingTable(weights=table))
     rng = np.random.default_rng([seed, 2])
     params.gru.b[:] = rng.normal(scale=0.1, size=params.gru.b.shape)
-    params.dense.b[:] = rng.normal(scale=0.1, size=params.dense.b.shape)
+    params.dense_b[:] = rng.normal(scale=0.1, size=params.dense_b.shape)
     return cfg, params
 
 
@@ -247,7 +247,7 @@ def _trained_bias():
     table = np.random.default_rng(11).uniform(-0.5, 0.5, size=(40, cfg.embed_dim))
     train_set = list(zip(random_sequences([3, 5, 4, 6], 40, seed=13), [0, 1, 2, 3]))
     params, _ = training.train(train_set, train_set, init_model(cfg, EmbeddingTable(weights=table)), cfg)
-    return params.dense.b.tolist()
+    return params.dense_b.tolist()
 
 
 def _preprocessed():

@@ -9,6 +9,7 @@ import tracemalloc
 import unicodedata
 from bisect import bisect_left
 from collections import Counter
+from importlib import resources
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
@@ -131,6 +132,7 @@ class TestTokenize:
         ("3:30 amé", ["3:30", "amé"]),
         ("7 amé", ["7", "amé"]),
         ("7 AMAZING", ["7", "AMAZING"]),
+        ("7 am\u0301", ["7", "am\u0301"]),
     ])
     def test_meridiem_takes_no_letters_of_the_next_word(self, raw, expected):
         assert surfaces(tokenize(raw)) == expected
@@ -138,6 +140,32 @@ class TestTokenize:
     @pytest.mark.parametrize("raw", ["10 PM", "3:30PM", "10 pm", "7 Am", "11:05:59 pM"])
     def test_meridiem_of_either_case_is_a_time(self, raw):
         assert [(t.surface, t.kind) for t in tokenize(raw)] == [(raw, TokenKind.TIME)]
+
+    @pytest.mark.parametrize("raw, kind", [
+        ("x\u0301yz", TokenKind.WORD),
+        ("#x\u0301yz", TokenKind.HASHTAG),
+        ("@x\u0301yz", TokenKind.USER),
+        ("s*x\u0301t", TokenKind.CENSORED),
+        ("ab\u0301c-d\u0301e", TokenKind.WORD),
+        ("*x\u0301\u0308y*", TokenKind.EMPHASIS),
+        ("नमस्ते", TokenKind.WORD),  # spacing (Mc) and non-spacing (Mn) vowel signs and virama
+    ])
+    def test_marks_stay_inside_their_token(self, raw, kind):
+        """A combining mark that NFC leaves alone, having no precomposed
+        form with its letter, continues the letter or \\w run it follows."""
+        assert unicodedata.normalize("NFC", raw) == raw
+        assert [(t.surface, t.kind) for t in tokenize(raw + " ok")] == [(raw, kind), ("ok", TokenKind.WORD)]
+
+    def test_a_mark_starts_no_run(self):
+        assert [(t.surface, t.kind) for t in tokenize("\u0301x 5\u0301")] == [
+            ("\u0301", TokenKind.PUNCT), ("x", TokenKind.WORD), ("5", TokenKind.NUMBER), ("\u0301", TokenKind.PUNCT)]
+
+    def test_numeric_characters_are_not_letters(self):
+        """Numeric characters that are not decimal digits (categories No,
+        Nl) stand alone; a hashtag's \\w run still takes them."""
+        assert [(t.surface, t.kind) for t in tokenize("10½ x² Ⅻ #x²")] == [
+            ("10", TokenKind.NUMBER), ("½", TokenKind.PUNCT), ("x", TokenKind.WORD), ("²", TokenKind.PUNCT),
+            ("Ⅻ", TokenKind.PUNCT), ("#x²", TokenKind.HASHTAG)]
 
 
 class TestNormalize:
@@ -878,6 +906,9 @@ class TestPreprocess:
         raw = CORPUS[1]
         assert preprocess(raw, SEG_LEXICON) == preprocess(raw, SEG_LEXICON)
 
+    def test_a_mark_without_precomposed_form_stays_in_its_word(self):
+        assert preprocess("x\u0301yz ok", Lexicon()) == ["x\u0301yz", "ok"]
+
     def test_combining_accents_compose_first(self):
         composed = "café olé"
         decomposed = unicodedata.normalize("NFD", composed)
@@ -972,19 +1003,21 @@ TABLE_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in tex
 
 
 def table_tokens(raw):
-    return [(m.group(), TokenKind[m.lastgroup]) for m in TABLE_RE.finditer(raw)]
+    read = raw.translate(textprep._CLASSES)  # as tokenize reads it
+    return [(raw[m.start() : m.end()], TokenKind[m.lastgroup]) for m in TABLE_RE.finditer(read)]
 
 
 LETTER_EMOTICONS = [e for e in textprep.EMOTICONS if re.match(textprep._L, e)]
 # What a letter run can meet: letter-initial emoticons, every follower that
-# `PLAIN` must refuse or accept, digits (an Arabic-Indic one too), accented
-# and upper-case letters, a combining mark, odd whitespace and fragments of
-# URLs, acronyms, e-mail addresses and the placeholder.
+# `PLAIN` must refuse or accept, digits (an Arabic-Indic one too), numeric
+# characters that are not digits, accented and upper-case letters, combining
+# marks (non-spacing, spacing and enclosing), odd whitespace and fragments
+# of URLs, acronyms, e-mail addresses and the placeholder.
 ORACLE_ALPHABET = (
     LETTER_EMOTICONS
     + list(",!?;.:'’-*_@+#")
-    + list("0123456789٣")
-    + list("abcdmpwxyzDPTOBXé") + ["É", "Ü", "\u0301"]
+    + list("0123456789٣") + list("½²Ⅻ")
+    + list("abcdmpwxyzDPTOBXé") + ["É", "Ü", "\u0301", "\u0308", "\u093e", "\u20dd"]
     + [" ", " ", " ", "\u00a0", "\u2028", "\t", "\n"]
     + ["http://", "www.", "a.b.", "x@y.z", TARGETWORD_PLACEHOLDER]
 )
@@ -1017,6 +1050,18 @@ class TestPlainAlternative:
             raw = "".join(rng.choices(ORACLE_ALPHABET, k=rng.randint(1, 12)))
             assert [(t.surface, t.kind) for t in tokenize(raw)] == table_tokens(raw), raw
 
+    def test_word_tokens_hold_letters_marks_and_joiners(self):
+        """Over the alphabet above and any other code point, a WORD token
+        holds only letters (`str.isalpha`), combining marks and ' ’ -."""
+        rng = random.Random(11)
+        for _ in range(20_000):
+            raw = "".join(rng.choice(ORACLE_ALPHABET) if rng.random() < 0.8 else chr(rng.randrange(0x110000))
+                          for _ in range(rng.randint(1, 12)))
+            for surface, kind in tokenize(raw):
+                if kind is TokenKind.WORD:
+                    assert all(ch.isalpha() or ch in "'’-" or unicodedata.category(ch)[0] == "M"
+                               for ch in surface), raw
+
     def test_golden_corpus_matches_the_table(self):
         for raw in golden_tweets():
             assert [(t.surface, t.kind) for t in tokenize(raw)] == table_tokens(raw), raw
@@ -1027,3 +1072,47 @@ class TestPlainAlternative:
         tagged = normalize(tokenize("@Hi Hi"))
         assert [type(t) for t in tagged] == [textprep.Token] * 2
         assert tagged == [("<user>", TokenKind.USER), ("hi", TokenKind.WORD)]
+
+
+CLASS_OF_CATEGORY = {"Mn": "M", "Mc": "M", "Me": "M", "No": "N", "Nl": "N"}
+
+
+def class_ranges() -> list[str]:
+    """The lines of data/unicode_classes.txt below its header, from this
+    Python's unicodedata: each maximal range of code points of one class,
+    M (combining marks) or N (numeric characters that are not digits)."""
+    kinds = [CLASS_OF_CATEGORY.get(unicodedata.category(chr(cp))) for cp in range(0x110000)] + [None]
+    lines, start = [], 0
+    for cp in range(1, len(kinds)):
+        if kinds[cp] != kinds[start]:
+            if kinds[start]:
+                lines.append(f"{start:04X}..{cp - 1:04X} {kinds[start]}")
+            start = cp
+    return lines
+
+
+class TestUnicodeClasses:
+    """The committed table the tokenizer reads marks and numeric characters
+    by, against this Python's unicodedata. Under the table's Unicode
+    version they agree on every code point. Under another, a code point may
+    differ only where this Python leaves it unassigned (an older version)
+    or the table leaves it out (a newer one); there, write `class_ranges()`
+    below the header to renew the table."""
+
+    def test_table_matches_unicodedata(self):
+        text = (resources.files("emocaps") / "data" / "unicode_classes.txt").read_text("utf-8")
+        table_version = re.search(r"Unicode (\d+\.\d+\.\d+)", text).group(1)
+        everything = "".join(map(chr, range(0x110000)))
+        read = everything.translate(textprep._CLASSES)
+        letters = {m.start() for m in re.finditer(textprep._L, read)}
+        as_class = {"M": textprep._MARK, "N": textprep._NUMERIC}
+        differ = [
+            cp for cp, (ch, seen) in enumerate(zip(everything, read))
+            if seen != as_class.get(CLASS_OF_CATEGORY.get(unicodedata.category(ch)), ch)
+            or (cp in letters) != ch.isalpha()
+        ]
+        if unicodedata.unidata_version == table_version:
+            assert differ == []
+            assert [line for line in text.splitlines() if not line.startswith("#")] == class_ranges()
+        else:
+            assert [cp for cp in differ if unicodedata.category(chr(cp)) != "Cn" and cp in textprep._CLASSES] == []

@@ -9,7 +9,7 @@ import pytest
 import emocaps.training as training
 from emocaps.embeddings import EmbeddingTable, Vocabulary, build_embedding
 from emocaps.errors import EmocapsError, NumericError
-from emocaps.nn import N_CLASSES, dense_forward, softmax
+from emocaps.nn import N_CLASSES, softmax
 from emocaps.training import (
     PAD_ID,
     AdamState,
@@ -414,7 +414,7 @@ class TestForwardFull:
         probs, cache = forward_full([vocab.encode(["alpha"])], params, cfg, rngs=[np.random.default_rng(11)])
         flat = cache.capsule.state[-1][2].reshape(1, -1)
         assert not np.array_equal(cache.c, flat)
-        np.testing.assert_array_equal(probs, softmax(dense_forward(cache.c, params.dense)))
+        np.testing.assert_array_equal(probs, softmax(cache.c @ params.dense_W + params.dense_b))
 
     def test_gradients_with_regularizers_active(self):
         # masks cached during forward must reach the backward pass
@@ -473,7 +473,7 @@ class TestModelParams:
         both directions, and a model built from tensors holds them themselves."""
         _, params = tiny_model(tiny_config())
         arrays = [params.embedding.weights, params.gru.W_i, params.gru.W_h, params.gru.b,
-                  params.capsule, params.dense.W, params.dense.b]
+                  params.capsule, params.dense_W, params.dense_b]
         tensors = params.tensors()
         assert list(tensors) == ["embedding/W_e", "gru/W_i", "gru/W_h", "gru/b", "capsule/W", "dense/W", "dense/b"]
         assert all(t is array for t, array in zip(tensors.values(), arrays, strict=True))
@@ -516,8 +516,8 @@ class TestModelParams:
         np.testing.assert_array_equal(gru.b, np.zeros((2, 2, 3 * h)))
         J, D = cfg.num_capsules, cfg.capsule_dim
         np.testing.assert_array_equal(params.capsule, glorot(2 * h, D, J))
-        np.testing.assert_array_equal(params.dense.W, glorot(J * D, N_CLASSES))
-        np.testing.assert_array_equal(params.dense.b, np.zeros(N_CLASSES))
+        np.testing.assert_array_equal(params.dense_W, glorot(J * D, N_CLASSES))
+        np.testing.assert_array_equal(params.dense_b, np.zeros(N_CLASSES))
 
     def test_init_model_deterministic(self):
         cfg = tiny_config()
@@ -708,7 +708,7 @@ class TestTrainLoop:
         records = [run_epoch(run, data, start, cfg) for _ in range(k + 1)]
         copied, resumed = copy.deepcopy((run, start))
         assert copied.model.gru is resumed.gru and copied.model.capsule is resumed.capsule
-        assert copied.model.dense is resumed.dense
+        assert copied.model.dense_W is resumed.dense_W and copied.model.dense_b is resumed.dense_b
         # the copy shares no array with the run it was taken from
         for t in [*start.tensors().values(), *run.model.tensors().values(), *run.adam.m.values(), *run.adam.v.values()]:
             t[...] = np.nan

@@ -27,7 +27,7 @@ import eval_oracle
 from emocaps.capsule import capsule_layer_backward
 from emocaps.embeddings import EmbeddingTable
 from emocaps.evaluation import confusion, metrics
-from emocaps.nn import BigruCache, DenseParams, GruParams
+from emocaps.nn import BigruCache, GruParams
 from emocaps.training import PAD_ID, ModelParams, cross_entropy_loss, forward_full
 
 EMBEDDING = "embedding/W_e"
@@ -129,7 +129,7 @@ def example_loss_and_grads(ids, gold, params, cfg, rng):
     """Loss and dense gradients of one example, backpropagated on its own."""
     probs, cache = forward_full([ids], params, cfg, rngs=[rng])
     (loss,), grad_logits = cross_entropy_loss(probs, [gold])
-    grad_c = grad_logits[0] @ params.dense.W.T
+    grad_c = grad_logits[0] @ params.dense_W.T
     grad_c = grad_c * cache.drop_mask[0]
     grad_H, gW_caps = capsule_layer_backward(grad_c[None], cache.capsule, params.capsule)
     grad_X, g_gru = bigru_backward(grad_H, cache.bigru, params.gru)
@@ -140,7 +140,8 @@ def example_loss_and_grads(ids, gold, params, cfg, rng):
         embedding=EmbeddingTable(weights=gW_e),
         gru=g_gru,
         capsule=gW_caps,
-        dense=DenseParams(W=np.outer(cache.c[0], grad_logits[0]), b=grad_logits[0].copy()),
+        dense_W=np.outer(cache.c[0], grad_logits[0]),
+        dense_b=grad_logits[0].copy(),
     ).tensors()
     return float(loss), grads
 
