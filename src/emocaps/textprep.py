@@ -9,9 +9,9 @@ come last so that no non-whitespace character is ever dropped. A letter
 is a `str.isalpha` character, which a combining mark may follow inside
 its run; the patterns see a text that is not ASCII with each mark, and
 each numeric character that is not a digit, replaced by one stand-in of
-its class from a committed Unicode table. Two shortcuts give the table's
-tokens faster. A position at whitespace fails
-one lookahead for a non-space character, since no alternative starts
+its class, as the running Python's `unicodedata` gives it. Two shortcuts
+give the table's tokens faster. A position at whitespace fails one
+lookahead for a non-space character, since no alternative starts
 there. And one fast alternative, `PLAIN`, is tried before the table: a
 run of letters that ends at whitespace, at the end of the text or before
 one of `, ! ? ;`, and does not start a letter-initial emoticon. No group
@@ -62,15 +62,11 @@ _OOV_LEN_PENALTY = 3.0  # per-character log-prob penalty for out-of-lexicon word
 _INDEX_BLOCK = 1024  # words per numpy pass when the letter index is built
 
 
-def _data_lines(name: str) -> list[str]:
-    """The stripped lines of the package's data/`name`, blank and `#` ones left out."""
-    text = (resources.files("emocaps") / "data" / name).read_text("utf-8")
-    return [line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")]
-
-
 def _load_emoticons() -> list[str]:
-    # longest first so ":))" beats ":)" at the same position
-    return sorted(set(_data_lines("emoticons.txt")), key=len, reverse=True)
+    # the package's list, blank and `#` lines left out, longest first so ":))" beats ":)" at the same position
+    text = (resources.files("emocaps") / "data" / "emoticons.txt").read_text("utf-8")
+    lines = {line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#")}
+    return sorted(lines, key=len, reverse=True)
 
 
 EMOTICONS = _load_emoticons()
@@ -81,31 +77,38 @@ EMOTICONS = _load_emoticons()
 _MARK, _NUMERIC = "\u0301", "\u00b2"
 
 
-def _load_classes() -> dict[int, str]:
-    """The `str.translate` table of data/unicode_classes.txt: every code
-    point of an M range to `_MARK`, of an N range to `_NUMERIC`."""
-    table: dict[int, str] = {}
-    as_class = {"M": _MARK, "N": _NUMERIC}
-    for line in _data_lines("unicode_classes.txt"):
-        span, kind = line.split()
-        first, last = span.split("..")
-        table.update(dict.fromkeys(range(int(first, 16), int(last, 16) + 1), as_class[kind]))
-    return table
+class _Classes(dict):
+    """The `str.translate` table: a combining mark (Mn, Mc, Me) to `_MARK`,
+    a No/Nl character to `_NUMERIC`, any other code point to itself, as the
+    running Python's `unicodedata` says; one entry per code point looked up."""
+
+    def __missing__(self, cp: int) -> int | str:
+        category = unicodedata.category(chr(cp))
+        self[cp] = read = _MARK if category[0] == "M" else _NUMERIC if category in ("No", "Nl") else cp
+        return read
 
 
-_CLASSES = _load_classes()
+_CLASSES = _Classes()
 
 # A letter (`str.isalpha`): \w without digits, underscore and `_NUMERIC`.
 _L = r"[^\W\d_" + _NUMERIC + "]"
+
+
+def _w_run(chars: str) -> str:
+    """A run of the class `chars`, which holds \\w, that a mark continues
+    after a \\w character but does not start."""
+    return chars + "+(?:(?<=\\w)" + _MARK + "+" + chars + "*)*"
+
+
 # A run of letters, or of \w, that a mark continues but does not start.
 _RUN = _L + "+(?:" + _MARK + _L + "*)*"
-_W_RUN = r"\w+(?:" + _MARK + r"\w*)*"
+_W_RUN = _w_run(r"\w")
 _NO_RUN = "(?!" + _L + "|" + _MARK + ")"  # no letter or mark follows
 
 _COMPONENTS = [
     ("TARGETWORD", re.escape(TARGETWORD_PLACEHOLDER)),
     ("URL", r"https?://\S+|www\.\S+"),
-    ("EMAIL", r"[\w.+-]+@[\w-]+(?:\.[\w-]+)+"),
+    ("EMAIL", _w_run(r"[\w.+-]") + "@" + _w_run(r"[\w-]") + r"(?:\." + _w_run(r"[\w-]") + ")+"),
     ("USER", "@" + _W_RUN),
     ("HASHTAG", r"\#+" + _W_RUN),
     ("EMOTICON", "|".join(re.escape(e) for e in EMOTICONS)),

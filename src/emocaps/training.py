@@ -373,10 +373,14 @@ def _chunks(lengths: list[int], max_tokens: int) -> list[list[int]]:
     return chunks
 
 
+@np.errstate(all="ignore")
 def predict_dataset(sequences, params: ModelParams, cfg: TrainConfig) -> list[int]:
     """Eval-mode class prediction for every id sequence, in order. An empty
     sequence raises EmocapsError naming its 0-based index, before any
-    sequence is run. Sequences run in length-sorted chunks (`_chunks`)."""
+    sequence is run. Sequences run in length-sorted chunks (`_chunks`). A
+    chunk whose probabilities are not all finite (weights holding a NaN, or
+    large enough to overflow) raises NumericError naming the lowest index
+    among its sequences that have one, with numpy's warnings off."""
     sequences = list(sequences)
     for index, ids in enumerate(sequences):
         if len(ids) == 0:
@@ -384,6 +388,9 @@ def predict_dataset(sequences, params: ModelParams, cfg: TrainConfig) -> list[in
     labels = np.zeros(len(sequences), dtype=np.intp)
     for chunk in _chunks([len(ids) for ids in sequences], EVAL_CHUNK_TOKENS):
         probs, _ = forward_full([sequences[i] for i in chunk], params, cfg)
+        finite = np.isfinite(probs).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"sequence {min(np.asarray(chunk)[~finite])}: class probabilities are not finite")
         labels[chunk] = predict_class(probs)
     return labels.tolist()
 

@@ -9,7 +9,6 @@ import tracemalloc
 import unicodedata
 from bisect import bisect_left
 from collections import Counter
-from importlib import resources
 from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
@@ -149,6 +148,8 @@ class TestTokenize:
         ("ab\u0301c-d\u0301e", TokenKind.WORD),
         ("*x\u0301\u0308y*", TokenKind.EMPHASIS),
         ("नमस्ते", TokenKind.WORD),  # spacing (Mc) and non-spacing (Mn) vowel signs and virama
+        ("x\u0301y@z.org", TokenKind.EMAIL),
+        ("xy@x\u0301z.q\u0301rg", TokenKind.EMAIL),
     ])
     def test_marks_stay_inside_their_token(self, raw, kind):
         """A combining mark that NFC leaves alone, having no precomposed
@@ -1074,45 +1075,25 @@ class TestPlainAlternative:
         assert tagged == [("<user>", TokenKind.USER), ("hi", TokenKind.WORD)]
 
 
-CLASS_OF_CATEGORY = {"Mn": "M", "Mc": "M", "Me": "M", "No": "N", "Nl": "N"}
-
-
-def class_ranges() -> list[str]:
-    """The lines of data/unicode_classes.txt below its header, from this
-    Python's unicodedata: each maximal range of code points of one class,
-    M (combining marks) or N (numeric characters that are not digits)."""
-    kinds = [CLASS_OF_CATEGORY.get(unicodedata.category(chr(cp))) for cp in range(0x110000)] + [None]
-    lines, start = [], 0
-    for cp in range(1, len(kinds)):
-        if kinds[cp] != kinds[start]:
-            if kinds[start]:
-                lines.append(f"{start:04X}..{cp - 1:04X} {kinds[start]}")
-            start = cp
-    return lines
-
-
 class TestUnicodeClasses:
-    """The committed table the tokenizer reads marks and numeric characters
-    by, against this Python's unicodedata. Under the table's Unicode
-    version they agree on every code point. Under another, a code point may
-    differ only where this Python leaves it unassigned (an older version)
-    or the table leaves it out (a newer one); there, write `class_ranges()`
-    below the header to renew the table."""
+    """The classes the tokenizer reads a text by, against this Python's
+    unicodedata."""
 
     def test_table_matches_unicodedata(self):
-        text = (resources.files("emocaps") / "data" / "unicode_classes.txt").read_text("utf-8")
-        table_version = re.search(r"Unicode (\d+\.\d+\.\d+)", text).group(1)
+        """Over every code point, a fresh map (the module's own would keep
+        all 0x110000 entries) gives each mark `_MARK` and each No/Nl
+        character `_NUMERIC`, and `_L` takes exactly the `str.isalpha` ones."""
         everything = "".join(map(chr, range(0x110000)))
-        read = everything.translate(textprep._CLASSES)
+        read = everything.translate(textprep._Classes())
         letters = {m.start() for m in re.finditer(textprep._L, read)}
-        as_class = {"M": textprep._MARK, "N": textprep._NUMERIC}
+        as_class = dict.fromkeys(["Mn", "Mc", "Me"], textprep._MARK) | dict.fromkeys(["No", "Nl"], textprep._NUMERIC)
         differ = [
             cp for cp, (ch, seen) in enumerate(zip(everything, read))
-            if seen != as_class.get(CLASS_OF_CATEGORY.get(unicodedata.category(ch)), ch)
-            or (cp in letters) != ch.isalpha()
+            if seen != as_class.get(unicodedata.category(ch), ch) or (cp in letters) != ch.isalpha()
         ]
-        if unicodedata.unidata_version == table_version:
-            assert differ == []
-            assert [line for line in text.splitlines() if not line.startswith("#")] == class_ranges()
-        else:
-            assert [cp for cp in differ if unicodedata.category(chr(cp)) != "Cn" and cp in textprep._CLASSES] == []
+        assert differ == []
+
+    def test_every_mark_continues_a_word(self):
+        marks = [chr(cp) for cp in range(0x110000) if unicodedata.category(chr(cp)) in ("Mn", "Mc", "Me")]
+        assert [f"U+{ord(ch):04X}" for ch in marks
+                if tokenize(f"ab{ch}c") != [(f"ab{ch}c", TokenKind.WORD)]] == []

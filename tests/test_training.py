@@ -397,6 +397,18 @@ class TestForwardFull:
             training.predict_dataset([[1, 2], [3], [], [1]], params, cfg)
         assert calls == []
 
+    def test_predict_dataset_names_a_sequence_of_non_finite_probabilities(self):
+        """A NaN in one word's row spoils only the sequences that hold the
+        word; the lowest of them is named, and numpy warns of nothing (the
+        suite turns warnings into errors)."""
+        cfg = tiny_config()
+        vocab, params = tiny_model(cfg)
+        alpha, beta, gamma = (vocab.encode([word]) for word in ("alpha", "beta", "gamma"))
+        params.embedding.weights[gamma[0], 0] = np.nan
+        assert len(training.predict_dataset([alpha, beta + alpha], params, cfg)) == 2  # no gamma, no failure
+        with pytest.raises(NumericError, match=r"^sequence 2: class probabilities are not finite$"):
+            training.predict_dataset([alpha, beta + alpha, gamma + beta, beta, gamma], params, cfg)
+
     def test_mode_string_is_rejected(self):
         """rng is keyword-only, so a "train"/"eval" string left over from the
         retired mode argument fails instead of being taken for a generator."""
