@@ -5,8 +5,9 @@ a flat JSON --config file of TrainConfig keys, then flags, each overriding
 the ones before. Each command has a flag per key it reads: `build-vocab`
 --embed-dim and --seed, `train` all but embed_dim, which is its payload's
 width. TrainConfig checks the config in effect.
-train/evaluate/predict consume preprocessed (whitespace tokenized) files,
-so the text pipeline runs exactly once, in `preprocess`.
+The other commands read preprocessed (whitespace tokenized) files, so the
+text pipeline runs exactly once, in `preprocess`. Its text holds no tab: a
+line holds one when it is labeled, and train and evaluate need a label.
 
 Exit codes: 0 success, 2 bad arguments, 3 data or file error, 4 numeric
 failure.
@@ -79,25 +80,25 @@ def _resolve_config(args) -> TrainConfig:
         raise EmocapsError(f"{args.config}: {exc}") from None
 
 
-def load_dataset(path, labeled: bool = True) -> list:
-    """Parse "label<TAB>text" lines (or bare text when labeled=False) into
-    (label index or None, text) pairs; label names match case-insensitively."""
+def load_dataset(path, labeled: bool | None = True) -> list:
+    """Parse "label<TAB>text" lines, label names in any case, into (label index, text) pairs;
+    labeled=False reads every line as bare text, None a line with no tab: (None, text)."""
     with text_lines(path) as lines:
-        if not labeled:
+        if labeled is False:
             return [(None, line) for _, line in lines]
         examples = []
         for lineno, line in lines:
-            if "\t" not in line:
+            label, tab, text = line.partition("\t")
+            if not tab and labeled:
                 raise EmocapsError(f"{path}:{lineno}: expected label<TAB>text")
-            label, text = line.split("\t", 1)
             try:
-                examples.append((label_index(label), text))
+                examples.append((label_index(label), text) if tab else (None, line))
             except EmocapsError as exc:
                 raise EmocapsError(f"{path}:{lineno}: {exc}") from None
     return examples
 
 
-def _encode(path, vocab: Vocabulary, labeled: bool = True):
+def _encode(path, vocab: Vocabulary, labeled: bool | None = True):
     """The lines of `path`, read by load_dataset, as (ids, label) pairs on
     whitespace tokens. A line with no tokens cannot be classified, so it is
     rejected with its file and line number before any output is written.
@@ -148,13 +149,16 @@ def _refuse_overwriting(args, outputs, inputs) -> None:
     another output or one of the inputs: writing it would replace what the
     command reads or writes. `outputs` and `inputs` name options of `args`;
     one in FILES_OF names the files its value + each suffix, any other the
-    path itself, and one left out is None."""
+    path itself, and one left out is None. An output's `.tmp` file counts too."""
     written = {}
     for is_output, names in ((True, outputs), (False, inputs)):
         for name in names:
             flag, values = f"--{name.replace('_', '-')}", getattr(args, name)
             values = values if isinstance(values, list) else [] if values is None else [values]
-            for value, suffix in itertools.product(values, FILES_OF.get(name, ("",))):
+            suffixes = FILES_OF.get(name, ("",))
+            if is_output:  # each file is written through its .tmp file, errors.replacing's
+                suffixes = [t for s in suffixes for t in (s, f"{s}.tmp")]
+            for value, suffix in itertools.product(values, suffixes):
                 path = Path(f"{value}{suffix}").resolve()
                 if path in written:  # an option that names the path itself comes first
                     (fa, va, sa), (fb, vb, sb) = sorted((written[path], (flag, value, suffix)), key=lambda o: o[2] != "")
@@ -182,7 +186,7 @@ def cmd_build_vocab(args) -> int:
     cfg = _resolve_config(args)
     sequences = []
     for path in args.inputs:
-        examples = load_dataset(path, labeled=not args.unlabeled)
+        examples = load_dataset(path, labeled=None)
         _require_nonempty(examples, path)
         sequences.extend(text.split() for _, text in examples)
     vocab = Vocabulary.build(sequences)
@@ -267,7 +271,7 @@ def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
     return params, cfg
 
 
-def _predict_input(args, labeled: bool):
+def _predict_input(args, labeled: bool | None):
     """Load --vocab and the --checkpoint model, encode --input and classify
     it; returns (golds, predictions), a gold None for an unlabeled line.
     --output, when given, is none of those files."""
@@ -291,7 +295,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _, preds = _predict_input(args, labeled=args.labeled)
+    _, preds = _predict_input(args, labeled=None)
     with replacing(args.output) as handle:
         handle.writelines(f"{LABELS[p]}\n" for p in preds)
     print(f"wrote {len(preds)} predictions to {args.output}")
@@ -313,12 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("build-vocab", help="build vocabulary and embedding payload")
-    p.add_argument("--inputs", nargs="+", required=True, help="preprocessed files")
+    p.add_argument("--inputs", nargs="+", required=True, help="preprocessed files, labeled or not")
     p.add_argument("--vocab", required=True, help="vocabulary output path")
     p.add_argument("--embedding-out", required=True, help="embedding payload stem")
     p.add_argument("--embeddings", help="pretrained word2vec file")
     p.add_argument("--embeddings-format", choices=("binary", "text"), default="binary")
-    p.add_argument("--unlabeled", action="store_true")
     _add_config_flags(p, ("embed_dim", "seed"))  # the two settings it reads
     p.set_defaults(func=cmd_build_vocab)
 
@@ -347,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", parents=[model_input], help="write one label per input line")
     p.add_argument("--output", required=True)
-    p.add_argument("--labeled", action="store_true", help="input has a label column to ignore")
     p.set_defaults(func=cmd_predict)
     return parser
 

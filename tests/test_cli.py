@@ -146,8 +146,7 @@ class TestPipeline:
         preds_path = workspace["root"] / "preds.txt"
         code = run(
             ["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
-             "--checkpoint", workspace["ckpt"] / "model", "--output", preds_path,
-             "--labeled"]
+             "--checkpoint", workspace["ckpt"] / "model", "--output", preds_path]
         )
         assert code == 0
         lines = preds_path.read_text().splitlines()
@@ -213,7 +212,7 @@ class TestPipeline:
         assert run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
                     "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt, "--config", cfg]
                    + TINY_FLAGS) == 0
-        assert run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+        assert run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
                     "--checkpoint", ckpt / "model", "--output", out]) == 0
         assert capsys.readouterr().err == ""
         assert json.loads((ckpt / "model.json").read_text())["hyperparameters"]["embed_dim"] == 8
@@ -332,6 +331,41 @@ class TestPreprocessBehavior:
         assert run(["preprocess", "--input", raw, "--output", out, "--unlabeled"]) == 0
         assert out.read_text() == "hello world\nsecond line\n"
 
+    @pytest.mark.parametrize("lexicon", [False, True], ids=["no-lexicon", "lexicon"])
+    def test_output_text_holds_no_tab(self, tmp_path, lexicon):
+        """The rule the later commands read a line by: preprocess puts no
+        whitespace inside a token, so a labeled output line holds one tab
+        and an --unlabeled one none, however many tabs the raw tweets hold.
+        A tab inside the TIME, MONEY and PHONE patterns, which match any
+        whitespace, ends up inside its tag."""
+        rng = random.Random(48)
+        pieces = ["It's", "[#TARGETWORD#]", "s**t", "*very*", ":-)", "<3", "@user1", "www.example.com",
+                  "http://a.io/x?q=1", "3:30pm", "12/25/2018", "$20", "555-123-4567", "bob.smith+x@mail.org",
+                  "OMG!!!", "U.S.A.", "2-0", "...", "happyyy", "#makeitrain", "#Blessed2018", "1,000", "caf\u00e9",
+                  "na\u00efve", "\u0915\u093f", "3:30\tpm", "$\t5", "555\t1234"]
+        tweets = []
+        for _ in range(300):
+            tweet = "".join(rng.choice(pieces) + rng.choice([" ", "\t", " \t ", "\t\t"]) for _ in range(rng.randint(1, 8)))
+            for _ in range(rng.randint(0, 3)):
+                k = rng.randint(0, len(tweet))
+                tweet = tweet[:k] + "\t" + tweet[k:]
+            tweets.append(tweet)
+        labels = [rng.choice(LABELS) for _ in tweets]
+        raw_tsv, raw_txt, lex = tmp_path / "raw.tsv", tmp_path / "raw.txt", tmp_path / "lex.tsv"
+        raw_tsv.write_text("".join(f"{label.upper()}\t{t}\n" for label, t in zip(labels, tweets)), encoding="utf-8")
+        raw_txt.write_text("".join(f"{t}\n" for t in tweets), encoding="utf-8")
+        lex.write_text("make\t10\nit\t10\nrain\t10\nhappy\t9\nblessed\t4\nvery\t3\n")
+        flags = ["--lexicon", lex] if lexicon else []
+        assert run(["preprocess", "--input", raw_tsv, "--output", tmp_path / "clean.tsv", *flags]) == 0
+        assert run(["preprocess", "--input", raw_txt, "--output", tmp_path / "clean.txt", "--unlabeled", *flags]) == 0
+        labeled = (tmp_path / "clean.tsv").read_text(encoding="utf-8").splitlines()
+        plain = (tmp_path / "clean.txt").read_text(encoding="utf-8").splitlines()
+        assert [line.count("\t") for line in labeled] == [1] * len(tweets)
+        assert [line.partition("\t")[::2] for line in labeled] == list(zip(labels, plain))
+        for text in plain:
+            assert "\t" not in text and (text == "" or text.split(" ") == text.split()), text
+        assert {"<time>", "<money>", "<phone>"} <= {token for text in plain for token in text.split()}
+
 
 class TestDatasetParsing:
     def test_text_after_first_tab_is_preserved(self, tmp_path):
@@ -363,6 +397,58 @@ class TestDatasetParsing:
         path = tmp_path / "data.txt"
         path.write_text(text)
         assert load_dataset(path, labeled=False) == [(None, line) for line in lines]
+
+
+def text_column(src, dst):
+    """Write the text of each line of `src`, after its tab when it holds one, to `dst`."""
+    dst.write_bytes(b"".join(line.split(b"\t", 1)[-1] for line in src.read_bytes().splitlines(keepends=True)))
+
+
+class TestTabRule:
+    """build-vocab and predict read a line with a tab as label<TAB>text and
+    one without as plain text: the text preprocess writes holds no tab."""
+
+    def test_mixed_lines_parse_by_their_tab(self, tmp_path):
+        path = tmp_path / "data.tsv"
+        path.write_text("JOY\tone two\nthree four\n\nsad\t\n")
+        assert load_dataset(path, labeled=None) == [(3, "one two"), (None, "three four"), (None, ""), (4, "")]
+
+    def test_predict_skips_the_label_column(self, workspace, tmp_path):
+        """A labeled file gets the predictions of its text column: no gold
+        label is read as the tweet's first word."""
+        text, outs = tmp_path / "text.txt", [tmp_path / "labeled.txt", tmp_path / "text_preds.txt"]
+        text_column(workspace["clean"], text)
+        for source, out in zip((workspace["clean"], text), outs):
+            assert run(["predict", "--input", source, "--vocab", workspace["vocab"],
+                        "--checkpoint", workspace["ckpt"] / "model", "--output", out]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(outs[0].read_text().splitlines()) == 60
+
+    def test_build_vocab_reads_the_text_of_labeled_and_plain_files(self, workspace, tmp_path):
+        """build-vocab over a labeled and a plain file writes what it writes
+        over their text columns: no label name enters the vocabulary."""
+        plain, text = tmp_path / "plain.txt", tmp_path / "text.txt"
+        plain.write_text("angersig0 fresh words\nanother fresh line\n")
+        text_column(workspace["clean"], text)
+        for name, inputs in (("mixed", [workspace["clean"], plain]), ("text", [text, plain])):
+            assert run(["build-vocab", "--inputs", *inputs, "--vocab", tmp_path / f"{name}.tsv",
+                        "--embedding-out", tmp_path / name, *VOCAB_FLAGS]) == 0
+        for suffix in (".tsv", ".json", ".bin"):
+            assert (tmp_path / f"mixed{suffix}").read_bytes() == (tmp_path / f"text{suffix}").read_bytes()
+        assert not set(LABELS) & set(Vocabulary.load(tmp_path / "mixed.tsv").id_to_word)
+
+    @pytest.mark.parametrize("command", ["build-vocab", "predict"])
+    def test_unknown_label_before_a_tab_names_file_and_line(self, workspace, tmp_path, capsys, command):
+        data = tmp_path / "data.tsv"
+        data.write_text("angersig0 the\nhappy\tangersig0 the\n")
+        argv = {"build-vocab": ["build-vocab", "--inputs", data, "--vocab", tmp_path / "vocab.tsv",
+                                "--embedding-out", tmp_path / "emb", *VOCAB_FLAGS],
+                "predict": ["predict", "--input", data, "--vocab", workspace["vocab"],
+                            "--checkpoint", workspace["ckpt"] / "model", "--output", tmp_path / "preds.txt"]}[command]
+        capsys.readouterr()
+        assert run(argv) == 3
+        assert capsys.readouterr().err == f"error: {data}:2: unknown label 'happy'; expected one of {', '.join(LABELS)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.tsv"]
 
 
 BOM = b"\xef\xbb\xbf"
@@ -465,7 +551,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         stem = workspace["payload"] if command == "train" else workspace["ckpt"] / "model"
         argv = {
-            "predict": ["predict", "--input", workspace["clean"], "--labeled", "--output", out,
+            "predict": ["predict", "--input", workspace["clean"], "--output", out,
                         "--checkpoint", stem],
             "evaluate": ["evaluate", "--input", workspace["clean"], "--output", out,
                          "--checkpoint", stem],
@@ -490,7 +576,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes(Path(f"{source}.bin").read_bytes())
         out = tmp_path / "out"
         argv = {
-            "predict": ["predict", "--input", workspace["clean"], "--labeled", "--output", out,
+            "predict": ["predict", "--input", workspace["clean"], "--output", out,
                         "--checkpoint", stem],
             "evaluate": ["evaluate", "--input", workspace["clean"], "--output", out, "--checkpoint", stem],
             "train": ["train", "--train-file", workspace["clean"], "--checkpoint-dir", out,
@@ -520,7 +606,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes(Path(f"{source}.bin").read_bytes())
         out = tmp_path / "out"
         argv = {
-            "predict": ["predict", "--input", workspace["clean"], "--labeled", "--output", out,
+            "predict": ["predict", "--input", workspace["clean"], "--output", out,
                         "--checkpoint", stem],
             "evaluate": ["evaluate", "--input", workspace["clean"], "--output", out, "--checkpoint", stem],
             "train": ["train", "--train-file", workspace["clean"], "--checkpoint-dir", out,
@@ -552,7 +638,7 @@ class TestExitCodes:
             "evaluate-input": (b"joy\tgood\nsad\tcaf\xe9 x\n", 2, ["evaluate", "--input", bad, "--vocab", vocab,
                                                                 "--checkpoint", model, "--output", out]),
             "vocab": (b"\r\n".join(words[:2] + [b"2\tcaf\xe9"] + words[3:]) + b"\r\n", 3,
-                      ["predict", "--input", clean, "--labeled", "--vocab", bad, "--checkpoint", model,
+                      ["predict", "--input", clean, "--vocab", bad, "--checkpoint", model,
                        "--output", out]),
             "lexicon": (b"the\t5\rit\t3\rcaf\xe9\t2\r", 3,
                         ["preprocess", "--input", raw, "--lexicon", bad, "--output", out]),
@@ -560,7 +646,7 @@ class TestExitCodes:
                        ["train", "--train-file", clean, "--vocab", vocab, "--embeddings-payload", workspace["payload"],
                         "--config", bad, "--checkpoint-dir", out]),
             "manifest": (manifest.replace(b'"seed"', b'"s\xe9ed"'), manifest[: manifest.index(b'"seed"')].count(b"\n") + 1,
-                         ["predict", "--input", clean, "--labeled", "--vocab", vocab,
+                         ["predict", "--input", clean, "--vocab", vocab,
                           "--checkpoint", tmp_path / "model", "--output", out]),
             "word2vec": (b"1 2\ncaf\xe9 0.1 0.2\n", 2,
                          ["build-vocab", "--inputs", clean, "--vocab", out, "--embedding-out", tmp_path / "emb",
@@ -580,7 +666,7 @@ class TestExitCodes:
         vocab.write_text("\n".join(lines[:3] + [bad] + lines[4:]) + "\n")
         out = tmp_path / "preds.txt"
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", vocab,
+        code = run(["predict", "--input", workspace["clean"], "--vocab", vocab,
                     "--checkpoint", workspace["ckpt"] / "model", "--output", out])
         assert code == 3
         assert f"error: {vocab}:4: expected id<TAB>word" in capsys.readouterr().err
@@ -620,7 +706,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         capsys.readouterr()
         code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
-                    "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+                    "--checkpoint", stem, "--output", out])
         assert code == 3
         missing = "gru/W_i, gru/W_h, gru/b, capsule/W, dense/W, dense/b"
         assert f"error: {stem}.json: missing tensors: {missing}\n" in capsys.readouterr().err
@@ -640,7 +726,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         capsys.readouterr()
         code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
-                    "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+                    "--checkpoint", stem, "--output", out])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: missing tensors: gru/W_i, gru/W_h, gru/b\n"
         assert not out.exists()
@@ -666,7 +752,7 @@ class TestExitCodes:
             out = tmp_path / "out"
             capsys.readouterr()
             code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
-                        "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+                        "--checkpoint", stem, "--output", out])
             assert code == 3
             assert capsys.readouterr().err == f"error: {stem}.json: {says}\n"
             assert not out.exists()
@@ -689,7 +775,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         capsys.readouterr()
         code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
-                    "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+                    "--checkpoint", stem, "--output", out])
         assert code == 3
         unknown = "beta1, beta2, clip_mode, dense_bias, epsilon, second_noise_site"
         assert capsys.readouterr().err == f"error: {stem}.json: hyperparameters have unknown keys {unknown}\n"
@@ -707,7 +793,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         capsys.readouterr()
         code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
-                    "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+                    "--checkpoint", stem, "--output", out])
         assert code == 3
         says = f"tensor 'embedding/W_e' has dtype {np.dtype(dtype).str!r}, not '<f8'"
         assert capsys.readouterr().err == f"error: {stem}.json: {says}\n"
@@ -729,7 +815,7 @@ class TestExitCodes:
         argv = {
             "train": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
                       "--embeddings-payload", stem, "--checkpoint-dir", out, *TINY_FLAGS],
-            "predict": ["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+            "predict": ["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
                         "--checkpoint", stem, "--output", out],
             "evaluate": ["evaluate", "--input", workspace["clean"], "--vocab", workspace["vocab"],
                          "--checkpoint", stem, "--output", out],
@@ -756,7 +842,7 @@ class TestExitCodes:
         save_checkpoint(stem, tensors, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
         out = tmp_path / "preds.txt"
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+        code = run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         expected = "(rows, dim)" if name == "embedding/W_e" else expected
@@ -791,7 +877,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         capsys.readouterr()
         code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"], "--checkpoint", stem,
-                    "--output", out] + (["--labeled"] if command == "predict" else []))
+                    "--output", out])
         assert code == 4
         captured = capsys.readouterr()
         assert re.fullmatch(r"numeric failure: sequence \d+: class probabilities are not finite\n", captured.err)
@@ -811,7 +897,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         capsys.readouterr()
         code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"], "--checkpoint", stem,
-                    "--output", out] + (["--labeled"] if command == "predict" else []))
+                    "--output", out])
         assert code == 3
         err = capsys.readouterr().err
         assert err == f"error: {stem}.json: tensor embedding/W_e has shape {W.shape}, expected (rows, dim)\n"
@@ -1003,7 +1089,7 @@ class TestExitCodes:
                               f"{victim} is a file of --checkpoint-dir {tmp_path} and of --embeddings-payload {tmp_path / 'model'}"),
             "evaluate": (["evaluate", "--input", victim, *model, "--output", victim],
                          f"--output {victim} is also --input {victim}"),
-            "predict": (["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+            "predict": (["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
                          "--checkpoint", tmp_path / "model", "--output", victim],
                         f"--output {victim} is a file of --checkpoint {tmp_path / 'model'}"),
         }[command]
@@ -1015,12 +1101,46 @@ class TestExitCodes:
         assert (tmp_path / "model.bin").read_bytes() == Path(f"{pair}.bin").read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == before  # nothing written, no .tmp file left
 
+    # Each output is written through its `.tmp` file, so an input of that
+    # name would be overwritten and then renamed away. Every other input is
+    # missing: a run that read anything would exit 3.
+    @pytest.mark.parametrize("command, name, output", [
+        ("preprocess", "out.tsv.tmp", ["--output", "out.tsv"]),
+        ("build-vocab", "vocab.tsv.tmp", ["--vocab", "vocab.tsv"]),
+        ("build-vocab", "emb.json.tmp", ["--embedding-out", "emb"]),
+        ("build-vocab", "emb.bin.tmp", ["--embedding-out", "emb"]),
+        ("train", "run/model.json.tmp", ["--checkpoint-dir", "run"]),
+        ("train", "run/model.bin.tmp", ["--checkpoint-dir", "run"]),
+        ("train", "run/history.jsonl.tmp", ["--checkpoint-dir", "run"]),
+        ("evaluate", "report.json.tmp", ["--output", "report.json"]),
+        ("predict", "preds.txt.tmp", ["--output", "preds.txt"]),
+    ], ids=["preprocess", "vocab", "payload-json", "payload-bin", "model-json", "model-bin", "history", "evaluate",
+            "predict"])
+    def test_input_named_as_an_outputs_tmp_file_is_bad_argument(self, workspace, tmp_path, capsys, command, name, output):
+        victim, missing = tmp_path / name, tmp_path / "missing"
+        victim.parent.mkdir(exist_ok=True)
+        victim.write_bytes(workspace["clean"].read_bytes())
+        flag, value = output[0], tmp_path / output[1]
+        input_flag = {"preprocess": "--input", "build-vocab": "--inputs", "train": "--train-file"}.get(command, "--input")
+        rest = {"preprocess": ["--lexicon", missing],
+                "build-vocab": ["--vocab", tmp_path / "v.tsv", "--embedding-out", tmp_path / "e", "--config", missing],
+                "train": ["--vocab", missing, "--embeddings-payload", missing],
+                }.get(command, ["--vocab", missing, "--checkpoint", missing])
+        argv = [command, input_flag, victim, *rest, flag, value]
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"bad arguments: {input_flag} {victim} is a file of {flag} {value}\n"
+        assert victim.read_bytes() == workspace["clean"].read_bytes()
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+        victim.unlink()
+
     def test_manifest_not_an_object(self, workspace, tmp_path, capsys):
         stem = tmp_path / "bad"
         Path(f"{stem}.json").write_text("[]")
         Path(f"{stem}.bin").write_bytes(b"")
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab",
+        code = run(["predict", "--input", workspace["clean"], "--vocab",
                     workspace["vocab"], "--checkpoint", stem, "--output", tmp_path / "preds.txt"])
         assert code == 3
         assert f"error: {stem}.json: manifest is not a JSON object" in capsys.readouterr().err
@@ -1047,7 +1167,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         out = tmp_path / "preds.txt"
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab",
+        code = run(["predict", "--input", workspace["clean"], "--vocab",
                     workspace["vocab"], "--checkpoint", stem, "--output", out])
         assert code == 3
         assert f"error: {stem}.json: " in capsys.readouterr().err
@@ -1064,7 +1184,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         out = tmp_path / "preds.txt"
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+        code = run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: repeated manifest key {key!r}\n"
@@ -1080,7 +1200,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes() + bytes(6 * 8))
         out = tmp_path / "preds.txt"
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+        code = run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: tensor 'dense/b' is listed twice\n"
@@ -1096,7 +1216,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         capsys.readouterr()
         code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
-                    "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+                    "--checkpoint", stem, "--output", out])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {stem}.json: ") and "routing_iters" in err
@@ -1118,7 +1238,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         capsys.readouterr()
         code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
-                    "--checkpoint", stem, "--output", out] + (["--labeled"] if command == "predict" else []))
+                    "--checkpoint", stem, "--output", out])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: hyperparameters say {says}\n"
         assert not out.exists()
@@ -1130,7 +1250,7 @@ class TestExitCodes:
         write_checkpoint_as(stem, tensors, manifest, {name: dtype})
         out = tmp_path / "preds.txt"
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+        code = run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: tensor {name!r} has dtype {dtype!r}, not '<f8'\n"
@@ -1226,7 +1346,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         out = tmp_path / "preds.txt"
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab",
+        code = run(["predict", "--input", workspace["clean"], "--vocab",
                     workspace["vocab"], "--checkpoint", stem, "--output", out])
         assert code == 3
         assert f"error: {stem}.bin: payload ends inside tensor 'embedding/W_e'" in capsys.readouterr().err
@@ -1243,7 +1363,7 @@ class TestExitCodes:
         Path(f"{stem}.json").write_text(json.dumps(manifest))
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab",
+        code = run(["predict", "--input", workspace["clean"], "--vocab",
                     workspace["vocab"], "--checkpoint", stem, "--output", tmp_path / "preds.txt"])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: tensor 'extra' has bad shape {shape!r}\n"
@@ -1356,7 +1476,7 @@ class TestExitCodes:
         Path(f"{stem}.json").write_text(json.dumps(manifest))
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+        code = run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
                     "--checkpoint", stem, "--output", tmp_path / "out"])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: seed must be non-negative, got -1\n"
@@ -1414,7 +1534,7 @@ class TestExitCodes:
             "config": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
                        "--embeddings-payload", workspace["payload"], "--checkpoint-dir", tmp_path / "ckpt",
                        "--config", bad],
-            "manifest": ["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+            "manifest": ["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
                          "--checkpoint", tmp_path / "bad", "--output", tmp_path / "preds.txt"],
         }[what]
         capsys.readouterr()
@@ -1463,7 +1583,7 @@ def writing_argv(command, workspace, out):
         "train": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
                   "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out, *TINY_FLAGS],
         "evaluate": ["evaluate", "--input", workspace["clean"], *model, "--output", out / "report.json"],
-        "predict": ["predict", "--input", workspace["clean"], "--labeled", *model, "--output", out / "preds.txt"],
+        "predict": ["predict", "--input", workspace["clean"], *model, "--output", out / "preds.txt"],
     }[command]
 
 
@@ -1527,7 +1647,7 @@ class TestWholeOrUntouched:
         assert (out / "model.bin").read_bytes() != (workspace["ckpt"] / "model.bin").read_bytes()
 
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--labeled", "--vocab", workspace["vocab"],
+        code = run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
                     "--checkpoint", out / "model", "--output", tmp_path / "preds.txt"])
         assert code == 3
         assert capsys.readouterr().err == (
@@ -1567,7 +1687,7 @@ class TestConfiguration:
         ("train", ["--train-file", "--dev-file", "--vocab", "--embeddings-payload",
                    "--checkpoint-dir", "--wall-clock"]),
         ("build-vocab", ["--inputs", "--vocab", "--embedding-out", "--embeddings",
-                         "--embeddings-format", "--unlabeled"]),
+                         "--embeddings-format"]),
     ])
     def test_configuration_surface(self, command, fixed):
         """The command's fixed options, --config and --profile, then a flag
@@ -1639,7 +1759,7 @@ class TestConfiguration:
 
     @pytest.mark.parametrize("command, options, optional", [
         ("evaluate", ["--input", "--vocab", "--checkpoint", "--output"], ["--output"]),
-        ("predict", ["--input", "--vocab", "--checkpoint", "--output", "--labeled"], ["--labeled"]),
+        ("predict", ["--input", "--vocab", "--checkpoint", "--output"], []),
     ])
     def test_model_input_options(self, command, options, optional):
         """evaluate and predict share --input, --vocab and --checkpoint, and
@@ -1763,8 +1883,8 @@ def write_held_out_task(root, rng, dim):
 
     Each class has 10 cue words of the train and dev splits and 10 others
     of the test split alone. A tweet is 8-15 fillers, 1-2 cue words of its
-    class and <targetword>. Writes train/dev/test as labeled .tsv and as
-    text-only .txt files, and vectors.txt."""
+    class and <targetword>. Writes train/dev/test as labeled .tsv files,
+    test also as a text-only .txt file, and vectors.txt."""
     seen = [[f"{label}seen{k}" for k in range(10)] for label in LABELS]
     held = [[f"{label}held{k}" for k in range(10)] for label in LABELS]
     fillers = [f"filler{k}" for k in range(200)]
@@ -1775,7 +1895,7 @@ def write_held_out_task(root, rng, dim):
             words = [*rng.choice(fillers, rng.integers(8, 16)), *rng.choice(cues[c], rng.integers(1, 3)), "<targetword>"]
             tweets.append(" ".join(rng.permutation(words)))
         (root / f"{name}.tsv").write_text("".join(f"{LABELS[c]}\t{t}\n" for c, t in zip(classes, tweets)), "utf-8")
-        (root / f"{name}.txt").write_text("".join(f"{t}\n" for t in tweets), "utf-8")
+    (root / "test.txt").write_text("".join(f"{t}\n" for t in tweets), "utf-8")  # the last split's tweets
     centroids = rng.normal(size=(len(LABELS), dim))
     vectors = [(word, centroids[c] + 0.3 * rng.normal(size=dim)) for c in range(len(LABELS)) for word in seen[c] + held[c]]
     vectors += [(word, rng.normal(size=dim)) for word in fillers + ["<targetword>"]]
@@ -1797,9 +1917,9 @@ def test_pretrained_vectors_carry_the_class_to_words_training_never_saw(tmp_path
     of 0.17 below the lowest pretrained reading and 0.13 above the highest
     random one."""
     write_held_out_task(tmp_path, np.random.default_rng(0), dim=50)
-    splits = [tmp_path / f"{name}.txt" for name in ("train", "dev", "test")]
+    splits = [tmp_path / name for name in ("train.tsv", "dev.tsv", "test.txt")]  # as README's pipeline
     vectors = ["--embeddings", tmp_path / "vectors.txt", "--embeddings-format", "text"] if pretrained else []
-    assert run(["build-vocab", "--inputs", *splits, "--unlabeled", "--vocab", tmp_path / "vocab.tsv",
+    assert run(["build-vocab", "--inputs", *splits, "--vocab", tmp_path / "vocab.tsv",
                 "--embedding-out", tmp_path / "emb", "--profile", "desk", "--seed", "3", *vectors]) == 0
     assert run(["train", "--train-file", tmp_path / "train.tsv", "--dev-file", tmp_path / "dev.tsv",
                 "--vocab", tmp_path / "vocab.tsv", "--embeddings-payload", tmp_path / "emb",

@@ -252,3 +252,19 @@ def test_sources_parse_as_the_oldest_supported_python():
         except SyntaxError as exc:
             failing.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
     assert failing == []
+
+
+def test_every_data_file_ships_in_the_wheel():
+    """Every file under src/emocaps/data/ matches a glob of pyproject's
+    `[tool.setuptools.package-data]` for the package, read with a regex
+    (Python 3.10 has no tomllib). The tests run on the source tree, so
+    they pass with a data file the wheel leaves out, while the installed
+    package fails at import: textprep reads emoticons.txt then."""
+    pyproject = (ROOT / "pyproject.toml").read_text("utf-8")
+    table = re.search(r"^\[tool\.setuptools\.package-data\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    globs = re.findall(r'"([^"]+)"', re.search(r"^emocaps = \[(.*?)\]", table.group(1), re.M | re.S).group(1))
+    package = ROOT / "src" / "emocaps"
+    shipped = {path for pattern in globs for path in package.glob(pattern)}
+    data = sorted(path for path in (package / "data").rglob("*") if path.is_file())
+    assert data
+    assert [str(path.relative_to(package)) for path in data if path not in shipped] == []
