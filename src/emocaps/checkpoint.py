@@ -52,7 +52,7 @@ def save_checkpoint(
         manifest["vocab_sha256"] = vocab_sha256
     digest = hashlib.sha256()
     # the payload lands first, after the manifest is flushed: a failed write of either lands neither
-    with replacing(f"{stem}.json") as manifest_file, replacing(f"{stem}.bin", "wb") as payload:
+    with replacing(f"{stem}.json") as manifest_file, replacing(f"{stem}.bin", "xb") as payload:
         for t in tensors.values():
             data = np.ascontiguousarray(t, dtype=DTYPE)
             payload.write(data)
@@ -95,7 +95,7 @@ def load_checkpoint(stem):
     message names the file it is about, and a digest error both files.
     """
     manifest_path, payload_path = f"{stem}.json", f"{stem}.bin"
-    manifest = json_object(manifest_path, "manifest")
+    manifest = json_object(manifest_path)
     version = manifest.get("version")
     if version != FORMAT_VERSION:
         raise EmocapsError(f"{manifest_path}: unsupported manifest version: {version!r}")

@@ -1,10 +1,9 @@
 """Command-line entry point: preprocess, build-vocab, train, evaluate, predict.
 
 Configuration is the TrainConfig defaults, then the --profile preset, then
-a flat JSON --config file of TrainConfig keys, then flags, each overriding
-the ones before. Each command has a flag per key it reads: `build-vocab`
---embed-dim and --seed, `train` all but embed_dim, which is its payload's
-width. TrainConfig checks the config in effect.
+flags, each overriding the ones before. Each command has a flag per key it
+reads: `build-vocab` --embed-dim and --seed, `train` all but embed_dim,
+which is its payload's width. TrainConfig checks the config in effect.
 The other commands read preprocessed (whitespace tokenized) files, so the
 text pipeline runs exactly once, in `preprocess`. Its text holds no tab: a
 line holds one when it is labeled, and train and evaluate need a label.
@@ -26,7 +25,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .embeddings import EmbeddingTable, Vocabulary, build_embedding, load_word2vec
-from .errors import EmocapsError, NumericError, json_object, replacing, text_lines
+from .errors import EmocapsError, NumericError, replacing, text_lines
 from .evaluation import LABELS, confusion, format_report, label_index, metrics
 from .textprep import Lexicon, preprocess
 from .training import ModelParams, TrainConfig, init_model, predict_dataset, train
@@ -48,36 +47,18 @@ FILES_OF = {"embedding_out": (".json", ".bin"), "embeddings_payload": (".json", 
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
-    """--config and --profile, then one flag per TrainConfig field in `names`, those the command reads."""
-    parser.add_argument("--config", help="flat JSON config file; flags override its keys")
+    """--profile, then one flag per TrainConfig field in `names`, those the command reads."""
     parser.add_argument("--profile", choices=sorted(PROFILES), help="dimension/batch preset")
     for name in names:
         default = getattr(TrainConfig(), name)
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=type(default), help=f"default {default}")
 
 
-def _read_config_file(path) -> dict:
-    """The keys of a flat JSON config file, each a TrainConfig field. Any
-    other key ("profile" too: the preset is --profile's) or a repeated key
-    is an error naming the file."""
-    loaded = json_object(path, "config")
-    unknown = set(loaded) - set(CONFIG_KEYS)
-    if unknown:
-        raise EmocapsError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
-    return loaded
-
-
 def _resolve_config(args) -> TrainConfig:
-    """Defaults, then --profile, then the config file, then explicit flags.
-    Flags and profiles are typed, so a TypeError comes from the config file."""
+    """Defaults, then --profile, then explicit flags: both typed, so TrainConfig raises only its range ValueError."""
     values = dict(PROFILES[args.profile]) if args.profile else {}
-    if args.config:
-        values.update(_read_config_file(args.config))
     values.update((key, value) for key, value in vars(args).items() if key in CONFIG_KEYS and value is not None)
-    try:
-        return TrainConfig(**values)
-    except TypeError as exc:
-        raise EmocapsError(f"{args.config}: {exc}") from None
+    return TrainConfig(**values)
 
 
 def load_dataset(path, labeled: bool | None = True) -> list:
@@ -149,7 +130,8 @@ def _refuse_overwriting(args, outputs, inputs) -> None:
     another output or one of the inputs: writing it would replace what the
     command reads or writes. `outputs` and `inputs` name options of `args`;
     one in FILES_OF names the files its value + each suffix, any other the
-    path itself, and one left out is None. An output's `.tmp` file counts too."""
+    path itself, and one left out is None. An output's `.tmp` file counts
+    too, and one that exists is refused: errors.replacing would not write it."""
     written = {}
     for is_output, names in ((True, outputs), (False, inputs)):
         for name in names:
@@ -167,6 +149,9 @@ def _refuse_overwriting(args, outputs, inputs) -> None:
                     raise ValueError(f"{fa} {va} is {'a file of' if sb else 'also'} {fb} {vb}")
                 if is_output:
                     written[path] = (flag, value, suffix)
+    for path, (flag, value, suffix) in written.items():
+        if suffix.endswith(".tmp") and path.exists():
+            raise ValueError(f"{value}{suffix} exists and {flag} {value} is written through it: remove it first")
 
 
 def cmd_preprocess(args) -> int:
@@ -182,7 +167,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    _refuse_overwriting(args, ["vocab", "embedding_out"], ["inputs", "embeddings", "config"])
+    _refuse_overwriting(args, ["vocab", "embedding_out"], ["inputs", "embeddings"])
     cfg = _resolve_config(args)
     sequences = []
     for path in args.inputs:
@@ -208,7 +193,7 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _refuse_overwriting(args, ["checkpoint_dir"], ["train_file", "dev_file", "vocab", "embeddings_payload", "config"])
+    _refuse_overwriting(args, ["checkpoint_dir"], ["train_file", "dev_file", "vocab", "embeddings_payload"])
     cfg = _resolve_config(args)
     vocab = Vocabulary.load(args.vocab)
     train_set = _encode(args.train_file, vocab)
@@ -361,7 +346,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    except (EmocapsError, OSError) as exc:
+    except (EmocapsError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -2,7 +2,7 @@
 message the CLI prints, and its subclass `NumericError` for NaN or Inf: a
 subclass exists only when a caller catches it by name. `text_lines` and
 `whole_text`, the readers of every text file the program is given, a line
-at a time or at once (`json_object` reads JSON with the latter);
+at a time or at once (`json_object` reads a manifest with the latter);
 `read_blocks` and `two_column_blocks`, which read a two-column file (a
 vocabulary or a lexicon) once and cut it into blocks of whole lines for its
 parser, and `integer_cells`, which reads its ids or counts; `replacing`,
@@ -110,36 +110,38 @@ def _not_utf8(path) -> EmocapsError:
     return EmocapsError(f"{path}: not UTF-8 text")  # it changed since the failed read
 
 
-def json_object(path, what: str) -> dict:
-    """The JSON object in text file `path`, a `what` ("config", "manifest").
-    Text that is not JSON or that `json` cannot read (nested too deep, an
-    int of too many digits), a key repeated in any object of it, or a value
-    other than an object raises EmocapsError naming the file."""
+def json_object(path) -> dict:
+    """The JSON object in checkpoint manifest `path`, a text file. Text that
+    is not JSON or that `json` cannot read (nested too deep, an int of too
+    many digits), a key repeated in any object of it, or a value other than
+    an object raises EmocapsError naming the file."""
 
     def once(pairs):
         repeated = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
         if repeated:
-            raise EmocapsError(f"{path}: repeated {what} key {repeated[0]!r}")
+            raise EmocapsError(f"{path}: repeated manifest key {repeated[0]!r}")
         return dict(pairs)
 
     text = whole_text(path)
     try:
         loaded = json.loads(text, object_pairs_hook=once)
     except (ValueError, RecursionError) as exc:
-        raise EmocapsError(f"{path}: unreadable {what}: {exc}") from exc
+        raise EmocapsError(f"{path}: unreadable manifest: {exc}") from exc
     if not isinstance(loaded, dict):
-        raise EmocapsError(f"{path}: {what} is not a JSON object")
+        raise EmocapsError(f"{path}: manifest is not a JSON object")
     return loaded
 
 
 @contextmanager
-def replacing(path, mode="w"):
-    """Yield `<path>.tmp` open for writing, as UTF-8 text or with mode "wb"
-    as bytes; rename it onto `path` when the block ends, or remove it if
-    the block raises. `path` keeps its previous bytes until then."""
+def replacing(path, mode="x"):
+    """Yield `<path>.tmp`, created for writing, as UTF-8 text or with mode
+    "xb" as bytes; rename it onto `path` when the block ends, or remove it
+    if the block raises. `path` keeps its previous bytes until then. An
+    existing `<path>.tmp` is not ours to write or remove: FileExistsError."""
     tmp = Path(f"{path}.tmp")
+    handle = open(tmp, mode, encoding=None if "b" in mode else "utf-8")  # before the try: a clash removes nothing
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as handle:
+        with handle:
             yield handle
         os.replace(tmp, path)
     finally:

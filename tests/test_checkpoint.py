@@ -287,6 +287,19 @@ class TestAtomicWrite:
         with pytest.raises(EmocapsError, match="^" + re.escape(says) + "$"):
             load_checkpoint(stem)
 
+    @pytest.mark.parametrize("suffix", [".json.tmp", ".bin.tmp"])
+    def test_existing_tmp_file_is_kept(self, tmp_path, suffix):
+        """A file already at a temporary path is not the save's: it keeps its
+        bytes, the save writes nothing, and the .json.tmp file it did create
+        is removed."""
+        stem = tmp_path / "model"
+        save_checkpoint(stem, sample_tensors(), {"k": 1}, seed=1)
+        Path(f"{stem}{suffix}").write_bytes(b"a user's bytes")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(FileExistsError, match=re.escape(f"{stem}{suffix}")):
+            save_checkpoint(stem, {"other": np.ones(3)}, {"k": 2}, seed=2)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_overwrite_replaces_both_files(self, tmp_path):
         stem = tmp_path / "model"
         save_checkpoint(stem, sample_tensors(), {"k": 1}, seed=1)

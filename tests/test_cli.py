@@ -21,7 +21,7 @@ from emocaps import cli, training
 from emocaps.checkpoint import load_checkpoint, save_checkpoint
 from emocaps.cli import build_parser, entry, load_dataset, main
 from emocaps.embeddings import Vocabulary, load_word2vec
-from emocaps.errors import EmocapsError, text_lines, whole_text
+from emocaps.errors import EmocapsError, replacing, text_lines, whole_text
 from emocaps.evaluation import LABELS
 from emocaps.textprep import Lexicon
 from emocaps.training import TrainConfig
@@ -190,12 +190,10 @@ class TestPipeline:
 
     def test_payload_dimension_wins_over_flag(self, workspace, tmp_path):
         """train has no --embed-dim: the width is the payload's, as the row
-        count is the vocabulary's. A config file's embed_dim is checked with
-        the other keys, then replaced."""
-        cfg, ckpt = tmp_path / "cfg.json", tmp_path / "run"
-        cfg.write_text(json.dumps({"embed_dim": 9}))
+        count is the vocabulary's. --profile desk's embed_dim 50 is replaced."""
+        ckpt = tmp_path / "run"
         code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt, "--config", cfg]
+                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt, "--profile", "desk"]
                    + TINY_FLAGS)
         assert code == 0
         tensors, manifest = load_checkpoint(ckpt / "model")
@@ -203,14 +201,13 @@ class TestPipeline:
         assert tensors["embedding/W_e"].shape[1] == 8 and tensors["gru/W_i"].shape[1] == 8
 
     def test_payload_dimension_override_is_reported(self, workspace, tmp_path, capsys):
-        """The payload's width replacing a config file's embed_dim is reported
+        """The payload's width replacing --profile desk's embed_dim is reported
         by the checkpoint alone: predict loads it at width 8, and neither run
         writes to stderr."""
-        cfg, ckpt, out = tmp_path / "cfg.json", tmp_path / "run", tmp_path / "preds.txt"
-        cfg.write_text(json.dumps({"embed_dim": 9}))
+        ckpt, out = tmp_path / "run", tmp_path / "preds.txt"
         capsys.readouterr()
         assert run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt, "--config", cfg]
+                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt, "--profile", "desk"]
                    + TINY_FLAGS) == 0
         assert run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
                     "--checkpoint", ckpt / "model", "--output", out]) == 0
@@ -454,7 +451,7 @@ class TestTabRule:
 BOM = b"\xef\xbb\xbf"
 
 
-@pytest.mark.parametrize("reader", ["labeled", "unlabeled", "vocabulary", "lexicon", "word2vec", "config", "manifest"])
+@pytest.mark.parametrize("reader", ["labeled", "unlabeled", "vocabulary", "lexicon", "word2vec", "manifest"])
 def test_byte_order_mark_is_skipped(tmp_path, reader):
     """Every reader reads a file that starts with a UTF-8 byte-order mark as
     it reads the same file without one."""
@@ -465,7 +462,6 @@ def test_byte_order_mark_is_skipped(tmp_path, reader):
         "lexicon": (b"the\t5\ncat\t2\n", lambda path: dict(Lexicon.from_file(path).counts)),
         "word2vec": (b"2 2\ncat 0.5 1\ndog 1 2\n",
                      lambda path: {w: v.tolist() for w, v in load_word2vec(path, "text", {"cat", "dog"}, 2).items()}),
-        "config": (b'{"seed": 3, "batch_size": 8}\n', cli._read_config_file),
         "manifest": (None, lambda path: load_checkpoint(path.with_suffix(""))[1]),
     }[reader]
     plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
@@ -508,6 +504,20 @@ def test_whole_text_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     with pytest.raises(EmocapsError, match="^" + re.escape(
             f"{path}:3: not UTF-8 text: can't decode byte 0xe9 at file offset 12 (invalid continuation byte)") + "$"):
         whole_text(path)
+
+
+@pytest.mark.parametrize("mode", ["x", "xb"])
+def test_replacing_keeps_an_existing_tmp_file(tmp_path, mode):
+    """A file already at `<path>.tmp` is not replacing's to write or remove:
+    it keeps its bytes and `path` is not written."""
+    path = tmp_path / "out.tsv"
+    Path(f"{path}.tmp").write_bytes(b"a user's bytes")
+    with pytest.raises(FileExistsError, match=re.escape(f"{path}.tmp")):
+        with replacing(path, mode) as handle:
+            handle.write(b"new" if "b" in mode else "new")
+    assert Path(f"{path}.tmp").read_bytes() == b"a user's bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.tsv.tmp"]
+    Path(f"{path}.tmp").unlink()
 
 
 class TestExitCodes:
@@ -621,7 +631,7 @@ class TestExitCodes:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("reader", ["input", "evaluate-input", "vocab", "lexicon", "config", "manifest", "word2vec"])
+    @pytest.mark.parametrize("reader", ["input", "evaluate-input", "vocab", "lexicon", "manifest", "word2vec"])
     def test_file_that_is_not_utf8_names_file_and_line(self, workspace, tmp_path, capsys, reader):
         """Each file's first byte that is not UTF-8 is on the line given with
         it; the vocabulary's lines end in \\r\\n and the lexicon's in \\r."""
@@ -642,9 +652,6 @@ class TestExitCodes:
                        "--output", out]),
             "lexicon": (b"the\t5\rit\t3\rcaf\xe9\t2\r", 3,
                         ["preprocess", "--input", raw, "--lexicon", bad, "--output", out]),
-            "config": (b'{"seed": 1,\n "s\xe9ed": 2}', 2,
-                       ["train", "--train-file", clean, "--vocab", vocab, "--embeddings-payload", workspace["payload"],
-                        "--config", bad, "--checkpoint-dir", out]),
             "manifest": (manifest.replace(b'"seed"', b'"s\xe9ed"'), manifest[: manifest.index(b'"seed"')].count(b"\n") + 1,
                          ["predict", "--input", clean, "--vocab", vocab,
                           "--checkpoint", tmp_path / "model", "--output", out]),
@@ -1056,7 +1063,7 @@ class TestExitCodes:
         stem = tmp_path / "emb"
         capsys.readouterr()
         code = run(["build-vocab", "--inputs", tmp_path / "missing.tsv", "--vocab", f"{stem}{ext}",
-                    "--embedding-out", stem, "--config", tmp_path / "missing.json"])
+                    "--embedding-out", stem])
         assert code == 2
         assert capsys.readouterr().err == f"bad arguments: --vocab {stem}{ext} is a file of --embedding-out {stem}\n"
         assert list(tmp_path.iterdir()) == []
@@ -1123,7 +1130,7 @@ class TestExitCodes:
         flag, value = output[0], tmp_path / output[1]
         input_flag = {"preprocess": "--input", "build-vocab": "--inputs", "train": "--train-file"}.get(command, "--input")
         rest = {"preprocess": ["--lexicon", missing],
-                "build-vocab": ["--vocab", tmp_path / "v.tsv", "--embedding-out", tmp_path / "e", "--config", missing],
+                "build-vocab": ["--vocab", tmp_path / "v.tsv", "--embedding-out", tmp_path / "e"],
                 "train": ["--vocab", missing, "--embeddings-payload", missing],
                 }.get(command, ["--vocab", missing, "--checkpoint", missing])
         argv = [command, input_flag, victim, *rest, flag, value]
@@ -1134,6 +1141,44 @@ class TestExitCodes:
         assert victim.read_bytes() == workspace["clean"].read_bytes()
         assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
         victim.unlink()
+
+    # A file at an output's `.tmp` path that no option names is refused
+    # before anything is read: errors.replacing would not write over it.
+    @pytest.mark.parametrize("command, name", [("preprocess", "out.tsv.tmp"), ("train", "run/model.bin.tmp")],
+                             ids=["preprocess", "train"])
+    def test_stale_tmp_file_of_an_output_is_bad_argument(self, workspace, tmp_path, capsys, command, name):
+        stale = tmp_path / name
+        stale.parent.mkdir(exist_ok=True)
+        stale.write_bytes(b"a user's bytes")
+        argv, output = {
+            "preprocess": (["preprocess", "--input", workspace["raw"], "--output", tmp_path / "out.tsv"],
+                           f"--output {tmp_path / 'out.tsv'}"),
+            "train": (["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"], "--embeddings-payload",
+                       workspace["payload"], "--checkpoint-dir", tmp_path / "run", *TINY_FLAGS],
+                      f"--checkpoint-dir {tmp_path / 'run'}"),
+        }[command]
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"bad arguments: {stale} exists and {output} is written through it: remove it first\n"
+        assert stale.read_bytes() == b"a user's bytes"
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+        stale.unlink()
+
+    # Sizes no machine can allocate (PiB): the test allocates nothing.
+    @pytest.mark.parametrize("command", ["build-vocab", "train"])
+    def test_setting_too_large_to_allocate_is_one_error_line(self, workspace, tmp_path, capsys, command):
+        argv = {
+            "build-vocab": ["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+                            "--embedding-out", tmp_path / "emb", "--embed-dim", "10000000000000"],
+            "train": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"], "--embeddings-payload",
+                      workspace["payload"], "--checkpoint-dir", tmp_path / "run", "--hidden-dim", "10000000000000"],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and " PiB " in err and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
 
     def test_manifest_not_an_object(self, workspace, tmp_path, capsys):
         stem = tmp_path / "bad"
@@ -1438,20 +1483,8 @@ class TestExitCodes:
         assert "bad arguments: clip_norm must be finite" in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
 
-    def test_non_finite_config_value_is_bad_argument(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"learning_rate": float("nan")}))  # written as NaN
-        capsys.readouterr()
-        code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
-                    "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
-        assert code == 2
-        assert "bad arguments: learning_rate must be finite" in capsys.readouterr().err
-        assert not (tmp_path / "ckpt").exists()
-
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("command", ["build-vocab", "train"])
-    def test_negative_seed_is_bad_argument_before_anything_is_read(self, tmp_path, capsys, command, source):
+    @pytest.mark.parametrize("command", ["build-vocab", "train"], ids=["build-vocab-flag", "train-flag"])
+    def test_negative_seed_is_bad_argument_before_anything_is_read(self, tmp_path, capsys, command):
         missing = tmp_path / "missing.tsv"  # never opened: the config is checked first
         argv = {
             "build-vocab": ["build-vocab", "--inputs", missing, "--vocab", tmp_path / "vocab.tsv",
@@ -1459,15 +1492,10 @@ class TestExitCodes:
             "train": ["train", "--train-file", missing, "--vocab", missing, "--embeddings-payload", tmp_path / "emb",
                       "--checkpoint-dir", tmp_path / "ckpt"],
         }[command]
-        if source == "flag":
-            argv += ["--seed", "-1"]
-        else:
-            (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
-            argv += ["--config", tmp_path / "cfg.json"]
         capsys.readouterr()
-        assert run(argv) == 2
+        assert run(argv + ["--seed", "-1"]) == 2
         assert capsys.readouterr().err == "bad arguments: seed must be non-negative, got -1\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if source == "config" else [])
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_seed_in_manifest_names_manifest(self, workspace, tmp_path, capsys):
         stem = tmp_path / "model"
@@ -1482,84 +1510,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {stem}.json: seed must be non-negative, got -1\n"
         assert not (tmp_path / "out").exists()
 
-    def test_unknown_config_key(self, workspace, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"no_such_knob": 1}))
-        code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
-                    "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
-        assert code == 3
-
-    @pytest.mark.parametrize("content, says", [
-        ([1], "config is not a JSON object"),
-        ({"profile": "huge"}, "unknown config keys: profile"),
-        ({"profile": ["desk"]}, "unknown config keys: profile"),
-        ({"batch_size": "big"}, "batch_size must be int, got 'big'"),
-        ({"batch_size": 2.0}, "batch_size must be int, got 2.0"),
-        ({"batch_size": True}, "batch_size must be int, got True"),
-        ({"learning_rate": "0.1"}, "learning_rate must be float, got '0.1'"),
-        ({"noise_std": None}, "noise_std must be float, got None"),
-        ({"no_such_knob": 1}, "unknown config keys: no_such_knob"),
-        ({"clip_mode": "value", "dense_bias": False}, "unknown config keys: clip_mode, dense_bias"),
-        ({"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8}, "unknown config keys: beta1, beta2, epsilon"),
-    ], ids=["list", "unknown-profile", "list-profile", "int-as-str", "int-as-float", "int-as-bool",
-            "float-as-str", "float-as-null", "unknown-key", "retired-keys", "retired-adam-keys"])
-    def test_bad_config_file_names_file_and_key(self, workspace, tmp_path, capsys, content, says):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(content))
-        capsys.readouterr()
-        code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
-                    "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
-        assert code == 3
-        assert f"error: {cfg}: {says}" in capsys.readouterr().err
-        assert not (tmp_path / "ckpt").exists()
-
-    def test_unreadable_config_file(self, workspace, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{broken")
-        code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
-                    "--checkpoint-dir", tmp_path / "ckpt", "--config", cfg])
-        assert code == 3
-
-    @pytest.mark.parametrize("text", ["[" * 100_000, '{"seed": ' + "9" * 5000 + "}"], ids=["deep", "long"])
-    @pytest.mark.parametrize("what", ["config", "manifest"])
-    def test_json_that_json_cannot_read_names_the_file(self, workspace, tmp_path, capsys, what, text):
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"seed": ' + "9" * 5000 + "}"],
+                             ids=["manifest-deep", "manifest-long"])
+    def test_json_that_json_cannot_read_names_the_file(self, workspace, tmp_path, capsys, text):
         """Arrays nested past the recursion limit, and an int of more digits
         than Python converts, are unreadable JSON like any other."""
         bad = tmp_path / "bad.json"
         bad.write_text(text)
-        argv = {
-            "config": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-                       "--embeddings-payload", workspace["payload"], "--checkpoint-dir", tmp_path / "ckpt",
-                       "--config", bad],
-            "manifest": ["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
-                         "--checkpoint", tmp_path / "bad", "--output", tmp_path / "preds.txt"],
-        }[what]
         capsys.readouterr()
-        assert run(argv) == 3
+        assert run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+                    "--checkpoint", tmp_path / "bad", "--output", tmp_path / "preds.txt"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: unreadable {what}: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {bad}: unreadable manifest: ") and err.count("\n") == 1, err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
-
-    @pytest.mark.parametrize("command", ["build-vocab", "train"])
-    def test_repeated_config_key_names_file_and_key(self, tmp_path, capsys, command):
-        """JSON would keep the last of the three seeds, and the -5 would
-        never be checked."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"seed": 1, "seed": -5, "seed": 2}')
-        missing = tmp_path / "missing.tsv"
-        argv = {
-            "build-vocab": ["build-vocab", "--inputs", missing, "--vocab", tmp_path / "vocab.tsv",
-                            "--embedding-out", tmp_path / "emb"],
-            "train": ["train", "--train-file", missing, "--vocab", missing, "--embeddings-payload", tmp_path / "emb",
-                      "--checkpoint-dir", tmp_path / "ckpt"],
-        }[command]
-        capsys.readouterr()
-        assert run(argv + ["--config", cfg]) == 3
-        assert capsys.readouterr().err == f"error: {cfg}: repeated config key 'seed'\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 # the files each command writes, in the order they land
@@ -1658,31 +1621,6 @@ class TestWholeOrUntouched:
 
 
 class TestConfiguration:
-    def test_flags_override_config_file(self, workspace, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"learning_rate": 0.5, "max_epochs": 1}))
-        ckpt = tmp_path / "ckpt"
-        code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt,
-                    "--config", cfg, "--learning-rate", "0.25"] + TINY_FLAGS)
-        assert code == 0
-        hp = json.loads((ckpt / "model.json").read_text())["hyperparameters"]
-        assert hp["learning_rate"] == 0.25
-        # --max-epochs 2 came from the shared flag list, overriding the file's 1
-        assert hp["max_epochs"] == 2
-
-    def test_config_file_int_for_float_field(self, workspace, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"learning_rate": 1, "clip_norm": 2}))
-        ckpt = tmp_path / "ckpt"
-        code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt,
-                    "--config", cfg] + TINY_FLAGS)
-        assert code == 0
-        hp = json.loads((ckpt / "model.json").read_text())["hyperparameters"]
-        assert hp["learning_rate"] == 1.0 and isinstance(hp["learning_rate"], float)
-        assert hp["clip_norm"] == 2.0 and isinstance(hp["clip_norm"], float)
-
     @pytest.mark.parametrize("command, fixed", [
         ("train", ["--train-file", "--dev-file", "--vocab", "--embeddings-payload",
                    "--checkpoint-dir", "--wall-clock"]),
@@ -1690,8 +1628,8 @@ class TestConfiguration:
                          "--embeddings-format"]),
     ])
     def test_configuration_surface(self, command, fixed):
-        """The command's fixed options, --config and --profile, then a flag
-        per setting it reads: for train every TrainConfig field but
+        """The command's fixed options and --profile, then a flag per
+        setting it reads: for train every TrainConfig field but
         embed_dim, its payload's width, and for build-vocab only embed_dim
         and seed; a new option has to change this test on purpose."""
         fields = [
@@ -1704,7 +1642,7 @@ class TestConfiguration:
         subparsers = next(a for a in build_parser()._actions if a.dest == "command")
         options = [o for a in subparsers.choices[command]._actions for o in a.option_strings]
         settings = {"train": [f for f in fields if f != "embed_dim"], "build-vocab": ["embed_dim", "seed"]}[command]
-        expected = ["-h", "--help"] + fixed + ["--config", "--profile"]
+        expected = ["-h", "--help"] + fixed + ["--profile"]
         expected += ["--" + name.replace("_", "-") for name in settings]
         assert options == expected
 
@@ -1714,30 +1652,25 @@ class TestConfiguration:
         assert err.value.code == 2
         assert "unrecognized arguments: --hidden-dim 4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content, code, says", [
-        ({"hidden_dim": "big"}, 3, "error: {cfg}: hidden_dim must be int, got 'big'"),
-        ({"hidden_dim": 0}, 2, "bad arguments: hidden_dim must be at least 1, got 0"),
-    ], ids=["type", "range"])
-    def test_build_vocab_checks_the_whole_config_file(self, tmp_path, capsys, content, code, says):
-        """build-vocab reads two settings but checks every key of the shared
-        file, before any input is read."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(content))
+    @pytest.mark.parametrize("command", ["build-vocab", "train"])
+    def test_config_file_option_is_gone(self, tmp_path, capsys, command):
+        """Settings are flags and --profile alone: --config is an unknown option."""
+        argv = {"build-vocab": ["build-vocab", "--inputs", "x", "--vocab", "v", "--embedding-out", "e"],
+                "train": ["train", "--train-file", "t", "--vocab", "v", "--embeddings-payload", "e",
+                          "--checkpoint-dir", tmp_path / "ckpt"]}[command]
+        with pytest.raises(SystemExit) as err:
+            run(argv + ["--config", "x.json"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --config x.json" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_build_vocab_checks_its_settings_before_reading(self, tmp_path, capsys):
         missing = tmp_path / "missing.tsv"
         capsys.readouterr()
         assert run(["build-vocab", "--inputs", missing, "--vocab", tmp_path / "vocab.tsv",
-                    "--embedding-out", tmp_path / "emb", "--config", cfg]) == code
-        assert capsys.readouterr().err == says.format(cfg=cfg) + "\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-
-    def test_flag_over_a_wrongly_typed_file_value_is_accepted(self, tmp_path):
-        """The config in effect is checked, so a file value that a flag
-        overrides is never used and never checked."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"batch_size": "big", "seed": 3}))
-        args = build_parser().parse_args(["train", "--train-file", "t", "--vocab", "v", "--embeddings-payload", "e",
-                                          "--checkpoint-dir", "c", "--config", str(cfg), "--batch-size", "16"])
-        assert cli._resolve_config(args) == TrainConfig(batch_size=16, seed=3)
+                    "--embedding-out", tmp_path / "emb", "--embed-dim", "0"]) == 2
+        assert capsys.readouterr().err == "bad arguments: embed_dim must be at least 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_readme_commands_parse(self):
         """Every `emocaps ...` line of README's sh blocks, its backslash
@@ -1749,6 +1682,15 @@ class TestConfiguration:
         assert {argv[0] for argv in commands} == {"preprocess", "build-vocab", "train", "evaluate", "predict"}
         for argv in commands:
             build_parser().parse_args(argv)
+
+    def test_readme_names_only_options_that_exist(self):
+        """Every --option README names, in prose too, is an option of some
+        subcommand; pip's --no-build-isolation is the one exception."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) - {"--no-build-isolation"}
+        subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+        options = {o for parser in subparsers.choices.values() for a in parser._actions for o in a.option_strings}
+        assert sorted(named - options) == []
 
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -1793,29 +1735,12 @@ class TestConfiguration:
         assert hp["capsule_dim"] == 8
         assert hp["batch_size"] == 32
 
-    def test_profile_key_inside_config_file(self, workspace, tmp_path, capsys):
-        """The preset is --profile's: a config file that names one is refused
-        by both commands that read it, before anything is read or written."""
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"profile": "desk", "max_epochs": 1}))
-        out = tmp_path / "out"
-        for argv in (["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-                      "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out / "ckpt"],
-                     ["build-vocab", "--inputs", tmp_path / "missing.tsv", "--vocab", out / "vocab.tsv",
-                      "--embedding-out", out / "emb"]):
-            capsys.readouterr()
-            assert run(argv + ["--config", cfg]) == 3
-            assert capsys.readouterr().err == f"error: {cfg}: unknown config keys: profile\n"
-            assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
-
-    def test_profile_then_file_then_flags(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"hidden_dim": 4, "embed_dim": 6, "seed": 3}))
+    def test_profile_then_flags(self):
         args = build_parser().parse_args(["train", "--train-file", "t", "--vocab", "v", "--embeddings-payload", "e",
-                                          "--checkpoint-dir", "c", "--profile", "desk", "--config", str(cfg),
-                                          "--hidden-dim", "10"])
+                                          "--checkpoint-dir", "c", "--profile", "desk", "--hidden-dim", "10",
+                                          "--seed", "3"])
         desk = cli.PROFILES["desk"]
-        assert cli._resolve_config(args) == TrainConfig(**{**desk, "hidden_dim": 10, "embed_dim": 6, "seed": 3})
+        assert cli._resolve_config(args) == TrainConfig(**{**desk, "hidden_dim": 10, "seed": 3})
 
 
 class TestEntryPoint:
