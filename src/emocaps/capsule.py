@@ -4,7 +4,8 @@ loop (coupling coefficients are not treated as constants).
 
 One transform matrix per output capsule, shared across input positions, so
 the layer binds to sequences of any length. A chunk of sequences is routed
-at once, each in its own zero-padded block.
+at once, each in its own zero-padded block. Arguments are trusted:
+`training.train` and `training.predict_dataset` check input.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmocapsError
 from .nn import softmax, softmax_backward
 
 
@@ -54,8 +54,6 @@ def dynamic_routing(U: np.ndarray, iterations: int):
     every position they sum to 1 over J), the pre-squash sums S and the
     outputs V (each (B, J, d_out)) as a (C, S, V) triple.
     """
-    if iterations < 1:
-        raise ValueError("routing needs at least one iteration")
     logits = np.zeros(U.shape[:3], dtype=U.dtype)
     state = []
     for k in range(iterations):
@@ -108,11 +106,7 @@ def capsule_layer(H: np.ndarray, lengths, W: np.ndarray, iterations: int):
     dynamic_routing -> row-major flatten. H (N, d) holds the sequences' rows
     back to back, `lengths` their lengths in the same order; returns
     (B, J * d_out) and the cache."""
-    if H.ndim != 2 or H.shape[1] != W.shape[1]:
-        raise EmocapsError(f"H {H.shape} vs capsule input dim {W.shape[1]}")
     lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != len(H):
-        raise EmocapsError(f"lengths {lengths.tolist()} do not cover the {len(H)} input rows")
     blocks = np.zeros((len(lengths), W.shape[0], lengths.max(), W.shape[2]), dtype=H.dtype)
     start = 0
     for b, n in enumerate(lengths.tolist()):
@@ -131,13 +125,8 @@ def capsule_layer_backward(grad_flat: np.ndarray, cache: CapsuleCache, W: np.nda
 
     The routing blocks `U` and `state` are freed once `routing_backward`
     has read them, so they are not held while grad_H is summed; `H` and
-    `lengths` stay. The cache is consumed: a second call on it raises
-    ValueError."""
+    `lengths` stay. The cache is consumed: it backpropagates once."""
     V_shape = (len(cache.lengths), W.shape[0], W.shape[2])
-    if grad_flat.shape != (V_shape[0], V_shape[1] * V_shape[2]):
-        raise EmocapsError(f"grad {grad_flat.shape} vs flattened capsule output {V_shape}")
-    if cache.U is None:
-        raise ValueError("this capsule cache has already been backpropagated")
     grad_U = routing_backward(grad_flat.reshape(V_shape), cache.U, cache.state)
     cache.U = cache.state = None
     # (J, N, d_out): the real rows of every block, padding dropped

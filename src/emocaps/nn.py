@@ -2,7 +2,8 @@
 encoder.
 
 All backward passes are written by hand against the forward definitions; a
-finite-difference gradient checker in the tests keeps them honest.
+finite-difference gradient checker in the tests keeps them honest. Arguments
+are trusted: `training.train` and `training.predict_dataset` check input.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmocapsError
 from .evaluation import LABELS
 
 N_CLASSES = len(LABELS)
@@ -136,12 +136,6 @@ def bigru_forward(X: np.ndarray, lengths, p: GruParams, *, keep_cache: bool = Fa
     The cache, for `bigru_backward`, is None unless `keep_cache` is set.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
-    if X.ndim != 2 or lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1:
-        raise EmocapsError(f"bigru needs sequences of at least one position, got input {X.shape}")
-    if lengths.sum() != X.shape[0]:
-        raise EmocapsError(f"lengths sum to {lengths.sum()}, input has {X.shape[0]} rows")
-    if X.shape[1] != p.W_i.shape[1]:
-        raise EmocapsError(f"input width {X.shape[1]} vs GRU input {p.W_i.shape[1]}")
     counts, index = _packed_steps(lengths)
     n_rows, d_h = X.shape[0], p.W_h.shape[1]
     # Only a training chunk keeps every step's gates and gated recurrent
@@ -207,13 +201,9 @@ def bigru_backward(grad_H: np.ndarray, cache: BigruCache, p: GruParams):
     then holding 1 - r, with the gates, whose block it shares), so
     the call holds about 8.5 KB a token beyond its inputs at paper dims
     when the caller keeps no other reference to grad_H. The cache is
-    consumed: a second call on it raises ValueError.
+    consumed: it backpropagates once.
     """
     n_rows, d_h = cache.X.shape[0], p.W_h.shape[1]
-    if grad_H.shape != (n_rows, 2 * d_h):
-        raise EmocapsError(f"grad_H {grad_H.shape} vs bigru output ({n_rows}, {2 * d_h})")
-    if cache.H is None:
-        raise ValueError("this Bi-GRU cache has already been backpropagated")
     counts = cache.counts
     H, rz, n, rhh = cache.H, cache.rz, cache.n, cache.rhh
     cache.H = cache.rz = cache.n = cache.rhh = None

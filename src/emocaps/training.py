@@ -173,11 +173,6 @@ def cross_entropy_loss(probs: np.ndarray, golds):
     probabilities and B gold classes; returns (losses (B,), dL/dlogits
     (B, N_CLASSES)), the gradient being that of the losses' sum."""
     golds = np.asarray(golds, dtype=np.intp)
-    if probs.ndim != 2 or golds.shape != probs.shape[:1]:
-        raise EmocapsError(f"{golds.shape} gold classes for probabilities {probs.shape}")
-    bad = golds[(golds < 0) | (golds >= N_CLASSES)]
-    if bad.size:
-        raise EmocapsError(f"gold class {bad.tolist()} outside 0..{N_CLASSES - 1}")
     rows = np.arange(len(golds))
     losses = -np.log(np.maximum(probs[rows, golds], 1e-12))
     grad_logits = probs.copy()
@@ -204,13 +199,8 @@ def clip_gradients(grads: dict, clip_norm: float) -> float:
 
 def adam_step(tensors: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
     """Standard Adam with bias correction over name-keyed tensors; updates
-    tensors and state in place and overwrites `grads`, its scratch space. A
-    gradient of the wrong shape raises EmocapsError before anything is updated."""
-    if set(grads) != set(tensors):
-        raise EmocapsError("gradient keys do not match parameter keys")
-    for name, theta in tensors.items():
-        if grads[name].shape != theta.shape:
-            raise EmocapsError(f"{name}: gradient {grads[name].shape}, expected {theta.shape}")
+    tensors and state in place and overwrites `grads`, its scratch space,
+    which holds one array of each tensor's name and shape."""
     state.t += 1
     correct1 = 1.0 - BETA1 ** state.t
     correct2 = 1.0 - BETA2 ** state.t
@@ -290,15 +280,9 @@ def forward_full(sequences, params: ModelParams, cfg: TrainConfig, *, rngs=None)
     mask and capsule noise from rngs[b], in that order, and the pass keeps
     the caches `backward_full` needs. Without them the pass is the
     deterministic eval pass: every regularizer is an identity, and the
-    cache is None.
+    cache is None. The sequences are those `_check_ids` passes.
     """
-    if len(sequences) == 0:
-        raise EmocapsError("no sequences to classify")
-    if rngs is not None and len(rngs) != len(sequences):
-        raise ValueError(f"a training pass needs one random stream per sequence, got {len(rngs)} for {len(sequences)}")
     lengths = [len(ids) for ids in sequences]
-    if min(lengths) == 0:
-        raise EmocapsError("cannot classify an empty token sequence")
     ids = np.concatenate([np.asarray(s, dtype=np.intp) for s in sequences])
     X, spatial_mask = _regularize(embed(ids, params.embedding), lengths, rngs, cfg.spatial_dropout, cfg.noise_std)
     H, bigru_cache = bigru_forward(X, lengths, params.gru, keep_cache=rngs is not None)
@@ -320,10 +304,8 @@ def backward_full(grad_logits: np.ndarray, cache: ForwardCache, params: ModelPar
     capsule backward frees, is dropped once that backward has run, so it
     (and the capsule weight gradient, added to `grads` by then) is freed
     before the Bi-GRU backward allocates its own arrays. That backward
-    consumes the Bi-GRU cache and grad_H, which no name here keeps. A second call raises
-    ValueError."""
-    if cache.capsule is None:
-        raise ValueError("this forward cache has already been backpropagated")
+    consumes the Bi-GRU cache and grad_H, which no name here keeps. A cache
+    backpropagates once."""
     grads["dense/W"] += cache.c.T @ grad_logits
     grads["dense/b"] += grad_logits.sum(axis=0)
     grad_c = grad_logits @ params.dense_W.T
@@ -373,18 +355,38 @@ def _chunks(lengths: list[int], max_tokens: int) -> list[list[int]]:
     return chunks
 
 
-@np.errstate(all="ignore")
-def predict_dataset(sequences, params: ModelParams, cfg: TrainConfig) -> list[int]:
-    """Eval-mode class prediction for every id sequence, in order. An empty
-    sequence raises EmocapsError naming its 0-based index, before any
-    sequence is run. Sequences run in length-sorted chunks (`_chunks`). A
-    chunk whose probabilities are not all finite (weights holding a NaN, or
-    large enough to overflow) raises NumericError naming the lowest index
-    among its sequences that have one, with numpy's warnings off."""
-    sequences = list(sequences)
+def _integer_type(kind: type) -> bool:
+    """Whether `kind` is int or a numpy integer type; as in TrainConfig, bool is not one."""
+    return issubclass(kind, (int, np.integer)) and kind is not bool
+
+
+def _check_ids(sequences, vocab_size: int, item: str, whole: str = "") -> None:
+    """The first id sequence that is empty, or holds an id that is not an
+    integer (`_integer_type`) or ids outside [0, vocab_size), raises
+    EmocapsError naming `item` and its 0-based index; for ids outside, it
+    names `whole` instead when given, and lists those ids."""
     for index, ids in enumerate(sequences):
         if len(ids) == 0:
-            raise EmocapsError(f"sequence {index} is empty: cannot classify an empty token sequence")
+            raise EmocapsError(f"{item} {index} is empty: cannot classify an empty token sequence")
+        if not all(map(_integer_type, set(map(type, ids)))):  # one test per type, not per id
+            raise EmocapsError(f"{item} {index} holds {next(i for i in ids if not _integer_type(type(i)))!r}, not an integer id")
+        if min(ids) < 0 or max(ids) >= vocab_size:
+            bad = sorted({int(i) for i in ids if not 0 <= i < vocab_size})
+            raise EmocapsError(f"{whole or f'{item} {index}'} holds ids outside [0, {vocab_size}): {bad}")
+
+
+@np.errstate(all="ignore")
+def predict_dataset(sequences, params: ModelParams, cfg: TrainConfig) -> list[int]:
+    """Eval-mode class prediction for every id sequence, in order. Before
+    any is run, a sequence that is empty, or holds an id that is not an
+    integer row of the embedding table, raises EmocapsError naming its
+    0-based index (`_check_ids`). Sequences run in length-sorted chunks
+    (`_chunks`). A chunk whose probabilities are not all finite (weights
+    holding a NaN, or large enough to overflow) raises NumericError naming
+    the lowest index among its sequences that have one, with numpy's
+    warnings off."""
+    sequences = list(sequences)
+    _check_ids(sequences, len(params.embedding.weights), "sequence")
     labels = np.zeros(len(sequences), dtype=np.intp)
     for chunk in _chunks([len(ids) for ids in sequences], EVAL_CHUNK_TOKENS):
         probs, _ = forward_full([sequences[i] for i in chunk], params, cfg)
@@ -403,20 +405,18 @@ def dataset_macro_f1(dataset, params: ModelParams, cfg: TrainConfig) -> float:
 
 def _check_dataset(dataset, name: str, vocab_size: int) -> np.ndarray:
     """Sorted unique ids of a train or dev dataset. An empty dataset, a
-    label outside the classes, an empty example (named by its 0-based
-    index) or an id outside [0, vocab_size) raises, naming the dataset."""
+    label that is not an integer (`_integer_type`) in 0..N_CLASSES - 1, or
+    an example `_check_ids` refuses raises EmocapsError naming the dataset
+    and, but for ids outside the table, the example's 0-based index."""
     if len(dataset) == 0:
         raise EmocapsError(f"{name} dataset is empty")
-    for index, (ids, gold) in enumerate(dataset):
+    for index, (_, gold) in enumerate(dataset):
+        if not _integer_type(type(gold)):
+            raise EmocapsError(f"label {gold!r} is not an integer in {name} dataset example {index}")
         if not 0 <= gold < N_CLASSES:
-            raise EmocapsError(f"label {gold} outside 0..{N_CLASSES - 1} in {name} dataset")
-        if len(ids) == 0:
-            raise EmocapsError(f"{name} dataset example {index} is empty: cannot classify an empty token sequence")
-    unique = np.unique(np.concatenate([np.asarray(ids, dtype=np.intp) for ids, _ in dataset]))
-    bad = unique[(unique < 0) | (unique >= vocab_size)]
-    if bad.size:
-        raise EmocapsError(f"{name} dataset holds ids outside [0, {vocab_size}): {bad.tolist()}")
-    return unique
+            raise EmocapsError(f"label {gold} outside 0..{N_CLASSES - 1} in {name} dataset example {index}")
+    _check_ids([ids for ids, _ in dataset], vocab_size, f"{name} dataset example", f"{name} dataset")
+    return np.unique(np.concatenate([np.asarray(ids, dtype=np.intp) for ids, _ in dataset]))
 
 
 @dataclass

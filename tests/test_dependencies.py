@@ -12,8 +12,10 @@ training run has one step path: one place clips and applies Adam, and one
 runs training passes. And the run's arrays have one owner: one place
 builds the training state, and no step allocates the batch sums. And
 the package has two exception classes, both in errors: EmocapsError and
-NumericError. And every source file parses as the oldest Python the
-package supports, the lowest one CI runs."""
+NumericError. And input is checked where it enters the model: the numeric
+layers raise nothing. And every source file parses as the oldest Python
+the package supports, the lowest one CI runs, and CI also runs the oldest
+numpy it supports."""
 
 import ast
 import builtins
@@ -236,6 +238,34 @@ def test_two_exception_classes():
     assert sorted(found) == [("errors.py", "EmocapsError"), ("errors.py", "NumericError")]
 
 
+def _raisers(path: Path) -> set:
+    """Names of the functions in `path` that hold a `raise` statement, a
+    method as `Class.method`."""
+    tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+    methods = {id(fn): f"{cls.name}." for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+    return {methods.get(id(fn), "") + fn.name for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(node, ast.Raise) for node in ast.walk(fn))}
+
+
+def test_only_entry_points_check_their_input():
+    """The numeric layers trust their arguments: no function in nn.py or
+    capsule.py raises, nor do `embed` and `embed_backward`, and in
+    training.py only the config, the model's builders, the gradient
+    clipping, the epoch loop and the checks of what enters the model
+    (`train`'s datasets and `predict_dataset`'s sequences) raise. A new
+    check of model input goes into `_check_ids` or `_check_dataset`, not
+    into a layer."""
+    package = Path(emocaps.__file__).parent
+    assert _raisers(package / "nn.py") == set()
+    assert _raisers(package / "capsule.py") == set()
+    assert _raisers(package / "embeddings.py") & {"embed", "embed_backward"} == set()
+    assert _raisers(package / "training.py") == {
+        "TrainConfig.__post_init__", "ModelParams.from_tensors", "init_model", "clip_gradients",
+        "_check_ids", "predict_dataset", "_check_dataset", "run_epoch",
+    }
+
+
 def test_sources_parse_as_the_oldest_supported_python():
     """The lowest `python-version` of the CI workflow is the floor of
     `requires-python`, and every `.py` file under src/ and tests/ parses
@@ -252,6 +282,18 @@ def test_sources_parse_as_the_oldest_supported_python():
         except SyntaxError as exc:
             failing.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
     assert failing == []
+
+
+def test_ci_runs_the_oldest_supported_numpy():
+    """One CI job installs `numpy==X.Y.*` on the requires-python floor,
+    X.Y being the `numpy>=` floor of pyproject's dependencies: the other
+    jobs install the newest numpy, so without it the floor is never run."""
+    pyproject = (ROOT / "pyproject.toml").read_text("utf-8")
+    floor = re.search(r'^ *"numpy>=(\d+\.\d+)",?$', pyproject, re.M).group(1)
+    python = re.search(r'^requires-python = ">=(\d+\.\d+)"$', pyproject, re.M).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text("utf-8")
+    jobs = re.findall(r'python-version: "(\d+\.\d+)"\n(?:.*\n)*?.*"numpy==(\d+\.\d+)\.\*"', workflow)
+    assert jobs == [(python, floor)]
 
 
 def test_every_data_file_ships_in_the_wheel():

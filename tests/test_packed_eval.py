@@ -162,7 +162,7 @@ def test_predict_dataset_labels_each_row_as_the_row_loop(monkeypatch):
     ties = 0
     for case in range(60):
         lengths = rng.integers(1, 45, size=int(rng.integers(1, 40))).tolist()
-        sequences = random_sequences(lengths, 200, seed=case)
+        sequences = random_sequences(lengths, len(params.embedding.weights), seed=case)
         rows = [tallies([ids])[0][0] for ids in sequences]
         labels = predict_dataset(sequences, params, cfg)
         assert labels == [eval_oracle.label(row) for row in rows]
