@@ -1,9 +1,9 @@
 """Command-line entry point: preprocess, build-vocab, train, evaluate, predict.
 
-Configuration is the TrainConfig defaults, then the --profile preset, then
-flags, each overriding the ones before. Each command has a flag per key it
-reads: `build-vocab` --embed-dim and --seed, `train` all but embed_dim,
-which is its payload's width. TrainConfig checks the config in effect.
+Configuration is the TrainConfig defaults, each overridden by its flag when
+given. Each command has a flag per key it reads: `build-vocab` --embed-dim
+and --seed, `train` all but embed_dim, which is its payload's width.
+TrainConfig checks the config in effect.
 The other commands read preprocessed (whitespace tokenized) files, so the
 text pipeline runs exactly once, in `preprocess`. Its text holds no tab: a
 line holds one when it is labeled, and train and evaluate need a label.
@@ -30,16 +30,6 @@ from .evaluation import LABELS, confusion, format_report, label_index, metrics
 from .textprep import Lexicon, preprocess
 from .training import ModelParams, TrainConfig, init_model, predict_dataset, train
 
-PROFILES = {
-    "paper": {},  # the TrainConfig defaults are the paper's dims and batch size
-    "desk": {
-        "embed_dim": 50,
-        "hidden_dim": 32,
-        "num_capsules": 8,
-        "capsule_dim": 8,
-        "batch_size": 32,
-    },
-}
 CONFIG_KEYS = tuple(f.name for f in fields(TrainConfig))
 # the files an option names besides its own path: a checkpoint stem's manifest and payload, train's outputs
 FILES_OF = {"embedding_out": (".json", ".bin"), "embeddings_payload": (".json", ".bin"), "checkpoint": (".json", ".bin"),
@@ -47,18 +37,15 @@ FILES_OF = {"embedding_out": (".json", ".bin"), "embeddings_payload": (".json", 
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
-    """--profile, then one flag per TrainConfig field in `names`, those the command reads."""
-    parser.add_argument("--profile", choices=sorted(PROFILES), help="dimension/batch preset")
+    """One flag per TrainConfig field in `names`, those the command reads."""
     for name in names:
         default = getattr(TrainConfig(), name)
         parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=type(default), help=f"default {default}")
 
 
 def _resolve_config(args) -> TrainConfig:
-    """Defaults, then --profile, then explicit flags: both typed, so TrainConfig raises only its range ValueError."""
-    values = dict(PROFILES[args.profile]) if args.profile else {}
-    values.update((key, value) for key, value in vars(args).items() if key in CONFIG_KEYS and value is not None)
-    return TrainConfig(**values)
+    """The defaults, overridden by the flags given: typed, so TrainConfig raises only its range ValueError."""
+    return TrainConfig(**{key: value for key, value in vars(args).items() if key in CONFIG_KEYS and value is not None})
 
 
 def load_dataset(path, labeled: bool | None = True) -> list:

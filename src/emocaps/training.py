@@ -25,6 +25,7 @@ results are those of dense Adam over the whole table.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -71,7 +72,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         """Raise TypeError naming the first field of the wrong type, then
-        ValueError naming the first setting out of its range."""
+        ValueError naming the first setting out of its range, or the settings
+        of a weight tensor too large for numpy."""
         for f in fields(self):  # an int field takes an int; a float field a float, or an int it converts
             value, kind = getattr(self, f.name), type(f.default)
             if kind is float and type(value) is int:
@@ -90,6 +92,15 @@ class TrainConfig:
                 value = getattr(self, name)
                 if not in_range(value):
                     raise ValueError(f"{name} must be {rule}, got {value}")
+        # init_model's float64 weight tensors, hidden_dim's alone first: one
+        # numpy cannot address is refused before any input is read
+        h, J, d_out = self.hidden_dim, self.num_capsules, self.capsule_dim
+        shapes = {"hidden_dim": (2, h, 3 * h), "num_capsules, hidden_dim, capsule_dim": (J, 2 * h, d_out),
+                  "num_capsules, capsule_dim": (J * d_out, N_CLASSES), "embed_dim, hidden_dim": (2, self.embed_dim, 3 * h)}
+        for names, shape in shapes.items():
+            if 8 * math.prod(shape) > sys.maxsize:
+                settings = ", ".join(f"{name} {getattr(self, name)}" for name in names.split(", "))
+                raise ValueError(f"{settings}: a weight tensor of shape {shape} is larger than numpy can address")
 
 
 @dataclass

@@ -8,6 +8,11 @@ from emocaps import errors
 from emocaps.evaluation import LABELS
 
 _FILLERS = ("the", "and", "to", "it")
+# laptop-scale dimensions, as the flags of the two commands that read them
+DESK = {
+    "build-vocab": ["--embed-dim", "50"],
+    "train": ["--hidden-dim", "32", "--num-capsules", "8", "--capsule-dim", "8", "--batch-size", "32"],
+}
 
 
 def make_toy_examples():

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import DiskFull, FullOnFlush, fail_rename, make_toy_examples, open_as, write_labeled
+from conftest import DESK, DiskFull, FullOnFlush, fail_rename, make_toy_examples, open_as, write_labeled
 from emocaps import cli, training
 from emocaps.checkpoint import load_checkpoint, save_checkpoint
 from emocaps.cli import build_parser, entry, load_dataset, main
@@ -190,25 +190,23 @@ class TestPipeline:
 
     def test_payload_dimension_wins_over_flag(self, workspace, tmp_path):
         """train has no --embed-dim: the width is the payload's, as the row
-        count is the vocabulary's. --profile desk's embed_dim 50 is replaced."""
+        count is the vocabulary's. The default embed_dim 300 is replaced."""
         ckpt = tmp_path / "run"
         code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt, "--profile", "desk"]
-                   + TINY_FLAGS)
+                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt] + TINY_FLAGS)
         assert code == 0
         tensors, manifest = load_checkpoint(ckpt / "model")
         assert manifest["hyperparameters"]["embed_dim"] == 8
         assert tensors["embedding/W_e"].shape[1] == 8 and tensors["gru/W_i"].shape[1] == 8
 
     def test_payload_dimension_override_is_reported(self, workspace, tmp_path, capsys):
-        """The payload's width replacing --profile desk's embed_dim is reported
+        """The payload's width replacing the default embed_dim is reported
         by the checkpoint alone: predict loads it at width 8, and neither run
         writes to stderr."""
         ckpt, out = tmp_path / "run", tmp_path / "preds.txt"
         capsys.readouterr()
         assert run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
-                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt, "--profile", "desk"]
-                   + TINY_FLAGS) == 0
+                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt] + TINY_FLAGS) == 0
         assert run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
                     "--checkpoint", ckpt / "model", "--output", out]) == 0
         assert capsys.readouterr().err == ""
@@ -1165,14 +1163,14 @@ class TestExitCodes:
         assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
         stale.unlink()
 
-    # Sizes no machine can allocate (PiB): the test allocates nothing.
+    # Sizes numpy can address but no machine can allocate (PiB): the test allocates nothing.
     @pytest.mark.parametrize("command", ["build-vocab", "train"])
     def test_setting_too_large_to_allocate_is_one_error_line(self, workspace, tmp_path, capsys, command):
         argv = {
             "build-vocab": ["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
                             "--embedding-out", tmp_path / "emb", "--embed-dim", "10000000000000"],
             "train": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"], "--embeddings-payload",
-                      workspace["payload"], "--checkpoint-dir", tmp_path / "run", "--hidden-dim", "10000000000000"],
+                      workspace["payload"], "--checkpoint-dir", tmp_path / "run", "--num-capsules", "10000000000000"],
         }[command]
         capsys.readouterr()
         assert run(argv) == 3
@@ -1378,7 +1376,7 @@ class TestExitCodes:
         vocab = tmp_path / "v_new.tsv"
         capsys.readouterr()
         code = run(["build-vocab", "--inputs", workspace["clean"], "--vocab", vocab,
-                    "--embedding-out", Path(workspace["clean"]) / "emb", "--profile", "desk"])
+                    "--embedding-out", Path(workspace["clean"]) / "emb", *DESK["build-vocab"]])
         assert code == 3
         assert "Not a directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -1628,7 +1626,7 @@ class TestConfiguration:
                          "--embeddings-format"]),
     ])
     def test_configuration_surface(self, command, fixed):
-        """The command's fixed options and --profile, then a flag per
+        """The command's fixed options, then a flag per
         setting it reads: for train every TrainConfig field but
         embed_dim, its payload's width, and for build-vocab only embed_dim
         and seed; a new option has to change this test on purpose."""
@@ -1642,8 +1640,7 @@ class TestConfiguration:
         subparsers = next(a for a in build_parser()._actions if a.dest == "command")
         options = [o for a in subparsers.choices[command]._actions for o in a.option_strings]
         settings = {"train": [f for f in fields if f != "embed_dim"], "build-vocab": ["embed_dim", "seed"]}[command]
-        expected = ["-h", "--help"] + fixed + ["--profile"]
-        expected += ["--" + name.replace("_", "-") for name in settings]
+        expected = ["-h", "--help"] + fixed + ["--" + name.replace("_", "-") for name in settings]
         assert options == expected
 
     def test_build_vocab_refuses_settings_it_does_not_read(self, capsys):
@@ -1654,7 +1651,7 @@ class TestConfiguration:
 
     @pytest.mark.parametrize("command", ["build-vocab", "train"])
     def test_config_file_option_is_gone(self, tmp_path, capsys, command):
-        """Settings are flags and --profile alone: --config is an unknown option."""
+        """Settings are flags alone: --config is an unknown option."""
         argv = {"build-vocab": ["build-vocab", "--inputs", "x", "--vocab", "v", "--embedding-out", "e"],
                 "train": ["train", "--train-file", "t", "--vocab", "v", "--embeddings-payload", "e",
                           "--checkpoint-dir", tmp_path / "ckpt"]}[command]
@@ -1662,6 +1659,28 @@ class TestConfiguration:
             run(argv + ["--config", "x.json"])
         assert err.value.code == 2
         assert "unrecognized arguments: --config x.json" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["build-vocab", "train"])
+    def test_profile_option_is_gone(self, tmp_path, capsys, command):
+        """No preset sits between the defaults and the flags: --profile is an unknown option."""
+        argv = {"build-vocab": ["build-vocab", "--inputs", "x", "--vocab", "v", "--embedding-out", "e"],
+                "train": ["train", "--train-file", "t", "--vocab", "v", "--embeddings-payload", "e",
+                          "--checkpoint-dir", tmp_path / "ckpt"]}[command]
+        with pytest.raises(SystemExit) as err:
+            run(argv + ["--profile", "desk"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --profile desk" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_refuses_a_model_too_large_to_build_before_reading(self, tmp_path, capsys):
+        """A hidden_dim whose weight tensors numpy cannot address exits 2,
+        naming the setting, before any input is read: none of them exists."""
+        capsys.readouterr()
+        assert run(["train", "--train-file", tmp_path / "missing.tsv", "--vocab", tmp_path / "missing_vocab.tsv",
+                    "--embeddings-payload", tmp_path / "missing_emb", "--checkpoint-dir", tmp_path / "ckpt",
+                    "--hidden-dim", "1000000000000000000"]) == 2
+        assert capsys.readouterr().err.startswith("bad arguments: hidden_dim 1000000000000000000: ")
         assert list(tmp_path.iterdir()) == []
 
     def test_build_vocab_checks_its_settings_before_reading(self, tmp_path, capsys):
@@ -1712,19 +1731,14 @@ class TestConfiguration:
         required = [a.option_strings[0] for a in parser._actions if a.required]
         assert required == [o for o in options if o not in optional]
 
-    def test_paper_profile_is_the_defaults(self):
-        args = build_parser().parse_args(["train", "--train-file", "t", "--vocab", "v", "--embeddings-payload", "e",
-                                          "--checkpoint-dir", "c", "--profile", "paper"])
-        assert cli._resolve_config(args) == TrainConfig()
-
-    def test_desk_profile_sets_dimensions(self, workspace, tmp_path):
-        """build-vocab's --profile desk sets the width, train's the rest."""
+    def test_desk_flags_set_dimensions(self, workspace, tmp_path):
+        """build-vocab's desk flag sets the width, train's the rest."""
         ckpt, payload = tmp_path / "ckpt", tmp_path / "emb"
         assert run(["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
-                    "--embedding-out", payload, "--profile", "desk"]) == 0
+                    "--embedding-out", payload, *DESK["build-vocab"]]) == 0
         code = run(["train", "--train-file", workspace["clean"],
                     "--vocab", tmp_path / "vocab.tsv", "--embeddings-payload", payload, "--checkpoint-dir", ckpt,
-                    "--profile", "desk", "--max-epochs", "1",
+                    *DESK["train"], "--max-epochs", "1",
                     "--routing-iters", "2", "--spatial-dropout", "0.0",
                     "--capsule-dropout", "0.0", "--noise-std", "0.0"])
         assert code == 0
@@ -1734,13 +1748,6 @@ class TestConfiguration:
         assert hp["num_capsules"] == 8
         assert hp["capsule_dim"] == 8
         assert hp["batch_size"] == 32
-
-    def test_profile_then_flags(self):
-        args = build_parser().parse_args(["train", "--train-file", "t", "--vocab", "v", "--embeddings-payload", "e",
-                                          "--checkpoint-dir", "c", "--profile", "desk", "--hidden-dim", "10",
-                                          "--seed", "3"])
-        desk = cli.PROFILES["desk"]
-        assert cli._resolve_config(args) == TrainConfig(**{**desk, "hidden_dim": 10, "seed": 3})
 
 
 class TestEntryPoint:
@@ -1792,7 +1799,7 @@ def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
     for name, threads in (("unset", {}), ("one", dict.fromkeys(blas, "1"))):
         done = subprocess.run(
             [sys.executable, "-m", "emocaps", "train", "--train-file", str(clean), "--vocab", str(vocab),
-             "--embeddings-payload", str(tmp_path / "emb"), "--checkpoint-dir", str(tmp_path / name), "--profile", "paper",
+             "--embeddings-payload", str(tmp_path / "emb"), "--checkpoint-dir", str(tmp_path / name),
              "--seed", "3", "--batch-size", "64", "--max-epochs", "2"],
             capture_output=True, text=True, env={**env, **threads}, timeout=300,
         )
@@ -1845,10 +1852,10 @@ def test_pretrained_vectors_carry_the_class_to_words_training_never_saw(tmp_path
     splits = [tmp_path / name for name in ("train.tsv", "dev.tsv", "test.txt")]  # as README's pipeline
     vectors = ["--embeddings", tmp_path / "vectors.txt", "--embeddings-format", "text"] if pretrained else []
     assert run(["build-vocab", "--inputs", *splits, "--vocab", tmp_path / "vocab.tsv",
-                "--embedding-out", tmp_path / "emb", "--profile", "desk", "--seed", "3", *vectors]) == 0
+                "--embedding-out", tmp_path / "emb", *DESK["build-vocab"], "--seed", "3", *vectors]) == 0
     assert run(["train", "--train-file", tmp_path / "train.tsv", "--dev-file", tmp_path / "dev.tsv",
                 "--vocab", tmp_path / "vocab.tsv", "--embeddings-payload", tmp_path / "emb",
-                "--checkpoint-dir", tmp_path / "run", "--profile", "desk", "--seed", "3",
+                "--checkpoint-dir", tmp_path / "run", *DESK["train"], "--seed", "3",
                 "--max-epochs", "10", "--patience", "4"]) == 0
     assert run(["evaluate", "--input", tmp_path / "test.tsv", "--vocab", tmp_path / "vocab.tsv",
                 "--checkpoint", tmp_path / "run" / "model", "--output", tmp_path / "report.json"]) == 0

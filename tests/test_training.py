@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -539,6 +540,25 @@ class TestModelParams:
     def test_wrong_type_rejected_when_built(self, name, value, message):
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("settings, named", [
+        ({"hidden_dim": 10**18}, "hidden_dim 1000000000000000000"),
+        ({"num_capsules": 10**10, "capsule_dim": 10**10}, "num_capsules 10000000000, hidden_dim 128, capsule_dim 10000000000"),
+        ({"hidden_dim": 1, "num_capsules": 2**29, "capsule_dim": 2**29}, "num_capsules 536870912, capsule_dim 536870912"),
+        ({"embed_dim": 10**18}, "embed_dim 1000000000000000000, hidden_dim 128"),
+    ], ids=["gru/W_h", "capsule/W", "dense/W", "gru/W_i"])
+    def test_weights_numpy_cannot_address_rejected_when_built(self, settings, named):
+        """Each weight tensor's bytes are checked against sys.maxsize, numpy's
+        limit, and the message names the settings that shape the tensor."""
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}: a weight tensor of shape .* is larger than numpy can address$"):
+            TrainConfig(**settings)
+
+    def test_largest_addressable_hidden_dim_is_accepted(self):
+        """gru/W_h, (2, h, 3h) float64, is the largest tensor: 48 h**2 bytes."""
+        h = math.isqrt(sys.maxsize // 48)
+        assert TrainConfig(hidden_dim=h).hidden_dim == h
+        with pytest.raises(ValueError, match=f"^hidden_dim {h + 1}: "):
+            TrainConfig(hidden_dim=h + 1)
 
     def test_int_for_float_field_becomes_float(self):
         cfg = TrainConfig(learning_rate=1)
