@@ -2,8 +2,8 @@
 
 The manifest records the format version, every tensor's name/shape/dtype in
 a fixed order, the hyperparameters, the seed, the sha256 of the payload's
-tensor bytes, and optionally the sha256 of the vocabulary the tensors
-belong to. Every tensor is little-endian float64 (DTYPE). The payload is
+tensor bytes, and optionally the vocabulary's text, whose words number the
+embedding rows. Every tensor is little-endian float64 (DTYPE). The payload is
 the concatenation of each tensor's bytes in manifest order, then that
 32-byte digest, so a round trip is bit-identical, the files diff cleanly
 across runs, and a manifest loaded with a payload of another save is
@@ -22,16 +22,16 @@ import numpy as np
 
 from .errors import EmocapsError, json_object, replacing
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 DTYPE = "<f8"  # every tensor's, in the manifest and the payload
 DIGEST_BYTES = 32  # the sha256 that ends the payload
 
 
 def save_checkpoint(
-    stem, tensors: dict[str, np.ndarray], hyperparameters: dict, seed: int, vocab_sha256: str | None = None
+    stem, tensors: dict[str, np.ndarray], hyperparameters: dict, seed: int, vocabulary: str | None = None
 ) -> None:
     """Write stem.json + stem.bin; tensor order follows the dict order.
-    `vocab_sha256`, when given, is stored under the manifest key of that name.
+    `vocabulary`, a `Vocabulary.text()`, is stored under that key when given.
 
     Each tensor is written to the payload as DTYPE in turn, and fed to the
     digest, with no copy of it when it is already contiguous DTYPE; the
@@ -48,8 +48,8 @@ def save_checkpoint(
         "hyperparameters": hyperparameters,
         "seed": seed,
     }
-    if vocab_sha256 is not None:
-        manifest["vocab_sha256"] = vocab_sha256
+    if vocabulary is not None:
+        manifest["vocabulary"] = vocabulary
     digest = hashlib.sha256()
     # the payload lands first, after the manifest is flushed: a failed write of either lands neither
     with replacing(f"{stem}.json") as manifest_file, replacing(f"{stem}.bin", "xb") as payload:
@@ -98,7 +98,8 @@ def load_checkpoint(stem):
     manifest = json_object(manifest_path)
     version = manifest.get("version")
     if version != FORMAT_VERSION:
-        raise EmocapsError(f"{manifest_path}: unsupported manifest version: {version!r}")
+        hint = ', whose vocabulary is a file of its own: README, "Checkpoints", carries it over' if version == 3 else ""
+        raise EmocapsError(f"{manifest_path}: unsupported manifest version: {version!r}{hint}")
     if not isinstance(manifest.get("tensors"), list):
         raise EmocapsError(f"{manifest_path}: manifest has no tensor list")
     digest = manifest.get("payload_sha256")

@@ -7,6 +7,8 @@ TrainConfig checks the config in effect.
 The other commands read preprocessed (whitespace tokenized) files, so the
 text pipeline runs exactly once, in `preprocess`. Its text holds no tab: a
 line holds one when it is labeled, and train and evaluate need a label.
+The vocabulary travels in the checkpoint manifests, from build-vocab's
+payload to train's model, so a model is its two files.
 
 Exit codes: 0 success, 2 bad arguments, 3 data or file error, 4 numeric
 failure.
@@ -15,7 +17,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import sys
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .embeddings import EmbeddingTable, Vocabulary, build_embedding, load_word2vec
-from .errors import EmocapsError, NumericError, replacing, text_lines
+from .errors import EmocapsError, NumericError, parse_blocks, replacing, text_lines
 from .evaluation import LABELS, confusion, format_report, label_index, metrics
 from .textprep import Lexicon, preprocess
 from .training import ModelParams, TrainConfig, init_model, predict_dataset, train
@@ -85,31 +86,23 @@ def _require_nonempty(examples, path) -> None:
         raise EmocapsError(f"{path} contains no examples")
 
 
-def _vocab_sha256(vocab: Vocabulary) -> str:
-    """Fingerprint of the id-ordered word list, stored in checkpoint manifests."""
-    return hashlib.sha256("\n".join(vocab.id_to_word).encode("utf-8")).hexdigest()
-
-
-def _load_for_vocab(stem, vocab: Vocabulary, vocab_path):
-    """load_checkpoint(stem), refused when its manifest records no
-    fingerprint or another vocabulary's, or its embedding/W_e is not 2-D
-    with columns or has another row count."""
+def _load_with_vocabulary(stem):
+    """load_checkpoint(stem) as (vocab, tensors, manifest), vocab parsed from
+    the manifest's `vocabulary` string (errors name `<stem>.json: vocabulary:<line>:`).
+    Refused unless embedding/W_e, when present, is 2-D with columns and a row per word."""
     tensors, manifest = load_checkpoint(stem)
-    recorded = manifest.get("vocab_sha256")
-    fingerprint = _vocab_sha256(vocab)
-    if recorded != fingerprint:
-        raise EmocapsError(
-            f"{vocab_path} is not the vocabulary checkpoint {stem} was written with "
-            f"(vocabulary sha256 {fingerprint}, checkpoint records {recorded or 'none'})"
-        )
+    text = manifest.get("vocabulary")
+    if not isinstance(text, str):
+        raise EmocapsError(f"{stem}.json: manifest has no vocabulary string")
+    vocab = parse_blocks(f"{stem}.json: vocabulary", text, Vocabulary._parse)
     W = tensors.get("embedding/W_e")
     if W is not None and (W.ndim != 2 or W.shape[1] == 0):
         raise EmocapsError(f"{stem}.json: tensor embedding/W_e has shape {W.shape}, expected (rows, dim)")
     if W is not None and len(W) != len(vocab):
         raise EmocapsError(
-            f"{stem}.bin: embedding/W_e has shape {W.shape}, but vocabulary {vocab_path} has {len(vocab)} words"
+            f"{stem}.json: the vocabulary has {len(vocab)} words, but embedding/W_e in {stem}.bin has {len(W)} rows"
         )
-    return tensors, manifest
+    return vocab, tensors, manifest
 
 
 def _refuse_overwriting(args, outputs, inputs) -> None:
@@ -154,7 +147,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    _refuse_overwriting(args, ["vocab", "embedding_out"], ["inputs", "embeddings"])
+    _refuse_overwriting(args, ["embedding_out"], ["inputs", "embeddings"])
     cfg = _resolve_config(args)
     sequences = []
     for path in args.inputs:
@@ -165,24 +158,18 @@ def cmd_build_vocab(args) -> int:
     # read and check the vectors before writing anything: bad input leaves no output
     raw = load_word2vec(args.embeddings, args.embeddings_format, vocab.word_to_id, cfg.embed_dim) if args.embeddings else {}
     table = build_embedding(vocab, raw, cfg.embed_dim, cfg.seed)
-    with replacing(args.vocab) as handle:
-        vocab.write(handle)
-        handle.flush()  # written before the payload, landing after it: a failed write lands neither
-        save_checkpoint(
-            args.embedding_out,
-            {"embedding/W_e": table.weights},
-            {"embed_dim": cfg.embed_dim, "vocab_size": len(vocab)},
-            cfg.seed,
-            _vocab_sha256(vocab),
-        )
-    print(f"vocabulary: {len(vocab)} words ({len(raw)} pretrained) -> {args.vocab}")
+    save_checkpoint(args.embedding_out, {"embedding/W_e": table.weights},
+                    {"embed_dim": cfg.embed_dim, "vocab_size": len(vocab)}, cfg.seed, vocab.text())
+    print(f"vocabulary: {len(vocab)} words ({len(raw)} pretrained) -> {args.embedding_out}.json")
     return 0
 
 
 def cmd_train(args) -> int:
-    _refuse_overwriting(args, ["checkpoint_dir"], ["train_file", "dev_file", "vocab", "embeddings_payload"])
+    _refuse_overwriting(args, ["checkpoint_dir"], ["train_file", "dev_file", "embeddings_payload"])
     cfg = _resolve_config(args)
-    vocab = Vocabulary.load(args.vocab)
+    vocab, tensors, _ = _load_with_vocabulary(args.embeddings_payload)
+    if "embedding/W_e" not in tensors:
+        raise EmocapsError(f"{args.embeddings_payload}.json: missing tensors: embedding/W_e")
     train_set = _encode(args.train_file, vocab)
     _require_nonempty(train_set, args.train_file)
     dev_set = train_set
@@ -190,9 +177,6 @@ def cmd_train(args) -> int:
         dev_set = _encode(args.dev_file, vocab)
         _require_nonempty(dev_set, args.dev_file)
 
-    tensors, _ = _load_for_vocab(args.embeddings_payload, vocab, args.vocab)
-    if "embedding/W_e" not in tensors:
-        raise EmocapsError(f"{args.embeddings_payload}.json: missing tensors: embedding/W_e")
     W = tensors["embedding/W_e"]
     cfg = replace(cfg, embed_dim=W.shape[1])  # the payload sets the width, as the vocabulary sets the rows
     params = init_model(cfg, EmbeddingTable(weights=W))
@@ -206,7 +190,7 @@ def cmd_train(args) -> int:
         with replacing(out / "history.jsonl") as fh:
             fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in history)
             fh.flush()  # written before the model, landing after it: a failed write lands neither
-            save_checkpoint(out / "model", params.tensors(), cfg.__dict__.copy(), cfg.seed, _vocab_sha256(vocab))
+            save_checkpoint(out / "model", params.tensors(), cfg.__dict__.copy(), cfg.seed, vocab.text())
     except BaseException:
         for d in made:  # a failed run leaves no directory behind, but keeps the user's own
             for suffix in FILES_OF["checkpoint_dir"]:  # what landed before the failure
@@ -218,10 +202,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
-    """The checkpoint's model and config. Its tensors must make a model, then its
-    hyperparameters hold exactly the CONFIG_KEYS train writes, valid and of those dims."""
-    tensors, manifest = _load_for_vocab(checkpoint, vocab, vocab_path)
+def _load_model(checkpoint):
+    """The checkpoint's vocabulary, model and config. Its tensors must make a model, then
+    its hyperparameters hold exactly the CONFIG_KEYS train writes, valid and of those dims."""
+    vocab, tensors, manifest = _load_with_vocabulary(checkpoint)
     params = ModelParams.from_tensors(tensors, f"{checkpoint}.json")
     hp = manifest.get("hyperparameters")
     if not isinstance(hp, dict):
@@ -240,16 +224,15 @@ def _load_model(checkpoint, vocab: Vocabulary, vocab_path):
     for key, size in read.items():
         if hp[key] != size:
             raise EmocapsError(f"{checkpoint}.json: hyperparameters say {key} {hp[key]}, tensors say {size}")
-    return params, cfg
+    return vocab, params, cfg
 
 
 def _predict_input(args, labeled: bool | None):
-    """Load --vocab and the --checkpoint model, encode --input and classify
-    it; returns (golds, predictions), a gold None for an unlabeled line.
-    --output, when given, is none of those files."""
-    _refuse_overwriting(args, ["output"], ["input", "vocab", "checkpoint"])
-    vocab = Vocabulary.load(args.vocab)
-    params, cfg = _load_model(args.checkpoint, vocab, args.vocab)
+    """Load the --checkpoint model with its vocabulary, encode --input and
+    classify it; returns (golds, predictions), a gold None for an unlabeled
+    line. --output, when given, is none of those files."""
+    _refuse_overwriting(args, ["output"], ["input", "checkpoint"])
+    vocab, params, cfg = _load_model(args.checkpoint)
     encoded = _encode(args.input, vocab, labeled)
     return [gold for _, gold in encoded], predict_dataset([ids for ids, _ in encoded], params, cfg)
 
@@ -290,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-vocab", help="build vocabulary and embedding payload")
     p.add_argument("--inputs", nargs="+", required=True, help="preprocessed files, labeled or not")
-    p.add_argument("--vocab", required=True, help="vocabulary output path")
-    p.add_argument("--embedding-out", required=True, help="embedding payload stem")
+    p.add_argument("--embedding-out", required=True, help="embedding payload stem; its manifest holds the vocabulary")
     p.add_argument("--embeddings", help="pretrained word2vec file")
     p.add_argument("--embeddings-format", choices=("binary", "text"), default="binary")
     _add_config_flags(p, ("embed_dim", "seed"))  # the two settings it reads
@@ -300,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on preprocessed data")
     p.add_argument("--train-file", required=True)
     p.add_argument("--dev-file", help="defaults to the training file")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--embeddings-payload", required=True, help="stem written by build-vocab; sets the embedding width")
+    p.add_argument("--embeddings-payload", required=True, help="stem written by build-vocab: the vocabulary and width")
     p.add_argument("--checkpoint-dir", required=True)
     p.add_argument(
         "--wall-clock",
@@ -313,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     model_input = argparse.ArgumentParser(add_help=False)  # evaluate's and predict's
     model_input.add_argument("--input", required=True)
-    model_input.add_argument("--vocab", required=True)
     model_input.add_argument("--checkpoint", required=True, help="checkpoint stem")
 
     p = sub.add_parser("evaluate", parents=[model_input], help="score a labeled file against a checkpoint")

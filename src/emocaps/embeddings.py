@@ -51,12 +51,15 @@ class Vocabulary:
         unk = self.word_to_id[UNK]
         return [self.word_to_id.get(s, unk) for s in surfaces]
 
+    def text(self) -> str:
+        """The "id<TAB>word" lines of the words in id order: what a checkpoint
+        manifest holds under `vocabulary`, and what `save` writes."""
+        return "".join(f"{idx}\t{word}\n" for idx, word in enumerate(self.id_to_word))
+
+    # a vocabulary as a file of its own: the benchmark (perfbench/) is the caller of save and load
     def save(self, path) -> None:
         with replacing(path) as handle:
-            self.write(handle)
-
-    def write(self, handle) -> None:
-        handle.writelines(f"{idx}\t{word}\n" for idx, word in enumerate(self.id_to_word))
+            handle.write(self.text())
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

@@ -5,8 +5,9 @@ subclass exists only when a caller catches it by name. `text_lines` and
 at a time or at once (`json_object` reads a manifest with the latter);
 `read_blocks` and `two_column_blocks`, which read a two-column file (a
 vocabulary or a lexicon) once and cut it into blocks of whole lines for its
-parser, and `integer_cells`, which reads its ids or counts; `replacing`,
-the one writer."""
+parser, `parse_blocks`, which parses such text held in a manifest, and
+`integer_cells`, which reads its ids or counts; `replacing`, the one
+writer."""
 
 import json
 import os
@@ -68,12 +69,22 @@ def read_blocks(path, parse):
         return parse(path, text, 0)
 
 
+def parse_blocks(where, text: str, parse):
+    """`read_blocks` for `text` that was read already: `parse(where, text,
+    BLOCK_CHARS)`, or when a block fails a check, `parse(where, text, 0)`,
+    whose errors then name the failing line as `<where>:<line>:`."""
+    try:
+        return parse(where, text, BLOCK_CHARS)
+    except EmocapsError:
+        return parse(where, text, 0)
+
+
 def two_column_blocks(text: str, block_chars: int):
-    """Cut `text`, a file read by `whole_text`, into blocks of whole lines
-    of just over `block_chars` characters, one line a block at 0. Yield for
-    each block that holds a non-blank row the number of its first line, its
-    non-blank rows, and its two columns as lists, or None when some row
-    holds no tab or more than one."""
+    """Cut `text`, a file read by `whole_text` or a manifest's string, into
+    blocks of whole lines of just over `block_chars` characters, one line a
+    block at 0. Yield for each block that holds a non-blank row the number
+    of its first line, its non-blank rows, and its two columns as lists, or
+    None when some row holds no tab or more than one."""
     start, first = 0, 1
     while start < len(text):
         end = text.find("\n", start + block_chars) + 1 or len(text)

@@ -192,10 +192,10 @@ def test_preprocessing_fixtures():
     report("preprocessing fixtures")
 
 
-def train_via_cli(root, clean, vocab, name):
+def train_via_cli(root, clean, name):
     out = root / name
     code = cli_main([
-        "train", "--train-file", str(clean), "--vocab", str(vocab),
+        "train", "--train-file", str(clean),
         "--embeddings-payload", str(root / "emb"), "--checkpoint-dir", str(out),
         "--hidden-dim", "5", "--num-capsules", "2",
         "--capsule-dim", "2", "--routing-iters", "2", "--batch-size", "16",
@@ -211,13 +211,12 @@ def test_determinism(tmp_path):
     write_labeled(raw, make_toy_examples())
     clean = tmp_path / "clean.tsv"
     assert cli_main(["preprocess", "--input", str(raw), "--output", str(clean)]) == 0
-    vocab = tmp_path / "vocab.tsv"
     assert cli_main([
-        "build-vocab", "--inputs", str(clean), "--vocab", str(vocab),
+        "build-vocab", "--inputs", str(clean),
         "--embedding-out", str(tmp_path / "emb"), "--embed-dim", "10", "--seed", "7",
     ]) == 0
-    a = train_via_cli(tmp_path, clean, vocab, "run_a")
-    b = train_via_cli(tmp_path, clean, vocab, "run_b")
+    a = train_via_cli(tmp_path, clean, "run_a")
+    b = train_via_cli(tmp_path, clean, "run_b")
     for name in ("history.jsonl", "model.json", "model.bin"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), f"{name} differs"
     report("determinism")

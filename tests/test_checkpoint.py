@@ -150,6 +150,18 @@ class TestCorruption:
             with pytest.raises(EmocapsError, match=says):
                 load_checkpoint(tmp_path / "old")
 
+    def test_version_3_pair_is_refused_naming_the_migration(self, tmp_path):
+        """A version-3 pair kept its vocabulary in a file of its own: README
+        carries it over, and the refusal says where."""
+        stem = self.make_checkpoint(tmp_path)
+        manifest = json.loads((tmp_path / "model.json").read_text())
+        manifest["version"] = 3
+        (tmp_path / "model.json").write_text(json.dumps(manifest))
+        says = (f"{tmp_path / 'model.json'}: unsupported manifest version: 3, whose vocabulary is a file of its own: "
+                'README, "Checkpoints", carries it over')
+        with pytest.raises(EmocapsError, match="^" + re.escape(says) + "$"):
+            load_checkpoint(stem)
+
     def test_missing_tensor_list(self, tmp_path):
         stem = self.make_checkpoint(tmp_path)
         manifest = json.loads((tmp_path / "model.json").read_text())

@@ -85,20 +85,42 @@ def workspace(tmp_path_factory):
     clean = root / "clean.tsv"
     assert run(["preprocess", "--input", raw, "--output", clean]) == 0
 
-    vocab = root / "vocab.tsv"
     payload = root / "embed"
     assert run(
-        ["build-vocab", "--inputs", clean, "--vocab", vocab, "--embedding-out", payload]
+        ["build-vocab", "--inputs", clean, "--embedding-out", payload]
         + VOCAB_FLAGS
     ) == 0
 
     ckpt = root / "run1"
     assert run(
-        ["train", "--train-file", clean, "--vocab", vocab, "--embeddings-payload", payload, "--checkpoint-dir", ckpt]
+        ["train", "--train-file", clean, "--embeddings-payload", payload, "--checkpoint-dir", ckpt]
         + TINY_FLAGS
     ) == 0
-    return {"root": root, "raw": raw, "clean": clean, "vocab": vocab,
-            "payload": payload, "ckpt": ckpt}
+    return {"root": root, "raw": raw, "clean": clean, "payload": payload, "ckpt": ckpt}
+
+
+def vocabulary_of(stem) -> str:
+    """The vocabulary text in the manifest of checkpoint `stem`."""
+    return json.loads(Path(f"{stem}.json").read_text(encoding="utf-8"))["vocabulary"]
+
+
+def vocab_of(stem) -> Vocabulary:
+    return cli._load_with_vocabulary(stem)[0]
+
+
+MISSING = object()
+
+
+def copy_with_vocabulary(source, stem, vocabulary):
+    """Copy checkpoint `source` to `stem` with `vocabulary` as its manifest's
+    `vocabulary`, or with none when it is MISSING. The payload digest covers
+    the tensors only, so the copy loads as far as its vocabulary."""
+    manifest = json.loads(Path(f"{source}.json").read_text(encoding="utf-8"))
+    manifest.pop("vocabulary")
+    if vocabulary is not MISSING:
+        manifest["vocabulary"] = vocabulary
+    Path(f"{stem}.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    Path(f"{stem}.bin").write_bytes(Path(f"{source}.bin").read_bytes())
 
 
 class TestPipeline:
@@ -132,7 +154,7 @@ class TestPipeline:
     def test_evaluate_writes_report(self, workspace, capsys):
         report_path = workspace["root"] / "report.json"
         code = run(
-            ["evaluate", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+            ["evaluate", "--input", workspace["clean"],
              "--checkpoint", workspace["ckpt"] / "model", "--output", report_path]
         )
         assert code == 0
@@ -145,7 +167,7 @@ class TestPipeline:
     def test_predict_writes_one_label_per_line(self, workspace):
         preds_path = workspace["root"] / "preds.txt"
         code = run(
-            ["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+            ["predict", "--input", workspace["clean"],
              "--checkpoint", workspace["ckpt"] / "model", "--output", preds_path]
         )
         assert code == 0
@@ -158,7 +180,7 @@ class TestPipeline:
         bare.write_text("angersig0 the\njoysig1 to\n")
         out = workspace["root"] / "bare_preds.txt"
         code = run(
-            ["predict", "--input", bare, "--vocab", workspace["vocab"],
+            ["predict", "--input", bare,
              "--checkpoint", workspace["ckpt"] / "model", "--output", out]
         )
         assert code == 0
@@ -169,7 +191,7 @@ class TestPipeline:
         bare.write_text("angersig0\u2028the\njoysig1 to\n", encoding="utf-8")
         out = workspace["root"] / "separator_preds.txt"
         code = run(
-            ["predict", "--input", bare, "--vocab", workspace["vocab"],
+            ["predict", "--input", bare,
              "--checkpoint", workspace["ckpt"] / "model", "--output", out]
         )
         assert code == 0
@@ -178,7 +200,7 @@ class TestPipeline:
     def test_embeddings_payload_feeds_training(self, workspace):
         ckpt = workspace["root"] / "from_payload"
         code = run(
-            ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+            ["train", "--train-file", workspace["clean"],
              "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt]
             + TINY_FLAGS
         )
@@ -192,7 +214,7 @@ class TestPipeline:
         """train has no --embed-dim: the width is the payload's, as the row
         count is the vocabulary's. The default embed_dim 300 is replaced."""
         ckpt = tmp_path / "run"
-        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["train", "--train-file", workspace["clean"],
                     "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt] + TINY_FLAGS)
         assert code == 0
         tensors, manifest = load_checkpoint(ckpt / "model")
@@ -205,9 +227,9 @@ class TestPipeline:
         writes to stderr."""
         ckpt, out = tmp_path / "run", tmp_path / "preds.txt"
         capsys.readouterr()
-        assert run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+        assert run(["train", "--train-file", workspace["clean"],
                     "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt] + TINY_FLAGS) == 0
-        assert run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        assert run(["predict", "--input", workspace["clean"],
                     "--checkpoint", ckpt / "model", "--output", out]) == 0
         assert capsys.readouterr().err == ""
         assert json.loads((ckpt / "model.json").read_text())["hyperparameters"]["embed_dim"] == 8
@@ -231,7 +253,7 @@ class TestPipeline:
         monkeypatch.setattr(cli, "load_checkpoint", spy)
         monkeypatch.setattr(cli, "init_model", lambda cfg, table: tables.append(table) or training.init_model(cfg, table))
         capsys.readouterr()
-        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["train", "--train-file", workspace["clean"],
                     "--embeddings-payload", stem, "--checkpoint-dir", out] + TINY_FLAGS)
         if dtype == "float64":
             assert code == 0 and tables[0].weights is loaded[0]
@@ -245,7 +267,7 @@ class TestPipeline:
         """build-vocab's bytes against an oracle: every vector of the file,
         the first of a repeated word, filtered to the vocabulary, over the
         seeded uniform rows."""
-        vocab = Vocabulary.load(workspace["vocab"])
+        vocab = vocab_of(workspace["payload"])
         words = vocab.id_to_word[7::2] + [f"zz{i}" for i in range(20)] + [vocab.id_to_word[9], "zz3"]
         vectors = np.random.default_rng(5).normal(size=(len(words), 8)).astype(np.float32)
         path = tmp_path / "vecs"
@@ -264,30 +286,59 @@ class TestPipeline:
         weights[0] = 0.0
 
         capsys.readouterr()
-        assert run(["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+        assert run(["build-vocab", "--inputs", workspace["clean"],
                     "--embedding-out", tmp_path / "emb", "--embeddings", path, "--embeddings-format", fmt]
                    + VOCAB_FLAGS) == 0
-        assert capsys.readouterr().out == f"vocabulary: {len(vocab)} words ({len(kept)} pretrained) -> {tmp_path / 'vocab.tsv'}\n"
+        assert capsys.readouterr().out == f"vocabulary: {len(vocab)} words ({len(kept)} pretrained) -> {tmp_path / 'emb.json'}\n"
         assert len(kept) == len(vocab.id_to_word[7::2])
-        assert (tmp_path / "vocab.tsv").read_bytes() == workspace["vocab"].read_bytes()
-        # the manifests differ only by the digest of the weights, which ends the payload
+        # the manifests, vocabularies included, differ only by the digest of the weights, which ends the payload
         manifest, plain = (json.loads(Path(f"{stem}.json").read_text()) for stem in (tmp_path / "emb", workspace["payload"]))
         digest = hashlib.sha256(weights.astype("<f8").tobytes())
         assert manifest == {**plain, "payload_sha256": digest.hexdigest()}
         assert (tmp_path / "emb.bin").read_bytes() == weights.astype("<f8").tobytes() + digest.digest()
 
-    def test_checkpoints_record_vocabulary_fingerprint(self, workspace):
-        words = [line.split("\t", 1)[1] for line in workspace["vocab"].read_text().splitlines()]
-        expected = hashlib.sha256("\n".join(words).encode("utf-8")).hexdigest()
+    def test_checkpoints_hold_the_vocabulary_file_text(self, workspace, tmp_path):
+        """build-vocab writes into the payload's manifest the text that
+        Vocabulary.save writes to a file, and train copies it into the model's."""
+        Vocabulary.build(text.split() for _, text in load_dataset(workspace["clean"])).save(tmp_path / "vocab.tsv")
         for stem in (workspace["payload"], workspace["ckpt"] / "model"):
-            manifest = json.loads(Path(f"{stem}.json").read_text())
-            assert manifest["vocab_sha256"] == expected
+            assert vocabulary_of(stem) == (tmp_path / "vocab.tsv").read_text(encoding="utf-8")
+
+    def test_readme_migration_carries_a_version_3_pair_over(self, workspace, tmp_path, capsys):
+        """README's "Checkpoints" lines, run with no package on the path in a
+        directory holding run1/model.{json,bin} and vocab.tsv as version 3
+        wrote them (rewritten here from a fresh pair), give the manifest
+        bytes of the fresh pair, and evaluate --output its report bytes."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        checkpoints = readme[readme.index("\n### Checkpoints\n"):]
+        snippet = re.search(r"^```python\n(.*?)^```", checkpoints, re.S | re.M).group(1)
+        source, stem = workspace["ckpt"] / "model", tmp_path / "run1" / "model"
+        stem.parent.mkdir()
+        manifest = json.loads(Path(f"{source}.json").read_text(encoding="utf-8"))
+        text = manifest.pop("vocabulary")
+        words = [line.split("\t", 1)[1] for line in text.splitlines()]
+        manifest.update(version=3, vocab_sha256=hashlib.sha256("\n".join(words).encode("utf-8")).hexdigest())
+        Path(f"{stem}.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        Path(f"{stem}.bin").write_bytes(Path(f"{source}.bin").read_bytes())
+        (tmp_path / "vocab.tsv").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run(["evaluate", "--input", workspace["clean"], "--checkpoint", stem]) == 3
+        assert "unsupported manifest version: 3, whose vocabulary is a file of its own" in capsys.readouterr().err
+
+        done = subprocess.run([sys.executable, "-I", "-c", snippet], cwd=tmp_path, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert Path(f"{stem}.json").read_bytes() == Path(f"{source}.json").read_bytes()
+        reports = [tmp_path / "original.json", tmp_path / "carried.json"]
+        for checkpoint, report in zip((source, stem), reports):
+            assert run(["evaluate", "--input", workspace["clean"], "--checkpoint", checkpoint, "--output", report]) == 0
+        assert reports[1].read_bytes() == reports[0].read_bytes()
 
     def test_repeated_training_is_byte_identical(self, workspace):
         dirs = [workspace["root"] / name for name in ("det_a", "det_b")]
         for d in dirs:
             assert run(
-                ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+                ["train", "--train-file", workspace["clean"],
                  "--embeddings-payload", workspace["payload"], "--checkpoint-dir", d] + TINY_FLAGS
             ) == 0
         for name in ("model.json", "model.bin", "history.jsonl"):
@@ -394,6 +445,18 @@ class TestDatasetParsing:
         assert load_dataset(path, labeled=False) == [(None, line) for line in lines]
 
 
+def read_edited_vocabulary(command, workspace, tmp_path, edit):
+    """`command`, predict or train, reading a copy of the workspace model or
+    payload whose vocabulary text holds the lines `edit(lines)` of its own,
+    each ended by a newline. Returns (argv, the copy's stem, the output)."""
+    source = workspace["payload"] if command == "train" else workspace["ckpt"] / "model"
+    stem, out = tmp_path / "edited", tmp_path / "out"
+    copy_with_vocabulary(source, stem, "".join(f"{line}\n" for line in edit(vocabulary_of(source).splitlines())))
+    return {"predict": ["predict", "--input", workspace["clean"], "--checkpoint", stem, "--output", out],
+            "train": ["train", "--train-file", workspace["clean"], "--embeddings-payload", stem,
+                      "--checkpoint-dir", out, *TINY_FLAGS]}[command], stem, out
+
+
 def text_column(src, dst):
     """Write the text of each line of `src`, after its tab when it holds one, to `dst`."""
     dst.write_bytes(b"".join(line.split(b"\t", 1)[-1] for line in src.read_bytes().splitlines(keepends=True)))
@@ -414,7 +477,7 @@ class TestTabRule:
         text, outs = tmp_path / "text.txt", [tmp_path / "labeled.txt", tmp_path / "text_preds.txt"]
         text_column(workspace["clean"], text)
         for source, out in zip((workspace["clean"], text), outs):
-            assert run(["predict", "--input", source, "--vocab", workspace["vocab"],
+            assert run(["predict", "--input", source,
                         "--checkpoint", workspace["ckpt"] / "model", "--output", out]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert len(outs[0].read_text().splitlines()) == 60
@@ -426,19 +489,19 @@ class TestTabRule:
         plain.write_text("angersig0 fresh words\nanother fresh line\n")
         text_column(workspace["clean"], text)
         for name, inputs in (("mixed", [workspace["clean"], plain]), ("text", [text, plain])):
-            assert run(["build-vocab", "--inputs", *inputs, "--vocab", tmp_path / f"{name}.tsv",
+            assert run(["build-vocab", "--inputs", *inputs,
                         "--embedding-out", tmp_path / name, *VOCAB_FLAGS]) == 0
-        for suffix in (".tsv", ".json", ".bin"):
+        for suffix in (".json", ".bin"):
             assert (tmp_path / f"mixed{suffix}").read_bytes() == (tmp_path / f"text{suffix}").read_bytes()
-        assert not set(LABELS) & set(Vocabulary.load(tmp_path / "mixed.tsv").id_to_word)
+        assert not set(LABELS) & set(vocab_of(tmp_path / "mixed").id_to_word)
 
     @pytest.mark.parametrize("command", ["build-vocab", "predict"])
     def test_unknown_label_before_a_tab_names_file_and_line(self, workspace, tmp_path, capsys, command):
         data = tmp_path / "data.tsv"
         data.write_text("angersig0 the\nhappy\tangersig0 the\n")
-        argv = {"build-vocab": ["build-vocab", "--inputs", data, "--vocab", tmp_path / "vocab.tsv",
+        argv = {"build-vocab": ["build-vocab", "--inputs", data,
                                 "--embedding-out", tmp_path / "emb", *VOCAB_FLAGS],
-                "predict": ["predict", "--input", data, "--vocab", workspace["vocab"],
+                "predict": ["predict", "--input", data,
                             "--checkpoint", workspace["ckpt"] / "model", "--output", tmp_path / "preds.txt"]}[command]
         capsys.readouterr()
         assert run(argv) == 3
@@ -536,125 +599,91 @@ class TestExitCodes:
     def test_empty_training_file(self, workspace, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
-        code = run(["train", "--train-file", empty, "--vocab", workspace["vocab"],
+        code = run(["train", "--train-file", empty,
                     "--embeddings-payload", workspace["payload"], "--checkpoint-dir", tmp_path / "ckpt"] + TINY_FLAGS)
         assert code == 3
 
-    def test_vocabulary_checkpoint_mismatch(self, workspace, tmp_path):
-        small = tmp_path / "small_vocab.tsv"
+    def test_vocabulary_checkpoint_mismatch(self, workspace, tmp_path, capsys):
+        """A model manifest given the vocabulary of another build-vocab run,
+        13 words where the model's table has 24 rows, is refused."""
         data = tmp_path / "two.tsv"
         data.write_text("anger\tone two\njoy\tthree\n")
-        assert run(["build-vocab", "--inputs", data, "--vocab", small,
-                    "--embedding-out", tmp_path / "emb"] + VOCAB_FLAGS) == 0
-        code = run(["evaluate", "--input", data, "--vocab", small,
-                    "--checkpoint", workspace["ckpt"] / "model"])
-        assert code == 3
-
-    @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
-    def test_same_size_vocabulary_with_other_words_is_refused(self, workspace, tmp_path, capsys, command):
-        words = [line.split("\t", 1)[1] for line in workspace["vocab"].read_text().splitlines()]
-        words[-2:] = words[:-3:-1]  # same size, two ids swap their words
-        vocab = tmp_path / "swapped.tsv"
-        vocab.write_text("".join(f"{i}\t{w}\n" for i, w in enumerate(words)))
-        out = tmp_path / "out"
-        stem = workspace["payload"] if command == "train" else workspace["ckpt"] / "model"
-        argv = {
-            "predict": ["predict", "--input", workspace["clean"], "--output", out,
-                        "--checkpoint", stem],
-            "evaluate": ["evaluate", "--input", workspace["clean"], "--output", out,
-                         "--checkpoint", stem],
-            "train": ["train", "--train-file", workspace["clean"], "--checkpoint-dir", out,
-                      "--embeddings-payload", stem] + TINY_FLAGS,
-        }[command]
+        assert run(["build-vocab", "--inputs", data, "--embedding-out", tmp_path / "emb"] + VOCAB_FLAGS) == 0
+        stem = tmp_path / "model"
+        copy_with_vocabulary(workspace["ckpt"] / "model", stem, vocabulary_of(tmp_path / "emb"))
         capsys.readouterr()
-        assert run(argv + ["--vocab", vocab]) == 3
-        err = capsys.readouterr().err
-        assert str(vocab) in err and str(stem) in err
-        assert not out.exists()
+        assert run(["evaluate", "--input", data, "--checkpoint", stem]) == 3
+        assert "the vocabulary has 13 words, but embedding/W_e" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
-    def test_manifest_without_fingerprint_is_refused(self, workspace, tmp_path, capsys, command):
-        """Every checkpoint names its vocabulary: one whose manifest records
-        no fingerprint would load with any vocabulary of its row count."""
+    @pytest.mark.parametrize("vocabulary", [MISSING, None, ["<pad>", "<unk>"]], ids=["missing", "null", "list"])
+    def test_manifest_without_vocabulary_is_refused(self, workspace, tmp_path, capsys, command, vocabulary):
+        """A checkpoint is read with the vocabulary its manifest holds as a
+        string, and one that holds none has no words to read its rows by."""
         stem = tmp_path / "old"
         source = workspace["payload"] if command == "train" else workspace["ckpt"] / "model"
-        manifest = json.loads(Path(f"{source}.json").read_text())
-        del manifest["vocab_sha256"]
-        Path(f"{stem}.json").write_text(json.dumps(manifest))
-        Path(f"{stem}.bin").write_bytes(Path(f"{source}.bin").read_bytes())
+        copy_with_vocabulary(source, stem, vocabulary)
         out = tmp_path / "out"
         argv = {
-            "predict": ["predict", "--input", workspace["clean"], "--output", out,
-                        "--checkpoint", stem],
+            "predict": ["predict", "--input", workspace["clean"], "--output", out, "--checkpoint", stem],
             "evaluate": ["evaluate", "--input", workspace["clean"], "--output", out, "--checkpoint", stem],
             "train": ["train", "--train-file", workspace["clean"], "--checkpoint-dir", out,
                       "--embeddings-payload", stem] + TINY_FLAGS,
         }[command]
         capsys.readouterr()
-        assert run(argv + ["--vocab", workspace["vocab"]]) == 3
-        fingerprint = cli._vocab_sha256(Vocabulary.load(workspace["vocab"]))
-        assert capsys.readouterr().err == (
-            f"error: {workspace['vocab']} is not the vocabulary checkpoint {stem} was written with "
-            f"(vocabulary sha256 {fingerprint}, checkpoint records none)\n"
-        )
+        assert run(argv) == 3
+        assert capsys.readouterr().err == f"error: {stem}.json: manifest has no vocabulary string\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
     def test_vocabulary_of_another_size_names_both_files(self, workspace, tmp_path, capsys, command):
-        """A manifest edited to record a shorter vocabulary's fingerprint is
-        still refused, by its row count."""
-        lines = workspace["vocab"].read_text().splitlines()
-        vocab = tmp_path / "short.tsv"
-        vocab.write_text("\n".join(lines[:-4]) + "\n")
-        stem = tmp_path / "old"
+        """A manifest whose vocabulary is 4 words short of its table is
+        refused by the word count, naming the manifest and the payload."""
         source = workspace["payload"] if command == "train" else workspace["ckpt"] / "model"
-        manifest = json.loads(Path(f"{source}.json").read_text())
-        manifest["vocab_sha256"] = cli._vocab_sha256(Vocabulary.load(vocab))
-        Path(f"{stem}.json").write_text(json.dumps(manifest))
-        Path(f"{stem}.bin").write_bytes(Path(f"{source}.bin").read_bytes())
+        lines = vocabulary_of(source).splitlines(keepends=True)
+        stem = tmp_path / "old"
+        copy_with_vocabulary(source, stem, "".join(lines[:-4]))
         out = tmp_path / "out"
         argv = {
-            "predict": ["predict", "--input", workspace["clean"], "--output", out,
-                        "--checkpoint", stem],
+            "predict": ["predict", "--input", workspace["clean"], "--output", out, "--checkpoint", stem],
             "evaluate": ["evaluate", "--input", workspace["clean"], "--output", out, "--checkpoint", stem],
             "train": ["train", "--train-file", workspace["clean"], "--checkpoint-dir", out,
                       "--embeddings-payload", stem] + TINY_FLAGS,
         }[command]
         capsys.readouterr()
-        assert run(argv + ["--vocab", vocab]) == 3
+        assert run(argv) == 3
         rows = len(lines)
         assert capsys.readouterr().err == (
-            f"error: {stem}.bin: embedding/W_e has shape ({rows}, 8), "
-            f"but vocabulary {vocab} has {rows - 4} words\n"
+            f"error: {stem}.json: the vocabulary has {rows - 4} words, but embedding/W_e in {stem}.bin has {rows} rows\n"
         )
         assert not out.exists()
 
     @pytest.mark.parametrize("reader", ["input", "evaluate-input", "vocab", "lexicon", "manifest", "word2vec"])
     def test_file_that_is_not_utf8_names_file_and_line(self, workspace, tmp_path, capsys, reader):
         """Each file's first byte that is not UTF-8 is on the line given with
-        it; the vocabulary's lines end in \\r\\n and the lexicon's in \\r."""
-        model, vocab, clean = workspace["ckpt"] / "model", workspace["vocab"], workspace["clean"]
+        it; the lexicon's lines end in \\r. A manifest's vocabulary is one
+        JSON string on one line of the manifest."""
+        model, clean = workspace["ckpt"] / "model", workspace["clean"]
         bad, out, raw = tmp_path / "bad", tmp_path / "out", tmp_path / "raw.tsv"
         raw.write_text("joy\tsome text\n")
         manifest = Path(f"{model}.json").read_bytes()
-        words = vocab.read_bytes().splitlines()
-        if reader == "manifest":
+        if reader in ("vocab", "manifest"):
             bad = tmp_path / "model.json"
             (tmp_path / "model.bin").write_bytes(Path(f"{model}.bin").read_bytes())
+        key = b'"vocabulary": "0' if reader == "vocab" else b'"seed"'
         content, line, argv = {
             "input": (b"joy\tgood\nsad\tcaf\xe9 x\n", 2, ["preprocess", "--input", bad, "--output", out]),
-            "evaluate-input": (b"joy\tgood\nsad\tcaf\xe9 x\n", 2, ["evaluate", "--input", bad, "--vocab", vocab,
+            "evaluate-input": (b"joy\tgood\nsad\tcaf\xe9 x\n", 2, ["evaluate", "--input", bad,
                                                                 "--checkpoint", model, "--output", out]),
-            "vocab": (b"\r\n".join(words[:2] + [b"2\tcaf\xe9"] + words[3:]) + b"\r\n", 3,
-                      ["predict", "--input", clean, "--vocab", bad, "--checkpoint", model,
-                       "--output", out]),
+            "vocab": (manifest.replace(key, key + b"caf\xe9"), manifest[: manifest.index(key)].count(b"\n") + 1,
+                      ["predict", "--input", clean, "--checkpoint", tmp_path / "model", "--output", out]),
             "lexicon": (b"the\t5\rit\t3\rcaf\xe9\t2\r", 3,
                         ["preprocess", "--input", raw, "--lexicon", bad, "--output", out]),
-            "manifest": (manifest.replace(b'"seed"', b'"s\xe9ed"'), manifest[: manifest.index(b'"seed"')].count(b"\n") + 1,
-                         ["predict", "--input", clean, "--vocab", vocab,
+            "manifest": (manifest.replace(key, b'"s\xe9ed"'), manifest[: manifest.index(key)].count(b"\n") + 1,
+                         ["predict", "--input", clean,
                           "--checkpoint", tmp_path / "model", "--output", out]),
             "word2vec": (b"1 2\ncaf\xe9 0.1 0.2\n", 2,
-                         ["build-vocab", "--inputs", clean, "--vocab", out, "--embedding-out", tmp_path / "emb",
+                         ["build-vocab", "--inputs", clean, "--embedding-out", tmp_path / "emb",
                           "--embeddings", bad, "--embeddings-format", "text", "--embed-dim", "2"]),
         }[reader]
         bad.write_bytes(content)
@@ -666,43 +695,44 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("bad", ["no tab here", "x\tword"])
     def test_malformed_vocabulary_names_file_and_line(self, workspace, tmp_path, capsys, bad):
-        vocab = tmp_path / "vocab.tsv"
-        lines = workspace["vocab"].read_text().splitlines()
-        vocab.write_text("\n".join(lines[:3] + [bad] + lines[4:]) + "\n")
-        out = tmp_path / "preds.txt"
+        argv, stem, out = read_edited_vocabulary("predict", workspace, tmp_path, lambda lines: lines[:3] + [bad] + lines[4:])
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--vocab", vocab,
-                    "--checkpoint", workspace["ckpt"] / "model", "--output", out])
-        assert code == 3
-        assert f"error: {vocab}:4: expected id<TAB>word" in capsys.readouterr().err
+        assert run(argv) == 3
+        assert capsys.readouterr().err == f"error: {stem}.json: vocabulary:4: expected id<TAB>word, got {bad!r}\n"
         assert not out.exists()
 
     def test_repeated_vocabulary_word_names_file_and_line(self, workspace, tmp_path, capsys):
-        vocab = tmp_path / "vocab.tsv"
-        lines = workspace["vocab"].read_text().splitlines()
-        word = lines[2].split("\t", 1)[1]
-        vocab.write_text("\n".join(lines[:3] + [f"3\t{word}"] + lines[4:]) + "\n")
-        out = tmp_path / "run"
+        argv, stem, out = read_edited_vocabulary(
+            "train", workspace, tmp_path, lambda lines: lines[:3] + ["3\t" + lines[2].split("\t")[1]] + lines[4:])
         capsys.readouterr()
-        code = run(["train", "--train-file", workspace["clean"], "--vocab", vocab,
-                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out] + TINY_FLAGS)
-        assert code == 3
-        assert f"error: {vocab}:4: word {word!r} repeats id 2" in capsys.readouterr().err
+        assert run(argv) == 3
+        assert capsys.readouterr().err == f"error: {stem}.json: vocabulary:4: word '<url>' repeats id 2\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("reserved", [0, 1], ids=["no-pad", "no-unk"])
     def test_vocabulary_without_pad_or_unk_is_refused(self, workspace, tmp_path, capsys, reserved):
-        words = Vocabulary.load(workspace["vocab"]).id_to_word
-        expected = words[reserved]
-        words[reserved] = "cat"
-        vocab = tmp_path / "vocab.tsv"
-        vocab.write_text("".join(f"{i}\t{w}\n" for i, w in enumerate(words)))
-        out = tmp_path / "run"
+        expected = ["<pad>", "<unk>"][reserved]
+        argv, stem, out = read_edited_vocabulary(
+            "train", workspace, tmp_path, lambda lines: [*lines[:reserved], f"{reserved}\tcat", *lines[reserved + 1:]])
         capsys.readouterr()
-        code = run(["train", "--train-file", workspace["clean"], "--vocab", vocab,
-                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out] + TINY_FLAGS)
-        assert code == 3
-        assert f"error: {vocab}:{reserved + 1}: id {reserved} must be {expected!r}, got 'cat'" in capsys.readouterr().err
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {stem}.json: vocabulary:{reserved + 1}: id {reserved} must be {expected!r}, got 'cat'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, says", [
+        (lambda lines: lines[:3] + [""] + lines[4:], "5: non-contiguous vocabulary id: '4\\t<email>'"),
+        (lambda lines: lines[:1], "2: file ends before id 1, '<unk>'"),
+        (lambda lines: [], "1: file ends before id 0, '<pad>'"),
+    ], ids=["non-contiguous", "ends-before-unk", "empty"])
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    def test_vocabulary_that_skips_an_id_or_ends_early_is_refused(self, workspace, tmp_path, capsys, command, edit, says):
+        """A vocabulary missing id 3 (a blank line in its place is skipped),
+        or one that ends before <unk> or holds no line, as a file's would be."""
+        argv, stem, out = read_edited_vocabulary(command, workspace, tmp_path, edit)
+        capsys.readouterr()
+        assert run(argv) == 3
+        assert capsys.readouterr().err == f"error: {stem}.json: vocabulary:{says}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
@@ -710,7 +740,7 @@ class TestExitCodes:
         stem = workspace["payload"]
         out = tmp_path / "out"
         capsys.readouterr()
-        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run([command, "--input", workspace["clean"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         missing = "gru/W_i, gru/W_h, gru/b, capsule/W, dense/W, dense/b"
@@ -727,10 +757,10 @@ class TestExitCodes:
             kind, _, weight = name.partition("/")
             split.update({f"gru_fwd/{weight}": t[0], f"gru_bwd/{weight}": t[1]} if kind == "gru" else {name: t})
         stem = tmp_path / "model"
-        save_checkpoint(stem, split, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        save_checkpoint(stem, split, manifest["hyperparameters"], manifest["seed"], manifest["vocabulary"])
         out = tmp_path / "out"
         capsys.readouterr()
-        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run([command, "--input", workspace["clean"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: missing tensors: gru/W_i, gru/W_h, gru/b\n"
@@ -756,7 +786,7 @@ class TestExitCodes:
             Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
             out = tmp_path / "out"
             capsys.readouterr()
-            code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+            code = run([command, "--input", workspace["clean"],
                         "--checkpoint", stem, "--output", out])
             assert code == 3
             assert capsys.readouterr().err == f"error: {stem}.json: {says}\n"
@@ -779,7 +809,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         out = tmp_path / "out"
         capsys.readouterr()
-        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run([command, "--input", workspace["clean"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         unknown = "beta1, beta2, clip_mode, dense_bias, epsilon, second_noise_site"
@@ -797,7 +827,7 @@ class TestExitCodes:
         write_checkpoint_as(stem, tensors, manifest, dict.fromkeys(tensors, dtype))
         out = tmp_path / "out"
         capsys.readouterr()
-        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run([command, "--input", workspace["clean"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         says = f"tensor 'embedding/W_e' has dtype {np.dtype(dtype).str!r}, not '<f8'"
@@ -818,11 +848,11 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes(Path(f"{source}.bin").read_bytes()[:-32])
         out = tmp_path / "out"
         argv = {
-            "train": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+            "train": ["train", "--train-file", workspace["clean"],
                       "--embeddings-payload", stem, "--checkpoint-dir", out, *TINY_FLAGS],
-            "predict": ["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+            "predict": ["predict", "--input", workspace["clean"],
                         "--checkpoint", stem, "--output", out],
-            "evaluate": ["evaluate", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+            "evaluate": ["evaluate", "--input", workspace["clean"],
                          "--checkpoint", stem, "--output", out],
         }[command]
         capsys.readouterr()
@@ -844,10 +874,10 @@ class TestExitCodes:
         expected = tensors[name].shape
         tensors[name] = cut(tensors[name])
         stem = tmp_path / "model"
-        save_checkpoint(stem, tensors, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        save_checkpoint(stem, tensors, manifest["hyperparameters"], manifest["seed"], manifest["vocabulary"])
         out = tmp_path / "preds.txt"
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["predict", "--input", workspace["clean"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         expected = "(rows, dim)" if name == "embedding/W_e" else expected
@@ -860,10 +890,10 @@ class TestExitCodes:
         tensors, manifest = load_checkpoint(workspace["payload"])
         W = cut(tensors["embedding/W_e"])
         stem = tmp_path / "emb"
-        save_checkpoint(stem, {"embedding/W_e": W}, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        save_checkpoint(stem, {"embedding/W_e": W}, manifest["hyperparameters"], manifest["seed"], manifest["vocabulary"])
         out = tmp_path / "run"
         capsys.readouterr()
-        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["train", "--train-file", workspace["clean"],
                     "--embeddings-payload", stem, "--checkpoint-dir", out] + TINY_FLAGS)
         assert code == 3
         err = capsys.readouterr().err
@@ -878,10 +908,10 @@ class TestExitCodes:
         tensors, manifest = load_checkpoint(workspace["ckpt"] / "model")
         tensors["gru/W_h"][0, 0, 0] = np.nan
         stem = tmp_path / "model"
-        save_checkpoint(stem, tensors, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        save_checkpoint(stem, tensors, manifest["hyperparameters"], manifest["seed"], manifest["vocabulary"])
         out = tmp_path / "out"
         capsys.readouterr()
-        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"], "--checkpoint", stem,
+        code = run([command, "--input", workspace["clean"], "--checkpoint", stem,
                     "--output", out])
         assert code == 4
         captured = capsys.readouterr()
@@ -898,10 +928,10 @@ class TestExitCodes:
         tensors, manifest = load_checkpoint(workspace["ckpt"] / "model")
         W = tensors["embedding/W_e"] = cut(tensors["embedding/W_e"])
         stem = tmp_path / "model"
-        save_checkpoint(stem, tensors, manifest["hyperparameters"], manifest["seed"], manifest["vocab_sha256"])
+        save_checkpoint(stem, tensors, manifest["hyperparameters"], manifest["seed"], manifest["vocabulary"])
         out = tmp_path / "out"
         capsys.readouterr()
-        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"], "--checkpoint", stem,
+        code = run([command, "--input", workspace["clean"], "--checkpoint", stem,
                     "--output", out])
         assert code == 3
         err = capsys.readouterr().err
@@ -914,11 +944,11 @@ class TestExitCodes:
         data.write_text("anger\tangersig0 the\nhappy\tjoysig1 to\n")
         out = tmp_path / "out"
         argv = {
-            "build-vocab": ["build-vocab", "--inputs", data, "--vocab", out, "--embedding-out", tmp_path / "emb",
+            "build-vocab": ["build-vocab", "--inputs", data, "--embedding-out", tmp_path / "emb",
                             *VOCAB_FLAGS],
-            "train": ["train", "--train-file", data, "--vocab", workspace["vocab"],
+            "train": ["train", "--train-file", data,
                       "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out, *TINY_FLAGS],
-            "evaluate": ["evaluate", "--input", data, "--vocab", workspace["vocab"],
+            "evaluate": ["evaluate", "--input", data,
                          "--checkpoint", workspace["ckpt"] / "model", "--output", out],
         }[command]
         capsys.readouterr()
@@ -935,7 +965,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes(Path(f"{workspace['payload']}.bin").read_bytes())
         out = tmp_path / "run"
         capsys.readouterr()
-        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["train", "--train-file", workspace["clean"],
                     "--embeddings-payload", stem, "--checkpoint-dir", out] + TINY_FLAGS)
         assert code == 3
         assert f"error: {stem}.json: missing tensors: embedding/W_e" in capsys.readouterr().err
@@ -959,8 +989,29 @@ class TestExitCodes:
         if command != "train":
             argv += ["--checkpoint", workspace["ckpt"] / "model"]
         capsys.readouterr()
-        assert run(argv + ["--vocab", workspace["vocab"]]) == 3
+        assert run(argv) == 3
         assert f"{data}:2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "train"])
+    def test_bad_checkpoint_is_reported_before_bad_input(self, workspace, tmp_path, capsys, command):
+        """Given a truncated checkpoint and an input whose second line has no
+        tokens, each command names the checkpoint: its vocabulary encodes the
+        input, so it is read first. train read its train file first before
+        its vocabulary moved into the payload."""
+        source = workspace["payload"] if command == "train" else workspace["ckpt"] / "model"
+        stem, data, out = tmp_path / "cut", tmp_path / "data.tsv", tmp_path / "out"
+        Path(f"{stem}.json").write_bytes(Path(f"{source}.json").read_bytes())
+        Path(f"{stem}.bin").write_bytes(Path(f"{source}.bin").read_bytes()[:-40])
+        data.write_text("anger\tangersig0 the\njoy\t\n")
+        argv = {
+            "predict": ["predict", "--input", data, "--checkpoint", stem, "--output", out],
+            "evaluate": ["evaluate", "--input", data, "--checkpoint", stem, "--output", out],
+            "train": ["train", "--train-file", data, "--embeddings-payload", stem, "--checkpoint-dir", out, *TINY_FLAGS],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 3
+        assert capsys.readouterr().err.startswith(f"error: {stem}.bin: payload ends inside tensor ")
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["Hello\t3", "cat\t-1", "cat\tmany"])
@@ -981,14 +1032,11 @@ class TestExitCodes:
     def test_id_or_count_that_is_not_ascii_digits_names_file_and_line(self, workspace, tmp_path, capsys, id_cell, count_cell):
         """An id or a count is an optional '-' and ASCII digits: a cell that
         int() reads otherwise, here the third vocabulary line's id 2, exits 3."""
-        vocab = tmp_path / "vocab.tsv"
-        lines = workspace["vocab"].read_text().splitlines()
-        vocab.write_text("\n".join(lines[:2] + [id_cell + "\t" + lines[2].split("\t", 1)[1]] + lines[3:]) + "\n")
-        ckpt = tmp_path / "run"
+        argv, stem, ckpt = read_edited_vocabulary(
+            "train", workspace, tmp_path, lambda lines: lines[:2] + [id_cell + "\t" + lines[2].split("\t", 1)[1]] + lines[3:])
         capsys.readouterr()
-        assert run(["train", "--train-file", workspace["clean"], "--vocab", vocab,
-                    "--embeddings-payload", workspace["payload"], "--checkpoint-dir", ckpt] + TINY_FLAGS) == 3
-        assert f"error: {vocab}:3: expected id<TAB>word" in capsys.readouterr().err
+        assert run(argv) == 3
+        assert f"error: {stem}.json: vocabulary:3: expected id<TAB>word" in capsys.readouterr().err
         assert not ckpt.exists()
 
         lexicon = tmp_path / "lex.tsv"
@@ -1004,7 +1052,7 @@ class TestExitCodes:
         vectors = tmp_path / "vec.txt"
         vectors.write_text("1 2\nhello 0.1 abc\n")
         capsys.readouterr()
-        code = run(["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+        code = run(["build-vocab", "--inputs", workspace["clean"],
                     "--embedding-out", tmp_path / "emb", "--embeddings", vectors,
                     "--embeddings-format", "text", "--embed-dim", "2"])
         assert code == 3
@@ -1015,7 +1063,7 @@ class TestExitCodes:
         vectors = tmp_path / "vec.bin"
         vectors.write_bytes(b"2 1\nhappy " + bytes(4) + b"\ncaf\xe9 " + bytes(4))
         capsys.readouterr()
-        code = run(["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+        code = run(["build-vocab", "--inputs", workspace["clean"],
                     "--embedding-out", tmp_path / "emb", "--embeddings", vectors,
                     "--embeddings-format", "binary", "--embed-dim", "1"])
         assert code == 3
@@ -1035,7 +1083,7 @@ class TestExitCodes:
         vectors = tmp_path / "v.txt"
         vectors.write_text(vectors_text)
         capsys.readouterr()
-        code = run(["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+        code = run(["build-vocab", "--inputs", workspace["clean"],
                     "--embedding-out", tmp_path / "emb", "--embeddings", vectors,
                     "--embeddings-format", "text", "--embed-dim", embed_dim])
         assert code == 3
@@ -1046,55 +1094,43 @@ class TestExitCodes:
         vectors = tmp_path / "v.bin"
         vectors.write_bytes(b"1 2\nhappy " + np.asarray([0.1, 0.2], "<f4").tobytes())
         capsys.readouterr()
-        code = run(["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+        code = run(["build-vocab", "--inputs", workspace["clean"],
                     "--embedding-out", tmp_path / "emb", "--embeddings", vectors,
                     "--embeddings-format", "binary", "--embed-dim", "3"])
         assert code == 3
         assert capsys.readouterr().err == f"error: {vectors}:1: vectors are 2-dimensional, expected 3\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v.bin"]
 
-    @pytest.mark.parametrize("ext", [".json", ".bin"])
-    def test_vocab_path_of_the_payload_is_bad_argument(self, tmp_path, capsys, ext):
-        """The vocabulary would be renamed onto the payload's own file, or
-        the payload onto the vocabulary, and the run would leave both
-        behind; refused before any input is read."""
-        stem = tmp_path / "emb"
-        capsys.readouterr()
-        code = run(["build-vocab", "--inputs", tmp_path / "missing.tsv", "--vocab", f"{stem}{ext}",
-                    "--embedding-out", stem])
-        assert code == 2
-        assert capsys.readouterr().err == f"bad arguments: --vocab {stem}{ext} is a file of --embedding-out {stem}\n"
-        assert list(tmp_path.iterdir()) == []
-
     # Each command gets an output path that resolves to one of its own
-    # inputs, a copy in tmp_path. build-vocab used to replace the labeled
-    # tweets with the vocabulary and exit 0. In train-payload a file of the
-    # checkpoint directory is also one of the payload's.
+    # inputs, a copy in tmp_path. build-vocab's payload manifest would
+    # replace the labeled tweets. In train-payload a file of the checkpoint
+    # directory is also one of the payload's.
     @pytest.mark.parametrize("command", ["preprocess", "build-vocab", "train", "train-payload", "evaluate", "predict"])
     def test_output_over_an_input_is_bad_argument(self, workspace, tmp_path, capsys, command):
         ckpt = workspace["ckpt"] / "model"
         pair = workspace["payload"] if command == "train-payload" else ckpt  # predict's checkpoint, train's payload
         name, source = {"preprocess": ("raw.tsv", workspace["raw"]), "train": ("history.jsonl", workspace["clean"]),
+                        "build-vocab": ("e.json", workspace["clean"]),
                         "train-payload": ("model.json", f"{pair}.json"),
                         "predict": ("model.json", f"{ckpt}.json")}.get(command, ("t.tsv", workspace["clean"]))
-        victim, model = tmp_path / name, ["--vocab", workspace["vocab"], "--checkpoint", ckpt]
+        victim, model = tmp_path / name, ["--checkpoint", ckpt]
         victim.write_bytes(Path(source).read_bytes())
         (tmp_path / "model.bin").write_bytes(Path(f"{pair}.bin").read_bytes())  # the other file of the copied pair
         argv, says = {
             "preprocess": (["preprocess", "--input", victim, "--output", f"{tmp_path}/./{name}"],
                            f"--output {tmp_path}/./{name} is also --input {victim}"),
-            "build-vocab": (["build-vocab", "--inputs", victim, "--vocab", victim,
+            "build-vocab": (["build-vocab", "--inputs", victim,
                              "--embedding-out", tmp_path / "e", *VOCAB_FLAGS],
-                            f"--vocab {victim} is also --inputs {victim}"),
-            "train": (["train", "--train-file", victim, "--vocab", workspace["vocab"], "--embeddings-payload",
+                            f"--inputs {victim} is a file of --embedding-out {tmp_path / 'e'}"),
+            "train": (["train", "--train-file", victim, "--embeddings-payload",
                        workspace["payload"], "--checkpoint-dir", tmp_path, *TINY_FLAGS],
                       f"--train-file {victim} is a file of --checkpoint-dir {tmp_path}"),
-            "train-payload": (["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+            "train-payload": (["train", "--train-file", workspace["clean"],
                                "--embeddings-payload", tmp_path / "model", "--checkpoint-dir", tmp_path, *TINY_FLAGS],
                               f"{victim} is a file of --checkpoint-dir {tmp_path} and of --embeddings-payload {tmp_path / 'model'}"),
             "evaluate": (["evaluate", "--input", victim, *model, "--output", victim],
                          f"--output {victim} is also --input {victim}"),
-            "predict": (["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+            "predict": (["predict", "--input", workspace["clean"],
                          "--checkpoint", tmp_path / "model", "--output", victim],
                         f"--output {victim} is a file of --checkpoint {tmp_path / 'model'}"),
         }[command]
@@ -1111,7 +1147,6 @@ class TestExitCodes:
     # missing: a run that read anything would exit 3.
     @pytest.mark.parametrize("command, name, output", [
         ("preprocess", "out.tsv.tmp", ["--output", "out.tsv"]),
-        ("build-vocab", "vocab.tsv.tmp", ["--vocab", "vocab.tsv"]),
         ("build-vocab", "emb.json.tmp", ["--embedding-out", "emb"]),
         ("build-vocab", "emb.bin.tmp", ["--embedding-out", "emb"]),
         ("train", "run/model.json.tmp", ["--checkpoint-dir", "run"]),
@@ -1119,7 +1154,7 @@ class TestExitCodes:
         ("train", "run/history.jsonl.tmp", ["--checkpoint-dir", "run"]),
         ("evaluate", "report.json.tmp", ["--output", "report.json"]),
         ("predict", "preds.txt.tmp", ["--output", "preds.txt"]),
-    ], ids=["preprocess", "vocab", "payload-json", "payload-bin", "model-json", "model-bin", "history", "evaluate",
+    ], ids=["preprocess", "payload-json", "payload-bin", "model-json", "model-bin", "history", "evaluate",
             "predict"])
     def test_input_named_as_an_outputs_tmp_file_is_bad_argument(self, workspace, tmp_path, capsys, command, name, output):
         victim, missing = tmp_path / name, tmp_path / "missing"
@@ -1128,9 +1163,9 @@ class TestExitCodes:
         flag, value = output[0], tmp_path / output[1]
         input_flag = {"preprocess": "--input", "build-vocab": "--inputs", "train": "--train-file"}.get(command, "--input")
         rest = {"preprocess": ["--lexicon", missing],
-                "build-vocab": ["--vocab", tmp_path / "v.tsv", "--embedding-out", tmp_path / "e"],
-                "train": ["--vocab", missing, "--embeddings-payload", missing],
-                }.get(command, ["--vocab", missing, "--checkpoint", missing])
+                "build-vocab": ["--embedding-out", tmp_path / "e"],
+                "train": ["--embeddings-payload", missing],
+                }.get(command, ["--checkpoint", missing])
         argv = [command, input_flag, victim, *rest, flag, value]
         before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
         capsys.readouterr()
@@ -1151,7 +1186,7 @@ class TestExitCodes:
         argv, output = {
             "preprocess": (["preprocess", "--input", workspace["raw"], "--output", tmp_path / "out.tsv"],
                            f"--output {tmp_path / 'out.tsv'}"),
-            "train": (["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"], "--embeddings-payload",
+            "train": (["train", "--train-file", workspace["clean"], "--embeddings-payload",
                        workspace["payload"], "--checkpoint-dir", tmp_path / "run", *TINY_FLAGS],
                       f"--checkpoint-dir {tmp_path / 'run'}"),
         }[command]
@@ -1167,9 +1202,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["build-vocab", "train"])
     def test_setting_too_large_to_allocate_is_one_error_line(self, workspace, tmp_path, capsys, command):
         argv = {
-            "build-vocab": ["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+            "build-vocab": ["build-vocab", "--inputs", workspace["clean"],
                             "--embedding-out", tmp_path / "emb", "--embed-dim", "10000000000000"],
-            "train": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"], "--embeddings-payload",
+            "train": ["train", "--train-file", workspace["clean"], "--embeddings-payload",
                       workspace["payload"], "--checkpoint-dir", tmp_path / "run", "--num-capsules", "10000000000000"],
         }[command]
         capsys.readouterr()
@@ -1183,8 +1218,7 @@ class TestExitCodes:
         Path(f"{stem}.json").write_text("[]")
         Path(f"{stem}.bin").write_bytes(b"")
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--vocab",
-                    workspace["vocab"], "--checkpoint", stem, "--output", tmp_path / "preds.txt"])
+        code = run(["predict", "--input", workspace["clean"], "--checkpoint", stem, "--output", tmp_path / "preds.txt"])
         assert code == 3
         assert f"error: {stem}.json: manifest is not a JSON object" in capsys.readouterr().err
 
@@ -1210,8 +1244,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         out = tmp_path / "preds.txt"
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--vocab",
-                    workspace["vocab"], "--checkpoint", stem, "--output", out])
+        code = run(["predict", "--input", workspace["clean"], "--checkpoint", stem, "--output", out])
         assert code == 3
         assert f"error: {stem}.json: " in capsys.readouterr().err
         assert not out.exists()
@@ -1227,7 +1260,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         out = tmp_path / "preds.txt"
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["predict", "--input", workspace["clean"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: repeated manifest key {key!r}\n"
@@ -1243,7 +1276,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes() + bytes(6 * 8))
         out = tmp_path / "preds.txt"
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["predict", "--input", workspace["clean"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: tensor 'dense/b' is listed twice\n"
@@ -1258,7 +1291,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         out = tmp_path / "out"
         capsys.readouterr()
-        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run([command, "--input", workspace["clean"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         err = capsys.readouterr().err
@@ -1280,7 +1313,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         out = tmp_path / "out"
         capsys.readouterr()
-        code = run([command, "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run([command, "--input", workspace["clean"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: hyperparameters say {says}\n"
@@ -1293,7 +1326,7 @@ class TestExitCodes:
         write_checkpoint_as(stem, tensors, manifest, {name: dtype})
         out = tmp_path / "preds.txt"
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["predict", "--input", workspace["clean"],
                     "--checkpoint", stem, "--output", out])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: tensor {name!r} has dtype {dtype!r}, not '<f8'\n"
@@ -1306,7 +1339,7 @@ class TestExitCodes:
                             {"embedding/W_e": "<U1"})
         out = tmp_path / "run"
         capsys.readouterr()
-        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["train", "--train-file", workspace["clean"],
                     "--embeddings-payload", stem, "--checkpoint-dir", out] + TINY_FLAGS)
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: tensor 'embedding/W_e' has dtype '<U1', not '<f8'\n"
@@ -1317,7 +1350,7 @@ class TestExitCodes:
         monkeypatch.setattr(training, "adam_step", lambda *a: steps.append(a))
         out = workspace["clean"] / "run"  # under a file: mkdir fails
         capsys.readouterr()
-        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["train", "--train-file", workspace["clean"],
                     "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out] + TINY_FLAGS)
         assert code == 3
         assert "Not a directory" in capsys.readouterr().err
@@ -1329,7 +1362,7 @@ class TestExitCodes:
             (tmp_path / "runs").mkdir()
         out = tmp_path / "runs" / "nanrun"
         capsys.readouterr()
-        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["train", "--train-file", workspace["clean"],
                     "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out,
                     "--learning-rate", "1e200", "--clip-norm", "1e300"] + TINY_FLAGS)
         assert code == 4
@@ -1347,7 +1380,7 @@ class TestExitCodes:
             (tmp_path / "runs").mkdir()
         out = tmp_path / "runs" / "run"
         capsys.readouterr()
-        code = run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["train", "--train-file", workspace["clean"],
                     "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out] + TINY_FLAGS)
         assert code == 3
         assert capsys.readouterr().err == "error: no space left on device\n"
@@ -1361,7 +1394,7 @@ class TestExitCodes:
         out = tmp_path / "nanrun"
         done = subprocess.run(
             [sys.executable, "-m", "emocaps", "train", "--train-file", str(workspace["clean"]),
-             "--vocab", str(workspace["vocab"]), "--embeddings-payload", str(workspace["payload"]),
+             "--embeddings-payload", str(workspace["payload"]),
              "--checkpoint-dir", str(out),
              "--learning-rate", "1e200", "--clip-norm", "1e300", *TINY_FLAGS],
             capture_output=True, text=True, env=env, timeout=120,
@@ -1372,14 +1405,14 @@ class TestExitCodes:
         assert done.stderr.count("\n") == 1, done.stderr
         assert not out.exists()
 
-    def test_unwritable_payload_leaves_no_vocabulary(self, workspace, tmp_path, capsys):
-        vocab = tmp_path / "v_new.tsv"
+    def test_unwritable_payload_leaves_no_vocabulary(self, workspace, capsys):
+        """The vocabulary is written inside the payload's manifest alone, so
+        a payload that cannot be written leaves none."""
         capsys.readouterr()
-        code = run(["build-vocab", "--inputs", workspace["clean"], "--vocab", vocab,
+        code = run(["build-vocab", "--inputs", workspace["clean"],
                     "--embedding-out", Path(workspace["clean"]) / "emb", *DESK["build-vocab"]])
         assert code == 3
         assert "Not a directory" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
     def test_shape_beyond_int64_names_payload(self, workspace, tmp_path, capsys):
         stem = tmp_path / "huge"
@@ -1389,8 +1422,7 @@ class TestExitCodes:
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         out = tmp_path / "preds.txt"
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--vocab",
-                    workspace["vocab"], "--checkpoint", stem, "--output", out])
+        code = run(["predict", "--input", workspace["clean"], "--checkpoint", stem, "--output", out])
         assert code == 3
         assert f"error: {stem}.bin: payload ends inside tensor 'embedding/W_e'" in capsys.readouterr().err
         assert not out.exists()
@@ -1406,8 +1438,7 @@ class TestExitCodes:
         Path(f"{stem}.json").write_text(json.dumps(manifest))
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--vocab",
-                    workspace["vocab"], "--checkpoint", stem, "--output", tmp_path / "preds.txt"])
+        code = run(["predict", "--input", workspace["clean"], "--checkpoint", stem, "--output", tmp_path / "preds.txt"])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: tensor 'extra' has bad shape {shape!r}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.bin", "huge.json"]
@@ -1416,7 +1447,7 @@ class TestExitCodes:
         dev = tmp_path / "dev.tsv"
         dev.write_text("anger\tangersig0\n\n")
         code = run(["train", "--train-file", workspace["clean"], "--dev-file", dev,
-                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
+                    "--embeddings-payload", workspace["payload"],
                     "--checkpoint-dir", tmp_path / "ckpt"] + TINY_FLAGS)
         assert code == 3
         assert f"{dev}:2:" in capsys.readouterr().err
@@ -1427,7 +1458,7 @@ class TestExitCodes:
         dev.write_text("")
         capsys.readouterr()
         code = run(["train", "--train-file", workspace["clean"], "--dev-file", dev,
-                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
+                    "--embeddings-payload", workspace["payload"],
                     "--checkpoint-dir", tmp_path / "ckpt"] + TINY_FLAGS)
         assert code == 3
         assert capsys.readouterr().err == f"error: {dev} contains no examples\n"
@@ -1435,7 +1466,7 @@ class TestExitCodes:
 
     def test_unparseable_flag_value(self, capsys):
         with pytest.raises(SystemExit) as err:
-            run(["train", "--train-file", "x", "--vocab", "v", "--embeddings-payload", "e",
+            run(["train", "--train-file", "x", "--embeddings-payload", "e",
                  "--checkpoint-dir", "c", "--batch-size", "banana"])
         assert err.value.code == 2
 
@@ -1446,7 +1477,7 @@ class TestExitCodes:
     def test_train_starts_only_from_a_payload_at_its_width(self, workspace, tmp_path, capsys, payload, extra, says):
         """train builds no embedding table of its own, and takes no width:
         both are the payload's, written by build-vocab."""
-        argv = ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+        argv = ["train", "--train-file", workspace["clean"],
                 "--checkpoint-dir", tmp_path / "ckpt", *TINY_FLAGS, *extra]
         argv += ["--embeddings-payload", workspace["payload"]] if payload else []
         capsys.readouterr()
@@ -1458,7 +1489,7 @@ class TestExitCodes:
 
     def test_retired_adam_flag_is_bad_argument(self, workspace, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
-            run(["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+            run(["train", "--train-file", workspace["clean"],
                  "--embeddings-payload", workspace["payload"], "--checkpoint-dir", tmp_path / "ckpt", "--beta1", "0.8"])
         assert err.value.code == 2
         assert "unrecognized arguments: --beta1 0.8" in capsys.readouterr().err
@@ -1466,7 +1497,7 @@ class TestExitCodes:
 
     def test_config_value_out_of_range(self, workspace, tmp_path):
         code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
+                    "--embeddings-payload", workspace["payload"],
                     "--checkpoint-dir", tmp_path / "ckpt",
                     "--spatial-dropout", "1.5"])
         assert code == 2
@@ -1475,7 +1506,7 @@ class TestExitCodes:
     def test_non_finite_flag_is_bad_argument(self, workspace, tmp_path, capsys, value):
         capsys.readouterr()
         code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", workspace["vocab"], "--embeddings-payload", workspace["payload"],
+                    "--embeddings-payload", workspace["payload"],
                     "--checkpoint-dir", tmp_path / "ckpt", "--clip-norm", value])
         assert code == 2
         assert "bad arguments: clip_norm must be finite" in capsys.readouterr().err
@@ -1485,9 +1516,9 @@ class TestExitCodes:
     def test_negative_seed_is_bad_argument_before_anything_is_read(self, tmp_path, capsys, command):
         missing = tmp_path / "missing.tsv"  # never opened: the config is checked first
         argv = {
-            "build-vocab": ["build-vocab", "--inputs", missing, "--vocab", tmp_path / "vocab.tsv",
+            "build-vocab": ["build-vocab", "--inputs", missing,
                             "--embedding-out", tmp_path / "emb"],
-            "train": ["train", "--train-file", missing, "--vocab", missing, "--embeddings-payload", tmp_path / "emb",
+            "train": ["train", "--train-file", missing, "--embeddings-payload", tmp_path / "emb",
                       "--checkpoint-dir", tmp_path / "ckpt"],
         }[command]
         capsys.readouterr()
@@ -1502,7 +1533,7 @@ class TestExitCodes:
         Path(f"{stem}.json").write_text(json.dumps(manifest))
         Path(f"{stem}.bin").write_bytes((workspace["ckpt"] / "model.bin").read_bytes())
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["predict", "--input", workspace["clean"],
                     "--checkpoint", stem, "--output", tmp_path / "out"])
         assert code == 3
         assert capsys.readouterr().err == f"error: {stem}.json: seed must be non-negative, got -1\n"
@@ -1516,7 +1547,7 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         capsys.readouterr()
-        assert run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        assert run(["predict", "--input", workspace["clean"],
                     "--checkpoint", tmp_path / "bad", "--output", tmp_path / "preds.txt"]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: unreadable manifest: ") and err.count("\n") == 1, err
@@ -1526,7 +1557,7 @@ class TestExitCodes:
 # the files each command writes, in the order they land
 LANDING = {
     "preprocess": ["clean.tsv"],
-    "build-vocab": ["embed.bin", "embed.json", "vocab.tsv"],
+    "build-vocab": ["embed.bin", "embed.json"],
     "train": ["model.bin", "model.json", "history.jsonl"],
     "evaluate": ["report.json"],
     "predict": ["preds.txt"],
@@ -1536,12 +1567,12 @@ LANDING = {
 def writing_argv(command, workspace, out):
     """`command` run as the workspace fixture runs it, writing into `out`;
     so preprocess, build-vocab and train write the workspace's bytes."""
-    model = ["--vocab", workspace["vocab"], "--checkpoint", workspace["ckpt"] / "model"]
+    model = ["--checkpoint", workspace["ckpt"] / "model"]
     return {
         "preprocess": ["preprocess", "--input", workspace["raw"], "--output", out / "clean.tsv"],
-        "build-vocab": ["build-vocab", "--inputs", workspace["clean"], "--vocab", out / "vocab.tsv",
+        "build-vocab": ["build-vocab", "--inputs", workspace["clean"],
                         "--embedding-out", out / "embed", *VOCAB_FLAGS],
-        "train": ["train", "--train-file", workspace["clean"], "--vocab", workspace["vocab"],
+        "train": ["train", "--train-file", workspace["clean"],
                   "--embeddings-payload", workspace["payload"], "--checkpoint-dir", out, *TINY_FLAGS],
         "evaluate": ["evaluate", "--input", workspace["clean"], *model, "--output", out / "report.json"],
         "predict": ["predict", "--input", workspace["clean"], *model, "--output", out / "preds.txt"],
@@ -1608,7 +1639,7 @@ class TestWholeOrUntouched:
         assert (out / "model.bin").read_bytes() != (workspace["ckpt"] / "model.bin").read_bytes()
 
         capsys.readouterr()
-        code = run(["predict", "--input", workspace["clean"], "--vocab", workspace["vocab"],
+        code = run(["predict", "--input", workspace["clean"],
                     "--checkpoint", out / "model", "--output", tmp_path / "preds.txt"])
         assert code == 3
         assert capsys.readouterr().err == (
@@ -1620,9 +1651,9 @@ class TestWholeOrUntouched:
 
 class TestConfiguration:
     @pytest.mark.parametrize("command, fixed", [
-        ("train", ["--train-file", "--dev-file", "--vocab", "--embeddings-payload",
+        ("train", ["--train-file", "--dev-file", "--embeddings-payload",
                    "--checkpoint-dir", "--wall-clock"]),
-        ("build-vocab", ["--inputs", "--vocab", "--embedding-out", "--embeddings",
+        ("build-vocab", ["--inputs", "--embedding-out", "--embeddings",
                          "--embeddings-format"]),
     ])
     def test_configuration_surface(self, command, fixed):
@@ -1645,15 +1676,15 @@ class TestConfiguration:
 
     def test_build_vocab_refuses_settings_it_does_not_read(self, capsys):
         with pytest.raises(SystemExit) as err:
-            run(["build-vocab", "--inputs", "x", "--vocab", "v", "--embedding-out", "e", "--hidden-dim", "4"])
+            run(["build-vocab", "--inputs", "x", "--embedding-out", "e", "--hidden-dim", "4"])
         assert err.value.code == 2
         assert "unrecognized arguments: --hidden-dim 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["build-vocab", "train"])
     def test_config_file_option_is_gone(self, tmp_path, capsys, command):
         """Settings are flags alone: --config is an unknown option."""
-        argv = {"build-vocab": ["build-vocab", "--inputs", "x", "--vocab", "v", "--embedding-out", "e"],
-                "train": ["train", "--train-file", "t", "--vocab", "v", "--embeddings-payload", "e",
+        argv = {"build-vocab": ["build-vocab", "--inputs", "x", "--embedding-out", "e"],
+                "train": ["train", "--train-file", "t", "--embeddings-payload", "e",
                           "--checkpoint-dir", tmp_path / "ckpt"]}[command]
         with pytest.raises(SystemExit) as err:
             run(argv + ["--config", "x.json"])
@@ -1664,8 +1695,8 @@ class TestConfiguration:
     @pytest.mark.parametrize("command", ["build-vocab", "train"])
     def test_profile_option_is_gone(self, tmp_path, capsys, command):
         """No preset sits between the defaults and the flags: --profile is an unknown option."""
-        argv = {"build-vocab": ["build-vocab", "--inputs", "x", "--vocab", "v", "--embedding-out", "e"],
-                "train": ["train", "--train-file", "t", "--vocab", "v", "--embeddings-payload", "e",
+        argv = {"build-vocab": ["build-vocab", "--inputs", "x", "--embedding-out", "e"],
+                "train": ["train", "--train-file", "t", "--embeddings-payload", "e",
                           "--checkpoint-dir", tmp_path / "ckpt"]}[command]
         with pytest.raises(SystemExit) as err:
             run(argv + ["--profile", "desk"])
@@ -1673,11 +1704,27 @@ class TestConfiguration:
         assert "unrecognized arguments: --profile desk" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["build-vocab", "train", "evaluate", "predict"])
+    def test_vocab_option_is_gone(self, tmp_path, capsys, command):
+        """The vocabulary travels in the manifests of the payload and the
+        model, so no command takes a vocabulary file: --vocab is an unknown
+        option."""
+        argv = {"build-vocab": ["build-vocab", "--inputs", "x", "--embedding-out", "e"],
+                "train": ["train", "--train-file", "t", "--embeddings-payload", "e",
+                          "--checkpoint-dir", tmp_path / "ckpt"],
+                "evaluate": ["evaluate", "--input", "t", "--checkpoint", "m"],
+                "predict": ["predict", "--input", "t", "--checkpoint", "m", "--output", tmp_path / "preds.txt"]}[command]
+        with pytest.raises(SystemExit) as err:
+            run(argv + ["--vocab", "vocab.tsv"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --vocab vocab.tsv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_train_refuses_a_model_too_large_to_build_before_reading(self, tmp_path, capsys):
         """A hidden_dim whose weight tensors numpy cannot address exits 2,
         naming the setting, before any input is read: none of them exists."""
         capsys.readouterr()
-        assert run(["train", "--train-file", tmp_path / "missing.tsv", "--vocab", tmp_path / "missing_vocab.tsv",
+        assert run(["train", "--train-file", tmp_path / "missing.tsv",
                     "--embeddings-payload", tmp_path / "missing_emb", "--checkpoint-dir", tmp_path / "ckpt",
                     "--hidden-dim", "1000000000000000000"]) == 2
         assert capsys.readouterr().err.startswith("bad arguments: hidden_dim 1000000000000000000: ")
@@ -1686,7 +1733,7 @@ class TestConfiguration:
     def test_build_vocab_checks_its_settings_before_reading(self, tmp_path, capsys):
         missing = tmp_path / "missing.tsv"
         capsys.readouterr()
-        assert run(["build-vocab", "--inputs", missing, "--vocab", tmp_path / "vocab.tsv",
+        assert run(["build-vocab", "--inputs", missing,
                     "--embedding-out", tmp_path / "emb", "--embed-dim", "0"]) == 2
         assert capsys.readouterr().err == "bad arguments: embed_dim must be at least 1, got 0\n"
         assert list(tmp_path.iterdir()) == []
@@ -1719,11 +1766,11 @@ class TestConfiguration:
         assert int(count) == len(names)
 
     @pytest.mark.parametrize("command, options, optional", [
-        ("evaluate", ["--input", "--vocab", "--checkpoint", "--output"], ["--output"]),
-        ("predict", ["--input", "--vocab", "--checkpoint", "--output"], []),
+        ("evaluate", ["--input", "--checkpoint", "--output"], ["--output"]),
+        ("predict", ["--input", "--checkpoint", "--output"], []),
     ])
     def test_model_input_options(self, command, options, optional):
-        """evaluate and predict share --input, --vocab and --checkpoint, and
+        """evaluate and predict share --input and --checkpoint, and
         each lists its options in this order."""
         subparsers = next(a for a in build_parser()._actions if a.dest == "command")
         parser = subparsers.choices[command]
@@ -1734,10 +1781,10 @@ class TestConfiguration:
     def test_desk_flags_set_dimensions(self, workspace, tmp_path):
         """build-vocab's desk flag sets the width, train's the rest."""
         ckpt, payload = tmp_path / "ckpt", tmp_path / "emb"
-        assert run(["build-vocab", "--inputs", workspace["clean"], "--vocab", tmp_path / "vocab.tsv",
+        assert run(["build-vocab", "--inputs", workspace["clean"],
                     "--embedding-out", payload, *DESK["build-vocab"]]) == 0
         code = run(["train", "--train-file", workspace["clean"],
-                    "--vocab", tmp_path / "vocab.tsv", "--embeddings-payload", payload, "--checkpoint-dir", ckpt,
+                    "--embeddings-payload", payload, "--checkpoint-dir", ckpt,
                     *DESK["train"], "--max-epochs", "1",
                     "--routing-iters", "2", "--spatial-dropout", "0.0",
                     "--capsule-dropout", "0.0", "--noise-std", "0.0"])
@@ -1789,8 +1836,7 @@ def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
         f"{LABELS[rng.integers(len(LABELS))]}\t{' '.join(rng.choice(words, rng.integers(3, 20)))}\n"
         for _ in range(192)
     ), encoding="utf-8")
-    vocab = tmp_path / "vocab.tsv"
-    assert run(["build-vocab", "--inputs", clean, "--vocab", vocab, "--embedding-out", tmp_path / "emb",
+    assert run(["build-vocab", "--inputs", clean, "--embedding-out", tmp_path / "emb",
                 "--embed-dim", "300", "--seed", "3"]) == 0
     blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {key: value for key, value in os.environ.items() if key not in blas}
@@ -1798,7 +1844,7 @@ def test_model_bytes_do_not_depend_on_blas_threads(tmp_path):
     models = []
     for name, threads in (("unset", {}), ("one", dict.fromkeys(blas, "1"))):
         done = subprocess.run(
-            [sys.executable, "-m", "emocaps", "train", "--train-file", str(clean), "--vocab", str(vocab),
+            [sys.executable, "-m", "emocaps", "train", "--train-file", str(clean),
              "--embeddings-payload", str(tmp_path / "emb"), "--checkpoint-dir", str(tmp_path / name),
              "--seed", "3", "--batch-size", "64", "--max-epochs", "2"],
             capture_output=True, text=True, env={**env, **threads}, timeout=300,
@@ -1851,13 +1897,13 @@ def test_pretrained_vectors_carry_the_class_to_words_training_never_saw(tmp_path
     write_held_out_task(tmp_path, np.random.default_rng(0), dim=50)
     splits = [tmp_path / name for name in ("train.tsv", "dev.tsv", "test.txt")]  # as README's pipeline
     vectors = ["--embeddings", tmp_path / "vectors.txt", "--embeddings-format", "text"] if pretrained else []
-    assert run(["build-vocab", "--inputs", *splits, "--vocab", tmp_path / "vocab.tsv",
+    assert run(["build-vocab", "--inputs", *splits,
                 "--embedding-out", tmp_path / "emb", *DESK["build-vocab"], "--seed", "3", *vectors]) == 0
     assert run(["train", "--train-file", tmp_path / "train.tsv", "--dev-file", tmp_path / "dev.tsv",
-                "--vocab", tmp_path / "vocab.tsv", "--embeddings-payload", tmp_path / "emb",
+                "--embeddings-payload", tmp_path / "emb",
                 "--checkpoint-dir", tmp_path / "run", *DESK["train"], "--seed", "3",
                 "--max-epochs", "10", "--patience", "4"]) == 0
-    assert run(["evaluate", "--input", tmp_path / "test.tsv", "--vocab", tmp_path / "vocab.tsv",
+    assert run(["evaluate", "--input", tmp_path / "test.tsv",
                 "--checkpoint", tmp_path / "run" / "model", "--output", tmp_path / "report.json"]) == 0
     macro_f1 = json.loads((tmp_path / "report.json").read_text())["macro"]["f1"]
     assert macro_f1 > bound if pretrained else macro_f1 < bound, macro_f1
@@ -1920,27 +1966,37 @@ def fuzz_inputs(workspace, root):
     rows = np.random.default_rng(5).uniform(-1, 1, size=(12, 8))
     vectors.write_text("12 8\n" + "".join(f"{w} {' '.join(f'{x:.4f}' for x in row)}\n"
                                            for w, row in zip(words, rows)), encoding="utf-8")
-    model, embed = ws["ckpt"] / "model", ws["payload"]
+    model, embed, vocab = ws["ckpt"] / "model", ws["payload"], root / "vocab.tsv"
+    manifest = json.loads(model.with_suffix(".json").read_text(encoding="utf-8"))
+    vocab.write_text(manifest["vocabulary"], encoding="utf-8")
 
-    def evaluate(case, data=ws["clean"], vocab=ws["vocab"], stem=model):
-        return ["evaluate", "--input", data, "--vocab", vocab, "--checkpoint", stem,
+    def evaluate(case, data=ws["clean"], stem=model):
+        return ["evaluate", "--input", data, "--checkpoint", stem,
                 "--output", case / "report.json"], ["report.json"]
 
+    def evaluate_embedded(case):
+        """evaluate with the model whose manifest holds the mutated vocab.tsv,
+        a byte that is not UTF-8 read as a lone surrogate, which JSON escapes."""
+        text = (case / "vocab.tsv").read_bytes().decode("utf-8", "surrogateescape")
+        (case / "model.json").write_text(
+            json.dumps({**manifest, "vocabulary": text}, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        return evaluate(case, stem=case / "model")
+
     def build_vocab(case, data=ws["clean"], *vectors_flags):
-        return (["build-vocab", "--inputs", data, "--vocab", case / "out.tsv", "--embedding-out", case / "out",
-                 *vectors_flags, *VOCAB_FLAGS], ["out.tsv", "out.json", "out.bin"])
+        return (["build-vocab", "--inputs", data, "--embedding-out", case / "out",
+                 *vectors_flags, *VOCAB_FLAGS], ["out.json", "out.bin"])
 
     def preprocess(case, data=ws["raw"], *lexicon_flags):
         return ["preprocess", "--input", data, "--output", case / "out.tsv", *lexicon_flags], ["out.tsv"]
 
     return {
-        "vocabulary": (ws["vocab"], [], lambda case: evaluate(case, vocab=case / "vocab.tsv")),
+        "vocabulary": (vocab, [model.with_suffix(".bin")], evaluate_embedded),
         "model manifest": (model.with_suffix(".json"), [model.with_suffix(".bin")],
                            lambda case: evaluate(case, stem=case / "model")),
         "model payload": (model.with_suffix(".bin"), [model.with_suffix(".json")],
                           lambda case: evaluate(case, stem=case / "model")),
         "embedding manifest": (embed.with_suffix(".json"), [embed.with_suffix(".bin")], lambda case: (
-            ["train", "--train-file", ws["clean"], "--vocab", ws["vocab"], "--embeddings-payload", case / "embed",
+            ["train", "--train-file", ws["clean"], "--embeddings-payload", case / "embed",
              "--checkpoint-dir", case / "run", *TINY_FLAGS, "--max-epochs", "1"], ["run"])),
         "labeled file, evaluate": (ws["clean"], [], lambda case: evaluate(case, data=case / "clean.tsv")),
         "labeled file, build-vocab": (ws["clean"], [], lambda case: build_vocab(case, case / "clean.tsv")),

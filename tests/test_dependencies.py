@@ -15,7 +15,8 @@ the package has two exception classes, both in errors: EmocapsError and
 NumericError. And input is checked where it enters the model: the numeric
 layers raise nothing. And every source file parses as the oldest Python
 the package supports, the lowest one CI runs, and CI also runs the oldest
-numpy it supports."""
+numpy it supports. And every function, method and class of the package
+has a caller outside the tests."""
 
 import ast
 import builtins
@@ -294,6 +295,60 @@ def test_ci_runs_the_oldest_supported_numpy():
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text("utf-8")
     jobs = re.findall(r'python-version: "(\d+\.\d+)"\n(?:.*\n)*?.*"numpy==(\d+\.\d+)\.\*"', workflow)
     assert jobs == [(python, floor)]
+
+
+# Called from outside the package's source: pyproject's console script. Dunder
+# methods, which the interpreter calls, are exempt by their names.
+ENTRY_POINTS = {"cli.entry"}
+# The standalone-file form of the vocabulary: the benchmark writes its
+# vocabulary file with save and reads it with load (perfbench/gen.py and
+# perfbench/run.py), while the package reads the text of a manifest.
+BENCHMARK_ONLY = {"embeddings.Vocabulary.load", "embeddings.Vocabulary.save"}
+
+
+def _definitions(tree, prefix=""):
+    """(qualified name, node) of every function and class in `tree`, nested ones too."""
+    for node in ast.iter_child_nodes(tree):
+        name = prefix
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}{node.name}."
+            yield name[:-1], node
+        yield from _definitions(node, name)
+
+
+def test_every_definition_has_a_caller():
+    """Every function, method and class defined in src/emocaps/ is named
+    outside its own definition, as a name or an attribute read, somewhere
+    in src/ or in perfbench/*.py. A name that only tests/ reach is dead
+    code, or an oracle that belongs in tests/. Names are matched without
+    resolving them, so the guard misses a definition whose name some other
+    object also has. pyproject's scripts point at ENTRY_POINTS and dunder
+    methods are called by the interpreter: both are exempt. The names of
+    BENCHMARK_ONLY are read in perfbench/ alone."""
+    package = Path(emocaps.__file__).parent
+    reads = {}  # name -> [(file, node)] of each read of it
+    for path in [*sorted(package.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), filename=str(path))):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name is not None and isinstance(getattr(node, "ctx", None), ast.Load):
+                reads.setdefault(name, []).append((path.parent.name, node))
+    pyproject = (ROOT / "pyproject.toml").read_text("utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    assert {f"{module}.{name}" for module, name in re.findall(r'"emocaps\.(\w+):(\w+)"', scripts.group(1))} == ENTRY_POINTS
+    uncalled, benchmark_only = [], set()
+    for path in sorted(package.glob("*.py")):
+        for name, node in _definitions(ast.parse(path.read_text("utf-8"), filename=str(path))):
+            qualified, short = f"{path.stem}.{name}", name.rsplit(".", 1)[-1]
+            if qualified in ENTRY_POINTS or short.startswith("__") and short.endswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            where = {folder for folder, read in reads.get(short, []) if id(read) not in inside}
+            if not where:
+                uncalled.append(qualified)
+            elif where == {"perfbench"}:
+                benchmark_only.add(qualified)
+    assert uncalled == []
+    assert benchmark_only == BENCHMARK_ONLY
 
 
 def test_every_data_file_ships_in_the_wheel():

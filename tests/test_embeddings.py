@@ -72,9 +72,13 @@ class TestVocabulary:
             assert a.word_to_id[tag] == b.word_to_id[tag]
 
     def test_save_load_round_trip(self, tmp_path):
+        """save writes text(), the id<TAB>word line of each word in id
+        order, and load reads it back."""
         vocab = Vocabulary.build([["b", "a", "b"]])
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
+        assert path.read_bytes() == vocab.text().encode("utf-8") == "".join(
+            f"{i}\t{w}\n" for i, w in enumerate([*RESERVED, "b", "a"])).encode("utf-8")
         loaded = Vocabulary.load(path)
         assert loaded.id_to_word == vocab.id_to_word
         assert loaded.word_to_id == vocab.word_to_id

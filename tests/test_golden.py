@@ -42,32 +42,31 @@ COMMANDS = [
     ["preprocess", "--input", "raw_train.tsv", "--output", "train.tsv"],
     ["preprocess", "--input", "raw_dev.tsv", "--output", "dev.tsv"],
     ["preprocess", "--input", "raw_test.txt", "--output", "test.txt", "--unlabeled"],
-    ["build-vocab", "--inputs", "train.tsv", "dev.tsv", "test.txt", "--vocab", "vocab.tsv", "--embedding-out", "emb",
+    ["build-vocab", "--inputs", "train.tsv", "dev.tsv", "test.txt", "--embedding-out", "emb",
      *DESK["build-vocab"], "--seed", "3"],
-    ["train", "--train-file", "train.tsv", "--dev-file", "dev.tsv", "--vocab", "vocab.tsv",
-     "--embeddings-payload", "emb", "--checkpoint-dir", "run1", *DESK["train"], "--seed", "3", "--max-epochs", "3"],
-    ["evaluate", "--input", "dev.tsv", "--vocab", "vocab.tsv", "--checkpoint", "run1/model", "--output", "report.json"],
-    ["predict", "--input", "test.txt", "--vocab", "vocab.tsv", "--checkpoint", "run1/model", "--output", "preds.txt"],
+    ["train", "--train-file", "train.tsv", "--dev-file", "dev.tsv", "--embeddings-payload", "emb",
+     "--checkpoint-dir", "run1", *DESK["train"], "--seed", "3", "--max-epochs", "3"],
+    ["evaluate", "--input", "dev.tsv", "--checkpoint", "run1/model", "--output", "report.json"],
+    ["predict", "--input", "test.txt", "--checkpoint", "run1/model", "--output", "preds.txt"],
 ]
 INPUTS = {"raw_train.tsv", "raw_dev.tsv", "raw_test.txt"}
 DIGESTS = {
     "dev.tsv": "24671a700b8cefeade936278bd262a1b8b855de9413ae7c0233c032d574af528",
     "emb.bin": "ff4608cf33a1fc35c8df0911c1f67fdeaa1707e722457a20875ff3c3c9f8a824",
-    "emb.json": "eeecffb0cb318c2b46af38d969520546ddd501581754089ecc82840aceb04e29",
+    "emb.json": "64130dc2a0b343c354eeb2449aa5466440b8b2191c74e1307acc693a16e70fc3",
     "preds.txt": "8180ff6aaa066bdf13a9cdff92fe72eed1d23fdaa8f10942445b2610c3492af2",
     "report.json": "b54184b2481c3ee755992ac44363e18f24be24d593b8e90b3e4d055b529ffb23",
     "run1/history.jsonl": "a9015b96f47d678e8b1e2a2b29c78a4d0e131c46a23291311082a0977da9c713",
     "run1/model.bin": "c7d2cdfb9e1a03b673184ddaa29d10b96e8d34c6eeb110782186a25ece9bfadc",
-    "run1/model.json": "9ed0b0073341e5b4a84678bd92d3640d1c6c0001bdf73271d379885c51ff2d60",
-    "stdout": "ee0014a6b0f0caa35e1f95bc0749922e92c83918e4e0aeb6deb4e6ce63337ed5",
+    "run1/model.json": "0c427069e63dd46a5149c9ab3cb00fbddf4ab498fd25c1d13ca379550c4b4c14",
+    "stdout": "bbf99869adfb604e4d39bb9c447d6c620f119b07805d43f6b9437f0a5eb8057b",
     "test.txt": "81d442820cf7ccd57a1f226f8d364ee3a330f743f540ad51527840941fc5ec57",
     "train.tsv": "856dd62d85f85642e34d60db40e814c56a4ed2fc4f4cdd1b3cbb26231e2a3835",
-    "vocab.tsv": "f0f972908b0ea91000ea7e001db91f29c141031f183456c3130d49cf6e2e6390",
 }
 # the files no BLAS product reaches; model.json does through its payload_sha256
-EXACT = ("train.tsv", "dev.tsv", "test.txt", "vocab.tsv", "emb.json", "emb.bin", "report.json", "preds.txt", "stdout")
+EXACT = ("train.tsv", "dev.tsv", "test.txt", "emb.json", "emb.bin", "report.json", "preds.txt", "stdout")
 # model.json's digest, its payload_sha256 left out
-MANIFEST = "7d0a9352ebf1ba014004659fc6202dcf017a4de1bdd6830e544dbeeadb76ffbf"
+MANIFEST = "0918278779faaacc888f87ae70061414048fc138b039485d6f3ccd81eebc9bfc"
 HISTORY = [
     {"dev_macro_f1": 0.14484126984126985, "epoch": 0, "seconds": 0.0, "train_loss": 1.8010762484294254},
     {"dev_macro_f1": 0.11212121212121212, "epoch": 1, "seconds": 0.0, "train_loss": 1.7833823562340185},
