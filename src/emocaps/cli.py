@@ -88,12 +88,14 @@ def _require_nonempty(examples, path) -> None:
 
 def _load_with_vocabulary(stem):
     """load_checkpoint(stem) as (vocab, tensors, manifest), vocab parsed from
-    the manifest's `vocabulary` string (errors name `<stem>.json: vocabulary:<line>:`).
+    the manifest's `vocabulary` string with each \\r\\n and \\r read as \\n,
+    as `errors.whole_text` reads a file (errors name `<stem>.json: vocabulary:<line>:`).
     Refused unless embedding/W_e, when present, is 2-D with columns and a row per word."""
     tensors, manifest = load_checkpoint(stem)
     text = manifest.get("vocabulary")
     if not isinstance(text, str):
         raise EmocapsError(f"{stem}.json: manifest has no vocabulary string")
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     vocab = parse_blocks(f"{stem}.json: vocabulary", text, Vocabulary._parse)
     W = tensors.get("embedding/W_e")
     if W is not None and (W.ndim != 2 or W.shape[1] == 0):

@@ -20,6 +20,14 @@ the first step into a table of their own, the embedding of
 dense arrays from the backward pass to Adam. Every other row would take a
 zero gradient at every step, which dense Adam moves by exactly zero, so the
 results are those of dense Adam over the whole table.
+
+A run's own buffers are the four rows of one zeroed float64 block that
+`start_training` allocates: Adam's `m` and `v`, the batch sums and the best
+epoch's snapshot, each a name -> view dict in `ModelParams.tensors()` order,
+and a better epoch is copied into its row in place. The block holds the
+bytes separate arrays would; a single run is no faster, but jobs run back
+to back in one process reuse its pages under glibc. The trained tensors
+stay out of it: the model's arrays but the table are the caller's own.
 """
 
 from __future__ import annotations
@@ -433,22 +441,25 @@ def _check_dataset(dataset, name: str, vocab_size: int) -> np.ndarray:
 @dataclass
 class TrainState:
     """A training run: what `run_epoch` reads and advances, besides the dev
-    set and the model whose table it writes back to."""
+    set and the model whose table it writes back to. `adam.m`, `adam.v`,
+    `sums` and `best` are views of one (4, n) block, n the size of
+    model.tensors() together (`start_training`)."""
 
     slots: np.ndarray  # the training set's sorted unique ids: trained row i is the model's row slots[i]
     model: ModelParams  # the trained tensors: the trained-row table and the model's other arrays
     adam: AdamState
     examples: list  # the training set re-encoded to rows of the trained table
     sums: dict[str, np.ndarray]  # every batch's gradient sums, reused: one buffer per tensor of model.tensors()
+    best: dict[str, np.ndarray]  # model.tensors() as of the best epoch, written over in place
     epoch: int = 0  # the next epoch to run
     best_f1: float = -1.0
     since_best: int = 0  # epochs since the best dev score
-    best: dict[str, np.ndarray] | None = None  # a copy of model.tensors() from the best epoch
 
 
 def start_training(train_set, dev_set, params: ModelParams) -> TrainState:
     """Check both datasets (`_check_dataset`) and set up a run: Adam's
-    moments and the batch sums zero, and the training set re-encoded.
+    moments, the batch sums and the best snapshot zero, the rows of one
+    block, and the training set re-encoded.
     Every epoch visits every training example, so the rows of the training
     set's ids are the embedding rows training can move: the state's model
     trains them as a table of their own, and the model's other arrays."""
@@ -456,9 +467,14 @@ def start_training(train_set, dev_set, params: ModelParams) -> TrainState:
     slots = _check_dataset(train_set, "train", len(W))
     _check_dataset(dev_set, "dev", len(W))
     model = replace(params, embedding=EmbeddingTable(weights=W[slots]))
-    m, v, sums = ({k: np.zeros_like(t) for k, t in model.tensors().items()} for _ in range(3))
+    tensors = model.tensors()
+    ends = np.cumsum([t.size for t in tensors.values()])
+    m, v, sums, best = (
+        {k: part.reshape(t.shape) for (k, t), part in zip(tensors.items(), np.split(row, ends[:-1]))}
+        for row in np.zeros((4, ends[-1]))
+    )
     examples = [(np.searchsorted(slots, ids), gold) for ids, gold in train_set]
-    return TrainState(slots=slots, model=model, adam=AdamState(m=m, v=v), examples=examples, sums=sums)
+    return TrainState(slots=slots, model=model, adam=AdamState(m=m, v=v), examples=examples, sums=sums, best=best)
 
 
 def batch_gradients(state: TrainState, examples, start: int, cfg: TrainConfig) -> np.ndarray:
@@ -518,15 +534,17 @@ def run_epoch(state: TrainState, dev_set, params: ModelParams, cfg: TrainConfig)
     state.epoch += 1
     if dev_f1 > state.best_f1:
         state.best_f1, state.since_best = dev_f1, 0
-        state.best = {k: t.copy() for k, t in state.model.tensors().items()}
+        for name, t in state.model.tensors().items():
+            state.best[name][...] = t
     else:
         state.since_best += 1
     return {"epoch": epoch, "train_loss": train_loss, "dev_macro_f1": dev_f1}
 
 
 def finish_training(state: TrainState, params: ModelParams) -> None:
-    """Restore the best epoch's tensors (epoch 0's dev macro-F1, at least 0,
-    always sets them) and write the trained rows back to the model's table."""
+    """Restore the best epoch's tensors from `state.best` (epoch 0's dev
+    macro-F1, at least 0, always writes them) and write the trained rows
+    back to the model's table."""
     for name, t in state.model.tensors().items():
         t[...] = state.best[name]
     params.embedding.weights[state.slots] = state.model.embedding.weights

@@ -658,6 +658,21 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_vocabulary_line_ends_read_as_a_files_do(self, workspace, tmp_path, end):
+        """A payload whose vocabulary lines end in \\r\\n or \\r trains the
+        model the original payload trains, byte for byte: the manifest's
+        text reads line ends as `errors.whole_text` reads a file's."""
+        source, stem = workspace["payload"], tmp_path / "edited"
+        copy_with_vocabulary(source, stem, vocabulary_of(source).replace("\n", end))
+        assert Path(f"{stem}.bin").read_bytes() == Path(f"{source}.bin").read_bytes()
+        for payload, out in ((source, tmp_path / "plain"), (stem, tmp_path / "out")):
+            argv = ["train", "--train-file", workspace["clean"], "--embeddings-payload", payload,
+                    "--checkpoint-dir", out, *TINY_FLAGS]
+            assert run(argv) == 0
+        for name in ("model.json", "model.bin", "history.jsonl"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+
     @pytest.mark.parametrize("reader", ["input", "evaluate-input", "vocab", "lexicon", "manifest", "word2vec"])
     def test_file_that_is_not_utf8_names_file_and_line(self, workspace, tmp_path, capsys, reader):
         """Each file's first byte that is not UTF-8 is on the line given with

@@ -598,7 +598,8 @@ class TestStep:
         rng = np.random.default_rng(6)
         sums = {k: rng.normal(size=t.shape) for k, t in model.tensors().items()}
         moments = [{k: np.zeros_like(t) for k, t in model.tensors().items()} for _ in range(2)]
-        state = TrainState(slots=slots, model=model, adam=AdamState(*moments), examples=[], sums=sums)
+        state = TrainState(slots=slots, model=model, adam=AdamState(*moments), examples=[], sums=sums,
+                           best={k: t.copy() for k, t in model.tensors().items()})
         mean = {k: t * (1.0 / 5) for k, t in sums.items()}
         if pad:
             mean["embedding/W_e"][0] = 0.0
@@ -680,24 +681,75 @@ class TestTrainLoop:
         assert dataset_macro_f1(data, params, cfg) == pytest.approx(best)
 
     def test_start_training_builds_the_whole_run(self, toy_examples):
-        """Before its first step a run holds zero Adam moments and zero
-        batch sums for every trained tensor, in order and each an array of
-        its own, and the training set re-encoded to trained-table rows."""
+        """Before its first step a run holds zero Adam moments, zero batch
+        sums and a zero best snapshot for every trained tensor, in order,
+        no two sharing memory with each other or with a trained tensor, and
+        the training set re-encoded to trained-table rows."""
         cfg, vocab, params = toy_setup(toy_examples)
         data = encode_examples(toy_examples, vocab)
         data[0] = ([PAD_ID] + data[0][0], data[0][1])
         run = start_training(data, data, params)
         tensors = run.model.tensors()
-        assert list(run.adam.m) == list(run.adam.v) == list(run.sums) == list(tensors)
+        buffers = (run.adam.m, run.adam.v, run.sums, run.best)
+        assert all(list(named) == list(tensors) for named in buffers)
         for name, t in tensors.items():
-            for buffer in (run.adam.m[name], run.adam.v[name], run.sums[name]):
+            for buffer in (named[name] for named in buffers):
                 assert buffer.shape == t.shape and buffer.dtype == t.dtype and not buffer.any(), name
-        arrays = [*run.adam.m.values(), *run.adam.v.values(), *run.sums.values(), *tensors.values()]
+        arrays = [*(a for named in buffers for a in named.values()), *tensors.values()]
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
         assert run.adam.t == 0 and run.epoch == 0
         for (rows, gold), (ids, expected) in zip(run.examples, data, strict=True):
             np.testing.assert_array_equal(rows, np.searchsorted(run.slots, ids))
             assert gold == expected
+
+    def test_run_buffers_are_rows_of_one_block(self, toy_examples):
+        """Adam's `m` and `v`, the batch sums and the best snapshot are the
+        four rows of one 2-D float64 block, in that order, and each row
+        holds its views back to back in `tensors()` order."""
+        cfg, vocab, params = toy_setup(toy_examples)
+        data = encode_examples(toy_examples, vocab)
+        run = start_training(data, data, params)
+        tensors = run.model.tensors()
+        block = run.sums["embedding/W_e"].base
+        n = sum(t.size for t in tensors.values())
+        assert block.shape == (4, n) and block.dtype == np.float64 and block.flags.owndata
+        address = block.__array_interface__["data"][0]
+        for row, named in enumerate((run.adam.m, run.adam.v, run.sums, run.best)):
+            offset = row * n
+            for name, t in tensors.items():
+                view = named[name]
+                assert view.base is block and view.flags.c_contiguous, name
+                assert view.__array_interface__["data"][0] == address + 8 * offset, name
+                offset += t.size
+
+    def test_best_snapshot_is_written_in_place(self, toy_examples):
+        """Every epoch, improving or not, leaves `best` the same dict of the
+        same arrays."""
+        cfg, vocab, params = toy_setup(toy_examples, max_epochs=4)
+        data = encode_examples(toy_examples, vocab)
+        run = start_training(data, data, params)
+        best, arrays = run.best, dict(run.best)
+        for _ in range(cfg.max_epochs):
+            run_epoch(run, data, params, cfg)
+            assert run.best is best and all(best[k] is a for k, a in arrays.items())
+
+    def test_early_stopped_run_restores_its_best_epoch_bitwise(self, toy_examples):
+        """A run that stops early, its last epoch not its best, ends with the
+        trained tensors as they were after its best epoch, and the model's
+        table holds the trained rows of that epoch."""
+        cfg, vocab, params = toy_setup(toy_examples, spatial_dropout=0.2, capsule_dropout=0.2, noise_std=0.05,
+                                       batch_size=8, max_epochs=6, patience=2)
+        data = encode_examples(toy_examples, vocab)
+        run = start_training(data, data, params)
+        scores = []
+        while run.epoch < cfg.max_epochs and run.since_best <= cfg.patience:
+            scores.append(run_epoch(run, data, params, cfg)["dev_macro_f1"])
+            if run.since_best == 0:
+                recorded = {k: t.tobytes() for k, t in run.model.tensors().items()}
+        assert len(scores) < cfg.max_epochs and scores[-1] < max(scores)
+        finish_training(run, params)
+        assert {k: t.tobytes() for k, t in run.model.tensors().items()} == recorded
+        assert params.embedding.weights[run.slots].tobytes() == recorded["embedding/W_e"]
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_deep_copied_state_resumes_bitwise(self, toy_examples, k):
