@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .embeddings import EmbeddingTable, Vocabulary, build_embedding, load_word2vec
-from .errors import EmocapsError, NumericError, parse_blocks, replacing, text_lines
+from .errors import TMP_SUFFIX, EmocapsError, NumericError, parse_blocks, replacing, text_lines
 from .evaluation import LABELS, confusion, format_report, label_index, metrics
 from .textprep import Lexicon, preprocess
 from .training import ModelParams, TrainConfig, init_model, predict_dataset, train
@@ -88,14 +88,13 @@ def _require_nonempty(examples, path) -> None:
 
 def _load_with_vocabulary(stem):
     """load_checkpoint(stem) as (vocab, tensors, manifest), vocab parsed from
-    the manifest's `vocabulary` string with each \\r\\n and \\r read as \\n,
-    as `errors.whole_text` reads a file (errors name `<stem>.json: vocabulary:<line>:`).
+    the manifest's `vocabulary` string by `errors.parse_blocks`, as a file's
+    text is, line ends too (errors name `<stem>.json: vocabulary:<line>:`).
     Refused unless embedding/W_e, when present, is 2-D with columns and a row per word."""
     tensors, manifest = load_checkpoint(stem)
     text = manifest.get("vocabulary")
     if not isinstance(text, str):
         raise EmocapsError(f"{stem}.json: manifest has no vocabulary string")
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
     vocab = parse_blocks(f"{stem}.json: vocabulary", text, Vocabulary._parse)
     W = tensors.get("embedding/W_e")
     if W is not None and (W.ndim != 2 or W.shape[1] == 0):
@@ -112,16 +111,17 @@ def _refuse_overwriting(args, outputs, inputs) -> None:
     another output or one of the inputs: writing it would replace what the
     command reads or writes. `outputs` and `inputs` name options of `args`;
     one in FILES_OF names the files its value + each suffix, any other the
-    path itself, and one left out is None. An output's `.tmp` file counts
-    too, and one that exists is refused: errors.replacing would not write it."""
+    path itself, and one left out is None. The file errors.replacing writes
+    an output through, its name + errors.TMP_SUFFIX, counts too, and one
+    that exists is refused: errors.replacing would not write it."""
     written = {}
     for is_output, names in ((True, outputs), (False, inputs)):
         for name in names:
             flag, values = f"--{name.replace('_', '-')}", getattr(args, name)
             values = values if isinstance(values, list) else [] if values is None else [values]
             suffixes = FILES_OF.get(name, ("",))
-            if is_output:  # each file is written through its .tmp file, errors.replacing's
-                suffixes = [t for s in suffixes for t in (s, f"{s}.tmp")]
+            if is_output:
+                suffixes = [t for s in suffixes for t in (s, s + TMP_SUFFIX)]
             for value, suffix in itertools.product(values, suffixes):
                 path = Path(f"{value}{suffix}").resolve()
                 if path in written:  # an option that names the path itself comes first
@@ -132,7 +132,7 @@ def _refuse_overwriting(args, outputs, inputs) -> None:
                 if is_output:
                     written[path] = (flag, value, suffix)
     for path, (flag, value, suffix) in written.items():
-        if suffix.endswith(".tmp") and path.exists():
+        if suffix.endswith(TMP_SUFFIX) and path.exists():
             raise ValueError(f"{value}{suffix} exists and {flag} {value} is written through it: remove it first")
 
 

@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import EmocapsError, integer_cells, read_blocks, replacing, text_lines, two_column_blocks
+from .errors import EmocapsError, integer_cells, parse_blocks, replacing, text_lines, two_column_blocks, whole_text
 from .textprep import TAG_SURFACES
 
 PAD = "<pad>"
@@ -23,6 +23,8 @@ UNK = "<unk>"
 # Fixed id layout: <pad>=0, <unk>=1, then the normalization tags in their
 # TAG_SURFACES order. Corpus words follow, most frequent first.
 RESERVED = (PAD, UNK) + tuple(TAG_SURFACES.values())
+# ASCII's str.isspace characters but the tab and the line ends that cut a vocabulary into cells
+ASCII_SPACES = " \x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -64,11 +66,11 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         """Read "id<TAB>word" lines with ids 0, 1, 2, ...; blank lines are
-        skipped, and a word holds no tab. Ids 0 and 1 must be <pad> and
-        <unk>, which training and encoding rely on. A repeated word is an
-        error, as only one of its ids could be reached. Errors name the
-        file and line."""
-        return read_blocks(path, cls._parse)
+        skipped, and a word holds no whitespace, which no token holds. Ids 0
+        and 1 must be <pad> and <unk>, which training and encoding rely on.
+        A repeated word is an error, as only one of its ids could be
+        reached. Errors name the file and line."""
+        return parse_blocks(path, whole_text(path), cls._parse)
 
     @classmethod
     def _parse(cls, path, text: str, block_chars: int) -> "Vocabulary":
@@ -76,12 +78,16 @@ class Vocabulary:
         A block that fails a check raises the error of its first line, which
         is the failing line when a block is one line (`block_chars` 0)."""
         id_to_word, word_to_id = [], {}
+        # no token holds a str.isspace character: clear an ASCII text at once, other text a block at a time
+        spaced = not text.isascii() or any(map(text.__contains__, ASCII_SPACES))
         for lineno, rows, columns in two_column_blocks(text, block_chars):
             try:
                 id_texts, words = columns  # None: a row holds no tab or more than one
                 ids = integer_cells(id_texts)
             except (TypeError, ValueError):
                 raise EmocapsError(f"{path}:{lineno}: expected id<TAB>word, got {rows[0]!r}") from None
+            if spaced and _holds_space(words):
+                raise EmocapsError(f"{path}:{lineno}: word {words[0]!r} holds whitespace, which no token holds")
             if ids != list(range(len(id_to_word), len(id_to_word) + len(ids))):
                 raise EmocapsError(f"{path}:{lineno}: non-contiguous vocabulary id: {rows[0]!r}")
             id_to_word += words
@@ -94,6 +100,14 @@ class Vocabulary:
             end = text.count("\n") + 1 + (text[-1:] not in ("", "\n"))  # the line after the last, one with no newline too
             raise EmocapsError(f"{path}:{end}: file ends before id {len(id_to_word)}, {RESERVED[len(id_to_word)]!r}")
         return cls(word_to_id, id_to_word)
+
+
+def _holds_space(words) -> bool:
+    """Whether a word holds a str.isspace character, tested one character
+    at a time only past a space or a character that is not printable: no
+    other whitespace is printable, and U+200B, not printable, is none."""
+    joined = "".join(words)
+    return not (joined.isprintable() and " " not in joined) and any(map(str.isspace, joined))
 
 
 @dataclass
@@ -115,11 +129,8 @@ def load_word2vec(path, fmt: str, words, dim: int) -> dict[str, np.ndarray]:
     not UTF-8, a text value that is not `_is_float`, one not finite in float32,
     or anything but blank lines (newlines, binary) after the header's count of
     entries raises EmocapsError naming the file and the entry, line or byte.
-    """
-    loaders = {"binary": _load_word2vec_binary, "text": _load_word2vec_text}
-    if fmt not in loaders:
-        raise ValueError(f"unknown word2vec format: {fmt!r}")
-    return loaders[fmt](path, words, dim)
+    `fmt` is one of the two, which `build-vocab --embeddings-format` checks."""
+    return {"binary": _load_word2vec_binary, "text": _load_word2vec_text}[fmt](path, words, dim)
 
 
 def _parse_header(header: str, path, dim: int) -> int:

@@ -23,17 +23,11 @@ def label_index(name: str) -> int:
 
 
 def confusion(golds, preds) -> np.ndarray:
-    """Count matrix with rows = gold class, columns = predicted class."""
+    """Count matrix with rows = gold class, columns = predicted class. Its
+    callers' labels are in 0..5, checked by `label_index` or `train`."""
     # an empty list would make a float array, which bincount refuses
     golds, preds = (np.asarray(list(labels) or np.empty(0, np.intp)) for labels in (golds, preds))
-    if len(golds) != len(preds):
-        raise EmocapsError(f"{len(golds)} gold labels vs {len(preds)} predictions")
     n = len(LABELS)
-    gold_out, pred_out = (golds < 0) | (golds >= n), (preds < 0) | (preds >= n)
-    if gold_out.any() or pred_out.any():
-        first = np.argmax(gold_out | pred_out)
-        which, label = ("gold", golds[first]) if gold_out[first] else ("predicted", preds[first])
-        raise EmocapsError(f"{which} label {label} outside 0..{n - 1}")
     return np.bincount(golds * n + preds, minlength=n * n).reshape(n, n)
 
 

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmocapsError, integer_cells, read_blocks, two_column_blocks
+from .errors import EmocapsError, integer_cells, parse_blocks, two_column_blocks, whole_text
 
 TARGETWORD_PLACEHOLDER = "[#TARGETWORD#]"
 
@@ -212,7 +212,7 @@ class Lexicon:
         """Read "word<TAB>count" lines, skipping blank ones, and sum the
         counts of a repeated word; an error is an EmocapsError naming the
         file and its first bad line."""
-        return read_blocks(path, cls._parse)
+        return parse_blocks(path, whole_text(path), cls._parse)
 
     @classmethod
     def _parse(cls, path, text: str, block_chars: int) -> "Lexicon":

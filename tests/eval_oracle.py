@@ -12,7 +12,7 @@ bitwise.
 `label`, `confusion` and `metrics` are the loops `emocaps` ran before its
 labels, counts and ratios became array operations: one row, one pair and
 one class at a time. Those do the same float operations in the same order,
-so they must agree bitwise, errors included.
+so they must agree bitwise.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from emocaps.capsule import squash
 from emocaps.embeddings import embed
-from emocaps.errors import EmocapsError
 from emocaps.evaluation import LABELS
 from emocaps.nn import GruParams, softmax
 from gru_oracle import sigmoid
@@ -83,16 +82,8 @@ def predict_labels(sequences, params, cfg) -> list[int]:
 
 def confusion(golds, preds) -> np.ndarray:
     """Count matrix with rows = gold class, columns = predicted class."""
-    golds = list(golds)
-    preds = list(preds)
-    if len(golds) != len(preds):
-        raise EmocapsError(f"{len(golds)} gold labels vs {len(preds)} predictions")
     cm = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
-    for g, p in zip(golds, preds):
-        if not 0 <= g < len(LABELS):
-            raise EmocapsError(f"gold label {g} outside 0..{len(LABELS) - 1}")
-        if not 0 <= p < len(LABELS):
-            raise EmocapsError(f"predicted label {p} outside 0..{len(LABELS) - 1}")
+    for g, p in zip(golds, preds, strict=True):
         cm[g, p] += 1
     return cm
 

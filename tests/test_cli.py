@@ -724,6 +724,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {stem}.json: vocabulary:4: word '<url>' repeats id 2\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("word", ["a b", "a\xa0b", "a\x0bb", "a\u2028b"], ids=["space", "nbsp", "vt", "line-sep"])
+    @pytest.mark.parametrize("command", ["predict", "train"])
+    def test_vocabulary_word_holding_whitespace_is_refused(self, workspace, tmp_path, capsys, command, word):
+        """Tokens are split at whitespace, so no token could reach the
+        word: the manifest's vocabulary is refused, naming its line, as a
+        file's is."""
+        argv, stem, out = read_edited_vocabulary(
+            command, workspace, tmp_path, lambda lines: [*lines[:10], f"10\t{word}", *lines[11:]])
+        capsys.readouterr()
+        assert run(argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: {stem}.json: vocabulary:11: word {word!r} holds whitespace, which no token holds\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("reserved", [0, 1], ids=["no-pad", "no-unk"])
     def test_vocabulary_without_pad_or_unk_is_refused(self, workspace, tmp_path, capsys, reserved):
         expected = ["<pad>", "<unk>"][reserved]

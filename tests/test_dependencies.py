@@ -13,10 +13,13 @@ runs training passes. And the run's arrays have one owner: one place
 builds the training state, and no step allocates the batch sums. And
 the package has two exception classes, both in errors: EmocapsError and
 NumericError. And input is checked where it enters the model: the numeric
-layers raise nothing. And every source file parses as the oldest Python
-the package supports, the lowest one CI runs, and CI also runs the oldest
-numpy it supports. And every function, method and class of the package
-has a caller outside the tests."""
+layers, the confusion count and the word2vec loader's dispatch raise
+nothing. And errors alone spells the line-end rule and the name of the
+file an output is written through: no other module holds "\\r" or ".tmp".
+And every source file parses as the oldest Python the package supports,
+the lowest one CI runs, and CI also runs the oldest numpy it supports. And
+every function, method and class of the package has a caller outside the
+tests."""
 
 import ast
 import builtins
@@ -251,20 +254,41 @@ def _raisers(path: Path) -> set:
 
 def test_only_entry_points_check_their_input():
     """The numeric layers trust their arguments: no function in nn.py or
-    capsule.py raises, nor do `embed` and `embed_backward`, and in
-    training.py only the config, the model's builders, the gradient
-    clipping, the epoch loop and the checks of what enters the model
-    (`train`'s datasets and `predict_dataset`'s sequences) raise. A new
-    check of model input goes into `_check_ids` or `_check_dataset`, not
-    into a layer."""
+    capsule.py raises, nor do `embed`, `embed_backward` and
+    `load_word2vec`, whose format argparse's choices check, in
+    evaluation.py only `label_index` raises, and in training.py only the
+    config, the model's builders, the gradient clipping, the epoch loop and
+    the checks of what enters the model (`train`'s datasets and
+    `predict_dataset`'s sequences) raise. A new check of model input goes
+    into `_check_ids` or `_check_dataset`, not into a layer."""
     package = Path(emocaps.__file__).parent
     assert _raisers(package / "nn.py") == set()
     assert _raisers(package / "capsule.py") == set()
-    assert _raisers(package / "embeddings.py") & {"embed", "embed_backward"} == set()
+    assert _raisers(package / "embeddings.py") & {"embed", "embed_backward", "load_word2vec"} == set()
+    assert _raisers(package / "evaluation.py") == {"label_index"}
     assert _raisers(package / "training.py") == {
         "TrainConfig.__post_init__", "ModelParams.from_tensors", "init_model", "clip_gradients",
         "_check_ids", "predict_dataset", "_check_dataset", "run_epoch",
     }
+
+
+def test_only_errors_spells_line_ends_and_the_tmp_name():
+    """No module but errors.py holds a string constant, f-string parts
+    included and docstrings not, with a "\\r" or ".tmp" in it: the line-end
+    rule is `errors.parse_blocks`'s and `errors.whole_text`'s, and the name
+    of the file an output is written through is `errors.TMP_SUFFIX`."""
+    found = []
+    for path in sorted(Path(emocaps.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None}
+        found += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+                  and ("\r" in node.value or ".tmp" in node.value)]
+    assert found == []
 
 
 def test_sources_parse_as_the_oldest_supported_python():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from emocaps import errors
+from emocaps.cli import main
 from emocaps.embeddings import (
     PAD,
     RESERVED,
@@ -26,6 +27,9 @@ from emocaps.textprep import Lexicon
 from vocab_oracle import load_lines
 
 BOM = b"\xef\xbb\xbf"
+# words holding whitespace, refused as no token could reach them; a line rule
+# that broke lines at one of them would name another line
+SPACED_WORDS = ("x\u2028y", "p\x0bq", "r\x1cs", " sp", "a\xa0b", "\x85", "\u3000")
 
 
 def dense(rows, values, num_rows):
@@ -105,9 +109,37 @@ class TestVocabulary:
 
     @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"])
     def test_load_lines_end_only_at_newline(self, tmp_path, sep):
+        """The line holding `sep` is line 3, and its word is refused whole
+        for the whitespace in it."""
         path = tmp_path / "vocab.tsv"
         path.write_bytes(f"0\t<pad>\r\n1\t<unk>\r2\tone{sep}two\n".encode("utf-8"))
-        assert Vocabulary.load(path).id_to_word == ["<pad>", "<unk>", f"one{sep}two"]
+        says = f"{path}:3: word {f'one{sep}two'!r} holds whitespace, which no token holds"
+        with pytest.raises(EmocapsError, match="^" + re.escape(says) + "$"):
+            Vocabulary.load(path)
+
+    @pytest.mark.parametrize("word", SPACED_WORDS)
+    def test_load_refuses_a_word_no_token_can_reach(self, tmp_path, word):
+        """Tokens are split at every str.isspace character, so a word
+        holding one is refused, naming its line, in an ASCII file or not
+        and wherever in a large file it is."""
+        rows = [f"{i}\t{w}" for i, w in enumerate([*RESERVED[:2], *(f"w{i}" for i in range(2, 5000))])]
+        for at in (2, 4999):
+            spaced = list(rows)
+            spaced[at] = f"{at}\tx{word}{at}"
+            path = tmp_path / "vocab.tsv"
+            path.write_text("\n".join(spaced) + "\n", encoding="utf-8")
+            says = f"{path}:{at + 1}: word {f'x{word}{at}'!r} holds whitespace, which no token holds"
+            with pytest.raises(EmocapsError, match="^" + re.escape(says) + "$"):
+                Vocabulary.load(path)
+
+    def test_load_keeps_words_that_hold_no_whitespace(self, tmp_path):
+        """A character that is not printable but no whitespace is part of a
+        token, so a word holding it loads: U+200B, U+00AD, U+200D."""
+        words = ["<pad>", "<unk>", "a\u200bb", "soft\xadhyphen", "\U0001f469\u200d\U0001f4bb", "café"]
+        path = tmp_path / "vocab.tsv"
+        path.write_text("".join(f"{i}\t{w}\n" for i, w in enumerate(words)), encoding="utf-8")
+        assert Vocabulary.load(path).id_to_word == words
+        assert "a\u200bb".split() == ["a\u200bb"]
 
     def test_load_skips_blank_lines_and_refuses_tabs_in_words(self, tmp_path):
         # encoding looks up whitespace-split tokens, so a word with a tab could never be found
@@ -138,7 +170,7 @@ class TestVocabulary:
 
 
 # words that the line rule, the tab split or int() could misread
-ODD_WORDS = ("a\tb", "\t", "x\u2028y", "p\x0bq", "r\x1cs", "café", " sp", "7")
+ODD_WORDS = ("a\tb", "\t", "café", "7", "\u200b", "soft\xadhyphen")
 TABLESS_WORDS = tuple(word for word in ODD_WORDS if "\t" not in word)
 ID_FORMATS = ("{}", "{}", "{}", "0{}")
 BAD_ROWS = ("7 cat", "x\tcat", "\tcat", " ", "7", "-1\tcat", "-\tcat", "--1\tcat", "1-\tcat")
@@ -165,7 +197,8 @@ def spoil(rng, rows):
     """`rows` with one fault at a random row, or none, and blank lines
     around that row."""
     at = rng.randrange(len(rows) + 1)
-    fault = rng.choice(["none", "gap", "repeat", "reserved", "truncate", "bad-row", "tab-word", "shifted-tab", "odd-id"])
+    fault = rng.choice(["none", "gap", "repeat", "reserved", "truncate", "bad-row", "tab-word", "shifted-tab", "odd-id",
+                        "spaced-word"])
     if fault == "bad-row" or at == len(rows):
         rows.insert(at, rng.choice(BAD_ROWS))
     elif fault == "gap":
@@ -183,6 +216,8 @@ def spoil(rng, rows):
     elif fault == "odd-id":
         id_text, word = rows[at].split("\t", 1)
         rows[at] = f"{odd_cell(rng, int(id_text))}\t{word}"
+    elif fault == "spaced-word":
+        rows[at] += rng.choice(SPACED_WORDS)
     for _ in range(rng.choice([0, 0, 1, 3])):
         rows.insert(min(max(at + rng.randint(-1, 1), 0), len(rows)), "")
     return rows
@@ -211,7 +246,7 @@ def encode_rows(rng, rows) -> bytes:
 
 
 VOCAB_REFUSALS = ("expected id<TAB>word", "non-contiguous vocabulary id", "must be", "repeats id",
-                  "file ends before id", "not UTF-8 text")
+                  "file ends before id", "not UTF-8 text", "holds whitespace")
 
 
 def assert_loads_as_oracle(path):
@@ -250,6 +285,7 @@ class TestVocabularyBlocks:
         (None, "loaded"), ("bad-row", "expected id<TAB>word"), ("blank", "loaded"),
         ("gap", "non-contiguous vocabulary id"), ("repeat", "repeats id"), ("tab-word", "expected id<TAB>word"),
         ("shifted-tab", "expected id<TAB>word"), ("odd-id", "expected id<TAB>word"),
+        ("spaced-word", "holds whitespace"),
     ])
     def test_large_file_agrees_at_the_block_boundary(self, tmp_path, fault, outcome):
         """A 50,000-word file with a fault on each side of the line that
@@ -274,6 +310,8 @@ class TestVocabularyBlocks:
             elif fault == "odd-id":
                 word = spoiled[at].split("\t", 1)[1]
                 spoiled[at] = f"{odd_cell(random.Random(at), at)}\t{word}"
+            elif fault == "spaced-word":
+                spoiled[at] += SPACED_WORDS[at % len(SPACED_WORDS)]
             path = tmp_path / f"vocab{at}.tsv"
             path.write_text("\n".join(spoiled) + "\n", encoding="utf-8")
             assert assert_loads_as_oracle(path) == outcome
@@ -576,11 +614,18 @@ class TestLoadWord2vec:
         with pytest.raises(EmocapsError, match="entry 'hi' has 2 values, expected 3"):
             load_word2vec(path, "text", {"hi"}, 3)
 
-    def test_unknown_format_is_refused(self, tmp_path):
+    def test_unknown_format_is_refused(self, tmp_path, capsys):
+        """Where it enters: build-vocab's --embeddings-format takes the two
+        formats alone and exits 2, before any file is read or written, so
+        load_word2vec is given one of them."""
         path = tmp_path / "vecs.txt"
         path.write_text("1 2\nhi 0.5 -0.5\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="^unknown word2vec format: 'csv'$"):
-            load_word2vec(path, "csv", {"hi"}, 2)
+        with pytest.raises(SystemExit) as err:
+            main(["build-vocab", "--inputs", str(tmp_path / "missing.tsv"), "--embedding-out", str(tmp_path / "emb"),
+                  "--embeddings", str(path), "--embeddings-format", "csv"])
+        assert err.value.code == 2
+        assert "argument --embeddings-format: invalid choice: 'csv'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["vecs.txt"]
 
     def test_duplicates_keep_first(self, tmp_path):
         path = tmp_path / "vecs.txt"

@@ -2,9 +2,9 @@
 
 `load_lines` reads an "id<TAB>word" file a line at a time, the way the
 loader did before it parsed blocks of lines with str calls, with one tab a
-line and an id that is an optional `-` and ASCII digits: every result and
-every error of the block parse is checked against it, line numbers
-included.
+line, an id that is an optional `-` and ASCII digits and a word that holds
+no str.isspace character: every result and every error of the block parse
+is checked against it, line numbers included.
 """
 
 import re
@@ -30,6 +30,8 @@ def load_lines(path) -> tuple[list[str], dict[str, int]]:
                 idx = int(idx_text)
             except ValueError:
                 raise EmocapsError(f"{path}:{lineno}: expected id<TAB>word, got {line!r}") from None
+            if any(map(str.isspace, word)):
+                raise EmocapsError(f"{path}:{lineno}: word {word!r} holds whitespace, which no token holds")
             if idx != len(id_to_word):
                 raise EmocapsError(f"{path}:{lineno}: non-contiguous vocabulary id: {line!r}")
             if idx < 2 and word != RESERVED[idx]:
