@@ -25,6 +25,7 @@ from .errors import EmocapsError, json_object, replacing
 FORMAT_VERSION = 4
 DTYPE = "<f8"  # every tensor's, in the manifest and the payload
 DIGEST_BYTES = 32  # the sha256 that ends the payload
+SUFFIXES = (".json", ".bin")  # a stem's two files: its manifest, then its payload
 
 
 def save_checkpoint(
@@ -52,7 +53,8 @@ def save_checkpoint(
         manifest["vocabulary"] = vocabulary
     digest = hashlib.sha256()
     # the payload lands first, after the manifest is flushed: a failed write of either lands neither
-    with replacing(f"{stem}.json") as manifest_file, replacing(f"{stem}.bin", "xb") as payload:
+    manifest_path, payload_path = (f"{stem}{suffix}" for suffix in SUFFIXES)
+    with replacing(manifest_path) as manifest_file, replacing(payload_path, "xb") as payload:
         for t in tensors.values():
             data = np.ascontiguousarray(t, dtype=DTYPE)
             payload.write(data)
@@ -94,7 +96,7 @@ def load_checkpoint(stem):
     with the payload size or has a digest that is not the payload's. Every
     message names the file it is about, and a digest error both files.
     """
-    manifest_path, payload_path = f"{stem}.json", f"{stem}.bin"
+    manifest_path, payload_path = (f"{stem}{suffix}" for suffix in SUFFIXES)
     manifest = json_object(manifest_path)
     version = manifest.get("version")
     if version != FORMAT_VERSION:

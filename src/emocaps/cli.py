@@ -24,17 +24,18 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .checkpoint import load_checkpoint, save_checkpoint
-from .embeddings import EmbeddingTable, Vocabulary, build_embedding, load_word2vec
+from .checkpoint import SUFFIXES, load_checkpoint, save_checkpoint
+from .embeddings import WORD2VEC_FORMATS, EmbeddingTable, Vocabulary, build_embedding, load_word2vec
 from .errors import TMP_SUFFIX, EmocapsError, NumericError, parse_blocks, replacing, text_lines
 from .evaluation import LABELS, confusion, format_report, label_index, metrics
 from .textprep import Lexicon, preprocess
 from .training import ModelParams, TrainConfig, init_model, predict_dataset, train
 
 CONFIG_KEYS = tuple(f.name for f in fields(TrainConfig))
+MODEL, HISTORY = "model", "history.jsonl"  # what train writes in --checkpoint-dir: the model's stem, the history
 # the files an option names besides its own path: a checkpoint stem's manifest and payload, train's outputs
-FILES_OF = {"embedding_out": (".json", ".bin"), "embeddings_payload": (".json", ".bin"), "checkpoint": (".json", ".bin"),
-            "checkpoint_dir": ("/model.json", "/model.bin", "/history.jsonl")}
+FILES_OF = {"embedding_out": SUFFIXES, "embeddings_payload": SUFFIXES, "checkpoint": SUFFIXES,
+            "checkpoint_dir": (*(f"/{MODEL}{suffix}" for suffix in SUFFIXES), f"/{HISTORY}")}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, names) -> None:
@@ -90,16 +91,18 @@ def _load_with_vocabulary(stem):
     """load_checkpoint(stem) as (vocab, tensors, manifest), vocab parsed from
     the manifest's `vocabulary` string by `errors.parse_blocks`, as a file's
     text is, line ends too (errors name `<stem>.json: vocabulary:<line>:`).
-    Refused unless embedding/W_e, when present, is 2-D with columns and a row per word."""
+    Refused unless it holds embedding/W_e, 2-D with columns and a row per word."""
     tensors, manifest = load_checkpoint(stem)
     text = manifest.get("vocabulary")
     if not isinstance(text, str):
         raise EmocapsError(f"{stem}.json: manifest has no vocabulary string")
     vocab = parse_blocks(f"{stem}.json: vocabulary", text, Vocabulary._parse)
     W = tensors.get("embedding/W_e")
-    if W is not None and (W.ndim != 2 or W.shape[1] == 0):
+    if W is None:
+        raise EmocapsError(f"{stem}.json: missing tensors: embedding/W_e")
+    if W.ndim != 2 or W.shape[1] == 0:
         raise EmocapsError(f"{stem}.json: tensor embedding/W_e has shape {W.shape}, expected (rows, dim)")
-    if W is not None and len(W) != len(vocab):
+    if len(W) != len(vocab):
         raise EmocapsError(
             f"{stem}.json: the vocabulary has {len(vocab)} words, but embedding/W_e in {stem}.bin has {len(W)} rows"
         )
@@ -170,8 +173,6 @@ def cmd_train(args) -> int:
     _refuse_overwriting(args, ["checkpoint_dir"], ["train_file", "dev_file", "embeddings_payload"])
     cfg = _resolve_config(args)
     vocab, tensors, _ = _load_with_vocabulary(args.embeddings_payload)
-    if "embedding/W_e" not in tensors:
-        raise EmocapsError(f"{args.embeddings_payload}.json: missing tensors: embedding/W_e")
     train_set = _encode(args.train_file, vocab)
     _require_nonempty(train_set, args.train_file)
     dev_set = train_set
@@ -189,10 +190,10 @@ def cmd_train(args) -> int:
     clock = time.perf_counter if args.wall_clock else None
     try:
         params, history = train(train_set, dev_set, params, cfg, clock=clock)
-        with replacing(out / "history.jsonl") as fh:
+        with replacing(out / HISTORY) as fh:
             fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in history)
             fh.flush()  # written before the model, landing after it: a failed write lands neither
-            save_checkpoint(out / "model", params.tensors(), cfg.__dict__.copy(), cfg.seed, vocab.text())
+            save_checkpoint(out / MODEL, params.tensors(), cfg.__dict__.copy(), cfg.seed, vocab.text())
     except BaseException:
         for d in made:  # a failed run leaves no directory behind, but keeps the user's own
             for suffix in FILES_OF["checkpoint_dir"]:  # what landed before the failure
@@ -277,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", nargs="+", required=True, help="preprocessed files, labeled or not")
     p.add_argument("--embedding-out", required=True, help="embedding payload stem; its manifest holds the vocabulary")
     p.add_argument("--embeddings", help="pretrained word2vec file")
-    p.add_argument("--embeddings-format", choices=("binary", "text"), default="binary")
+    p.add_argument("--embeddings-format", choices=WORD2VEC_FORMATS, default=next(iter(WORD2VEC_FORMATS)))
     _add_config_flags(p, ("embed_dim", "seed"))  # the two settings it reads
     p.set_defaults(func=cmd_build_vocab)
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
-from .errors import EmocapsError, integer_cells, parse_blocks, replacing, text_lines, two_column_blocks, whole_text
+from .errors import (SPACED, EmocapsError, holds_space, integer_cells, may_hold_space, parse_blocks, replacing,
+                     text_lines, two_column_blocks, whole_text)
 from .textprep import TAG_SURFACES
 
 PAD = "<pad>"
@@ -23,8 +24,6 @@ UNK = "<unk>"
 # Fixed id layout: <pad>=0, <unk>=1, then the normalization tags in their
 # TAG_SURFACES order. Corpus words follow, most frequent first.
 RESERVED = (PAD, UNK) + tuple(TAG_SURFACES.values())
-# ASCII's str.isspace characters but the tab and the line ends that cut a vocabulary into cells
-ASCII_SPACES = " \x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -38,15 +37,8 @@ class Vocabulary:
     @classmethod
     def build(cls, token_sequences) -> "Vocabulary":
         """Assign ids from training-split token sequences (reserved ids first)."""
-        counts = Counter()
-        for sequence in token_sequences:
-            counts.update(sequence)
-        id_to_word = list(RESERVED)
-        seen = set(RESERVED)
-        for word, _ in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
-            if word not in seen:
-                id_to_word.append(word)
-                seen.add(word)
+        counts = Counter(chain.from_iterable(token_sequences))
+        id_to_word = [*RESERVED, *(w for w in sorted(counts, key=lambda w: (-counts[w], w)) if w not in RESERVED)]
         return cls({w: i for i, w in enumerate(id_to_word)}, id_to_word)
 
     def encode(self, surfaces) -> list[int]:
@@ -74,20 +66,12 @@ class Vocabulary:
 
     @classmethod
     def _parse(cls, path, text: str, block_chars: int) -> "Vocabulary":
-        """The vocabulary in `text`, parsed by str calls a block at a time.
-        A block that fails a check raises the error of its first line, which
-        is the failing line when a block is one line (`block_chars` 0)."""
+        """The vocabulary in `text`, parsed by `errors.two_column_blocks`."""
         id_to_word, word_to_id = [], {}
-        # no token holds a str.isspace character: clear an ASCII text at once, other text a block at a time
-        spaced = not text.isascii() or any(map(text.__contains__, ASCII_SPACES))
-        for lineno, rows, columns in two_column_blocks(text, block_chars):
-            try:
-                id_texts, words = columns  # None: a row holds no tab or more than one
-                ids = integer_cells(id_texts)
-            except (TypeError, ValueError):
-                raise EmocapsError(f"{path}:{lineno}: expected id<TAB>word, got {rows[0]!r}") from None
-            if spaced and _holds_space(words):
-                raise EmocapsError(f"{path}:{lineno}: word {words[0]!r} holds whitespace, which no token holds")
+        spaced = may_hold_space(text)  # else no block's words are joined to be tested
+        for lineno, rows, words, ids in two_column_blocks(path, text, block_chars, "id<TAB>word", 1):
+            if spaced and holds_space("".join(words)):
+                raise EmocapsError(f"{path}:{lineno}: word {words[0]!r} {SPACED}")
             if ids != list(range(len(id_to_word), len(id_to_word) + len(ids))):
                 raise EmocapsError(f"{path}:{lineno}: non-contiguous vocabulary id: {rows[0]!r}")
             id_to_word += words
@@ -100,14 +84,6 @@ class Vocabulary:
             end = text.count("\n") + 1 + (text[-1:] not in ("", "\n"))  # the line after the last, one with no newline too
             raise EmocapsError(f"{path}:{end}: file ends before id {len(id_to_word)}, {RESERVED[len(id_to_word)]!r}")
         return cls(word_to_id, id_to_word)
-
-
-def _holds_space(words) -> bool:
-    """Whether a word holds a str.isspace character, tested one character
-    at a time only past a space or a character that is not printable: no
-    other whitespace is printable, and U+200B, not printable, is none."""
-    joined = "".join(words)
-    return not (joined.isprintable() and " " not in joined) and any(map(str.isspace, joined))
 
 
 @dataclass
@@ -129,8 +105,8 @@ def load_word2vec(path, fmt: str, words, dim: int) -> dict[str, np.ndarray]:
     not UTF-8, a text value that is not `_is_float`, one not finite in float32,
     or anything but blank lines (newlines, binary) after the header's count of
     entries raises EmocapsError naming the file and the entry, line or byte.
-    `fmt` is one of the two, which `build-vocab --embeddings-format` checks."""
-    return {"binary": _load_word2vec_binary, "text": _load_word2vec_text}[fmt](path, words, dim)
+    `fmt` is a key of WORD2VEC_FORMATS, which `build-vocab --embeddings-format` checks."""
+    return WORD2VEC_FORMATS[fmt](path, words, dim)
 
 
 def _parse_header(header: str, path, dim: int) -> int:
@@ -214,6 +190,9 @@ def _load_word2vec_text(path, words, dim: int) -> dict[str, np.ndarray]:
         if extra := next((n for n, line in lines if line.strip()), None):
             raise EmocapsError(f"{path}:{extra}: a line follows the header's {count} entries")
     return table
+
+
+WORD2VEC_FORMATS = {"binary": _load_word2vec_binary, "text": _load_word2vec_text}  # the one list; the first is the default
 
 
 def _is_float(text: str) -> bool:

@@ -4,9 +4,9 @@ subclass exists only when a caller catches it by name. `text_lines` and
 `whole_text`, the readers of every text file the program is given, a line
 at a time or at once (`json_object` reads a manifest with the latter);
 `parse_blocks` and `two_column_blocks`, the one parse of a vocabulary's or
-a lexicon's text, a file's or a manifest's, by whole_text's line-end rule
-and in blocks of whole lines, and `integer_cells`, which reads its ids or
-counts; `replacing`, the one writer, through its TMP_SUFFIX sibling."""
+a lexicon's text, a file's or a manifest's, by whole_text's line-end rule,
+`integer_cells`, which reads its ids or counts, and `holds_space`, the
+whitespace that no word holds; `replacing`, the one writer, through its TMP_SUFFIX sibling."""
 
 import json
 import os
@@ -21,6 +21,9 @@ from pathlib import Path
 # blocks parse no faster and leave more freed strings holding allocator memory.
 BLOCK_CHARS = 1 << 14
 TMP_SUFFIX = ".tmp"  # `replacing` writes <path> as <path>.tmp, renamed onto <path> once whole
+# ASCII's str.isspace characters but the tab and the line ends that cut a two-column text into cells
+ASCII_SPACES = " \x0b\x0c\x1c\x1d\x1e\x1f"
+SPACED = "holds whitespace, which no token holds"  # the refusal of a word that `holds_space`
 
 
 class EmocapsError(Exception):
@@ -70,12 +73,14 @@ def parse_blocks(where, text: str, parse):
         return parse(where, text, 0)
 
 
-def two_column_blocks(text: str, block_chars: int):
+def two_column_blocks(where, text: str, block_chars: int, layout: str, words_at: int):
     """Cut `text`, a file read by `whole_text` or a manifest's string, into
     blocks of whole lines of just over `block_chars` characters, one line a
     block at 0. Yield for each block that holds a non-blank row the number
-    of its first line, its non-blank rows, and its two columns as lists, or
-    None when some row holds no tab or more than one."""
+    of its first line, its non-blank rows, its words, column `words_at`, and
+    the other column's `integer_cells`. A row with no tab or more than one,
+    or an integer cell that is not, raises `<where>:<line>: expected
+    <layout>, got <row>`, naming the block's first line and row."""
     start, first = 0, 1
     while start < len(text):
         end = text.find("\n", start + block_chars) + 1 or len(text)
@@ -83,8 +88,13 @@ def two_column_blocks(text: str, block_chars: int):
         rows = list(filter(None, block.split("\n")))
         if rows:
             cells = "\t".join(rows).split("\t")
-            one_tab = len(cells) == 2 * len(rows) and all(map(contains, rows, repeat("\t")))
-            yield first, rows, ((cells[0::2], cells[1::2]) if one_tab else None)
+            try:
+                if len(cells) != 2 * len(rows) or not all(map(contains, rows, repeat("\t"))):
+                    raise ValueError("a row holds no tab or more than one")
+                ints, words = integer_cells(cells[1 - words_at :: 2]), cells[words_at::2]
+            except ValueError:
+                raise EmocapsError(f"{where}:{first}: expected {layout}, got {rows[0]!r}") from None
+            yield first, rows, words, ints
         start, first = end, first + block.count("\n")
 
 
@@ -96,6 +106,22 @@ def integer_cells(cells: list[str]) -> list[int]:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError("a cell is not an optional '-' and ASCII digits")
     return list(map(int, cells))  # which refuses a misplaced '-'
+
+
+def may_hold_space(text: str) -> bool:
+    """Whether a cell of two-column text `text` may hold whitespace: an
+    ASCII text that holds none of ASCII_SPACES is cleared at once."""
+    return not text.isascii() or any(map(text.__contains__, ASCII_SPACES))
+
+
+def holds_space(text: str) -> bool:
+    """Whether `text`, a word or words joined, holds a str.isspace character,
+    which no token holds. ASCII is searched for them; other text is tested a
+    character at a time only past a space or a character that is not
+    printable: no other whitespace is printable, and U+200B is none."""
+    if text.isascii():
+        return any(map(text.__contains__, "\t\n\r" + ASCII_SPACES))
+    return not (text.isprintable() and " " not in text) and any(map(str.isspace, text))
 
 
 def _not_utf8(path) -> EmocapsError:

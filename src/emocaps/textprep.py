@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmocapsError, integer_cells, parse_blocks, two_column_blocks, whole_text
+from .errors import SPACED, EmocapsError, holds_space, parse_blocks, two_column_blocks, whole_text
 
 TARGETWORD_PLACEHOLDER = "[#TARGETWORD#]"
 
@@ -193,9 +193,10 @@ class Lexicon:
     checks and copies the mapping it is given, and `counts` is a read-only
     view of that copy, so the spelling memo and the letter index it carries
     cannot go stale. Neither takes part in comparison or repr. `total`
-    is the sum of the counts. Words are non-empty, lowercase and free of the
-    censoring `*`, and counts are non-negative ints (a bool is not an int):
-    the first entry that breaks a rule raises ValueError."""
+    is the sum of the counts. Words are non-empty, lowercase, free of the
+    censoring `*` and of whitespace, and NFC, as a surface is, and counts
+    are non-negative ints (a bool is not an int): the first entry that
+    breaks a rule raises ValueError."""
 
     counts: Mapping[str, int] = field(default_factory=dict)
     total: int = field(init=False)
@@ -216,16 +217,9 @@ class Lexicon:
 
     @classmethod
     def _parse(cls, path, text: str, block_chars: int) -> "Lexicon":
-        """The lexicon in `text`, parsed a block at a time. A block that
-        fails a check raises the error of its first line, which is the
-        failing line when a block is one line (`block_chars` 0)."""
+        """The lexicon in `text`, parsed by `errors.two_column_blocks`."""
         counts: dict[str, int] = {}
-        for lineno, rows, columns in two_column_blocks(text, block_chars):
-            try:
-                words, count_texts = columns  # None: a row holds no tab or more than one
-                block_counts = integer_cells(count_texts)
-            except (TypeError, ValueError):
-                raise EmocapsError(f"{path}:{lineno}: expected 'word<TAB>count', got {rows[0]!r}") from None
+        for lineno, _, words, block_counts in two_column_blocks(path, text, block_chars, "'word<TAB>count'", 0):
             try:  # every entry of the block before any is summed: a sum could hide a bad count
                 _check_entries(words, block_counts)
             except ValueError as bad:
@@ -243,14 +237,20 @@ class Lexicon:
 
 def _check_entries(words, counts) -> None:
     """Raise ValueError naming the first of the parallel `words` and
-    `counts` that breaks a lexicon rule: a word is non-empty, lowercase and
-    free of `*`, and a count is a non-negative int (a bool is not an int)."""
+    `counts` that breaks a lexicon rule: a word is non-empty, lowercase,
+    free of `*`, holds no whitespace and is NFC, for no surface could equal
+    it otherwise, and a count is a non-negative int (a bool is not an int)."""
     letters = "".join(words)  # one test of all entries; only a set that fails it is walked, to name its entry
-    if ("" in words or "*" in letters or letters != letters.lower()
+    if ("" in words or "*" in letters or letters != letters.lower() or holds_space(letters)
+            or not (letters.isascii() or unicodedata.is_normalized("NFC", letters))
             or not set(map(type, counts)) <= {int} or min(counts, default=0) < 0):
         for word, count in zip(words, counts):
             if not word or "*" in word or word != word.lower():
                 raise ValueError(f"bad lexicon word: {word!r}")
+            if holds_space(word):
+                raise ValueError(f"word {word!r} {SPACED}")
+            if not unicodedata.is_normalized("NFC", word):
+                raise ValueError(f"word {word!r} is not NFC, which every surface is")
             if type(count) is not int:
                 raise ValueError(f"count for {word!r} is not an int: {count!r}")
             if count < 0:
@@ -477,14 +477,5 @@ def preprocess(raw: str, lex: Lexicon) -> list[str]:
             surfaces.append(token.surface)
     if lex.total == 0:
         return surfaces
-    out = []
-    for surface in surfaces:
-        if (
-            len(surface) >= _SPELL_MIN_LEN
-            and surface.isalpha()
-            and surface not in lex.counts
-        ):
-            out.append(spell_correct(surface, lex))
-        else:
-            out.append(surface)
-    return out
+    return [spell_correct(surface, lex) if len(surface) >= _SPELL_MIN_LEN and surface.isalpha()
+            and surface not in lex.counts else surface for surface in surfaces]

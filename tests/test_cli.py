@@ -334,6 +334,15 @@ class TestPipeline:
             assert run(["evaluate", "--input", workspace["clean"], "--checkpoint", checkpoint, "--output", report]) == 0
         assert reports[1].read_bytes() == reports[0].read_bytes()
 
+    def test_checkpoint_dir_files_are_the_ones_train_writes(self, workspace, tmp_path):
+        """FILES_OF names exactly the files a successful train leaves in
+        --checkpoint-dir: the ones an overwrite check guards and a failed
+        run removes."""
+        out = tmp_path / "run"
+        assert run(["train", "--train-file", workspace["clean"], "--embeddings-payload", workspace["payload"],
+                    "--checkpoint-dir", out] + TINY_FLAGS) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(s.lstrip("/") for s in cli.FILES_OF["checkpoint_dir"])
+
     def test_repeated_training_is_byte_identical(self, workspace):
         dirs = [workspace["root"] / name for name in ("det_a", "det_b")]
         for d in dirs:
@@ -1054,6 +1063,21 @@ class TestExitCodes:
         code = run(["preprocess", "--input", raw, "--output", out, "--lexicon", lexicon])
         assert code == 3
         assert f"error: {lexicon}:2: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("word, says", [("new york", "holds whitespace, which no token holds"),
+                                            ("cafe\u0301", "is not NFC, which every surface is")], ids=["spaced", "nfd"])
+    def test_lexicon_word_no_surface_can_reach_is_refused(self, tmp_path, capsys, word, says):
+        """Its count would enter the total and move every split: with it,
+        #hashtag would no longer split into hash and tag."""
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text(f"hash\t100\ntag\t100\nhashtag\t30\n{word}\t100000\n", encoding="utf-8")
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("joy\tso #hashtag\n")
+        out = tmp_path / "clean.tsv"
+        capsys.readouterr()
+        assert run(["preprocess", "--input", raw, "--output", out, "--lexicon", lexicon]) == 3
+        assert capsys.readouterr().err == f"error: {lexicon}:4: word {word!r} {says}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("id_cell, count_cell", [("0_2", "1_000"), ("\u0662", "\u0663"), ("+2", " 7"), ("\uff12", "7 ")],

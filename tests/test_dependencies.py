@@ -16,10 +16,11 @@ NumericError. And input is checked where it enters the model: the numeric
 layers, the confusion count and the word2vec loader's dispatch raise
 nothing. And errors alone spells the line-end rule and the name of the
 file an output is written through: no other module holds "\\r" or ".tmp".
-And every source file parses as the oldest Python the package supports,
-the lowest one CI runs, and CI also runs the oldest numpy it supports. And
-every function, method and class of the package has a caller outside the
-tests."""
+And errors alone spells the whitespace rule, and embeddings alone names
+the word2vec formats. And every source file parses as the oldest Python
+the package supports, the lowest one CI runs, and CI also runs the oldest
+numpy it supports. And every function, method and class of the package
+has a caller outside the tests."""
 
 import ast
 import builtins
@@ -29,6 +30,7 @@ import types
 from pathlib import Path
 
 import emocaps
+from emocaps import embeddings, errors
 
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "emocaps"}
 ROOT = Path(__file__).resolve().parents[1]
@@ -272,22 +274,52 @@ def test_only_entry_points_check_their_input():
     }
 
 
-def test_only_errors_spells_line_ends_and_the_tmp_name():
-    """No module but errors.py holds a string constant, f-string parts
-    included and docstrings not, with a "\\r" or ".tmp" in it: the line-end
-    rule is `errors.parse_blocks`'s and `errors.whole_text`'s, and the name
-    of the file an output is written through is `errors.TMP_SUFFIX`."""
-    found = []
+def _string_constants(owner: str):
+    """(file name, line, value) of every str constant, f-string parts
+    included and docstrings not, in each module of the package but `owner`."""
     for path in sorted(Path(emocaps.__file__).parent.glob("*.py")):
-        if path.name == "errors.py":
+        if path.name == owner:
             continue
         tree = ast.parse(path.read_text("utf-8"), filename=str(path))
         docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                       if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
                       and ast.get_docstring(node, clean=False) is not None}
-        found += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
-                  and ("\r" in node.value or ".tmp" in node.value)]
+        yield from ((path.name, node.lineno, node.value) for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings)
+
+
+def test_only_errors_spells_line_ends_and_the_tmp_name():
+    """No module but errors.py holds a string constant, f-string parts
+    included and docstrings not, with a "\\r" or ".tmp" in it: the line-end
+    rule is `errors.parse_blocks`'s and `errors.whole_text`'s, and the name
+    of the file an output is written through is `errors.TMP_SUFFIX`."""
+    found = [f"{name}:{line}: {value!r}" for name, line, value in _string_constants("errors.py")
+             if "\r" in value or ".tmp" in value]
+    assert found == []
+
+
+def test_only_errors_spells_the_whitespace_rule():
+    """No module but errors.py calls or names `isspace`, nor holds a string
+    constant with a character of `errors.ASCII_SPACES` but the space, which
+    messages hold: a word of a vocabulary or a lexicon, read from a file, a
+    manifest or a mapping, is refused by `errors.holds_space` alone."""
+    controls = set(errors.ASCII_SPACES) - {" "}
+    found = [f"{name}:{line}: {value!r}" for name, line, value in _string_constants("errors.py")
+             if controls & set(value)]
+    for path in sorted(Path(emocaps.__file__).parent.glob("*.py")):
+        if path.name != "errors.py":
+            tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+            found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "isspace"]
+    assert found == []
+
+
+def test_only_embeddings_names_the_word2vec_formats():
+    """No module but embeddings.py holds a string constant equal to a key of
+    `embeddings.WORD2VEC_FORMATS`: build-vocab reads its choices and its
+    default from the loader's table, so a format is added in one place."""
+    formats = set(embeddings.WORD2VEC_FORMATS)
+    found = [f"{name}:{line}: {value!r}" for name, line, value in _string_constants("embeddings.py") if value in formats]
     assert found == []
 
 

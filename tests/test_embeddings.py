@@ -9,8 +9,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from emocaps import errors
-from emocaps.cli import main
+from emocaps import embeddings, errors
+from emocaps.cli import build_parser, main
 from emocaps.embeddings import (
     PAD,
     RESERVED,
@@ -626,6 +626,15 @@ class TestLoadWord2vec:
         assert err.value.code == 2
         assert "argument --embeddings-format: invalid choice: 'csv'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["vecs.txt"]
+
+    def test_format_choices_are_the_loaders(self):
+        """build-vocab offers the loader's formats, its first as the default:
+        a format added to the loader is offered, and none is offered that
+        the loader cannot read."""
+        sub = next(a for a in build_parser()._actions if a.dest == "command").choices["build-vocab"]
+        action = next(a for a in sub._actions if a.dest == "embeddings_format")
+        assert list(action.choices) == list(embeddings.WORD2VEC_FORMATS) == ["binary", "text"]
+        assert action.default == "binary"
 
     def test_duplicates_keep_first(self, tmp_path):
         path = tmp_path / "vecs.txt"

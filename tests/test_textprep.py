@@ -36,7 +36,11 @@ from emocaps.textprep import (
 )
 import lexicon_oracle
 from spell_oracle import ALPHABET, edits1, sources1, two_steps
-from test_embeddings import encode_rows, odd_cell
+from test_embeddings import SPACED_WORDS, encode_rows, odd_cell
+
+# words that preprocess's NFC composition changes, so no surface equals them:
+# decomposed, a Hangul syllable in jamo, marks out of order, a composition exclusion
+NFD_WORDS = ("cafe\u0301", "\u1100\u1161", "o\u0301\u0323", "\u0958")
 
 CORPUS = [
     "It's [#TARGETWORD#] when you feel invisible",
@@ -221,7 +225,9 @@ class TestLexicon:
         ("cat", -2, "negative count for 'cat'"),
         ("cat", 2.5, "count for 'cat' is not an int: 2.5"),
         ("cat", True, "count for 'cat' is not an int: True"),
-    ], ids=["empty", "uppercase", "censored", "negative", "float", "bool"])
+        ("new york", 1, "word 'new york' holds whitespace, which no token holds"),
+        ("cafe\u0301", 1, "word 'cafe\u0301' is not NFC, which every surface is"),
+    ], ids=["empty", "uppercase", "censored", "negative", "float", "bool", "spaced", "nfd"])
     def test_every_way_in_checks_the_rule(self, tmp_path, word, count, says):
         path = tmp_path / "lex.tsv"
         path.write_text(f"dog\t1\n{word}\t{count}\nowl\t2\n", encoding="utf-8")
@@ -247,9 +253,48 @@ class TestLexicon:
 
     @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"])
     def test_from_file_lines_end_only_at_newline(self, tmp_path, sep):
+        """The line holding `sep` is line 3, and its word is refused whole
+        for the whitespace in it."""
         path = tmp_path / "lex.tsv"
-        path.write_bytes(f"one{sep}two\t3\r\ncat\t2\rdog\t1\n".encode("utf-8"))
-        assert Lexicon.from_file(path).counts == {f"one{sep}two": 3, "cat": 2, "dog": 1}
+        path.write_bytes(f"cat\t2\r\ndog\t1\rone{sep}two\t3\n".encode("utf-8"))
+        says = f"{path}:3: word {f'one{sep}two'!r} holds whitespace, which no token holds"
+        with pytest.raises(EmocapsError, match="^" + re.escape(says) + "$"):
+            Lexicon.from_file(path)
+
+    @pytest.mark.parametrize("word", ["new york", "a\tb", "a\nb", "a\rb", "a\xa0b", *NFD_WORDS])
+    def test_refuses_a_word_no_surface_can_equal(self, word):
+        """A surface holds no whitespace and is NFC, so a word that is not
+        would only add its count to the total; a tab or a line end in a word
+        reaches the lexicon only this way, never from a file."""
+        says = "holds whitespace, which no token holds" if any(map(str.isspace, word)) else "is not NFC, which every surface is"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'word {word!r} {says}')}$"):
+            Lexicon({"cat": 1, word: 1})
+
+    @pytest.mark.parametrize("word", SPACED_WORDS + NFD_WORDS)
+    def test_from_file_refuses_a_word_no_surface_can_reach(self, tmp_path, word):
+        """A word that holds whitespace or is not NFC is refused, naming its
+        line, in an ASCII file or not and wherever in a large file it is."""
+        rows = [f"w{i}\t{i}" for i in range(5000)]
+        for at in (2, 4999):
+            spoiled = list(rows)
+            spoiled[at] = f"x{word}{at}\t1"
+            path = tmp_path / "lex.tsv"
+            path.write_text("\n".join(spoiled) + "\n", encoding="utf-8")
+            rule = "is not NFC, which every surface is" if word in NFD_WORDS else "holds whitespace, which no token holds"
+            says = f"{path}:{at + 1}: word {f'x{word}{at}'!r} {rule}"
+            with pytest.raises(EmocapsError, match="^" + re.escape(says) + "$"):
+                Lexicon.from_file(path)
+
+    def test_a_word_no_surface_equals_moves_no_split(self):
+        """The count of a word no hashtag part can be would still enter the
+        total, and so every split's score: a lexicon that held `new york`
+        100,000 times split #hashtag whole."""
+        counts = {"hash": 100, "tag": 100, "hashtag": 30}
+        assert segment_hashtag("#hashtag", Lexicon(counts)) == ["hash", "tag"]
+        assert segment_hashtag("#hashtag", Lexicon({**counts, "newyork": 100_000})) == ["hashtag"]
+        for word in ("new york", "cafe\u0301"):
+            with pytest.raises(ValueError):
+                Lexicon({**counts, word: 100_000})
 
     def test_from_file_malformed(self, tmp_path):
         path = tmp_path / "lex.tsv"
@@ -267,6 +312,7 @@ class TestLexicon:
         ("dog\t-1", "negative count for 'dog'"),  # though the summed count is 0
         ("Cat\t1\nbroken line", "bad lexicon word: 'Cat'"),  # the first bad line is named
         ("Cat\t1\ncat\t-2", "bad lexicon word: 'Cat'"),
+        ("New York\t1", "bad lexicon word: 'New York'"),  # the case rule before the whitespace rule
     ])
     def test_from_file_names_file_and_line(self, tmp_path, line, says):
         path = tmp_path / "lex.tsv"
@@ -318,8 +364,8 @@ class TestLexicon:
         assert "_letters" in vars(lex)
 
 
-# words that the line rule, the tab split or the case test could misread
-LEXICON_ODD_WORDS = ("café", "x\u2028y", "p\x0bq", "r\x1cs", " sp", "7", "\ufeffbom", "ǆ")
+# words that the line rule, the tab split, the case test, the whitespace rule or NFC could misread
+LEXICON_ODD_WORDS = ("café", "7", "\ufeffbom", "ǆ", "\u200b", "soft\xadhyphen", "가")
 COUNT_FORMATS = ("{}", "{}", "{}", "0{}")
 BAD_LEXICON_ROWS = ("cat", "cat\t1\t2", "cat\tmany", "\t1", "Cat\t1", "s*t\t1", "cat\t-1", "cat\t2.5", " ", "ǅ\t1",
                     "cat\t-", "cat\t--1", "cat\t1-")
@@ -339,7 +385,7 @@ def spoil_lexicon(rng, rows):
     """`rows` with one fault at a random row, or none, and blank lines
     around that row."""
     at = rng.randrange(len(rows) + 1)
-    fault = rng.choice(["none", "bad-row", "hidden-negative", "tab-word", "odd-count"])
+    fault = rng.choice(["none", "bad-row", "hidden-negative", "tab-word", "odd-count", "spaced-word", "nfd-word"])
     if fault == "bad-row" or fault != "none" and at == len(rows):
         rows.insert(at, rng.choice(BAD_LEXICON_ROWS))
     elif fault == "hidden-negative":  # the row's own count is larger: the sum is not negative
@@ -349,12 +395,15 @@ def spoil_lexicon(rng, rows):
     elif fault == "odd-count":
         word, count = rows[at].split("\t")
         rows[at] = f"{word}\t{odd_cell(rng, int(count))}"
+    elif fault in ("spaced-word", "nfd-word"):
+        rows[at] = rng.choice(SPACED_WORDS if fault == "spaced-word" else NFD_WORDS) + rows[at]
     for _ in range(rng.choice([0, 0, 1, 3])):
         rows.insert(min(max(at + rng.randint(-1, 1), 0), len(rows)), "")
     return rows
 
 
-LEXICON_REFUSALS = ("expected 'word<TAB>count'", "bad lexicon word", "negative count for", "not UTF-8 text")
+LEXICON_REFUSALS = ("expected 'word<TAB>count'", "bad lexicon word", "negative count for", "not UTF-8 text",
+                    "holds whitespace", "is not NFC")
 
 
 def assert_reads_as_oracle(path):
@@ -392,7 +441,7 @@ class TestLexiconBlocks:
         (None, "loaded"), ("bad-row", "expected 'word<TAB>count'"), ("blank", "loaded"),
         ("uppercase", "bad lexicon word"), ("censored", "bad lexicon word"), ("hidden-negative", "negative count for"),
         ("crlf", "loaded"), ("cr", "loaded"), ("bom", "loaded"), ("not-utf8", "not UTF-8 text"),
-        ("odd-count", "expected 'word<TAB>count'"),
+        ("odd-count", "expected 'word<TAB>count'"), ("spaced-word", "holds whitespace"), ("nfd-word", "is not NFC"),
     ])
     def test_large_file_agrees_at_the_block_boundary(self, tmp_path, fault, outcome):
         """A 30,000-line file with a fault on each side of the line that
@@ -421,6 +470,9 @@ class TestLexiconBlocks:
             elif fault == "odd-count":
                 word, count = spoiled[at].split("\t")
                 spoiled[at] = f"{word}\t{odd_cell(random.Random(at), int(count))}"
+            elif fault in ("spaced-word", "nfd-word"):
+                words = SPACED_WORDS if fault == "spaced-word" else NFD_WORDS
+                spoiled[at] = words[at % len(words)] + spoiled[at]
             path = tmp_path / f"lex{at}.tsv"
             path.write_bytes(("\n".join(spoiled) + "\n").encode("utf-8", "surrogateescape"))
             assert assert_reads_as_oracle(path) == outcome
